@@ -104,9 +104,6 @@ class JetSpace:
     def dep_index(self, name: str) -> int:
         return self.dependent.index(name)
 
-    def is_odd_dep(self, j: int) -> bool:
-        return self.dependent[j] in self.odd
-
     def is_odd_key(self, key) -> bool:
         kind = key[0]
         if kind == 'j':
@@ -212,10 +209,6 @@ def _mono_mul(space: JetSpace, m1, m2):
     else:
         sign = 1
     return tuple(sorted(exps.items())), sign
-
-
-def _mono_degree(mono) -> int:
-    return sum(e for _, e in mono)
 
 
 class DiffExpr:
@@ -338,22 +331,8 @@ class DiffExpr:
         orders = [mi_order(k[2]) for k in self.variables() if k[0] == 'j']
         return max(orders, default=-1)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
-    def degree_in(self, keys) -> int:
-        keys = set(keys)
-        best = 0
-        for m in self.terms:
-            best = max(best, sum(e for k, e in m if k in keys))
-        return best
-
     def is_linear_in(self, key) -> bool:
         return all(e == 1 for m in self.terms for k, e in m if k == key)
-
-    def coefficient_monomials(self):
-        """Iterate (monomial, coefficient) pairs deterministically."""
-        return sorted(self.terms.items())
 
     # -- calculus ----------------------------------------------------------
 
@@ -456,15 +435,6 @@ class DiffExpr:
     def rename_space(self, space: JetSpace) -> "DiffExpr":
         """Reinterpret over a compatible (extended) space."""
         return DiffExpr(space, dict(self.terms))
-
-    def scale_jets(self, factor: Fraction, families) -> "DiffExpr":
-        """Multiply every jet of the given dependent families by factor."""
-        fams = set(families)
-        res = {}
-        for mono, c in self.terms.items():
-            d = sum(e for k, e in mono if k[0] == 'j' and k[1] in fams)
-            res[mono] = res.get(mono, 0) + c * factor ** d
-        return DiffExpr(self.space, {m: c for m, c in res.items() if c})
 
     # -- rendering ---------------------------------------------------------
 
@@ -571,11 +541,6 @@ def d_h(form: HorizontalForm, wmap=None) -> HorizontalForm:
             comps[newS] = cur + (da if sign > 0 else -da)
     comps = {k: v for k, v in comps.items() if not v.is_zero()}
     return HorizontalForm(space, form.degree + 1, comps)
-
-
-def form_from_density(density: DiffExpr) -> HorizontalForm:
-    n = density.space.n
-    return HorizontalForm(density.space, n, {tuple(range(n)): density})
 
 
 # -- homotopy inverses -----------------------------------------------------
@@ -722,16 +687,6 @@ def canonical_density(e: DiffExpr, i: int = 0) -> DiffExpr:
         if nz is not None and _JETKEY(nz) >= _JETKEY(z):
             return g
         g = cand
-
-
-def normalize_sign(e: DiffExpr) -> tuple:
-    """(expr, flipped) with the leading (maximal) monomial made positive."""
-    if e.is_zero():
-        return e, False
-    lead = max(e.terms)
-    if e.terms[lead] < 0:
-        return -e, True
-    return e, False
 
 
 # -- parsing and rendering -------------------------------------------------

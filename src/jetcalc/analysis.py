@@ -38,9 +38,8 @@ class Ansatz:
             raise AnsatzError("ansatz bounds must be non-negative")
 
 
-def ansatz_monomials(pres: Presentation, ansatz: Ansatz, extra_vars=()):
-    """Monomial pool in internal coordinates (plus optional extra variables),
-    deterministic order."""
+def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
+    """Monomial pool in internal coordinates, deterministic order."""
     space = pres.space
     gens = []
     for i, name in enumerate(space.independent):
@@ -50,7 +49,6 @@ def ansatz_monomials(pres: Presentation, ansatz: Ansatz, extra_vars=()):
         name = space.dependent[key[1]]
         if ansatz.whitelist is None or name in ansatz.whitelist:
             gens.append(DiffExpr(space, {((key, 1),): Fraction(1)}))
-    gens.extend(extra_vars)
     monos = [space.one()]
     for deg in range(1, ansatz.max_degree + 1):
         for combo in combinations_with_replacement(range(len(gens)), deg):
@@ -95,7 +93,7 @@ def solve_determining(candidates, apply_fn, ncomps):
     return out
 
 
-def _slot_candidates(monos, ncomps, space):
+def slot_candidates(monos, ncomps, space):
     out = []
     for slot in range(ncomps):
         for m in monos:
@@ -115,7 +113,7 @@ def verify_symmetry(phi, pres: Presentation):
 
 def solve_symmetries(pres: Presentation, ansatz: Ansatz):
     monos = ansatz_monomials(pres, ansatz)
-    cands = _slot_candidates(monos, pres.space.m, pres.space)
+    cands = slot_candidates(monos, pres.space.m, pres.space)
     return solve_determining(cands, lambda v: pres.lin_apply(v), pres.space.m)
 
 
@@ -127,8 +125,23 @@ def verify_cosymmetry(psi, pres: Presentation):
 def solve_cosymmetries(pres: Presentation, ansatz: Ansatz):
     monos = ansatz_monomials(pres, ansatz)
     ncomps = len(pres.components)
-    cands = _slot_candidates(monos, ncomps, pres.space)
+    cands = slot_candidates(monos, ncomps, pres.space)
     return solve_determining(cands, lambda v: pres.adj_apply(v), ncomps)
+
+
+def _cofactor_operator(image, pres: Presentation):
+    """(op, None) with image = op(F) on free jets, op read off the cofactors
+    of each component of `image`; (None, normal form) for the first
+    component that does not vanish on the equation."""
+    entries = {}
+    for r, comp in enumerate(image):
+        red = pres.reduce(comp)
+        if not red.normal_form.is_zero():
+            return None, red.normal_form
+        for (_, s), tab in red.cofactor.entries.items():
+            entries[(r, s)] = dict(tab)
+    l = len(pres.components)
+    return CDiffOp(pres.space, l, l, entries), None
 
 
 # -- conservation laws --------------------------------------------------------
@@ -173,21 +186,13 @@ def verify_conservation_factorization(psi, delta_prime: CDiffOp,
     with l_F*(psi) = nabla(F) read off the cofactors, check that
     l_psi + nabla* = delta' l_F modulo reduction for the supplied
     self-adjoint delta'."""
-    space = pres.space
-    l = len(pres.components)
-    image = pres.linearization().adjoint().apply(psi)
-    entries = {}
-    for r, comp in enumerate(image):
-        red = pres.reduce(comp)
-        if not red.normal_form.is_zero():
-            return {"ok": False, "reason": "psi is not a cosymmetry",
-                    "residual": [render(red.normal_form)]}
-        for (_, s), tab in red.cofactor.entries.items():
-            entries[(r, s)] = dict(tab)
-    nabla = CDiffOp(space, l, l, entries)
+    nabla, leftover = _cofactor_operator(pres.linearization().adjoint().apply(psi), pres)
+    if nabla is None:
+        return {"ok": False, "reason": "psi is not a cosymmetry",
+                "residual": [render(leftover)]}
     if not pres.restrict_operator(delta_prime - delta_prime.adjoint()).is_zero():
         return {"ok": False, "reason": "delta' is not self-adjoint"}
-    lhs = linearize(psi, space) + nabla.adjoint()
+    lhs = linearize(psi, pres.space) + nabla.adjoint()
     rhs = delta_prime.compose(pres.linearization())
     residual = pres.restrict_operator(lhs - rhs)
     return {"ok": residual.is_zero(), "residual": residual.render_matrix()}
@@ -203,17 +208,9 @@ def pair_symmetry_cosymmetry(phi, psi, pres: Presentation) -> HorizontalForm:
 def lie_on_cosymmetry(phi, psi, pres: Presentation):
     """L_phi(psi) = E_phi(psi) + box*(psi), box read off the cofactors of
     l_F(phi)."""
-    space = pres.space
-    l = len(pres.components)
-    image = pres.linearization().apply(phi)
-    entries = {}
-    for r, comp in enumerate(image):
-        red = pres.reduce(comp)
-        if not red.normal_form.is_zero():
-            raise ShapeError("lie_on_cosymmetry needs a symmetry argument")
-        for (_, s), tab in red.cofactor.entries.items():
-            entries[(r, s)] = dict(tab)
-    box = CDiffOp(space, l, l, entries)
+    box, _ = _cofactor_operator(pres.linearization().apply(phi), pres)
+    if box is None:
+        raise ShapeError("lie_on_cosymmetry needs a symmetry argument")
     correction = box.adjoint().apply(psi)
     return [pres.normal_form(ev_apply(phi, p) + c)
             for p, c in zip(psi, correction)]
@@ -281,9 +278,6 @@ class BilinearNabla:
     the closedness conditions."""
 
     def __init__(self, pres: Presentation, theta: CDiffOp):
-        self.pres = pres
-        self.space = pres.space
-        self.rows = theta.rows
         self.l = len(pres.components)
         self.data = []  # (r, c, J, s, K, lam)
         for (r, c), tab in theta.entries.items():
@@ -296,15 +290,17 @@ class BilinearNabla:
                         self.data.append((r, c, J, s, K, lam))
 
     def star1(self, chi, arg):
-        """Adjoint in the F-slot, applied to (chi, arg) and reduced."""
-        out = [self.space.zero() for _ in range(self.l)]
+        """Adjoint in the F-slot, applied to (chi, arg), unreduced, over the
+        space of the arguments (which may extend the presentation's)."""
+        space = arg[0].space
+        out = [space.zero() for _ in range(self.l)]
         for (r, c, J, s, K, lam) in self.data:
-            coeff = lam * apply_DI(arg[c], J)
+            coeff = lam.rename_space(space) * apply_DI(arg[c], J)
             piece = apply_DI(coeff * chi[r], K)
             if mi_order(K) % 2:
                 piece = -piece
             out[s] = out[s] + piece
-        return [self.pres.normal_form(x) for x in out]
+        return out
 
 
 def verify_symplectic(delta: CDiffOp, pres: Presentation, test_args=None,
@@ -325,7 +321,7 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, test_args=None,
     if test_args is None:
         ansatz = ansatz or Ansatz(2, 1)
         monos = ansatz_monomials(pres, ansatz)
-        test_args = _slot_candidates(monos, space.m, space)
+        test_args = slot_candidates(monos, space.m, space)
     failures = []
     if pres.is_evolutionary():
         skew = pres.restrict_operator(delta + delta.adjoint())

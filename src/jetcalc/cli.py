@@ -30,7 +30,7 @@ from .coverings import (
     verify_flat,
     verify_shadow,
 )
-from .errors import JetCalcError, NonlocalObstruction
+from .errors import ExprSyntaxError, JetCalcError, NonlocalObstruction
 from .hamiltonian import (
     are_compatible,
     is_hamiltonian,
@@ -41,28 +41,6 @@ from .hamiltonian import (
 )
 from .operators import CDiffOp, PseudoOp
 from .presentations import EquivalenceWitness, make_presentation, verify_equivalence
-
-_OPERATOR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "rows": {"type": "integer", "minimum": 1},
-        "cols": {"type": "integer", "minimum": 1},
-        "entries": {"type": "array", "items": {
-            "type": "object",
-            "properties": {
-                "row": {"type": "integer", "minimum": 0},
-                "col": {"type": "integer", "minimum": 0},
-                "terms": {"type": "array", "items": {
-                    "type": "object",
-                    "properties": {"D": {"type": "array",
-                                         "items": {"type": "integer", "minimum": 0}},
-                                   "coef": {"type": "string"}},
-                    "required": ["D", "coef"]}},
-            },
-            "required": ["row", "col", "terms"]}},
-    },
-    "required": ["rows", "cols", "entries"],
-}
 
 _SPACE_SCHEMA = {
     "type": "object",
@@ -105,9 +83,14 @@ PROBLEM_SCHEMA = {
 
 
 def _parse_leading(text: str, space: JetSpace):
-    name, idx = text.split("[", 1)
-    K = tuple(int(x) for x in idx.rstrip("]").split(","))
-    return (name, K)
+    """(dependent index, multi-index) of a leading jet written as one bare
+    jet token such as ``u[0,1]``."""
+    e = parse(text, space)
+    keys = e.jet_keys()
+    if len(keys) != 1 or e != space.jet(keys[0][1], keys[0][2]):
+        raise ExprSyntaxError(f"leading {text!r} is not a single jet", 0)
+    _, j, K = keys[0]
+    return (j, K)
 
 
 def _load_operator(data: dict, space: JetSpace) -> CDiffOp:

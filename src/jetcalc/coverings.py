@@ -93,12 +93,8 @@ def verify_flat(cov: Covering) -> dict:
 def make_covering(base: Presentation, nonlocals, X, odd=()) -> Covering:
     """Nonlocal-variable covering over a presentation.  `nonlocals` is a
     list of names, X maps independent index -> list of extension fields."""
-    space = base.space.extended(nonlocals=nonlocals, odd=odd)
-    pres = Presentation(space, [c.rename_space(space) for c in base.components],
-                        base.leadings,
-                        [c.rename_space(space) for c in base.lead_coeffs],
-                        [c.rename_space(space) for c in base.rhss],
-                        base.declared_normal)
+    pres = base.extend_space(nonlocals=nonlocals, odd=odd)
+    space = pres.space
     Xn = {i: tuple(f.rename_space(space) for f in fields) for i, fields in X.items()}
     return Covering(pres, base, tuple(nonlocals), Xn)
 
@@ -207,13 +203,8 @@ def cotangent_covering(base: Presentation, check_order=4) -> Covering:
 def add_abelian_layer(cov: Covering, name: str, fields: dict) -> Covering:
     """Declare an extra nonlocal variable over an existing covering (the
     auxiliary layers such as D_x(v_-1) = v)."""
-    space = cov.space.extended(nonlocals=[name])
-    pres = Presentation(space,
-                        [c.rename_space(space) for c in cov.presentation.components],
-                        cov.presentation.leadings,
-                        [c.rename_space(space) for c in cov.presentation.lead_coeffs],
-                        [c.rename_space(space) for c in cov.presentation.rhss],
-                        cov.presentation.declared_normal)
+    pres = cov.presentation.extend_space(nonlocals=[name])
+    space = pres.space
     X = {}
     for i in range(space.n):
         old = [f.rename_space(space) for f in cov.X.get(i, ())]
@@ -294,13 +285,8 @@ def reconstruct_step(cov: Covering, phi) -> Covering:
     """One-step shadow reconstruction: adjoin w~ with
     d w~^j / dx^i = l~_{X_i^j}(phi) + sum_a (dX_i^j/dw^a) w~^a."""
     names = [f"{name}_r" for name in cov.nonlocals]
-    space = cov.space.extended(nonlocals=names)
-    pres = Presentation(space,
-                        [c.rename_space(space) for c in cov.presentation.components],
-                        cov.presentation.leadings,
-                        [c.rename_space(space) for c in cov.presentation.lead_coeffs],
-                        [c.rename_space(space) for c in cov.presentation.rhss],
-                        cov.presentation.declared_normal)
+    pres = cov.presentation.extend_space(nonlocals=names)
+    space = pres.space
     X = {}
     for i in range(space.n):
         old = [f.rename_space(space) for f in cov.X.get(i, ())]

@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .algebra import (
     DiffExpr,
     JetSpace,
-    apply_DI,
     euler,
     homotopy_density,
     invert_total_derivative,
@@ -29,9 +27,15 @@ from .algebra import (
     render,
 )
 from .errors import AnsatzError, ShapeError, VariationalityError
-from .analysis import Ansatz, BilinearNabla, ell_delta_op
+from .analysis import (
+    Ansatz,
+    BilinearNabla,
+    ansatz_monomials,
+    ell_delta_op,
+    slot_candidates,
+    solve_determining,
+)
 from .coverings import Covering, cotangent_covering
-from .linalg import nullspace
 from .operators import CDiffOp, ev_apply, jacobi, linearize, pairing_density
 from .presentations import Presentation
 
@@ -104,8 +108,12 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
         rest = [(k, e) for k, e in mono if k != key]
         piece = DiffExpr(ext, {tuple(sorted(rest + [(down, 1)])): c})
         W = W - piece.total_derivative(i)
+    # the operator lives on the base space: coefficients mention no momentum
+    carrier = JetSpace.create(ext.independent, ext.dependent[:m], ext.parameters,
+                              ext.nonlocals,
+                              [n for n in ext.odd
+                               if n in ext.dependent[:m] or n in ext.nonlocals])
     entries = {}
-    base = ext  # coefficients may mention only even variables
     for mono, c in sorted(W.terms.items()):
         odd = [k for k, _ in mono if k[0] == 'j' and k[1] >= m]
         plain = [k for k in odd if mi_order(k[2]) == 0]
@@ -113,23 +121,13 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
         ks = odd[0] if odd[1] == k0 else odd[1]
         # coefficient of the slot-ordered product p^j_sigma p^i
         sign = 1 if (ks, k0) == (odd[0], odd[1]) else -1
-        coeff = DiffExpr(base, {tuple((k, e) for k, e in mono if k not in odd):
-                                c * sign})
+        coeff = DiffExpr(carrier, {tuple((k, e) for k, e in mono if k not in odd):
+                                   c * sign})
         i, j = k0[1] - m, ks[1] - m
         tab = entries.setdefault((i, j), {})
         cur = tab.get(ks[2])
         tab[ks[2]] = coeff if cur is None else cur + coeff
-    op = CDiffOp(ext, m, m, entries).map_coefficients(
-        lambda a: a.rename_space(sd.space))
-    op = CDiffOp(sd.space, m, m, op.entries)
-    # strip momenta from the carrier space
-    carrier = JetSpace.create(sd.space.independent, sd.space.dependent[:m],
-                              sd.space.parameters, sd.space.nonlocals,
-                              [n for n in sd.space.odd
-                               if n in sd.space.dependent[:m] or n in sd.space.nonlocals])
-    op = CDiffOp(carrier, m, m,
-                 {rc: {I: a.rename_space(carrier) for I, a in tab.items()}
-                  for rc, tab in op.entries.items()})
+    op = CDiffOp(carrier, m, m, entries)
     return op.scale(Fraction(1, 2)) - op.adjoint().scale(Fraction(1, 2))
 
 
@@ -166,13 +164,6 @@ def are_compatible(op1: CDiffOp, op2: CDiffOp) -> bool:
 
 
 # -- direct (un-shuffle) bracket ----------------------------------------------
-
-
-def _ell(delta, psis):
-    """The operator chi -> E_chi(delta)(psis...) for delta of degree <= 2."""
-    if isinstance(delta, CDiffOp):
-        return ell_delta_op(delta, psis[0])
-    return linearize(delta)  # vector: l_phi
 
 
 def schouten_direct(A, B, psis=()):
@@ -232,71 +223,24 @@ def poisson_bracket(omega1: DiffExpr, omega2: DiffExpr, A: CDiffOp):
     return density, all(e.is_zero() for e in euler(density))
 
 
-def _free_monomials(space: JetSpace, ansatz: Ansatz):
-    gens = []
-    for i, name in enumerate(space.independent):
-        if ansatz.whitelist is None or name in ansatz.whitelist:
-            gens.append(space.indep(i))
-    for j in range(space.m):
-        if ansatz.whitelist is None or space.dependent[j] in ansatz.whitelist:
-            for order in range(ansatz.max_jet_order + 1):
-                for K in _indices(space.n, order):
-                    gens.append(space.jet(j, K))
-    monos = [space.one()]
-    for deg in range(1, ansatz.max_degree + 1):
-        for combo in combinations_with_replacement(range(len(gens)), deg):
-            m = space.one()
-            for k in combo:
-                m = m * gens[k]
-            monos.append(m)
-    return monos
-
-
-def _indices(n, order):
-    from .algebra import mi_iter
-    return list(mi_iter(n, order))
-
-
 def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
-    """One solution psi of A(psi) = target within the ansatz, or None."""
+    """One solution psi of A(psi) = target within the ansatz, or None.
+
+    The candidates carry one extra slot, the coefficient t of the target in
+    A(psi) + t * target = 0; a solution with t != 0 gives psi / -t."""
     space = A.space
-    monos = _free_monomials(space, ansatz)
-    cands = []
-    for slot in range(A.cols):
-        for m in monos:
-            vec = [space.zero()] * A.cols
-            vec[slot] = m
-            cands.append(vec)
-    if not cands:
-        raise AnsatzError("ansatz generates no unknowns")
-    rowidx = {}
-    cols = []
-    for cand in cands:
-        image = A.apply(cand)
-        col = {}
-        for comp, expr in enumerate(image):
-            for mono, c in expr.terms.items():
-                col[rowidx.setdefault((comp, mono), len(rowidx))] = c
-        cols.append(col)
-    last = {}
-    for comp, expr in enumerate(target):
-        for mono, c in expr.terms.items():
-            last[rowidx.setdefault((comp, mono), len(rowidx))] = c
-    rows = [dict() for _ in range(len(rowidx))]
-    for j, col in enumerate(cols):
-        for r, c in col.items():
-            rows[r][j] = c
-    for r, c in last.items():
-        rows[r][len(cands)] = c
-    for vec in nullspace(rows, len(cands) + 1):
-        if vec[-1]:
-            scale = Fraction(-1) / vec[-1]
-            sol = [space.zero()] * A.cols
-            for j, c in enumerate(vec[:-1]):
-                if c:
-                    sol = [s + cands[j][k] * (c * scale)
-                           for k, s in enumerate(sol)]
-            return sol
+    monos = ansatz_monomials(Presentation(space, (), (), (), ()), ansatz)
+    zero = space.zero()
+    cands = [vec + [zero] for vec in slot_candidates(monos, A.cols, space)]
+    cands.append([zero] * A.cols + [space.one()])
+
+    def residual(v):
+        return [a + v[-1] * b for a, b in zip(A.apply(v[:-1]), target)]
+
+    for sol in solve_determining(cands, residual, A.cols + 1):
+        if sol[-1]:
+            scale = Fraction(-1) / sol[-1].terms[()]
+            return [x * scale for x in sol[:-1]]
     return None
 
 
@@ -377,23 +321,11 @@ def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, pres: Presentation):
     t2 = ell_delta_op(D2, bvec, m).apply(D1.apply(avec))
     t3 = ell_delta_op(D1, avec, m).apply(D2.apply(bvec))
     t4 = ell_delta_op(D1, bvec, m).apply(D2.apply(avec))
-    t5 = D2.apply(_nabla_star1(n1, bvec, avec, ext_pres))
-    t6 = D1.apply(_nabla_star1(n2, bvec, avec, ext_pres))
+    t5 = D2.apply(n1.star1(bvec, avec))
+    t6 = D1.apply(n2.star1(bvec, avec))
     total = [a - b + c - d + e + f
              for a, b, c, d, e, f in zip(t1, t2, t3, t4, nf(t5), nf(t6))]
     return nf(total), ext_pres, avec, bvec
-
-
-def _nabla_star1(nabla: BilinearNabla, chi, arg, pres_ext: Presentation):
-    ext = pres_ext.space
-    out = [ext.zero() for _ in range(nabla.l)]
-    for (r, c, J, s, K, lam) in nabla.data:
-        coeff = lam.rename_space(ext) * apply_DI(arg[c], J)
-        piece = apply_DI(coeff * chi[r], K)
-        if mi_order(K) % 2:
-            piece = -piece
-        out[s] = out[s] + piece
-    return out
 
 
 def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation,

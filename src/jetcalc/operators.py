@@ -93,18 +93,6 @@ class CDiffOp:
         z = mi_zero(space.n)
         return cls(space, size, size, {(k, k): {z: expr} for k in range(size)})
 
-    @classmethod
-    def from_matrix(cls, space, matrix):
-        """matrix of {multi-index: coefficient} tables (or None)."""
-        rows = len(matrix)
-        cols = len(matrix[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(matrix):
-            for c, table in enumerate(row):
-                if table:
-                    entries[(r, c)] = dict(table)
-        return cls(space, rows, cols, entries)
-
     def entry(self, r, c) -> dict:
         return self.entries.get((r, c), {})
 
@@ -150,11 +138,6 @@ class CDiffOp:
 
     def scale(self, factor):
         entries = {rc: {I: a * factor for I, a in tab.items()}
-                   for rc, tab in self.entries.items()}
-        return CDiffOp(self.space, self.rows, self.cols, entries)
-
-    def premultiply(self, expr: DiffExpr):
-        entries = {rc: {I: expr * a for I, a in tab.items()}
                    for rc, tab in self.entries.items()}
         return CDiffOp(self.space, self.rows, self.cols, entries)
 
@@ -318,10 +301,6 @@ def helmholtz(psis) -> CDiffOp:
     """l_psi - l_psi*; zero iff psi is a variational gradient."""
     L = linearize(psis)
     return L - L.adjoint()
-
-
-def is_gradient(psis) -> bool:
-    return helmholtz(psis).is_zero()
 
 
 # -- Green forms ------------------------------------------------------------

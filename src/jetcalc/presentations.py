@@ -67,7 +67,6 @@ class Presentation:
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
         self._nf_cache = {}
-        self._tag_cache = {}
         self._tag_space = space.extended(
             dependent=[f"_F{s}" for s in range(len(self.components))])
 
@@ -79,9 +78,6 @@ class Presentation:
                 return s
         return None
 
-    def is_internal_key(self, key) -> bool:
-        return key[0] != 'j' or self.find_rule(key[1], key[2]) is None
-
     def internal_jets(self, max_order: int):
         """All internal jet keys up to the given total order."""
         out = []
@@ -92,25 +88,32 @@ class Presentation:
                         out.append(('j', j, K))
         return out
 
-    def _rule_nf(self, j, K) -> DiffExpr:
-        cached = self._nf_cache.get((j, K))
+    def _rule_nf(self, j, K, tagged) -> DiffExpr:
+        """Normal form of the reducible jet u_K^j, prolonged from its rule
+        one derivative at a time; when tagged, each rule's tag _F<s> stands
+        for the component it came from, so the cofactors ride along."""
+        cached = self._nf_cache.get((tagged, j, K))
         if cached is not None:
             return cached
         s = self.find_rule(j, K)
         I = self.leadings[s][1]
         if K == I:
             value = self.rhss[s]
+            if tagged:
+                sp = self._tag_space
+                tag = sp.jet(self.space.m + s, mi_zero(sp.n))
+                inv = self.lead_coeffs[s].rename_space(sp).inverse_monomial()
+                value = value.rename_space(sp) + inv * tag
         else:
             i = max(k for k in range(self.space.n) if K[k] > I[k])
-            base = self._rule_nf(j, mi_sub(K, mi_unit(self.space.n, i)))
-            value = self.normal_form(base.total_derivative(i))
-        self._nf_cache[(j, K)] = value
+            base = self._rule_nf(j, mi_sub(K, mi_unit(self.space.n, i)), tagged)
+            value = self._reduce_loop(base.total_derivative(i), tagged)
+        self._nf_cache[(tagged, j, K)] = value
         return value
 
-    def normal_form(self, e: DiffExpr) -> DiffExpr:
-        if isinstance(e, (list, tuple)):
-            return [self.normal_form(x) for x in e]
-        e = e.rename_space(self.space) if e.space is not self.space else e
+    def _reduce_loop(self, e: DiffExpr, tagged) -> DiffExpr:
+        """Substitute the highest reducible jet until none is left (tag
+        families have no rules, so they are never reducible)."""
         while True:
             reducible = [k for k in e.variables()
                          if k[0] == 'j' and self.find_rule(k[1], k[2]) is not None]
@@ -122,7 +125,13 @@ class Presentation:
                     if k == z and exp < 0:
                         raise ReductionError(
                             f"reducible jet {z} occurs with negative exponent")
-            e = e.substitute({z: self._rule_nf(z[1], z[2])})
+            e = e.substitute({z: self._rule_nf(z[1], z[2], tagged)})
+
+    def normal_form(self, e: DiffExpr) -> DiffExpr:
+        if isinstance(e, (list, tuple)):
+            return [self.normal_form(x) for x in e]
+        e = e.rename_space(self.space) if e.space is not self.space else e
+        return self._reduce_loop(e, False)
 
     def d_bar(self, e: DiffExpr, i: int) -> DiffExpr:
         """Restricted total derivative."""
@@ -136,39 +145,6 @@ class Presentation:
 
     # -- cofactor-tracking reduction ------------------------------------------
 
-    def _tag_rule_nf(self, j, K) -> DiffExpr:
-        cached = self._tag_cache.get((j, K))
-        if cached is not None:
-            return cached
-        sp = self._tag_space
-        s = self.find_rule(j, K)
-        I = self.leadings[s][1]
-        if K == I:
-            tag = sp.jet(self.space.m + s, mi_zero(sp.n))
-            inv = self.lead_coeffs[s].rename_space(sp).inverse_monomial()
-            value = self.rhss[s].rename_space(sp) + inv * tag
-        else:
-            i = max(k for k in range(sp.n) if K[k] > I[k])
-            base = self._tag_rule_nf(j, mi_sub(K, mi_unit(sp.n, i)))
-            value = self._tag_normal_form(base.total_derivative(i))
-        self._tag_cache[(j, K)] = value
-        return value
-
-    def _tag_normal_form(self, e: DiffExpr) -> DiffExpr:
-        while True:
-            reducible = [k for k in e.variables()
-                         if k[0] == 'j' and k[1] < self.space.m
-                         and self.find_rule(k[1], k[2]) is not None]
-            if not reducible:
-                return e
-            z = max(reducible, key=_reduce_key)
-            for mono in e.terms:
-                for k, exp in mono:
-                    if k == z and exp < 0:
-                        raise ReductionError(
-                            f"reducible jet {z} occurs with negative exponent")
-            e = e.substitute({z: self._tag_rule_nf(z[1], z[2])})
-
     def reduce(self, e: DiffExpr) -> Reduction:
         """Normal form together with exact cofactors."""
         for key in e.variables():
@@ -178,7 +154,7 @@ class Presentation:
                         "cofactor tracking is limited to even reducible jets")
         sp = self._tag_space
         m, l = self.space.m, len(self.components)
-        full = self._tag_normal_form(e.rename_space(sp))
+        full = self._reduce_loop(e.rename_space(sp), True)
         nf_terms = {}
         tables = [dict() for _ in range(l)]
         for mono, c in full.terms.items():
@@ -209,9 +185,6 @@ class Presentation:
                 entries[(0, s)] = clean
         cof = CDiffOp(self.space, 1, l, entries)
         return Reduction(e, nf, cof)
-
-    def reduce_vector(self, vec):
-        return [self.reduce(e) for e in vec]
 
     # -- operators on the equation ---------------------------------------------
 
@@ -305,7 +278,6 @@ def make_presentation(space: JetSpace, components, leadings,
             if not (new - pres.rhss[s]).is_zero():
                 pres.rhss[s] = new
                 pres._nf_cache.clear()
-                pres._tag_cache.clear()
                 changed = True
         if not changed:
             break
@@ -332,20 +304,12 @@ def _check_confluence(pres: Presentation, check_order: int):
                     pads.extend(mi_iter(n, extra))
                 for pad in pads:
                     K = mi_add(lcm, pad)
-                    via_a = pres.normal_form(_force_path(pres, j, K, Ia, sa))
-                    via_b = pres.normal_form(_force_path(pres, j, K, Ib, sb))
+                    via_a = pres.normal_form(apply_DI(pres.rhss[sa], mi_sub(K, Ia)))
+                    via_b = pres.normal_form(apply_DI(pres.rhss[sb], mi_sub(K, Ib)))
                     if not (via_a - via_b).is_zero():
                         raise ConfluenceError(
                             f"critical pair at jet ({pres.space.dependent[j]}, {K}): "
                             f"{render(via_a)} != {render(via_b)}", jet=(j, K))
-
-
-def _force_path(pres: Presentation, j, K, I, s) -> DiffExpr:
-    e = pres.rhss[s]
-    for i in range(pres.space.n):
-        for _ in range(K[i] - I[i]):
-            e = e.total_derivative(i)
-    return e
 
 
 @dataclass

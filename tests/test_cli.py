@@ -1,9 +1,30 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from jetcalc.cli import main, run_problem
 from jetcalc.corpus import corpus, corpus_names
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# every corpus report, as `jetcalc corpus <name> --json` prints it, in one
+# process; written to stdout as a JSON object name -> [exit code, text]
+_CORPUS_REPORTS = """
+import contextlib, io, json, sys
+from jetcalc.cli import main
+from jetcalc.corpus import corpus_names
+reports = {}
+for name in corpus_names():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["corpus", name, "--json"])
+    reports[name] = [code, out.getvalue()]
+sys.stdout.write(json.dumps(reports))
+"""
 
 
 def test_corpus_names_complete():
@@ -112,3 +133,33 @@ def test_unknown_task_kind():
     report = run_problem(data)
     assert report["tasks"][0]["status"] == "error"
     assert report["status"] == "fail"
+
+
+@pytest.mark.parametrize("leading", ["u01", "u[a,1]", "v[0,1]"])
+def test_bad_leading_is_an_input_error(tmp_path, capsys, leading):
+    data = {
+        "space": {"independent": ["x", "t"], "dependent": ["u"]},
+        "equations": [{"expr": "u[0,1] - u[2,0]", "leading": leading}],
+        "tasks": [{"kind": "reduce", "expr": "u[1,1]"}],
+    }
+    f = tmp_path / "leading.json"
+    f.write_text(json.dumps(data))
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_corpus_reports_match_reference_under_two_hash_seeds():
+    outputs = []
+    for seed in ("0", "4242"):
+        path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", _CORPUS_REPORTS], env=env,
+                              capture_output=True, timeout=600, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    reports = json.loads(outputs[0])
+    assert sorted(reports) == sorted(corpus_names())
+    for name, (code, text) in reports.items():
+        reference = ROOT / "bench" / "reference" / "corpus" / f"{name}.json"
+        assert code == 0, name
+        assert text == reference.read_text(), name

@@ -14,11 +14,11 @@ from jetcalc import (
 )
 
 SP = JetSpace.create(["x", "t"], ["u"])
+JETS = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1))
 
 
-def rand_expr(space, rng, maxdeg=2, nterms=3):
+def rand_expr(space, rng, maxdeg=2, nterms=3, jets=JETS):
     e = space.zero()
-    jets = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
     for _ in range(nterms):
         m = space.num(rng.randint(-3, 3))
         for _ in range(rng.randint(0, maxdeg)):
@@ -38,14 +38,17 @@ def test_kdv_rules(kdv):
     assert r3.normal_form == SP.jet("u", (0, 0)) and r3.cofactor.is_zero()
 
 
-def test_cofactor_identity_random(kdv):
+def test_cofactor_identity_random(kdv, camassa_holm):
     rng = random.Random(61)
-    for _ in range(20):
-        e = rand_expr(kdv.space, rng)
-        red = kdv.reduce(e)
-        assert red.check(kdv)
-        # idempotence
-        assert kdv.normal_form(red.normal_form) == red.normal_form
+    # Camassa-Holm's leading jet is u[2,1], so give it jets that reduce
+    for pres, jets in ((kdv, JETS), (camassa_holm, JETS + ((2, 1), (3, 1)))):
+        for _ in range(20):
+            e = rand_expr(pres.space, rng, jets=jets)
+            red = pres.reduce(e)
+            assert red.check(pres)
+            # the tagged and untagged reductions agree, and are idempotent
+            assert red.normal_form == pres.normal_form(e)
+            assert pres.normal_form(red.normal_form) == red.normal_form
 
 
 def test_reduction_commutes_with_derivatives(kdv, camassa_holm):
