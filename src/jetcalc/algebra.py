@@ -211,6 +211,20 @@ def _mono_mul(space: JetSpace, m1, m2):
     return tuple(sorted(exps.items())), sign
 
 
+def _drop_factor(space: JetSpace, mono, key, e):
+    """(rest, k): `mono` with one power of its factor key^e removed; k is e
+    for an even key, and for an odd key the sign of moving it to the front."""
+    if space.is_odd_key(key):
+        odds = [v for v, _ in mono if space.is_odd_key(v)]
+        return tuple(p for p in mono if p[0] != key), -1 if odds.index(key) % 2 else 1
+    if e == 1:
+        return tuple(p for p in mono if p[0] != key), 1
+    return tuple((v, x - 1) if v == key else (v, x) for v, x in mono), e
+
+
+_ONE = {(): 1}
+
+
 class DiffExpr:
     """Immutable sparse differential polynomial over a JetSpace."""
 
@@ -337,80 +351,58 @@ class DiffExpr:
     # -- calculus ----------------------------------------------------------
 
     def partial(self, key) -> "DiffExpr":
-        """Partial derivative; left derivative for odd variables."""
+        """Partial derivative; left derivative for odd variables.  Distinct
+        monomials containing `key` lose it to distinct rests, so no two
+        terms of the result meet."""
         space = self.space
-        odd = space.is_odd_key(key)
         res = {}
         for mono, c in self.terms.items():
-            entry = dict(mono)
-            if key not in entry:
-                continue
-            if odd:
-                odds = [k for k, _ in mono if space.is_odd_key(k)]
-                sign = -1 if odds.index(key) % 2 else 1
-                new = tuple(p for p in mono if p[0] != key)
-                val = sign * c
-            else:
-                e = entry[key]
-                new_entry = dict(entry)
-                if e == 1:
-                    del new_entry[key]
-                else:
-                    new_entry[key] = e - 1
-                new = tuple(sorted(new_entry.items()))
-                val = c * e
-            s = res.get(new, 0) + val
-            if s:
-                res[new] = s
-            elif new in res:
-                del res[new]
+            for k, e in mono:
+                if k == key:
+                    rest, f = _drop_factor(space, mono, key, e)
+                    res[rest] = c * f
+                    break
         return DiffExpr(space, res)
 
     def total_derivative(self, i: int, wmap=None) -> "DiffExpr":
         """Total derivative D_i.  `wmap` maps nonlocal names to D_i-images;
         without it a nonlocal occurrence is an error (lifted derivatives
-        live in the covering layer)."""
+        live in the covering layer).  Each factor v^e of a monomial gives
+        e*v^(e-1)*D_i(v); an odd v is first moved to the front, and D_i(v)
+        stays there."""
         space = self.space
-        out = space.zero()
+        res = {}
         for mono, c in self.terms.items():
             for key, e in mono:
                 kind = key[0]
-                if kind == 'q':
+                if kind == 'q' or (kind == 'i' and key[1] != i):
                     continue
                 if kind == 'i':
-                    if key[1] != i:
-                        continue
-                    dv = space.one()
+                    dv = _ONE
                 elif kind == 'j':
-                    dv = DiffExpr(space, {((('j', key[1], mi_add(key[2], mi_unit(space.n, i))), 1),): Fraction(1)})
+                    K = key[2]
+                    dv = {((('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:]), 1),): 1}
                 else:  # nonlocal
                     if wmap is None:
                         raise NonlocalObstruction(
                             f"total derivative of nonlocal variable {key[1]!r} requires a covering")
-                    dv = wmap[key[1]]
-                    if dv is None:
+                    if wmap[key[1]] is None:
                         continue
-                # d(v^e)/dv * dv * rest, with graded sign handled by _mono_mul
-                factor = self._replace_factor(mono, c, key, e, dv)
-                out = out + factor
-        return out
-
-    def _replace_factor(self, mono, coeff, key, e, dv: "DiffExpr"):
-        """coeff * mono with one factor v^e differentiated into e*v^(e-1)*dv."""
-        space = self.space
-        rest = dict(mono)
-        if space.is_odd_key(key):
-            odds = [k for k, _ in mono if space.is_odd_key(k)]
-            sign = -1 if odds.index(key) % 2 else 1
-            del rest[key]
-            base = DiffExpr(space, {tuple(sorted(rest.items())): sign * coeff})
-            return dv * base
-        if e == 1:
-            del rest[key]
-        else:
-            rest[key] = e - 1
-        base = DiffExpr(space, {tuple(sorted(rest.items())): coeff * e})
-        return base * dv
+                    dv = wmap[key[1]].terms
+                rest, k = _drop_factor(space, mono, key, e)
+                odd = space.is_odd_key(key)
+                for dmono, dc in dv.items():
+                    merged = _mono_mul(space, dmono, rest) if odd \
+                        else _mono_mul(space, rest, dmono)
+                    if merged is None:
+                        continue
+                    new, sign = merged
+                    s = res.get(new, 0) + sign * k * c * dc
+                    if s:
+                        res[new] = s
+                    elif new in res:
+                        del res[new]
+        return DiffExpr(space, res)
 
     def substitute(self, mapping: dict) -> "DiffExpr":
         """Replace variable keys by expressions.  Odd keys may only map to
@@ -448,21 +440,20 @@ class DiffExpr:
 # -- derivative stacks -----------------------------------------------------
 
 
-def total_derivative(e: DiffExpr, i: int, wmap=None) -> DiffExpr:
-    return e.total_derivative(i, wmap)
-
-
-def apply_DI(e: DiffExpr, K: MultiIndex, wmap=None) -> DiffExpr:
+def apply_DI(e: DiffExpr, K: MultiIndex, d=None) -> DiffExpr:
+    """D_K(e), one derivative at a time: d(e, i) is the total derivative
+    of the setting (free jets by default, or restricted to an equation, or
+    lifted to a covering)."""
     for i, k in enumerate(K):
         for _ in range(k):
-            e = e.total_derivative(i, wmap)
+            e = e.total_derivative(i) if d is None else d(e, i)
     return e
 
 
-def euler(density: DiffExpr, targets=None) -> list:
+def euler(density: DiffExpr, targets=None, d=None) -> list:
     """Variational derivatives (delta L / delta u^j) for the listed
-    dependent families (default: all).  Left-derivative convention for
-    odd targets."""
+    dependent families (default: all), with total derivatives d as in
+    apply_DI.  Left-derivative convention for odd targets."""
     space = density.space
     if targets is None:
         targets = range(space.m)
@@ -473,7 +464,7 @@ def euler(density: DiffExpr, targets=None) -> list:
         indices = sorted({k[2] for k in density.variables() if k[0] == 'j' and k[1] == j})
         for K in indices:
             part = density.partial(('j', j, K))
-            part = apply_DI(part, K)
+            part = apply_DI(part, K, d)
             total = total + part if mi_order(K) % 2 == 0 else total - part
         out.append(total)
     return out

@@ -130,9 +130,10 @@ def solve_cosymmetries(pres: Presentation, ansatz: Ansatz):
 
 
 def _cofactor_operator(image, pres: Presentation):
-    """(op, None) with image = op(F) on free jets, op read off the cofactors
-    of each component of `image`; (None, normal form) for the first
-    component that does not vanish on the equation."""
+    """(op, None) with image = op(F) on free jets, op (one row per
+    component of `image`, one column per component of F) read off the
+    cofactors; (None, normal form) for the first component that does not
+    vanish on the equation."""
     entries = {}
     for r, comp in enumerate(image):
         red = pres.reduce(comp)
@@ -140,8 +141,7 @@ def _cofactor_operator(image, pres: Presentation):
             return None, red.normal_form
         for (_, s), tab in red.cofactor.entries.items():
             entries[(r, s)] = dict(tab)
-    l = len(pres.components)
-    return CDiffOp(pres.space, l, l, entries), None
+    return CDiffOp(pres.space, len(image), len(pres.components), entries), None
 
 
 # -- conservation laws --------------------------------------------------------

@@ -54,6 +54,8 @@ _SPACE_SCHEMA = {
     "required": ["independent", "dependent"],
 }
 
+_BOUND = {"type": "integer", "minimum": 0}  # an ansatz bound
+
 PROBLEM_SCHEMA = {
     "type": "object",
     "properties": {
@@ -75,7 +77,11 @@ PROBLEM_SCHEMA = {
         "tasks": {"type": "array", "items": {
             "type": "object",
             "properties": {"kind": {"type": "string"}},
-            "required": ["kind"]}},
+            "required": ["kind"],
+            "if": {"properties": {"kind": {"enum": [
+                "symmetries", "cosymmetries", "recursion-fiberlinear"]}}},
+            "then": {"properties": {"order": _BOUND, "degree": _BOUND},
+                     "required": ["order", "degree"]}}},
     },
     "required": ["tasks"],
     "anyOf": [{"required": ["space"]}, {"required": ["independent", "dependent"]}],
@@ -148,6 +154,12 @@ class Problem:
             self.pseudo_ops[name] = _load_pseudo(op, self.space)
 
 
+def _task_ansatz(task: dict) -> Ansatz:
+    # the schema also admits integral floats such as 2.0 as integers
+    return Ansatz(int(task["order"]), int(task["degree"]),
+                  tuple(task["whitelist"]) if task.get("whitelist") else None)
+
+
 def _status(ok: bool) -> str:
     return "ok" if ok else "fail"
 
@@ -159,10 +171,8 @@ def run_task(problem: Problem, task: dict) -> dict:
     out = {"task": kind}
 
     if kind == "symmetries" or kind == "cosymmetries":
-        ansatz = Ansatz(task["order"], task["degree"],
-                        tuple(task["whitelist"]) if task.get("whitelist") else None)
         solver = solve_symmetries if kind == "symmetries" else solve_cosymmetries
-        basis = solver(pres, ansatz)
+        basis = solver(pres, _task_ansatz(task))
         out["basis"] = [[render(x) for x in vec] for vec in basis]
         out["dimension"] = len(basis)
         out["status"] = "ok"
@@ -210,9 +220,7 @@ def run_task(problem: Problem, task: dict) -> dict:
             fields = {i: parse(layer["X"][nm], cov.space)
                       for i, nm in enumerate(space.independent)}
             cov = add_abelian_layer(cov, layer["name"], fields)
-        ansatz = Ansatz(task["order"], task["degree"],
-                        tuple(task["whitelist"]) if task.get("whitelist") else None)
-        basis = solve_fiberlinear(cov, ansatz)
+        basis = solve_fiberlinear(cov, _task_ansatz(task))
         out["basis"] = [[render(x) for x in vec] for vec in basis]
         out["dimension"] = len(basis)
         out["status"] = "ok"

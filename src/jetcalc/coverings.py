@@ -10,6 +10,7 @@ from .algebra import (
     DiffExpr,
     HorizontalForm,
     JetSpace,
+    apply_DI,
     invert_total_derivative,
     mi_order,
     mi_zero,
@@ -17,7 +18,7 @@ from .algebra import (
 )
 from .errors import NonlocalObstruction, NonSolvableError, ShapeError
 from .analysis import Ansatz, ansatz_monomials, solve_determining
-from .operators import CDiffOp
+from .operators import CDiffOp, ev_apply
 from .presentations import Presentation, make_presentation
 
 
@@ -48,18 +49,10 @@ class Covering:
         e = self.presentation.normal_form(e)
         return self.presentation.normal_form(e.total_derivative(i, self.wmap(i)))
 
-    def lift_DI(self, e: DiffExpr, K) -> DiffExpr:
-        for i, k in enumerate(K):
-            for _ in range(k):
-                e = self.lift_d(e, i)
-        return e
-
     def lift_apply(self, op: CDiffOp, vec) -> list:
-        out = [self.space.zero() for _ in range(op.rows)]
-        for (r, c), tab in op.entries.items():
-            for I, a in tab.items():
-                out[r] = out[r] + a.rename_space(self.space) * self.lift_DI(vec[c], I)
-        return [self.presentation.normal_form(x) for x in out]
+        """A base operator applied with the lifted derivatives, reduced."""
+        return self.presentation.normal_form(
+            op.rename_space(self.space).apply(vec, self.lift_d))
 
     def is_abelian(self) -> bool:
         wkeys = {('w', name) for name in self.nonlocals}
@@ -136,13 +129,8 @@ def delta_covering(base: Presentation, op: CDiffOp, names=None, odd=False,
         names = [stem if op.cols == 1 else f"{stem}{c + 1}" for c in range(op.cols)]
     ext = space.extended(dependent=names, odd=names if odd else ())
     fiber0 = space.m
-    fiber_exprs = []
-    for r in range(op.rows):
-        expr = ext.zero()
-        for c in range(op.cols):
-            for I, a in op.entry(r, c).items():
-                expr = expr + a.rename_space(ext) * ext.jet(fiber0 + c, I)
-        fiber_exprs.append(expr)
+    fiber_exprs = op.rename_space(ext).apply(
+        [ext.jet(fiber0 + c, mi_zero(ext.n)) for c in range(op.cols)])
     if leadings is None:
         leadings = []
         for r, expr in enumerate(fiber_exprs):
@@ -267,20 +255,6 @@ def solve_fiberlinear(cov: Covering, ansatz: Ansatz, target: CDiffOp = None):
 # -- reconstruction and finite symmetries --------------------------------------
 
 
-def lift_linearization_of(cov: Covering, f: DiffExpr, phi) -> DiffExpr:
-    """l~_f(phi): lifted linearization of a covering function f with respect
-    to the base dependents."""
-    out = cov.space.zero()
-    for key in f.jet_keys():
-        if key[1] >= cov.base.space.m:
-            continue
-        part = f.partial(key)
-        if part.is_zero():
-            continue
-        out = out + part * cov.lift_DI(phi[key[1]], key[2])
-    return cov.presentation.normal_form(out)
-
-
 def reconstruct_step(cov: Covering, phi) -> Covering:
     """One-step shadow reconstruction: adjoin w~ with
     d w~^j / dx^i = l~_{X_i^j}(phi) + sum_a (dX_i^j/dw^a) w~^a."""
@@ -293,7 +267,9 @@ def reconstruct_step(cov: Covering, phi) -> Covering:
         new = []
         for j, name in enumerate(cov.nonlocals):
             Xij = cov.X[i][j]
-            val = lift_linearization_of(cov, Xij, phi).rename_space(space)
+            # l~_{X_i^j}(phi): lifted linearization along the base dependents
+            val = cov.presentation.normal_form(
+                ev_apply(phi[:cov.base.space.m], Xij, cov.lift_d)).rename_space(space)
             for a, wa in enumerate(cov.nonlocals):
                 dd = Xij.partial(('w', wa))
                 if not dd.is_zero():
@@ -381,8 +357,8 @@ def recursion_as_backlund(cov: Covering, omega_R, phi, pres: Presentation = None
     mapping = {}
     for key in omega_R.variables():
         if key[0] == 'j' and key[1] in cov.fiber_families:
-            mapping[key] = base.apply_DI_bar(phi0.rename_space(base.space),
-                                             key[2]).rename_space(space)
+            mapping[key] = apply_DI(phi0.rename_space(base.space), key[2],
+                                    base.d_bar).rename_space(space)
         elif key[0] == 'w':
             prim = invert_total_derivative(base.normal_form(
                 phi0.rename_space(base.space)), 0)

@@ -68,15 +68,10 @@ def to_superdensity(op: CDiffOp) -> Superdensity:
     dependent variable this is the familiar  sum a_sigma p_sigma p)."""
     if op.rows != op.cols:
         raise ShapeError("superdensity encoding needs a square operator")
-    space = op.space
-    ext = momenta_space(space)
-    m = space.m
-    W = ext.zero()
-    for (i, j), tab in sorted(op.entries.items()):
-        pi = ext.jet(m + i, mi_zero(ext.n))
-        for sigma, a in sorted(tab.items()):
-            W = W + a.rename_space(ext) * ext.jet(m + j, sigma) * pi
-    return Superdensity(ext, m, W, 2)
+    ext = momenta_space(op.space)
+    m = op.space.m
+    p = [ext.jet(m + c, mi_zero(ext.n)) for c in range(op.cols)]
+    return Superdensity(ext, m, pairing_density(op.rename_space(ext).apply(p), p), 2)
 
 
 def from_superdensity(sd: Superdensity) -> CDiffOp:
@@ -197,14 +192,24 @@ def schouten_direct(A, B, psis=()):
     if isinstance(A, list) and isinstance(B, CDiffOp):
         out = schouten_direct(B, A, psis)
         return [-x for x in out]
-    # bivector-bivector: two gradient arguments
+    # bivector-bivector: two gradient arguments, corrections from l*
     psi1, psi2 = psis
-    t1 = ell_delta_op(B, psi1).apply(A.apply(psi2))
-    t2 = ell_delta_op(B, psi2).apply(A.apply(psi1))
-    t3 = ell_delta_op(A, psi1).apply(B.apply(psi2))
-    t4 = ell_delta_op(A, psi2).apply(B.apply(psi1))
-    t5 = B.apply(ell_delta_op(A, psi1).adjoint().apply(psi2))
-    t6 = A.apply(ell_delta_op(B, psi1).adjoint().apply(psi2))
+    return _bivector_bracket(A, B, psi1, psi2,
+                             ell_delta_op(A, psi1).adjoint().apply(psi2),
+                             ell_delta_op(B, psi1).adjoint().apply(psi2))
+
+
+def _bivector_bracket(A, B, psi1, psi2, corr_A, corr_B, ncols=None):
+    """[[A, B]](psi1, psi2) for bivectors A and B, whose variations along
+    the first ncols dependents enter through ell_delta_op; corr_A and
+    corr_B are the adjoint correction vectors (l* on free jets, the nabla
+    *1-adjoint on an equation)."""
+    t1 = ell_delta_op(B, psi1, ncols).apply(A.apply(psi2))
+    t2 = ell_delta_op(B, psi2, ncols).apply(A.apply(psi1))
+    t3 = ell_delta_op(A, psi1, ncols).apply(B.apply(psi2))
+    t4 = ell_delta_op(A, psi2, ncols).apply(B.apply(psi1))
+    t5 = B.apply(corr_A)
+    t6 = A.apply(corr_B)
     return [a - b + c - d + e + f
             for a, b, c, d, e, f in zip(t1, t2, t3, t4, t5, t6)]
 
@@ -305,27 +310,12 @@ def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, pres: Presentation):
     avec = [ext.jet(m + s, mi_zero(ext.n)) for s in range(l)]
     bvec = [ext.jet(m + l + s, mi_zero(ext.n)) for s in range(l)]
     L = pres.linearization()
-    nablas = []
-    ops = []
-    for d in (d1, d2):
-        theta = L.compose(d) - d.adjoint().compose(L.adjoint())
-        nablas.append(BilinearNabla(pres, theta))
-        ops.append(d.rename_space(ext))
-    D1, D2 = ops
-    n1, n2 = nablas
-
-    def nf(vec):
-        return [ext_pres.normal_form(x) for x in vec]
-
-    t1 = ell_delta_op(D2, avec, m).apply(D1.apply(bvec))
-    t2 = ell_delta_op(D2, bvec, m).apply(D1.apply(avec))
-    t3 = ell_delta_op(D1, avec, m).apply(D2.apply(bvec))
-    t4 = ell_delta_op(D1, bvec, m).apply(D2.apply(avec))
-    t5 = D2.apply(n1.star1(bvec, avec))
-    t6 = D1.apply(n2.star1(bvec, avec))
-    total = [a - b + c - d + e + f
-             for a, b, c, d, e, f in zip(t1, t2, t3, t4, nf(t5), nf(t6))]
-    return nf(total), ext_pres, avec, bvec
+    D1, D2 = (d.rename_space(ext) for d in (d1, d2))
+    n1, n2 = (BilinearNabla(pres, L.compose(d) - d.adjoint().compose(L.adjoint()))
+              for d in (d1, d2))
+    total = _bivector_bracket(D1, D2, avec, bvec, n1.star1(bvec, avec),
+                              n2.star1(bvec, avec), m)
+    return ext_pres.normal_form(total), ext_pres, avec, bvec
 
 
 def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation,
@@ -366,29 +356,9 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation,
             pa = cspace.jet(m + (akey[1] - m), akey[2])
             pb = cspace.jet(m + (bkey[1] - m - l), bkey[2])
             density = density + base * pa * pb * pj
-    density = cot.presentation.normal_form(density)
-    residues = euler_internal(cot.presentation, density)
+    cpres = cot.presentation
+    residues = cpres.normal_form(euler(cpres.normal_form(density), None, cpres.d_bar))
     trivial = all(r.is_zero() for r in residues)
     return {"ok": True, "trivial": trivial,
             "residual": [render(r) for r in residues if not r.is_zero()]}
 
-
-def euler_internal(pres: Presentation, density: DiffExpr, targets=None):
-    """Variational derivative in internal coordinates: sum over the internal
-    multi-indices present, with restricted total derivatives."""
-    space = pres.space
-    if targets is None:
-        targets = range(space.m)
-    out = []
-    for j in targets:
-        total = space.zero()
-        for key in density.jet_keys():
-            if key[1] != j:
-                continue
-            part = density.partial(key)
-            if part.is_zero():
-                continue
-            part = pres.apply_DI_bar(part, key[2])
-            total = total + part if mi_order(key[2]) % 2 == 0 else total - part
-        out.append(pres.normal_form(total))
-    return out

@@ -185,13 +185,14 @@ class CDiffOp:
                     target[K] = coeff if cur is None else cur + coeff
         return CDiffOp(self.space, self.cols, self.rows, entries)
 
-    def apply(self, vec) -> list:
+    def apply(self, vec, d=None) -> list:
+        """The operator on a vector, with total derivatives d as in apply_DI."""
         if len(vec) != self.cols:
             raise ShapeError(f"operator takes {self.cols} arguments, got {len(vec)}")
         out = [self.space.zero() for _ in range(self.rows)]
         for (r, c), tab in self.entries.items():
             for I, a in tab.items():
-                out[r] = out[r] + a * apply_DI(vec[c], I)
+                out[r] = out[r] + a * apply_DI(vec[c], I, d)
         return out
 
     def apply1(self, e: DiffExpr) -> DiffExpr:
@@ -272,8 +273,10 @@ def linearize(psis, space: JetSpace = None, columns=None) -> CDiffOp:
     return CDiffOp(space, len(psis), len(columns), entries)
 
 
-def ev_apply(phi, e: DiffExpr) -> DiffExpr:
-    """Evolutionary derivation: E_phi(e) = sum_{I,j} D_I(phi^j) de/du_I^j."""
+def ev_apply(phi, e: DiffExpr, d=None) -> DiffExpr:
+    """Evolutionary derivation: E_phi(e) = sum_{I,j} D_I(phi^j) de/du_I^j,
+    with total derivatives d as in apply_DI; families j >= len(phi) are
+    left out."""
     space = e.space
     out = space.zero()
     for key in e.jet_keys():
@@ -283,7 +286,7 @@ def ev_apply(phi, e: DiffExpr) -> DiffExpr:
         part = e.partial(key)
         if part.is_zero():
             continue
-        out = out + apply_DI(phi[j], I) * part
+        out = out + apply_DI(phi[j], I, d) * part
     return out
 
 

@@ -45,10 +45,7 @@ class Reduction:
     cofactor: CDiffOp  # 1 x l row with input = nf + sum_s cofactor[0,s](F_s)
 
     def check(self, pres: "Presentation") -> bool:
-        total = self.normal_form
-        for s in range(len(pres.components)):
-            for I, a in self.cofactor.entry(0, s).items():
-                total = total + a * apply_DI(pres.components[s], I)
+        total = self.normal_form + self.cofactor.apply(list(pres.components))[0]
         return (total - self.input).is_zero()
 
 
@@ -136,12 +133,6 @@ class Presentation:
     def d_bar(self, e: DiffExpr, i: int) -> DiffExpr:
         """Restricted total derivative."""
         return self.normal_form(self.normal_form(e).total_derivative(i))
-
-    def apply_DI_bar(self, e: DiffExpr, K) -> DiffExpr:
-        for i, k in enumerate(K):
-            for _ in range(k):
-                e = self.d_bar(e, i)
-        return e
 
     # -- cofactor-tracking reduction ------------------------------------------
 

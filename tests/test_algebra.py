@@ -92,6 +92,46 @@ def test_derivation_laws():
         a = e.total_derivative(0).total_derivative(1)
         b = e.total_derivative(1).total_derivative(0)
         assert (a - b).is_zero()
+    # graded Laurent space with nonlocal variables whose D_i-images are given
+    sp = JetSpace.create(["x", "t"], ["u", "p"], parameters=["a"],
+                         nonlocals=["w", "z"], odd=["p", "z"])
+    factors = [parse(s, sp) for s in (
+        "u[0,0]", "u[1,0]", "u[0,1]", "u[2,1]", "u[0,0]^-1", "u[1,0]^-2",
+        "p[0,0]", "p[1,0]", "p[0,1]", "x", "t", "a", "w", "w^-1", "z")]
+    wmaps = [{"w": parse("u[0,0]*u[1,0] + x", sp), "z": parse("u[2,0]*p[0,0]", sp)},
+             {"w": parse("u[0,0]^-1*p[0,0]*p[1,0]", sp),
+              "z": parse("p[1,0] + w*z", sp)}]
+
+    def rand_graded():
+        e = sp.zero()
+        for _ in range(4):
+            m = sp.num(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 4)):
+                m = m * rng.choice(factors)
+            e = e + m
+        return e
+
+    def image(key, i):
+        """D_i of one variable, from its definition."""
+        if key[0] == 'i':
+            return sp.one() if key[1] == i else sp.zero()
+        if key[0] == 'j':
+            K = list(key[2])
+            K[i] += 1
+            return sp.jet(key[1], K)
+        if key[0] == 'w':
+            return wmaps[i][key[1]]
+        return sp.zero()
+
+    for _ in range(40):
+        e, f = rand_graded(), rand_graded()
+        for i in range(2):
+            D = lambda g: g.total_derivative(i, wmaps[i])
+            assert D(e * f) == D(e) * f + e * D(f)  # D_i is an even derivation
+            chain = sp.zero()
+            for v in e.variables():
+                chain = chain + image(v, i) * e.partial(v)
+            assert D(e) == chain
 
 
 def test_odd_sign_consistency():

@@ -252,6 +252,17 @@ def test_conservation_factorization(kdv, wdvv):
     assert rep4["ok"]
 
 
+def test_conservation_factorization_more_rules_than_dependents():
+    # two rules on one dependent: l_F*(psi) has one row, F has two components
+    from jetcalc import make_presentation, verify_conservation_factorization
+    pres = make_presentation(SP, [parse("u[1,0] - u[0,0]", SP),
+                                  parse("u[0,1] - u[0,0]", SP)],
+                             [("u", (1, 0)), ("u", (0, 1))])
+    rep = verify_conservation_factorization([SP.one(), -SP.one()],
+                                            CDiffOp.zero(SP, 2, 2), pres)
+    assert rep["ok"]
+
+
 def test_symplectic(kdv, wdvv):
     rep = verify_symplectic(CDiffOp.total_derivative(wdvv.space, 0), wdvv,
                             ansatz=Ansatz(2, 1))

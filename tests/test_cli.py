@@ -148,6 +148,30 @@ def test_bad_leading_is_an_input_error(tmp_path, capsys, leading):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("task", [
+    {"kind": "symmetries", "degree": 2},
+    {"kind": "cosymmetries", "order": 2},
+    {"kind": "recursion-fiberlinear", "order": -1, "degree": 1},
+], ids=["missing-order", "missing-degree", "negative-order"])
+def test_bad_ansatz_bounds_are_input_errors(tmp_path, capsys, task):
+    data = {
+        "space": {"independent": ["x", "t"], "dependent": ["u"]},
+        "equations": [{"expr": "u[0,1] - u[2,0]", "leading": "u[0,1]"}],
+        "tasks": [task],
+    }
+    f = tmp_path / "bounds.json"
+    f.write_text(json.dumps(data))
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_integral_float_bounds_are_integers():
+    data = corpus("heat")
+    floats = dict(data, tasks=[dict(t, order=float(t["order"]), degree=float(t["degree"]))
+                               for t in data["tasks"]])
+    assert run_problem(floats)["tasks"] == run_problem(data)["tasks"]
+
+
 def test_corpus_reports_match_reference_under_two_hash_seeds():
     outputs = []
     for seed in ("0", "4242"):

@@ -1,5 +1,6 @@
 """Source hygiene of the jetcalc package, checked with the stdlib ast module:
-no definition that nothing references, and no unused import."""
+no definition that nothing references, no unused import, and no parameter
+that its function never reads."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,20 @@ def test_every_import_is_used():
                 continue
             unused.extend(f"{path.name}: {name}" for name in names if name not in read)
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread.extend(f"{path.name}:{node.lineno}: {a.arg}" for a in params
+                          if a.arg not in read and a.arg not in ("self", "cls"))
+    assert unread == []
