@@ -12,6 +12,9 @@ keys are plain tuples so they hash fast and compare deterministically:
 Odd variables (Grassmann) occur with exponent exactly one and are kept in
 key order; every constructor normalizes the sign accordingly.  Negative
 exponents are allowed on even jet and nonlocal variables only.
+
+Coefficients are canonical: an int when integral, a Fraction only when
+not (`_q`), since int arithmetic costs a small fraction of Fraction's.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ class JetSpace:
         return DiffExpr(self, {})
 
     def num(self, value) -> "DiffExpr":
-        c = Fraction(value)
+        c = value if type(value) is int else _q(Fraction(value))
         return DiffExpr(self, {(): c} if c else {})
 
     def one(self) -> "DiffExpr":
@@ -138,7 +141,7 @@ class JetSpace:
     def indep(self, i) -> "DiffExpr":
         if isinstance(i, str):
             i = self.independent.index(i)
-        return DiffExpr(self, {((('i', i), 1),): Fraction(1)})
+        return DiffExpr(self, {((('i', i), 1),): 1})
 
     def jet(self, j, K) -> "DiffExpr":
         if isinstance(j, str):
@@ -146,17 +149,17 @@ class JetSpace:
         K = tuple(K)
         if len(K) != self.n or any(k < 0 for k in K):
             raise UnknownNameError(f"bad multi-index {K} for {self.independent}")
-        return DiffExpr(self, {((('j', j, K), 1),): Fraction(1)})
+        return DiffExpr(self, {((('j', j, K), 1),): 1})
 
     def param(self, name) -> "DiffExpr":
         if name not in self.parameters:
             raise UnknownNameError(f"unknown parameter {name!r}")
-        return DiffExpr(self, {((('q', name), 1),): Fraction(1)})
+        return DiffExpr(self, {((('q', name), 1),): 1})
 
     def nonlocal_var(self, name) -> "DiffExpr":
         if name not in self.nonlocals:
             raise UnknownNameError(f"unknown nonlocal variable {name!r}")
-        return DiffExpr(self, {((('w', name), 1),): Fraction(1)})
+        return DiffExpr(self, {((('w', name), 1),): 1})
 
     def var(self, name) -> "DiffExpr":
         """Variable by bare name; dependents resolve to their order-0 jet."""
@@ -171,7 +174,13 @@ class JetSpace:
         raise UnknownNameError(f"unknown name {name!r}")
 
 
-# -- monomial helpers ------------------------------------------------------
+# -- coefficient and monomial helpers -------------------------------------
+
+
+def _q(c):
+    """Canonical coefficient: a Fraction with denominator 1 becomes its
+    numerator."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def _sort_odd(keys):
@@ -242,7 +251,7 @@ class DiffExpr:
         for m, c in other.terms.items():
             s = res.get(m, 0) + c
             if s:
-                res[m] = s
+                res[m] = _q(s)
             elif m in res:
                 del res[m]
         return DiffExpr(self.space, res)
@@ -260,10 +269,9 @@ class DiffExpr:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return DiffExpr(self.space, {})
-            return DiffExpr(self.space, {m: v * c for m, v in self.terms.items()})
+            return DiffExpr(self.space, {m: _q(v * other) for m, v in self.terms.items()})
         other = self._coerce(other)
         res = {}
         space = self.space
@@ -275,7 +283,7 @@ class DiffExpr:
                 mono, sign = merged
                 s = res.get(mono, 0) + sign * c1 * c2
                 if s:
-                    res[mono] = s
+                    res[mono] = _q(s)
                 elif mono in res:
                     del res[mono]
         return DiffExpr(self.space, res)
@@ -308,7 +316,7 @@ class DiffExpr:
             if key[0] not in ('j', 'w') or self.space.is_odd_key(key):
                 raise LaurentError(f"cannot invert factor {key} in {self}")
             inv.append((key, -e))
-        return DiffExpr(self.space, {tuple(sorted(inv)): Fraction(1, 1) / coeff})
+        return DiffExpr(self.space, {tuple(sorted(inv)): _q(Fraction(1) / coeff)})
 
     def _coerce(self, other) -> "DiffExpr":
         if isinstance(other, DiffExpr):
@@ -360,7 +368,7 @@ class DiffExpr:
             for k, e in mono:
                 if k == key:
                     rest, f = _drop_factor(space, mono, key, e)
-                    res[rest] = c * f
+                    res[rest] = _q(c * f)
                     break
         return DiffExpr(space, res)
 
@@ -399,7 +407,7 @@ class DiffExpr:
                     new, sign = merged
                     s = res.get(new, 0) + sign * k * c * dc
                     if s:
-                        res[new] = s
+                        res[new] = _q(s)
                     elif new in res:
                         del res[new]
         return DiffExpr(space, res)
@@ -420,7 +428,7 @@ class DiffExpr:
                     else:
                         term = term * rep ** e if not space.is_odd_key(key) else term * rep
                 else:
-                    term = term * DiffExpr(space, {((key, e),): Fraction(1)})
+                    term = term * DiffExpr(space, {((key, e),): 1})
             out = out + term
         return out
 
@@ -453,20 +461,27 @@ def apply_DI(e: DiffExpr, K: MultiIndex, d=None) -> DiffExpr:
 def euler(density: DiffExpr, targets=None, d=None) -> list:
     """Variational derivatives (delta L / delta u^j) for the listed
     dependent families (default: all), with total derivatives d as in
-    apply_DI.  Left-derivative convention for odd targets."""
+    apply_DI.  Left-derivative convention for odd targets.
+
+    sum_K (-D)_K (dL/du^j_K) is summed in one downward sweep over the
+    multi-indices: node K hands -d(acc[K], i) to K - e_i, i the first
+    nonzero slot of K.  Each node costs one derivative, and every D_K is
+    still applied in apply_DI's order."""
     space = density.space
     if targets is None:
         targets = range(space.m)
-    targets = list(targets)
     out = []
     for j in targets:
-        total = space.zero()
-        indices = sorted({k[2] for k in density.variables() if k[0] == 'j' and k[1] == j})
-        for K in indices:
-            part = density.partial(('j', j, K))
-            part = apply_DI(part, K, d)
-            total = total + part if mi_order(K) % 2 == 0 else total - part
-        out.append(total)
+        acc = {k[2]: density.partial(k) for k in sorted(density.variables())
+               if k[0] == 'j' and k[1] == j}
+        for order in range(max(map(mi_order, acc), default=0), 0, -1):
+            for K in [K for K in acc if mi_order(K) == order]:
+                i = next(i for i, k in enumerate(K) if k)
+                down = K[:i] + (K[i] - 1,) + K[i + 1:]
+                e = acc.pop(K)
+                de = e.total_derivative(i) if d is None else d(e, i)
+                acc[down] = acc[down] - de if down in acc else -de
+        out.append(acc.get(mi_zero(space.n), space.zero()))
     return out
 
 
@@ -555,7 +570,7 @@ def homotopy_density(psi, targets=None) -> DiffExpr:
         u = space.jet(j, mi_zero(space.n))
         for mono, c in sorted(p.terms.items()):
             d = sum(e for k, e in mono if k[0] == 'j' and k[1] in fams)
-            out = out + u * DiffExpr(space, {mono: c * Fraction(1, d + 1)})
+            out = out + u * DiffExpr(space, {mono: c}) * Fraction(1, d + 1)
     check = euler(out, targets)
     if any((a - b) for a, b in zip(check, psi)):
         raise VariationalityError("input is not a variational gradient")
@@ -598,7 +613,7 @@ def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
             c = g.partial(z)
             if down in c.variables():
                 raise NonlocalObstruction("odd integrand not linear in its primitive slot")
-            B = c * DiffExpr(space, {((down, 1),): Fraction(1)})
+            B = c * DiffExpr(space, {((down, 1),): 1})
         else:
             if not g.is_linear_in(z):
                 raise NonlocalObstruction(f"integrand nonlinear in top jet {z}")
@@ -618,7 +633,7 @@ def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
         if a < 0:
             raise NonlocalObstruction("negative power of the integration variable")
         entry[xi] = a + 1
-        res = res + DiffExpr(space, {tuple(sorted(entry.items())): c * Fraction(1, a + 1)})
+        res = res + DiffExpr(space, {tuple(sorted(entry.items())): c}) * Fraction(1, a + 1)
     return theta + res
 
 
@@ -631,7 +646,7 @@ def _integrate_var(c: DiffExpr, key) -> DiffExpr:
         if e == -1:
             raise NonlocalObstruction("logarithmic primitive required")
         entry[key] = e + 1
-        out[tuple(sorted(entry.items()))] = v * Fraction(1, e + 1)
+        out[tuple(sorted(entry.items()))] = _q(Fraction(v, e + 1))
     return DiffExpr(c.space, out)
 
 

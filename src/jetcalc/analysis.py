@@ -4,7 +4,6 @@ symplectic verification on equation presentations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .algebra import (
@@ -48,7 +47,7 @@ def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
     for key in pres.internal_jets(ansatz.max_jet_order):
         name = space.dependent[key[1]]
         if ansatz.whitelist is None or name in ansatz.whitelist:
-            gens.append(DiffExpr(space, {((key, 1),): Fraction(1)}))
+            gens.append(DiffExpr(space, {((key, 1),): 1}))
     monos = [space.one()]
     for deg in range(1, ansatz.max_degree + 1):
         for combo in combinations_with_replacement(range(len(gens)), deg):

@@ -30,7 +30,7 @@ from .coverings import (
     verify_flat,
     verify_shadow,
 )
-from .errors import ExprSyntaxError, JetCalcError, NonlocalObstruction
+from .errors import ExprSyntaxError, JetCalcError, NonlocalObstruction, ProblemError
 from .hamiltonian import (
     are_compatible,
     is_hamiltonian,
@@ -76,16 +76,22 @@ PROBLEM_SCHEMA = {
         "pseudo_operators": {"type": "object"},
         "tasks": {"type": "array", "items": {
             "type": "object",
-            "properties": {"kind": {"type": "string"}},
+            "properties": {"kind": {"type": "string"},
+                           "order": _BOUND, "degree": _BOUND},
             "required": ["kind"],
             "if": {"properties": {"kind": {"enum": [
                 "symmetries", "cosymmetries", "recursion-fiberlinear"]}}},
-            "then": {"properties": {"order": _BOUND, "degree": _BOUND},
-                     "required": ["order", "degree"]}}},
+            "then": {"required": ["order", "degree"]}}},
     },
     "required": ["tasks"],
     "anyOf": [{"required": ["space"]}, {"required": ["independent", "dependent"]}],
 }
+
+# task kinds that work on the problem's equation
+_ON_EQUATION = frozenset({
+    "symmetries", "cosymmetries", "verify-symmetry", "verify-cosymmetry",
+    "conservation-laws", "reduce", "recursion-fiberlinear", "verify-symplectic",
+    "verify-bivector", "schouten-equation", "verify-equivalence"})
 
 
 def _parse_leading(text: str, space: JetSpace):
@@ -130,6 +136,18 @@ class Problem:
         named = dict(data.get("coverings", {}))
         if "covering" in data:  # single-covering spec fragment
             named.setdefault("covering", data["covering"])
+        if self.presentation is None:
+            users = sorted({t["kind"] for t in data["tasks"] if t["kind"] in _ON_EQUATION})
+            if named:
+                users.insert(0, "coverings")
+            if users:
+                raise ProblemError(f"no equations given, but {', '.join(users)} "
+                                   "work on one")
+        for task in data["tasks"]:
+            # list membership: an unhashable name is unknown, not a TypeError
+            if "covering" in task and task["covering"] not in list(named):
+                raise ProblemError(f"task {task['kind']!r} names unknown covering "
+                                   f"{task['covering']!r}")
         for name, cdata in sorted(named.items()):
             names = [w["name"] for w in cdata["nonlocal"]]
             odd = [w["name"] for w in cdata["nonlocal"] if w.get("odd")]
@@ -155,8 +173,9 @@ class Problem:
 
 
 def _task_ansatz(task: dict) -> Ansatz:
-    # the schema also admits integral floats such as 2.0 as integers
-    return Ansatz(int(task["order"]), int(task["degree"]),
+    # the schema requires both bounds on the solver kinds (verify-symplectic
+    # defaults to 2/1) and admits integral floats such as 2.0 as integers
+    return Ansatz(int(task.get("order", 2)), int(task.get("degree", 1)),
                   tuple(task["whitelist"]) if task.get("whitelist") else None)
 
 
@@ -257,9 +276,7 @@ def run_task(problem: Problem, task: dict) -> dict:
         out["status"] = _status(involution)
     elif kind == "verify-symplectic":
         op = _load_operator(task["op"], space)
-        rep = verify_symplectic(op, pres,
-                                ansatz=Ansatz(task.get("order", 2),
-                                              task.get("degree", 1)))
+        rep = verify_symplectic(op, pres, ansatz=_task_ansatz(task))
         out["membership"] = rep["membership"]
         out["closed"] = rep["closed"]
         if not rep["membership"]:

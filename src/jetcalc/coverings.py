@@ -228,7 +228,7 @@ def fiber_linear_candidates(cov: Covering, ansatz: Ansatz):
     for fam in cov.fiber_families:
         for key in cov.presentation.internal_jets(ansatz.max_jet_order):
             if key[1] == fam:
-                slots.append(DiffExpr(space, {((key, 1),): 1}) * space.one())
+                slots.append(DiffExpr(space, {((key, 1),): 1}))
     for name in cov.nonlocals:
         slots.append(space.nonlocal_var(name))
     m = cov.base.space.m

@@ -17,6 +17,11 @@ class UnknownNameError(JetCalcError):
     pass
 
 
+class ProblemError(JetCalcError):
+    """A problem file that passes the schema but asks for what it does not
+    define: an unknown covering, or work on an equation it does not give."""
+
+
 class LaurentError(JetCalcError):
     """Negative exponent placed on a variable that cannot carry one."""
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 def nullspace(rows, ncols):
     """Nullspace basis of a sparse rational matrix.
 
-    rows: iterable of {col: Fraction}; returns echelonized basis vectors as
-    lists of Fractions (reduced row echelon form of the solution space,
-    leading coefficients 1, deterministic)."""
+    rows: iterable of {col: int or Fraction}; returns echelonized basis
+    vectors as lists of Fractions (reduced row echelon form of the solution
+    space, leading coefficients 1, deterministic)."""
     mat = [dict(r) for r in rows if r]
     pivots = {}
     for row in mat:
@@ -20,13 +20,13 @@ def nullspace(rows, ncols):
                 piv = pivots[lead]
                 factor = row[lead]
                 for c, v in piv.items():
-                    nv = row.get(c, Fraction(0)) - factor * v
+                    nv = row.get(c, 0) - factor * v
                     if nv:
                         row[c] = nv
                     elif c in row:
                         del row[c]
             else:
-                inv = row[lead]
+                inv = Fraction(row[lead])
                 pivots[lead] = {c: v / inv for c, v in row.items()}
                 break
     # back-substitute so every pivot row is clean in the other pivot columns
@@ -35,7 +35,7 @@ def nullspace(rows, ncols):
         for other in [c for c in row if c != lead and c in pivots]:
             factor = row[other]
             for c, v in pivots[other].items():
-                nv = row.get(c, Fraction(0)) - factor * v
+                nv = row.get(c, 0) - factor * v
                 if nv:
                     row[c] = nv
                 elif c in row:
@@ -52,7 +52,8 @@ def nullspace(rows, ncols):
 
 
 def rref(vectors):
-    """Reduced row echelon form of a list of dense rational vectors."""
+    """Reduced row echelon form of a list of dense rational vectors (int or
+    Fraction entries); the rows returned hold Fractions."""
     rows = [list(v) for v in vectors]
     out = []
     pivot_cols = []
@@ -65,7 +66,7 @@ def rref(vectors):
         lead = next((k for k, v in enumerate(row) if v), None)
         if lead is None:
             continue
-        inv = row[lead]
+        inv = Fraction(row[lead])
         row = [v / inv for v in row]
         out.append(row)
         pivot_cols.append(lead)

@@ -5,7 +5,6 @@ one-layer D_x^{-1} pseudo-operators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .algebra import (
@@ -131,7 +130,7 @@ class CDiffOp:
         return CDiffOp(self.space, self.rows, self.cols, entries)
 
     def __neg__(self):
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -421,7 +420,7 @@ class PseudoOp:
                         self.xindex)
 
     def __sub__(self, other: "PseudoOp") -> "PseudoOp":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def compose_local_right(self, op: CDiffOp) -> "PseudoOp":
         """self o op for a local scalar operator in the designated variable."""

@@ -64,6 +64,7 @@ class Presentation:
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
         self._nf_cache = {}
+        self._lin = self._lin_adj = None
         self._tag_space = space.extended(
             dependent=[f"_F{s}" for s in range(len(self.components))])
 
@@ -183,15 +184,20 @@ class Presentation:
         return op.map_coefficients(self.normal_form)
 
     def linearization(self) -> CDiffOp:
-        return linearize(list(self.components), self.space)
+        """l_F, built once: the solvers apply it to every candidate."""
+        if self._lin is None:
+            self._lin = linearize(list(self.components), self.space)
+        return self._lin
 
     def lin_apply(self, phi) -> list:
         """l_F(phi) reduced (the symmetry determining operator)."""
         return [self.normal_form(x) for x in self.linearization().apply(phi)]
 
     def adj_apply(self, psi) -> list:
-        return [self.normal_form(x)
-                for x in self.linearization().adjoint().apply(psi)]
+        """l_F*(psi) reduced (the cosymmetry determining operator)."""
+        if self._lin_adj is None:
+            self._lin_adj = self.linearization().adjoint()
+        return [self.normal_form(x) for x in self._lin_adj.apply(psi)]
 
     def reduce_form(self, form: HorizontalForm) -> HorizontalForm:
         return form.map_components(self.normal_form)

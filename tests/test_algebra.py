@@ -18,8 +18,10 @@ from jetcalc import (
     parse,
     render,
 )
-from jetcalc.algebra import euler_is_zero
+from jetcalc.algebra import _integrate_var, apply_DI, euler_is_zero, mi_order
 from jetcalc.errors import ExprSyntaxError
+from jetcalc.hamiltonian import momenta_space
+from jetcalc.linalg import nullspace, rref
 
 SP = JetSpace.create(["x", "t"], ["u"])
 SP1 = JetSpace.create(["x"], ["u"])
@@ -247,3 +249,174 @@ def test_laurent_total_derivative_chain():
     d = e.total_derivative(0)
     expect = parse("-2*z[0,0]^-3*z[1,0]^2 + z[0,0]^-2*z[2,0]", spz)
     assert d == expect
+
+
+# -- the Euler sweep and canonical coefficients --------------------------------
+
+
+def euler_per_index(density, targets=None, d=None):
+    """The variational derivative by its definition: sum_K (-D)_K dL/du_K,
+    with |K| derivatives for every K (the reference for euler's sweep)."""
+    space = density.space
+    out = []
+    for j in (range(space.m) if targets is None else targets):
+        total = space.zero()
+        for K in sorted({k[2] for k in density.variables() if k[0] == 'j' and k[1] == j}):
+            part = apply_DI(density.partial(('j', j, K)), K, d)
+            total = total + part if mi_order(K) % 2 == 0 else total - part
+        out.append(total)
+    return out
+
+
+def rand_index(rng, n, maxord):
+    K = [0] * n
+    for _ in range(rng.randint(0, maxord)):
+        K[rng.randrange(n)] += 1
+    return tuple(K)
+
+
+def rand_density(space, rng, fams, maxord=2, maxdeg=3, nterms=4, odd_fams=()):
+    """Random density in jets of `fams` (any multi-index up to maxord) and
+    the independents, with half-integer coefficients; with `odd_fams`, every
+    term also carries two odd jets, as a superdensity does."""
+    e = space.zero()
+    for _ in range(nterms):
+        m = space.num(Fraction(rng.randint(-6, 6), 2))
+        for _ in range(rng.randint(0, maxdeg)):
+            if rng.random() < 0.2:
+                m = m * space.indep(rng.randrange(space.n))
+            else:
+                m = m * space.jet(rng.choice(fams), rand_index(rng, space.n, maxord))
+        for _ in range(2 if odd_fams else 0):
+            m = m * space.jet(rng.choice(odd_fams), rand_index(rng, space.n, maxord))
+        e = e + m
+    return e
+
+
+def test_euler_sweep_matches_definition():
+    rng = random.Random(23)
+    sp2 = JetSpace.create(["x", "t"], ["u", "v"])
+    for space, fams in ((SP1, [0]), (sp2, [0, 1])):
+        for _ in range(40):
+            L = rand_density(space, rng, fams, maxord=3)
+            assert euler(L) == euler_per_index(L)
+            assert euler(L, fams[-1:]) == euler_per_index(L, fams[-1:])
+
+
+def test_euler_sweep_odd_targets():
+    rng = random.Random(29)
+    for base in (SP1, JetSpace.create(["x", "t"], ["u", "v"])):
+        ext = momenta_space(base)
+        m = base.m
+        evens, odds = list(range(m)), list(range(m, 2 * m))
+        for _ in range(30):
+            W = rand_density(ext, rng, evens, maxord=3, odd_fams=odds)
+            assert euler(W) == euler_per_index(W)
+            assert euler(W, odds) == euler_per_index(W, odds)
+
+
+@pytest.mark.parametrize("name", ["kdv", "camassa_holm"])
+def test_euler_sweep_on_equation(name, request):
+    pres = request.getfixturevalue(name)
+    rng = random.Random(31)
+    for _ in range(6):
+        L = pres.normal_form(rand_density(pres.space, rng, [0], maxord=2, maxdeg=2))
+        assert euler(L, None, pres.d_bar) == euler_per_index(L, None, pres.d_bar)
+
+
+def test_euler_sweep_one_derivative_per_node():
+    calls = []
+
+    def d(e, i):
+        calls.append(i)
+        return e.total_derivative(i)
+
+    L = parse("u[2,1]^2 + u[1,1]*u[0,0]", SP)
+    assert euler(L, None, d) == euler_per_index(L)
+    # nodes (2,1) -> (1,1) -> (0,1) -> (0,0), each in apply_DI's order;
+    # the definition takes 3 + 2 derivatives
+    assert calls == [0, 0, 1]
+
+
+def _canonical(e):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in e.terms.values())
+
+
+def test_coefficients_stay_canonical(kdv):
+    half = SP.num(Fraction(1, 2)) * SP.jet("u", (1, 0))
+    assert (half + half).terms == {((('j', 0, (1, 0)), 1),): 1}
+    assert type(SP.num(Fraction(6, 3)).terms[()]) is int
+    assert type(parse("4/2*u[0,0]", SP).terms[((('j', 0, (0, 0)), 1),)]) is int
+    assert type((half * 4).terms[((('j', 0, (1, 0)), 1),)]) is int
+    assert type((SP.jet("u", (1, 0)) * Fraction(-1, 2)).inverse_monomial()
+                .terms[((('j', 0, (1, 0)), -1),)]) is int
+    # the homotopy and integration helpers divide by exponents
+    density = homotopy_density([parse("3*u[0,0]^2 + u[2,0]", SP)])
+    assert density == parse("u[0,0]^3 + 1/2*u[0,0]*u[2,0]", SP)
+    primitive = invert_total_derivative(parse("2*u[0,0]*u[1,0] + 2*x", SP), 0)
+    assert primitive == parse("u[0,0]^2 + x^2", SP)
+    assert _canonical(density) and _canonical(primitive)
+    assert _canonical(_integrate_var(parse("2*u[0,0]*u[1,0]", SP), ('j', 0, (0, 0))))
+    rng = random.Random(37)
+    u, ux = ('j', 0, (0, 0)), ('j', 0, (1, 0))
+    for _ in range(40):
+        e = rand_density(SP, rng, [0])
+        f = rand_density(SP, rng, [0])
+        results = [e + f, e - f, e * f, e * f * f, e * 2, e * Fraction(2),
+                   e * Fraction(4, 3), e.substitute({u: f, ux: half}),
+                   kdv.normal_form(e * f)]
+        results += [e.partial(k) for k in e.variables()]
+        results += [e.total_derivative(i) for i in range(2)]
+        results += euler(e * f)
+        for r in results:
+            assert _canonical(r), r.terms
+        for mono, c in e.terms.items():
+            if all(k[0] == 'j' for k, _ in mono):
+                assert _canonical(DiffExpr(SP, {mono: c}).inverse_monomial())
+
+
+def test_linalg_is_exact_on_int_entries():
+    basis = nullspace([{0: 2, 1: 3}, {1: 3, 2: 1}], 3)
+    assert basis == [[Fraction(1), Fraction(-2, 3), Fraction(2)]]
+    assert all(type(v) is Fraction for vec in basis for v in vec)
+    rows = rref([[3, 1, 2], [6, 4, 1]])
+    assert rows == [[1, 0, Fraction(7, 6)], [0, 1, Fraction(-3, 2)]]
+    assert all(type(v) is Fraction for row in rows for v in row)
+
+
+# -- independent oracle: sympy's Euler-Lagrange operator --------------------
+
+
+def _to_sympy(e, sympy, funcs, xs):
+    out = sympy.Integer(0)
+    for mono, c in e.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for key, p in mono:
+            if key[0] == 'i':
+                base = xs[key[1]]
+            else:
+                f = funcs[key[1]]
+                steps = [x for x, k in zip(xs, key[2]) for _ in range(k)]
+                base = f.diff(*steps) if steps else f
+            term = term * base ** p
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("space", [SP1, JetSpace.create(["x", "t"], ["u", "v"])],
+                         ids=["x;u", "x,t;u,v"])
+def test_euler_matches_sympy(space):
+    sympy = pytest.importorskip("sympy")
+    from sympy.calculus.euler import euler_equations
+
+    xs = sympy.symbols(space.independent)
+    funcs = [sympy.Function(name)(*xs) for name in space.dependent]
+    rng = random.Random(41)
+    fams = list(range(space.m))
+    for _ in range(12):
+        L = rand_density(space, rng, fams, maxord=2, nterms=3)
+        ours = euler(L)
+        theirs = euler_equations(_to_sympy(L, sympy, funcs, xs), funcs, xs)
+        for a, eq in zip(ours, theirs):
+            assert sympy.expand(eq.lhs - _to_sympy(a, sympy, funcs, xs)) == 0

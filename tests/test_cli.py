@@ -172,6 +172,47 @@ def test_integral_float_bounds_are_integers():
     assert run_problem(floats)["tasks"] == run_problem(data)["tasks"]
 
 
+def _input_error(tmp_path, capsys, data):
+    """Exit code and stderr of `jetcalc run` on a problem file."""
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(data))
+    code = main(["run", str(f)])
+    return code, capsys.readouterr().err
+
+
+def test_unknown_covering_is_an_input_error(tmp_path, capsys):
+    data = corpus("potential-kdv-we")
+    data["tasks"] = [dict(data["tasks"][0], covering="nope")]
+    assert data["tasks"][0]["kind"] in ("verify-flat", "verify-shadow",
+                                        "verify-finite-symmetry")
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err.startswith("input error: ") and "'nope'" in err
+
+
+@pytest.mark.parametrize("extra", [
+    {"coverings": {"c": {"nonlocal": [{"name": "w"}], "X": {"x": ["u[0,0]"]}}},
+     "tasks": [{"kind": "verify-flat", "covering": "c"}]},
+    {"tasks": [{"kind": "symmetries", "order": 2, "degree": 1}]},
+], ids=["coverings", "solver"])
+def test_missing_equations_is_an_input_error(tmp_path, capsys, extra):
+    data = dict({"space": {"independent": ["x", "t"], "dependent": ["u"]}}, **extra)
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err.startswith("input error: no equations given")
+
+
+def test_symplectic_bounds_are_checked(tmp_path, capsys):
+    data = corpus("wdvv")
+    (task,) = data["tasks"]
+    floats = dict(data, tasks=[dict(task, order=2.0, degree=1.0)])
+    assert run_problem(floats)["tasks"] == run_problem(data)["tasks"]
+    negative = dict(data, tasks=[dict(task, order=-1)])
+    code, err = _input_error(tmp_path, capsys, negative)
+    assert code == 2
+    assert err.startswith("input error: ")
+
+
 def test_corpus_reports_match_reference_under_two_hash_seeds():
     outputs = []
     for seed in ("0", "4242"):
