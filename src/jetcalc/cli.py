@@ -93,6 +93,27 @@ _ON_EQUATION = frozenset({
     "conservation-laws", "reduce", "recursion-fiberlinear", "verify-symplectic",
     "verify-bivector", "schouten-equation", "verify-equivalence"})
 
+# task kind -> the fields it reads, each mapped to the namespace whose entry
+# it names, to a list of namespaces for a list of that many names, or to None
+# when the field is only required
+_TASK_FIELDS = {
+    "verify-symmetry": {"exprs": None},
+    "verify-cosymmetry": {"exprs": None},
+    "conservation-laws": {"sections": None},
+    "reduce": {"expr": None},
+    "verify-flat": {"covering": "covering"},
+    "verify-finite-symmetry": {"covering": "covering", "map": None},
+    "verify-shadow": {"covering": "covering", "exprs": None},
+    "pseudo-apply": {"op": "pseudo-operator", "exprs": None},
+    "verify-hamiltonian": {"op": "operator"},
+    "compatible": {"ops": ["operator", "operator"]},
+    "magri": {"A": "operator", "B": "operator", "seed": None, "steps": None},
+    "verify-symplectic": {"op": None},
+    "verify-bivector": {"op": None},
+    "schouten-equation": {"ops": None},
+    "verify-equivalence": {"witness": None},
+}
+
 
 def _parse_leading(text: str, space: JetSpace):
     """(dependent index, multi-index) of a leading jet written as one bare
@@ -143,11 +164,28 @@ class Problem:
             if users:
                 raise ProblemError(f"no equations given, but {', '.join(users)} "
                                    "work on one")
+        # lists, so that an unhashable name is unknown rather than a TypeError
+        namespaces = {
+            "covering": list(named),
+            "operator": list((data.get("hamiltonian") or {}).get("operators", {})),
+            "pseudo-operator": list(data.get("pseudo_operators", {})),
+        }
         for task in data["tasks"]:
-            # list membership: an unhashable name is unknown, not a TypeError
-            if "covering" in task and task["covering"] not in list(named):
-                raise ProblemError(f"task {task['kind']!r} names unknown covering "
-                                   f"{task['covering']!r}")
+            kind = task["kind"]
+            for field, namespace in _TASK_FIELDS.get(kind, {}).items():
+                if field not in task:
+                    raise ProblemError(f"task {kind!r} needs {field!r}")
+                if namespace is None:
+                    continue
+                value = task[field]
+                if isinstance(namespace, str):
+                    namespace, value = [namespace], [value]
+                elif not isinstance(value, list) or len(value) != len(namespace):
+                    raise ProblemError(f"task {kind!r} needs {len(namespace)} "
+                                       f"names in {field!r}")
+                for ns, name in zip(namespace, value):
+                    if name not in namespaces[ns]:
+                        raise ProblemError(f"task {kind!r} names unknown {ns} {name!r}")
         for name, cdata in sorted(named.items()):
             names = [w["name"] for w in cdata["nonlocal"]]
             odd = [w["name"] for w in cdata["nonlocal"] if w.get("odd")]

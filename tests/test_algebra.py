@@ -385,6 +385,95 @@ def test_linalg_is_exact_on_int_entries():
     assert all(type(v) is Fraction for row in rows for v in row)
 
 
+def nullspace_reference(rows, ncols):
+    """Gaussian elimination over Fractions in assembly order, the nullspace
+    computed before integer elimination (the reference for `nullspace`)."""
+    mat = [dict(r) for r in rows if r]
+    pivots = {}
+    for row in mat:
+        while row:
+            lead = min(row)
+            if lead in pivots:
+                piv = pivots[lead]
+                factor = row[lead]
+                for c, v in piv.items():
+                    nv = row.get(c, 0) - factor * v
+                    if nv:
+                        row[c] = nv
+                    elif c in row:
+                        del row[c]
+            else:
+                inv = Fraction(row[lead])
+                pivots[lead] = {c: v / inv for c, v in row.items()}
+                break
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for other in [c for c in row if c != lead and c in pivots]:
+            factor = row[other]
+            for c, v in pivots[other].items():
+                nv = row.get(c, 0) - factor * v
+                if nv:
+                    row[c] = nv
+                elif c in row:
+                    del row[c]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for lead, row in pivots.items():
+            vec[lead] = -row.get(f, Fraction(0))
+        basis.append(vec)
+    return rref(basis)
+
+
+def rand_entry(rng):
+    """A nonzero int, integral Fraction or proper Fraction."""
+    kind = rng.randrange(3)
+    value = rng.choice([-1, 1]) * rng.randint(1, 9)
+    if kind == 0:
+        return value
+    return Fraction(value) if kind == 1 else Fraction(value, rng.randint(2, 12))
+
+
+def rand_sparse_rows(rng, ncols):
+    """Sparse rows over a random subset of the columns (the others untouched),
+    with empty rows, duplicate rows and combinations of earlier rows."""
+    touched = rng.sample(range(ncols), rng.randint(1, ncols))
+    rows = []
+    for _ in range(rng.randint(1, 2 * ncols)):
+        choice = rng.random()
+        if choice < 0.1:
+            rows.append({})
+        elif choice < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif choice < 0.4 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            x, y = rand_entry(rng), rand_entry(rng)
+            row = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in set(a) | set(b)}
+            rows.append({c: v for c, v in row.items() if v})
+        else:
+            rows.append({rng.choice(touched): rand_entry(rng)
+                         for _ in range(rng.randint(1, 4))})
+    return rows
+
+
+def test_nullspace_matches_fraction_elimination():
+    rng = random.Random(53)
+    cases = [([], 4), ([{}, {}], 3), ([], 0), ([{0: Fraction(2)}, {0: 4}], 2)]
+    cases += [(rand_sparse_rows(rng, n), n)
+              for n in [rng.randint(1, 12) for _ in range(400)]]
+    nullities = set()
+    for rows, ncols in cases:
+        basis = nullspace([dict(r) for r in rows], ncols)
+        assert basis == nullspace_reference(rows, ncols), (rows, ncols)
+        assert all(type(v) is Fraction for vec in basis for v in vec)
+        for vec in basis:
+            assert len(vec) == ncols
+            assert all(sum(v * vec[c] for c, v in row.items()) == 0 for row in rows)
+        nullities.add(len(basis))
+    assert len(nullities) > 5  # the cases span many ranks
+
+
 # -- independent oracle: sympy's Euler-Lagrange operator --------------------
 
 
@@ -402,6 +491,26 @@ def _to_sympy(e, sympy, funcs, xs):
             term = term * base ** p
         out = out + term
     return out
+
+
+@pytest.mark.parametrize("space", [SP, JetSpace.create(["x", "t"], ["u", "v"])],
+                         ids=["x,t;u", "x,t;u,v"])
+def test_total_derivative_matches_sympy(space):
+    """D_i is d/dx_i of the expression as a function of (x, t)."""
+    sympy = pytest.importorskip("sympy")
+
+    xs = sympy.symbols(space.independent)
+    funcs = [sympy.Function(name)(*xs) for name in space.dependent]
+    rng = random.Random(43)
+    fams = list(range(space.m))
+    laurent = space.jet(0, (0, 0)).inverse_monomial() * space.jet(fams[-1], (1, 0))
+    for _ in range(10):
+        e = rand_density(space, rng, fams, maxord=3, nterms=4)
+        for f in (e, e * laurent):
+            theirs = _to_sympy(f, sympy, funcs, xs)
+            for i, x in enumerate(xs):
+                ours = _to_sympy(f.total_derivative(i), sympy, funcs, xs)
+                assert sympy.expand(sympy.diff(theirs, x) - ours) == 0
 
 
 @pytest.mark.parametrize("space", [SP1, JetSpace.create(["x", "t"], ["u", "v"])],

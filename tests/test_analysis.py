@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,9 @@ from jetcalc import (
     lie_on_cosymmetry,
     nijenhuis_torsion,
     pair_symmetry_cosymmetry,
+    make_presentation,
     parse,
+    render,
     solve_cosymmetries,
     solve_symmetries,
     verify_cosymmetry,
@@ -271,3 +275,26 @@ def test_symplectic(kdv, wdvv):
     assert not repk["ok"] and not repk["membership"]
     assert repk["membership_residual"] != [["0"]]
     assert verify_symplectic(CDiffOp.zero(SP, 1, 1), kdv)["ok"]
+
+
+# the two cheaper reference solves of the benchmark, with its reference bases
+SOLVE_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "solve.json"
+
+
+@pytest.mark.parametrize("label, dependent, parameters, equations, solver, bounds", [
+    ("kdv-cosymmetries-5-3", ["u"], [],
+     [("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", ("u", (0, 1)))],
+     solve_cosymmetries, (5, 3)),
+    ("boussinesq-symmetries-5-3", ["u", "v"], ["sigma"],
+     [("u[0,1] - u[1,0]*v[0,0] - u[0,0]*v[1,0] - sigma*v[3,0]", ("u", (0, 1))),
+      ("v[0,1] - u[1,0] - v[0,0]*v[1,0]", ("v", (0, 1)))],
+     solve_symmetries, (5, 3)),
+], ids=["kdv-cosymmetries", "boussinesq-symmetries"])
+def test_solver_bases_match_reference(label, dependent, parameters, equations,
+                                      solver, bounds):
+    space = JetSpace.create(["x", "t"], dependent, parameters)
+    pres = make_presentation(space, [parse(e, space) for e, _ in equations],
+                             [lead for _, lead in equations])
+    basis = solver(pres, Ansatz(*bounds))
+    expected = json.loads(SOLVE_REFERENCE.read_text())[label]
+    assert [[render(x) for x in vec] for vec in basis] == expected

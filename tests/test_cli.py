@@ -213,6 +213,28 @@ def test_symplectic_bounds_are_checked(tmp_path, capsys):
     assert err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("task, message", [
+    ({"kind": "verify-hamiltonian", "op": "nope"}, "unknown operator 'nope'"),
+    ({"kind": "pseudo-apply", "op": "nope", "exprs": ["u[1,0]"]},
+     "unknown pseudo-operator 'nope'"),
+    ({"kind": "compatible", "ops": ["A", "nope"]}, "unknown operator 'nope'"),
+    ({"kind": "magri", "steps": 1, "A": "nope", "B": "B", "seed": "u[0]"},
+     "unknown operator 'nope'"),
+    ({"kind": "magri", "steps": 1, "A": "A", "B": ["B"], "seed": "u[0]"},
+     "unknown operator ['B']"),
+    ({"kind": "compatible", "ops": ["A", "B", "A"]}, "needs 2 names in 'ops'"),
+    ({"kind": "verify-flat"}, "needs 'covering'"),
+    ({"kind": "verify-symmetry"}, "needs 'exprs'"),
+], ids=["hamiltonian-op", "pseudo-op", "compatible-ops", "magri-A", "magri-B-list",
+        "compatible-arity",
+        "flat-covering", "symmetry-exprs"])
+def test_task_references_are_checked(tmp_path, capsys, task, message):
+    data = dict(corpus("kdv"), tasks=[task])
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err.startswith("input error: ") and message in err
+
+
 def test_corpus_reports_match_reference_under_two_hash_seeds():
     outputs = []
     for seed in ("0", "4242"):
