@@ -42,77 +42,45 @@ from .hamiltonian import (
 from .operators import CDiffOp, PseudoOp
 from .presentations import EquivalenceWitness, make_presentation, verify_equivalence
 
-_SPACE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "independent": {"type": "array", "items": {"type": "string"},
-                        "minItems": 1},
-        "dependent": {"type": "array", "items": {"type": "string"},
-                      "minItems": 1},
-        "parameters": {"type": "array", "items": {"type": "string"}},
-    },
-    "required": ["independent", "dependent"],
-}
 
-_BOUND = {"type": "integer", "minimum": 0}  # an ansatz bound
+def _object(properties: dict, optional=()) -> dict:
+    """Schema of an object whose properties are required unless `optional`."""
+    return {"type": "object", "properties": properties,
+            "required": [k for k in properties if k not in optional]}
 
-PROBLEM_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string"},
-        "space": _SPACE_SCHEMA,
-        "independent": {"type": "array", "items": {"type": "string"}},
-        "dependent": {"type": "array", "items": {"type": "string"}},
-        "parameters": {"type": "array", "items": {"type": "string"}},
-        "equations": {"type": "array", "items": {
-            "type": "object",
-            "properties": {"expr": {"type": "string"},
-                           "leading": {"type": "string"}},
-            "required": ["expr", "leading"]}},
-        "normal": {"type": "boolean"},
-        "covering": {"type": "object"},
-        "coverings": {"type": "object"},
-        "hamiltonian": {"type": "object"},
-        "pseudo_operators": {"type": "object"},
-        "tasks": {"type": "array", "items": {
-            "type": "object",
-            "properties": {"kind": {"type": "string"},
-                           "order": _BOUND, "degree": _BOUND},
-            "required": ["kind"],
-            "if": {"properties": {"kind": {"enum": [
-                "symmetries", "cosymmetries", "recursion-fiberlinear"]}}},
-            "then": {"required": ["order", "degree"]}}},
-    },
-    "required": ["tasks"],
-    "anyOf": [{"required": ["space"]}, {"required": ["independent", "dependent"]}],
-}
 
-# task kinds that work on the problem's equation
-_ON_EQUATION = frozenset({
-    "symmetries", "cosymmetries", "verify-symmetry", "verify-cosymmetry",
-    "conservation-laws", "reduce", "recursion-fiberlinear", "verify-symplectic",
-    "verify-bivector", "schouten-equation", "verify-equivalence"})
+def _array(items: dict, **bounds) -> dict:
+    return {"type": "array", "items": items, **bounds}
 
-# task kind -> the fields it reads, each mapped to the namespace whose entry
-# it names, to a list of namespaces for a list of that many names, or to None
-# when the field is only required
-_TASK_FIELDS = {
-    "verify-symmetry": {"exprs": None},
-    "verify-cosymmetry": {"exprs": None},
-    "conservation-laws": {"sections": None},
-    "reduce": {"expr": None},
-    "verify-flat": {"covering": "covering"},
-    "verify-finite-symmetry": {"covering": "covering", "map": None},
-    "verify-shadow": {"covering": "covering", "exprs": None},
-    "pseudo-apply": {"op": "pseudo-operator", "exprs": None},
-    "verify-hamiltonian": {"op": "operator"},
-    "compatible": {"ops": ["operator", "operator"]},
-    "magri": {"A": "operator", "B": "operator", "seed": None, "steps": None},
-    "verify-symplectic": {"op": None},
-    "verify-bivector": {"op": None},
-    "schouten-equation": {"ops": None},
-    "verify-equivalence": {"witness": None},
-}
+
+def _mapping(values: dict) -> dict:
+    return {"type": "object", "additionalProperties": values}
+
+
+_NAT = {"type": "integer", "minimum": 0}  # admits integral floats such as 2.0
+_TEXT = {"type": "string"}  # a name or an expression
+_EXPRS = _array(_TEXT)
+_SPACE_SCHEMA = _object({"independent": _array(_TEXT, minItems=1),
+                         "dependent": _array(_TEXT, minItems=1),
+                         "parameters": _array(_TEXT)}, optional=("parameters",))
+
+# the objects `Problem` and the handlers read by key
+_ENTRIES = _array(_object({"row": _NAT, "col": _NAT, "terms": _array(
+    _object({"D": _array(_NAT), "coef": _TEXT}))}))
+_OPERATOR = _object({"rows": _NAT, "cols": _NAT, "entries": _ENTRIES})
+_PSEUDO_OPERATOR = _object({
+    "rows": _NAT, "cols": _NAT, "local": _ENTRIES,
+    "tail": _array(_object({"a": {"anyOf": [_TEXT, _EXPRS]}, "b": _ENTRIES}))},
+    optional=("tail",))
+_COVERING = _object({
+    "nonlocal": _array(_object({"name": _TEXT, "odd": {"type": "boolean"}},
+                               optional=("odd",))),
+    "X": _mapping(_EXPRS)})
+_HAMILTONIAN = _object({"space": _SPACE_SCHEMA, "operators": _mapping(_OPERATOR)},
+                       optional=("operators",))
+_WITNESS_OPERATORS = ("alpha", "beta", "alpha_p", "beta_p", "s1", "s2")
+_WITNESS = _object({"components": _EXPRS, "m1": _NAT,
+                    **dict.fromkeys(_WITNESS_OPERATORS, _OPERATOR)})
 
 
 def _parse_leading(text: str, space: JetSpace):
@@ -127,20 +95,205 @@ def _parse_leading(text: str, space: JetSpace):
 
 
 def _load_operator(data: dict, space: JetSpace) -> CDiffOp:
-    return CDiffOp.from_json(space, data["rows"], data["cols"], data["entries"])
+    return CDiffOp.from_json(space, int(data["rows"]), int(data["cols"]),
+                             data["entries"])
 
 
-def _load_pseudo(data: dict, space: JetSpace) -> PseudoOp:
-    return PseudoOp.from_json(space, data["rows"], data["cols"],
-                              {"local": data["local"], "tail": data.get("tail", [])})
+def _task_ansatz(task: dict) -> Ansatz:
+    return Ansatz(int(task["order"]), int(task["degree"]),
+                  tuple(task["whitelist"]) or None)
+
+
+def _status(ok: bool) -> str:
+    return "ok" if ok else "fail"
+
+
+def _basis(basis) -> dict:
+    return {"basis": [[render(x) for x in vec] for vec in basis],
+            "dimension": len(basis), "status": "ok"}
+
+
+def _residuals(ok: bool, residual) -> dict:
+    return {"residuals": [render(r) for r in residual], "status": _status(ok)}
+
+
+# Task handlers: (problem, task with its defaults) -> result fields.  Engine
+# functions that bench/tracer.py wraps are looked up by name at call time.
+def _solver(solve):
+    return lambda p, t: _basis(solve(p.presentation, _task_ansatz(t)))
+
+
+def _verifier(verify):
+    return lambda p, t: _residuals(*verify([parse(e, p.space) for e in t["exprs"]],
+                                           p.presentation))
+
+
+def _report(rep: dict, *keys) -> dict:
+    return dict({k: rep.get(k) for k in keys}, status=_status(rep["ok"]))
+
+
+def _conservation_laws(problem, task):
+    space = problem.space
+    currents = []
+    for text in task["sections"]:
+        cur = conservation_law_from_cosymmetry([parse(text, space)], problem.presentation)
+        currents.append({"d" + "^d".join(space.independent[i] for i in idxs): comp
+                         for idxs, comp in cur.components().items()})
+    return {"currents": currents, "status": "ok"}
+
+
+def _reduce(problem, task):
+    red = problem.presentation.reduce(parse(task["expr"], problem.space))
+    return {"normal_form": render(red.normal_form), "cofactor": red.cofactor.to_json(),
+            "status": _status(red.check(problem.presentation))}
+
+
+def _verify_flat(problem, task):
+    rep = verify_flat(problem.coverings[task["covering"]])
+    return dict(_report(rep), residuals={str(k): v for k, v in rep["residuals"].items()})
+
+
+def _verify_finite_symmetry(problem, task):
+    cov = problem.coverings[task["covering"]]
+    images = {nm: parse(txt, cov.space) for nm, txt in sorted(task["map"].items())}
+    return _report(verify_finite_symmetry(cov, images), "residuals")
+
+
+def _verify_shadow(problem, task):
+    cov = problem.coverings[task["covering"]]
+    return _residuals(*verify_shadow([parse(e, cov.space) for e in task["exprs"]], cov))
+
+
+def _recursion_fiberlinear(problem, task):
+    cov = tangent_covering(problem.presentation)
+    for layer in task["layers"]:
+        fields = {i: parse(layer["X"][nm], cov.space)
+                  for i, nm in enumerate(problem.space.independent)}
+        cov = add_abelian_layer(cov, layer["name"], fields)
+    return _basis(solve_fiberlinear(cov, _task_ansatz(task)))
+
+
+def _pseudo_apply(problem, task):
+    # a NonlocalObstruction is reported by run_problem
+    image = problem.pseudo_ops[task["op"]].apply(
+        [parse(e, problem.space) for e in task["exprs"]], problem.presentation)
+    return {"image": [render(x) for x in image], "status": "ok"}
+
+
+def _magri(problem, task):
+    A, B = problem.ham_ops[task["A"]], problem.ham_ops[task["B"]]
+    densities, flows = magri_chain(A, B, parse(task["seed"], problem.ham_space),
+                                   int(task["steps"]))
+    involution = all(poisson_bracket(f, g, op)[1]
+                     for f in densities for g in densities for op in (A, B))
+    return {"densities": [render(d) for d in densities],
+            "flows": [[render(x) for x in f] for f in flows],
+            "involution": involution, "status": _status(involution)}
+
+
+def _verify_symplectic(problem, task):
+    rep = verify_symplectic(_load_operator(task["op"], problem.space),
+                            problem.presentation, ansatz=_task_ansatz(task))
+    out = _report(rep, "membership", "closed")
+    if not rep["membership"]:
+        out["residual"] = rep["membership_residual"]
+    return out
+
+
+def _schouten_equation(problem, task):
+    d1, d2 = (_load_operator(o, problem.space) for o in task["ops"])
+    rep = schouten_on_equation(d1, d2, problem.presentation)
+    return dict(_report(rep, "trivial", "residual"),
+                status=_status(bool(rep["ok"] and rep.get("trivial"))))
+
+
+def _verify_equivalence(problem, task):
+    w = task["witness"]
+    witness = EquivalenceWitness(**{k: _load_operator(w[k], problem.space)
+                                    for k in _WITNESS_OPERATORS})
+    comps = [parse(e, problem.space) for e in w["components"]]
+    rep = verify_equivalence(problem.presentation, comps, int(w["m1"]), witness)
+    return dict(_report(rep), identities={k: v["ok"] for k, v in rep.items() if k != "ok"})
+
+
+def _defaults(fields: dict) -> dict:
+    """The values of a kind's optional fields: those whose schema has a default."""
+    return {f: of["default"] for f, of in fields.items()
+            if isinstance(of, dict) and "default" in of}
+
+
+_NAMES = dict(_EXPRS, default=[])
+_ANSATZ = {"order": _NAT, "degree": _NAT, "whitelist": _NAMES}
+_LAYERS = dict(_array(_object({"name": _TEXT, "X": _mapping(_TEXT)})), default=[])
+
+# task kind -> (whether it works on the problem's equation, its handler, its
+# fields); each field maps to the namespace whose entry it names, to a list of
+# namespaces for a list of that many names, or to a schema for its value
+_TASKS = {
+    "symmetries": (True, _solver(solve_symmetries), _ANSATZ),
+    "cosymmetries": (True, _solver(solve_cosymmetries), _ANSATZ),
+    "verify-symmetry": (True, _verifier(verify_symmetry), {"exprs": _EXPRS}),
+    "verify-cosymmetry": (True, _verifier(verify_cosymmetry), {"exprs": _EXPRS}),
+    "conservation-laws": (True, _conservation_laws, {"sections": _EXPRS}),
+    "reduce": (True, _reduce, {"expr": _TEXT}),
+    "verify-flat": (False, _verify_flat, {"covering": "covering"}),
+    "verify-finite-symmetry": (False, _verify_finite_symmetry,
+                               {"covering": "covering", "map": _mapping(_TEXT)}),
+    "verify-shadow": (False, _verify_shadow, {"covering": "covering", "exprs": _EXPRS}),
+    "recursion-fiberlinear": (True, _recursion_fiberlinear, dict(_ANSATZ, layers=_LAYERS)),
+    "pseudo-apply": (False, _pseudo_apply, {"op": "pseudo-operator", "exprs": _EXPRS}),
+    "verify-hamiltonian": (False, lambda p, t: {"status": _status(is_hamiltonian(
+        p.ham_ops[t["op"]]))}, {"op": "operator"}),
+    "compatible": (False, lambda p, t: {"status": _status(are_compatible(
+        *(p.ham_ops[nm] for nm in t["ops"])))}, {"ops": ["operator", "operator"]}),
+    "magri": (False, _magri, {"A": "operator", "B": "operator", "seed": _TEXT,
+                              "steps": _NAT}),
+    "verify-symplectic": (True, _verify_symplectic, {
+        "op": _OPERATOR, "order": dict(_NAT, default=2),
+        "degree": dict(_NAT, default=1), "whitelist": _NAMES}),
+    "verify-bivector": (True, lambda p, t: _report(verify_bivector_on_equation(
+        _load_operator(t["op"], p.space), p.presentation), "residual"), {"op": _OPERATOR}),
+    "schouten-equation": (True, _schouten_equation,
+                          {"ops": _array(_OPERATOR, minItems=2, maxItems=2)}),
+    "verify-equivalence": (True, _verify_equivalence, {"witness": _WITNESS}),
+}
+
+PROBLEM_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "name": _TEXT,
+        "space": _SPACE_SCHEMA,
+        "independent": _array(_TEXT),
+        "dependent": _array(_TEXT),
+        "parameters": _array(_TEXT),
+        "equations": _array(_object({"expr": _TEXT, "leading": _TEXT})),
+        "normal": {"type": "boolean"},
+        "covering": _COVERING,
+        "coverings": _mapping(_COVERING),
+        "hamiltonian": _HAMILTONIAN,
+        "pseudo_operators": _mapping(_PSEUDO_OPERATOR),
+        # each kind's typed fields; namespace fields are checked by Problem
+        "tasks": _array(dict(_object({"kind": _TEXT}), allOf=[
+            {"if": {"properties": {"kind": {"const": kind}}},
+             "then": {"properties": {f: of for f, of in fields.items()
+                                     if isinstance(of, dict)}}}
+            for kind, (_, _, fields) in _TASKS.items()])),
+    },
+    "required": ["tasks"],
+    "anyOf": [{"required": ["space"]}, {"required": ["independent", "dependent"]}],
+}
+
+# built once: jsonschema.validate would check the schema itself on every call
+_VALIDATOR = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
 
 
 class Problem:
     """A validated problem file with its constructed objects."""
 
     def __init__(self, data: dict, max_prolong: int = 4):
-        jsonschema.validate(data, PROBLEM_SCHEMA)
-        self.data = data
+        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+        if error is not None:
+            raise error
         sp = data.get("space") or data  # spec fragment keeps space fields flat
         self.space = JetSpace.create(sp["independent"], sp["dependent"],
                                      sp.get("parameters", ()))
@@ -157,8 +310,10 @@ class Problem:
         named = dict(data.get("coverings", {}))
         if "covering" in data:  # single-covering spec fragment
             named.setdefault("covering", data["covering"])
+        # unknown kinds are reported by run_task
+        tasks = [(t, *_TASKS[t["kind"]]) for t in data["tasks"] if t["kind"] in _TASKS]
         if self.presentation is None:
-            users = sorted({t["kind"] for t in data["tasks"] if t["kind"] in _ON_EQUATION})
+            users = sorted({t["kind"] for t, on_equation, _, _ in tasks if on_equation})
             if named:
                 users.insert(0, "coverings")
             if users:
@@ -170,30 +325,28 @@ class Problem:
             "operator": list((data.get("hamiltonian") or {}).get("operators", {})),
             "pseudo-operator": list(data.get("pseudo_operators", {})),
         }
-        for task in data["tasks"]:
+        for task, _, _, fields in tasks:
             kind = task["kind"]
-            for field, namespace in _TASK_FIELDS.get(kind, {}).items():
-                if field not in task:
+            for field, of in fields.items():
+                if field not in task and field not in _defaults(fields):
                     raise ProblemError(f"task {kind!r} needs {field!r}")
-                if namespace is None:
-                    continue
-                value = task[field]
-                if isinstance(namespace, str):
-                    namespace, value = [namespace], [value]
-                elif not isinstance(value, list) or len(value) != len(namespace):
-                    raise ProblemError(f"task {kind!r} needs {len(namespace)} "
+                if field not in task or isinstance(of, dict):
+                    continue  # optional and absent, or typed by the schema
+                names = task[field]
+                if isinstance(of, str):
+                    of, names = [of], [names]
+                elif not isinstance(names, list) or len(names) != len(of):
+                    raise ProblemError(f"task {kind!r} needs {len(of)} "
                                        f"names in {field!r}")
-                for ns, name in zip(namespace, value):
+                for ns, name in zip(of, names):
                     if name not in namespaces[ns]:
                         raise ProblemError(f"task {kind!r} names unknown {ns} {name!r}")
         for name, cdata in sorted(named.items()):
             names = [w["name"] for w in cdata["nonlocal"]]
             odd = [w["name"] for w in cdata["nonlocal"] if w.get("odd")]
             ext = self.space.extended(nonlocals=names, odd=odd)
-            X = {}
-            for i, iname in enumerate(self.space.independent):
-                fields = cdata["X"].get(iname, ["0"] * len(names))
-                X[i] = [parse(f, ext) for f in fields]
+            X = {i: [parse(f, ext) for f in cdata["X"].get(iname, ["0"] * len(names))]
+                 for i, iname in enumerate(self.space.independent)}
             self.coverings[name] = make_covering(self.presentation, names, X,
                                                  odd=odd)
         self.ham_space = None
@@ -207,146 +360,16 @@ class Problem:
                 self.ham_ops[name] = _load_operator(op, self.ham_space)
         self.pseudo_ops = {}
         for name, op in sorted(data.get("pseudo_operators", {}).items()):
-            self.pseudo_ops[name] = _load_pseudo(op, self.space)
-
-
-def _task_ansatz(task: dict) -> Ansatz:
-    # the schema requires both bounds on the solver kinds (verify-symplectic
-    # defaults to 2/1) and admits integral floats such as 2.0 as integers
-    return Ansatz(int(task.get("order", 2)), int(task.get("degree", 1)),
-                  tuple(task["whitelist"]) if task.get("whitelist") else None)
-
-
-def _status(ok: bool) -> str:
-    return "ok" if ok else "fail"
+            self.pseudo_ops[name] = PseudoOp.from_json(self.space, int(op["rows"]),
+                                                       int(op["cols"]), op)
 
 
 def run_task(problem: Problem, task: dict) -> dict:
     kind = task["kind"]
-    pres = problem.presentation
-    space = problem.space
-    out = {"task": kind}
-
-    if kind == "symmetries" or kind == "cosymmetries":
-        solver = solve_symmetries if kind == "symmetries" else solve_cosymmetries
-        basis = solver(pres, _task_ansatz(task))
-        out["basis"] = [[render(x) for x in vec] for vec in basis]
-        out["dimension"] = len(basis)
-        out["status"] = "ok"
-    elif kind == "verify-symmetry" or kind == "verify-cosymmetry":
-        vec = [parse(e, space) for e in task["exprs"]]
-        fn = verify_symmetry if kind == "verify-symmetry" else verify_cosymmetry
-        ok, residual = fn(vec, pres)
-        out["residuals"] = [render(r) for r in residual]
-        out["status"] = _status(ok)
-    elif kind == "conservation-laws":
-        currents = []
-        for text in task["sections"]:
-            psi = [parse(text, space)]
-            cur = conservation_law_from_cosymmetry(psi, pres)
-            labels = {}
-            for idxs, comp in sorted(cur.form.comps.items()):
-                label = "d" + "^d".join(space.independent[i] for i in idxs)
-                labels[label] = render(comp)
-            currents.append(labels)
-        out["currents"] = currents
-        out["status"] = "ok"
-    elif kind == "reduce":
-        red = pres.reduce(parse(task["expr"], space))
-        out["normal_form"] = render(red.normal_form)
-        out["cofactor"] = red.cofactor.to_json()
-        out["status"] = "ok" if red.check(pres) else "fail"
-    elif kind == "verify-flat":
-        rep = verify_flat(problem.coverings[task["covering"]])
-        out["residuals"] = {str(k): v for k, v in rep["residuals"].items()}
-        out["status"] = _status(rep["ok"])
-    elif kind == "verify-finite-symmetry":
-        cov = problem.coverings[task["covering"]]
-        images = {nm: parse(txt, cov.space) for nm, txt in sorted(task["map"].items())}
-        rep = verify_finite_symmetry(cov, images)
-        out["residuals"] = rep["residuals"]
-        out["status"] = _status(rep["ok"])
-    elif kind == "verify-shadow":
-        cov = problem.coverings[task["covering"]]
-        ok, residual = verify_shadow([parse(e, cov.space) for e in task["exprs"]], cov)
-        out["residuals"] = [render(r) for r in residual]
-        out["status"] = _status(ok)
-    elif kind == "recursion-fiberlinear":
-        cov = tangent_covering(pres)
-        for layer in task.get("layers", ()):
-            fields = {i: parse(layer["X"][nm], cov.space)
-                      for i, nm in enumerate(space.independent)}
-            cov = add_abelian_layer(cov, layer["name"], fields)
-        basis = solve_fiberlinear(cov, _task_ansatz(task))
-        out["basis"] = [[render(x) for x in vec] for vec in basis]
-        out["dimension"] = len(basis)
-        out["status"] = "ok"
-    elif kind == "pseudo-apply":
-        op = problem.pseudo_ops[task["op"]]
-        vec = [parse(e, space) for e in task["exprs"]]
-        try:
-            image = op.apply(vec, pres)
-            out["image"] = [render(x) for x in image]
-            out["status"] = "ok"
-        except NonlocalObstruction as exc:
-            out["status"] = "obstruction"
-            out["detail"] = str(exc)
-    elif kind == "verify-hamiltonian":
-        op = problem.ham_ops[task["op"]]
-        out["status"] = _status(is_hamiltonian(op))
-    elif kind == "compatible":
-        a, b = (problem.ham_ops[nm] for nm in task["ops"])
-        out["status"] = _status(are_compatible(a, b))
-    elif kind == "magri":
-        A = problem.ham_ops[task["A"]]
-        B = problem.ham_ops[task["B"]]
-        seed = parse(task["seed"], problem.ham_space)
-        densities, flows = magri_chain(A, B, seed, task["steps"])
-        out["densities"] = [render(d) for d in densities]
-        out["flows"] = [[render(x) for x in f] for f in flows]
-        involution = True
-        for i in range(len(densities)):
-            for j in range(len(densities)):
-                for op in (A, B):
-                    _, trivial = poisson_bracket(densities[i], densities[j], op)
-                    involution = involution and trivial
-        out["involution"] = involution
-        out["status"] = _status(involution)
-    elif kind == "verify-symplectic":
-        op = _load_operator(task["op"], space)
-        rep = verify_symplectic(op, pres, ansatz=_task_ansatz(task))
-        out["membership"] = rep["membership"]
-        out["closed"] = rep["closed"]
-        if not rep["membership"]:
-            out["residual"] = rep["membership_residual"]
-        out["status"] = _status(rep["ok"])
-    elif kind == "verify-bivector":
-        op = _load_operator(task["op"], space)
-        rep = verify_bivector_on_equation(op, pres)
-        out["residual"] = rep["residual"]
-        out["status"] = _status(rep["ok"])
-    elif kind == "schouten-equation":
-        d1, d2 = (_load_operator(o, space) for o in task["ops"])
-        rep = schouten_on_equation(d1, d2, pres)
-        out["trivial"] = rep.get("trivial")
-        out["residual"] = rep.get("residual")
-        out["status"] = _status(bool(rep["ok"] and rep.get("trivial")))
-    elif kind == "verify-equivalence":
-        w = task["witness"]
-        comps = [parse(e, space) for e in w["components"]]
-        witness = EquivalenceWitness(
-            alpha=_load_operator(w["alpha"], space),
-            beta=_load_operator(w["beta"], space),
-            alpha_p=_load_operator(w["alpha_p"], space),
-            beta_p=_load_operator(w["beta_p"], space),
-            s1=_load_operator(w["s1"], space),
-            s2=_load_operator(w["s2"], space))
-        rep = verify_equivalence(pres, comps, w["m1"], witness)
-        out["identities"] = {k: v["ok"] for k, v in rep.items() if k != "ok"}
-        out["status"] = _status(rep["ok"])
-    else:
+    if kind not in _TASKS:
         raise JetCalcError(f"unknown task kind {kind!r}")
-    return out
+    _, handler, fields = _TASKS[kind]
+    return {"task": kind, **handler(problem, {**_defaults(fields), **task})}
 
 
 def run_problem(data: dict, max_prolong: int = 4, timings: list = None) -> dict:
@@ -362,12 +385,9 @@ def run_problem(data: dict, max_prolong: int = 4, timings: list = None) -> dict:
         t0 = time.perf_counter()
         try:
             results.append(run_task(problem, task))
-        except NonlocalObstruction as exc:
-            results.append({"task": task["kind"], "status": "obstruction",
-                            "detail": str(exc)})
         except JetCalcError as exc:
-            results.append({"task": task["kind"], "status": "error",
-                            "detail": str(exc)})
+            status = "obstruction" if isinstance(exc, NonlocalObstruction) else "error"
+            results.append({"task": task["kind"], "status": status, "detail": str(exc)})
         if timings is not None:
             timings.append(time.perf_counter() - t0)
     status = "ok" if all(r["status"] == "ok" for r in results) else "fail"
@@ -381,10 +401,9 @@ def run_problem(data: dict, max_prolong: int = 4, timings: list = None) -> dict:
     }
 
 
-def _print_human(report: dict, timings=None, file=None):
-    file = file or sys.stdout
+def _print_human(report: dict, timings=None):
     print(f"jetcalc {report['version']}  problem={report['name'] or '<unnamed>'}"
-          f"  digest={report['input_digest'][:12]}", file=file)
+          f"  digest={report['input_digest'][:12]}")
     for k, r in enumerate(report["tasks"]):
         extra = ""
         if "dimension" in r:
@@ -399,8 +418,8 @@ def _print_human(report: dict, timings=None, file=None):
         elif r["status"] != "ok" and "detail" in r:
             extra = "  " + r["detail"]
         stamp = f" ({timings[k]:.2f}s)" if timings else ""
-        print(f"  [{r['status']:11s}] {r['task']}{stamp}{extra}", file=file)
-    print(f"overall: {report['status']}", file=file)
+        print(f"  [{r['status']:11s}] {r['task']}{stamp}{extra}")
+    print(f"overall: {report['status']}")
 
 
 def main(argv=None) -> int:
@@ -409,17 +428,17 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a problem file")
     runp.add_argument("file")
-    runp.add_argument("--json", action="store_true", dest="as_json")
-    runp.add_argument("--max-prolong", type=int, default=4)
     corp = sub.add_parser("corpus", help="run or emit a bundled problem")
     corp.add_argument("name")
     corp.add_argument("--emit", action="store_true")
-    corp.add_argument("--json", action="store_true", dest="as_json")
-    corp.add_argument("--max-prolong", type=int, default=4)
+    for parser in (runp, corp):
+        parser.add_argument("--json", action="store_true", dest="as_json")
+        parser.add_argument("--max-prolong", type=int, default=4)
     args = ap.parse_args(argv)
 
     from .corpus import corpus
 
+    timings = []
     try:
         if args.command == "run":
             with open(args.file) as fh:
@@ -429,13 +448,8 @@ def main(argv=None) -> int:
             if args.emit:
                 print(json.dumps(data, indent=2, sort_keys=True))
                 return 0
-    except (OSError, json.JSONDecodeError, JetCalcError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    timings = []
-    try:
         report = run_problem(data, args.max_prolong, timings)
-    except (jsonschema.ValidationError, JetCalcError) as exc:
+    except (OSError, json.JSONDecodeError, jsonschema.ValidationError, JetCalcError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if args.as_json:

@@ -365,7 +365,7 @@ def test_criterion_9_property_suites():
 
     # route agreement between the direct bracket and the odd-variable test
     gradients = [[SP1.one()], [SP1.jet("u", (0,))],
-                 [parse("3*u[0]^2 + u[2]", SP1)]]
+                 [parse("3*u[0]^2 + u[2]", SP1)], [parse("u[0]^2", SP1)]]
 
     def verdict41(op):
         for g1 in gradients:

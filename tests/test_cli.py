@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
-from jetcalc.cli import main, run_problem
+from jetcalc.cli import _TASKS, PROBLEM_SCHEMA, main, run_problem
 from jetcalc.corpus import corpus, corpus_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -233,6 +235,61 @@ def test_task_references_are_checked(tmp_path, capsys, task, message):
     code, err = _input_error(tmp_path, capsys, data)
     assert code == 2
     assert err.startswith("input error: ") and message in err
+
+
+def _changed(name, change):
+    """Corpus problem `name` with `change` applied: a dict of top-level
+    fields to set, or a key path whose last key is deleted."""
+    data = corpus(name)
+    if isinstance(change, dict):
+        return dict(data, **change)
+    *path, key = change
+    obj = data
+    for k in path:
+        obj = obj[k]
+    del obj[key]
+    return data
+
+
+@pytest.mark.parametrize("name, change", [
+    ("kdv", {"tasks": [{"kind": "magri", "steps": "3", "A": "A", "B": "B",
+                        "seed": "u[0]"}]}),
+    ("miura", {"tasks": [{"kind": "verify-finite-symmetry", "covering": "miura",
+                          "map": ["x"]}]}),
+    ("kdv", {"tasks": [{"kind": "conservation-laws", "sections": 3}]}),
+    ("kdv", {"tasks": [{"kind": "reduce", "expr": ["u[1,1]"]}]}),
+    ("kdv", {"tasks": [{"kind": "verify-symmetry", "exprs": "u[1,0]"}]}),
+    ("kdv", {"tasks": [{"kind": "symmetries", "order": 1, "degree": 1,
+                        "whitelist": "u"}]}),
+    ("kdv", ("coverings", "potential", "X")),
+    ("kdv", ("pseudo_operators", "lenard", "local")),
+    ("kdv", ("hamiltonian", "operators", "A", "entries")),
+    ("kdv", ("hamiltonian", "space")),
+    ("kdv", {"tasks": [{"kind": "verify-bivector", "op": {"rows": 2}}]}),
+], ids=["magri-steps", "finite-symmetry-map", "conservation-sections", "reduce-expr",
+        "symmetry-exprs", "symmetries-whitelist", "covering-X", "pseudo-local",
+        "operator-entries", "hamiltonian-space", "bivector-op"])
+def test_malformed_fields_are_input_errors(tmp_path, capsys, name, change):
+    code, err = _input_error(tmp_path, capsys, _changed(name, change))
+    assert code == 2
+    assert err.startswith("input error: ")
+
+
+def test_problem_schema_is_valid():
+    Draft202012Validator.check_schema(PROBLEM_SCHEMA)
+
+
+def test_schema_is_not_rechecked_per_problem(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("PROBLEM_SCHEMA checked against its metaschema again")
+    monkeypatch.setattr(Draft202012Validator, "check_schema", refuse)
+    assert run_problem(corpus("heat"))["status"] == "ok"
+
+
+def test_readme_lists_every_task_kind():
+    text = (ROOT / "README.md").read_text()
+    cli = text[text.index("## CLI"):text.index("## Library example")]
+    assert sorted(re.findall(r"^\| `([a-z-]+)` \|", cli, re.M)) == sorted(_TASKS)
 
 
 def test_corpus_reports_match_reference_under_two_hash_seeds():
