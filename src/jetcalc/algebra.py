@@ -204,12 +204,16 @@ def _sort_odd(keys):
 def _mono_mul(space: JetSpace, m1, m2):
     """Merge two normalized monomials; returns (mono, sign) or None."""
     exps = dict(m1)
+    for k, e in m2:
+        e += exps.get(k, 0)
+        if e:
+            exps[k] = e
+        else:
+            del exps[k]
+    if not space.odd:  # no odd variable anywhere: no sign, no odd square
+        return tuple(sorted(exps.items())), 1
     odd1 = [k for k, _ in m1 if space.is_odd_key(k)]
     odd2 = [k for k, _ in m2 if space.is_odd_key(k)]
-    for k, e in m2:
-        exps[k] = exps.get(k, 0) + e
-        if exps[k] == 0:
-            del exps[k]
     if odd1 or odd2:
         merged = _sort_odd(odd1 + odd2)
         if merged is None:
@@ -218,6 +222,23 @@ def _mono_mul(space: JetSpace, m1, m2):
     else:
         sign = 1
     return tuple(sorted(exps.items())), sign
+
+
+def _terms_mul(space: JetSpace, t1: dict, t2: dict) -> dict:
+    """Product of two term dicts, t1 on the left."""
+    res = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            merged = _mono_mul(space, m1, m2)
+            if merged is None:
+                continue
+            mono, sign = merged
+            s = res.get(mono, 0) + sign * c1 * c2
+            if s:
+                res[mono] = _q(s)
+            elif mono in res:
+                del res[mono]
+    return res
 
 
 def _drop_factor(space: JetSpace, mono, key, e):
@@ -273,20 +294,7 @@ class DiffExpr:
                 return DiffExpr(self.space, {})
             return DiffExpr(self.space, {m: _q(v * other) for m, v in self.terms.items()})
         other = self._coerce(other)
-        res = {}
-        space = self.space
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = _mono_mul(space, m1, m2)
-                if merged is None:
-                    continue
-                mono, sign = merged
-                s = res.get(mono, 0) + sign * c1 * c2
-                if s:
-                    res[mono] = _q(s)
-                elif mono in res:
-                    del res[mono]
-        return DiffExpr(self.space, res)
+        return DiffExpr(self.space, _terms_mul(self.space, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -414,23 +422,36 @@ class DiffExpr:
 
     def substitute(self, mapping: dict) -> "DiffExpr":
         """Replace variable keys by expressions.  Odd keys may only map to
-        odd-linear expressions; even keys to even expressions."""
+        odd-linear expressions; even keys to even expressions.
+
+        Each monomial is one product.  Even factors commute with everything,
+        so it starts from the kept even factors, times the power rep**e of
+        each replaced even factor (computed once per call), and then takes
+        the odd factors, kept or replaced, in their monomial order."""
         space = self.space
-        out = space.zero()
+        powers = {}
+        out = {}
         for mono, c in self.terms.items():
-            term = DiffExpr(space, {(): c})
+            kept, factors, odd = [], [], []
             for key, e in mono:
-                if key in mapping:
-                    rep = mapping[key]
-                    if e < 0:
-                        rep = rep.inverse_monomial() ** (-e)
-                        term = term * rep
-                    else:
-                        term = term * rep ** e if not space.is_odd_key(key) else term * rep
+                if space.odd and space.is_odd_key(key):
+                    odd.append(mapping[key].terms if key in mapping else {((key, 1),): 1})
+                elif key in mapping:
+                    if (key, e) not in powers:
+                        powers[key, e] = (mapping[key] ** e).terms
+                    factors.append(powers[key, e])
                 else:
-                    term = term * DiffExpr(space, {((key, e),): 1})
-            out = out + term
-        return out
+                    kept.append((key, e))
+            term = {tuple(kept): c}
+            for f in factors + odd:
+                term = _terms_mul(space, term, f)
+            for m, v in term.items():
+                s = out.get(m, 0) + v
+                if s:
+                    out[m] = s
+                elif m in out:
+                    del out[m]
+        return DiffExpr(space, {m: _q(v) for m, v in out.items()})
 
     def rename_space(self, space: JetSpace) -> "DiffExpr":
         """Reinterpret over a compatible (extended) space."""

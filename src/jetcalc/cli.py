@@ -30,7 +30,13 @@ from .coverings import (
     verify_flat,
     verify_shadow,
 )
-from .errors import ExprSyntaxError, JetCalcError, NonlocalObstruction, ProblemError
+from .errors import (
+    ExprSyntaxError,
+    JetCalcError,
+    NonlocalObstruction,
+    ProblemError,
+    ShapeError,
+)
 from .hamiltonian import (
     are_compatible,
     is_hamiltonian,
@@ -95,8 +101,11 @@ def _parse_leading(text: str, space: JetSpace):
 
 
 def _load_operator(data: dict, space: JetSpace) -> CDiffOp:
-    return CDiffOp.from_json(space, int(data["rows"]), int(data["cols"]),
-                             data["entries"])
+    try:
+        return CDiffOp.from_json(space, int(data["rows"]), int(data["cols"]),
+                                 data["entries"])
+    except ShapeError as exc:  # an input error, also inline in a task
+        raise ProblemError(str(exc)) from None
 
 
 def _task_ansatz(task: dict) -> Ansatz:
@@ -167,7 +176,7 @@ def _verify_shadow(problem, task):
 def _recursion_fiberlinear(problem, task):
     cov = tangent_covering(problem.presentation)
     for layer in task["layers"]:
-        fields = {i: parse(layer["X"][nm], cov.space)
+        fields = {i: parse(layer["X"].get(nm, "0"), cov.space)
                   for i, nm in enumerate(problem.space.independent)}
         cov = add_abelian_layer(cov, layer["name"], fields)
     return _basis(solve_fiberlinear(cov, _task_ansatz(task)))
@@ -385,6 +394,8 @@ def run_problem(data: dict, max_prolong: int = 4, timings: list = None) -> dict:
         t0 = time.perf_counter()
         try:
             results.append(run_task(problem, task))
+        except ProblemError:
+            raise  # malformed input met by a task, such as an inline operator
         except JetCalcError as exc:
             status = "obstruction" if isinstance(exc, NonlocalObstruction) else "error"
             results.append({"task": task["kind"], "status": status, "detail": str(exc)})

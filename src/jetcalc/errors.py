@@ -19,7 +19,8 @@ class UnknownNameError(JetCalcError):
 
 class ProblemError(JetCalcError):
     """A problem file that passes the schema but asks for what it does not
-    define: an unknown covering, or work on an equation it does not give."""
+    define (an unknown covering, or work on an equation it does not give),
+    or gives an operator entry that does not fit its operator."""
 
 
 class LaurentError(JetCalcError):

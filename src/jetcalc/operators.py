@@ -240,9 +240,17 @@ class CDiffOp:
     def from_json(cls, space, rows, cols, data):
         entries = {}
         for item in data:
-            table = entries.setdefault((item["row"], item["col"]), {})
+            # int(): JSON may give an integral float such as 1.0
+            r, c = int(item["row"]), int(item["col"])
+            where = f"operator entry (row {r}, col {c})"
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ShapeError(f"{where} lies outside its {rows}x{cols} shape")
+            table = entries.setdefault((r, c), {})
             for t in item["terms"]:
-                I = tuple(t["D"])
+                I = tuple(map(int, t["D"]))
+                if len(I) != space.n:
+                    raise ShapeError(f"{where}: multi-index {list(I)} needs "
+                                     f"{space.n} entries")
                 coef = parse(t["coef"], space)
                 table[I] = table.get(I, space.zero()) + coef
         return cls(space, rows, cols, entries)

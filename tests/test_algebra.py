@@ -376,6 +376,119 @@ def test_coefficients_stay_canonical(kdv):
                 assert _canonical(DiffExpr(SP, {mono: c}).inverse_monomial())
 
 
+def substitute_by_factors(e, mapping):
+    """Substitution one factor at a time: each monomial is rebuilt left to
+    right by DiffExpr products (the reference for substitute's one product
+    per monomial)."""
+    space = e.space
+    out = space.zero()
+    for mono, c in e.terms.items():
+        term = DiffExpr(space, {(): c})
+        for key, x in mono:
+            if key in mapping:
+                rep = mapping[key]
+                if x < 0:
+                    term = term * rep.inverse_monomial() ** (-x)
+                else:
+                    term = term * rep ** x if not space.is_odd_key(key) else term * rep
+            else:
+                term = term * DiffExpr(space, {((key, x),): 1})
+        out = out + term
+    return out
+
+
+def _check_substitute(e, mapping):
+    got = e.substitute(mapping)
+    assert got.terms == substitute_by_factors(e, mapping).terms
+    assert _canonical(got), got.terms
+
+
+def test_substitute_matches_factor_by_factor_even():
+    rng = random.Random(41)
+    sp2 = JetSpace.create(["x", "t"], ["u", "v"])
+    for space, fams in ((SP1, [0]), (sp2, [0, 1])):
+        absent = ('j', fams[-1], (4,) + (0,) * (space.n - 1))  # above maxord
+        for _ in range(30):
+            e = rand_density(space, rng, fams, maxord=3)
+            keys = sorted(e.variables())
+            even = {k: rand_density(space, rng, fams, maxdeg=2, nterms=2)
+                    for k in keys if rng.random() < 0.5}
+            _check_substitute(e, even)
+            _check_substitute(e, {k: space.zero() for k in keys[:2]})
+            _check_substitute(e, {**even, absent: rand_density(space, rng, fams)})
+
+
+def _rand_super(space, rng, odd_atoms, nterms=4):
+    """Random element of (x; u, p, q; w, r, s): even densities in u and the
+    even nonlocal w, times up to three odd atoms per term."""
+    e = space.zero()
+    for _ in range(nterms):
+        m = rand_density(space, rng, [0], nterms=1)
+        if rng.random() < 0.3:
+            m = m * space.nonlocal_var("w")
+        for _ in range(rng.randint(0, 3)):
+            m = m * rng.choice(odd_atoms)
+        e = e + m
+    return e
+
+
+def test_substitute_matches_factor_by_factor_odd():
+    rng = random.Random(43)
+    space = JetSpace.create(["x"], ["u", "p", "q"], nonlocals=["w", "r", "s"],
+                            odd=["p", "q", "r", "s"])
+    odd_atoms = [space.jet(j, (k,)) for j in ("p", "q") for k in range(3)] + \
+        [space.nonlocal_var("r"), space.nonlocal_var("s")]
+
+    def odd_linear():
+        return sum((rand_density(space, rng, [0], nterms=1) * rng.choice(odd_atoms)
+                    for _ in range(2)), space.zero())
+
+    def even():
+        e = rand_density(space, rng, [0], maxdeg=2, nterms=2)
+        return e + e * rng.choice(odd_atoms) * rng.choice(odd_atoms)
+
+    for _ in range(40):
+        e = _rand_super(space, rng, odd_atoms)
+        keys = sorted(e.variables())
+        mapping = {k: odd_linear() if space.is_odd_key(k) else even()
+                   for k in keys if rng.random() < 0.5}
+        _check_substitute(e, mapping)
+        odd_keys = [k for k in keys if space.is_odd_key(k)]
+        _check_substitute(e, {k: space.zero() for k in odd_keys[:2]})
+        # keys above maxord, absent from e
+        _check_substitute(e, {**mapping, ('j', 1, (5,)): odd_linear(),
+                              ('j', 0, (5,)): even()})
+
+
+def test_substitute_matches_factor_by_factor_laurent():
+    rng = random.Random(47)
+    space = JetSpace.create(["x", "t"], ["u", "v"], nonlocals=["w"])
+    atoms = [space.jet(j, K) for j in (0, 1) for K in ((0, 0), (1, 0), (0, 1))] + \
+        [space.nonlocal_var("w")]
+    for _ in range(40):
+        e = rand_density(space, rng, [0, 1])
+        e = e * rng.choice(atoms) ** -rng.randint(1, 3) + \
+            rand_density(space, rng, [0, 1]) * rng.choice(atoms) ** -1
+        negative = {k for m in e.terms for k, x in m if x < 0}
+        mapping = {}
+        for k in sorted(e.variables()):
+            if k in negative:  # a Laurent factor maps to a monomial
+                coeff = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2]))
+                mapping[k] = rng.choice(atoms) * rng.choice(atoms) * coeff
+            elif rng.random() < 0.5:
+                mapping[k] = rand_density(space, rng, [0, 1], maxdeg=2, nterms=2)
+        _check_substitute(e, mapping)
+
+
+def test_product_ignores_an_unused_odd_family():
+    rng = random.Random(53)
+    odd_sp = JetSpace.create(["x", "t"], ["u", "p"], odd=["p"])
+    for _ in range(40):
+        e, f = (rand_density(SP, rng, [0], maxord=3) for _ in range(2))
+        f = f * SP.jet("u", rand_index(rng, 2, 2)) ** -1
+        assert (e * f).terms == (e.rename_space(odd_sp) * f.rename_space(odd_sp)).terms
+
+
 def test_linalg_is_exact_on_int_entries():
     basis = nullspace([{0: 2, 1: 3}, {1: 3, 2: 1}], 3)
     assert basis == [[Fraction(1), Fraction(-2, 3), Fraction(2)]]

@@ -251,6 +251,18 @@ def _changed(name, change):
     return data
 
 
+def _operator(row, D):
+    """A 1x1 operator with one entry at (row, 0) holding D^D."""
+    return {"rows": 1, "cols": 1,
+            "entries": [{"row": row, "col": 0, "terms": [{"D": D, "coef": "1"}]}]}
+
+
+def _kdv_hamiltonian(A):
+    """kdv's `hamiltonian` section with operator A replaced."""
+    ham = corpus("kdv")["hamiltonian"]
+    return {"hamiltonian": dict(ham, operators=dict(ham["operators"], A=A))}
+
+
 @pytest.mark.parametrize("name, change", [
     ("kdv", {"tasks": [{"kind": "magri", "steps": "3", "A": "A", "B": "B",
                         "seed": "u[0]"}]}),
@@ -266,13 +278,29 @@ def _changed(name, change):
     ("kdv", ("hamiltonian", "operators", "A", "entries")),
     ("kdv", ("hamiltonian", "space")),
     ("kdv", {"tasks": [{"kind": "verify-bivector", "op": {"rows": 2}}]}),
+    ("kdv", _kdv_hamiltonian(_operator(3, [1]))),
+    ("kdv", _kdv_hamiltonian(_operator(0, [1, 0]))),
+    ("kdv", {"tasks": [{"kind": "verify-bivector", "op": _operator(3, [1, 0])}]}),
+    ("kdv", {"tasks": [{"kind": "verify-bivector", "op": _operator(0, [1])}]}),
 ], ids=["magri-steps", "finite-symmetry-map", "conservation-sections", "reduce-expr",
         "symmetry-exprs", "symmetries-whitelist", "covering-X", "pseudo-local",
-        "operator-entries", "hamiltonian-space", "bivector-op"])
+        "operator-entries", "hamiltonian-space", "bivector-op",
+        "operator-row", "operator-D", "bivector-row", "bivector-D"])
 def test_malformed_fields_are_input_errors(tmp_path, capsys, name, change):
     code, err = _input_error(tmp_path, capsys, _changed(name, change))
     assert code == 2
     assert err.startswith("input error: ")
+
+
+def test_recursion_layer_missing_variable_is_zero():
+    def tasks(X):
+        layer = {"name": "vm1", "X": X}
+        task = {"kind": "recursion-fiberlinear", "order": 1, "degree": 1, "layers": [layer]}
+        return run_problem(dict(corpus("heat"), tasks=[task]))["tasks"]
+
+    omitted = tasks({"x": "v[0,0]"})
+    assert omitted == tasks({"x": "v[0,0]", "t": "0"})
+    assert omitted[0]["status"] != "error"
 
 
 def test_problem_schema_is_valid():

@@ -198,6 +198,26 @@ def test_operator_json_roundtrip():
     assert back == op
 
 
+@pytest.mark.parametrize("row, col, D, message", [
+    (3, 0, [1, 0], "operator entry (row 3, col 0) lies outside its 1x1 shape"),
+    (0, 1, [1, 0], "operator entry (row 0, col 1) lies outside its 1x1 shape"),
+    (0, 0, [1], "operator entry (row 0, col 0): multi-index [1] needs 2 entries"),
+], ids=["row", "col", "D"])
+def test_operator_json_rejects_malformed_entries(row, col, D, message):
+    data = [{"row": row, "col": col, "terms": [{"D": D, "coef": "1"}]}]
+    with pytest.raises(ShapeError) as info:
+        CDiffOp.from_json(SP, 1, 1, data)
+    assert message in str(info.value)
+
+
+def test_operator_json_reads_integral_floats():
+    data = [{"row": 0.0, "col": 0, "terms": [{"D": [1.0, 0], "coef": "u[0,0]"}]}]
+    as_ints = [{"row": 0, "col": 0, "terms": [{"D": [1, 0], "coef": "u[0,0]"}]}]
+    op = CDiffOp.from_json(SP, 1, 1, data)
+    assert op == CDiffOp.from_json(SP, 1, 1, as_ints)
+    assert op.apply([SP.jet("u", (1, 0))])[0] == parse("u[0,0]*u[2,0]", SP)
+
+
 def lenard(space):
     u = space.jet("u", (0, 0))
     ux = space.jet("u", (1, 0))
