@@ -380,12 +380,13 @@ class DiffExpr:
                     break
         return DiffExpr(space, res)
 
-    def total_derivative(self, i: int, wmap=None) -> "DiffExpr":
+    def total_derivative(self, i: int, wmap=None, jets=None) -> "DiffExpr":
         """Total derivative D_i.  `wmap` maps nonlocal names to D_i-images;
         without it a nonlocal occurrence is an error (lifted derivatives
-        live in the covering layer).  Each factor v^e of a monomial gives
-        e*v^(e-1)*D_i(v); an odd v is first moved to the front, and D_i(v)
-        stays there."""
+        live in the covering layer).  `jets` maps the key of u^j_{K+e_i} to
+        the term dict taken as D_i(u^j_K), such as its normal form on an
+        equation.  Each factor v^e of a monomial gives e*v^(e-1)*D_i(v); an
+        odd v is first moved to the front, and D_i(v) stays there."""
         space = self.space
         res = {}
         for mono, c in self.terms.items():
@@ -397,13 +398,12 @@ class DiffExpr:
                     dv = _ONE
                 elif kind == 'j':
                     K = key[2]
-                    dv = {((('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:]), 1),): 1}
+                    up = ('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:])
+                    dv = {((up, 1),): 1} if jets is None else jets(up)
                 else:  # nonlocal
                     if wmap is None:
                         raise NonlocalObstruction(
                             f"total derivative of nonlocal variable {key[1]!r} requires a covering")
-                    if wmap[key[1]] is None:
-                        continue
                     dv = wmap[key[1]].terms
                 rest, k = _drop_factor(space, mono, key, e)
                 odd = space.is_odd_key(key)

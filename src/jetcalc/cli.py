@@ -394,8 +394,8 @@ def run_problem(data: dict, max_prolong: int = 4, timings: list = None) -> dict:
         t0 = time.perf_counter()
         try:
             results.append(run_task(problem, task))
-        except ProblemError:
-            raise  # malformed input met by a task, such as an inline operator
+        except (ProblemError, ExprSyntaxError):
+            raise  # malformed input met by a task: an inline operator, an expression
         except JetCalcError as exc:
             status = "obstruction" if isinstance(exc, NonlocalObstruction) else "error"
             results.append({"task": task["kind"], "status": status, "detail": str(exc)})

@@ -36,18 +36,21 @@ class Covering:
     X: dict = field(default_factory=dict)  # i -> tuple of DiffExpr per nonlocal
     fiber_families: tuple = ()            # dependent indices added over base
     structures: dict = field(default_factory=dict)
+    _reduced_X: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def space(self) -> JetSpace:
         return self.presentation.space
 
-    def wmap(self, i: int) -> dict:
-        fields = self.X.get(i, ())
-        return {name: fields[k] for k, name in enumerate(self.nonlocals)}
-
     def lift_d(self, e: DiffExpr, i: int) -> DiffExpr:
-        e = self.presentation.normal_form(e)
-        return self.presentation.normal_form(e.total_derivative(i, self.wmap(i)))
+        """Lifted total derivative: one pass over the normal form, exact as
+        Presentation.d_bar is, with each field X_i reduced once (again if X
+        is reassigned) and normal_form fixing the nonlocals."""
+        pres, fields = self.presentation, self.X.get(i, ())
+        if self._reduced_X.get(i, (None,))[0] is not fields:
+            self._reduced_X[i] = (fields, {name: pres.normal_form(fields[k])
+                                           for k, name in enumerate(self.nonlocals)})
+        return pres.normal_form(e).total_derivative(i, self._reduced_X[i][1], pres.jet_image)
 
     def lift_apply(self, op: CDiffOp, vec) -> list:
         """A base operator applied with the lifted derivatives, reduced."""

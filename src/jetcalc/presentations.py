@@ -63,8 +63,8 @@ class Presentation:
         self._rules_by_dep = {}
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
-        self._nf_cache = {}
-        self._lin = self._lin_adj = None
+        self._nf_cache, self._images, self._determining_ops = {}, {}, {}
+        self._lin = None
         self._tag_space = space.extended(
             dependent=[f"_F{s}" for s in range(len(self.components))])
 
@@ -109,6 +109,15 @@ class Presentation:
         self._nf_cache[(tagged, j, K)] = value
         return value
 
+    def jet_image(self, key) -> dict:
+        """Term dict of the jet's normal form, D-bar_i of the jet below it."""
+        image = self._images.get(key)
+        if image is None:
+            _, j, K = key
+            image = self._images[key] = {((key, 1),): 1} if self.find_rule(j, K) is None \
+                else self._rule_nf(j, K, False).terms
+        return image
+
     def _reduce_loop(self, e: DiffExpr, tagged) -> DiffExpr:
         """Substitute the highest reducible jet until none is left (tag
         families have no rules, so they are never reducible)."""
@@ -132,8 +141,11 @@ class Presentation:
         return self._reduce_loop(e, False)
 
     def d_bar(self, e: DiffExpr, i: int) -> DiffExpr:
-        """Restricted total derivative."""
-        return self.normal_form(self.normal_form(e).total_derivative(i))
+        """Restricted total derivative: one pass of D_i over the normal form
+        of e, reading each jet u_{K+e_i} as its normal form.  Exact: NF is a
+        ring homomorphism fixing internal polynomials, so for internal Z,
+        NF(D_i Z) = dZ/dx^i + sum_K dZ/du_K * NF(u_{K+e_i})."""
+        return self.normal_form(e).total_derivative(i, jets=self.jet_image)
 
     # -- cofactor-tracking reduction ------------------------------------------
 
@@ -190,14 +202,30 @@ class Presentation:
         return self._lin
 
     def lin_apply(self, phi) -> list:
-        """l_F(phi) reduced (the symmetry determining operator)."""
-        return [self.normal_form(x) for x in self.linearization().apply(phi)]
+        """l_F(phi) reduced (the symmetry determining operator).  On an
+        evolution equation it is sum_K NF(a_K) * D-bar_K(NF phi), in internal
+        coordinates with the coefficients reduced once.  That equals
+        NF(l_F phi): x-steps keep internal jets internal, each t-step
+        prolongs as _rule_nf does (t is the last slot), and evolutionary
+        derivations commute with total derivatives.  Any other equation
+        builds l_F(phi) on free jets and reduces it."""
+        return self._determining(False, phi)
 
     def adj_apply(self, psi) -> list:
-        """l_F*(psi) reduced (the cosymmetry determining operator)."""
-        if self._lin_adj is None:
-            self._lin_adj = self.linearization().adjoint()
-        return [self.normal_form(x) for x in self._lin_adj.apply(psi)]
+        """l_F*(psi) reduced (the cosymmetry determining operator), by the
+        route of lin_apply."""
+        return self._determining(True, psi)
+
+    def _determining(self, adjoint, vec) -> list:
+        op = self._determining_ops.get(adjoint)
+        if op is None:
+            op = self.linearization().adjoint() if adjoint else self.linearization()
+            self._determining_ops[adjoint] = op = \
+                self.restrict_operator(op) if self.is_evolutionary() else op
+        if not self.is_evolutionary():
+            return [self.normal_form(x) for x in op.apply(vec)]
+        return op.apply(self.normal_form(vec),
+                        lambda e, i: e.total_derivative(i, jets=self.jet_image))
 
     def reduce_form(self, form: HorizontalForm) -> HorizontalForm:
         return form.map_components(self.normal_form)
@@ -275,6 +303,7 @@ def make_presentation(space: JetSpace, components, leadings,
             if not (new - pres.rhss[s]).is_zero():
                 pres.rhss[s] = new
                 pres._nf_cache.clear()
+                pres._images.clear()
                 changed = True
         if not changed:
             break

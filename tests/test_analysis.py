@@ -277,11 +277,16 @@ def test_symplectic(kdv, wdvv):
     assert verify_symplectic(CDiffOp.zero(SP, 1, 1), kdv)["ok"]
 
 
-# the two cheaper reference solves of the benchmark, with its reference bases
+# the benchmark's four reference solves, with its reference bases: the
+# evolution equations take the internal-coordinate residual route, and
+# Camassa-Holm (leading jet u_txx) the route over free jets
 SOLVE_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "solve.json"
 
 
 @pytest.mark.parametrize("label, dependent, parameters, equations, solver, bounds", [
+    ("kdv-symmetries-7-4", ["u"], [],
+     [("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", ("u", (0, 1)))],
+     solve_symmetries, (7, 4)),
     ("kdv-cosymmetries-5-3", ["u"], [],
      [("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", ("u", (0, 1)))],
      solve_cosymmetries, (5, 3)),
@@ -289,7 +294,12 @@ SOLVE_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / 
      [("u[0,1] - u[1,0]*v[0,0] - u[0,0]*v[1,0] - sigma*v[3,0]", ("u", (0, 1))),
       ("v[0,1] - u[1,0] - v[0,0]*v[1,0]", ("v", (0, 1)))],
      solve_symmetries, (5, 3)),
-], ids=["kdv-cosymmetries", "boussinesq-symmetries"])
+    ("camassa-holm-symmetries-3-3", ["u"], [],
+     [("u[0,1] - u[2,1] - u[0,0]*u[3,0] - 2*u[1,0]*u[2,0] + 3*u[0,0]*u[1,0]",
+       ("u", (2, 1)))],
+     solve_symmetries, (3, 3)),
+], ids=["kdv-symmetries", "kdv-cosymmetries", "boussinesq-symmetries",
+        "camassa-holm-symmetries"])
 def test_solver_bases_match_reference(label, dependent, parameters, equations,
                                       solver, bounds):
     space = JetSpace.create(["x", "t"], dependent, parameters)

@@ -251,10 +251,10 @@ def _changed(name, change):
     return data
 
 
-def _operator(row, D):
-    """A 1x1 operator with one entry at (row, 0) holding D^D."""
+def _operator(row, D, coef="1"):
+    """A 1x1 operator with one entry at (row, 0) holding coef * D^D."""
     return {"rows": 1, "cols": 1,
-            "entries": [{"row": row, "col": 0, "terms": [{"D": D, "coef": "1"}]}]}
+            "entries": [{"row": row, "col": 0, "terms": [{"D": D, "coef": coef}]}]}
 
 
 def _kdv_hamiltonian(A):
@@ -282,10 +282,15 @@ def _kdv_hamiltonian(A):
     ("kdv", _kdv_hamiltonian(_operator(0, [1, 0]))),
     ("kdv", {"tasks": [{"kind": "verify-bivector", "op": _operator(3, [1, 0])}]}),
     ("kdv", {"tasks": [{"kind": "verify-bivector", "op": _operator(0, [1])}]}),
+    # a parse error inside a task is an input error too
+    ("heat", {"tasks": [{"kind": "verify-symmetry", "exprs": ["u[1,0"]}]}),
+    ("heat", {"tasks": [{"kind": "reduce", "expr": "u[1"}]}),
+    ("kdv", {"tasks": [{"kind": "verify-bivector", "op": _operator(0, [1, 0], "u[1")}]}),
 ], ids=["magri-steps", "finite-symmetry-map", "conservation-sections", "reduce-expr",
         "symmetry-exprs", "symmetries-whitelist", "covering-X", "pseudo-local",
         "operator-entries", "hamiltonian-space", "bivector-op",
-        "operator-row", "operator-D", "bivector-row", "bivector-D"])
+        "operator-row", "operator-D", "bivector-row", "bivector-D",
+        "symmetry-exprs-syntax", "reduce-expr-syntax", "bivector-coef-syntax"])
 def test_malformed_fields_are_input_errors(tmp_path, capsys, name, change):
     code, err = _input_error(tmp_path, capsys, _changed(name, change))
     assert code == 2

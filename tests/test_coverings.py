@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -254,3 +255,37 @@ def test_cosymmetries_are_fiberlinear_currents(kdv):
                        [tk.space.jet("v", (0, 0))],
                        [p.rename_space(tk.space) for p in psi])
         assert tk.presentation.reduce_form(d_h(g)).is_zero()
+
+
+def potential_covering_unreduced(kdv):
+    """The potential-KdV covering with w_t given as 3u^2 + u_xx + F, which
+    holds only on the equation."""
+    T = "3*u[0,0]^2 + u[2,0] + u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]"
+    return make_covering(kdv, ["w"], {0: [parse("u[0,0]", SP)], 1: [parse(T, SP)]})
+
+
+POTENTIAL_FACTORS = ("u[0,0]", "u[1,0]", "u[0,1]", "u[1,1]", "w", "w^-1", "x")
+
+
+@pytest.mark.parametrize("make, factors", [
+    (potential_covering, POTENTIAL_FACTORS),
+    (potential_covering_unreduced, POTENTIAL_FACTORS),
+    (tangent_covering, ("u[0,0]", "u[1,0]", "u[0,1]", "v[0,0]", "v[1,0]", "v[0,1]",
+                        "v[1,1]")),
+    (cotangent_covering, ("u[0,0]", "u[0,1]", "p[0,0]", "p[1,0]", "p[0,1]", "p[1,1]",
+                          "t")),
+], ids=["potential", "potential-unreduced", "tangent", "cotangent"])
+def test_lift_d_matches_its_definition(kdv, make, factors):
+    """One pass over the normal form with reduced images equals reducing,
+    differentiating on free jets with the raw fields X_i, and reducing."""
+    from test_presentations import canonical_terms, rand_poly
+
+    cov = make(kdv)
+    pres = cov.presentation
+    rng = random.Random(83)
+    for _ in range(12):
+        e = rand_poly(cov.space, rng, factors)
+        for i in range(cov.space.n):
+            wmap = {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}
+            expected = pres.normal_form(pres.normal_form(e).total_derivative(i, wmap))
+            assert canonical_terms(cov.lift_d(e, i)) == expected.terms

@@ -103,6 +103,30 @@ def test_linearize_3component():
     assert L.entry(2, 2) == {(1, 0): one}
 
 
+@pytest.mark.parametrize("space", [SP, JetSpace.create(["x", "t"], ["u", "v"])],
+                         ids=["x,t;u", "x,t;u,v"])
+def test_linearize_matches_sympy(space):
+    """l_F(phi) is d/d(eps) of F[u + eps*phi] at eps = 0."""
+    sympy = pytest.importorskip("sympy")
+    from test_algebra import _to_sympy, rand_density
+
+    xs = sympy.symbols(space.independent)
+    eps = sympy.Symbol("eps")
+    funcs = [sympy.Function(name)(*xs) for name in space.dependent]
+    rng = random.Random(53)
+    fams = list(range(space.m))
+    laurent = space.jet(0, (0, 0)).inverse_monomial()
+    for _ in range(5):
+        F = [rand_density(space, rng, fams, maxord=3, nterms=3) for _ in fams]
+        phi = [rand_density(space, rng, fams, maxord=2, nterms=2) for _ in fams]
+        shifted = [f + eps * _to_sympy(p, sympy, funcs, xs) for f, p in zip(funcs, phi)]
+        for G in (F, [f * laurent for f in F]):
+            ours = linearize(G).apply(phi)
+            for g, lg in zip(G, ours):
+                theirs = sympy.diff(_to_sympy(g, sympy, shifted, xs), eps).subs(eps, 0)
+                assert sympy.expand(theirs - _to_sympy(lg, sympy, funcs, xs)) == 0
+
+
 def test_ev_apply():
     ux = SP.jet("u", (1, 0))
     assert ev_apply([ux], SP.jet("u", (0, 0))) == ux

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -186,3 +187,73 @@ def test_restrict_operator_adjoint_commutes(kdv):
         b = op.adjoint()
         # both routes agree modulo reduction
         assert kdv.restrict_operator(a - b).is_zero()
+
+
+# -- the one-pass routes against their definitions -----------------------------
+
+@pytest.fixture(scope="module")
+def coupled():
+    """An evolution system whose u component holds v's leading jet, so that
+    l_F has coefficients with reducible jets."""
+    sp = JetSpace.create(["x", "t"], ["u", "v"])
+    F = [parse("u[0,1] - v[0,1]*u[1,0] - u[2,0]", sp),
+         parse("v[0,1] - v[2,0] - u[0,0]*v[1,0]", sp)]
+    return make_presentation(sp, F, [("u", (0, 1)), ("v", (0, 1))])
+
+
+# factors of random expressions per presentation, reducible jets included;
+# Weingarten's right-hand side is Laurent in z, and so are its probes
+FACTORS = {
+    "kdv": ("u[0,0]", "u[1,0]", "u[2,0]", "u[0,1]", "u[1,1]", "u[0,2]", "x", "t"),
+    "heat": ("u[0,0]", "u[1,0]", "u[0,1]", "u[2,1]", "u[0,2]", "x", "t"),
+    "boussinesq": ("u[0,0]", "v[0,0]", "v[1,0]", "u[0,1]", "v[0,1]", "v[1,1]",
+                   "u[0,2]", "sigma"),
+    "camassa_holm": ("u[0,0]", "u[1,0]", "u[2,0]", "u[0,1]", "u[2,1]", "u[3,1]", "x"),
+    "coupled": ("u[0,0]", "v[0,0]", "u[1,0]", "u[0,1]", "v[0,1]", "v[1,1]"),
+    "weingarten": ("z[0,0]", "z[0,0]^-1", "z[1,0]", "z[0,1]", "z[0,2]", "z[1,2]",
+                   "z[0,3]", "y"),
+}
+
+
+def rand_poly(space, rng, factors, maxdeg=3, nterms=4):
+    e = space.zero()
+    for _ in range(nterms):
+        m = space.num(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        for _ in range(rng.randint(0, maxdeg)):
+            m = m * parse(rng.choice(factors), space)
+        e = e + m
+    return e
+
+
+def canonical_terms(e):
+    """e's terms, after checking each coefficient is canonical: a nonzero
+    int, or a Fraction that is not integral."""
+    assert all(c and (type(c) is int or c.denominator != 1) for c in e.terms.values())
+    return e.terms
+
+
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_d_bar_matches_its_definition(request, name):
+    pres = request.getfixturevalue(name)
+    rng = random.Random(73)
+    for _ in range(12):
+        e = rand_poly(pres.space, rng, FACTORS[name])
+        for i in range(pres.space.n):
+            expected = pres.normal_form(pres.normal_form(e).total_derivative(i))
+            assert canonical_terms(pres.d_bar(e, i)) == expected.terms
+
+
+@pytest.mark.parametrize("name", ["kdv", "boussinesq", "coupled", "camassa_holm"])
+def test_determining_operators_match_reduced_free_jets(request, name):
+    pres = request.getfixturevalue(name)
+    # the evolution systems take the internal-coordinate route, CH the free one
+    assert pres.is_evolutionary() == (name != "camassa_holm")
+    L = pres.linearization()
+    rng = random.Random(79)
+    for _ in range(6):
+        phi = [rand_poly(pres.space, rng, FACTORS[name], maxdeg=2, nterms=3)
+               for _ in range(pres.space.m)]
+        for vec in (phi, pres.normal_form(phi)):  # not internal, then internal
+            for op, route in ((L, pres.lin_apply), (L.adjoint(), pres.adj_apply)):
+                expected = [pres.normal_form(x).terms for x in op.apply(vec)]
+                assert [canonical_terms(x) for x in route(vec)] == expected
