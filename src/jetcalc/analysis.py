@@ -106,18 +106,18 @@ def slot_candidates(monos, ncomps, space):
 
 
 def verify_symmetry(phi, pres: Presentation):
-    residual = pres.lin_apply([pres.normal_form(p) for p in phi])
+    residual = pres.lin_apply(phi)
     return all(r.is_zero() for r in residual), residual
 
 
 def solve_symmetries(pres: Presentation, ansatz: Ansatz):
     monos = ansatz_monomials(pres, ansatz)
     cands = slot_candidates(monos, pres.space.m, pres.space)
-    return solve_determining(cands, lambda v: pres.lin_apply(v), pres.space.m)
+    return solve_determining(cands, pres.lin_apply, pres.space.m)
 
 
 def verify_cosymmetry(psi, pres: Presentation):
-    residual = pres.adj_apply([pres.normal_form(p) for p in psi])
+    residual = pres.adj_apply(psi)
     return all(r.is_zero() for r in residual), residual
 
 
@@ -125,7 +125,7 @@ def solve_cosymmetries(pres: Presentation, ansatz: Ansatz):
     monos = ansatz_monomials(pres, ansatz)
     ncomps = len(pres.components)
     cands = slot_candidates(monos, ncomps, pres.space)
-    return solve_determining(cands, lambda v: pres.adj_apply(v), ncomps)
+    return solve_determining(cands, pres.adj_apply, ncomps)
 
 
 def _cofactor_operator(image, pres: Presentation):

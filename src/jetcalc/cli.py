@@ -303,6 +303,8 @@ class Problem:
         error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
         if error is not None:
             raise error
+        if max_prolong < 0:  # would check fewer critical pairs, not fail
+            raise ProblemError(f"--max-prolong must be at least 0, not {max_prolong}")
         sp = data.get("space") or data  # spec fragment keeps space fields flat
         self.space = JetSpace.create(sp["independent"], sp["dependent"],
                                      sp.get("parameters", ()))
@@ -311,10 +313,8 @@ class Problem:
             comps = [parse(eq["expr"], self.space) for eq in data["equations"]]
             leads = [_parse_leading(eq["leading"], self.space)
                      for eq in data["equations"]]
-            self.presentation = make_presentation(
-                self.space, comps, leads,
-                declared_normal=data.get("normal", True),
-                check_order=max_prolong)
+            self.presentation = make_presentation(self.space, comps, leads,
+                                                  check_order=max_prolong)
         self.coverings = {}
         named = dict(data.get("coverings", {}))
         if "covering" in data:  # single-covering spec fragment

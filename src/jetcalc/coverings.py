@@ -154,7 +154,7 @@ def delta_covering(base: Presentation, op: CDiffOp, names=None, odd=False,
             leadings.append(lead)
     comps = [c.rename_space(ext) for c in base.components] + fiber_exprs
     leads = list(base.leadings) + list(leadings)
-    pres = make_presentation(ext, comps, leads, base.declared_normal, check_order)
+    pres = make_presentation(ext, comps, leads, check_order)
     cov = Covering(pres, base, (), {}, tuple(range(fiber0, fiber0 + op.cols)))
     return cov
 

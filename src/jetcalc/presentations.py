@@ -30,12 +30,6 @@ from .errors import ConfluenceError, NonSolvableError, ReductionError
 from .operators import CDiffOp, linearize
 
 
-def _reduce_key(key):
-    # rank jets by total order, then by reversed multi-index so that
-    # later independents (time-like) dominate ties, then by family
-    return (mi_order(key[2]), tuple(reversed(key[2])), key[1])
-
-
 @dataclass
 class Reduction:
     """Result of reducing an expression modulo a presentation."""
@@ -52,18 +46,16 @@ class Reduction:
 class Presentation:
     """Equation E = {F = 0} with user-designated leading jets."""
 
-    def __init__(self, space: JetSpace, components, leadings, lead_coeffs,
-                 rhss, declared_normal=True):
+    def __init__(self, space: JetSpace, components, leadings, lead_coeffs, rhss):
         self.space = space
         self.components = tuple(components)
         self.leadings = tuple(leadings)          # (dep index, multi-index)
         self.lead_coeffs = tuple(lead_coeffs)    # monomial DiffExpr per rule
         self.rhss = list(rhss)
-        self.declared_normal = declared_normal
         self._rules_by_dep = {}
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
-        self._nf_cache, self._images, self._determining_ops = {}, {}, {}
+        self._jet_nfs, self._determining_ops = {}, {}
         self._lin = None
         self._tag_space = space.extended(
             dependent=[f"_F{s}" for s in range(len(self.components))])
@@ -86,59 +78,69 @@ class Presentation:
                         out.append(('j', j, K))
         return out
 
-    def _rule_nf(self, j, K, tagged) -> DiffExpr:
-        """Normal form of the reducible jet u_K^j, prolonged from its rule
-        one derivative at a time; when tagged, each rule's tag _F<s> stands
-        for the component it came from, so the cofactors ride along."""
-        cached = self._nf_cache.get((tagged, j, K))
-        if cached is not None:
-            return cached
-        s = self.find_rule(j, K)
-        I = self.leadings[s][1]
-        if K == I:
-            value = self.rhss[s]
-            if tagged:
-                sp = self._tag_space
-                tag = sp.jet(self.space.m + s, mi_zero(sp.n))
-                inv = self.lead_coeffs[s].rename_space(sp).inverse_monomial()
-                value = value.rename_space(sp) + inv * tag
-        else:
-            i = max(k for k in range(self.space.n) if K[k] > I[k])
-            base = self._rule_nf(j, mi_sub(K, mi_unit(self.space.n, i)), tagged)
-            value = self._reduce_loop(base.total_derivative(i), tagged)
-        self._nf_cache[(tagged, j, K)] = value
-        return value
-
     def jet_image(self, key) -> dict:
-        """Term dict of the jet's normal form, D-bar_i of the jet below it."""
-        image = self._images.get(key)
+        """Term dict of the jet's normal form, the image D_i takes for it in
+        d_bar and lift_d."""
+        return self._jet_nfs.get((False, key)) or self._image(key, False)
+
+    def _image(self, key, tagged) -> dict:
+        """Term dict of the jet's normal form, cached per (tagged, jet): the
+        jet itself when no rule applies, else _rule_nf.  Tagged images live
+        on the tag space (tag families have no rules)."""
+        image = self._jet_nfs.get((tagged, key))
         if image is None:
             _, j, K = key
-            image = self._images[key] = {((key, 1),): 1} if self.find_rule(j, K) is None \
-                else self._rule_nf(j, K, False).terms
+            image = {((key, 1),): 1} if self.find_rule(j, K) is None \
+                else self._rule_nf(j, K, tagged).terms
+            self._jet_nfs[tagged, key] = image
         return image
 
-    def _reduce_loop(self, e: DiffExpr, tagged) -> DiffExpr:
-        """Substitute the highest reducible jet until none is left (tag
-        families have no rules, so they are never reducible)."""
-        while True:
-            reducible = [k for k in e.variables()
-                         if k[0] == 'j' and self.find_rule(k[1], k[2]) is not None]
-            if not reducible:
-                return e
-            z = max(reducible, key=_reduce_key)
-            for mono in e.terms:
-                for k, exp in mono:
-                    if k == z and exp < 0:
-                        raise ReductionError(
-                            f"reducible jet {z} occurs with negative exponent")
-            e = e.substitute({z: self._rule_nf(z[1], z[2], tagged)})
+    def _rule_nf(self, j, K, tagged) -> DiffExpr:
+        """Normal form of the reducible jet u_K^j.  At a rule's leading jet it
+        is the right-hand side; when tagged, plus the rule's tag _F<s> over
+        its leading coefficient, so the cofactors ride along.  Above it, it
+        is D_i of the normal form of u_{K-e_i}, one pass reading each jet
+        u_{L+e_i} as its normal form: that normal form is internal, and D_i
+        of it is linear in the u_{L+e_i}, so nothing is left to reduce."""
+        s = self.find_rule(j, K)
+        I = self.leadings[s][1]
+        sp = self._tag_space if tagged else self.space
+        if K != I:
+            i = max(k for k in range(self.space.n) if K[k] > I[k])
+            base = self._image(('j', j, mi_sub(K, mi_unit(self.space.n, i))), tagged)
+            return DiffExpr(sp, base).total_derivative(
+                i, jets=lambda key: self._image(key, tagged))
+        if not tagged:
+            return self.rhss[s]
+        tag = sp.jet(self.space.m + s, mi_zero(sp.n))
+        inv = self.lead_coeffs[s].rename_space(sp).inverse_monomial()
+        return self.rhss[s].rename_space(sp) + inv * tag
+
+    def _reduce(self, e: DiffExpr, tagged) -> DiffExpr:
+        """Substitute every reducible jet by its normal form in one pass.
+        The normal forms are internal, so this is the polynomial that
+        substituting them one jet at a time gives."""
+        reducible = {k for k in e.variables()
+                     if k[0] == 'j' and self.find_rule(k[1], k[2]) is not None}
+        if not reducible:
+            return e
+        negative = [k for mono in e.terms for k, exp in mono if exp < 0 and k in reducible]
+        if negative:
+            raise ReductionError(f"reducible jet {self._jet_name(min(negative))} "
+                                 "occurs with negative exponent")
+        return e.substitute({z: DiffExpr(e.space, self._image(z, tagged))
+                             for z in reducible})
+
+    def _jet_name(self, key) -> str:
+        return render(self.space.jet(key[1], key[2]))
 
     def normal_form(self, e: DiffExpr) -> DiffExpr:
+        """The expression with every reducible jet replaced by its normal
+        form, in one substitution; elementwise on a list."""
         if isinstance(e, (list, tuple)):
             return [self.normal_form(x) for x in e]
         e = e.rename_space(self.space) if e.space is not self.space else e
-        return self._reduce_loop(e, False)
+        return self._reduce(e, False)
 
     def d_bar(self, e: DiffExpr, i: int) -> DiffExpr:
         """Restricted total derivative: one pass of D_i over the normal form
@@ -151,14 +153,13 @@ class Presentation:
 
     def reduce(self, e: DiffExpr) -> Reduction:
         """Normal form together with exact cofactors."""
-        for key in e.variables():
-            if key[0] == 'j' and self.space.is_odd_key(key):
-                if self.find_rule(key[1], key[2]) is not None:
-                    raise ReductionError(
-                        "cofactor tracking is limited to even reducible jets")
+        for key in e.jet_keys():
+            if self.space.is_odd_key(key) and self.find_rule(key[1], key[2]) is not None:
+                raise ReductionError("cofactor tracking is limited to even "
+                                     f"reducible jets: {self._jet_name(key)}")
         sp = self._tag_space
         m, l = self.space.m, len(self.components)
-        full = self._reduce_loop(e.rename_space(sp), True)
+        full = self._reduce(e.rename_space(sp), True)
         nf_terms = {}
         tables = [dict() for _ in range(l)]
         for mono, c in full.terms.items():
@@ -202,28 +203,23 @@ class Presentation:
         return self._lin
 
     def lin_apply(self, phi) -> list:
-        """l_F(phi) reduced (the symmetry determining operator).  On an
-        evolution equation it is sum_K NF(a_K) * D-bar_K(NF phi), in internal
-        coordinates with the coefficients reduced once.  That equals
-        NF(l_F phi): x-steps keep internal jets internal, each t-step
-        prolongs as _rule_nf does (t is the last slot), and evolutionary
-        derivations commute with total derivatives.  Any other equation
-        builds l_F(phi) on free jets and reduces it."""
+        """l_F(phi) reduced (the symmetry determining operator), computed as
+        l_E: sum_K NF(a_K) * D-bar_K(NF phi), in internal coordinates with
+        the coefficients restricted once.  It equals NF(l_F phi) wherever
+        NF o D_i = NF o D_i o NF, which confluent rules give: NF is a ring
+        homomorphism, so NF(a_K D_K phi) = NF(a_K) NF(D_K NF phi)."""
         return self._determining(False, phi)
 
     def adj_apply(self, psi) -> list:
-        """l_F*(psi) reduced (the cosymmetry determining operator), by the
-        route of lin_apply."""
+        """l_F*(psi) reduced (the cosymmetry determining operator), computed
+        as lin_apply is, from the restricted adjoint."""
         return self._determining(True, psi)
 
     def _determining(self, adjoint, vec) -> list:
         op = self._determining_ops.get(adjoint)
         if op is None:
             op = self.linearization().adjoint() if adjoint else self.linearization()
-            self._determining_ops[adjoint] = op = \
-                self.restrict_operator(op) if self.is_evolutionary() else op
-        if not self.is_evolutionary():
-            return [self.normal_form(x) for x in op.apply(vec)]
+            op = self._determining_ops[adjoint] = self.restrict_operator(op)
         return op.apply(self.normal_form(vec),
                         lambda e, i: e.total_derivative(i, jets=self.jet_image))
 
@@ -237,8 +233,7 @@ class Presentation:
                             [c.rename_space(space) for c in self.components],
                             self.leadings,
                             [c.rename_space(space) for c in self.lead_coeffs],
-                            [c.rename_space(space) for c in self.rhss],
-                            self.declared_normal)
+                            [c.rename_space(space) for c in self.rhss])
 
     def is_evolutionary(self) -> bool:
         """One rule per dependent with a first-order pure-t leading jet."""
@@ -254,7 +249,7 @@ class Presentation:
 
 
 def make_presentation(space: JetSpace, components, leadings,
-                      declared_normal=True, check_order=4) -> Presentation:
+                      check_order=4) -> Presentation:
     """Build and validate an orthonomic presentation.
 
     components: DiffExpr vector F; leadings: list of (dep, multi-index),
@@ -294,7 +289,7 @@ def make_presentation(space: JetSpace, components, leadings,
                     and mi_leq(leads[s1][1], leads[s2][1]):
                 raise NonSolvableError(
                     f"leading jets {leads[s1]} and {leads[s2]} are not orthonomic")
-    pres = Presentation(space, comps, leads, coeffs, rhss, declared_normal)
+    pres = Presentation(space, comps, leads, coeffs, rhss)
     # inter-reduce right-hand sides to a fixpoint
     for _ in range(20):
         changed = False
@@ -302,8 +297,7 @@ def make_presentation(space: JetSpace, components, leadings,
             new = pres.normal_form(pres.rhss[s])
             if not (new - pres.rhss[s]).is_zero():
                 pres.rhss[s] = new
-                pres._nf_cache.clear()
-                pres._images.clear()
+                pres._jet_nfs.clear()
                 changed = True
         if not changed:
             break

@@ -297,6 +297,18 @@ def test_malformed_fields_are_input_errors(tmp_path, capsys, name, change):
     assert err.startswith("input error: ")
 
 
+def test_negative_max_prolong_is_an_input_error(capsys):
+    assert main(["corpus", "kdv", "--max-prolong", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "input error: --max-prolong must be at least 0, not -3\n"
+
+
+def test_reduce_error_names_the_jet():
+    report = run_problem(dict(corpus("kdv"), tasks=[{"kind": "reduce", "expr": "u[0,1]^-1"}]))
+    assert report["tasks"] == [{"task": "reduce", "status": "error", "detail":
+                                "reducible jet u[0,1] occurs with negative exponent"}]
+
+
 def test_recursion_layer_missing_variable_is_zero():
     def tasks(X):
         layer = {"name": "vm1", "X": X}

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,15 @@ from jetcalc import (
     EquivalenceWitness,
     JetSpace,
     NonSolvableError,
+    ReductionError,
+    cotangent_covering,
     make_presentation,
     parse,
     verify_equivalence,
 )
-from jetcalc.algebra import apply_DI, mi_iter
+from jetcalc.algebra import apply_DI, mi_iter, mi_order, mi_sub, mi_unit
+from jetcalc.cli import Problem
+from jetcalc.corpus import corpus
 
 SP = JetSpace.create(["x", "t"], ["u"])
 JETS = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1))
@@ -87,11 +92,9 @@ def test_confluence_failure_reports_pair():
     assert err.value.jet is not None
 
 
-def test_confluent_two_rule_system():
-    good = [parse("u[1,0] - u[0,0]", SP), parse("u[0,1] - u[0,0]", SP)]
-    pres = make_presentation(SP, good, [("u", (1, 0)), ("u", (0, 1))])
+def test_confluent_two_rule_system(two_rules):
     u = SP.jet("u", (0, 0))
-    assert pres.normal_form(SP.jet("u", (3, 2))) == u
+    assert two_rules.normal_form(SP.jet("u", (3, 2))) == u
 
 
 def test_weingarten_laurent(weingarten):
@@ -201,6 +204,39 @@ def coupled():
     return make_presentation(sp, F, [("u", (0, 1)), ("v", (0, 1))])
 
 
+def corpus_presentation(name):
+    """The presentation of a bundled problem, without its tasks and coverings."""
+    return Problem(dict(corpus(name), tasks=[], coverings={})).presentation
+
+
+@pytest.fixture(scope="module")
+def kdv_3comp():
+    return corpus_presentation("kdv-3comp")
+
+
+@pytest.fixture(scope="module")
+def camassa_holm_2comp():
+    return corpus_presentation("camassa-holm-2comp")
+
+
+@pytest.fixture(scope="module")
+def kdv6():
+    return corpus_presentation("kdv6")
+
+
+@pytest.fixture(scope="module")
+def two_rules():
+    """u_x = u and u_t = u: two rules on one dependent, confluent."""
+    return make_presentation(SP, [parse("u[1,0] - u[0,0]", SP), parse("u[0,1] - u[0,0]", SP)],
+                             [("u", (1, 0)), ("u", (0, 1))])
+
+
+@pytest.fixture(scope="module")
+def kdv_cotangent(kdv):
+    """KdV's cotangent covering: the odd p has a rule p_t = ..."""
+    return cotangent_covering(kdv).presentation
+
+
 # factors of random expressions per presentation, reducible jets included;
 # Weingarten's right-hand side is Laurent in z, and so are its probes
 FACTORS = {
@@ -212,6 +248,16 @@ FACTORS = {
     "coupled": ("u[0,0]", "v[0,0]", "u[1,0]", "u[0,1]", "v[0,1]", "v[1,1]"),
     "weingarten": ("z[0,0]", "z[0,0]^-1", "z[1,0]", "z[0,1]", "z[0,2]", "z[1,2]",
                    "z[0,3]", "y"),
+    "kdv_3comp": ("u[0,0]", "u[1,0]", "u[0,1]", "u[1,1]", "v[0,0]", "v[2,0]",
+                  "w[0,0]", "w[1,1]"),
+    "camassa_holm_2comp": ("u[0,0]", "u[1,0]", "u[2,0]", "u[3,1]", "m[0,0]", "m[0,1]",
+                           "m[1,1]", "x"),
+    "kdv6": ("v[0,0]", "v[1,0]", "v[0,1]", "v[1,1]", "w[0,0]", "w[2,0]", "w[3,0]",
+             "w[4,1]"),
+    "wdvv": ("u[0,0]", "u[1,0]", "u[2,1]", "u[0,3]", "u[1,3]", "u[0,4]", "y"),
+    "two_rules": ("u[0,0]", "u[1,0]", "u[0,1]", "u[2,1]", "u[1,3]", "x", "t"),
+    "kdv_cotangent": ("u[0,0]", "u[0,1]", "u[1,1]", "p[0,0]", "p[1,0]", "p[0,1]",
+                      "p[2,1]", "t"),
 }
 
 
@@ -243,11 +289,16 @@ def test_d_bar_matches_its_definition(request, name):
             assert canonical_terms(pres.d_bar(e, i)) == expected.terms
 
 
-@pytest.mark.parametrize("name", ["kdv", "boussinesq", "coupled", "camassa_holm"])
+EVOLUTION = ("kdv", "boussinesq", "coupled")
+
+
+@pytest.mark.parametrize("name", EVOLUTION + (
+    "camassa_holm", "camassa_holm_2comp", "kdv_3comp", "kdv6", "wdvv", "weingarten"))
 def test_determining_operators_match_reduced_free_jets(request, name):
     pres = request.getfixturevalue(name)
-    # the evolution systems take the internal-coordinate route, CH the free one
-    assert pres.is_evolutionary() == (name != "camassa_holm")
+    # one route for every presentation: restricted coefficients times D-bar_K;
+    # on the non-evolution ones it rests on NF o D_i = NF o D_i o NF alone
+    assert pres.is_evolutionary() == (name in EVOLUTION)
     L = pres.linearization()
     rng = random.Random(79)
     for _ in range(6):
@@ -257,3 +308,60 @@ def test_determining_operators_match_reduced_free_jets(request, name):
             for op, route in ((L, pres.lin_apply), (L.adjoint(), pres.adj_apply)):
                 expected = [pres.normal_form(x).terms for x in op.apply(vec)]
                 assert [canonical_terms(x) for x in route(vec)] == expected
+
+
+def normal_form_by_passes(pres, e):
+    """The highest-first reduction that one substitution replaced: each pass
+    substitutes the highest reducible jet (by total order, then reversed
+    multi-index, then family) by its rule's normal form, and a prolonged
+    rule is D_i of the normal form below it, reduced by the same passes."""
+    rules = {}
+
+    def rule_nf(j, K):
+        if (j, K) not in rules:
+            s = pres.find_rule(j, K)
+            I = pres.leadings[s][1]
+            if K == I:
+                rules[j, K] = pres.rhss[s]
+            else:
+                i = max(k for k in range(len(K)) if K[k] > I[k])
+                rules[j, K] = by_passes(rule_nf(j, mi_sub(K, mi_unit(len(K), i)))
+                                        .total_derivative(i))
+        return rules[j, K]
+
+    def by_passes(e):
+        while True:
+            reducible = [k for k in e.variables()
+                         if k[0] == 'j' and pres.find_rule(k[1], k[2]) is not None]
+            if not reducible:
+                return e
+            z = max(reducible, key=lambda k: (mi_order(k[2]), tuple(reversed(k[2])), k[1]))
+            e = e.substitute({z: rule_nf(z[1], z[2])})
+
+    return by_passes(e)
+
+
+
+@pytest.mark.parametrize("name", ["two_rules", "camassa_holm_2comp", "kdv_3comp",
+                                  "weingarten", "kdv_cotangent"])
+def test_normal_form_matches_highest_first_passes(request, name):
+    pres = request.getfixturevalue(name)
+    rng = random.Random(89)
+    for _ in range(12):
+        e = rand_poly(pres.space, rng, FACTORS[name])
+        nf = pres.normal_form(e)
+        assert canonical_terms(nf) == normal_form_by_passes(pres, e).terms
+        if any(pres.space.is_odd_key(k) and pres.find_rule(k[1], k[2]) is not None
+               for k in e.jet_keys()):
+            continue  # cofactors are tracked for even reducible jets only
+        red = pres.reduce(e)
+        assert red.check(pres) and red.normal_form == nf
+
+
+def test_reduction_errors_name_the_jet(kdv, kdv_cotangent):
+    negative = re.escape("reducible jet u[0,1] occurs with negative exponent")
+    for route in (kdv.normal_form, kdv.reduce):
+        with pytest.raises(ReductionError, match=negative):
+            route(parse("u[1,0]*u[0,1]^-1 + u[1,1]", SP))
+    with pytest.raises(ReductionError, match=re.escape("even reducible jets: p[1,1]")):
+        kdv_cotangent.reduce(parse("u[0,1]*p[1,1] + p[0,0]", kdv_cotangent.space))
