@@ -115,6 +115,18 @@ class JetSpace:
             return key[1] in self.odd
         return False
 
+    def fresh(self, names) -> list:
+        """The names, each unchanged unless the space or an earlier one of
+        them already uses it; a taken name gets '_' appended until free."""
+        taken = set(self.independent + self.dependent + self.parameters + self.nonlocals)
+        out = []
+        for name in names:
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            out.append(name)
+        return out
+
     def extended(self, dependent=(), nonlocals=(), odd=()) -> "JetSpace":
         """New space with extra dependent/nonlocal variables appended.
         Existing variable keys stay valid (dependent indices are stable)."""
@@ -682,9 +694,6 @@ def invert_divergence(density: DiffExpr, n: int, i: int = 0):
         theta = invert_total_derivative(density, i)
         return HorizontalForm(space, 0, {(): theta})
     if n == 2:
-        present = sorted({k[1] for k in density.variables() if k[0] == 'j'})
-        if not euler_is_zero(density, present):
-            raise NonlocalObstruction("nonzero variational derivative: primitive is nonlocal")
         T = invert_total_derivative(density, 0)
         return HorizontalForm(space, 1, {(0,): space.zero(), (1,): T})
     raise ValueError("invert_divergence implemented for n <= 2")

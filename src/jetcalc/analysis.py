@@ -133,14 +133,13 @@ def _cofactor_operator(image, pres: Presentation):
     component of `image`, one column per component of F) read off the
     cofactors; (None, normal form) for the first component that does not
     vanish on the equation."""
-    entries = {}
+    terms = []
     for r, comp in enumerate(image):
         red = pres.reduce(comp)
         if not red.normal_form.is_zero():
             return None, red.normal_form
-        for (_, s), tab in red.cofactor.entries.items():
-            entries[(r, s)] = dict(tab)
-    return CDiffOp(pres.space, len(image), len(pres.components), entries), None
+        terms.extend((r, s, K, a) for _, s, K, a in red.cofactor.terms())
+    return CDiffOp(pres.space, len(image), len(pres.components), terms), None
 
 
 # -- conservation laws --------------------------------------------------------
@@ -221,23 +220,16 @@ def lie_on_cosymmetry(phi, psi, pres: Presentation):
 def ell_delta_op(delta: CDiffOp, phi, ncols: int = None) -> CDiffOp:
     """Operator chi -> E_chi(delta)(phi) (derivative of delta along chi,
     evaluated on phi).  chi ranges over the first ncols dependents."""
-    space = delta.space
     if ncols is None:
-        ncols = space.m
-    entries = {}
-    for (r, c), tab in delta.entries.items():
-        for tau, a in tab.items():
+        ncols = delta.space.m
+
+    def terms():
+        for r, c, tau, a in delta.terms():
             dphi = apply_DI(phi[c], tau)
             for key in a.jet_keys():
-                if key[1] >= ncols:
-                    continue
-                coeff = a.partial(key) * dphi
-                if coeff.is_zero():
-                    continue
-                target = entries.setdefault((r, key[1]), {})
-                cur = target.get(key[2])
-                target[key[2]] = coeff if cur is None else cur + coeff
-    return CDiffOp(space, delta.rows, ncols, entries)
+                if key[1] < ncols:
+                    yield r, key[1], key[2], a.partial(key) * dphi
+    return CDiffOp(delta.space, delta.rows, ncols, terms())
 
 
 def nijenhuis_torsion(R: PseudoOp, phi1, phi2, pres: Presentation):
@@ -279,14 +271,11 @@ class BilinearNabla:
     def __init__(self, pres: Presentation, theta: CDiffOp):
         self.l = len(pres.components)
         self.data = []  # (r, c, J, s, K, lam)
-        for (r, c), tab in theta.entries.items():
-            for J, coeff in tab.items():
-                red = pres.reduce(coeff)
-                if not red.normal_form.is_zero():
-                    raise ShapeError("operator does not vanish on the equation")
-                for (_, s), table in red.cofactor.entries.items():
-                    for K, lam in table.items():
-                        self.data.append((r, c, J, s, K, lam))
+        for r, c, J, coeff in theta.terms():
+            red = pres.reduce(coeff)
+            if not red.normal_form.is_zero():
+                raise ShapeError("operator does not vanish on the equation")
+            self.data.extend((r, c, J, s, K, lam) for _, s, K, lam in red.cofactor.terms())
 
     def star1(self, chi, arg):
         """Adjoint in the F-slot, applied to (chi, arg), unreduced, over the
@@ -302,8 +291,7 @@ class BilinearNabla:
         return out
 
 
-def verify_symplectic(delta: CDiffOp, pres: Presentation, test_args=None,
-                      ansatz: Ansatz = None) -> dict:
+def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None) -> dict:
     """Membership l_F* delta = delta* l_F modulo reduction, then closedness
     on a generating family of arguments (evolution shortcut when the
     presentation is evolutionary, cofactor nabla otherwise)."""
@@ -317,10 +305,7 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, test_args=None,
         report["closed"] = False
         report["ok"] = False
         return report
-    if test_args is None:
-        ansatz = ansatz or Ansatz(2, 1)
-        monos = ansatz_monomials(pres, ansatz)
-        test_args = slot_candidates(monos, space.m, space)
+    test_args = slot_candidates(ansatz_monomials(pres, ansatz or Ansatz(2, 1)), space.m, space)
     failures = []
     if pres.is_evolutionary():
         skew = pres.restrict_operator(delta + delta.adjoint())

@@ -121,15 +121,14 @@ def abelian_from_current(form: HorizontalForm, base: Presentation,
     return cov
 
 
-def delta_covering(base: Presentation, op: CDiffOp, names=None, odd=False,
+def delta_covering(base: Presentation, op: CDiffOp, odd=False,
                    leadings=None, check_order=4) -> Covering:
     """Covering cut out by  op(v) = 0  on new fiber variables v^1..v^cols,
     oriented along the supplied fiber leading jets (defaults mirror the
     base leading jets when shapes match)."""
     space = base.space
-    if names is None:
-        stem = "p" if odd else "v"
-        names = [stem if op.cols == 1 else f"{stem}{c + 1}" for c in range(op.cols)]
+    stem = "p" if odd else "v"
+    names = space.fresh(stem if op.cols == 1 else f"{stem}{c + 1}" for c in range(op.cols))
     ext = space.extended(dependent=names, odd=names if odd else ())
     fiber0 = space.m
     fiber_exprs = op.rename_space(ext).apply(
@@ -261,7 +260,7 @@ def solve_fiberlinear(cov: Covering, ansatz: Ansatz, target: CDiffOp = None):
 def reconstruct_step(cov: Covering, phi) -> Covering:
     """One-step shadow reconstruction: adjoin w~ with
     d w~^j / dx^i = l~_{X_i^j}(phi) + sum_a (dX_i^j/dw^a) w~^a."""
-    names = [f"{name}_r" for name in cov.nonlocals]
+    names = cov.space.fresh(f"{name}_r" for name in cov.nonlocals)
     pres = cov.presentation.extend_space(nonlocals=names)
     space = pres.space
     X = {}

@@ -35,7 +35,7 @@ from .analysis import (
     slot_candidates,
     solve_determining,
 )
-from .coverings import Covering, cotangent_covering
+from .coverings import cotangent_covering
 from .operators import CDiffOp, ev_apply, jacobi, linearize, pairing_density
 from .presentations import Presentation
 
@@ -45,7 +45,7 @@ from .presentations import Presentation
 
 def momenta_space(space: JetSpace) -> JetSpace:
     """Extend by one odd momentum family p_<name> per dependent variable."""
-    names = [f"p_{name}" for name in space.dependent]
+    names = space.fresh(f"p_{name}" for name in space.dependent)
     return space.extended(dependent=names, odd=names)
 
 
@@ -108,7 +108,7 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
                               ext.nonlocals,
                               [n for n in ext.odd
                                if n in ext.dependent[:m] or n in ext.nonlocals])
-    entries = {}
+    terms = []
     for mono, c in sorted(W.terms.items()):
         odd = [k for k, _ in mono if k[0] == 'j' and k[1] >= m]
         plain = [k for k in odd if mi_order(k[2]) == 0]
@@ -118,11 +118,8 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
         sign = 1 if (ks, k0) == (odd[0], odd[1]) else -1
         coeff = DiffExpr(carrier, {tuple((k, e) for k, e in mono if k not in odd):
                                    c * sign})
-        i, j = k0[1] - m, ks[1] - m
-        tab = entries.setdefault((i, j), {})
-        cur = tab.get(ks[2])
-        tab[ks[2]] = coeff if cur is None else cur + coeff
-    op = CDiffOp(carrier, m, m, entries)
+        terms.append((k0[1] - m, ks[1] - m, ks[2], coeff))
+    op = CDiffOp(carrier, m, m, terms)
     return op.scale(Fraction(1, 2)) - op.adjoint().scale(Fraction(1, 2))
 
 
@@ -249,23 +246,22 @@ def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
     return None
 
 
-def _is_single_dx(A: CDiffOp, xindex: int) -> bool:
+def _is_single_dx(A: CDiffOp) -> bool:
     if A.rows != 1 or A.cols != 1:
         return False
     tab = A.entry(0, 0)
-    unit = mi_unit(A.space.n, xindex)
+    unit = mi_unit(A.space.n, 0)
     return set(tab) == {unit} and tab[unit] == A.space.one()
 
 
-def magri_step(A: CDiffOp, B: CDiffOp, omega: DiffExpr,
-               ansatz: Ansatz = None, xindex: int = 0) -> DiffExpr:
+def magri_step(A: CDiffOp, B: CDiffOp, omega: DiffExpr) -> DiffExpr:
     """Next density up the hierarchy: solve A(psi) = B(delta omega), check
     the Helmholtz condition, return its homotopy density."""
     phi = B.apply(euler(omega))
-    if _is_single_dx(A, xindex):
-        psi = [invert_total_derivative(phi[0], xindex)]
+    if _is_single_dx(A):
+        psi = [invert_total_derivative(phi[0], 0)]
     else:
-        psi = solve_linear(A, phi, ansatz or Ansatz(4, 3))
+        psi = solve_linear(A, phi, Ansatz(4, 3))
         if psi is None:
             raise AnsatzError("no ansatz solution of A(psi) = B(delta omega)")
     h = linearize(psi)
@@ -275,13 +271,12 @@ def magri_step(A: CDiffOp, B: CDiffOp, omega: DiffExpr,
     return homotopy_density(psi)
 
 
-def magri_chain(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int,
-                ansatz: Ansatz = None, xindex: int = 0):
+def magri_chain(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int):
     """Iterated Magri steps; returns (densities, flows) with
     flows[k] = A(delta densities[k])."""
     densities = [omega]
     for _ in range(steps):
-        densities.append(magri_step(A, B, densities[-1], ansatz, xindex))
+        densities.append(magri_step(A, B, densities[-1]))
     flows = [A.apply(euler(w)) for w in densities]
     return densities, flows
 
@@ -302,9 +297,8 @@ def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, pres: Presentation):
     corrections extracted from cofactors; reduced modulo the presentation."""
     space = pres.space
     l = len(pres.components)
-    names_a = [f"_a{s}" for s in range(l)]
-    names_b = [f"_b{s}" for s in range(l)]
-    ext_pres = pres.extend_space(dependent=names_a + names_b)
+    dummies = space.fresh([f"_a{s}" for s in range(l)] + [f"_b{s}" for s in range(l)])
+    ext_pres = pres.extend_space(dependent=dummies)
     ext = ext_pres.space
     m = space.m
     avec = [ext.jet(m + s, mi_zero(ext.n)) for s in range(l)]
@@ -318,8 +312,7 @@ def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, pres: Presentation):
     return ext_pres.normal_form(total), ext_pres, avec, bvec
 
 
-def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation,
-                         cot: Covering = None) -> dict:
+def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
     """Triviality of [[d1, d2]] on the equation: the bracket is encoded as
     a fiber-cubic superdensity on the cotangent covering (odd fibers),
     reduced modulo its rules, and tested by the internal Euler operator."""
@@ -330,8 +323,7 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation,
                     "reason": f"{name} operator is not an equation bivector",
                     "residual": chk["residual"]}
     T, ext_pres, avec, bvec = _eq_bracket_on_dummies(d1, d2, pres)
-    if cot is None:
-        cot = cotangent_covering(pres)
+    cot = cotangent_covering(pres)
     cspace = cot.space
     m = pres.space.m
     l = len(pres.components)

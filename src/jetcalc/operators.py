@@ -5,6 +5,7 @@ one-layer D_x^{-1} pseudo-operators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 from .algebra import (
@@ -53,16 +54,31 @@ class CDiffOp:
 
     __slots__ = ("space", "rows", "cols", "entries")
 
-    def __init__(self, space: JetSpace, rows: int, cols: int, entries=None):
+    def __init__(self, space: JetSpace, rows: int, cols: int, entries=()):
+        """entries: a table {(row, col): {I: a_I}} or an iterable of
+        (row, col, I, a_I) terms; terms on one slot are summed, and zero
+        coefficients dropped."""
         self.space = space
         self.rows = rows
         self.cols = cols
+        if isinstance(entries, dict):
+            entries = ((r, c, I, a) for (r, c), tab in entries.items()
+                       for I, a in tab.items())
+        table = {}
+        for r, c, I, a in entries:
+            if a.is_zero():
+                continue
+            tab = table.get((r, c))
+            if tab is None:
+                table[r, c] = {I: a}
+            else:
+                cur = tab.get(I)
+                tab[I] = a if cur is None else cur + a
         self.entries = {}
-        if entries:
-            for (r, c), table in entries.items():
-                clean = {I: a for I, a in table.items() if not a.is_zero()}
-                if clean:
-                    self.entries[(r, c)] = clean
+        for rc, tab in table.items():
+            clean = {I: a for I, a in tab.items() if not a.is_zero()}
+            if clean:
+                self.entries[rc] = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -72,25 +88,28 @@ class CDiffOp:
 
     @classmethod
     def identity(cls, space, size):
-        one = space.one()
-        z = mi_zero(space.n)
-        return cls(space, size, size, {(k, k): {z: one} for k in range(size)})
+        return cls.mult(space, space.one(), size)
 
     @classmethod
     def scalar(cls, space, table: dict):
         """1x1 operator from {multi-index: coefficient}."""
-        return cls(space, 1, 1, {(0, 0): dict(table)})
+        return cls(space, 1, 1, {(0, 0): table})
 
     @classmethod
     def total_derivative(cls, space, i: int, size: int = 1):
-        one = space.one()
         I = mi_unit(space.n, i)
-        return cls(space, size, size, {(k, k): {I: one} for k in range(size)})
+        return cls(space, size, size, ((k, k, I, space.one()) for k in range(size)))
 
     @classmethod
     def mult(cls, space, expr: DiffExpr, size: int = 1):
         z = mi_zero(space.n)
-        return cls(space, size, size, {(k, k): {z: expr} for k in range(size)})
+        return cls(space, size, size, ((k, k, z, expr) for k in range(size)))
+
+    def terms(self):
+        """The operator as (row, col, I, a_I) terms, one per nonzero slot."""
+        for (r, c), tab in self.entries.items():
+            for I, a in tab.items():
+                yield r, c, I, a
 
     def entry(self, r, c) -> dict:
         return self.entries.get((r, c), {})
@@ -117,17 +136,8 @@ class CDiffOp:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("operator shapes differ in addition")
-        entries = {}
-        for rc in set(self.entries) | set(other.entries):
-            table = {}
-            for I in set(self.entry(*rc)) | set(other.entry(*rc)):
-                s = self.entry(*rc).get(I, self.space.zero()) + \
-                    other.entry(*rc).get(I, self.space.zero())
-                if not s.is_zero():
-                    table[I] = s
-            if table:
-                entries[rc] = table
-        return CDiffOp(self.space, self.rows, self.cols, entries)
+        return CDiffOp(self.space, self.rows, self.cols,
+                       chain(self.terms(), other.terms()))
 
     def __neg__(self):
         return self.scale(-1)
@@ -136,53 +146,30 @@ class CDiffOp:
         return self + (-other)
 
     def scale(self, factor):
-        entries = {rc: {I: a * factor for I, a in tab.items()}
-                   for rc, tab in self.entries.items()}
-        return CDiffOp(self.space, self.rows, self.cols, entries)
+        return self.map_coefficients(lambda a: a * factor)
 
     def map_coefficients(self, fn):
-        entries = {rc: {I: fn(a) for I, a in tab.items()}
-                   for rc, tab in self.entries.items()}
-        return CDiffOp(self.space, self.rows, self.cols, entries)
+        return CDiffOp(self.space, self.rows, self.cols,
+                       ((r, c, I, fn(a)) for r, c, I, a in self.terms()))
 
     def compose(self, other: "CDiffOp") -> "CDiffOp":
         """(self o other)(p) = self(other(p)); Leibniz expansion of D_I o a."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot compose {self.rows}x{self.cols} with "
                              f"{other.rows}x{other.cols}")
-        entries = {}
-        for (r, k), tab1 in self.entries.items():
-            for c in range(other.cols):
-                tab2 = other.entry(k, c)
-                if not tab2:
-                    continue
-                target = entries.setdefault((r, c), {})
-                for I, a in tab1.items():
-                    for J, b in tab2.items():
-                        for Jp in _sub_indices(I):
-                            coeff = a * apply_DI(b, Jp) * _binom(I, Jp)
-                            if coeff.is_zero():
-                                continue
-                            K = mi_add(mi_sub(I, Jp), J)
-                            cur = target.get(K)
-                            target[K] = coeff if cur is None else cur + coeff
-        return CDiffOp(self.space, self.rows, other.cols, entries)
+        # D_Jp(b) vanishes for constant b and Jp != 0: skip those products
+        return CDiffOp(self.space, self.rows, other.cols,
+                       ((r, c, mi_add(mi_sub(I, Jp), J), a * db * _binom(I, Jp))
+                        for r, k, I, a in self.terms() for c in range(other.cols)
+                        for J, b in other.entry(k, c).items() for Jp in _sub_indices(I)
+                        if not (db := apply_DI(b, Jp)).is_zero()))
 
     def adjoint(self) -> "CDiffOp":
         """Formal adjoint: transpose of entrywise sum (-1)^|I| D_I o a_I."""
-        entries = {}
-        for (r, c), tab in self.entries.items():
-            target = entries.setdefault((c, r), {})
-            for I, a in tab.items():
-                sign = -1 if mi_order(I) % 2 else 1
-                for Jp in _sub_indices(I):
-                    coeff = apply_DI(a, Jp) * (sign * _binom(I, Jp))
-                    if coeff.is_zero():
-                        continue
-                    K = mi_sub(I, Jp)
-                    cur = target.get(K)
-                    target[K] = coeff if cur is None else cur + coeff
-        return CDiffOp(self.space, self.cols, self.rows, entries)
+        return CDiffOp(self.space, self.cols, self.rows,
+                       ((c, r, mi_sub(I, Jp),
+                         apply_DI(a, Jp) * ((-1) ** mi_order(I) * _binom(I, Jp)))
+                        for r, c, I, a in self.terms() for Jp in _sub_indices(I)))
 
     def apply(self, vec, d=None) -> list:
         """The operator on a vector, with total derivatives d as in apply_DI."""
@@ -198,18 +185,13 @@ class CDiffOp:
         return self.apply([e])[0]
 
     def submatrix(self, rows, cols) -> "CDiffOp":
-        entries = {}
-        for ri, r in enumerate(rows):
-            for ci, c in enumerate(cols):
-                tab = self.entry(r, c)
-                if tab:
-                    entries[(ri, ci)] = dict(tab)
-        return CDiffOp(self.space, len(rows), len(cols), entries)
+        return CDiffOp(self.space, len(rows), len(cols),
+                       ((ri, ci, I, a) for ri, r in enumerate(rows)
+                        for ci, c in enumerate(cols) for I, a in self.entry(r, c).items()))
 
     def rename_space(self, space: JetSpace) -> "CDiffOp":
-        entries = {rc: {I: a.rename_space(space) for I, a in tab.items()}
-                   for rc, tab in self.entries.items()}
-        return CDiffOp(space, self.rows, self.cols, entries)
+        return CDiffOp(space, self.rows, self.cols,
+                       ((r, c, I, a.rename_space(space)) for r, c, I, a in self.terms()))
 
     def render_matrix(self):
         out = []
@@ -238,22 +220,20 @@ class CDiffOp:
 
     @classmethod
     def from_json(cls, space, rows, cols, data):
-        entries = {}
-        for item in data:
-            # int(): JSON may give an integral float such as 1.0
-            r, c = int(item["row"]), int(item["col"])
-            where = f"operator entry (row {r}, col {c})"
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ShapeError(f"{where} lies outside its {rows}x{cols} shape")
-            table = entries.setdefault((r, c), {})
-            for t in item["terms"]:
-                I = tuple(map(int, t["D"]))
-                if len(I) != space.n:
-                    raise ShapeError(f"{where}: multi-index {list(I)} needs "
-                                     f"{space.n} entries")
-                coef = parse(t["coef"], space)
-                table[I] = table.get(I, space.zero()) + coef
-        return cls(space, rows, cols, entries)
+        def terms():
+            for item in data:
+                # int(): JSON may give an integral float such as 1.0
+                r, c = int(item["row"]), int(item["col"])
+                where = f"operator entry (row {r}, col {c})"
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise ShapeError(f"{where} lies outside its {rows}x{cols} shape")
+                for t in item["terms"]:
+                    I = tuple(map(int, t["D"]))
+                    if len(I) != space.n:
+                        raise ShapeError(f"{where}: multi-index {list(I)} needs "
+                                         f"{space.n} entries")
+                    yield r, c, I, parse(t["coef"], space)
+        return cls(space, rows, cols, terms())
 
 
 # -- linearization and evolutionary action ---------------------------------
@@ -266,18 +246,10 @@ def linearize(psis, space: JetSpace = None, columns=None) -> CDiffOp:
     if columns is None:
         columns = range(space.m)
     columns = list(columns)
-    entries = {}
-    for j, psi in enumerate(psis):
-        for key in psi.jet_keys():
-            _, dep, I = key
-            if dep not in columns:
-                continue
-            coeff = psi.partial(key)
-            if coeff.is_zero():
-                continue
-            c = columns.index(dep)
-            entries.setdefault((j, c), {})[I] = coeff
-    return CDiffOp(space, len(psis), len(columns), entries)
+    return CDiffOp(space, len(psis), len(columns),
+                   ((j, columns.index(key[1]), key[2], psi.partial(key))
+                    for j, psi in enumerate(psis) for key in psi.jet_keys()
+                    if key[1] in columns))
 
 
 def ev_apply(phi, e: DiffExpr, d=None) -> DiffExpr:
@@ -336,9 +308,8 @@ def green_form(op: CDiffOp, ps, qs) -> HorizontalForm:
             theta[i] += coeff * apply_DI(target, I)
             coeff = -coeff.total_derivative(i)
 
-    for (r, c), tab in sorted(op.entries.items()):
-        for I, a in sorted(tab.items()):
-            split(qs[r] * a, I, ps[c])
+    for r, c, I, a in sorted(op.terms(), key=lambda t: t[:3]):
+        split(qs[r] * a, I, ps[c])
     if n == 1:
         return HorizontalForm(space, 0, {(): theta[0]})
     return HorizontalForm(space, 1, {(0,): -theta[1], (1,): theta[0]})
@@ -372,9 +343,8 @@ class PseudoOp:
         merged = {}
         order = []
         for a_vec, b in self.tails:
-            key = tuple(sorted((rc, I, tuple(sorted(a.terms.items())))
-                               for rc, tab in b.entries.items()
-                               for I, a in tab.items()))
+            key = tuple(sorted((r, c, I, tuple(sorted(a.terms.items())))
+                               for r, c, I, a in b.terms()))
             if key in merged:
                 old, _ = merged[key]
                 merged[key] = ([x + y for x, y in zip(old, a_vec)], b)
@@ -445,37 +415,27 @@ class PseudoOp:
         return PseudoOp(local, tails, self.xindex)
 
     def compose_local_left(self, op: CDiffOp) -> "PseudoOp":
-        """op o self for a local scalar operator in the designated variable."""
+        """op o self for a local scalar operator in the designated variable:
+        op o a D^{-1} b = sum_K p_K D^K o D^{-1} b over the terms p_K D^K of
+        op o a, where D^k o D^{-1} = D^{k-1} for k >= 1."""
+        space = self.space
+        unit = mi_unit(space.n, self.xindex)
         local = op.compose(self.local)
         tails = []
-        n = self.space.n
         for a_vec, b in self.tails:
-            # op o (a D^{-1} b): expand D^k o a, absorbing D^k o D^{-1}
-            for (r, c), tab in op.entries.items():
-                for I, coeff in tab.items():
-                    k = I[self.xindex]
-                    if mi_order(I) != k:
-                        raise ShapeError("pseudo composition needs x-only operators")
-                    for jp in range(k + 1):
-                        Jp = tuple(jp if idx == self.xindex else 0 for idx in range(n))
-                        da = apply_DI(a_vec[c], Jp) * comb(k, jp)
-                        if da.is_zero():
-                            continue
-                        power = k - jp
-                        if power >= 1:
-                            Dop = CDiffOp.scalar(
-                                self.space,
-                                {tuple(power - 1 if idx == self.xindex else 0
-                                       for idx in range(n)): self.space.one()})
-                            piece = CDiffOp.mult(self.space, coeff * da).compose(
-                                Dop).compose(b)
-                            grown = CDiffOp(self.space, op.rows, b.cols)
-                            for (_, cc), t in piece.entries.items():
-                                grown.entries[(r, cc)] = dict(t)
-                            local = local + grown
-                        else:
-                            tails.append(([coeff * da if rr == r else self.space.zero()
-                                           for rr in range(op.rows)], b))
+            column = CDiffOp(space, len(a_vec), 1,
+                             ((r, 0, mi_zero(space.n), a) for r, a in enumerate(a_vec)))
+            lowered, tail = [], [space.zero()] * op.rows
+            for r, _, K, p in op.compose(column).terms():
+                if mi_order(K) != K[self.xindex]:
+                    raise ShapeError("pseudo composition needs x-only operators")
+                if K[self.xindex]:
+                    lowered.append((r, 0, mi_sub(K, unit), p))
+                else:
+                    tail[r] = p
+            local = local + CDiffOp(space, op.rows, 1, lowered).compose(b)
+            if any(not x.is_zero() for x in tail):
+                tails.append((tail, b))
         return PseudoOp(local, tails, self.xindex)
 
     def commutator_local(self, op: CDiffOp) -> "PseudoOp":
@@ -504,47 +464,27 @@ class PseudoOp:
 
 
 def _outer(a_vec, row: CDiffOp) -> CDiffOp:
-    space = row.space
-    entries = {}
-    for r, a in enumerate(a_vec):
-        if a.is_zero():
-            continue
-        for (_, c), tab in row.entries.items():
-            target = entries.setdefault((r, c), {})
-            for I, coeff in tab.items():
-                cur = target.get(I)
-                val = a * coeff
-                target[I] = val if cur is None else cur + val
-    return CDiffOp(space, len(a_vec), row.cols, entries)
+    return CDiffOp(row.space, len(a_vec), row.cols,
+                   ((r, c, I, a * coeff) for r, a in enumerate(a_vec)
+                    for _, c, I, coeff in row.terms()))
 
 
 def _absorb_inverse(row: CDiffOp, xindex: int):
     """Rewrite D^{-1} o (row) as local + D^{-1} o (order-0 row) using
     D^{-1} c D^k = c D^{k-1} - D^{-1} c' D^{k-1} (x-derivatives only)."""
-    space = row.space
-    n = space.n
-    local = CDiffOp.zero(space, 1, row.cols)
-    zero_tab = {}
-    work = [(I, c, col) for (_, col), tab in row.entries.items()
-            for I, c in tab.items()]
+    unit = mi_unit(row.space.n, xindex)
+    local, tail = [], []
+    work = [(I, c, col) for _, col, I, c in row.terms()]
     while work:
         I, c, col = work.pop()
-        k = I[xindex]
-        if mi_order(I) != k:
+        if mi_order(I) != I[xindex]:
             raise ShapeError("pseudo composition needs x-only operators")
-        if k == 0:
-            cur = zero_tab.get(col)
-            zero_tab[col] = c if cur is None else cur + c
+        if I[xindex] == 0:
+            tail.append((0, col, I, c))
             continue
-        Idown = tuple(k - 1 if idx == xindex else 0 for idx in range(n))
-        tab = local.entries.setdefault((0, col), {})
-        cur = tab.get(Idown)
-        tab[Idown] = c if cur is None else cur + c
+        Idown = mi_sub(I, unit)
+        local.append((0, col, Idown, c))
         dc = -c.total_derivative(xindex)
         if not dc.is_zero():
             work.append((Idown, dc, col))
-    local = CDiffOp(space, 1, row.cols, local.entries)
-    tail = CDiffOp(space, 1, row.cols,
-                   {(0, col): {mi_zero(n): c} for col, c in zero_tab.items()
-                    if not c.is_zero()})
-    return local, tail
+    return CDiffOp(row.space, 1, row.cols, local), CDiffOp(row.space, 1, row.cols, tail)

@@ -58,7 +58,7 @@ class Presentation:
         self._jet_nfs, self._determining_ops = {}, {}
         self._lin = None
         self._tag_space = space.extended(
-            dependent=[f"_F{s}" for s in range(len(self.components))])
+            dependent=space.fresh(f"_F{s}" for s in range(len(self.components))))
 
     # -- rule machinery ------------------------------------------------------
 
@@ -137,10 +137,10 @@ class Presentation:
     def normal_form(self, e: DiffExpr) -> DiffExpr:
         """The expression with every reducible jet replaced by its normal
         form, in one substitution; elementwise on a list."""
-        if isinstance(e, (list, tuple)):
-            return [self.normal_form(x) for x in e]
-        e = e.rename_space(self.space) if e.space is not self.space else e
-        return self._reduce(e, False)
+        def nf(x):
+            return self._reduce(x if x.space is self.space else x.rename_space(self.space),
+                                False)
+        return [nf(x) for x in e] if isinstance(e, (list, tuple)) else nf(e)
 
     def d_bar(self, e: DiffExpr, i: int) -> DiffExpr:
         """Restricted total derivative: one pass of D_i over the normal form
@@ -160,8 +160,7 @@ class Presentation:
         sp = self._tag_space
         m, l = self.space.m, len(self.components)
         full = self._reduce(e.rename_space(sp), True)
-        nf_terms = {}
-        tables = [dict() for _ in range(l)]
+        nf_terms, cofactor = {}, []
         for mono, c in full.terms.items():
             tags = sorted((k[1] - m, k[2], k, exp) for k, exp in mono
                           if k[0] == 'j' and k[1] >= m)
@@ -179,17 +178,9 @@ class Presentation:
                 self.components[t - m].rename_space(sp), KK)
                 for (t, KK) in {(k[1], k[2]) for k in coeff.variables()
                                 if k[0] == 'j' and k[1] >= m}})
-            base_coeff = coeff.rename_space(self.space)
-            cur = tables[s].get(L)
-            tables[s][L] = base_coeff if cur is None else cur + base_coeff
-        nf = DiffExpr(self.space, nf_terms)
-        entries = {}
-        for s, tab in enumerate(tables):
-            clean = {L: a for L, a in tab.items() if not a.is_zero()}
-            if clean:
-                entries[(0, s)] = clean
-        cof = CDiffOp(self.space, 1, l, entries)
-        return Reduction(e, nf, cof)
+            cofactor.append((0, s, L, coeff.rename_space(self.space)))
+        return Reduction(e, DiffExpr(self.space, nf_terms),
+                         CDiffOp(self.space, 1, l, cofactor))
 
     # -- operators on the equation ---------------------------------------------
 

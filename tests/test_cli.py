@@ -320,6 +320,55 @@ def test_recursion_layer_missing_variable_is_zero():
     assert omitted[0]["status"] != "error"
 
 
+def _run_json(tmp_path, capsys, data):
+    """Exit code and JSON report of `jetcalc run --json` on a problem file."""
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(data))
+    code = main(["run", str(f), "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _heat_in(name, task):
+    """The heat equation written in the dependent `name`, with one task."""
+    return dict(corpus("heat"), space={"independent": ["x", "t"], "dependent": [name]},
+                equations=[{"expr": f"{name}[0,1] - {name}[2,0]",
+                            "leading": f"{name}[0,1]"}],
+                tasks=[task])
+
+
+def test_cofactor_tags_leave_user_names_alone(tmp_path, capsys):
+    code, report = _run_json(tmp_path, capsys,
+                             _heat_in("_F0", {"kind": "reduce", "expr": "_F0[0,2]"}))
+    assert code == 0
+    assert report["tasks"][0]["normal_form"] == "_F0[4,0]"
+
+
+def test_fiber_names_leave_user_names_alone(tmp_path, capsys):
+    task = {"kind": "recursion-fiberlinear", "order": 1, "degree": 1}
+    code, in_v = _run_json(tmp_path, capsys, _heat_in("v", task))
+    assert code == 0
+    _, in_u = _run_json(tmp_path, capsys, _heat_in("u", task))
+    assert in_v["tasks"][0]["dimension"] == in_u["tasks"][0]["dimension"] == 3
+
+
+def test_momentum_names_leave_user_names_alone(tmp_path, capsys):
+    def problem(second):
+        # D_x on u, and KdV's second structure on the dependent `second`
+        lenard = [{"D": [3], "coef": "1"}, {"D": [1], "coef": f"4*{second}[0]"},
+                  {"D": [0], "coef": f"2*{second}[1]"}]
+        op = {"rows": 2, "cols": 2, "entries": [
+            {"row": 0, "col": 0, "terms": [{"D": [1], "coef": "1"}]},
+            {"row": 1, "col": 1, "terms": lenard}]}
+        return dict(corpus("kdv"), hamiltonian={
+            "space": {"independent": ["x"], "dependent": ["u", second]},
+            "operators": {"A": op}}, tasks=[{"kind": "verify-hamiltonian", "op": "A"}])
+
+    code, report = _run_json(tmp_path, capsys, problem("p_u"))
+    assert code == 0
+    assert report["tasks"] == _run_json(tmp_path, capsys, problem("v"))[1]["tasks"]
+    assert report["tasks"][0]["status"] == "ok"
+
+
 def test_problem_schema_is_valid():
     Draft202012Validator.check_schema(PROBLEM_SCHEMA)
 

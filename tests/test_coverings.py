@@ -223,6 +223,17 @@ def test_reconstruct_step(kdv):
     assert verify_flat(shifted)["ok"]
 
 
+def test_reconstruct_step_leaves_user_names_alone():
+    # KdV written in the name reconstruct_step gives the new nonlocal of w
+    sp = JetSpace.create(["x", "t"], ["w_r"])
+    kdv = make_presentation(sp, [parse("w_r[0,1] - 6*w_r[0,0]*w_r[1,0] - w_r[3,0]", sp)],
+                            [("w_r", (0, 1))])
+    cov = potential_covering(kdv)
+    out = reconstruct_step(cov, [parse("w_r[1,0]", cov.space)])
+    assert out.space.nonlocals == ("w", "w_r_")
+    assert verify_flat(out)["ok"]
+
+
 def test_recursion_as_backlund(kdv):
     tk = tangent_covering(kdv)
     sp = tk.space

@@ -1,6 +1,7 @@
 """Source hygiene of the jetcalc package, checked with the stdlib ast module:
-no definition that nothing references, no unused import, and no parameter
-that its function never reads."""
+no definition that nothing references, no unused import, no parameter
+that its function never reads, and no module but operators.py that touches
+an operator's coefficient table."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,12 @@ def test_every_parameter_is_read():
             unread.extend(f"{path.name}:{node.lineno}: {a.arg}" for a in params
                           if a.arg not in read and a.arg not in ("self", "cls"))
     assert unread == []
+
+
+def test_only_operators_touches_the_operator_table():
+    """CDiffOp's {(row, col): {I: a_I}} table is read and written in
+    operators.py alone; other modules build operators from terms."""
+    touching = [f"{path.name}:{node.lineno}" for path, tree in _trees(PACKAGE)
+                if path.name != "operators.py" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "entries"]
+    assert touching == []

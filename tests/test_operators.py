@@ -15,7 +15,7 @@ from jetcalc import (
     pairing_density,
     parse,
 )
-from jetcalc.errors import ShapeError
+from jetcalc.errors import NonlocalObstruction, ShapeError
 
 SP = JetSpace.create(["x", "t"], ["u"])
 
@@ -37,6 +37,30 @@ def rand_op(space, rng, maxorder=3):
         I = (rng.randint(0, maxorder), rng.randint(0, 1))
         tab[I] = rand_expr(space, rng)
     return CDiffOp.scalar(space, tab)
+
+
+def test_terms_on_one_slot_are_summed_and_zeros_dropped():
+    u = SP.jet("u", (0, 0))
+    Dx = (1, 0)
+    op = CDiffOp(SP, 2, 2, [(0, 0, Dx, u), (1, 1, Dx, u), (0, 0, Dx, 2 * u),
+                            (1, 1, Dx, -u), (0, 1, (0, 0), SP.zero())])
+    assert list(op.terms()) == [(0, 0, Dx, 3 * u)]
+    assert op == CDiffOp(SP, 2, 2, {(0, 0): {Dx: 3 * u}, (1, 1): {Dx: SP.zero()}})
+
+
+def test_terms_build_the_operator_their_table_gives():
+    rng = random.Random(61)
+    for _ in range(25):
+        terms = [(rng.randint(0, 1), rng.randint(0, 2), (rng.randint(0, 2), rng.randint(0, 1)),
+                  rand_expr(SP, rng, nterms=1)) for _ in range(rng.randint(0, 12))]
+        table = {}
+        for r, c, I, a in terms:
+            tab = table.setdefault((r, c), {})
+            tab[I] = tab.get(I, SP.zero()) + a
+        op = CDiffOp(SP, 2, 3, terms)
+        assert op == CDiffOp(SP, 2, 3, table)
+        assert CDiffOp(SP, 2, 3, op.terms()) == op
+        assert all(not a.is_zero() for *_, a in op.terms())
 
 
 def test_compose_leibniz():
@@ -265,6 +289,40 @@ def test_pseudo_json_roundtrip():
     back = PseudoOp.from_json(SP, 1, 1, data)
     assert back.local == R.local
     assert back.apply1(SP.jet("u", (1, 0))) == R.apply1(SP.jet("u", (1, 0)))
+
+
+def _kdv_ops():
+    u = SP.jet("u", (0, 0))
+    return {"D_x": CDiffOp.total_derivative(SP, 0),
+            "D_x^2+4u": CDiffOp.scalar(SP, {(2, 0): SP.one(), (0, 0): 4 * u}),
+            "u_x": CDiffOp.mult(SP, SP.jet("u", (1, 0))),
+            "u*D_x": CDiffOp.scalar(SP, {(1, 0): u})}
+
+
+def _value(route):
+    """The route's value, or NonlocalObstruction when it needs a nonlocal
+    primitive."""
+    try:
+        return route()
+    except NonlocalObstruction:
+        return NonlocalObstruction
+
+
+@pytest.mark.parametrize("phi", ["u[1,0]", "6*t*u[1,0] + 1"])
+@pytest.mark.parametrize("name", list(_kdv_ops()))
+def test_compose_local_left_is_op_after_pseudo(kdv, name, phi):
+    R, op, phi = lenard(SP), _kdv_ops()[name], [parse(phi, SP)]
+    got = R.compose_local_left(op).apply(phi, kdv)
+    assert got == kdv.normal_form(op.apply(R.apply(phi, kdv)))
+
+
+# a constant in phi is lost on the direct route: D_x^{-1} D_x(1) = 0
+@pytest.mark.parametrize("phi", ["u[1,0]", "6*t*u[1,0]", "u[0,0]"])
+@pytest.mark.parametrize("name", list(_kdv_ops()))
+def test_compose_local_right_is_pseudo_after_op(kdv, name, phi):
+    R, op, phi = lenard(SP), _kdv_ops()[name], [parse(phi, SP)]
+    got = _value(lambda: R.compose_local_right(op).apply(phi, kdv))
+    assert got == _value(lambda: R.apply(kdv.normal_form(op.apply(phi)), kdv))
 
 
 def test_formal_commutator():
