@@ -268,13 +268,16 @@ _ONE = {(): 1}
 
 
 class DiffExpr:
-    """Immutable sparse differential polynomial over a JetSpace."""
+    """Immutable sparse differential polynomial over a JetSpace.  No code
+    writes `terms` in place, so the free total derivatives can be cached on
+    the expression (`_free_d`, {i: D_i(self)})."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "terms", "_free_d")
 
     def __init__(self, space: JetSpace, terms: dict):
         self.space = space
         self.terms = terms
+        self._free_d = None
 
     # -- ring structure ---------------------------------------------------
 
@@ -398,7 +401,18 @@ class DiffExpr:
         live in the covering layer).  `jets` maps the key of u^j_{K+e_i} to
         the term dict taken as D_i(u^j_K), such as its normal form on an
         equation.  Each factor v^e of a monomial gives e*v^(e-1)*D_i(v); an
-        odd v is first moved to the front, and D_i(v) stays there."""
+        odd v is first moved to the front, and D_i(v) stays there.
+
+        The free derivative (neither `wmap` nor `jets`) is cached on the
+        expression, so D_K reuses every D_{K-e_i} of the same object.  The
+        others are not: a covering's X and a presentation's normal forms
+        may change after the call."""
+        free = wmap is None and jets is None
+        if free:
+            if self._free_d is None:
+                self._free_d = {}
+            elif i in self._free_d:
+                return self._free_d[i]
         space = self.space
         res = {}
         for mono, c in self.terms.items():
@@ -430,7 +444,10 @@ class DiffExpr:
                         res[new] = _q(s)
                     elif new in res:
                         del res[new]
-        return DiffExpr(space, res)
+        out = DiffExpr(space, res)
+        if free:
+            self._free_d[i] = out
+        return out
 
     def substitute(self, mapping: dict) -> "DiffExpr":
         """Replace variable keys by expressions.  Odd keys may only map to

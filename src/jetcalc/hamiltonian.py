@@ -191,22 +191,24 @@ def schouten_direct(A, B, psis=()):
         return [-x for x in out]
     # bivector-bivector: two gradient arguments, corrections from l*
     psi1, psi2 = psis
-    return _bivector_bracket(A, B, psi1, psi2,
-                             ell_delta_op(A, psi1).adjoint().apply(psi2),
-                             ell_delta_op(B, psi1).adjoint().apply(psi2))
+    corr_A = ell_delta_op(A, psi1).adjoint().apply(psi2)
+    corr_B = corr_A if B is A else ell_delta_op(B, psi1).adjoint().apply(psi2)
+    return _bivector_bracket(A, B, psi1, psi2, corr_A, corr_B)
 
 
 def _bivector_bracket(A, B, psi1, psi2, corr_A, corr_B, ncols=None):
     """[[A, B]](psi1, psi2) for bivectors A and B, whose variations along
     the first ncols dependents enter through ell_delta_op; corr_A and
     corr_B are the adjoint correction vectors (l* on free jets, the nabla
-    *1-adjoint on an equation)."""
-    t1 = ell_delta_op(B, psi1, ncols).apply(A.apply(psi2))
-    t2 = ell_delta_op(B, psi2, ncols).apply(A.apply(psi1))
-    t3 = ell_delta_op(A, psi1, ncols).apply(B.apply(psi2))
-    t4 = ell_delta_op(A, psi2, ncols).apply(B.apply(psi1))
-    t5 = B.apply(corr_A)
-    t6 = A.apply(corr_B)
+    *1-adjoint on an equation).  Swapping A and B swaps the two halves of
+    the sum, so [[A, A]] computes one half and uses it twice."""
+    def half(X, Y, corr_X):
+        return (ell_delta_op(Y, psi1, ncols).apply(X.apply(psi2)),
+                ell_delta_op(Y, psi2, ncols).apply(X.apply(psi1)),
+                Y.apply(corr_X))
+
+    t1, t2, t5 = half(A, B, corr_A)
+    t3, t4, t6 = (t1, t2, t5) if B is A and corr_B is corr_A else half(B, A, corr_B)
     return [a - b + c - d + e + f
             for a, b, c, d, e, f in zip(t1, t2, t3, t4, t5, t6)]
 

@@ -48,6 +48,19 @@ def _sub_indices(I: MultiIndex):
             return
 
 
+def _tower(tower: dict, e: DiffExpr, K: MultiIndex, d) -> DiffExpr:
+    """D_K(e) through the memo tower {K: D_K(e)}: D_K is d(D_{K-e_i}, i) for
+    i the last nonzero slot of K, exactly the derivatives apply_DI takes."""
+    if not any(K):
+        return e
+    got = tower.get(K)
+    if got is None:
+        i = max(k for k, x in enumerate(K) if x)
+        below = _tower(tower, e, K[:i] + (K[i] - 1,) + K[i + 1:], d)
+        got = tower[K] = below.total_derivative(i) if d is None else d(below, i)
+    return got
+
+
 class CDiffOp:
     """rows x cols matrix with entries  sum_I a_I D_I  (coefficients left
     of the derivatives; equality is equality of this normal form)."""
@@ -166,19 +179,23 @@ class CDiffOp:
 
     def adjoint(self) -> "CDiffOp":
         """Formal adjoint: transpose of entrywise sum (-1)^|I| D_I o a_I."""
+        # D_Jp(a) vanishes for constant a and Jp != 0: skip those products
         return CDiffOp(self.space, self.cols, self.rows,
-                       ((c, r, mi_sub(I, Jp),
-                         apply_DI(a, Jp) * ((-1) ** mi_order(I) * _binom(I, Jp)))
-                        for r, c, I, a in self.terms() for Jp in _sub_indices(I)))
+                       ((c, r, mi_sub(I, Jp), da * ((-1) ** mi_order(I) * _binom(I, Jp)))
+                        for r, c, I, a in self.terms() for Jp in _sub_indices(I)
+                        if not (da := apply_DI(a, Jp)).is_zero()))
 
     def apply(self, vec, d=None) -> list:
-        """The operator on a vector, with total derivatives d as in apply_DI."""
+        """The operator on a vector, with total derivatives d as in apply_DI.
+        Each D_K(vec[c]) is taken once per call, from the tower of the
+        column's derivatives built in apply_DI's order."""
         if len(vec) != self.cols:
             raise ShapeError(f"operator takes {self.cols} arguments, got {len(vec)}")
         out = [self.space.zero() for _ in range(self.rows)]
+        towers = [{} for _ in vec]
         for (r, c), tab in self.entries.items():
             for I, a in tab.items():
-                out[r] = out[r] + a * apply_DI(vec[c], I, d)
+                out[r] = out[r] + a * _tower(towers[c], vec[c], I, d)
         return out
 
     def apply1(self, e: DiffExpr) -> DiffExpr:
@@ -451,7 +468,7 @@ class PseudoOp:
         return {"local": self.local.to_json(), "tail": tail}
 
     @classmethod
-    def from_json(cls, space, rows, cols, data, xindex=0):
+    def from_json(cls, space, rows, cols, data):
         local = CDiffOp.from_json(space, rows, cols, data.get("local", []))
         tails = []
         for t in data.get("tail", []):
@@ -460,7 +477,7 @@ class PseudoOp:
                 else [parse(s, space) for s in a]
             b = CDiffOp.from_json(space, 1, cols, t["b"])
             tails.append((a_vec, b))
-        return cls(local, tails, xindex)
+        return cls(local, tails)
 
 
 def _outer(a_vec, row: CDiffOp) -> CDiffOp:

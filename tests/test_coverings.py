@@ -223,6 +223,24 @@ def test_reconstruct_step(kdv):
     assert verify_flat(shifted)["ok"]
 
 
+def test_lifted_and_restricted_derivatives_are_not_cached(kdv):
+    """Only the free derivative is cached on an expression: after X is
+    reassigned, lift_d of the same object gives the new lift, and D_t
+    restricted to KdV is not the free D_t taken before it."""
+    cov = potential_covering(kdv)
+    sp = cov.space
+    w, u = sp.nonlocal_var("w"), parse("u[0,0]", sp)
+    assert cov.lift_d(w, 0) == u
+    cov.X = {0: (u * u,), 1: cov.X[1]}
+    assert cov.lift_d(w, 0) == u * u
+    assert w.total_derivative(0, {"w": u}) == u
+    assert w.total_derivative(0, {"w": u * u}) == u * u
+    assert u.total_derivative(1) == parse("u[0,1]", sp)
+    assert u.total_derivative(1, jets=cov.presentation.jet_image) == \
+        parse("6*u[0,0]*u[1,0] + u[3,0]", sp)
+    assert u.total_derivative(1) == parse("u[0,1]", sp)
+
+
 def test_reconstruct_step_leaves_user_names_alone():
     # KdV written in the name reconstruct_step gives the new nonlocal of w
     sp = JetSpace.create(["x", "t"], ["w_r"])

@@ -147,6 +147,40 @@ def test_route_agreement_small():
     assert checked >= 8
 
 
+def test_self_bracket_reuses_its_mirror_half(monkeypatch):
+    """[[A, A]] computes one half of the bracket and uses it twice; an equal
+    but distinct copy of A takes the two-half path.  Both give the same
+    terms, on the random skew operators of criterion 9."""
+    from test_acceptance import _rand_op
+
+    applied = []
+    apply = CDiffOp.apply
+
+    def counting(self, vec, d=None):
+        applied.append(self)
+        return apply(self, vec, d)
+
+    monkeypatch.setattr(CDiffOp, "apply", counting)
+    rng = random.Random(2024)
+    gs = grads()
+    checked = 0
+    while checked < 12:
+        op = skew(_rand_op(rng, SP1))
+        if op.is_zero():
+            continue
+        twin = op.scale(1)
+        assert twin == op and twin is not op
+        for g1, g2 in ((gs[1], gs[2]), (gs[2], gs[3]), (gs[3], gs[0])):
+            del applied[:]
+            same = schouten_direct(op, op, [g1, g2])
+            once = len(applied)
+            del applied[:]
+            both = schouten_direct(op, twin, [g1, g2])
+            assert [x.terms for x in same] == [x.terms for x in both]
+            assert once < len(applied)
+        checked += 1
+
+
 def test_magri_chain_kdv():
     densities, flows = magri_chain(A_KDV, B_KDV, U * Fraction(1, 2), 3)
     assert flows[1][0] == parse("u[1]", SP1)

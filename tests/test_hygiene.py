@@ -1,7 +1,7 @@
 """Source hygiene of the jetcalc package, checked with the stdlib ast module:
 no definition that nothing references, no unused import, no parameter
-that its function never reads, and no module but operators.py that touches
-an operator's coefficient table."""
+that its function never reads, no module but operators.py that touches
+an operator's coefficient table, and no write to an expression's terms."""
 
 import ast
 from pathlib import Path
@@ -97,3 +97,60 @@ def test_only_operators_touches_the_operator_table():
                 if path.name != "operators.py" for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "entries"]
     assert touching == []
+
+
+def _terms_writes(tree):
+    """Nodes that change a DiffExpr's term dict in place: `x.terms[k] = v`,
+    `del x.terms[k]`, `x.terms.update(...)` and the like, or an assignment
+    to `x.terms` anywhere but DiffExpr.__init__."""
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "DiffExpr":
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                    allowed.update(map(id, ast.walk(f)))
+
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_terms(node.value) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            yield node
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and is_terms(node.func.value) and node.func.attr in (
+                    "update", "pop", "popitem", "clear", "setdefault", "__setitem__",
+                    "__delitem__"):
+            yield node
+        elif is_terms(node) and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                and id(node) not in allowed:
+            yield node
+
+
+def test_no_module_writes_an_expression_in_place():
+    """A DiffExpr is immutable, which is what lets it cache its free total
+    derivatives: no module writes its term dict after construction."""
+    writes = [f"{path.name}:{node.lineno}" for path, tree in _trees(PACKAGE)
+              for node in _terms_writes(tree)]
+    assert writes == []
+
+
+def test_the_terms_check_sees_every_kind_of_write():
+    source = """
+class DiffExpr:
+    def __init__(self, space, terms):
+        self.terms = terms
+
+def f(e, m):
+    e.terms[m] = 1
+    del e.terms[m]
+    e.terms.update({})
+    e.terms.pop(m)
+    e.terms.setdefault(m, 0)
+    e.terms.clear()
+    e.terms = {}
+    e.terms |= {}
+    return e.terms.get(m), e.terms[m], len(e.terms)
+"""
+    lines = [node.lineno for node in _terms_writes(ast.parse(source))]
+    assert sorted(lines) == [7, 8, 9, 10, 11, 12, 13, 14]

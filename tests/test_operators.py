@@ -4,6 +4,7 @@ import pytest
 
 from jetcalc import (
     CDiffOp,
+    DiffExpr,
     JetSpace,
     PseudoOp,
     ev_apply,
@@ -15,6 +16,7 @@ from jetcalc import (
     pairing_density,
     parse,
 )
+from jetcalc.algebra import apply_DI
 from jetcalc.errors import NonlocalObstruction, ShapeError
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -102,6 +104,70 @@ def test_adjoint_involution_and_antihomomorphism():
         B = rand_op(SP, rng, maxorder=2)
         assert A.adjoint().adjoint() == A
         assert A.compose(B).adjoint() == B.adjoint().compose(A.adjoint())
+
+
+def test_adjoint_skips_vanishing_derivatives(monkeypatch):
+    """(5 D_x^3 + u D_x)*: D_x^k(5) = 0 for k > 0 costs no product, so the
+    adjoint makes 1 + 2 products, not 4 + 2."""
+    u = SP.jet("u", (0, 0))
+    op = CDiffOp.scalar(SP, {(3, 0): SP.num(5), (1, 0): u})
+    expected = CDiffOp.scalar(SP, {(3, 0): SP.num(-5), (1, 0): -u,
+                                   (0, 0): -SP.jet("u", (1, 0))})
+    products = []
+    mul = DiffExpr.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(DiffExpr, "__mul__", counting)
+    assert op.adjoint() == expected
+    assert len(products) == 3
+
+
+def apply_by_terms(op, vec, d=None):
+    """op(vec) by its definition, one apply_DI per term."""
+    out = [op.space.zero() for _ in range(op.rows)]
+    for r, c, I, a in op.terms():
+        out[r] = out[r] + a * apply_DI(vec[c], I, d)
+    return out
+
+
+@pytest.mark.parametrize("name", ["kdv", "camassa_holm", "boussinesq"])
+def test_apply_towers_match_the_term_by_term_sum(name, request):
+    """The per-call derivative towers give the same dicts, in the same
+    order, as one apply_DI per term, with restricted and free derivatives."""
+    pres = request.getfixturevalue(name)
+    space = pres.space
+    rng = random.Random(67)
+    L = pres.linearization()
+    for op in (pres.restrict_operator(L), pres.restrict_operator(L.adjoint()), L):
+        for _ in range(3):
+            vec = [pres.normal_form(rand_expr(space, rng, maxord=3) * space.jet(
+                rng.randrange(space.m), (0, rng.randint(0, 1))))
+                for _ in range(op.cols)]
+            for d in (pres.d_bar, None):
+                got, want = op.apply(vec, d), apply_by_terms(op, vec, d)
+                assert [list(x.terms.items()) for x in got] == \
+                    [list(x.terms.items()) for x in want]
+
+
+def test_apply_takes_each_derivative_once(camassa_holm):
+    """The restricted l_F of Camassa-Holm has terms in D_t, D_xxt, D_xxx,
+    D_xx, D_x and 1: ten derivatives one term at a time, five distinct."""
+    pres = camassa_holm
+    op = pres.restrict_operator(pres.linearization())
+    assert sorted(I for *_, I, _ in op.terms()) == \
+        [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (3, 0)]
+    calls = []
+
+    def d(e, i):
+        calls.append(i)
+        return pres.d_bar(e, i)
+
+    vec = [parse("u[0,0]*u[1,0] + x*u[2,0]", pres.space)]
+    assert op.apply(vec, d) == apply_by_terms(op, vec, pres.d_bar)
+    assert len(calls) == 5
 
 
 def test_linearize_kdv():
