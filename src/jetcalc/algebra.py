@@ -1,8 +1,8 @@
 """Graded Laurent differential polynomials on jet coordinate systems.
 
 Values are sparse sums of terms over Q extended by commuting parameters.
-A monomial is a sorted tuple of (variable key, exponent) pairs; variable
-keys are plain tuples so they hash fast and compare deterministically:
+Variable keys are plain tuples so they hash fast and compare
+deterministically:
 
     ('i', k)        independent variable number k
     ('j', j, K)     jet of dependent variable j at multi-index K
@@ -15,6 +15,13 @@ exponents are allowed on even jet and nonlocal variables only.
 
 Coefficients are canonical: an int when integral, a Fraction only when
 not (`_q`), since int arithmetic costs a small fraction of Fraction's.
+
+The monomial format (a sorted tuple of (key, exponent) pairs, the key of
+a {monomial: coefficient} term dict) is private to this module.  Other
+modules build expressions from the JetSpace constructors and the ring
+operations, and read them through `variables`, `summands` (single-term
+expressions in sorted monomial order), `coefficients` ((opaque monomial,
+coefficient) pairs), `negative_keys` and `len` (the term count).
 """
 
 from __future__ import annotations
@@ -362,6 +369,23 @@ class DiffExpr:
     def __bool__(self):
         return bool(self.terms)
 
+    def __len__(self):
+        return len(self.terms)
+
+    def summands(self):
+        """The single-term expressions of self, in sorted monomial order."""
+        for mono, c in sorted(self.terms.items()):
+            yield DiffExpr(self.space, {mono: c})
+
+    def coefficients(self):
+        """(monomial, coefficient) pairs; a monomial is an opaque hashable
+        key, equal for equal monomials."""
+        return self.terms.items()
+
+    def negative_keys(self) -> set:
+        """The variable keys that carry a negative exponent."""
+        return {k for mono in self.terms for k, e in mono if e < 0}
+
     def variables(self):
         seen = set()
         for m in self.terms:
@@ -399,7 +423,7 @@ class DiffExpr:
         """Total derivative D_i.  `wmap` maps nonlocal names to D_i-images;
         without it a nonlocal occurrence is an error (lifted derivatives
         live in the covering layer).  `jets` maps the key of u^j_{K+e_i} to
-        the term dict taken as D_i(u^j_K), such as its normal form on an
+        the expression taken as D_i(u^j_K), such as its normal form on an
         equation.  Each factor v^e of a monomial gives e*v^(e-1)*D_i(v); an
         odd v is first moved to the front, and D_i(v) stays there.
 
@@ -425,7 +449,7 @@ class DiffExpr:
                 elif kind == 'j':
                     K = key[2]
                     up = ('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:])
-                    dv = {((up, 1),): 1} if jets is None else jets(up)
+                    dv = {((up, 1),): 1} if jets is None else jets(up).terms
                 else:  # nonlocal
                     if wmap is None:
                         raise NonlocalObstruction(
@@ -609,12 +633,8 @@ def homotopy_density(psi, targets=None) -> DiffExpr:
     if targets is None:
         targets = list(range(space.m))
     fams = set(targets)
-    for p in psi:
-        for mono in p.terms:
-            for k, e in mono:
-                if k[0] == 'j' and k[1] in fams and e < 0:
-                    raise NonlocalObstruction(
-                        "homotopy base point u=0 incompatible with Laurent part")
+    if any(k[0] == 'j' and k[1] in fams for p in psi for k in p.negative_keys()):
+        raise NonlocalObstruction("homotopy base point u=0 incompatible with Laurent part")
     out = space.zero()
     for j, p in zip(targets, psi):
         u = space.jet(j, mi_zero(space.n))
@@ -675,16 +695,7 @@ def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
         if nz is not None and _JETKEY(nz) >= _JETKEY(z):
             raise NonlocalObstruction("integration by parts failed to reduce order")
     # residual depends on independents/parameters only
-    res = space.zero()
-    for mono, c in g.terms.items():
-        entry = dict(mono)
-        xi = ('i', i)
-        a = entry.get(xi, 0)
-        if a < 0:
-            raise NonlocalObstruction("negative power of the integration variable")
-        entry[xi] = a + 1
-        res = res + DiffExpr(space, {tuple(sorted(entry.items())): c}) * Fraction(1, a + 1)
-    return theta + res
+    return theta + _integrate_var(g, ('i', i))
 
 
 def _integrate_var(c: DiffExpr, key) -> DiffExpr:

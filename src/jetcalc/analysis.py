@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .algebra import (
-    DiffExpr,
     HorizontalForm,
     apply_DI,
     canonical_density,
@@ -47,7 +46,7 @@ def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
     for key in pres.internal_jets(ansatz.max_jet_order):
         name = space.dependent[key[1]]
         if ansatz.whitelist is None or name in ansatz.whitelist:
-            gens.append(DiffExpr(space, {((key, 1),): 1}))
+            gens.append(space.jet(key[1], key[2]))
     monos = [space.one()]
     for deg in range(1, ansatz.max_degree + 1):
         for combo in combinations_with_replacement(range(len(gens)), deg):
@@ -72,7 +71,7 @@ def solve_determining(candidates, apply_fn, ncomps):
     for res in residuals:
         col = {}
         for comp, expr in enumerate(res):
-            for mono, c in expr.terms.items():
+            for mono, c in expr.coefficients():
                 key = (comp, mono)
                 r = row_index.setdefault(key, len(row_index))
                 col[r] = c

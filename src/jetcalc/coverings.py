@@ -142,7 +142,7 @@ def delta_covering(base: Presentation, op: CDiffOp, odd=False,
                 j, I = base.leadings[r]
                 key = ('j', fiber0 + j, I)
                 coeff = expr.partial(key)
-                if len(coeff.terms) == 1 and expr.is_linear_in(key):
+                if len(coeff) == 1 and expr.is_linear_in(key):
                     lead = (fiber0 + j, I)
             if lead is None:
                 keys = [k for k in expr.variables() if k[0] == 'j' and k[1] >= fiber0]
@@ -230,7 +230,7 @@ def fiber_linear_candidates(cov: Covering, ansatz: Ansatz):
     for fam in cov.fiber_families:
         for key in cov.presentation.internal_jets(ansatz.max_jet_order):
             if key[1] == fam:
-                slots.append(DiffExpr(space, {((key, 1),): 1}))
+                slots.append(space.jet(key[1], key[2]))
     for name in cov.nonlocals:
         slots.append(space.nonlocal_var(name))
     m = cov.base.space.m

@@ -56,10 +56,6 @@ class Superdensity:
     space: JetSpace          # extended space (momenta_space of the base)
     base_m: int              # number of even dependents
     expr: DiffExpr
-    degree: int
-
-    def is_zero(self) -> bool:
-        return self.expr.is_zero()
 
 
 def to_superdensity(op: CDiffOp) -> Superdensity:
@@ -71,37 +67,39 @@ def to_superdensity(op: CDiffOp) -> Superdensity:
     ext = momenta_space(op.space)
     m = op.space.m
     p = [ext.jet(m + c, mi_zero(ext.n)) for c in range(op.cols)]
-    return Superdensity(ext, m, pairing_density(op.rename_space(ext).apply(p), p), 2)
+    return Superdensity(ext, m, pairing_density(op.rename_space(ext).apply(p), p))
 
 
 def from_superdensity(sd: Superdensity) -> CDiffOp:
     """Skew operator recovered from a fiber-quadratic superdensity:
     integrate by parts until every monomial carries an undifferentiated
     momentum, then read the coefficients and project to the skew part."""
-    if sd.degree != 2:
-        raise ShapeError("operator form exists for fiber degree 2")
     ext = sd.space
     m = sd.base_m
     W = sd.expr
-    # strip derivatives from the lower-order slot until one factor is plain
+
+    def momenta(t):
+        odd = sorted(k for k in t.variables() if k[0] == 'j' and k[1] >= m)
+        if len(odd) != 2:
+            raise ShapeError("superdensity is not fiber-quadratic")
+        return odd
+
+    # strip derivatives from the lower-order slot until one factor is plain:
+    # with p_key = D_i(p_down),  t = p_key * dt/dp_key
+    #                              = D_i(p_down * dt/dp_key) - p_down * D_i(dt/dp_key)
     while True:
         target = None
-        for mono in sorted(W.terms):
-            odd = [k for k, _ in mono if k[0] == 'j' and k[1] >= m]
-            if len(odd) != 2:
-                raise ShapeError("superdensity is not fiber-quadratic")
+        for t in W.summands():
+            odd = momenta(t)
             if all(mi_order(k[2]) > 0 for k in odd):
-                target = (mono, min(odd, key=lambda k: (mi_order(k[2]), k)))
+                target = (t, min(odd, key=lambda k: (mi_order(k[2]), k)))
                 break
         if target is None:
             break
-        mono, key = target
-        c = W.terms[mono]
-        i = max(k for k in range(ext.n) if key[2][k] > 0)
-        down = ('j', key[1], tuple(v - (1 if k == i else 0)
-                                   for k, v in enumerate(key[2])))
-        rest = [(k, e) for k, e in mono if k != key]
-        piece = DiffExpr(ext, {tuple(sorted(rest + [(down, 1)])): c})
+        t, key = target
+        _, j, K = key
+        i = max(k for k in range(ext.n) if K[k] > 0)
+        piece = ext.jet(j, K[:i] + (K[i] - 1,) + K[i + 1:]) * t.partial(key)
         W = W - piece.total_derivative(i)
     # the operator lives on the base space: coefficients mention no momentum
     carrier = JetSpace.create(ext.independent, ext.dependent[:m], ext.parameters,
@@ -109,15 +107,12 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
                               [n for n in ext.odd
                                if n in ext.dependent[:m] or n in ext.nonlocals])
     terms = []
-    for mono, c in sorted(W.terms.items()):
-        odd = [k for k, _ in mono if k[0] == 'j' and k[1] >= m]
-        plain = [k for k in odd if mi_order(k[2]) == 0]
-        k0 = plain[-1]
+    for t in W.summands():
+        odd = momenta(t)
+        k0 = [k for k in odd if mi_order(k[2]) == 0][-1]
         ks = odd[0] if odd[1] == k0 else odd[1]
         # coefficient of the slot-ordered product p^j_sigma p^i
-        sign = 1 if (ks, k0) == (odd[0], odd[1]) else -1
-        coeff = DiffExpr(carrier, {tuple((k, e) for k, e in mono if k not in odd):
-                                   c * sign})
+        coeff = t.partial(ks).partial(k0).rename_space(carrier)
         terms.append((k0[1] - m, ks[1] - m, ks[2], coeff))
     op = CDiffOp(carrier, m, m, terms)
     return op.scale(Fraction(1, 2)) - op.adjoint().scale(Fraction(1, 2))
@@ -243,7 +238,7 @@ def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
 
     for sol in solve_determining(cands, residual, A.cols + 1):
         if sol[-1]:
-            scale = Fraction(-1) / sol[-1].terms[()]
+            scale = -sol[-1] ** -1
             return [x * scale for x in sol[:-1]]
     return None
 
@@ -329,26 +324,17 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
     cspace = cot.space
     m = pres.space.m
     l = len(pres.components)
-    akeys = {('j', m + s, None): s for s in range(l)}
     density = cspace.zero()
     for j, comp in enumerate(T):
         pj = cspace.jet(m + j, mi_zero(cspace.n))
-        for mono, c in sorted(comp.terms.items()):
-            akey = bkey = None
-            rest = []
-            for key, e in mono:
-                if key[0] == 'j' and key[1] >= m:
-                    if key[1] < m + l:
-                        akey = key
-                    else:
-                        bkey = key
-                else:
-                    rest.append((key, e))
-            if akey is None or bkey is None:
+        for t in comp.summands():
+            a = [k for k in t.variables() if k[0] == 'j' and m <= k[1] < m + l]
+            b = [k for k in t.variables() if k[0] == 'j' and k[1] >= m + l]
+            if len(a) != 1 or len(b) != 1:
                 raise ShapeError("bracket term is not bilinear in the arguments")
-            base = DiffExpr(cspace, {tuple(rest): c})
-            pa = cspace.jet(m + (akey[1] - m), akey[2])
-            pb = cspace.jet(m + (bkey[1] - m - l), bkey[2])
+            base = t.partial(a[0]).partial(b[0]).rename_space(cspace)
+            pa = cspace.jet(a[0][1], a[0][2])
+            pb = cspace.jet(b[0][1] - l, b[0][2])
             density = density + base * pa * pb * pj
     cpres = cot.presentation
     residues = cpres.normal_form(euler(cpres.normal_form(density), None, cpres.d_bar))

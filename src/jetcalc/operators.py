@@ -35,7 +35,6 @@ def _binom(I: MultiIndex, J: MultiIndex) -> int:
 
 def _sub_indices(I: MultiIndex):
     """All J <= I componentwise."""
-    ranges = [range(a + 1) for a in I]
     idx = [0] * len(I)
     while True:
         yield tuple(idx)
@@ -139,10 +138,8 @@ class CDiffOp:
         return (isinstance(other, CDiffOp) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
 
-    def __hash__(self):  # pragma: no cover - not used as dict key in hot paths
-        return hash((self.rows, self.cols, frozenset(
-            (rc, I, frozenset(a.terms.items()))
-            for rc, tab in self.entries.items() for I, a in tab.items())))
+    def __hash__(self):
+        return hash((self.rows, self.cols, frozenset(self.terms())))
 
     # -- algebra -----------------------------------------------------------
 
@@ -345,11 +342,10 @@ def pairing_density(ps, qs) -> DiffExpr:
 @dataclass
 class PseudoOp:
     """local + sum_a  a * D_x^{-1} o b  with one inversion layer in the
-    designated independent variable."""
+    first independent variable x."""
 
     local: CDiffOp
     tails: list  # list of (a: list[DiffExpr], b: CDiffOp row 1 x cols)
-    xindex: int = 0
 
     @property
     def space(self):
@@ -358,20 +354,12 @@ class PseudoOp:
     def normalized(self) -> "PseudoOp":
         """Merge tails sharing the same b-row so cancellations are structural."""
         merged = {}
-        order = []
         for a_vec, b in self.tails:
-            key = tuple(sorted((r, c, I, tuple(sorted(a.terms.items())))
-                               for r, c, I, a in b.terms()))
-            if key in merged:
-                old, _ = merged[key]
-                merged[key] = ([x + y for x, y in zip(old, a_vec)], b)
-            else:
-                merged[key] = (list(a_vec), b)
-                order.append(key)
-        tails = [merged[k] for k in order
-                 if any(not x.is_zero() for x in merged[k][0])
-                 and not merged[k][1].is_zero()]
-        return PseudoOp(self.local, tails, self.xindex)
+            old = merged.get(b)
+            merged[b] = list(a_vec) if old is None else [x + y for x, y in zip(old, a_vec)]
+        tails = [(a_vec, b) for b, a_vec in merged.items()
+                 if any(not x.is_zero() for x in a_vec) and not b.is_zero()]
+        return PseudoOp(self.local, tails)
 
     def apply(self, phi, reducer=None) -> list:
         """Evaluate on a vector; primitives are taken in internal
@@ -385,7 +373,7 @@ class PseudoOp:
             integrand = nf(b.apply(phi)[0])
             if integrand.is_zero():
                 continue
-            prim = invert_total_derivative(integrand, self.xindex)
+            prim = invert_total_derivative(integrand, 0)
             for r in range(len(out)):
                 out[r] = nf(out[r] + a_vec[r] * prim)
         return out
@@ -403,40 +391,38 @@ class PseudoOp:
             eb = ev_apply_op(phi, b)
             if not eb.is_zero():
                 tails.append((list(a_vec), eb))
-        return PseudoOp(ev_apply_op(phi, self.local), tails, self.xindex)
+        return PseudoOp(ev_apply_op(phi, self.local), tails)
 
     def scale(self, factor):
         return PseudoOp(self.local.scale(factor),
-                        [([a * factor for a in av], b) for av, b in self.tails],
-                        self.xindex)
+                        [([a * factor for a in av], b) for av, b in self.tails])
 
     def __add__(self, other: "PseudoOp") -> "PseudoOp":
-        return PseudoOp(self.local + other.local, self.tails + other.tails,
-                        self.xindex)
+        return PseudoOp(self.local + other.local, self.tails + other.tails)
 
     def __sub__(self, other: "PseudoOp") -> "PseudoOp":
         return self + other.scale(-1)
 
     def compose_local_right(self, op: CDiffOp) -> "PseudoOp":
-        """self o op for a local scalar operator in the designated variable."""
+        """self o op for a local scalar operator in x."""
         tails = []
         local = self.local.compose(op)
         for a_vec, b in self.tails:
             row = b.compose(op)
-            loc_row, tail_row = _absorb_inverse(row, self.xindex)
+            loc_row, tail_row = _absorb_inverse(row)
             if not tail_row.is_zero():
                 tails.append((a_vec, tail_row))
             if not loc_row.is_zero():
                 extra = _outer(a_vec, loc_row)
                 local = local + extra
-        return PseudoOp(local, tails, self.xindex)
+        return PseudoOp(local, tails)
 
     def compose_local_left(self, op: CDiffOp) -> "PseudoOp":
-        """op o self for a local scalar operator in the designated variable:
+        """op o self for a local scalar operator in x:
         op o a D^{-1} b = sum_K p_K D^K o D^{-1} b over the terms p_K D^K of
         op o a, where D^k o D^{-1} = D^{k-1} for k >= 1."""
         space = self.space
-        unit = mi_unit(space.n, self.xindex)
+        unit = mi_unit(space.n, 0)
         local = op.compose(self.local)
         tails = []
         for a_vec, b in self.tails:
@@ -444,16 +430,16 @@ class PseudoOp:
                              ((r, 0, mi_zero(space.n), a) for r, a in enumerate(a_vec)))
             lowered, tail = [], [space.zero()] * op.rows
             for r, _, K, p in op.compose(column).terms():
-                if mi_order(K) != K[self.xindex]:
+                if mi_order(K) != K[0]:
                     raise ShapeError("pseudo composition needs x-only operators")
-                if K[self.xindex]:
+                if K[0]:
                     lowered.append((r, 0, mi_sub(K, unit), p))
                 else:
                     tail[r] = p
             local = local + CDiffOp(space, op.rows, 1, lowered).compose(b)
             if any(not x.is_zero() for x in tail):
                 tails.append((tail, b))
-        return PseudoOp(local, tails, self.xindex)
+        return PseudoOp(local, tails)
 
     def commutator_local(self, op: CDiffOp) -> "PseudoOp":
         """[op, self] = op o self - self o op, kept formal."""
@@ -486,22 +472,22 @@ def _outer(a_vec, row: CDiffOp) -> CDiffOp:
                     for _, c, I, coeff in row.terms()))
 
 
-def _absorb_inverse(row: CDiffOp, xindex: int):
+def _absorb_inverse(row: CDiffOp):
     """Rewrite D^{-1} o (row) as local + D^{-1} o (order-0 row) using
     D^{-1} c D^k = c D^{k-1} - D^{-1} c' D^{k-1} (x-derivatives only)."""
-    unit = mi_unit(row.space.n, xindex)
+    unit = mi_unit(row.space.n, 0)
     local, tail = [], []
     work = [(I, c, col) for _, col, I, c in row.terms()]
     while work:
         I, c, col = work.pop()
-        if mi_order(I) != I[xindex]:
+        if mi_order(I) != I[0]:
             raise ShapeError("pseudo composition needs x-only operators")
-        if I[xindex] == 0:
+        if I[0] == 0:
             tail.append((0, col, I, c))
             continue
         Idown = mi_sub(I, unit)
         local.append((0, col, Idown, c))
-        dc = -c.total_derivative(xindex)
+        dc = -c.total_derivative(0)
         if not dc.is_zero():
             work.append((Idown, dc, col))
     return CDiffOp(row.space, 1, row.cols, local), CDiffOp(row.space, 1, row.cols, tail)

@@ -78,20 +78,22 @@ class Presentation:
                         out.append(('j', j, K))
         return out
 
-    def jet_image(self, key) -> dict:
-        """Term dict of the jet's normal form, the image D_i takes for it in
-        d_bar and lift_d."""
-        return self._jet_nfs.get((False, key)) or self._image(key, False)
+    def jet_image(self, key) -> DiffExpr:
+        """The jet's normal form, the image D_i takes for it in d_bar and
+        lift_d."""
+        image = self._jet_nfs.get((False, key))
+        return self._image(key, False) if image is None else image
 
-    def _image(self, key, tagged) -> dict:
-        """Term dict of the jet's normal form, cached per (tagged, jet): the
-        jet itself when no rule applies, else _rule_nf.  Tagged images live
-        on the tag space (tag families have no rules)."""
+    def _image(self, key, tagged) -> DiffExpr:
+        """The jet's normal form, cached per (tagged, jet): the jet itself
+        when no rule applies, else _rule_nf.  Tagged images live on the tag
+        space (tag families have no rules)."""
         image = self._jet_nfs.get((tagged, key))
         if image is None:
             _, j, K = key
-            image = {((key, 1),): 1} if self.find_rule(j, K) is None \
-                else self._rule_nf(j, K, tagged).terms
+            sp = self._tag_space if tagged else self.space
+            image = sp.jet(j, K) if self.find_rule(j, K) is None \
+                else self._rule_nf(j, K, tagged)
             self._jet_nfs[tagged, key] = image
         return image
 
@@ -108,8 +110,7 @@ class Presentation:
         if K != I:
             i = max(k for k in range(self.space.n) if K[k] > I[k])
             base = self._image(('j', j, mi_sub(K, mi_unit(self.space.n, i))), tagged)
-            return DiffExpr(sp, base).total_derivative(
-                i, jets=lambda key: self._image(key, tagged))
+            return base.total_derivative(i, jets=lambda key: self._image(key, tagged))
         if not tagged:
             return self.rhss[s]
         tag = sp.jet(self.space.m + s, mi_zero(sp.n))
@@ -124,12 +125,11 @@ class Presentation:
                      if k[0] == 'j' and self.find_rule(k[1], k[2]) is not None}
         if not reducible:
             return e
-        negative = [k for mono in e.terms for k, exp in mono if exp < 0 and k in reducible]
+        negative = e.negative_keys() & reducible
         if negative:
             raise ReductionError(f"reducible jet {self._jet_name(min(negative))} "
                                  "occurs with negative exponent")
-        return e.substitute({z: DiffExpr(e.space, self._image(z, tagged))
-                             for z in reducible})
+        return e.substitute({z: self._image(z, tagged) for z in reducible})
 
     def _jet_name(self, key) -> str:
         return render(self.space.jet(key[1], key[2]))
@@ -160,27 +160,21 @@ class Presentation:
         sp = self._tag_space
         m, l = self.space.m, len(self.components)
         full = self._reduce(e.rename_space(sp), True)
-        nf_terms, cofactor = {}, []
-        for mono, c in full.terms.items():
-            tags = sorted((k[1] - m, k[2], k, exp) for k, exp in mono
-                          if k[0] == 'j' and k[1] >= m)
-            if not tags:
-                nf_terms[mono] = c
+        tags = {k for k in full.variables() if k[0] == 'j' and k[1] >= m}
+        cofactor = []
+        for t in full.summands():
+            mine = t.variables() & tags
+            if not mine:
                 continue
-            s, L, key, exp = tags[0]
-            rest = dict(mono)
-            if exp == 1:
-                del rest[key]
-            else:
-                rest[key] = exp - 1
-            coeff = DiffExpr(sp, {tuple(sorted(rest.items())): c})
-            coeff = coeff.substitute({('j', t, KK): apply_DI(
-                self.components[t - m].rename_space(sp), KK)
-                for (t, KK) in {(k[1], k[2]) for k in coeff.variables()
-                                if k[0] == 'j' and k[1] >= m}})
-            cofactor.append((0, s, L, coeff.rename_space(self.space)))
-        return Reduction(e, DiffExpr(self.space, nf_terms),
-                         CDiffOp(self.space, 1, l, cofactor))
+            _, s, L = min(mine)
+            # tags are even: dividing by the least one leaves its coefficient
+            coeff = t * sp.jet(s, L) ** -1
+            coeff = coeff.substitute({
+                k: apply_DI(self.components[k[1] - m].rename_space(sp), k[2])
+                for k in coeff.variables() & tags})
+            cofactor.append((0, s - m, L, coeff.rename_space(self.space)))
+        nf = full.substitute({k: sp.zero() for k in tags}).rename_space(self.space)
+        return Reduction(e, nf, CDiffOp(self.space, 1, l, cofactor))
 
     # -- operators on the equation ---------------------------------------------
 
@@ -260,7 +254,7 @@ def make_presentation(space: JetSpace, components, leadings,
         if not F.is_linear_in(key):
             raise NonSolvableError(f"component is not linear in its leading jet {key}")
         a = F.partial(key)
-        if len(a.terms) != 1:
+        if len(a) != 1:
             raise NonSolvableError(
                 f"leading coefficient of {key} is not a monomial: {render(a)}")
         if key in a.variables():

@@ -224,6 +224,8 @@ def test_invert_divergence():
     bad = parse("u[1,0]*(6*t*u[1,0] + 1)", SP)
     with pytest.raises(NonlocalObstruction):
         invert_total_derivative(bad, 0)
+    # no jet at all: each monomial gains one power of x
+    assert invert_total_derivative(parse("3*x^2*t + 1/2", SP), 0) == parse("x^3*t + 1/2*x", SP)
 
 
 def test_invert_divergence_sections_random():

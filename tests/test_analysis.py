@@ -56,7 +56,7 @@ def assert_same_span(got, expected):
 def lenard(space):
     u = space.jet("u", (0, 0))
     return PseudoOp(CDiffOp.scalar(space, {(2, 0): space.one(), (0, 0): 4 * u}),
-                    [([2 * space.jet("u", (1, 0))], CDiffOp.identity(space, 1))], 0)
+                    [([2 * space.jet("u", (1, 0))], CDiffOp.identity(space, 1))])
 
 
 def test_verify_symmetry(kdv):
@@ -189,11 +189,11 @@ def test_nijenhuis_torsion(kdv, heat):
     flow = parse("6*u[0,0]*u[1,0] + u[3,0]", SP)
     tor = nijenhuis_torsion(R, [parse("u[1,0]", SP)], [flow], kdv)
     assert all(x.is_zero() for x in tor)
-    Rh = PseudoOp(CDiffOp.total_derivative(heat.space, 0), [], 0)
+    Rh = PseudoOp(CDiffOp.total_derivative(heat.space, 0), [])
     torh = nijenhuis_torsion(Rh, [heat.space.jet("u", (1, 0))],
                              [heat.space.jet("u", (0, 0))], heat)
     assert all(x.is_zero() for x in torh)
-    Rc = PseudoOp(CDiffOp.mult(SP, SP.num(7)), [], 0)
+    Rc = PseudoOp(CDiffOp.mult(SP, SP.num(7)), [])
     tor0 = nijenhuis_torsion(Rc, [parse("u[1,0]", SP)],
                              [parse("u[0,0]*u[1,0]", SP)], kdv)
     assert all(x.is_zero() for x in tor0)
@@ -233,7 +233,7 @@ def test_lie_derivative_recursion(kdv):
     assert L.local.is_zero() and not L.tails
     assert L.apply1(parse("u[1,0]", SP), kdv).is_zero()
     assert L.apply1(SP.one(), kdv).is_zero()
-    ident = PseudoOp(CDiffOp.identity(SP, 1), [], 0)
+    ident = PseudoOp(CDiffOp.identity(SP, 1), [])
     L0 = lie_derivative_recursion([parse("6*u[0,0]*u[1,0] + u[3,0]", SP)],
                                   ident, kdv)
     assert L0.apply1(parse("u[1,0]", SP), kdv).is_zero()

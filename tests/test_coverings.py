@@ -267,7 +267,7 @@ def test_recursion_as_backlund(kdv):
     # agreement with pseudo_apply on the u_t flow
     u = SP.jet("u", (0, 0))
     R = PseudoOp(CDiffOp.scalar(SP, {(2, 0): SP.one(), (0, 0): 4 * u}),
-                 [([2 * SP.jet("u", (1, 0))], CDiffOp.identity(SP, 1))], 0)
+                 [([2 * SP.jet("u", (1, 0))], CDiffOp.identity(SP, 1))])
     flow = parse("6*u[0,0]*u[1,0] + u[3,0]", SP)
     assert (recursion_as_backlund(lay, omega, [flow]) -
             R.apply([flow], kdv)[0]).is_zero()

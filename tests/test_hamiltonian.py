@@ -4,6 +4,7 @@ from fractions import Fraction
 from jetcalc import (
     CDiffOp,
     JetSpace,
+    Superdensity,
     euler,
     are_compatible,
     from_superdensity,
@@ -21,6 +22,7 @@ from jetcalc import (
     to_superdensity,
     verify_bivector_on_equation,
 )
+from jetcalc.hamiltonian import momenta_space
 
 SP1 = JetSpace.create(["x"], ["u"])
 U = SP1.jet("u", (0,))
@@ -89,6 +91,28 @@ def test_boussinesq_jacobi_oracle():
             assert all(x.is_zero() for x in euler(s))
 
 
+SP_UV = JetSpace.create(["x"], ["u", "v"])
+SP_XT_UV = JetSpace.create(["x", "t"], ["u", "v"])
+
+
+def rand_coeff(space, rng):
+    e = space.zero()
+    for _ in range(rng.randint(1, 2)):
+        t = space.num(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for _ in range(rng.randint(0, 2)):
+            t = t * (space.indep(0) if rng.random() < 0.2 else space.jet(
+                rng.randrange(space.m), [rng.randint(0, 1) for _ in range(space.n)]))
+        e = e + t
+    return e
+
+
+def rand_square_op(space, rng, maxorder=2):
+    return CDiffOp(space, space.m, space.m, [
+        (rng.randrange(space.m), rng.randrange(space.m),
+         tuple(rng.randint(0, maxorder) for _ in range(space.n)), rand_coeff(space, rng))
+        for _ in range(rng.randint(1, 4))])
+
+
 def test_superdensity_roundtrip():
     W = to_superdensity(B_KDV)
     assert from_superdensity(W) == B_KDV
@@ -96,6 +120,33 @@ def test_superdensity_roundtrip():
     sp, A, B, C = boussinesq_ops()
     assert from_superdensity(to_superdensity(B)) == skew(B)
     assert from_superdensity(to_superdensity(C)) == skew(C)
+    rng = random.Random(3)
+    for space in (SP_UV, SP_XT_UV):
+        for _ in range(20):
+            op = rand_square_op(space, rng)
+            assert from_superdensity(to_superdensity(op)) == skew(op)
+
+
+def test_superdensity_up_to_a_divergence():
+    """Terms whose two momenta both carry derivatives are integrated by
+    parts first, so a divergence added to W_A leaves the operator alone."""
+    sp = JetSpace.create(["x", "t"], ["u"])
+    ext = momenta_space(sp)
+    # p_x p_tt = p_xtt p + D_x(p p_tt): lowering p_x puts p ahead of p_tt
+    W = ext.jet(1, (1, 0)) * ext.jet(1, (0, 2))
+    assert from_superdensity(Superdensity(ext, 1, W)) == \
+        CDiffOp.scalar(sp, {(1, 2): sp.one()})
+    rng = random.Random(5)
+    for space in (SP_UV, SP_XT_UV):
+        for _ in range(20):
+            op = rand_square_op(space, rng)
+            W = to_superdensity(op)
+            ext, m = W.space, space.m
+            p1, p2 = (ext.jet(m + rng.randrange(m), [rng.randint(0, 2) for _ in range(space.n)])
+                      for _ in range(2))
+            G = rand_coeff(space, rng).rename_space(ext) * p1 * p2
+            W = Superdensity(ext, m, W.expr + G.total_derivative(rng.randrange(space.n)))
+            assert from_superdensity(W) == skew(op)
 
 
 def test_schouten_direct_clauses():

@@ -1,7 +1,9 @@
 """Source hygiene of the jetcalc package, checked with the stdlib ast module:
 no definition that nothing references, no unused import, no parameter
-that its function never reads, no module but operators.py that touches
-an operator's coefficient table, and no write to an expression's terms."""
+that its function never reads, no local that its function never reads,
+no module but operators.py that touches an operator's coefficient table,
+no module but algebra.py that knows the monomial format, and no write to
+an expression's terms."""
 
 import ast
 from pathlib import Path
@@ -88,6 +90,73 @@ def test_every_parameter_is_read():
             unread.extend(f"{path.name}:{node.lineno}: {a.arg}" for a in params
                           if a.arg not in read and a.arg not in ("self", "cls"))
     assert unread == []
+
+
+def _unread_locals(tree):
+    """(line, name) of each `name = ...` in a function that nothing in the
+    function (nested functions included) reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for n in ast.walk(node):
+            if isinstance(n, ast.Assign) and len(n.targets) == 1 \
+                    and isinstance(n.targets[0], ast.Name) and n.targets[0].id not in read:
+                yield n.lineno, n.targets[0].id
+
+
+def test_every_local_is_read():
+    unread = sorted({f"{path.name}:{line}: {name}" for path, tree in _trees(PACKAGE)
+                     for line, name in _unread_locals(tree)})
+    assert unread == []
+
+
+def test_the_locals_check_sees_an_unread_name():
+    source = """
+def f(a):
+    kept = a + 1
+    dead = [a]
+    x, y = a, a
+
+    def g():
+        return kept
+    return g
+"""
+    assert list(_unread_locals(ast.parse(source))) == [(4, "dead")]
+
+
+def _monomial_readers(tree):
+    """Nodes that read a DiffExpr's term dict (`x.terms`, but not a call of
+    CDiffOp's `terms()` method) or build a DiffExpr from one."""
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "terms" \
+                and id(node) not in calls:
+            yield node
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "DiffExpr":
+            yield node
+
+
+def test_only_algebra_knows_the_monomial_format():
+    """A monomial's layout and the {monomial: coefficient} dict are known
+    in algebra.py alone; other modules use the JetSpace constructors, the
+    ring operations and DiffExpr's accessors."""
+    readers = [f"{path.name}:{node.lineno}" for path, tree in _trees(PACKAGE)
+               if path.name != "algebra.py" for node in _monomial_readers(tree)]
+    assert readers == []
+
+
+def test_the_monomial_check_spares_the_operator_terms_method():
+    source = """
+def f(space, e, op):
+    for r, c, I, a in op.terms():
+        pass
+    return e.terms, len(e.terms), DiffExpr(space, {}), e.terms.items()
+"""
+    lines = [node.lineno for node in _monomial_readers(ast.parse(source))]
+    assert lines == [5, 5, 5, 5]
 
 
 def test_only_operators_touches_the_operator_table():

@@ -336,7 +336,7 @@ def lenard(space):
     u = space.jet("u", (0, 0))
     ux = space.jet("u", (1, 0))
     return PseudoOp(CDiffOp.scalar(space, {(2, 0): space.one(), (0, 0): 4 * u}),
-                    [([2 * ux], CDiffOp.identity(space, 1))], 0)
+                    [([2 * ux], CDiffOp.identity(space, 1))])
 
 
 def test_pseudo_apply_free():
