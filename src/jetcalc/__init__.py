@@ -51,6 +51,7 @@ from .coverings import (
 )
 from .errors import (
     AnsatzError,
+    BudgetError,
     ConfluenceError,
     ExprSyntaxError,
     JetCalcError,

@@ -16,12 +16,35 @@ exponents are allowed on even jet and nonlocal variables only.
 Coefficients are canonical: an int when integral, a Fraction only when
 not (`_q`), since int arithmetic costs a small fraction of Fraction's.
 
-The monomial format (a sorted tuple of (key, exponent) pairs, the key of
-a {monomial: coefficient} term dict) is private to this module.  Other
-modules build expressions from the JetSpace constructors and the ring
-operations, and read them through `variables`, `summands` (single-term
-expressions in sorted monomial order), `coefficients` ((opaque monomial,
-coefficient) pairs), `negative_keys` and `len` (the term count).
+A monomial is one int, the key of a {monomial: coefficient} term dict:
+sum_s e_s * 2^(W*s), one signed W-bit field per variable slot s (packed
+exponent vectors, as in Bachmann & Schoenemann, ISSAC 1998, and Monagan
+& Pearce, CASC 2007).  A process-wide registry gives each variable key a
+slot on first use.  Fields are balanced, so a negative exponent needs no
+bias: the empty monomial is 0, a product is m1 + m2, dropping one power
+of v is m - unit(v) and the inverse is -m.  `_factors` decodes a monomial
+into its sorted ((key, exponent), ...) pairs, cached; everything that
+reads factors or sorts monomials (rendering, `summands`) goes through it,
+so no output depends on the order in which slots were registered.
+
+Exponent budget: W = 64 and E = 2^16.  Every operation that can raise an
+exponent (a product, a power, a substitution, D_i, a partial derivative,
+an antiderivative) checks its result and raises BudgetError beyond E; the
+others (sums, negation, scaling, inverses, renaming) keep the exponents
+they are given.  So every field of every expression lies in [-E, E], and
+a product adds two such fields into [-2E, 2E], far inside a field's range
+[-2^63, 2^63): no carry or borrow ever crosses into the next slot.  The
+check is cheap: each expression carries a bound on its largest |exponent|
+(`DiffExpr._top_bound`), the bound of a result is the sum of its operands'
+bounds, and only a bound beyond E costs a pass over the result.  The
+parser reports a power or product beyond E as an ExprSyntaxError at its
+operator.
+
+The monomial format is private to this module.  Other modules build
+expressions from the JetSpace constructors and the ring operations, and
+read them through `variables`, `summands` (single-term expressions in
+sorted monomial order), `coefficients` ((opaque monomial, coefficient)
+pairs), `negative_keys` and `len` (the term count).
 """
 
 from __future__ import annotations
@@ -29,8 +52,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
+    BudgetError,
     ExprSyntaxError,
     LaurentError,
     NonlocalObstruction,
@@ -114,6 +139,11 @@ class JetSpace:
     def dep_index(self, name: str) -> int:
         return self.dependent.index(name)
 
+    @cached_property
+    def _odd_cache(self) -> dict:
+        """monomial -> its odd keys in key order, filled by _odd_keys."""
+        return {}
+
     def is_odd_key(self, key) -> bool:
         kind = key[0]
         if kind == 'j':
@@ -148,11 +178,11 @@ class JetSpace:
     # -- expression constructors ------------------------------------------
 
     def zero(self) -> "DiffExpr":
-        return DiffExpr(self, {})
+        return DiffExpr(self, {}, 0)
 
     def num(self, value) -> "DiffExpr":
         c = value if type(value) is int else _q(Fraction(value))
-        return DiffExpr(self, {(): c} if c else {})
+        return DiffExpr(self, {0: c} if c else {}, 0)
 
     def one(self) -> "DiffExpr":
         return self.num(1)
@@ -160,7 +190,7 @@ class JetSpace:
     def indep(self, i) -> "DiffExpr":
         if isinstance(i, str):
             i = self.independent.index(i)
-        return DiffExpr(self, {((('i', i), 1),): 1})
+        return DiffExpr(self, {_unit(('i', i)): 1}, 1)
 
     def jet(self, j, K) -> "DiffExpr":
         if isinstance(j, str):
@@ -168,17 +198,17 @@ class JetSpace:
         K = tuple(K)
         if len(K) != self.n or any(k < 0 for k in K):
             raise UnknownNameError(f"bad multi-index {K} for {self.independent}")
-        return DiffExpr(self, {((('j', j, K), 1),): 1})
+        return DiffExpr(self, {_unit(('j', j, K)): 1}, 1)
 
     def param(self, name) -> "DiffExpr":
         if name not in self.parameters:
             raise UnknownNameError(f"unknown parameter {name!r}")
-        return DiffExpr(self, {((('q', name), 1),): 1})
+        return DiffExpr(self, {_unit(('q', name)): 1}, 1)
 
     def nonlocal_var(self, name) -> "DiffExpr":
         if name not in self.nonlocals:
             raise UnknownNameError(f"unknown nonlocal variable {name!r}")
-        return DiffExpr(self, {((('w', name), 1),): 1})
+        return DiffExpr(self, {_unit(('w', name)): 1}, 1)
 
     def var(self, name) -> "DiffExpr":
         """Variable by bare name; dependents resolve to their order-0 jet."""
@@ -220,27 +250,87 @@ def _sort_odd(keys):
     return tuple(out), sign
 
 
+_W = 64                 # bits per exponent field
+_E = 1 << 16            # exponent budget: no |exponent| may exceed it
+_FIELD = (1 << _W) - 1
+_UNITS = {}             # variable key -> 2^(W*slot), its monomial x^1
+_KEYS = []              # slot -> variable key
+_FACTORS = {}           # monomial -> its factors, decoded
+
+
+def _unit(key) -> int:
+    """The monomial `key`^1, registering a slot for a new key."""
+    u = _UNITS.get(key)
+    if u is None:
+        u = _UNITS[key] = 1 << (_W * len(_KEYS))
+        _KEYS.append(key)
+    return u
+
+
+def _factors(mono: int) -> tuple:
+    """The sorted ((key, exponent), ...) of a monomial: the fields that are
+    not zero, lowest set bit first, each read as a signed W-bit number and
+    taken off before the next."""
+    f = _FACTORS.get(mono)
+    if f is None:
+        out = []
+        x = mono
+        while x:
+            s = ((x & -x).bit_length() - 1) // _W
+            e = (x >> (_W * s)) & _FIELD
+            if e >> (_W - 1):
+                e -= 1 << _W
+            out.append((_KEYS[s], e))
+            x -= e << (_W * s)
+        f = _FACTORS[mono] = tuple(sorted(out))
+    return f
+
+
+def _by_factors(item):
+    """Sort key of a (monomial, coefficient) pair: the decoded factors, so
+    that no order depends on the order in which slots were registered."""
+    return _factors(item[0])
+
+
+def _top_exponent(terms) -> int:
+    """The largest |exponent| in a term dict."""
+    return max((abs(e) for m in terms for _, e in _factors(m)), default=0)
+
+
+def _within_budget(terms, bound) -> int:
+    """A bound on the largest |exponent| in the result `terms` of an
+    operation, given `bound`, the one its operands' bounds give;
+    BudgetError when an exponent is beyond E.  Only a bound beyond E costs
+    a pass over the terms."""
+    if bound <= _E:
+        return bound
+    top = _top_exponent(terms)
+    if top > _E:
+        raise BudgetError(f"exponent {top} beyond the budget of {_E}")
+    return top
+
+
+def _odd_keys(space: JetSpace, mono) -> tuple:
+    """The odd keys of a monomial in key order, cached per space."""
+    odd = space._odd_cache.get(mono)
+    if odd is None:
+        odd = space._odd_cache[mono] = tuple(k for k, _ in _factors(mono)
+                                             if space.is_odd_key(k))
+    return odd
+
+
 def _mono_mul(space: JetSpace, m1, m2):
-    """Merge two normalized monomials; returns (mono, sign) or None."""
-    exps = dict(m1)
-    for k, e in m2:
-        e += exps.get(k, 0)
-        if e:
-            exps[k] = e
-        else:
-            del exps[k]
+    """Product of two monomials; returns (mono, sign) or None."""
     if not space.odd:  # no odd variable anywhere: no sign, no odd square
-        return tuple(sorted(exps.items())), 1
-    odd1 = [k for k, _ in m1 if space.is_odd_key(k)]
-    odd2 = [k for k, _ in m2 if space.is_odd_key(k)]
-    if odd1 or odd2:
+        return m1 + m2, 1
+    odd1 = _odd_keys(space, m1)
+    odd2 = _odd_keys(space, m2)
+    if odd1 and odd2:
         merged = _sort_odd(odd1 + odd2)
         if merged is None:
             return None
-        _, sign = merged
-    else:
-        sign = 1
-    return tuple(sorted(exps.items())), sign
+        return m1 + m2, merged[1]
+    return m1 + m2, 1
 
 
 def _terms_mul(space: JetSpace, t1: dict, t2: dict) -> dict:
@@ -263,28 +353,34 @@ def _terms_mul(space: JetSpace, t1: dict, t2: dict) -> dict:
 def _drop_factor(space: JetSpace, mono, key, e):
     """(rest, k): `mono` with one power of its factor key^e removed; k is e
     for an even key, and for an odd key the sign of moving it to the front."""
-    if space.is_odd_key(key):
-        odds = [v for v, _ in mono if space.is_odd_key(v)]
-        return tuple(p for p in mono if p[0] != key), -1 if odds.index(key) % 2 else 1
-    if e == 1:
-        return tuple(p for p in mono if p[0] != key), 1
-    return tuple((v, x - 1) if v == key else (v, x) for v, x in mono), e
+    if space.odd and space.is_odd_key(key):
+        return mono - _UNITS[key], -1 if _odd_keys(space, mono).index(key) % 2 else 1
+    return mono - _UNITS[key], e
 
 
-_ONE = {(): 1}
+_ONE = {0: 1}
 
 
 class DiffExpr:
     """Immutable sparse differential polynomial over a JetSpace.  No code
     writes `terms` in place, so the free total derivatives can be cached on
-    the expression (`_free_d`, {i: D_i(self)})."""
+    the expression (`_free_d`, {i: D_i(self)}), and so can `_top`, a bound
+    on its largest |exponent| (None until needed)."""
 
-    __slots__ = ("space", "terms", "_free_d")
+    __slots__ = ("space", "terms", "_free_d", "_top")
 
-    def __init__(self, space: JetSpace, terms: dict):
+    def __init__(self, space: JetSpace, terms: dict, top=None):
         self.space = space
         self.terms = terms
         self._free_d = None
+        self._top = top
+
+    def _top_bound(self) -> int:
+        """A bound on the largest |exponent| of a factor: exact unless
+        carried over from the operands of the operation that built self."""
+        if self._top is None:
+            self._top = _top_exponent(self.terms)
+        return self._top
 
     # -- ring structure ---------------------------------------------------
 
@@ -297,12 +393,13 @@ class DiffExpr:
                 res[m] = _q(s)
             elif m in res:
                 del res[m]
-        return DiffExpr(self.space, res)
+        top = None if self._top is None or other._top is None else max(self._top, other._top)
+        return DiffExpr(self.space, res, top)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffExpr(self.space, {m: -c for m, c in self.terms.items()})
+        return DiffExpr(self.space, {m: -c for m, c in self.terms.items()}, self._top)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -313,10 +410,13 @@ class DiffExpr:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return DiffExpr(self.space, {})
-            return DiffExpr(self.space, {m: _q(v * other) for m, v in self.terms.items()})
+                return DiffExpr(self.space, {}, 0)
+            return DiffExpr(self.space, {m: _q(v * other) for m, v in self.terms.items()},
+                            self._top)
         other = self._coerce(other)
-        return DiffExpr(self.space, _terms_mul(self.space, self.terms, other.terms))
+        terms = _terms_mul(self.space, self.terms, other.terms)
+        return DiffExpr(self.space, terms, _within_budget(
+            terms, self._top_bound() + other._top_bound()))
 
     __rmul__ = __mul__
 
@@ -325,6 +425,10 @@ class DiffExpr:
             raise TypeError("exponent must be an integer")
         if k < 0:
             return self.inverse_monomial() ** (-k)
+        if k > 1 and self._top_bound() * k > _E:
+            top = _top_exponent(self.terms) * k
+            if top > _E:
+                raise BudgetError(f"exponent {top} beyond the budget of {_E}")
         result = self.space.one()
         base = self
         while k:
@@ -341,12 +445,10 @@ class DiffExpr:
         if len(self.terms) != 1:
             raise LaurentError(f"cannot invert non-monomial {self}")
         (mono, coeff), = self.terms.items()
-        inv = []
-        for key, e in mono:
+        for key, _ in _factors(mono):
             if key[0] not in ('j', 'w') or self.space.is_odd_key(key):
                 raise LaurentError(f"cannot invert factor {key} in {self}")
-            inv.append((key, -e))
-        return DiffExpr(self.space, {tuple(sorted(inv)): _q(Fraction(1) / coeff)})
+        return DiffExpr(self.space, {-mono: _q(Fraction(1) / coeff)}, self._top)
 
     def _coerce(self, other) -> "DiffExpr":
         if isinstance(other, DiffExpr):
@@ -374,8 +476,8 @@ class DiffExpr:
 
     def summands(self):
         """The single-term expressions of self, in sorted monomial order."""
-        for mono, c in sorted(self.terms.items()):
-            yield DiffExpr(self.space, {mono: c})
+        for mono, c in sorted(self.terms.items(), key=_by_factors):
+            yield DiffExpr(self.space, {mono: c}, self._top)
 
     def coefficients(self):
         """(monomial, coefficient) pairs; a monomial is an opaque hashable
@@ -384,12 +486,12 @@ class DiffExpr:
 
     def negative_keys(self) -> set:
         """The variable keys that carry a negative exponent."""
-        return {k for mono in self.terms for k, e in mono if e < 0}
+        return {k for mono in self.terms for k, e in _factors(mono) if e < 0}
 
     def variables(self):
         seen = set()
         for m in self.terms:
-            for k, _ in m:
+            for k, _ in _factors(m):
                 seen.add(k)
         return seen
 
@@ -401,7 +503,7 @@ class DiffExpr:
         return max(orders, default=-1)
 
     def is_linear_in(self, key) -> bool:
-        return all(e == 1 for m in self.terms for k, e in m if k == key)
+        return all(e == 1 for m in self.terms for k, e in _factors(m) if k == key)
 
     # -- calculus ----------------------------------------------------------
 
@@ -412,12 +514,12 @@ class DiffExpr:
         space = self.space
         res = {}
         for mono, c in self.terms.items():
-            for k, e in mono:
+            for k, e in _factors(mono):
                 if k == key:
                     rest, f = _drop_factor(space, mono, key, e)
                     res[rest] = _q(c * f)
                     break
-        return DiffExpr(space, res)
+        return DiffExpr(space, res, _within_budget(res, self._top_bound() + 1))
 
     def total_derivative(self, i: int, wmap=None, jets=None) -> "DiffExpr":
         """Total derivative D_i.  `wmap` maps nonlocal names to D_i-images;
@@ -439,8 +541,9 @@ class DiffExpr:
                 return self._free_d[i]
         space = self.space
         res = {}
+        top = 1  # a bound on the exponents of the images D_i(v)
         for mono, c in self.terms.items():
-            for key, e in mono:
+            for key, e in _factors(mono):
                 kind = key[0]
                 if kind == 'q' or (kind == 'i' and key[1] != i):
                     continue
@@ -449,14 +552,20 @@ class DiffExpr:
                 elif kind == 'j':
                     K = key[2]
                     up = ('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:])
-                    dv = {((up, 1),): 1} if jets is None else jets(up).terms
+                    if jets is None:
+                        dv = {_unit(up): 1}
+                    else:
+                        image = jets(up)
+                        dv = image.terms
+                        top = max(top, image._top_bound())
                 else:  # nonlocal
                     if wmap is None:
                         raise NonlocalObstruction(
                             f"total derivative of nonlocal variable {key[1]!r} requires a covering")
                     dv = wmap[key[1]].terms
+                    top = max(top, wmap[key[1]]._top_bound())
                 rest, k = _drop_factor(space, mono, key, e)
-                odd = space.is_odd_key(key)
+                odd = space.odd and space.is_odd_key(key)
                 for dmono, dc in dv.items():
                     merged = _mono_mul(space, dmono, rest) if odd \
                         else _mono_mul(space, rest, dmono)
@@ -468,7 +577,7 @@ class DiffExpr:
                         res[new] = _q(s)
                     elif new in res:
                         del res[new]
-        out = DiffExpr(space, res)
+        out = DiffExpr(space, res, _within_budget(res, self._top_bound() + 1 + top))
         if free:
             self._free_d[i] = out
         return out
@@ -485,17 +594,17 @@ class DiffExpr:
         powers = {}
         out = {}
         for mono, c in self.terms.items():
-            kept, factors, odd = [], [], []
-            for key, e in mono:
+            kept, factors, odd = mono, [], []
+            for key, e in _factors(mono):
                 if space.odd and space.is_odd_key(key):
-                    odd.append(mapping[key].terms if key in mapping else {((key, 1),): 1})
+                    kept -= _UNITS[key]
+                    odd.append(mapping[key].terms if key in mapping else {_UNITS[key]: 1})
                 elif key in mapping:
+                    kept -= e * _UNITS[key]
                     if (key, e) not in powers:
-                        powers[key, e] = (mapping[key] ** e).terms
-                    factors.append(powers[key, e])
-                else:
-                    kept.append((key, e))
-            term = {tuple(kept): c}
+                        powers[key, e] = mapping[key] ** e
+                    factors.append(powers[key, e].terms)
+            term = {kept: c}
             for f in factors + odd:
                 term = _terms_mul(space, term, f)
             for m, v in term.items():
@@ -504,11 +613,14 @@ class DiffExpr:
                     out[m] = s
                 elif m in out:
                     del out[m]
-        return DiffExpr(space, {m: _q(v) for m, v in out.items()})
+        images = list(powers.values()) + [x for k, x in mapping.items() if space.is_odd_key(k)]
+        out = {m: _q(v) for m, v in out.items()}
+        return DiffExpr(space, out, _within_budget(
+            out, sum(map(DiffExpr._top_bound, images), self._top_bound())))
 
     def rename_space(self, space: JetSpace) -> "DiffExpr":
         """Reinterpret over a compatible (extended) space."""
-        return DiffExpr(space, dict(self.terms))
+        return DiffExpr(space, dict(self.terms), self._top)
 
     # -- rendering ---------------------------------------------------------
 
@@ -638,9 +750,9 @@ def homotopy_density(psi, targets=None) -> DiffExpr:
     out = space.zero()
     for j, p in zip(targets, psi):
         u = space.jet(j, mi_zero(space.n))
-        for mono, c in sorted(p.terms.items()):
-            d = sum(e for k, e in mono if k[0] == 'j' and k[1] in fams)
-            out = out + u * DiffExpr(space, {mono: c}) * Fraction(1, d + 1)
+        for mono, c in sorted(p.terms.items(), key=_by_factors):
+            d = sum(e for k, e in _factors(mono) if k[0] == 'j' and k[1] in fams)
+            out = out + u * DiffExpr(space, {mono: c}, p._top) * Fraction(1, d + 1)
     check = euler(out, targets)
     if any((a - b) for a, b in zip(check, psi)):
         raise VariationalityError("input is not a variational gradient")
@@ -683,7 +795,7 @@ def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
             c = g.partial(z)
             if down in c.variables():
                 raise NonlocalObstruction("odd integrand not linear in its primitive slot")
-            B = c * DiffExpr(space, {((down, 1),): 1})
+            B = c * DiffExpr(space, {_unit(down): 1}, 1)
         else:
             if not g.is_linear_in(z):
                 raise NonlocalObstruction(f"integrand nonlinear in top jet {z}")
@@ -701,14 +813,13 @@ def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
 def _integrate_var(c: DiffExpr, key) -> DiffExpr:
     """Antiderivative of c with respect to the (even) variable `key`."""
     out = {}
+    unit = _unit(key)
     for mono, v in c.terms.items():
-        entry = dict(mono)
-        e = entry.get(key, 0)
+        e = dict(_factors(mono)).get(key, 0)
         if e == -1:
             raise NonlocalObstruction("logarithmic primitive required")
-        entry[key] = e + 1
-        out[tuple(sorted(entry.items()))] = _q(Fraction(v, e + 1))
-    return DiffExpr(c.space, out)
+        out[mono + unit] = _q(Fraction(v, e + 1))
+    return DiffExpr(c.space, out, _within_budget(out, c._top_bound() + 1))
 
 
 def invert_divergence(density: DiffExpr, n: int, i: int = 0):
@@ -790,7 +901,7 @@ class _Parser:
         return tok
 
     def expect(self, value):
-        kind, val, pos = self.next()
+        _, val, pos = self.next()
         if val != value:
             raise ExprSyntaxError(f"expected {value!r}, found {val!r}", pos)
 
@@ -818,14 +929,18 @@ class _Parser:
     def term(self) -> DiffExpr:
         e = self.factor()
         while self.peek()[1] == '*':
-            self.next()
-            e = e * self.factor()
+            pos = self.next()[2]
+            f = self.factor()
+            try:
+                e = e * f
+            except BudgetError as exc:
+                raise ExprSyntaxError(str(exc), pos) from None
         return e
 
     def factor(self) -> DiffExpr:
         e = self.atom()
         if self.peek()[1] == '^':
-            self.next()
+            caret = self.next()[2]
             sign = 1
             if self.peek()[1] == '-':
                 self.next()
@@ -833,14 +948,12 @@ class _Parser:
             kind, val, pos = self.next()
             if kind != 'num' or '/' in val:
                 raise ExprSyntaxError("exponent must be an integer", pos)
-            k = sign * int(val)
-            if k < 0:
-                try:
-                    e = e ** k
-                except LaurentError as exc:
-                    raise ExprSyntaxError(str(exc), pos) from None
-            else:
-                e = e ** k
+            try:
+                e = e ** (sign * int(val))
+            except LaurentError as exc:
+                raise ExprSyntaxError(str(exc), pos) from None
+            except BudgetError as exc:
+                raise ExprSyntaxError(str(exc), caret) from None
         return e
 
     def atom(self) -> DiffExpr:
@@ -867,7 +980,7 @@ class _Parser:
                     if k2 != 'num' or '/' in v2:
                         raise ExprSyntaxError("multi-index entries must be integers", p2)
                     K.append(int(v2))
-                    k3, v3, p3 = self.next()
+                    _, v3, p3 = self.next()
                     if v3 == ']':
                         break
                     if v3 != ',':
@@ -903,9 +1016,9 @@ def render(e: DiffExpr) -> str:
     if e.is_zero():
         return "0"
     parts = []
-    for mono, c in sorted(e.terms.items()):
+    for mono, c in sorted(e.terms.items(), key=_by_factors):
         factors = []
-        for key, exp in mono:
+        for key, exp in _factors(mono):
             name = _render_key(e.space, key)
             factors.append(name if exp == 1 else f"{name}^{exp}")
         body = "*".join(factors)

@@ -27,6 +27,10 @@ class LaurentError(JetCalcError):
     """Negative exponent placed on a variable that cannot carry one."""
 
 
+class BudgetError(JetCalcError):
+    """A product would give a factor an exponent beyond the budget."""
+
+
 class NonlocalObstruction(JetCalcError):
     """A primitive (D_x^{-1}) does not exist in the local algebra."""
 

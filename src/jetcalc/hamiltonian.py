@@ -306,7 +306,7 @@ def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, pres: Presentation):
               for d in (d1, d2))
     total = _bivector_bracket(D1, D2, avec, bvec, n1.star1(bvec, avec),
                               n2.star1(bvec, avec), m)
-    return ext_pres.normal_form(total), ext_pres, avec, bvec
+    return ext_pres.normal_form(total)
 
 
 def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
@@ -319,7 +319,7 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
             return {"ok": False, "trivial": False,
                     "reason": f"{name} operator is not an equation bivector",
                     "residual": chk["residual"]}
-    T, ext_pres, avec, bvec = _eq_bracket_on_dummies(d1, d2, pres)
+    T = _eq_bracket_on_dummies(d1, d2, pres)
     cot = cotangent_covering(pres)
     cspace = cot.space
     m = pres.space.m

@@ -1,0 +1,36 @@
+"""The tests' one reader of the monomial format, which is otherwise private
+to jetcalc.algebra: `decoded_terms` spells an expression's monomials out
+as sorted ((key, exponent), ...) tuples.  `from_factors` builds an
+expression back from such a dict with the JetSpace constructors and
+products alone."""
+
+from jetcalc.algebra import _factors
+
+
+def decoded_terms(e) -> dict:
+    """{((key, exponent), ...): coefficient} of an expression, in term order."""
+    return {_factors(mono): c for mono, c in e.terms.items()}
+
+
+def key_expr(space, key):
+    """The variable with this key, built by its JetSpace constructor."""
+    kind = key[0]
+    if kind == 'i':
+        return space.indep(key[1])
+    if kind == 'j':
+        return space.jet(key[1], key[2])
+    if kind == 'q':
+        return space.param(key[1])
+    return space.nonlocal_var(key[1])
+
+
+def from_factors(space, terms: dict):
+    """The expression sum(c * prod(key^exponent)) of a decoded term dict,
+    each product taken left to right in the monomial's factor order."""
+    out = space.zero()
+    for factors, c in terms.items():
+        term = space.num(c)
+        for key, x in factors:
+            term = term * key_expr(space, key) ** x
+        out = out + term
+    return out

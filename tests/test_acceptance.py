@@ -55,12 +55,12 @@ def report(num, ok, text):
 def coords(exprs):
     index = {}
     for e in exprs:
-        for m in e.terms:
+        for m, _ in e.coefficients():
             index.setdefault(m, len(index))
     out = []
     for e in exprs:
         v = [Fraction(0)] * len(index)
-        for m, c in e.terms.items():
+        for m, c in e.coefficients():
             v[index[m]] = c
         out.append(v)
     return out

@@ -1,5 +1,10 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +23,13 @@ from jetcalc import (
     parse,
     render,
 )
-from jetcalc.algebra import _integrate_var, apply_DI, euler_is_zero, mi_order
-from jetcalc.errors import ExprSyntaxError
+from jetcalc.algebra import _E, _integrate_var, apply_DI, euler_is_zero, mi_order
+from jetcalc.errors import BudgetError, ExprSyntaxError
 from jetcalc.hamiltonian import momenta_space
 from jetcalc.linalg import nullspace, rref
+from monomials import decoded_terms, from_factors, key_expr
 
+ROOT = Path(__file__).resolve().parents[1]
 SP = JetSpace.create(["x", "t"], ["u"])
 SP1 = JetSpace.create(["x"], ["u"])
 
@@ -148,12 +155,13 @@ def test_odd_sign_consistency():
 
 
 def test_normal_form_idempotence():
-    # re-normalizing the term dict of a normal form changes nothing
+    # rebuilding a normal form from its decoded factors changes nothing
     rng = random.Random(3)
     for _ in range(30):
         e = rand_expr(SP, rng)
-        again = DiffExpr(SP, dict(e.terms)) + SP.zero()
+        again = from_factors(SP, decoded_terms(e)) + SP.zero()
         assert again == e
+        assert list(again.coefficients()) == list(e.coefficients())
 
 
 def test_euler_examples():
@@ -269,11 +277,11 @@ def test_free_derivative_memo_matches_a_fresh_copy():
                 K = rand_index(rng, space.n, 3)
                 first = e.total_derivative(i)
                 assert e.total_derivative(i) is first
-                fresh = DiffExpr(space, dict(e.terms))
-                assert list(first.terms.items()) == \
-                    list(fresh.total_derivative(i).terms.items())
-                assert list(apply_DI(e, K).terms.items()) == \
-                    list(apply_DI(DiffExpr(space, dict(e.terms)), K).terms.items())
+                fresh = e.rename_space(space)
+                assert list(first.coefficients()) == \
+                    list(fresh.total_derivative(i).coefficients())
+                assert list(apply_DI(e, K).coefficients()) == \
+                    list(apply_DI(e.rename_space(space), K).coefficients())
 
 
 def test_rename_space_starts_an_empty_memo():
@@ -282,7 +290,7 @@ def test_rename_space_starts_an_empty_memo():
     ext = momenta_space(SP1)
     after = e.rename_space(ext).total_derivative(0)
     assert after.space is ext and before.space is SP1
-    assert after.terms == before.terms
+    assert dict(after.coefficients()) == dict(before.coefficients())
 
 
 # -- the Euler sweep and canonical coefficients --------------------------------
@@ -374,17 +382,17 @@ def test_euler_sweep_one_derivative_per_node():
 
 def _canonical(e):
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in e.terms.values())
+               for _, c in e.coefficients())
 
 
 def test_coefficients_stay_canonical(kdv):
     half = SP.num(Fraction(1, 2)) * SP.jet("u", (1, 0))
-    assert (half + half).terms == {((('j', 0, (1, 0)), 1),): 1}
-    assert type(SP.num(Fraction(6, 3)).terms[()]) is int
-    assert type(parse("4/2*u[0,0]", SP).terms[((('j', 0, (0, 0)), 1),)]) is int
-    assert type((half * 4).terms[((('j', 0, (1, 0)), 1),)]) is int
-    assert type((SP.jet("u", (1, 0)) * Fraction(-1, 2)).inverse_monomial()
-                .terms[((('j', 0, (1, 0)), -1),)]) is int
+    assert decoded_terms(half + half) == {((('j', 0, (1, 0)), 1),): 1}
+    assert type(decoded_terms(SP.num(Fraction(6, 3)))[()]) is int
+    assert type(decoded_terms(parse("4/2*u[0,0]", SP))[((('j', 0, (0, 0)), 1),)]) is int
+    assert type(decoded_terms(half * 4)[((('j', 0, (1, 0)), 1),)]) is int
+    assert type(decoded_terms((SP.jet("u", (1, 0)) * Fraction(-1, 2)).inverse_monomial())
+                [((('j', 0, (1, 0)), -1),)]) is int
     # the homotopy and integration helpers divide by exponents
     density = homotopy_density([parse("3*u[0,0]^2 + u[2,0]", SP)])
     assert density == parse("u[0,0]^3 + 1/2*u[0,0]*u[2,0]", SP)
@@ -404,10 +412,10 @@ def test_coefficients_stay_canonical(kdv):
         results += [e.total_derivative(i) for i in range(2)]
         results += euler(e * f)
         for r in results:
-            assert _canonical(r), r.terms
-        for mono, c in e.terms.items():
-            if all(k[0] == 'j' for k, _ in mono):
-                assert _canonical(DiffExpr(SP, {mono: c}).inverse_monomial())
+            assert _canonical(r), r
+        for term in e.summands():
+            if all(k[0] == 'j' for k in term.variables()):
+                assert _canonical(term.inverse_monomial())
 
 
 def substitute_by_factors(e, mapping):
@@ -416,9 +424,9 @@ def substitute_by_factors(e, mapping):
     per monomial)."""
     space = e.space
     out = space.zero()
-    for mono, c in e.terms.items():
-        term = DiffExpr(space, {(): c})
-        for key, x in mono:
+    for factors, c in decoded_terms(e).items():
+        term = space.num(c)
+        for key, x in factors:
             if key in mapping:
                 rep = mapping[key]
                 if x < 0:
@@ -426,15 +434,15 @@ def substitute_by_factors(e, mapping):
                 else:
                     term = term * rep ** x if not space.is_odd_key(key) else term * rep
             else:
-                term = term * DiffExpr(space, {((key, x),): 1})
+                term = term * key_expr(space, key) ** x
         out = out + term
     return out
 
 
 def _check_substitute(e, mapping):
     got = e.substitute(mapping)
-    assert got.terms == substitute_by_factors(e, mapping).terms
-    assert _canonical(got), got.terms
+    assert dict(got.coefficients()) == dict(substitute_by_factors(e, mapping).coefficients())
+    assert _canonical(got), got
 
 
 def test_substitute_matches_factor_by_factor_even():
@@ -503,7 +511,7 @@ def test_substitute_matches_factor_by_factor_laurent():
         e = rand_density(space, rng, [0, 1])
         e = e * rng.choice(atoms) ** -rng.randint(1, 3) + \
             rand_density(space, rng, [0, 1]) * rng.choice(atoms) ** -1
-        negative = {k for m in e.terms for k, x in m if x < 0}
+        negative = e.negative_keys()
         mapping = {}
         for k in sorted(e.variables()):
             if k in negative:  # a Laurent factor maps to a monomial
@@ -520,7 +528,8 @@ def test_product_ignores_an_unused_odd_family():
     for _ in range(40):
         e, f = (rand_density(SP, rng, [0], maxord=3) for _ in range(2))
         f = f * SP.jet("u", rand_index(rng, 2, 2)) ** -1
-        assert (e * f).terms == (e.rename_space(odd_sp) * f.rename_space(odd_sp)).terms
+        assert dict((e * f).coefficients()) == \
+            dict((e.rename_space(odd_sp) * f.rename_space(odd_sp)).coefficients())
 
 
 def test_linalg_is_exact_on_int_entries():
@@ -626,9 +635,9 @@ def test_nullspace_matches_fraction_elimination():
 
 def _to_sympy(e, sympy, funcs, xs):
     out = sympy.Integer(0)
-    for mono, c in e.terms.items():
+    for factors, c in decoded_terms(e).items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for key, p in mono:
+        for key, p in factors:
             if key[0] == 'i':
                 base = xs[key[1]]
             else:
@@ -676,3 +685,176 @@ def test_euler_matches_sympy(space):
         theirs = euler_equations(_to_sympy(L, sympy, funcs, xs), funcs, xs)
         for a, eq in zip(ours, theirs):
             assert sympy.expand(eq.lhs - _to_sympy(a, sympy, funcs, xs)) == 0
+
+
+# -- the packed monomial kernel ------------------------------------------------
+
+
+def test_monomials_round_trip_at_the_budget():
+    """Monomials with exponents at +-E (negative ones on jets and nonlocals,
+    next to each other and to small ones) decode to the factors they were
+    built from, invert exactly and print and parse back."""
+    space = JetSpace.create(["x", "t"], ["u", "v"], ["a"], ["w", "r"])
+    laurent = [('j', 0, (0, 0)), ('j', 1, (3, 1)), ('j', 0, (7, 7)), ('w', 'w'), ('w', 'r')]
+    keys = [('i', 0), ('i', 1), ('q', 'a')] + laurent
+    rng = random.Random(61)
+    for _ in range(60):
+        factors = {}
+        for key in rng.sample(keys, rng.randint(1, len(keys))):
+            signs = (1, -1) if key in laurent else (1,)
+            factors[key] = rng.choice(signs) * rng.choice([_E, _E - 1, 1, 2])
+        want = {tuple(sorted(factors.items())): 1}
+        e = from_factors(space, want)
+        assert decoded_terms(e) == want
+        assert e.negative_keys() == {k for k, x in factors.items() if x < 0}
+        assert e.variables() == set(factors)
+        assert parse(render(e), space) == e
+        if all(k in laurent for k in factors):
+            inverse = {tuple((k, -x) for k, x in sorted(factors.items())): 1}
+            assert decoded_terms(e.inverse_monomial()) == inverse
+            assert e * e.inverse_monomial() == space.one()
+    u, w = space.jet("u", (0, 0)), space.nonlocal_var("w")
+    ukey, wkey = ('j', 0, (0, 0)), ('w', 'w')
+    assert decoded_terms(u ** _E * u ** -1) == {((ukey, _E - 1),): 1}
+    assert decoded_terms(u ** -_E * u) == {((ukey, 1 - _E),): 1}
+    assert decoded_terms(u ** _E * w ** -_E) == {((ukey, _E), (wkey, -_E)): 1}
+    assert decoded_terms((u ** _E).total_derivative(0)) == \
+        {((ukey, _E - 1), (('j', 0, (1, 0)), 1)): _E}
+    beyond = [lambda: u ** _E * u, lambda: u ** -_E * u ** -1, lambda: w ** -_E * w ** -1,
+              lambda: (u ** -_E).total_derivative(0), lambda: (u ** -_E).partial(ukey),
+              lambda: (u ** _E * w).substitute({wkey: u}),
+              lambda: (u * w) ** _E * w]
+    for make in beyond:
+        with pytest.raises(BudgetError):
+            make()
+
+
+@pytest.mark.parametrize("text, caret", [("(u[0,0]^60000)^60000", 14),
+                                         ("u[0,0]^3000000000", 6)],
+                         ids=["power-of-power", "huge-power"])
+def test_powers_beyond_the_budget_fail_before_expanding(monkeypatch, text, caret):
+    """parse reports the power at its '^' without allocating more than a
+    few kilobytes, and DiffExpr's ** refuses it before its first product."""
+    import tracemalloc
+
+    u = SP.jet("u", (0, 0))
+    base, k = (u ** 60000, 60000) if text.startswith("(") else (u, 3000000000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExprSyntaxError, match=rf"budget of {_E} \(at position {caret}\)"):
+            parse(text, SP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    def product(a, b):
+        pytest.fail("** multiplied before it checked the budget")
+
+    monkeypatch.setattr(DiffExpr, "__mul__", product)
+    for big in (base, base + 1):
+        with pytest.raises(BudgetError):
+            big ** k
+
+
+def _old_sort_odd(keys):
+    out = []
+    sign = 1
+    for k in keys:
+        pos = len(out)
+        while pos > 0 and out[pos - 1] > k:
+            pos -= 1
+        if pos > 0 and out[pos - 1] == k:
+            return None
+        if k in out[pos:]:
+            return None
+        sign *= -1 if (len(out) - pos) % 2 else 1
+        out.insert(pos, k)
+    return tuple(out), sign
+
+
+def _old_mono_mul(space, m1, m2):
+    """The product of two monomials in the former format, sorted tuples of
+    (key, exponent) pairs: (mono, sign), or None for an odd square."""
+    exps = dict(m1)
+    for k, e in m2:
+        e += exps.get(k, 0)
+        if e:
+            exps[k] = e
+        else:
+            del exps[k]
+    odd1 = [k for k, _ in m1 if space.is_odd_key(k)]
+    odd2 = [k for k, _ in m2 if space.is_odd_key(k)]
+    merged = _old_sort_odd(odd1 + odd2)
+    if merged is None:
+        return None
+    return tuple(sorted(exps.items())), merged[1]
+
+
+def test_odd_products_match_the_tuple_kernel():
+    """The sign of moving odd factors into key order, and the zero of an
+    odd square, agree with the tuple format's product on random monomials
+    over (x, t; u, v), v odd."""
+    space = JetSpace.create(["x", "t"], ["u", "v"], odd=["v"])
+    rng = random.Random(67)
+
+    def monomial():
+        factors = {}
+        for _ in range(rng.randint(0, 5)):
+            K = rand_index(rng, 2, 2)
+            kind = rng.randrange(3)
+            if kind == 0:
+                factors[('i', rng.randrange(2))] = rng.randint(1, 3)
+            elif kind == 1:
+                factors[('j', 0, K)] = rng.choice([-2, -1, 1, 2, 3])
+            else:
+                factors[('j', 1, K)] = 1
+        return tuple(sorted(factors.items()))
+
+    signs, squares = set(), 0
+    for _ in range(400):
+        m1, m2 = monomial(), monomial()
+        got = decoded_terms(from_factors(space, {m1: 1}) * from_factors(space, {m2: 1}))
+        want = _old_mono_mul(space, m1, m2)
+        if want is None:
+            squares += 1
+            assert got == {}
+        else:
+            mono, sign = want
+            assert got == {mono: sign}
+            signs.add(sign)
+    assert signs == {1, -1} and squares > 20
+
+
+_SLOT_ORDER = """
+import ast, contextlib, io, sys
+from jetcalc import algebra, cli
+keys = ast.literal_eval(sys.stdin.read())
+for key in keys:
+    algebra._unit(key)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["corpus", "kdv", "--json"])
+print(repr((code, out.getvalue(), algebra._KEYS)))
+"""
+
+
+def _kdv_report(keys):
+    """(exit code, `corpus kdv --json`, slot keys) of a fresh process that
+    registers `keys` first."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _SLOT_ORDER], input=repr(keys), env=env,
+                          capture_output=True, text=True, timeout=600, check=True)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_reports_do_not_depend_on_slot_order():
+    """Monomial slots are registered in order of first use; a process that
+    registers kdv's variables in the reverse order first writes the same
+    report byte for byte."""
+    code, report, first = _kdv_report([])
+    code2, report2, second = _kdv_report(first[::-1])
+    assert second[:len(first)] == first[::-1] != first
+    reference = ROOT / "bench" / "reference" / "corpus" / "kdv.json"
+    assert code == code2 == 0
+    assert report == report2 == reference.read_text()

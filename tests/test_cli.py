@@ -401,3 +401,14 @@ def test_corpus_reports_match_reference_under_two_hash_seeds():
         reference = ROOT / "bench" / "reference" / "corpus" / f"{name}.json"
         assert code == 0, name
         assert text == reference.read_text(), name
+
+
+@pytest.mark.parametrize("expr, caret", [("(u[0,0]^60000)^60000", 14),
+                                         ("u[0,0]^3000000000", 6)],
+                         ids=["power-of-power", "huge-power"])
+def test_exponents_beyond_the_budget_are_input_errors(tmp_path, capsys, expr, caret):
+    data = _changed("heat", {"tasks": [{"kind": "reduce", "expr": expr}]})
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err.startswith("input error: ") and "beyond the budget of 65536" in err
+    assert err.rstrip().endswith(f"(at position {caret})")

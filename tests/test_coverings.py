@@ -163,12 +163,12 @@ def test_heat_recursion_operators(heat):
                 parse("2*t*v[1,0] + x*v[0,0]", sp)]
     index = {}
     for e in [s[0] for s in sols] + expected:
-        for m in e.terms:
+        for m, _ in e.coefficients():
             index.setdefault(m, len(index))
 
     def vec(e):
         v = [Fraction(0)] * len(index)
-        for m, c in e.terms.items():
+        for m, c in e.coefficients():
             v[index[m]] = c
         return v
 
@@ -187,12 +187,12 @@ def test_kdv_lenard_shadow(kdv):
     assert verify_shadow([target], lay)[0]
     index = {}
     for e in [s[0] for s in sols] + [target]:
-        for m in e.terms:
+        for m, _ in e.coefficients():
             index.setdefault(m, len(index))
 
     def vec(e):
         v = [Fraction(0)] * len(index)
-        for m, c in e.terms.items():
+        for m, c in e.coefficients():
             v[index[m]] = c
         return v
 
@@ -317,4 +317,4 @@ def test_lift_d_matches_its_definition(kdv, make, factors):
         for i in range(cov.space.n):
             wmap = {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}
             expected = pres.normal_form(pres.normal_form(e).total_derivative(i, wmap))
-            assert canonical_terms(cov.lift_d(e, i)) == expected.terms
+            assert canonical_terms(cov.lift_d(e, i)) == dict(expected.coefficients())

@@ -2,8 +2,8 @@
 no definition that nothing references, no unused import, no parameter
 that its function never reads, no local that its function never reads,
 no module but operators.py that touches an operator's coefficient table,
-no module but algebra.py that knows the monomial format, and no write to
-an expression's terms."""
+no module but algebra.py (and, among the tests, the monomials helper)
+that knows the monomial format, and no write to an expression's terms."""
 
 import ast
 from pathlib import Path
@@ -93,17 +93,20 @@ def test_every_parameter_is_read():
 
 
 def _unread_locals(tree):
-    """(line, name) of each `name = ...` in a function that nothing in the
-    function (nested functions included) reads."""
+    """(line, name) of each name assigned in a function, alone or inside a
+    tuple target, that nothing in the function (nested functions included)
+    reads; a name that starts with '_' is exempt."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         read = {n.id for n in ast.walk(node)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         for n in ast.walk(node):
-            if isinstance(n, ast.Assign) and len(n.targets) == 1 \
-                    and isinstance(n.targets[0], ast.Name) and n.targets[0].id not in read:
-                yield n.lineno, n.targets[0].id
+            if not (isinstance(n, ast.Assign) and len(n.targets) == 1):
+                continue
+            for t in ast.walk(n.targets[0]):
+                if isinstance(t, ast.Name) and not t.id.startswith("_") and t.id not in read:
+                    yield n.lineno, t.id
 
 
 def test_every_local_is_read():
@@ -118,12 +121,15 @@ def f(a):
     kept = a + 1
     dead = [a]
     x, y = a, a
+    (_, z), w = a
+    k = z
 
     def g():
         return kept
     return g
 """
-    assert list(_unread_locals(ast.parse(source))) == [(4, "dead")]
+    assert list(_unread_locals(ast.parse(source))) == [
+        (4, "dead"), (5, "x"), (5, "y"), (6, "w"), (7, "k")]
 
 
 def _monomial_readers(tree):
@@ -142,9 +148,13 @@ def _monomial_readers(tree):
 def test_only_algebra_knows_the_monomial_format():
     """A monomial's layout and the {monomial: coefficient} dict are known
     in algebra.py alone; other modules use the JetSpace constructors, the
-    ring operations and DiffExpr's accessors."""
-    readers = [f"{path.name}:{node.lineno}" for path, tree in _trees(PACKAGE)
-               if path.name != "algebra.py" for node in _monomial_readers(tree)]
+    ring operations and DiffExpr's accessors.  The tests do the same, but
+    for tests/monomials.py, which decodes monomials for the tests that
+    spell them out."""
+    readers = [f"{path.name}:{node.lineno}"
+               for path, tree in _trees(PACKAGE, ROOT / "tests")
+               if path.name not in ("algebra.py", "monomials.py")
+               for node in _monomial_readers(tree)]
     assert readers == []
 
 

@@ -148,8 +148,8 @@ def test_apply_towers_match_the_term_by_term_sum(name, request):
                 for _ in range(op.cols)]
             for d in (pres.d_bar, None):
                 got, want = op.apply(vec, d), apply_by_terms(op, vec, d)
-                assert [list(x.terms.items()) for x in got] == \
-                    [list(x.terms.items()) for x in want]
+                assert [list(x.coefficients()) for x in got] == \
+                    [list(x.coefficients()) for x in want]
 
 
 def test_apply_takes_each_derivative_once(camassa_holm):
