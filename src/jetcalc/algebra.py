@@ -40,6 +40,12 @@ bounds, and only a bound beyond E costs a pass over the result.  The
 parser reports a power or product beyond E as an ExprSyntaxError at its
 operator.
 
+Coefficient budget: C = 2^13 bits.  Before its first product, a power x^k
+bounds its coefficients' bit length by k * log2(max(L, S)), L the common
+denominator of x's coefficients and S = L * sum |c|, and raises BudgetError
+beyond C: 2^N fails at once, and a power's coefficients stay within Python's
+4,300-digit limit on printing an int.
+
 The monomial format is private to this module.  Other modules build
 expressions from the JetSpace constructors and the ring operations, and
 read them through `variables`, `summands` (single-term expressions in
@@ -53,6 +59,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import ceil, lcm, log2
 
 from .errors import (
     BudgetError,
@@ -252,6 +259,7 @@ def _sort_odd(keys):
 
 _W = 64                 # bits per exponent field
 _E = 1 << 16            # exponent budget: no |exponent| may exceed it
+_C = 1 << 13            # coefficient budget of a power, in bits
 _FIELD = (1 << _W) - 1
 _UNITS = {}             # variable key -> 2^(W*slot), its monomial x^1
 _KEYS = []              # slot -> variable key
@@ -429,6 +437,13 @@ class DiffExpr:
             top = _top_exponent(self.terms) * k
             if top > _E:
                 raise BudgetError(f"exponent {top} beyond the budget of {_E}")
+        if k > 1:
+            coeffs = self.terms.values()
+            den = lcm(*(c.denominator for c in coeffs))
+            bits = k * log2(max(den, int(sum(map(abs, coeffs)) * den)))
+            if bits > _C:
+                raise BudgetError(f"coefficients of up to {ceil(bits)} bits beyond "
+                                  f"the budget of {_C} bits")
         result = self.space.one()
         base = self
         while k:
@@ -713,7 +728,7 @@ class HorizontalForm:
         return all(self.component(k) == other.component(k) for k in keys)
 
 
-def d_h(form: HorizontalForm, wmap=None) -> HorizontalForm:
+def d_h(form: HorizontalForm) -> HorizontalForm:
     """Horizontal differential: d_h(a dx^S) = sum_i D_i(a) dx^i ^ dx^S."""
     space = form.space
     n = space.n
@@ -724,7 +739,7 @@ def d_h(form: HorizontalForm, wmap=None) -> HorizontalForm:
         for i in range(n):
             if i in S:
                 continue
-            da = a.total_derivative(i, wmap)
+            da = a.total_derivative(i)
             if da.is_zero():
                 continue
             newS = tuple(sorted(S + (i,)))
@@ -738,22 +753,19 @@ def d_h(form: HorizontalForm, wmap=None) -> HorizontalForm:
 # -- homotopy inverses -----------------------------------------------------
 
 
-def homotopy_density(psi, targets=None) -> DiffExpr:
+def homotopy_density(psi) -> DiffExpr:
     """Density L with euler(L) = psi, via L = sum_j u^j * int_0^1 psi_j(s u) ds.
-    Requires psi to be a variational gradient, polynomial in the target jets."""
+    Requires psi to be a variational gradient, polynomial in the jets."""
     space = psi[0].space
-    if targets is None:
-        targets = list(range(space.m))
-    fams = set(targets)
-    if any(k[0] == 'j' and k[1] in fams for p in psi for k in p.negative_keys()):
+    if any(k[0] == 'j' for p in psi for k in p.negative_keys()):
         raise NonlocalObstruction("homotopy base point u=0 incompatible with Laurent part")
     out = space.zero()
-    for j, p in zip(targets, psi):
+    for j, p in zip(range(space.m), psi):
         u = space.jet(j, mi_zero(space.n))
         for mono, c in sorted(p.terms.items(), key=_by_factors):
-            d = sum(e for k, e in _factors(mono) if k[0] == 'j' and k[1] in fams)
+            d = sum(e for k, e in _factors(mono) if k[0] == 'j')
             out = out + u * DiffExpr(space, {mono: c}, p._top) * Fraction(1, d + 1)
-    check = euler(out, targets)
+    check = euler(out)
     if any((a - b) for a, b in zip(check, psi)):
         raise VariationalityError("input is not a variational gradient")
     return out
@@ -822,7 +834,7 @@ def _integrate_var(c: DiffExpr, key) -> DiffExpr:
     return DiffExpr(c.space, out, _within_budget(out, c._top_bound() + 1))
 
 
-def invert_divergence(density: DiffExpr, n: int, i: int = 0):
+def invert_divergence(density: DiffExpr, n: int):
     """Homotopy inverse of d_h in top degree (n <= 2).
 
     For n = 1 returns the D_x^{-1} primitive as a 0-form; for n = 2 returns
@@ -830,7 +842,7 @@ def invert_divergence(density: DiffExpr, n: int, i: int = 0):
     density in the first variable."""
     space = density.space
     if n == 1:
-        theta = invert_total_derivative(density, i)
+        theta = invert_total_derivative(density, 0)
         return HorizontalForm(space, 0, {(): theta})
     if n == 2:
         T = invert_total_derivative(density, 0)
@@ -884,6 +896,13 @@ def _tokenize(text: str):
         pos = m.end()
     out.append(("end", "", len(text)))
     return out
+
+
+def _number(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond Python's limit on the digits of an int
+        raise ExprSyntaxError(f"number of {len(digits)} digits is too long", pos) from None
 
 
 class _Parser:
@@ -949,7 +968,7 @@ class _Parser:
             if kind != 'num' or '/' in val:
                 raise ExprSyntaxError("exponent must be an integer", pos)
             try:
-                e = e ** (sign * int(val))
+                e = e ** (sign * _number(val, pos))
             except LaurentError as exc:
                 raise ExprSyntaxError(str(exc), pos) from None
             except BudgetError as exc:
@@ -960,9 +979,11 @@ class _Parser:
         kind, val, pos = self.next()
         if kind == 'num':
             if '/' in val:
-                p, q = val.split('/')
-                return self.space.num(Fraction(int(p), int(q)))
-            return self.space.num(int(val))
+                p, q = (_number(x, pos) for x in val.split('/'))
+                if not q:
+                    raise ExprSyntaxError("division by zero", pos)
+                return self.space.num(Fraction(p, q))
+            return self.space.num(_number(val, pos))
         if val == '(':
             e = self.expr()
             self.expect(')')
@@ -979,7 +1000,7 @@ class _Parser:
                     k2, v2, p2 = self.next()
                     if k2 != 'num' or '/' in v2:
                         raise ExprSyntaxError("multi-index entries must be integers", p2)
-                    K.append(int(v2))
+                    K.append(_number(v2, p2))
                     _, v3, p3 = self.next()
                     if v3 == ']':
                         break

@@ -65,21 +65,14 @@ def solve_determining(candidates, apply_fn, ncomps):
     if not candidates:
         raise AnsatzError("ansatz generates no unknowns")
     space = candidates[0][0].space
-    residuals = [apply_fn(c) for c in candidates]
-    row_index = {}
-    columns = []
-    for res in residuals:
-        col = {}
-        for comp, expr in enumerate(res):
+    row_index, rows = {}, []  # row of each (component, monomial) of a residual
+    for j, cand in enumerate(candidates):
+        for comp, expr in enumerate(apply_fn(cand)):
             for mono, c in expr.coefficients():
-                key = (comp, mono)
-                r = row_index.setdefault(key, len(row_index))
-                col[r] = c
-        columns.append(col)
-    rows = [dict() for _ in range(len(row_index))]
-    for j, col in enumerate(columns):
-        for r, c in col.items():
-            rows[r][j] = c
+                r = row_index.setdefault((comp, mono), len(rows))
+                if r == len(rows):
+                    rows.append({})
+                rows[r][j] = c
     basis = nullspace(rows, len(candidates))
     out = []
     for vec in basis:
@@ -307,27 +300,25 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None)
     test_args = slot_candidates(ansatz_monomials(pres, ansatz or Ansatz(2, 1)), space.m, space)
     failures = []
     if pres.is_evolutionary():
-        skew = pres.restrict_operator(delta + delta.adjoint())
-        if not skew.is_zero():
+        if not pres.restrict_operator(delta + delta.adjoint()).is_zero():
             failures.append("delta* != -delta")
-        for p1, p2 in combinations_with_replacement(test_args, 2):
-            lhs = ell_delta_op(delta, p1).apply(p2)
-            rhs = ell_delta_op(delta, p2).apply(p1)
-            corr = ell_delta_op(delta, p1).adjoint().apply(p2)
-            res = [pres.normal_form(a - b - c) for a, b, c in zip(lhs, rhs, corr)]
-            if any(not x.is_zero() for x in res):
-                failures.append([render(x) for x in res])
-                break
+
+        def defect(p1, p2):
+            return [a - b - c for a, b, c in zip(
+                ell_delta_op(delta, p1).apply(p2), ell_delta_op(delta, p2).apply(p1),
+                ell_delta_op(delta, p1).adjoint().apply(p2))]
     else:
         nabla = BilinearNabla(pres, theta)
-        for p1, p2 in combinations_with_replacement(test_args, 2):
-            lhs = ell_delta_op(delta, p2).apply(p1)
-            rhs = ell_delta_op(delta, p1).apply(p2)
-            corr = nabla.star1(p1, p2)
-            res = [pres.normal_form(a - b + c) for a, b, c in zip(lhs, rhs, corr)]
-            if any(not x.is_zero() for x in res):
-                failures.append([render(x) for x in res])
-                break
+
+        def defect(p1, p2):
+            return [a - b + c for a, b, c in zip(
+                ell_delta_op(delta, p2).apply(p1), ell_delta_op(delta, p1).apply(p2),
+                nabla.star1(p1, p2))]
+    for p1, p2 in combinations_with_replacement(test_args, 2):
+        res = [pres.normal_form(x) for x in defect(p1, p2)]
+        if any(not x.is_zero() for x in res):
+            failures.append([render(x) for x in res])
+            break
     report["closed"] = not failures
     report["closed_failures"] = failures
     report["ok"] = report["membership"] and report["closed"]

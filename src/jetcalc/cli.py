@@ -225,12 +225,6 @@ def _verify_equivalence(problem, task):
     return dict(_report(rep), identities={k: v["ok"] for k, v in rep.items() if k != "ok"})
 
 
-def _defaults(fields: dict) -> dict:
-    """The values of a kind's optional fields: those whose schema has a default."""
-    return {f: of["default"] for f, of in fields.items()
-            if isinstance(of, dict) and "default" in of}
-
-
 _NAMES = dict(_EXPRS, default=[])
 _ANSATZ = {"order": _NAT, "degree": _NAT, "whitelist": _NAMES}
 _LAYERS = dict(_array(_object({"name": _TEXT, "X": _mapping(_TEXT)})), default=[])
@@ -281,12 +275,8 @@ PROBLEM_SCHEMA = {
         "coverings": _mapping(_COVERING),
         "hamiltonian": _HAMILTONIAN,
         "pseudo_operators": _mapping(_PSEUDO_OPERATOR),
-        # each kind's typed fields; namespace fields are checked by Problem
-        "tasks": _array(dict(_object({"kind": _TEXT}), allOf=[
-            {"if": {"properties": {"kind": {"const": kind}}},
-             "then": {"properties": {f: of for f, of in fields.items()
-                                     if isinstance(of, dict)}}}
-            for kind, (_, _, fields) in _TASKS.items()])),
+        # each task's fields are checked by Problem, against its kind's row
+        "tasks": _array(_object({"kind": _TEXT})),
     },
     "required": ["tasks"],
     "anyOf": [{"required": ["space"]}, {"required": ["independent", "dependent"]}],
@@ -294,6 +284,12 @@ PROBLEM_SCHEMA = {
 
 # built once: jsonschema.validate would check the schema itself on every call
 _VALIDATOR = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
+# each kind's typed fields, and the values of those that have a default
+_TYPED = {kind: {f: of for f, of in fields.items() if isinstance(of, dict)}
+          for kind, (_, _, fields) in _TASKS.items()}
+_CHECKS = {kind: (jsonschema.Draft202012Validator({"properties": typed}),
+                  {f: of["default"] for f, of in typed.items() if "default" in of})
+           for kind, typed in _TYPED.items()}
 
 
 class Problem:
@@ -305,6 +301,46 @@ class Problem:
             raise error
         if max_prolong < 0:  # would check fewer critical pairs, not fail
             raise ProblemError(f"--max-prolong must be at least 0, not {max_prolong}")
+        named = dict(data.get("coverings", {}))
+        if "covering" in data:  # single-covering spec fragment
+            named.setdefault("covering", data["covering"])
+        # lists, so that an unhashable name is unknown rather than a TypeError
+        namespaces = {
+            "covering": list(named),
+            "operator": list((data.get("hamiltonian") or {}).get("operators", {})),
+            "pseudo-operator": list(data.get("pseudo_operators", {})),
+        }
+        on_equation_kinds = set()
+        for i, task in enumerate(data["tasks"]):
+            kind = task["kind"]
+            if kind not in _TASKS:
+                continue  # reported by run_task
+            on_equation, _, fields = _TASKS[kind]
+            validator, defaults = _CHECKS[kind]
+            error = jsonschema.exceptions.best_match(validator.iter_errors(task))
+            if error is not None:
+                error.path.extendleft((i, "tasks"))  # its path in the problem
+                raise error
+            if on_equation:
+                on_equation_kinds.add(kind)
+            for field, of in fields.items():
+                if field not in task and field not in defaults:
+                    raise ProblemError(f"task {kind!r} needs {field!r}")
+                if field not in task or isinstance(of, dict):
+                    continue  # optional and absent, or typed by the validator
+                names = task[field]
+                if isinstance(of, str):
+                    of, names = [of], [names]
+                elif not isinstance(names, list) or len(names) != len(of):
+                    raise ProblemError(f"task {kind!r} needs {len(of)} names in {field!r}")
+                for ns, name in zip(of, names):
+                    if name not in namespaces[ns]:
+                        raise ProblemError(f"task {kind!r} names unknown {ns} {name!r}")
+        if not data.get("equations"):
+            users = (["coverings"] if named else []) + sorted(on_equation_kinds)
+            if users:
+                raise ProblemError(f"no equations given, but {', '.join(users)} "
+                                   "work on one")
         sp = data.get("space") or data  # spec fragment keeps space fields flat
         self.space = JetSpace.create(sp["independent"], sp["dependent"],
                                      sp.get("parameters", ()))
@@ -316,40 +352,6 @@ class Problem:
             self.presentation = make_presentation(self.space, comps, leads,
                                                   check_order=max_prolong)
         self.coverings = {}
-        named = dict(data.get("coverings", {}))
-        if "covering" in data:  # single-covering spec fragment
-            named.setdefault("covering", data["covering"])
-        # unknown kinds are reported by run_task
-        tasks = [(t, *_TASKS[t["kind"]]) for t in data["tasks"] if t["kind"] in _TASKS]
-        if self.presentation is None:
-            users = sorted({t["kind"] for t, on_equation, _, _ in tasks if on_equation})
-            if named:
-                users.insert(0, "coverings")
-            if users:
-                raise ProblemError(f"no equations given, but {', '.join(users)} "
-                                   "work on one")
-        # lists, so that an unhashable name is unknown rather than a TypeError
-        namespaces = {
-            "covering": list(named),
-            "operator": list((data.get("hamiltonian") or {}).get("operators", {})),
-            "pseudo-operator": list(data.get("pseudo_operators", {})),
-        }
-        for task, _, _, fields in tasks:
-            kind = task["kind"]
-            for field, of in fields.items():
-                if field not in task and field not in _defaults(fields):
-                    raise ProblemError(f"task {kind!r} needs {field!r}")
-                if field not in task or isinstance(of, dict):
-                    continue  # optional and absent, or typed by the schema
-                names = task[field]
-                if isinstance(of, str):
-                    of, names = [of], [names]
-                elif not isinstance(names, list) or len(names) != len(of):
-                    raise ProblemError(f"task {kind!r} needs {len(of)} "
-                                       f"names in {field!r}")
-                for ns, name in zip(of, names):
-                    if name not in namespaces[ns]:
-                        raise ProblemError(f"task {kind!r} names unknown {ns} {name!r}")
         for name, cdata in sorted(named.items()):
             names = [w["name"] for w in cdata["nonlocal"]]
             odd = [w["name"] for w in cdata["nonlocal"] if w.get("odd")]
@@ -377,8 +379,7 @@ def run_task(problem: Problem, task: dict) -> dict:
     kind = task["kind"]
     if kind not in _TASKS:
         raise JetCalcError(f"unknown task kind {kind!r}")
-    _, handler, fields = _TASKS[kind]
-    return {"task": kind, **handler(problem, {**_defaults(fields), **task})}
+    return {"task": kind, **_TASKS[kind][1](problem, {**_CHECKS[kind][1], **task})}
 
 
 def run_problem(data: dict, max_prolong: int = 4, timings: list = None) -> dict:

@@ -95,8 +95,7 @@ def make_covering(base: Presentation, nonlocals, X, odd=()) -> Covering:
     return Covering(pres, base, tuple(nonlocals), Xn)
 
 
-def abelian_from_current(form: HorizontalForm, base: Presentation,
-                         name: str = "w") -> Covering:
+def abelian_from_current(form: HorizontalForm, base: Presentation) -> Covering:
     """One-dimensional Abelian covering from a closed current (n = 2):
     w_x = X, w_t = T.  Flags trivializable coverings (exact currents)."""
     from .algebra import d_h
@@ -106,7 +105,7 @@ def abelian_from_current(form: HorizontalForm, base: Presentation,
         raise NonlocalObstruction("current is not closed on the equation")
     X = form.component((0,))
     T = form.component((1,))
-    cov = make_covering(base, [name], {0: [X], 1: [T]})
+    cov = make_covering(base, ["w"], {0: [X], 1: [T]})
     trivial = False
     try:
         f = invert_total_derivative(base.normal_form(X), 0)
@@ -122,10 +121,11 @@ def abelian_from_current(form: HorizontalForm, base: Presentation,
 
 
 def delta_covering(base: Presentation, op: CDiffOp, odd=False,
-                   leadings=None, check_order=4) -> Covering:
+                   leadings=None) -> Covering:
     """Covering cut out by  op(v) = 0  on new fiber variables v^1..v^cols,
     oriented along the supplied fiber leading jets (defaults mirror the
-    base leading jets when shapes match)."""
+    base leading jets when shapes match); its critical pairs are checked
+    to the base's order."""
     space = base.space
     stem = "p" if odd else "v"
     names = space.fresh(stem if op.cols == 1 else f"{stem}{c + 1}" for c in range(op.cols))
@@ -153,19 +153,17 @@ def delta_covering(base: Presentation, op: CDiffOp, odd=False,
             leadings.append(lead)
     comps = [c.rename_space(ext) for c in base.components] + fiber_exprs
     leads = list(base.leadings) + list(leadings)
-    pres = make_presentation(ext, comps, leads, check_order)
-    cov = Covering(pres, base, (), {}, tuple(range(fiber0, fiber0 + op.cols)))
-    return cov
+    pres = make_presentation(ext, comps, leads, base.check_order)
+    return Covering(pres, base, (), {}, tuple(range(fiber0, fiber0 + op.cols)))
 
 
-def tangent_covering(base: Presentation, check_order=4) -> Covering:
-    cov = delta_covering(base, base.linearization(), odd=False,
-                         check_order=check_order)
+def tangent_covering(base: Presentation) -> Covering:
+    cov = delta_covering(base, base.linearization(), odd=False)
     cov.structures["kind"] = "tangent"
     return cov
 
 
-def cotangent_covering(base: Presentation, check_order=4) -> Covering:
+def cotangent_covering(base: Presentation) -> Covering:
     """Covering cut out by the adjoint linearization on odd fibers, with the
     canonical structures rho = (p, 0) and Omega = [[0, 1], [-1, 0]]."""
     L = base.linearization()
@@ -173,14 +171,11 @@ def cotangent_covering(base: Presentation, check_order=4) -> Covering:
     ext_leads = None
     if adj.rows == base.space.m and len(base.leadings) == adj.cols:
         # orient the rule read off component j_s along p^s at the base leading index
-        ext_leads = []
-        for s, (j, I) in enumerate(base.leadings):
-            ext_leads.append((base.space.m + s, I))
+        ext_leads = [(base.space.m + s, I) for s, (_, I) in enumerate(base.leadings)]
         # reorder fiber component rows to match: row of adj giving p^s rule is j_s
         rows = [j for (j, _) in base.leadings]
         adj = adj.submatrix(rows, list(range(adj.cols)))
-    cov = delta_covering(base, adj, odd=True, leadings=ext_leads,
-                         check_order=check_order)
+    cov = delta_covering(base, adj, odd=True, leadings=ext_leads)
     cov.structures["kind"] = "cotangent"
     m = base.space.m
     sp = cov.space
@@ -206,15 +201,10 @@ def add_abelian_layer(cov: Covering, name: str, fields: dict) -> Covering:
 # -- shadows and fiber-linear solving ----------------------------------------
 
 
-def lifted_linearization_residual(cov: Covering, phi) -> list:
-    """l~_F(phi) over the covering (base linearization, lifted derivatives)."""
-    L = cov.base.linearization()
-    return cov.lift_apply(L, phi)
-
-
 def verify_shadow(phi, cov: Covering):
-    residual = lifted_linearization_residual(cov, [cov.presentation.normal_form(p)
-                                                   for p in phi])
+    """l~_F(phi): the base linearization with the lifted derivatives."""
+    residual = cov.lift_apply(cov.base.linearization(),
+                              [cov.presentation.normal_form(p) for p in phi])
     return all(r.is_zero() for r in residual), residual
 
 
@@ -244,11 +234,10 @@ def fiber_linear_candidates(cov: Covering, ansatz: Ansatz):
     return cands
 
 
-def solve_fiberlinear(cov: Covering, ansatz: Ansatz, target: CDiffOp = None):
-    """All fiber-linear solutions of the lifted determining operator within
-    the ansatz (default operator: the lifted base linearization)."""
-    if target is None:
-        target = cov.base.linearization()
+def solve_fiberlinear(cov: Covering, ansatz: Ansatz):
+    """All fiber-linear solutions of the lifted base linearization within
+    the ansatz."""
+    target = cov.base.linearization()
     cands = fiber_linear_candidates(cov, ansatz)
     return solve_determining(cands, lambda v: cov.lift_apply(target, v),
                              cov.base.space.m)
@@ -349,11 +338,11 @@ def verify_finite_symmetry(cov: Covering, images: dict) -> dict:
                                     for k, v in residuals.items() if not v.is_zero()}}
 
 
-def recursion_as_backlund(cov: Covering, omega_R, phi, pres: Presentation = None):
+def recursion_as_backlund(cov: Covering, omega_R, phi):
     """Evaluate the Backlund realization of a recursion operator: substitute
     the jets of the symmetry phi for the fiber variables of the shadow
     omega_R (nonlocal layers resolved by D_x^{-1}) and reduce."""
-    base = cov.base if pres is None else pres
+    base = cov.base
     space = cov.space
     phi0 = base.normal_form(phi[0]).rename_space(space)
     mapping = {}

@@ -28,7 +28,8 @@ class LaurentError(JetCalcError):
 
 
 class BudgetError(JetCalcError):
-    """A product would give a factor an exponent beyond the budget."""
+    """A product would give a factor an exponent beyond the budget, or a
+    power would give its coefficients more bits than the budget."""
 
 
 class NonlocalObstruction(JetCalcError):

@@ -228,7 +228,7 @@ def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
     The candidates carry one extra slot, the coefficient t of the target in
     A(psi) + t * target = 0; a solution with t != 0 gives psi / -t."""
     space = A.space
-    monos = ansatz_monomials(Presentation(space, (), (), (), ()), ansatz)
+    monos = ansatz_monomials(Presentation(space, (), (), (), (), check_order=0), ansatz)
     zero = space.zero()
     cands = [vec + [zero] for vec in slot_candidates(monos, A.cols, space)]
     cands.append([zero] * A.cols + [space.one()])

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import comb
+from math import comb, prod
 
 from .algebra import (
     DiffExpr,
@@ -27,10 +27,7 @@ from .errors import ShapeError
 
 
 def _binom(I: MultiIndex, J: MultiIndex) -> int:
-    out = 1
-    for a, b in zip(I, J):
-        out *= comb(a, b)
-    return out
+    return prod(map(comb, I, J))
 
 
 def _sub_indices(I: MultiIndex):
@@ -208,16 +205,9 @@ class CDiffOp:
                        ((r, c, I, a.rename_space(space)) for r, c, I, a in self.terms()))
 
     def render_matrix(self):
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(self.cols):
-                parts = []
-                for I, a in sorted(self.entry(r, c).items()):
-                    parts.append(f"({render(a)})*D{list(I)}")
-                row.append(" + ".join(parts) if parts else "0")
-            out.append(row)
-        return out
+        return [[" + ".join(f"({render(a)})*D{list(I)}"
+                            for I, a in sorted(self.entry(r, c).items())) or "0"
+                 for c in range(self.cols)] for r in range(self.rows)]
 
     def __repr__(self):
         return f"CDiffOp({self.render_matrix()})"
@@ -225,12 +215,9 @@ class CDiffOp:
     # -- serialization (wire format) ----------------------------------------
 
     def to_json(self):
-        out = []
-        for (r, c) in sorted(self.entries):
-            terms = [{"D": list(I), "coef": render(a)}
-                     for I, a in sorted(self.entry(r, c).items())]
-            out.append({"row": r, "col": c, "terms": terms})
-        return out
+        return [{"row": r, "col": c, "terms": [{"D": list(I), "coef": render(a)}
+                                               for I, a in sorted(tab.items())]}
+                for (r, c), tab in sorted(self.entries.items())]
 
     @classmethod
     def from_json(cls, space, rows, cols, data):
@@ -330,10 +317,7 @@ def green_form(op: CDiffOp, ps, qs) -> HorizontalForm:
 
 
 def pairing_density(ps, qs) -> DiffExpr:
-    out = ps[0].space.zero()
-    for p, q in zip(ps, qs):
-        out = out + p * q
-    return out
+    return sum((p * q for p, q in zip(ps, qs)), ps[0].space.zero())
 
 
 # -- pseudo-differential operators with one D_x^{-1} layer -------------------

@@ -44,14 +44,18 @@ class Reduction:
 
 
 class Presentation:
-    """Equation E = {F = 0} with user-designated leading jets."""
+    """Equation E = {F = 0} with user-designated leading jets; critical
+    pairs are checked up to order `check_order`, and so are those of the
+    coverings built over it."""
 
-    def __init__(self, space: JetSpace, components, leadings, lead_coeffs, rhss):
+    def __init__(self, space: JetSpace, components, leadings, lead_coeffs, rhss,
+                 check_order: int):
         self.space = space
         self.components = tuple(components)
         self.leadings = tuple(leadings)          # (dep index, multi-index)
         self.lead_coeffs = tuple(lead_coeffs)    # monomial DiffExpr per rule
         self.rhss = list(rhss)
+        self.check_order = check_order
         self._rules_by_dep = {}
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
@@ -218,7 +222,8 @@ class Presentation:
                             [c.rename_space(space) for c in self.components],
                             self.leadings,
                             [c.rename_space(space) for c in self.lead_coeffs],
-                            [c.rename_space(space) for c in self.rhss])
+                            [c.rename_space(space) for c in self.rhss],
+                            self.check_order)
 
     def is_evolutionary(self) -> bool:
         """One rule per dependent with a first-order pure-t leading jet."""
@@ -274,7 +279,7 @@ def make_presentation(space: JetSpace, components, leadings,
                     and mi_leq(leads[s1][1], leads[s2][1]):
                 raise NonSolvableError(
                     f"leading jets {leads[s1]} and {leads[s2]} are not orthonomic")
-    pres = Presentation(space, comps, leads, coeffs, rhss)
+    pres = Presentation(space, comps, leads, coeffs, rhss, check_order)
     # inter-reduce right-hand sides to a fixpoint
     for _ in range(20):
         changed = False

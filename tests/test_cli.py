@@ -3,11 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
+from jetcalc import presentations
 from jetcalc.cli import _TASKS, PROBLEM_SCHEMA, main, run_problem
 from jetcalc.corpus import corpus, corpus_names
 
@@ -412,3 +414,85 @@ def test_exponents_beyond_the_budget_are_input_errors(tmp_path, capsys, expr, ca
     assert code == 2
     assert err.startswith("input error: ") and "beyond the budget of 65536" in err
     assert err.rstrip().endswith(f"(at position {caret})")
+
+
+def _typed_fields():
+    """(kind, field, value of the wrong JSON type) for every typed field of
+    every task kind."""
+    for kind, (_, _, fields) in sorted(_TASKS.items()):
+        for field, of in sorted(fields.items()):
+            if isinstance(of, dict):
+                yield kind, field, 0 if of["type"] == "string" else "x"
+
+
+@pytest.mark.parametrize("kind, field, value", list(_typed_fields()),
+                         ids=[f"{k}-{f}" for k, f, _ in _typed_fields()])
+def test_each_typed_field_is_checked(tmp_path, capsys, kind, field, value):
+    data = dict(corpus("kdv"), tasks=[{"kind": kind, field: value}])
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err.startswith("input error: ") and f"['tasks'][0][{field!r}]" in err
+
+
+_DIGITS = "9" * 5000  # beyond Python's 4,300-digit limit on int conversion
+
+
+@pytest.mark.parametrize("expr, position", [
+    (f"{_DIGITS}*u[0,0]", 0), (f"u[0,0]^{_DIGITS}", 7), (f"u[{_DIGITS},0]", 2),
+    (f"1/{_DIGITS}*u[0,0]", 0)], ids=["coefficient", "exponent", "multi-index",
+                                      "denominator"])
+def test_numbers_beyond_the_digit_limit_are_input_errors(tmp_path, capsys, expr,
+                                                         position):
+    data = _changed("heat", {"tasks": [{"kind": "reduce", "expr": expr}]})
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err == (f"input error: number of 5000 digits is too long "
+                   f"(at position {position})\n")
+
+
+def test_zero_denominator_is_an_input_error(tmp_path, capsys):
+    data = _changed("heat", {"tasks": [{"kind": "reduce", "expr": "u[1,0]*1/0"}]})
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err == "input error: division by zero (at position 7)\n"
+
+
+@pytest.mark.parametrize("expr, caret", [("2^3000000000", 1), ("(2^65536)^65536", 2)],
+                         ids=["huge-power", "power-of-power"])
+def test_constant_powers_beyond_the_budget_are_input_errors(tmp_path, capsys, expr,
+                                                            caret):
+    data = _changed("heat", {"tasks": [{"kind": "reduce", "expr": expr}]})
+    tracemalloc.start()
+    try:
+        code, err = _input_error(tmp_path, capsys, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.startswith("input error: coefficients of up to ")
+    assert err.rstrip().endswith(f"beyond the budget of 8192 bits (at position {caret})")
+    assert peak < 10 * 2**20  # no coefficient was built
+
+
+def test_constant_powers_within_the_budget_are_exact():
+    report = run_problem(dict(corpus("heat"), tasks=[{"kind": "reduce", "expr": "2^1000"}]))
+    assert report["tasks"][0]["normal_form"] == str(2**1000)
+
+
+def test_max_prolong_reaches_the_coverings_of_tasks(monkeypatch):
+    bounds = []
+    check = presentations._check_confluence
+
+    def recording(pres, check_order):
+        bounds.append(check_order)
+        return check(pres, check_order)
+
+    monkeypatch.setattr(presentations, "_check_confluence", recording)
+    data = corpus("kdv")
+    tasks = [t for t in data["tasks"]
+             if t["kind"] in ("recursion-fiberlinear", "schouten-equation")]
+    assert sorted({t["kind"] for t in tasks}) == ["recursion-fiberlinear",
+                                                   "schouten-equation"]
+    report = run_problem(dict(data, tasks=tasks), max_prolong=2)
+    assert report["status"] == "ok"
+    assert len(bounds) == 3 and set(bounds) == {2}

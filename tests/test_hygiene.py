@@ -1,9 +1,10 @@
 """Source hygiene of the jetcalc package, checked with the stdlib ast module:
 no definition that nothing references, no unused import, no parameter
-that its function never reads, no local that its function never reads,
-no module but operators.py that touches an operator's coefficient table,
-no module but algebra.py (and, among the tests, the monomials helper)
-that knows the monomial format, and no write to an expression's terms."""
+that its function never reads, no default that no call overrides, no
+local that its function never reads, no module but operators.py that
+touches an operator's coefficient table, no module but algebra.py (and,
+among the tests, the monomials helper) that knows the monomial format,
+and no write to an expression's terms."""
 
 import ast
 from pathlib import Path
@@ -233,3 +234,87 @@ def f(e, m):
 """
     lines = [node.lineno for node in _terms_writes(ast.parse(source))]
     assert sorted(lines) == [7, 8, 9, 10, 11, 12, 13, 14]
+
+
+def _callee(call):
+    """The name a call is made by: `f(...)`, `x.f(...)` or `C(...)`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _defaulted_parameters(tree):
+    """(callee name, positional index or None, parameter) of each parameter
+    that has a default.  A method's index counts from the argument after
+    self or cls, and __init__ is called by its class's name."""
+    owner = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for f in ast.walk(tree):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+        skip = 1 if id(f) in owner and not static else 0
+        name = owner[id(f)] if f.name == "__init__" and id(f) in owner else f.name
+        args = f.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for k, a in enumerate(positional[first:], first):
+            yield name, k - skip, a.arg
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield name, None, a.arg
+
+
+def _unpassed_defaults(defining, calling):
+    """`name(parameter)` of each defaulted parameter of a function in the
+    trees `defining` that no call in the trees `calling` passes, by position
+    or by keyword; a call with *args or **kwargs passes every parameter."""
+    most, keywords = {}, {}
+    for tree in calling:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = _callee(call)
+            n = len(call.args)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                n = float("inf")
+            most[name] = max(most.get(name, 0), n)
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    for tree in defining:
+        for name, k, param in _defaulted_parameters(tree):
+            kws = keywords.get(name, set())
+            if param not in kws and None not in kws \
+                    and (k is None or most.get(name, 0) <= k):
+                yield f"{name}({param})"
+
+
+def test_every_default_is_passed_somewhere():
+    """A default that no caller overrides is a constant in disguise."""
+    calling = [tree for _, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "bench")]
+    unpassed = [f"{path.name}: {param}" for path, tree in _trees(PACKAGE)
+                for param in _unpassed_defaults([tree], calling)]
+    assert unpassed == []
+
+
+def test_the_default_check_sees_an_unpassed_parameter():
+    defining = ast.parse("""
+def f(a, b=1, c=2, *, d=3, e=4):
+    pass
+
+class C:
+    def __init__(self, x=0, y=0):
+        pass
+
+    def m(self, p=0, q=0):
+        pass
+
+    @staticmethod
+    def s(r=0):
+        pass
+""")
+    calling = ast.parse("""
+f(0, 1, d=5)
+C(1)
+obj.m(**opts)
+C.s(*args)
+""")
+    assert list(_unpassed_defaults([defining], [calling])) == ["f(c)", "f(e)", "C(y)"]
