@@ -259,7 +259,7 @@ def _sort_odd(keys):
 
 _W = 64                 # bits per exponent field
 _E = 1 << 16            # exponent budget: no |exponent| may exceed it
-_C = 1 << 13            # coefficient budget of a power, in bits
+_C = 1 << 13            # coefficient budget of a power or a parsed product, in bits
 _FIELD = (1 << _W) - 1
 _UNITS = {}             # variable key -> 2^(W*slot), its monomial x^1
 _KEYS = []              # slot -> variable key
@@ -316,6 +316,13 @@ def _within_budget(terms, bound) -> int:
     if top > _E:
         raise BudgetError(f"exponent {top} beyond the budget of {_E}")
     return top
+
+
+def _check_bits(bits):
+    """BudgetError for coefficients of up to `bits` bits, beyond C."""
+    if bits > _C:
+        raise BudgetError(f"coefficients of up to {ceil(bits)} bits beyond "
+                          f"the budget of {_C} bits")
 
 
 def _odd_keys(space: JetSpace, mono) -> tuple:
@@ -438,12 +445,7 @@ class DiffExpr:
             if top > _E:
                 raise BudgetError(f"exponent {top} beyond the budget of {_E}")
         if k > 1:
-            coeffs = self.terms.values()
-            den = lcm(*(c.denominator for c in coeffs))
-            bits = k * log2(max(den, int(sum(map(abs, coeffs)) * den)))
-            if bits > _C:
-                raise BudgetError(f"coefficients of up to {ceil(bits)} bits beyond "
-                                  f"the budget of {_C} bits")
+            _check_bits(k * self._coefficient_bits())
         result = self.space.one()
         base = self
         while k:
@@ -454,6 +456,13 @@ class DiffExpr:
                 base = base * base
             k = base_needed
         return result
+
+    def _coefficient_bits(self) -> float:
+        """log2 of a bound on the numerators and denominators of the
+        coefficients: the bound of a product adds its factors' bounds."""
+        coeffs = self.terms.values()
+        den = lcm(*(c.denominator for c in coeffs))
+        return log2(max(den, int(sum(map(abs, coeffs)) * den)))
 
     def inverse_monomial(self) -> "DiffExpr":
         """Inverse of a single-term monomial in even jet/nonlocal variables."""
@@ -512,10 +521,6 @@ class DiffExpr:
 
     def jet_keys(self):
         return sorted(k for k in self.variables() if k[0] == 'j')
-
-    def max_jet_order(self) -> int:
-        orders = [mi_order(k[2]) for k in self.variables() if k[0] == 'j']
-        return max(orders, default=-1)
 
     def is_linear_in(self, key) -> bool:
         return all(e == 1 for m in self.terms for k, e in _factors(m) if k == key)
@@ -639,9 +644,6 @@ class DiffExpr:
 
     # -- rendering ---------------------------------------------------------
 
-    def render(self) -> str:
-        return render(self)
-
     def __repr__(self):
         return f"DiffExpr({render(self)})"
 
@@ -657,6 +659,20 @@ def apply_DI(e: DiffExpr, K: MultiIndex, d=None) -> DiffExpr:
         for _ in range(k):
             e = e.total_derivative(i) if d is None else d(e, i)
     return e
+
+
+def tower_DI(tower: dict, e: DiffExpr, K: MultiIndex, d) -> DiffExpr:
+    """D_K(e) through the memo tower {K: D_K(e)}: D_K is d(D_{K-e_i}, i) for
+    i the last nonzero slot of K, exactly the derivatives apply_DI takes,
+    and each D_{K-e_i} already in the tower is reused."""
+    if not any(K):
+        return e
+    got = tower.get(K)
+    if got is None:
+        i = max(k for k, x in enumerate(K) if x)
+        below = tower_DI(tower, e, K[:i] + (K[i] - 1,) + K[i + 1:], d)
+        got = tower[K] = below.total_derivative(i) if d is None else d(below, i)
+    return got
 
 
 def euler(density: DiffExpr, targets=None, d=None) -> list:
@@ -781,43 +797,48 @@ def _top_jet(e: DiffExpr):
     return max(jets, key=_JETKEY)
 
 
+def _by_parts(g: DiffExpr, z, i: int):
+    """One integration by parts along x^i at g's top jet z: (B, g - D_i(B))
+    with B the primitive of g's part linear in z.  NonlocalObstruction when
+    z carries no D_i, g is not linear in z, the primitive is not
+    polynomial, or the top jet does not drop."""
+    space = g.space
+    if z[2][i] == 0:
+        raise NonlocalObstruction(f"top jet {z} carries no D_{i} derivative")
+    down = ('j', z[1], mi_sub(z[2], mi_unit(space.n, i)))
+    if space.is_odd_key(z):
+        c = g.partial(z)
+        if down in c.variables():
+            raise NonlocalObstruction("odd integrand not linear in its primitive slot")
+        B = c * DiffExpr(space, {_unit(down): 1}, 1)
+    else:
+        if not g.is_linear_in(z):
+            raise NonlocalObstruction(f"integrand nonlinear in top jet {z}")
+        B = _integrate_var(g.partial(z), down)
+    rest = g - B.total_derivative(i)
+    nz = _top_jet(rest)
+    if nz is not None and _JETKEY(nz) >= _JETKEY(z):
+        raise NonlocalObstruction("integration by parts failed to reduce order")
+    return B, rest
+
+
 def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
     """Primitive theta with D_i(theta) = e and zero constant of integration.
     Raises NonlocalObstruction when no local primitive exists."""
-    space = e.space
     if any(k[0] == 'w' for k in e.variables()):
         raise NonlocalObstruction("nonlocal variable in integrand")
     present = sorted({k[1] for k in e.variables() if k[0] == 'j'})
     if not euler_is_zero(e, present):
         raise NonlocalObstruction("nonzero variational derivative: primitive is nonlocal")
-    theta = space.zero()
+    theta = e.space.zero()
     g = e
     guard = 0
-    while True:
+    while (z := _top_jet(g)) is not None:
         guard += 1
         if guard > 10000:  # pragma: no cover - safety net
             raise NonlocalObstruction("integration did not terminate")
-        z = _top_jet(g)
-        if z is None:
-            break
-        if z[2][i] == 0:
-            raise NonlocalObstruction(f"top jet {z} carries no D_{i} derivative")
-        down = ('j', z[1], mi_sub(z[2], mi_unit(space.n, i)))
-        if space.is_odd_key(z):
-            c = g.partial(z)
-            if down in c.variables():
-                raise NonlocalObstruction("odd integrand not linear in its primitive slot")
-            B = c * DiffExpr(space, {_unit(down): 1}, 1)
-        else:
-            if not g.is_linear_in(z):
-                raise NonlocalObstruction(f"integrand nonlinear in top jet {z}")
-            c = g.partial(z)
-            B = _integrate_var(c, down)
+        B, g = _by_parts(g, z, i)
         theta = theta + B
-        g = g - B.total_derivative(i)
-        nz = _top_jet(g)
-        if nz is not None and _JETKEY(nz) >= _JETKEY(z):
-            raise NonlocalObstruction("integration by parts failed to reduce order")
     # residual depends on independents/parameters only
     return theta + _integrate_var(g, ('i', i))
 
@@ -851,29 +872,15 @@ def invert_divergence(density: DiffExpr, n: int):
 
 
 def canonical_density(e: DiffExpr, i: int = 0) -> DiffExpr:
-    """Deterministic divergence-equivalent representative: peel top jets by
-    parts while doing so strictly lowers the top jet."""
+    """Deterministic divergence-equivalent representative: integrate even
+    top jets by parts while that strictly lowers the top jet."""
     g = e
-    space = e.space
-    while True:
-        z = _top_jet(g)
-        if z is None or mi_order(z[2]) == 0 or z[2][i] == 0 or space.is_odd_key(z):
-            return g
-        if not g.is_linear_in(z):
-            return g
-        c = g.partial(z)
-        if z in c.variables():
-            return g
-        down = ('j', z[1], mi_sub(z[2], mi_unit(space.n, i)))
+    while (z := _top_jet(g)) is not None and not e.space.is_odd_key(z):
         try:
-            B = _integrate_var(c, down)
+            _, g = _by_parts(g, z, i)
         except NonlocalObstruction:
-            return g
-        cand = g - B.total_derivative(i)
-        nz = _top_jet(cand)
-        if nz is not None and _JETKEY(nz) >= _JETKEY(z):
-            return g
-        g = cand
+            break
+    return g
 
 
 # -- parsing and rendering -------------------------------------------------
@@ -951,6 +958,7 @@ class _Parser:
             pos = self.next()[2]
             f = self.factor()
             try:
+                _check_bits(e._coefficient_bits() + f._coefficient_bits())
                 e = e * f
             except BudgetError as exc:
                 raise ExprSyntaxError(str(exc), pos) from None

@@ -230,19 +230,17 @@ def nijenhuis_torsion(R: PseudoOp, phi1, phi2, pres: Presentation):
     D_x^{-1} is taken in internal coordinates."""
     from .operators import jacobi
 
-    def nf(vec):
-        return [pres.normal_form(x) for x in vec]
-
     def jac(a, b):
-        return nf(jacobi(a, b))
+        return pres.normal_form(jacobi(a, b))
 
-    r1 = nf(R.apply(phi1, pres))
-    r2 = nf(R.apply(phi2, pres))
+    # R.apply gives internal vectors, so only the free brackets are reduced
+    r1 = R.apply(phi1, pres)
+    r2 = R.apply(phi2, pres)
     t1 = jac(r1, r2)
     t2 = R.apply(jac(r1, phi2), pres)
     t3 = R.apply(jac(phi1, r2), pres)
     t4 = R.apply(R.apply(jac(phi1, phi2), pres), pres)
-    return [pres.normal_form(a - b - c + d) for a, b, c, d in zip(t1, t2, t3, t4)]
+    return [a - b - c + d for a, b, c, d in zip(t1, t2, t3, t4)]
 
 
 def lie_derivative_recursion(phi, R: PseudoOp, pres: Presentation) -> PseudoOp:

@@ -10,15 +10,15 @@ from .algebra import (
     DiffExpr,
     HorizontalForm,
     JetSpace,
-    apply_DI,
     invert_total_derivative,
     mi_order,
     mi_zero,
     render,
+    tower_DI,
 )
 from .errors import NonlocalObstruction, NonSolvableError, ShapeError
 from .analysis import Ansatz, ansatz_monomials, solve_determining
-from .operators import CDiffOp, ev_apply
+from .operators import CDiffOp, linearize
 from .presentations import Presentation, make_presentation
 
 
@@ -44,18 +44,23 @@ class Covering:
 
     def lift_d(self, e: DiffExpr, i: int) -> DiffExpr:
         """Lifted total derivative: one pass over the normal form, exact as
-        Presentation.d_bar is, with each field X_i reduced once (again if X
-        is reassigned) and normal_form fixing the nonlocals."""
+        Presentation.d_bar is."""
+        return self._lift_internal(self.presentation.normal_form(e), i)
+
+    def _lift_internal(self, e: DiffExpr, i: int) -> DiffExpr:
+        """D~_i of an internal expression, with each field X_i reduced once
+        (again if X is reassigned) and normal_form fixing the nonlocals."""
         pres, fields = self.presentation, self.X.get(i, ())
         if self._reduced_X.get(i, (None,))[0] is not fields:
             self._reduced_X[i] = (fields, {name: pres.normal_form(fields[k])
                                            for k, name in enumerate(self.nonlocals)})
-        return pres.normal_form(e).total_derivative(i, self._reduced_X[i][1], pres.jet_image)
+        return e.total_derivative(i, self._reduced_X[i][1], pres.jet_image)
 
-    def lift_apply(self, op: CDiffOp, vec) -> list:
-        """A base operator applied with the lifted derivatives, reduced."""
-        return self.presentation.normal_form(
-            op.rename_space(self.space).apply(vec, self.lift_d))
+    def lifted(self, op: CDiffOp):
+        """A base operator on the covering, as a function of a vector: its
+        coefficients restricted once, its derivatives lifted
+        (Presentation.restricted with D~)."""
+        return self.presentation.restricted(op.rename_space(self.space), self._lift_internal)
 
     def is_abelian(self) -> bool:
         wkeys = {('w', name) for name in self.nonlocals}
@@ -203,8 +208,7 @@ def add_abelian_layer(cov: Covering, name: str, fields: dict) -> Covering:
 
 def verify_shadow(phi, cov: Covering):
     """l~_F(phi): the base linearization with the lifted derivatives."""
-    residual = cov.lift_apply(cov.base.linearization(),
-                              [cov.presentation.normal_form(p) for p in phi])
+    residual = cov.lifted(cov.base.linearization())(phi)
     return all(r.is_zero() for r in residual), residual
 
 
@@ -237,10 +241,8 @@ def fiber_linear_candidates(cov: Covering, ansatz: Ansatz):
 def solve_fiberlinear(cov: Covering, ansatz: Ansatz):
     """All fiber-linear solutions of the lifted base linearization within
     the ansatz."""
-    target = cov.base.linearization()
-    cands = fiber_linear_candidates(cov, ansatz)
-    return solve_determining(cands, lambda v: cov.lift_apply(target, v),
-                             cov.base.space.m)
+    return solve_determining(fiber_linear_candidates(cov, ansatz),
+                             cov.lifted(cov.base.linearization()), cov.base.space.m)
 
 
 # -- reconstruction and finite symmetries --------------------------------------
@@ -252,6 +254,7 @@ def reconstruct_step(cov: Covering, phi) -> Covering:
     names = cov.space.fresh(f"{name}_r" for name in cov.nonlocals)
     pres = cov.presentation.extend_space(nonlocals=names)
     space = pres.space
+    m = cov.base.space.m
     X = {}
     for i in range(space.n):
         old = [f.rename_space(space) for f in cov.X.get(i, ())]
@@ -259,8 +262,8 @@ def reconstruct_step(cov: Covering, phi) -> Covering:
         for j, name in enumerate(cov.nonlocals):
             Xij = cov.X[i][j]
             # l~_{X_i^j}(phi): lifted linearization along the base dependents
-            val = cov.presentation.normal_form(
-                ev_apply(phi[:cov.base.space.m], Xij, cov.lift_d)).rename_space(space)
+            val = cov.lifted(linearize([Xij], columns=range(m)))(phi[:m])[0]
+            val = val.rename_space(space)
             for a, wa in enumerate(cov.nonlocals):
                 dd = Xij.partial(('w', wa))
                 if not dd.is_zero():
@@ -284,36 +287,27 @@ class FiniteSubstitution:
     def __init__(self, cov: Covering, images: dict):
         self.cov = cov
         space = cov.space
-        self.dep_images = {}
+        dep_images = {}
         self.w_images = {}
         for name, expr in images.items():
             if name in space.dependent:
-                self.dep_images[space.dep_index(name)] = expr
+                dep_images[space.dep_index(name)] = expr
             elif name in space.nonlocals:
                 self.w_images[name] = expr
             else:
                 raise ShapeError(f"substitution target {name!r} is not a variable")
-        self._jet_cache = {}
-
-    def jet_image(self, j, K) -> DiffExpr:
-        cached = self._jet_cache.get((j, K))
-        if cached is not None:
-            return cached
-        if mi_order(K) == 0:
-            val = self.dep_images.get(j, self.cov.space.jet(j, K))
-        else:
-            i = max(k for k in range(len(K)) if K[k] > 0)
-            Kd = tuple(v - (1 if k == i else 0) for k, v in enumerate(K))
-            val = self.cov.lift_d(self.jet_image(j, Kd), i)
-        self._jet_cache[(j, K)] = val
-        return val
+        # per dependent: its image's normal form and the tower of its D~_K
+        self._towers = [(cov.presentation.normal_form(
+            dep_images.get(j, space.jet(j, mi_zero(space.n)))), {})
+            for j in range(space.m)]
 
     def __call__(self, e: DiffExpr) -> DiffExpr:
         e = self.cov.presentation.normal_form(e)
         mapping = {}
         for key in e.variables():
             if key[0] == 'j':
-                mapping[key] = self.jet_image(key[1], key[2])
+                image, tower = self._towers[key[1]]
+                mapping[key] = tower_DI(tower, image, key[2], self.cov._lift_internal)
             elif key[0] == 'w' and key[1] in self.w_images:
                 mapping[key] = self.w_images[key[1]]
         return self.cov.presentation.normal_form(e.substitute(mapping))
@@ -344,15 +338,15 @@ def recursion_as_backlund(cov: Covering, omega_R, phi):
     omega_R (nonlocal layers resolved by D_x^{-1}) and reduce."""
     base = cov.base
     space = cov.space
-    phi0 = base.normal_form(phi[0]).rename_space(space)
-    mapping = {}
+    phi0 = base.normal_form(phi[0])
+    # the fiber jets v_K take D-bar_K(phi^0), all from one tower
+    keys = sorted(k for k in omega_R.variables()
+                  if k[0] == 'j' and k[1] in cov.fiber_families)
+    D = CDiffOp(base.space, len(keys), 1,
+                ((r, 0, k[2], base.space.one()) for r, k in enumerate(keys)))
+    mapping = {k: v.rename_space(space) for k, v in zip(keys, base.restricted(D)([phi0]))}
     for key in omega_R.variables():
-        if key[0] == 'j' and key[1] in cov.fiber_families:
-            mapping[key] = apply_DI(phi0.rename_space(base.space), key[2],
-                                    base.d_bar).rename_space(space)
-        elif key[0] == 'w':
-            prim = invert_total_derivative(base.normal_form(
-                phi0.rename_space(base.space)), 0)
-            mapping[key] = prim.rename_space(space)
+        if key[0] == 'w':
+            mapping[key] = invert_total_derivative(phi0, 0).rename_space(space)
     value = omega_R.substitute(mapping)
     return base.normal_form(value.rename_space(base.space))

@@ -22,6 +22,7 @@ from .algebra import (
     mi_zero,
     parse,
     render,
+    tower_DI,
 )
 from .errors import ShapeError
 
@@ -42,19 +43,6 @@ def _sub_indices(I: MultiIndex):
             idx[k] = 0
         else:
             return
-
-
-def _tower(tower: dict, e: DiffExpr, K: MultiIndex, d) -> DiffExpr:
-    """D_K(e) through the memo tower {K: D_K(e)}: D_K is d(D_{K-e_i}, i) for
-    i the last nonzero slot of K, exactly the derivatives apply_DI takes."""
-    if not any(K):
-        return e
-    got = tower.get(K)
-    if got is None:
-        i = max(k for k, x in enumerate(K) if x)
-        below = _tower(tower, e, K[:i] + (K[i] - 1,) + K[i + 1:], d)
-        got = tower[K] = below.total_derivative(i) if d is None else d(below, i)
-    return got
 
 
 class CDiffOp:
@@ -123,11 +111,6 @@ class CDiffOp:
     def entry(self, r, c) -> dict:
         return self.entries.get((r, c), {})
 
-    @property
-    def order(self) -> int:
-        return max((mi_order(I) for tab in self.entries.values() for I in tab),
-                   default=0)
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -189,7 +172,7 @@ class CDiffOp:
         towers = [{} for _ in vec]
         for (r, c), tab in self.entries.items():
             for I, a in tab.items():
-                out[r] = out[r] + a * _tower(towers[c], vec[c], I, d)
+                out[r] = out[r] + a * tower_DI(towers[c], vec[c], I, d)
         return out
 
     def apply1(self, e: DiffExpr) -> DiffExpr:
@@ -253,10 +236,9 @@ def linearize(psis, space: JetSpace = None, columns=None) -> CDiffOp:
                     if key[1] in columns))
 
 
-def ev_apply(phi, e: DiffExpr, d=None) -> DiffExpr:
-    """Evolutionary derivation: E_phi(e) = sum_{I,j} D_I(phi^j) de/du_I^j,
-    with total derivatives d as in apply_DI; families j >= len(phi) are
-    left out."""
+def ev_apply(phi, e: DiffExpr) -> DiffExpr:
+    """Evolutionary derivation: E_phi(e) = sum_{I,j} D_I(phi^j) de/du_I^j;
+    families j >= len(phi) are left out."""
     space = e.space
     out = space.zero()
     for key in e.jet_keys():
@@ -266,7 +248,7 @@ def ev_apply(phi, e: DiffExpr, d=None) -> DiffExpr:
         part = e.partial(key)
         if part.is_zero():
             continue
-        out = out + apply_DI(phi[j], I, d) * part
+        out = out + apply_DI(phi[j], I) * part
     return out
 
 
@@ -345,25 +327,28 @@ class PseudoOp:
                  if any(not x.is_zero() for x in a_vec) and not b.is_zero()]
         return PseudoOp(self.local, tails)
 
-    def apply(self, phi, reducer=None) -> list:
-        """Evaluate on a vector; primitives are taken in internal
-        coordinates when a reduction context is supplied."""
-        def nf(e):
-            return reducer.normal_form(e) if reducer is not None else e
-
+    def apply(self, phi, pres) -> list:
+        """Evaluate on a vector on the equation `pres` (a presentation
+        without rules for free jets).  The local part and the tails' rows
+        are applied there as one stacked operator (Presentation.restricted),
+        so every D_x^{-1} is taken in internal coordinates and the result
+        is internal: a primitive of an internal integrand is internal."""
         norm = self.normalized()
-        out = [nf(x) for x in norm.local.apply(phi)]
-        for a_vec, b in norm.tails:
-            integrand = nf(b.apply(phi)[0])
+        rows = norm.local.rows
+        stacked = CDiffOp(self.space, rows + len(norm.tails), norm.local.cols, chain(
+            norm.local.terms(), ((rows + k, c, I, a) for k, (_, b) in enumerate(norm.tails)
+                                 for _, c, I, a in b.terms())))
+        image = pres.restricted(stacked)(phi)
+        out = image[:rows]
+        for (a_vec, _), integrand in zip(norm.tails, image[rows:]):
             if integrand.is_zero():
                 continue
             prim = invert_total_derivative(integrand, 0)
-            for r in range(len(out)):
-                out[r] = nf(out[r] + a_vec[r] * prim)
+            out = [x + a * prim for x, a in zip(out, pres.normal_form(a_vec))]
         return out
 
-    def apply1(self, e: DiffExpr, reducer=None) -> DiffExpr:
-        return self.apply([e], reducer)[0]
+    def apply1(self, e: DiffExpr, pres) -> DiffExpr:
+        return self.apply([e], pres)[0]
 
     def ev(self, phi) -> "PseudoOp":
         """E_phi acting on all coefficients (Leibniz over both tail slots)."""

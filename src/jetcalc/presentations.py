@@ -191,26 +191,37 @@ class Presentation:
             self._lin = linearize(list(self.components), self.space)
         return self._lin
 
+    def restricted(self, op: CDiffOp, d=None):
+        """op on the equation, as the function vec -> sum_K NF(a_K) *
+        D_K(NF vec): the coefficients are restricted here, once, each
+        argument is normalized once, and each column's D_K comes from one
+        tower (CDiffOp.apply) of d, the total derivative on internal
+        expressions: D-bar by default, D~ on a covering (Covering.lifted).
+        The result is internal, so nothing reduces it.  It equals
+        NF(op vec) wherever NF o D_i = NF o D_i o NF, which confluent rules
+        give: NF is a ring homomorphism, so NF(a_K D_K phi) =
+        NF(a_K) NF(D_K NF phi)."""
+        op = self.restrict_operator(op)
+        if d is None:
+            d = lambda e, i: e.total_derivative(i, jets=self.jet_image)
+        return lambda vec: op.apply(self.normal_form(vec), d)
+
     def lin_apply(self, phi) -> list:
         """l_F(phi) reduced (the symmetry determining operator), computed as
-        l_E: sum_K NF(a_K) * D-bar_K(NF phi), in internal coordinates with
-        the coefficients restricted once.  It equals NF(l_F phi) wherever
-        NF o D_i = NF o D_i o NF, which confluent rules give: NF is a ring
-        homomorphism, so NF(a_K D_K phi) = NF(a_K) NF(D_K NF phi)."""
+        l_E, l_F restricted to the equation once per presentation."""
         return self._determining(False, phi)
 
     def adj_apply(self, psi) -> list:
         """l_F*(psi) reduced (the cosymmetry determining operator), computed
-        as lin_apply is, from the restricted adjoint."""
+        as lin_apply is, from the adjoint."""
         return self._determining(True, psi)
 
     def _determining(self, adjoint, vec) -> list:
-        op = self._determining_ops.get(adjoint)
-        if op is None:
+        apply = self._determining_ops.get(adjoint)
+        if apply is None:
             op = self.linearization().adjoint() if adjoint else self.linearization()
-            op = self._determining_ops[adjoint] = self.restrict_operator(op)
-        return op.apply(self.normal_form(vec),
-                        lambda e, i: e.total_derivative(i, jets=self.jet_image))
+            apply = self._determining_ops[adjoint] = self.restricted(op)
+        return apply(vec)
 
     def reduce_form(self, form: HorizontalForm) -> HorizontalForm:
         return form.map_components(self.normal_form)

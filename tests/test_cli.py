@@ -457,8 +457,9 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys):
     assert err == "input error: division by zero (at position 7)\n"
 
 
-@pytest.mark.parametrize("expr, caret", [("2^3000000000", 1), ("(2^65536)^65536", 2)],
-                         ids=["huge-power", "power-of-power"])
+@pytest.mark.parametrize("expr, caret", [("2^3000000000", 1), ("(2^65536)^65536", 2),
+                                         ("2^8000*2^8000*u[0,0]", 6)],
+                         ids=["huge-power", "power-of-power", "product"])
 def test_constant_powers_beyond_the_budget_are_input_errors(tmp_path, capsys, expr,
                                                             caret):
     data = _changed("heat", {"tasks": [{"kind": "reduce", "expr": expr}]})
@@ -472,6 +473,18 @@ def test_constant_powers_beyond_the_budget_are_input_errors(tmp_path, capsys, ex
     assert err.startswith("input error: coefficients of up to ")
     assert err.rstrip().endswith(f"beyond the budget of 8192 bits (at position {caret})")
     assert peak < 10 * 2**20  # no coefficient was built
+
+
+def test_verify_shadow_task_reports_ok_and_fail(tmp_path, capsys):
+    """u_x is a shadow on KdV's potential covering; the nonlocal w is not:
+    l~_F(w) = D~_t w - 6u D~_x w - 6u_x w - D~_x^3 w = -3u^2 - 6u_x w."""
+    data = dict(corpus("kdv"), tasks=[
+        {"kind": "verify-shadow", "covering": "potential", "exprs": [e]}
+        for e in ("u[1,0]", "w")])
+    code, report = _run_json(tmp_path, capsys, data)
+    assert code == 1
+    assert [(t["status"], t["residuals"]) for t in report["tasks"]] == [
+        ("ok", ["0"]), ("fail", ["-3*u[0,0]^2 - 6*u[1,0]*w"])]
 
 
 def test_constant_powers_within_the_budget_are_exact():

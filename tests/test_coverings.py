@@ -318,3 +318,36 @@ def test_lift_d_matches_its_definition(kdv, make, factors):
             wmap = {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}
             expected = pres.normal_form(pres.normal_form(e).total_derivative(i, wmap))
             assert canonical_terms(cov.lift_d(e, i)) == dict(expected.coefficients())
+
+
+@pytest.mark.parametrize("make, factors", [
+    (potential_covering, POTENTIAL_FACTORS),
+    (potential_covering_unreduced, POTENTIAL_FACTORS),
+    (tangent_covering, ("u[0,0]", "u[1,0]", "u[0,1]", "v[0,0]", "v[1,0]", "v[0,1]",
+                        "v[1,1]")),
+    (cotangent_covering, ("u[0,0]", "u[0,1]", "p[0,0]", "p[1,0]", "p[0,1]", "p[1,1]",
+                          "t")),
+], ids=["potential", "potential-unreduced", "tangent", "cotangent"])
+def test_lifted_operators_match_their_definition(kdv, make, factors):
+    """An operator on the covering, restricted once and applied with D~ from
+    one tower, equals the normal form of its free application with the raw
+    fields X_i; one operator has coefficients off the equation."""
+    from test_presentations import canonical_terms, rand_poly
+
+    cov = make(kdv)
+    pres = cov.presentation
+    L = kdv.linearization()
+    off = CDiffOp.scalar(SP, {(1, 0): parse("u[0,1]", SP), (0, 0): parse("u[0,2]", SP),
+                              (0, 1): parse("u[0,0]*u[1,1]", SP)})
+    rng = random.Random(89)
+
+    def free_lift(e, i):
+        return e.total_derivative(i, {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)})
+
+    for op in (L, L.adjoint(), off):
+        lifted = cov.lifted(op)
+        for _ in range(4):
+            vec = [rand_poly(cov.space, rng, factors)]
+            expected = pres.normal_form(op.rename_space(cov.space).apply(vec, free_lift))
+            assert [canonical_terms(x) for x in lifted(vec)] == \
+                [dict(x.coefficients()) for x in expected]

@@ -252,6 +252,14 @@ def test_magri_chain_kdv():
                 assert trivial
 
 
+def test_magri_step_solves_for_an_operator_other_than_d_x():
+    """A = 2 D_x goes through solve_linear: from the same seed, each density
+    is the D_x chain's over a power of 2."""
+    densities, _ = magri_chain(A_KDV, B_KDV, U * Fraction(1, 2), 2)
+    halved, _ = magri_chain(A_KDV.scale(2), B_KDV, U * Fraction(1, 2), 2)
+    assert halved == [w * Fraction(1, 2**k) for k, w in enumerate(densities)]
+
+
 def test_magri_step_values():
     w1 = magri_step(A_KDV, B_KDV, U * Fraction(1, 2))
     assert euler(w1)[0] == U  # density class of u^2/2

@@ -24,38 +24,75 @@ def _is_dunder(name):
 
 
 def _definitions(tree):
-    """Module-level names and the functions and methods defined anywhere."""
+    """(name, whether it is a method) of the module-level names and of the
+    functions and methods defined anywhere."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from (t.id for t in targets if isinstance(t, ast.Name))
+            yield from ((t.id, False) for t in targets if isinstance(t, ast.Name))
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
-            yield from (f.name for f in node.body
+            yield from ((f.name, True) for f in node.body
                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
 def _references(tree):
-    """Every name read, attribute taken or name imported."""
+    """(name, whether it is read as an attribute) of every name read,
+    attribute taken or name imported."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.ImportFrom):
-            yield from (alias.name for alias in node.names)
+            yield from ((alias.name, False) for alias in node.names)
+
+
+def _unreferenced(defining, referencing):
+    """Non-dunder definitions in `defining` that nothing in `referencing`
+    reads; a method counts as read only as an attribute (`.name`), so a
+    function, local or field of the same name does not hide it."""
+    names, attributes = set(), set()
+    for tree in referencing:
+        for name, attribute in _references(tree):
+            (attributes if attribute else names).add(name)
+    for tree in defining:
+        for name, method in _definitions(tree):
+            if not _is_dunder(name) and name not in attributes \
+                    and (method or name not in names):
+                yield name
 
 
 def test_every_definition_is_referenced():
-    used = set()
-    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
-        used.update(_references(tree))
+    referencing = [tree for _, tree in _trees(ROOT / "src", ROOT / "tests")]
     dead = [f"{path.name}: {name}" for path, tree in _trees(PACKAGE)
-            for name in _definitions(tree)
-            if not _is_dunder(name) and name not in used]
+            for name in _unreferenced([tree], referencing)]
     assert dead == []
+
+
+def test_the_definition_check_sees_a_method_hidden_by_a_name():
+    defining = ast.parse("""
+def render(e):
+    pass
+
+class Expr:
+    def render(self):
+        pass
+
+    def used(self):
+        pass
+
+    @property
+    def order(self):
+        pass
+
+for order in range(3):
+    render(order)
+""")
+    referencing = ast.parse("Expr().used()")
+    assert list(_unreferenced([defining], [defining, referencing])) == ["render", "order"]
 
 
 def test_every_import_is_used():

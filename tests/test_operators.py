@@ -13,6 +13,7 @@ from jetcalc import (
     helmholtz,
     jacobi,
     linearize,
+    make_presentation,
     pairing_density,
     parse,
 )
@@ -339,12 +340,15 @@ def lenard(space):
                     [([2 * ux], CDiffOp.identity(space, 1))])
 
 
+FREE = make_presentation(SP, [], [])  # free jets: a presentation without rules
+
+
 def test_pseudo_apply_free():
     R = lenard(SP)
     ux = SP.jet("u", (1, 0))
-    flow = R.apply1(ux)
+    flow = R.apply1(ux, FREE)
     assert flow == parse("6*u[0,0]*u[1,0] + u[3,0]", SP)
-    flow2 = R.apply1(flow)
+    flow2 = R.apply1(flow, FREE)
     assert flow2 == parse("u[5,0] + 10*u[0,0]*u[3,0] + 20*u[1,0]*u[2,0]"
                           " + 30*u[0,0]^2*u[1,0]", SP)
 
@@ -354,7 +358,7 @@ def test_pseudo_json_roundtrip():
     data = R.to_json()
     back = PseudoOp.from_json(SP, 1, 1, data)
     assert back.local == R.local
-    assert back.apply1(SP.jet("u", (1, 0))) == R.apply1(SP.jet("u", (1, 0)))
+    assert back.apply1(SP.jet("u", (1, 0)), FREE) == R.apply1(SP.jet("u", (1, 0)), FREE)
 
 
 def _kdv_ops():
