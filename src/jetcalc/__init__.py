@@ -52,6 +52,7 @@ from .coverings import (
 from .errors import (
     AnsatzError,
     BudgetError,
+    CheckError,
     ConfluenceError,
     ExprSyntaxError,
     JetCalcError,

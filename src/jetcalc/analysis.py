@@ -15,7 +15,7 @@ from .algebra import (
     mi_order,
     render,
 )
-from .errors import AnsatzError, ShapeError, VariationalityError
+from .errors import AnsatzError, CheckError, ShapeError, VariationalityError
 from .linalg import nullspace
 from .operators import CDiffOp, PseudoOp, ev_apply, green_form, helmholtz, linearize
 from .presentations import Presentation
@@ -165,8 +165,9 @@ def conservation_law_from_cosymmetry(psi, pres: Presentation) -> ConservedCurren
     t_index = space.n - 1
     DtX = pres.d_bar(X, t_index)
     T = invert_total_derivative(DtX, 0)
+    if not (DtX - pres.d_bar(T, 0)).is_zero():
+        raise CheckError("D_t X != D_x T on the equation: the current is not conserved")
     form = HorizontalForm(space, space.n - 1, {(0,): X, (1,): T})
-    assert (pres.d_bar(X, t_index) - pres.d_bar(T, 0)).is_zero()
     return ConservedCurrent(form, psi)
 
 

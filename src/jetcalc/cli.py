@@ -226,7 +226,11 @@ def _verify_equivalence(problem, task):
 
 
 _NAMES = dict(_EXPRS, default=[])
-_ANSATZ = {"order": _NAT, "degree": _NAT, "whitelist": _NAMES}
+# an ansatz of degree-fold products of the jets up to order outgrows memory
+# long before its bounds do; every bundled and tested problem is inside these
+MAX_ORDER, MAX_DEGREE, MAX_PROLONG = 8, 5, 12
+_ORDER, _DEGREE = dict(_NAT, maximum=MAX_ORDER), dict(_NAT, maximum=MAX_DEGREE)
+_ANSATZ = {"order": _ORDER, "degree": _DEGREE, "whitelist": _NAMES}
 _LAYERS = dict(_array(_object({"name": _TEXT, "X": _mapping(_TEXT)})), default=[])
 
 # task kind -> (whether it works on the problem's equation, its handler, its
@@ -252,8 +256,8 @@ _TASKS = {
     "magri": (False, _magri, {"A": "operator", "B": "operator", "seed": _TEXT,
                               "steps": _NAT}),
     "verify-symplectic": (True, _verify_symplectic, {
-        "op": _OPERATOR, "order": dict(_NAT, default=2),
-        "degree": dict(_NAT, default=1), "whitelist": _NAMES}),
+        "op": _OPERATOR, "order": dict(_ORDER, default=2),
+        "degree": dict(_DEGREE, default=1), "whitelist": _NAMES}),
     "verify-bivector": (True, lambda p, t: _report(verify_bivector_on_equation(
         _load_operator(t["op"], p.space), p.presentation), "residual"), {"op": _OPERATOR}),
     "schouten-equation": (True, _schouten_equation,
@@ -301,6 +305,9 @@ class Problem:
             raise error
         if max_prolong < 0:  # would check fewer critical pairs, not fail
             raise ProblemError(f"--max-prolong must be at least 0, not {max_prolong}")
+        if max_prolong > MAX_PROLONG:  # the critical pairs grow as its n-th power
+            raise ProblemError(f"--max-prolong must be at most {MAX_PROLONG}, "
+                               f"not {max_prolong}")
         named = dict(data.get("coverings", {}))
         if "covering" in data:  # single-covering spec fragment
             named.setdefault("covering", data["covering"])

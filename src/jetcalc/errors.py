@@ -44,6 +44,10 @@ class ShapeError(JetCalcError):
     pass
 
 
+class CheckError(JetCalcError):
+    """A constructed object fails the identity it was built to satisfy."""
+
+
 class NonSolvableError(JetCalcError):
     """Equation component cannot be solved for the designated leading jet."""
 

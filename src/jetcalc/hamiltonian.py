@@ -337,7 +337,8 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
             pb = cspace.jet(b[0][1] - l, b[0][2])
             density = density + base * pa * pb * pj
     cpres = cot.presentation
-    residues = cpres.normal_form(euler(cpres.normal_form(density), None, cpres.d_bar))
+    # the sweep stays internal: one normal form, of the density
+    residues = euler(cpres.normal_form(density), None, cpres.d_internal)
     trivial = all(r.is_zero() for r in residues)
     return {"ok": True, "trivial": trivial,
             "residual": [render(r) for r in residues if not r.is_zero()]}

@@ -151,7 +151,11 @@ class Presentation:
         of e, reading each jet u_{K+e_i} as its normal form.  Exact: NF is a
         ring homomorphism fixing internal polynomials, so for internal Z,
         NF(D_i Z) = dZ/dx^i + sum_K dZ/du_K * NF(u_{K+e_i})."""
-        return self.normal_form(e).total_derivative(i, jets=self.jet_image)
+        return self.d_internal(self.normal_form(e), i)
+
+    def d_internal(self, e: DiffExpr, i: int) -> DiffExpr:
+        """d_bar on an internal e, taking no normal form; internal too."""
+        return e.total_derivative(i, jets=self.jet_image)
 
     # -- cofactor-tracking reduction ------------------------------------------
 
@@ -196,14 +200,13 @@ class Presentation:
         D_K(NF vec): the coefficients are restricted here, once, each
         argument is normalized once, and each column's D_K comes from one
         tower (CDiffOp.apply) of d, the total derivative on internal
-        expressions: D-bar by default, D~ on a covering (Covering.lifted).
-        The result is internal, so nothing reduces it.  It equals
-        NF(op vec) wherever NF o D_i = NF o D_i o NF, which confluent rules
-        give: NF is a ring homomorphism, so NF(a_K D_K phi) =
-        NF(a_K) NF(D_K NF phi)."""
+        expressions: d_internal by default, D~ on a covering
+        (Covering.lifted).  The result is internal, so nothing reduces it.
+        It equals NF(op vec) wherever NF o D_i = NF o D_i o NF, which
+        confluent rules give: NF is a ring homomorphism, so NF(a_K D_K phi)
+        = NF(a_K) NF(D_K NF phi)."""
         op = self.restrict_operator(op)
-        if d is None:
-            d = lambda e, i: e.total_derivative(i, jets=self.jet_image)
+        d = d or self.d_internal
         return lambda vec: op.apply(self.normal_form(vec), d)
 
     def lin_apply(self, phi) -> list:

@@ -613,21 +613,74 @@ def rand_sparse_rows(rng, ncols):
     return rows
 
 
+def rand_cascade_rows(rng, ncols):
+    """Rows that singleton peeling clears one column at a time: a singleton,
+    then rows that each add one column to columns already forced to 0,
+    shuffled among sparse rows over the columns the cascade leaves."""
+    order = rng.sample(range(ncols), ncols)
+    length = rng.randint(1, ncols)
+    rows = [{order[0]: rand_entry(rng)}]
+    for k in range(1, length):
+        earlier = rng.sample(order[:k], rng.randint(1, min(k, 3)))
+        rows.append({c: rand_entry(rng) for c in earlier + [order[k]]})
+    rest = order[length:]
+    for _ in range(rng.randint(0, len(rest))):
+        rows.append({rng.choice(rest): rand_entry(rng)
+                     for _ in range(rng.randint(2, 4))})
+    rng.shuffle(rows)
+    return rows
+
+
 def test_nullspace_matches_fraction_elimination():
     rng = random.Random(53)
     cases = [([], 4), ([{}, {}], 3), ([], 0), ([{0: Fraction(2)}, {0: 4}], 2)]
     cases += [(rand_sparse_rows(rng, n), n)
               for n in [rng.randint(1, 12) for _ in range(400)]]
+    # peeling: a cascade, a matrix it empties, columns in no row, and
+    # Fraction singletons
+    peeled = [([{0: 1}, {0: 2, 1: 3}, {1: 1, 2: 5}, {2: -1, 3: 1, 4: 1}], 6),
+              ([{0: 3}, {0: 1, 1: 2}, {1: Fraction(1, 2), 2: -1}], 3),
+              ([{2: Fraction(2, 3)}, {2: 1, 5: Fraction(-1, 7), 6: 1}], 9),
+              ([{1: Fraction(-5, 4)}, {1: Fraction(1, 3)}, {0: 1, 2: Fraction(3, 2)}], 3)]
+    assert [len(nullspace(rows, ncols)) for rows, ncols in peeled] == [2, 0, 7, 1]
+    cases += peeled
+    # a zero entry is no entry: `{0: 0}` is not a singleton row
+    cases += [([{0: 0}], 2), ([{0: 0, 1: 1}], 2),
+              ([{0: Fraction(0), 1: 1, 2: 1}, {1: 0, 3: 2}], 4)]
+    cases += [(rand_cascade_rows(rng, n), n)
+              for n in [rng.randint(1, 12) for _ in range(200)]]
     nullities = set()
     for rows, ncols in cases:
-        basis = nullspace([dict(r) for r in rows], ncols)
-        assert basis == nullspace_reference(rows, ncols), (rows, ncols)
+        before = [dict(r) for r in rows]
+        basis = nullspace(rows, ncols)
+        assert rows == before  # the caller's rows are not mutated
+        nonzero = [{c: v for c, v in r.items() if v} for r in rows]
+        assert basis == nullspace_reference(nonzero, ncols), (rows, ncols)
         assert all(type(v) is Fraction for vec in basis for v in vec)
         for vec in basis:
             assert len(vec) == ncols
             assert all(sum(v * vec[c] for c, v in row.items()) == 0 for row in rows)
         nullities.add(len(basis))
     assert len(nullities) > 5  # the cases span many ranks
+
+
+def test_peeling_leaves_few_rows_to_eliminate(monkeypatch):
+    """On KdV's (7,4) symmetry system (3,173 rows, 999 of them singletons)
+    at most 45 rows reach the integer elimination."""
+    from jetcalc import Ansatz, make_presentation, solve_symmetries
+    from jetcalc import linalg
+
+    integral, calls = linalg._integral, []
+
+    def counted(row):
+        calls.append(len(row))
+        return integral(row)
+
+    monkeypatch.setattr(linalg, "_integral", counted)
+    pres = make_presentation(SP, [parse("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", SP)],
+                             [("u", (0, 1))])
+    assert len(solve_symmetries(pres, Ansatz(7, 4))) == 6
+    assert 0 < len(calls) <= 45
 
 
 # -- independent oracle: sympy's Euler-Lagrange operator --------------------

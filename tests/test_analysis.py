@@ -139,6 +139,18 @@ def test_conservation_laws_exact(kdv):
         assert verify_current(c.form, kdv)
 
 
+def test_conservation_law_checks_its_current(kdv, monkeypatch):
+    """A wrong primitive T is caught by a raised error, which `python -O`
+    does not drop as it would an assert."""
+    from jetcalc import CheckError, analysis
+
+    invert = analysis.invert_total_derivative
+    monkeypatch.setattr(analysis, "invert_total_derivative",
+                        lambda e, i: invert(e, i) + SP.jet("u", (0, 0)))
+    with pytest.raises(CheckError, match="not conserved"):
+        conservation_law_from_cosymmetry([parse("2*u[0,0]", SP)], kdv)
+
+
 def test_verify_current_negative(kdv):
     from jetcalc import HorizontalForm
     bad = HorizontalForm(SP, 1, {(0,): SP.jet("u", (0, 0)), (1,): SP.zero()})

@@ -10,7 +10,15 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from jetcalc import presentations
-from jetcalc.cli import _TASKS, PROBLEM_SCHEMA, main, run_problem
+from jetcalc.cli import (
+    _TASKS,
+    MAX_DEGREE,
+    MAX_ORDER,
+    MAX_PROLONG,
+    PROBLEM_SCHEMA,
+    main,
+    run_problem,
+)
 from jetcalc.corpus import corpus, corpus_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -303,6 +311,42 @@ def test_negative_max_prolong_is_an_input_error(capsys):
     assert main(["corpus", "kdv", "--max-prolong", "-3"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "input error: --max-prolong must be at least 0, not -3\n"
+
+
+def test_max_prolong_beyond_its_maximum_is_an_input_error(capsys):
+    assert main(["corpus", "kdv", "--max-prolong", str(MAX_PROLONG + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("input error: --max-prolong must be at most "
+                                 f"{MAX_PROLONG}, not {MAX_PROLONG + 1}\n")
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("symmetries", "order", MAX_ORDER + 1),
+    ("symmetries", "degree", MAX_DEGREE + 1),
+    ("cosymmetries", "order", 1000000),
+    ("recursion-fiberlinear", "degree", 1000000),
+    ("verify-symplectic", "order", MAX_ORDER + 1),
+    ("verify-symplectic", "degree", MAX_DEGREE + 1),
+])
+def test_ansatz_bounds_beyond_their_maximum_are_input_errors(tmp_path, capsys, kind,
+                                                              field, value):
+    """Rejected by the schema, before any ansatz is built; every bundled
+    task is inside the bounds."""
+    task = {"kind": kind, "order": 1, "degree": 1, field: value}
+    if kind == "verify-symplectic":
+        task["op"] = _operator(0, [1, 0])
+    tracemalloc.start()
+    try:
+        code, err = _input_error(tmp_path, capsys, _changed("kdv", {"tasks": [task]}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.startswith(f"input error: {value} is greater than the maximum of ")
+    assert peak < 10 * 2**20
+    bundled = [t for name in corpus_names() for t in corpus(name)["tasks"]]
+    assert all(t.get("order", 0) <= MAX_ORDER and t.get("degree", 0) <= MAX_DEGREE
+               for t in bundled)
 
 
 def test_reduce_error_names_the_jet():
