@@ -27,6 +27,18 @@ into its sorted ((key, exponent), ...) pairs, cached; everything that
 reads factors or sorts monomials (rendering, `summands`) goes through it,
 so no output depends on the order in which slots were registered.
 
+One accumulator per result: the kernels that sum many products, D_i
+(`total_derivative`), the product (`_terms_mul`) and `sum_of_products`
+(each row of `CDiffOp.apply`), add every term into one dict of raw sums
+(`_mul_into`) and make it canonical in one pass at the end (`_canonical`:
+zero sums dropped, a Fraction with denominator 1 turned into an int),
+not on every addition.  D_i looks up the image of each distinct variable
+once per call.  On a space without odd variables a monomial product is
+the sum of two ints, with no sign to find.  A result's terms come in the
+order of their first occurrence, which may differ from a term-by-term
+sum's; nothing that is reported depends on it.  The exponent bound of
+a sum_of_products is the largest of its products' bounds.
+
 Exponent budget: W = 64 and E = 2^16.  Every operation that can raise an
 exponent (a product, a power, a substitution, D_i, a partial derivative,
 an antiderivative) checks its result and raises BudgetError beyond E; the
@@ -46,6 +58,11 @@ denominator of x's coefficients and S = L * sum |c|, and raises BudgetError
 beyond C: 2^N fails at once, and a power's coefficients stay within Python's
 4,300-digit limit on printing an int.
 
+Term budget: T = 2^16.  Before its first product, a power x^k also bounds
+its term count by C(n + k - 1, k), the number of monomials of degree k in
+x's n terms, and raises BudgetError beyond T: (u + u_x + u_xx + u_xxx)^4000,
+within both other budgets, would have about 10^10 terms.
+
 The monomial format is private to this module.  Other modules build
 expressions from the JetSpace constructors and the ring operations, and
 read them through `variables`, `summands` (single-term expressions in
@@ -59,7 +76,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, lcm, log2
+from math import ceil, comb, lcm, log2
 
 from .errors import (
     BudgetError,
@@ -260,6 +277,7 @@ def _sort_odd(keys):
 _W = 64                 # bits per exponent field
 _E = 1 << 16            # exponent budget: no |exponent| may exceed it
 _C = 1 << 13            # coefficient budget of a power or a parsed product, in bits
+_T = 1 << 16            # term budget of a power
 _FIELD = (1 << _W) - 1
 _UNITS = {}             # variable key -> 2^(W*slot), its monomial x^1
 _KEYS = []              # slot -> variable key
@@ -335,9 +353,8 @@ def _odd_keys(space: JetSpace, mono) -> tuple:
 
 
 def _mono_mul(space: JetSpace, m1, m2):
-    """Product of two monomials; returns (mono, sign) or None."""
-    if not space.odd:  # no odd variable anywhere: no sign, no odd square
-        return m1 + m2, 1
+    """Product of two monomials over a space with odd variables; returns
+    (mono, sign) or None for an odd square."""
     odd1 = _odd_keys(space, m1)
     odd2 = _odd_keys(space, m2)
     if odd1 and odd2:
@@ -348,21 +365,53 @@ def _mono_mul(space: JetSpace, m1, m2):
     return m1 + m2, 1
 
 
-def _terms_mul(space: JetSpace, t1: dict, t2: dict) -> dict:
-    """Product of two term dicts, t1 on the left."""
-    res = {}
+def _canonical(res: dict) -> dict:
+    """The raw sums of a kernel made canonical in one pass: zero sums are
+    dropped and a Fraction with denominator 1 becomes its numerator.  The
+    scans for a Fraction and for a zero run in C, so a result of nonzero
+    ints is returned as it is."""
+    values = res.values()
+    if Fraction in set(map(type, values)):
+        return {m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                for m, c in res.items() if c}
+    return {m: c for m, c in res.items() if c} if 0 in values else res
+
+
+def _mul_into(res: dict, space: JetSpace, t1: dict, t2: dict) -> dict:
+    """Add the product of two term dicts, t1 on the left, to the raw sums
+    `res`, and return `res`.  Without odd variables a monomial product is
+    the sum of the two ints."""
+    get = res.get
+    if not space.odd:
+        for m1, c1 in t1.items():
+            for m2, c2 in t2.items():
+                m = m1 + m2
+                res[m] = get(m, 0) + c1 * c2
+        return res
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
             merged = _mono_mul(space, m1, m2)
-            if merged is None:
-                continue
-            mono, sign = merged
-            s = res.get(mono, 0) + sign * c1 * c2
-            if s:
-                res[mono] = _q(s)
-            elif mono in res:
-                del res[mono]
+            if merged is not None:
+                m, sign = merged
+                res[m] = get(m, 0) + sign * c1 * c2
     return res
+
+
+def _terms_mul(space: JetSpace, t1: dict, t2: dict) -> dict:
+    """Product of two term dicts, t1 on the left."""
+    return _canonical(_mul_into({}, space, t1, t2))
+
+
+def sum_of_products(space: JetSpace, pairs) -> "DiffExpr":
+    """The sum of a * b over the (a, b) pairs, a on the left: every product
+    is added into one term dict, made canonical once.  Its exponent bound
+    is the largest of the products' bounds."""
+    res, top = {}, 0
+    for a, b in pairs:
+        _mul_into(res, space, a.terms, b.terms)
+        top = max(top, a._top_bound() + b._top_bound())
+    res = _canonical(res)
+    return DiffExpr(space, res, _within_budget(res, top))
 
 
 def _drop_factor(space: JetSpace, mono, key, e):
@@ -371,9 +420,6 @@ def _drop_factor(space: JetSpace, mono, key, e):
     if space.odd and space.is_odd_key(key):
         return mono - _UNITS[key], -1 if _odd_keys(space, mono).index(key) % 2 else 1
     return mono - _UNITS[key], e
-
-
-_ONE = {0: 1}
 
 
 class DiffExpr:
@@ -446,6 +492,11 @@ class DiffExpr:
                 raise BudgetError(f"exponent {top} beyond the budget of {_E}")
         if k > 1:
             _check_bits(k * self._coefficient_bits())
+            # the monomials of degree k in len(self) terms
+            count = comb(len(self.terms) + k - 1, k)
+            if count > _T:
+                raise BudgetError(f"power of up to {count} terms beyond the budget "
+                                  f"of {_T} terms")
         result = self.space.one()
         base = self
         while k:
@@ -560,43 +611,54 @@ class DiffExpr:
             elif i in self._free_d:
                 return self._free_d[i]
         space = self.space
-        res = {}
+        odd = space.odd
+        images = {}  # variable key -> the terms of its D_i, looked up once
         top = 1  # a bound on the exponents of the images D_i(v)
+        res = {}
+        get = res.get
         for mono, c in self.terms.items():
             for key, e in _factors(mono):
-                kind = key[0]
-                if kind == 'q' or (kind == 'i' and key[1] != i):
-                    continue
-                if kind == 'i':
-                    dv = _ONE
-                elif kind == 'j':
-                    K = key[2]
-                    up = ('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:])
-                    if jets is None:
-                        dv = {_unit(up): 1}
-                    else:
-                        image = jets(up)
-                        dv = image.terms
-                        top = max(top, image._top_bound())
-                else:  # nonlocal
-                    if wmap is None:
+                dv = images.get(key)
+                if dv is None:
+                    kind = key[0]
+                    if kind == 'q' or (kind == 'i' and key[1] != i):
+                        dv = ()
+                    elif kind == 'i':
+                        dv = ((0, 1),)
+                    elif kind == 'j':
+                        K = key[2]
+                        up = ('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:])
+                        if jets is None:
+                            dv = ((_unit(up), 1),)
+                        else:
+                            image = jets(up)
+                            dv = image.terms.items()
+                            top = max(top, image._top_bound())
+                    elif wmap is None:
                         raise NonlocalObstruction(
                             f"total derivative of nonlocal variable {key[1]!r} requires a covering")
-                    dv = wmap[key[1]].terms
-                    top = max(top, wmap[key[1]]._top_bound())
+                    else:
+                        dv = wmap[key[1]].terms.items()
+                        top = max(top, wmap[key[1]]._top_bound())
+                    images[key] = dv
+                if not dv:
+                    continue
+                if not odd:
+                    rest, ec = mono - _UNITS[key], e * c
+                    for dmono, dc in dv:
+                        new = rest + dmono
+                        res[new] = get(new, 0) + ec * dc
+                    continue
                 rest, k = _drop_factor(space, mono, key, e)
-                odd = space.odd and space.is_odd_key(key)
-                for dmono, dc in dv.items():
-                    merged = _mono_mul(space, dmono, rest) if odd \
+                kc = k * c
+                left = space.is_odd_key(key)
+                for dmono, dc in dv:
+                    merged = _mono_mul(space, dmono, rest) if left \
                         else _mono_mul(space, rest, dmono)
-                    if merged is None:
-                        continue
-                    new, sign = merged
-                    s = res.get(new, 0) + sign * k * c * dc
-                    if s:
-                        res[new] = _q(s)
-                    elif new in res:
-                        del res[new]
+                    if merged is not None:
+                        new, sign = merged
+                        res[new] = get(new, 0) + sign * kc * dc
+        res = _canonical(res)
         out = DiffExpr(space, res, _within_budget(res, self._top_bound() + 1 + top))
         if free:
             self._free_d[i] = out
@@ -626,15 +688,11 @@ class DiffExpr:
                     factors.append(powers[key, e].terms)
             term = {kept: c}
             for f in factors + odd:
-                term = _terms_mul(space, term, f)
+                term = _mul_into({}, space, term, f)
             for m, v in term.items():
-                s = out.get(m, 0) + v
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                out[m] = out.get(m, 0) + v
         images = list(powers.values()) + [x for k, x in mapping.items() if space.is_odd_key(k)]
-        out = {m: _q(v) for m, v in out.items()}
+        out = _canonical(out)
         return DiffExpr(space, out, _within_budget(
             out, sum(map(DiffExpr._top_bound, images), self._top_bound())))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 
 from .algebra import (
     HorizontalForm,
@@ -15,7 +16,7 @@ from .algebra import (
     mi_order,
     render,
 )
-from .errors import AnsatzError, CheckError, ShapeError, VariationalityError
+from .errors import AnsatzError, CheckError, ProblemError, ShapeError, VariationalityError
 from .linalg import nullspace
 from .operators import CDiffOp, PseudoOp, ev_apply, green_form, helmholtz, linearize
 from .presentations import Presentation
@@ -36,8 +37,16 @@ class Ansatz:
             raise AnsatzError("ansatz bounds must be non-negative")
 
 
+# about ten times the largest pool of a bundled, benchmarked or tested
+# problem (1,001: KdV at order 7, degree 4)
+MAX_MONOMIALS = 10_000
+
+
 def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
-    """Monomial pool in internal coordinates, deterministic order."""
+    """Monomial pool in internal coordinates, deterministic order: the
+    products of up to max_degree generators, at most C(g + max_degree,
+    max_degree) of them for g generators.  A ProblemError (an input error)
+    when that count is beyond MAX_MONOMIALS, before any product is built."""
     space = pres.space
     gens = []
     for i, name in enumerate(space.independent):
@@ -47,6 +56,9 @@ def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
         name = space.dependent[key[1]]
         if ansatz.whitelist is None or name in ansatz.whitelist:
             gens.append(space.jet(key[1], key[2]))
+    count = comb(len(gens) + ansatz.max_degree, ansatz.max_degree)
+    if count > MAX_MONOMIALS:
+        raise ProblemError(f"ansatz of {count} monomials beyond the cap of {MAX_MONOMIALS}")
     monos = [space.one()]
     for deg in range(1, ansatz.max_degree + 1):
         for combo in combinations_with_replacement(range(len(gens)), deg):

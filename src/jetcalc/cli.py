@@ -227,8 +227,9 @@ def _verify_equivalence(problem, task):
 
 _NAMES = dict(_EXPRS, default=[])
 # an ansatz of degree-fold products of the jets up to order outgrows memory
-# long before its bounds do; every bundled and tested problem is inside these
-MAX_ORDER, MAX_DEGREE, MAX_PROLONG = 8, 5, 12
+# long before its bounds do, and each magri step costs about 2.4 times the
+# last; every bundled and tested problem is inside these
+MAX_ORDER, MAX_DEGREE, MAX_PROLONG, MAX_STEPS = 8, 5, 12, 6
 _ORDER, _DEGREE = dict(_NAT, maximum=MAX_ORDER), dict(_NAT, maximum=MAX_DEGREE)
 _ANSATZ = {"order": _ORDER, "degree": _DEGREE, "whitelist": _NAMES}
 _LAYERS = dict(_array(_object({"name": _TEXT, "X": _mapping(_TEXT)})), default=[])
@@ -254,7 +255,7 @@ _TASKS = {
     "compatible": (False, lambda p, t: {"status": _status(are_compatible(
         *(p.ham_ops[nm] for nm in t["ops"])))}, {"ops": ["operator", "operator"]}),
     "magri": (False, _magri, {"A": "operator", "B": "operator", "seed": _TEXT,
-                              "steps": _NAT}),
+                              "steps": dict(_NAT, maximum=MAX_STEPS)}),
     "verify-symplectic": (True, _verify_symplectic, {
         "op": _OPERATOR, "order": dict(_ORDER, default=2),
         "degree": dict(_DEGREE, default=1), "whitelist": _NAMES}),

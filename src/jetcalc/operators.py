@@ -22,6 +22,7 @@ from .algebra import (
     mi_zero,
     parse,
     render,
+    sum_of_products,
     tower_DI,
 )
 from .errors import ShapeError
@@ -165,15 +166,16 @@ class CDiffOp:
     def apply(self, vec, d=None) -> list:
         """The operator on a vector, with total derivatives d as in apply_DI.
         Each D_K(vec[c]) is taken once per call, from the tower of the
-        column's derivatives built in apply_DI's order."""
+        column's derivatives built in apply_DI's order, and each row is
+        one sum_of_products of its a_K and D_K(vec[c])."""
         if len(vec) != self.cols:
             raise ShapeError(f"operator takes {self.cols} arguments, got {len(vec)}")
-        out = [self.space.zero() for _ in range(self.rows)]
+        rows = [[] for _ in range(self.rows)]
         towers = [{} for _ in vec]
         for (r, c), tab in self.entries.items():
             for I, a in tab.items():
-                out[r] = out[r] + a * tower_DI(towers[c], vec[c], I, d)
-        return out
+                rows[r].append((a, tower_DI(towers[c], vec[c], I, d)))
+        return [sum_of_products(self.space, pairs) for pairs in rows]
 
     def apply1(self, e: DiffExpr) -> DiffExpr:
         return self.apply([e])[0]
@@ -299,7 +301,7 @@ def green_form(op: CDiffOp, ps, qs) -> HorizontalForm:
 
 
 def pairing_density(ps, qs) -> DiffExpr:
-    return sum((p * q for p, q in zip(ps, qs)), ps[0].space.zero())
+    return sum_of_products(ps[0].space, zip(ps, qs))
 
 
 # -- pseudo-differential operators with one D_x^{-1} layer -------------------

@@ -809,6 +809,41 @@ def test_powers_beyond_the_budget_fail_before_expanding(monkeypatch, text, caret
             big ** k
 
 
+def test_powers_beyond_the_term_budget_fail_before_expanding(monkeypatch):
+    """(u + u_x + u_xx + u_xxx)^4000 is within the exponent and coefficient
+    budgets but has C(4003, 3) terms: parse reports it at its '^' without
+    allocating more than a few kilobytes, and ** refuses it before its
+    first product."""
+    import tracemalloc
+
+    text = "(u[0,0]+u[1,0]+u[2,0]+u[3,0])^4000"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExprSyntaxError, match=r"power of up to 10682674001 terms beyond "
+                                                  r"the budget of 65536 terms \(at position 29\)"):
+            parse(text, SP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    base = parse("u[0,0]+u[1,0]+u[2,0]+u[3,0]", SP)
+
+    def product(a, b):
+        pytest.fail("** multiplied before it checked the budget")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DiffExpr, "__mul__", product)
+        with pytest.raises(BudgetError):
+            base ** 4000
+    # the bound C(len + k - 1, k) is the exact term count of a power of
+    # distinct variables, and the budget admits it up to equality
+    monkeypatch.setattr("jetcalc.algebra._T", 10)
+    x = parse("u[0,0]+u[1,0]+u[2,0]", SP)
+    assert len(x ** 3) == 10
+    with pytest.raises(BudgetError):
+        x ** 4
+
+
 def _old_sort_odd(keys):
     out = []
     sign = 1

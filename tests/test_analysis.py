@@ -102,6 +102,26 @@ def test_heat_symmetries(heat):
         assert verify_symmetry([parse(m, SP)], heat)[0]
 
 
+@pytest.mark.parametrize("name", ["kdv", "camassa_holm"])
+def test_solver_bases_do_not_depend_on_term_order(name, request):
+    """The residuals' terms may come in any order (one accumulator per row
+    orders them by first occurrence): rebuilt in reverse sorted order, they
+    give the same basis."""
+    from jetcalc.analysis import ansatz_monomials, slot_candidates, solve_determining
+
+    pres = request.getfixturevalue(name)
+    space = pres.space
+    cands = slot_candidates(ansatz_monomials(pres, Ansatz(2, 2)), 1, space)
+
+    def reordered(vec):
+        return [sum(reversed(list(e.summands())), space.zero()) for e in pres.lin_apply(vec)]
+
+    assert any(list(r.coefficients()) != list(e.coefficients())
+               for c in cands for r, e in zip(reordered(c), pres.lin_apply(c)))
+    basis = solve_determining(cands, pres.lin_apply, 1)
+    assert basis and solve_determining(cands, reordered, 1) == basis
+
+
 def test_empty_ansatz_errors(kdv):
     with pytest.raises(AnsatzError):
         Ansatz(-1, 2)

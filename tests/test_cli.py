@@ -10,11 +10,13 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from jetcalc import presentations
+from jetcalc.analysis import MAX_MONOMIALS
 from jetcalc.cli import (
     _TASKS,
     MAX_DEGREE,
     MAX_ORDER,
     MAX_PROLONG,
+    MAX_STEPS,
     PROBLEM_SCHEMA,
     main,
     run_problem,
@@ -349,6 +351,46 @@ def test_ansatz_bounds_beyond_their_maximum_are_input_errors(tmp_path, capsys, k
                for t in bundled)
 
 
+def test_magri_steps_beyond_their_maximum_are_an_input_error(tmp_path, capsys,
+                                                              monkeypatch):
+    """Rejected by the schema, before the chain starts; every bundled magri
+    task is inside the bound."""
+    def never(*args):
+        raise AssertionError("magri_chain ran")
+
+    monkeypatch.setattr("jetcalc.cli.magri_chain", never)
+    task = {"kind": "magri", "steps": MAX_STEPS + 1, "A": "A", "B": "B", "seed": "u[0]"}
+    code, err = _input_error(tmp_path, capsys, _changed("kdv", {"tasks": [task]}))
+    assert code == 2
+    assert err.startswith(f"input error: {MAX_STEPS + 1} is greater than the maximum of ")
+    bundled = [t for name in corpus_names() for t in corpus(name)["tasks"]]
+    assert all(t["steps"] <= MAX_STEPS for t in bundled if t["kind"] == "magri")
+
+
+@pytest.mark.parametrize("name, kind, order, degree, count", [
+    ("kdv6", "symmetries", 8, 5, 658008),
+    ("kdv-3comp", "cosymmetries", 8, 5, 278256),
+    ("camassa-holm-2comp", "verify-symplectic", 8, 4, 35960),
+])
+def test_ansatz_beyond_the_monomial_cap_is_an_input_error(tmp_path, capsys, name, kind,
+                                                          order, degree, count):
+    """Within the per-field bounds, but C(generators + degree, degree)
+    monomials is beyond MAX_MONOMIALS: counted before any is built."""
+    task = {"kind": kind, "order": order, "degree": degree}
+    if kind == "verify-symplectic":
+        task["op"] = {"rows": 2, "cols": 2, "entries": []}
+    tracemalloc.start()
+    try:
+        code, err = _input_error(tmp_path, capsys, _changed(name, {"tasks": [task]}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == (f"input error: ansatz of {count} monomials beyond the cap of "
+                   f"{MAX_MONOMIALS}\n")
+    assert peak < 10 * 2**20
+
+
 def test_reduce_error_names_the_jet():
     report = run_problem(dict(corpus("kdv"), tasks=[{"kind": "reduce", "expr": "u[0,1]^-1"}]))
     assert report["tasks"] == [{"task": "reduce", "status": "error", "detail":
@@ -517,6 +559,21 @@ def test_constant_powers_beyond_the_budget_are_input_errors(tmp_path, capsys, ex
     assert err.startswith("input error: coefficients of up to ")
     assert err.rstrip().endswith(f"beyond the budget of 8192 bits (at position {caret})")
     assert peak < 10 * 2**20  # no coefficient was built
+
+
+def test_powers_beyond_the_term_budget_are_input_errors(tmp_path, capsys):
+    expr = "(u[0,0]+u[1,0]+u[2,0]+u[3,0])^4000"
+    data = _changed("heat", {"tasks": [{"kind": "reduce", "expr": expr}]})
+    tracemalloc.start()
+    try:
+        code, err = _input_error(tmp_path, capsys, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == ("input error: power of up to 10682674001 terms beyond the budget "
+                   "of 65536 terms (at position 29)\n")
+    assert peak < 10 * 2**20  # no power was expanded
 
 
 def test_verify_shadow_task_reports_ok_and_fail(tmp_path, capsys):

@@ -1,0 +1,245 @@
+"""Seeded oracles for the one-accumulator kernels of jetcalc.algebra: the
+total derivative (free, with `jets=` and with `wmap=`), the product and
+`sum_of_products` against a term-by-term reference on decoded terms, over
+spaces with odd variables, with Fraction coefficients, and one step past
+the exponent budget."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from jetcalc import JetSpace
+from jetcalc.algebra import _E, sum_of_products
+from jetcalc.errors import BudgetError
+from monomials import decoded_terms, from_factors
+
+# v and z are odd; w is an even nonlocal and a a parameter
+SPACE = JetSpace.create(["x", "t"], ["u", "v"], ["a"], ["w", "z"], odd=["v", "z"])
+EVEN = JetSpace.create(["x", "t"], ["u"], ["a"], ["w"])
+COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+
+
+def rand_index(rng):
+    return (rng.randint(0, 2), rng.randint(0, 1))
+
+
+def rand_factors(rng, space, odd=None):
+    """The decoded factors of a random monomial; with `odd` set, exactly
+    that many odd factors (0 or 1), else any."""
+    factors = {}
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            factors[('i', rng.randrange(2))] = rng.randint(1, 2)
+        elif kind == 1:
+            factors[('j', 0, rand_index(rng))] = rng.choice([-2, -1, 1, 2, 3])
+        elif kind == 2:
+            factors[('q', 'a')] = rng.randint(1, 2)
+        elif kind == 3 and 'w' in space.nonlocals:
+            factors[('w', 'w')] = rng.choice([-1, 1, 2])
+    odd_keys = [('j', 1, rand_index(rng)) for _ in range(2)] + [('w', 'z')]
+    if space.odd:
+        count = rng.randint(0, 2) if odd is None else odd
+        for key in rng.sample(odd_keys, count):
+            factors[key] = 1
+    return tuple(sorted(factors.items()))
+
+
+def rand_terms(rng, space, nterms=4, odd=None):
+    return {rand_factors(rng, space, odd): rng.choice(COEFFS) for _ in range(nterms)}
+
+
+def rand_expr(rng, space, nterms=4, odd=None):
+    return from_factors(space, rand_terms(rng, space, nterms, odd))
+
+
+# -- the term-by-term reference, on decoded terms --------------------------
+
+
+def mono_mul(space, m1, m2):
+    """(m1 * m2, sign) of decoded monomials, or None for an odd square: the
+    sign of merging m1's odd keys and then m2's into key order."""
+    odd1 = [k for k, _ in m1 if space.is_odd_key(k)]
+    odd2 = [k for k, _ in m2 if space.is_odd_key(k)]
+    if set(odd1) & set(odd2):
+        return None
+    exps = dict(m1)
+    for k, e in m2:
+        exps[k] = exps.get(k, 0) + e
+    sign = (-1) ** sum(1 for p in odd1 for q in odd2 if p > q)
+    return tuple(sorted((k, e) for k, e in exps.items() if e)), sign
+
+
+def ref_mul(space, t1, t2):
+    out = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            merged = mono_mul(space, m1, m2)
+            if merged is not None:
+                m, sign = merged
+                out[m] = out.get(m, 0) + sign * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_add(out, terms):
+    for m, c in terms.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_total_derivative(space, terms, image):
+    """Each factor v^e of each term c*m gives e*c*(m / v)*D(v), an odd v
+    moved to the front first and D(v) left there; image(key) is D(v)."""
+    out = {}
+    for m, c in terms.items():
+        for key, e in m:
+            rest = tuple((k, x - (k == key)) for k, x in m if k != key or x != 1)
+            if space.is_odd_key(key):
+                before = sum(1 for k, _ in m if k < key and space.is_odd_key(k))
+                out = ref_add(out, ref_mul(space, image(key), {rest: (-1) ** before * c}))
+            else:
+                out = ref_add(out, ref_mul(space, {rest: e * c}, image(key)))
+    return out
+
+
+def free_image(i):
+    def image(key):
+        if key[0] == 'i':
+            return {(): 1} if key[1] == i else {}
+        if key[0] == 'j':
+            K = list(key[2])
+            K[i] += 1
+            return {((('j', key[1], tuple(K)), 1),): 1}
+        return {}
+    return image
+
+
+def assert_canonical(e):
+    """No zero entry, and a Fraction only where the value is not an integer."""
+    assert all(c and (type(c) is int or c.denominator != 1)
+               for c in decoded_terms(e).values())
+
+
+# -- the oracles ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
+def test_free_total_derivative_matches_the_reference(space):
+    rng = random.Random(71)
+    for _ in range(60):
+        terms = rand_terms(rng, space)
+        e = from_factors(space, terms)
+        for i in range(2):
+            got = e.total_derivative(i, wmap={'w': space.zero(), 'z': space.zero()}
+                                     if space is SPACE else {'w': space.zero()})
+            assert decoded_terms(got) == ref_total_derivative(
+                space, decoded_terms(e), free_image(i))
+            assert_canonical(got)
+            if not any(k[0] == 'w' for k in e.variables()):
+                assert got == e.total_derivative(i)
+
+
+@pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
+def test_restricted_and_lifted_derivatives_match_the_reference(space):
+    """`jets=` maps u_{K+e_i} to a random image, odd-linear for an odd
+    family and even otherwise; `wmap=` maps each nonlocal likewise."""
+    rng = random.Random(73)
+    for _ in range(40):
+        images = {}
+
+        def jets(key):
+            if key not in images:
+                odd = 1 if space.is_odd_key(key) else 0
+                images[key] = rand_expr(rng, space, nterms=3, odd=odd)
+            return images[key]
+
+        wmap = {name: rand_expr(rng, space, nterms=3, odd=1 if name in space.odd else 0)
+                for name in space.nonlocals}
+        e = rand_expr(rng, space)
+        i = rng.randrange(2)
+        got = e.total_derivative(i, wmap=wmap, jets=jets)
+
+        def image(key):
+            if key[0] == 'j':
+                K = list(key[2])
+                K[i] += 1
+                return decoded_terms(jets(('j', key[1], tuple(K))))
+            if key[0] == 'w':
+                return decoded_terms(wmap[key[1]])
+            return free_image(i)(key)
+
+        assert decoded_terms(got) == ref_total_derivative(space, decoded_terms(e), image)
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
+def test_products_and_sums_of_products_match_the_reference(space):
+    rng = random.Random(79)
+    signs, squares = set(), 0
+    for _ in range(60):
+        pairs = [(rand_terms(rng, space, 3), rand_terms(rng, space, 3))
+                 for _ in range(rng.randint(0, 4))]
+        exprs = [(from_factors(space, a), from_factors(space, b)) for a, b in pairs]
+        want = {}
+        for x, y in exprs:
+            product = x * y
+            assert decoded_terms(product) == ref_mul(space, decoded_terms(x), decoded_terms(y))
+            assert_canonical(product)
+            want = ref_add(want, ref_mul(space, decoded_terms(x), decoded_terms(y)))
+            for m1 in decoded_terms(x):
+                for m2 in decoded_terms(y):
+                    merged = mono_mul(space, m1, m2)
+                    if merged is None:
+                        squares += 1
+                    else:
+                        signs.add(merged[1])
+        got = sum_of_products(space, exprs)
+        assert decoded_terms(got) == want
+        assert_canonical(got)
+    assert signs == ({1, -1} if space.odd else {1}) and (squares > 10) == bool(space.odd)
+
+
+def test_fractions_that_sum_to_integers_are_ints():
+    u, ux = EVEN.jet("u", (0, 0)), EVEN.jet("u", (1, 0))
+    half = Fraction(1, 2)
+    u_ux = ((('j', 0, (0, 0)), 1), (('j', 0, (1, 0)), 1))
+    for got, want in [
+        ((u * u * half).total_derivative(0), {u_ux: 1}),
+        ((u * half).total_derivative(0, jets=lambda key: ux * 2), {u_ux[1:]: 1}),
+        ((u * half) * (ux * 4), {u_ux: 2}),
+        (sum_of_products(EVEN, [(u * half, ux), (ux * Fraction(3, 2), u)]), {u_ux: 2}),
+    ]:
+        assert decoded_terms(got) == want
+        assert all(type(c) is int for c in decoded_terms(got).values())
+
+
+def test_full_cancellation_leaves_no_entry():
+    sp = JetSpace.create(["x"], ["u"])
+    u, u1 = sp.jet("u", (0,)), sp.jet("u", (1,))
+    # D(u u_x) with u_x -> u_x and u_xx -> -u_x^2 / u: u_x^2 - u_x^2
+    images = {('j', 0, (1,)): u1, ('j', 0, (2,)): -(u1 * u1) * u ** -1}
+    assert len((u * u1).total_derivative(0, jets=images.get)) == 0
+    a, b = rand_expr(random.Random(83), SPACE), rand_expr(random.Random(89), SPACE)
+    assert len(sum_of_products(SPACE, [(a, b), (-a, b)])) == 0
+    v, z = SPACE.jet("v", (0, 0)), SPACE.nonlocal_var("z")
+    assert len(sum_of_products(SPACE, [(v, z), (z, v)])) == 0  # odd: v z = -z v
+
+
+def test_one_step_past_the_budget_raises():
+    u, u1 = EVEN.jet("u", (0, 0)), EVEN.jet("u", (1, 0))
+    w = EVEN.nonlocal_var("w")
+    at_budget = (u * u1 ** (_E - 1)).total_derivative(0)
+    assert max(e for m in decoded_terms(at_budget) for _, e in m) == _E
+    beyond = [
+        lambda: (u * u1 ** _E).total_derivative(0),
+        lambda: (u ** _E).total_derivative(0, jets=lambda key: u * u),
+        lambda: (u * u1).total_derivative(0, jets=lambda key: u ** _E),
+        lambda: (w ** _E).total_derivative(0, wmap={'w': w * w}),
+        lambda: (w * w).total_derivative(0, wmap={'w': w ** _E}),
+        lambda: u ** _E * u,
+        lambda: sum_of_products(EVEN, [(u1, u1), (u ** _E, u)]),
+    ]
+    for make in beyond:
+        with pytest.raises(BudgetError):
+            make()

@@ -17,7 +17,7 @@ from jetcalc import (
     pairing_density,
     parse,
 )
-from jetcalc.algebra import apply_DI
+from jetcalc.algebra import apply_DI, sum_of_products
 from jetcalc.errors import NonlocalObstruction, ShapeError
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -137,7 +137,9 @@ def apply_by_terms(op, vec, d=None):
 @pytest.mark.parametrize("name", ["kdv", "camassa_holm", "boussinesq"])
 def test_apply_towers_match_the_term_by_term_sum(name, request):
     """The per-call derivative towers give the same dicts, in the same
-    order, as one apply_DI per term, with restricted and free derivatives."""
+    order, as one apply_DI per term summed into one accumulator per row,
+    with restricted and free derivatives; and the same terms as the
+    row-by-row sum, whose order differs where terms cancel midway."""
     pres = request.getfixturevalue(name)
     space = pres.space
     rng = random.Random(67)
@@ -148,9 +150,14 @@ def test_apply_towers_match_the_term_by_term_sum(name, request):
                 rng.randrange(space.m), (0, rng.randint(0, 1))))
                 for _ in range(op.cols)]
             for d in (pres.d_bar, None):
-                got, want = op.apply(vec, d), apply_by_terms(op, vec, d)
+                got = op.apply(vec, d)
+                fused = [sum_of_products(space, [(a, apply_DI(vec[c], I, d))
+                                                 for row, c, I, a in op.terms() if row == r])
+                         for r in range(op.rows)]
                 assert [list(x.coefficients()) for x in got] == \
-                    [list(x.coefficients()) for x in want]
+                    [list(x.coefficients()) for x in fused]
+                assert [dict(x.coefficients()) for x in got] == \
+                    [dict(x.coefficients()) for x in apply_by_terms(op, vec, d)]
 
 
 def test_apply_takes_each_derivative_once(camassa_holm):
@@ -216,6 +223,69 @@ def test_linearize_matches_sympy(space):
             for g, lg in zip(G, ours):
                 theirs = sympy.diff(_to_sympy(g, sympy, shifted, xs), eps).subs(eps, 0)
                 assert sympy.expand(theirs - _to_sympy(lg, sympy, funcs, xs)) == 0
+
+
+def _rand_matrix_op(space, rng, rows, cols, maxorder=2):
+    """rows x cols operator with one or two random terms in every entry,
+    coefficients random densities in the jets of u and the independents."""
+    from test_algebra import rand_density, rand_index
+
+    return CDiffOp(space, rows, cols, [
+        (r, c, rand_index(rng, space.n, maxorder),
+         rand_density(space, rng, [0], maxord=2, maxdeg=2, nterms=2))
+        for r in range(rows) for c in range(cols) for _ in range(rng.randint(1, 2))])
+
+
+def _sympy_apply(op, fs, sympy, funcs, xs):
+    """op applied to sympy expressions fs, by sympy's diff."""
+    from test_algebra import _to_sympy
+
+    rows = [sympy.Integer(0)] * op.rows
+    for r, c, I, a in op.terms():
+        steps = [x for x, k in zip(xs, I) for _ in range(k)]
+        rows[r] += _to_sympy(a, sympy, funcs, xs) * (sympy.diff(fs[c], *steps)
+                                                     if steps else fs[c])
+    return rows
+
+
+@pytest.mark.parametrize("space, shape", [
+    (JetSpace.create(["x"], ["u"]), (1, 1)), (JetSpace.create(["x"], ["u"]), (2, 2)),
+    (SP, (1, 1))], ids=["x;u-1x1", "x;u-2x2", "x,t;u-1x1"])
+def test_adjoint_satisfies_the_green_identity_in_sympy(space, shape):
+    """<A p, q> - <p, A* q> is a total divergence for arbitrary functions p,
+    q: sympy's Euler-Lagrange operator, in u, p and q, annihilates it."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.calculus.euler import euler_equations
+
+    xs = sympy.symbols(space.independent)
+    funcs = [sympy.Function("u")(*xs)]
+    rows, cols = shape
+    ps = [sympy.Function(f"p{c}")(*xs) for c in range(cols)]
+    qs = [sympy.Function(f"q{r}")(*xs) for r in range(rows)]
+    rng = random.Random(97)
+    for _ in range(3):
+        A = _rand_matrix_op(space, rng, rows, cols)
+        Ap = _sympy_apply(A, ps, sympy, funcs, xs)
+        Aq = _sympy_apply(A.adjoint(), qs, sympy, funcs, xs)
+        density = sum(q * a for q, a in zip(qs, Ap)) - sum(p * a for p, a in zip(ps, Aq))
+        for eq in euler_equations(density, funcs + ps + qs, xs):
+            assert sympy.expand(eq.lhs) == 0
+
+
+@pytest.mark.parametrize("space", [JetSpace.create(["x"], ["u"]), SP], ids=["x;u", "x,t;u"])
+def test_compose_matches_sympy(space):
+    """(A o B)(f) is A(B(f)) for an arbitrary f, differentiated by sympy."""
+    sympy = pytest.importorskip("sympy")
+
+    xs = sympy.symbols(space.independent)
+    funcs = [sympy.Function("u")(*xs)]
+    fs = [sympy.Function(f"f{c}")(*xs) for c in range(2)]
+    rng = random.Random(101)
+    for _ in range(3):
+        A, B = _rand_matrix_op(space, rng, 2, 2), _rand_matrix_op(space, rng, 2, 2)
+        ours = _sympy_apply(A.compose(B), fs, sympy, funcs, xs)
+        theirs = _sympy_apply(A, _sympy_apply(B, fs, sympy, funcs, xs), sympy, funcs, xs)
+        assert all(sympy.expand(a - b) == 0 for a, b in zip(ours, theirs))
 
 
 def test_ev_apply():
