@@ -58,10 +58,15 @@ denominator of x's coefficients and S = L * sum |c|, and raises BudgetError
 beyond C: 2^N fails at once, and a power's coefficients stay within Python's
 4,300-digit limit on printing an int.
 
-Term budget: T = 2^16.  Before its first product, a power x^k also bounds
-its term count by C(n + k - 1, k), the number of monomials of degree k in
-x's n terms, and raises BudgetError beyond T: (u + u_x + u_xx + u_xxx)^4000,
-within both other budgets, would have about 10^10 terms.
+Term and work budgets: T = 2^16 and P = 2^20.  Before its first product,
+a power x^k also bounds its term count by C(n + k - 1, k), the number of
+monomials of degree k in x's n terms, and the work of its square-and-multiply
+chain by the sum of size(a) * size(b) over its products x^a * x^b, size(j)
+the terms of x^j times the 64-bit words of its coefficients; it raises
+BudgetError beyond either.  (u + u_x + u_xx + u_xxx)^4000 would have about
+10^10 terms, and (u + 1)^8192 squares two 4,097-term polynomials of 4,096-bit
+coefficients for minutes.  The slowest power found within P, (u/3 + u_x/5 +
+1/7)^51, takes about 1.1 s (Python 3.11.7, 2-vCPU Xeon).
 
 The monomial format is private to this module.  Other modules build
 expressions from the JetSpace constructors and the ring operations, and
@@ -73,10 +78,11 @@ pairs), `negative_keys` and `len` (the term count).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, comb, lcm, log2
+from math import ceil, comb, floor, lcm, log2, log10
 
 from .errors import (
     BudgetError,
@@ -256,28 +262,21 @@ def _q(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
-def _sort_odd(keys):
-    """Sort odd variable keys by insertion, returning (tuple, sign) or
-    None when a key repeats (odd square is zero)."""
-    out = []
-    sign = 1
-    for k in keys:
-        pos = len(out)
-        while pos > 0 and out[pos - 1] > k:
-            pos -= 1
-        if pos > 0 and out[pos - 1] == k:
-            return None
-        if k in out[pos:]:
-            return None
-        sign *= -1 if (len(out) - pos) % 2 else 1
-        out.insert(pos, k)
-    return tuple(out), sign
+def _merge_sign(odd1, odd2) -> int:
+    """The sign of merging two key-ordered tuples of odd keys into key
+    order, (-1)^(pairs a > b with a in odd1, b in odd2), or 0 when they
+    share a key (an odd square is zero)."""
+    if not set(odd1).isdisjoint(odd2):
+        return 0
+    inversions = sum(len(odd1) - bisect_left(odd1, b) for b in odd2)
+    return -1 if inversions & 1 else 1
 
 
 _W = 64                 # bits per exponent field
 _E = 1 << 16            # exponent budget: no |exponent| may exceed it
 _C = 1 << 13            # coefficient budget of a power or a parsed product, in bits
 _T = 1 << 16            # term budget of a power
+_P = 1 << 20            # work budget of a power, in products of coefficient words
 _FIELD = (1 << _W) - 1
 _UNITS = {}             # variable key -> 2^(W*slot), its monomial x^1
 _KEYS = []              # slot -> variable key
@@ -343,6 +342,24 @@ def _check_bits(bits):
                           f"the budget of {_C} bits")
 
 
+def _power_work(n, k, bits) -> int:
+    """The work bound of x^k for x of n terms with coefficients of up to
+    `bits` bits, following __pow__'s square-and-multiply chain."""
+    def size(j):
+        return comb(n + j - 1, j) * (1 + int(j * bits) // 64) if j else 1
+
+    work, r, b = 0, 0, 1
+    while k:
+        if k & 1:
+            work += size(r) * size(b)
+            r += b
+        k >>= 1
+        if k:
+            work += size(b) ** 2
+            b *= 2
+    return work
+
+
 def _odd_keys(space: JetSpace, mono) -> tuple:
     """The odd keys of a monomial in key order, cached per space."""
     odd = space._odd_cache.get(mono)
@@ -357,12 +374,8 @@ def _mono_mul(space: JetSpace, m1, m2):
     (mono, sign) or None for an odd square."""
     odd1 = _odd_keys(space, m1)
     odd2 = _odd_keys(space, m2)
-    if odd1 and odd2:
-        merged = _sort_odd(odd1 + odd2)
-        if merged is None:
-            return None
-        return m1 + m2, merged[1]
-    return m1 + m2, 1
+    sign = _merge_sign(odd1, odd2) if odd1 and odd2 else 1
+    return (m1 + m2, sign) if sign else None
 
 
 def _canonical(res: dict) -> dict:
@@ -486,26 +499,28 @@ class DiffExpr:
             raise TypeError("exponent must be an integer")
         if k < 0:
             return self.inverse_monomial() ** (-k)
-        if k > 1 and self._top_bound() * k > _E:
-            top = _top_exponent(self.terms) * k
+        if k > 1:
+            top = _top_exponent(self.terms) * k if self._top_bound() * k > _E else 0
             if top > _E:
                 raise BudgetError(f"exponent {top} beyond the budget of {_E}")
-        if k > 1:
-            _check_bits(k * self._coefficient_bits())
+            bits = self._coefficient_bits()
+            _check_bits(k * bits)
             # the monomials of degree k in len(self) terms
             count = comb(len(self.terms) + k - 1, k)
             if count > _T:
                 raise BudgetError(f"power of up to {count} terms beyond the budget "
                                   f"of {_T} terms")
-        result = self.space.one()
-        base = self
+            work = _power_work(len(self.terms), k, bits)
+            if work > _P:
+                raise BudgetError(f"power of up to {work} coefficient-word products "
+                                  f"beyond the budget of {_P}")
+        result, base = self.space.one(), self
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k >> 1
-            if base_needed:
+            k >>= 1
+            if k:
                 base = base * base
-            k = base_needed
         return result
 
     def _coefficient_bits(self) -> float:
@@ -1099,6 +1114,17 @@ def _render_key(space: JetSpace, key) -> str:
     return key[1]
 
 
+def _coefficient_text(c) -> str:
+    """str(c); a BudgetError naming the digits beyond Python's print limit."""
+    try:
+        return str(c)
+    except ValueError:
+        big = max(abs(c.numerator), c.denominator)
+        digits = floor(log10(big)) + 1
+        digits -= 10 ** (digits - 1) > big  # log10 may round up near a power of 10
+        raise BudgetError(f"coefficient of {digits} digits is too long to print") from None
+
+
 def render(e: DiffExpr) -> str:
     if e.is_zero():
         return "0"
@@ -1111,11 +1137,11 @@ def render(e: DiffExpr) -> str:
         body = "*".join(factors)
         coeff = abs(c)
         if not factors:
-            text = str(coeff)
+            text = _coefficient_text(coeff)
         elif coeff == 1:
             text = body
         else:
-            text = f"{coeff}*{body}"
+            text = f"{_coefficient_text(coeff)}*{body}"
         parts.append(("-" if c < 0 else "+", text))
     sign, first = parts[0]
     out = ("-" if sign == "-" else "") + first

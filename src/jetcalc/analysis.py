@@ -133,17 +133,15 @@ def solve_cosymmetries(pres: Presentation, ansatz: Ansatz):
 
 
 def _cofactor_operator(image, pres: Presentation):
-    """(op, None) with image = op(F) on free jets, op (one row per
-    component of `image`, one column per component of F) read off the
-    cofactors; (None, normal form) for the first component that does not
-    vanish on the equation."""
-    terms = []
+    """(op, normal forms) from one pres.reduce per component of `image`:
+    image = normal forms + op(F) on free jets, op (one row per component of
+    `image`, one column per component of F) read off the cofactors."""
+    terms, nfs = [], []
     for r, comp in enumerate(image):
         red = pres.reduce(comp)
-        if not red.normal_form.is_zero():
-            return None, red.normal_form
+        nfs.append(red.normal_form)
         terms.extend((r, s, K, a) for _, s, K, a in red.cofactor.terms())
-    return CDiffOp(pres.space, len(image), len(pres.components), terms), None
+    return CDiffOp(pres.space, len(image), len(pres.components), terms), nfs
 
 
 # -- conservation laws --------------------------------------------------------
@@ -189,10 +187,11 @@ def verify_conservation_factorization(psi, delta_prime: CDiffOp,
     with l_F*(psi) = nabla(F) read off the cofactors, check that
     l_psi + nabla* = delta' l_F modulo reduction for the supplied
     self-adjoint delta'."""
-    nabla, leftover = _cofactor_operator(pres.linearization().adjoint().apply(psi), pres)
-    if nabla is None:
+    nabla, nfs = _cofactor_operator(pres.linearization(adjoint=True).apply(psi), pres)
+    leftover = [nf for nf in nfs if not nf.is_zero()]
+    if leftover:
         return {"ok": False, "reason": "psi is not a cosymmetry",
-                "residual": [render(leftover)]}
+                "residual": [render(leftover[0])]}
     if not pres.restrict_operator(delta_prime - delta_prime.adjoint()).is_zero():
         return {"ok": False, "reason": "delta' is not self-adjoint"}
     lhs = linearize(psi, pres.space) + nabla.adjoint()
@@ -211,8 +210,8 @@ def pair_symmetry_cosymmetry(phi, psi, pres: Presentation) -> HorizontalForm:
 def lie_on_cosymmetry(phi, psi, pres: Presentation):
     """L_phi(psi) = E_phi(psi) + box*(psi), box read off the cofactors of
     l_F(phi)."""
-    box, _ = _cofactor_operator(pres.linearization().apply(phi), pres)
-    if box is None:
+    box, nfs = _cofactor_operator(pres.linearization().apply(phi), pres)
+    if any(not nf.is_zero() for nf in nfs):
         raise ShapeError("lie_on_cosymmetry needs a symmetry argument")
     correction = box.adjoint().apply(psi)
     return [pres.normal_form(ev_apply(phi, p) + c)
@@ -266,19 +265,26 @@ def lie_derivative_recursion(phi, R: PseudoOp, pres: Presentation) -> PseudoOp:
 # -- symplectic structures -----------------------------------------------------
 
 
+def _theta(delta: CDiffOp, pres: Presentation, adjoint=False) -> CDiffOp:
+    """l_F o delta - delta* o l_F*, zero on the equation iff delta is a
+    bivector there; with adjoint, l_F* o delta - delta* o l_F (symplectic)."""
+    return (pres.linearization(adjoint).compose(delta)
+            - delta.adjoint().compose(pres.linearization(not adjoint)))
+
+
 class BilinearNabla:
-    """nabla with  Theta(arg) = nabla(F, arg)  on free jets, extracted from
-    the cofactors of Theta's coefficients; supports the *1-adjoint used by
-    the closedness conditions."""
+    """Theta = restricted + nabla(F, .) on free jets, read off one cofactor
+    pass over Theta's coefficients: `restricted` is Theta on the equation,
+    and nabla supports the *1-adjoint used by the closedness conditions."""
 
     def __init__(self, pres: Presentation, theta: CDiffOp):
         self.l = len(pres.components)
-        self.data = []  # (r, c, J, s, K, lam)
-        for r, c, J, coeff in theta.terms():
-            red = pres.reduce(coeff)
-            if not red.normal_form.is_zero():
-                raise ShapeError("operator does not vanish on the equation")
-            self.data.extend((r, c, J, s, K, lam) for _, s, K, lam in red.cofactor.terms())
+        slots = [(r, c, J) for r, c, J, _ in theta.terms()]
+        cofactors, nfs = _cofactor_operator([a for *_, a in theta.terms()], pres)
+        self.restricted = CDiffOp(pres.space, theta.rows, theta.cols,
+                                  ((*slot, nf) for slot, nf in zip(slots, nfs)))
+        self.data = [(*slots[t], s, K, lam)  # (r, c, J, s, K, lam)
+                     for t, s, K, lam in cofactors.terms()]
 
     def star1(self, chi, arg):
         """Adjoint in the F-slot, applied to (chi, arg), unreduced, over the
@@ -299,15 +305,12 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None)
     on a generating family of arguments (evolution shortcut when the
     presentation is evolutionary, cofactor nabla otherwise)."""
     space = pres.space
-    L = pres.linearization()
-    theta = L.adjoint().compose(delta) - delta.adjoint().compose(L)
-    membership = pres.restrict_operator(theta)
+    nabla = BilinearNabla(pres, _theta(delta, pres, adjoint=True))
+    membership = nabla.restricted
     report = {"membership": membership.is_zero(),
               "membership_residual": membership.render_matrix()}
     if not report["membership"]:
-        report["closed"] = False
-        report["ok"] = False
-        return report
+        return dict(report, closed=False, ok=False)
     test_args = slot_candidates(ansatz_monomials(pres, ansatz or Ansatz(2, 1)), space.m, space)
     failures = []
     if pres.is_evolutionary():
@@ -319,8 +322,6 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None)
                 ell_delta_op(delta, p1).apply(p2), ell_delta_op(delta, p2).apply(p1),
                 ell_delta_op(delta, p1).adjoint().apply(p2))]
     else:
-        nabla = BilinearNabla(pres, theta)
-
         def defect(p1, p2):
             return [a - b + c for a, b, c in zip(
                 ell_delta_op(delta, p2).apply(p1), ell_delta_op(delta, p1).apply(p2),
@@ -330,7 +331,4 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None)
         if any(not x.is_zero() for x in res):
             failures.append([render(x) for x in res])
             break
-    report["closed"] = not failures
-    report["closed_failures"] = failures
-    report["ok"] = report["membership"] and report["closed"]
-    return report
+    return dict(report, closed=not failures, closed_failures=failures, ok=not failures)

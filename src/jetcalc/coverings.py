@@ -163,16 +163,13 @@ def delta_covering(base: Presentation, op: CDiffOp, odd=False,
 
 
 def tangent_covering(base: Presentation) -> Covering:
-    cov = delta_covering(base, base.linearization(), odd=False)
-    cov.structures["kind"] = "tangent"
-    return cov
+    return delta_covering(base, base.linearization(), odd=False)
 
 
 def cotangent_covering(base: Presentation) -> Covering:
     """Covering cut out by the adjoint linearization on odd fibers, with the
-    canonical structures rho = (p, 0) and Omega = [[0, 1], [-1, 0]]."""
-    L = base.linearization()
-    adj = L.adjoint()
+    canonical structure rho = (p, 0)."""
+    adj = base.linearization(adjoint=True)
     ext_leads = None
     if adj.rows == base.space.m and len(base.leadings) == adj.cols:
         # orient the rule read off component j_s along p^s at the base leading index
@@ -181,12 +178,10 @@ def cotangent_covering(base: Presentation) -> Covering:
         rows = [j for (j, _) in base.leadings]
         adj = adj.submatrix(rows, list(range(adj.cols)))
     cov = delta_covering(base, adj, odd=True, leadings=ext_leads)
-    cov.structures["kind"] = "cotangent"
     m = base.space.m
     sp = cov.space
     cov.structures["rho"] = ([sp.jet(m + s, mi_zero(sp.n)) for s in range(adj.cols)],
                              [sp.zero() for _ in range(adj.cols)])
-    cov.structures["omega"] = "[[0, 1], [-1, 0]]"
     return cov
 
 

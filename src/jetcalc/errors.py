@@ -29,8 +29,8 @@ class LaurentError(JetCalcError):
 
 
 class BudgetError(JetCalcError):
-    """A product would give a factor an exponent beyond the budget, or a
-    power would give its coefficients more bits than the budget."""
+    """An exponent, a power's coefficient bits, terms or work beyond their
+    budgets, or a coefficient with too many digits to print."""
 
 
 class NonlocalObstruction(JetCalcError):

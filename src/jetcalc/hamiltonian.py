@@ -25,18 +25,20 @@ from .algebra import (
     mi_unit,
     mi_zero,
     render,
+    sum_of_products,
 )
 from .errors import AnsatzError, ShapeError, VariationalityError
 from .analysis import (
     Ansatz,
     BilinearNabla,
+    _theta,
     ansatz_monomials,
     ell_delta_op,
     slot_candidates,
     solve_determining,
 )
 from .coverings import cotangent_covering
-from .operators import CDiffOp, ev_apply, jacobi, linearize, pairing_density
+from .operators import CDiffOp, ev_apply, helmholtz, jacobi, linearize, pairing_density
 from .presentations import Presentation
 
 
@@ -119,30 +121,20 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
 
 
 def _bracket_density(op1: CDiffOp, op2: CDiffOp) -> DiffExpr:
-    """sum_i dW1/du^i dW2/dp^i + dW2/du^i dW1/dp^i on the momentum space."""
-    W1 = to_superdensity(op1)
-    W2 = to_superdensity(op2)
-    ext = W1.space
-    m = W1.base_m
-    out = ext.zero()
-    for i in range(m):
-        du1 = euler(W1.expr, [i])[0]
-        du2 = euler(W2.expr, [i])[0]
-        dp1 = euler(W1.expr, [m + i])[0]
-        dp2 = euler(W2.expr, [m + i])[0]
-        out = out + du1 * dp2 + du2 * dp1
-    return out
+    """sum_i dW1/du^i dW2/dp^i + dW2/du^i dW1/dp^i on the momentum space, over
+    the gradient pairs (W1, W2) and (W2, W1); for op2 is op1, (W, W) once: half
+    the sum, whose Euler operator vanishes exactly when the full sum's does."""
+    Ws = [to_superdensity(op) for op in ((op1,) if op2 is op1 else (op1, op2))]
+    m = Ws[0].base_m
+    grads = [[(euler(W.expr, [i])[0], euler(W.expr, [m + i])[0]) for i in range(m)]
+             for W in Ws]
+    return sum_of_products(Ws[0].space, [(du, dp) for g, h in zip(grads, grads[::-1])
+                                         for (du, _), (_, dp) in zip(g, h)])
 
 
 def is_hamiltonian(op: CDiffOp) -> bool:
-    """[[A, A]] = 0 via the odd-variable criterion."""
-    W = to_superdensity(op)
-    ext = W.space
-    m = W.base_m
-    density = ext.zero()
-    for i in range(m):
-        density = density + euler(W.expr, [i])[0] * euler(W.expr, [m + i])[0]
-    return all(e.is_zero() for e in euler(density))
+    """[[A, A]] = 0: the polarized criterion with B = A."""
+    return are_compatible(op, op)
 
 
 def are_compatible(op1: CDiffOp, op2: CDiffOp) -> bool:
@@ -261,8 +253,7 @@ def magri_step(A: CDiffOp, B: CDiffOp, omega: DiffExpr) -> DiffExpr:
         psi = solve_linear(A, phi, Ansatz(4, 3))
         if psi is None:
             raise AnsatzError("no ansatz solution of A(psi) = B(delta omega)")
-    h = linearize(psi)
-    if not (h - h.adjoint()).is_zero():
+    if not helmholtz(psi).is_zero():
         raise VariationalityError(
             "psi fails the Helmholtz condition: the hierarchy terminates")
     return homotopy_density(psi)
@@ -283,15 +274,14 @@ def magri_chain(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int):
 
 def verify_bivector_on_equation(delta: CDiffOp, pres: Presentation) -> dict:
     """Membership  l_F delta = delta* l_F*  modulo reduction."""
-    L = pres.linearization()
-    theta = L.compose(delta) - delta.adjoint().compose(L.adjoint())
-    residual = pres.restrict_operator(theta)
+    residual = pres.restrict_operator(_theta(delta, pres))
     return {"ok": residual.is_zero(), "residual": residual.render_matrix()}
 
 
-def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, pres: Presentation):
+def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, n1, n2, pres: Presentation):
     """[[d1, d2]](a, b) on two fresh even dummy families, with the nabla
-    corrections extracted from cofactors; reduced modulo the presentation."""
+    corrections n1, n2 read off the cofactors of each Theta; reduced modulo
+    the presentation."""
     space = pres.space
     l = len(pres.components)
     dummies = space.fresh([f"_a{s}" for s in range(l)] + [f"_b{s}" for s in range(l)])
@@ -300,26 +290,24 @@ def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, pres: Presentation):
     m = space.m
     avec = [ext.jet(m + s, mi_zero(ext.n)) for s in range(l)]
     bvec = [ext.jet(m + l + s, mi_zero(ext.n)) for s in range(l)]
-    L = pres.linearization()
     D1, D2 = (d.rename_space(ext) for d in (d1, d2))
-    n1, n2 = (BilinearNabla(pres, L.compose(d) - d.adjoint().compose(L.adjoint()))
-              for d in (d1, d2))
     total = _bivector_bracket(D1, D2, avec, bvec, n1.star1(bvec, avec),
                               n2.star1(bvec, avec), m)
     return ext_pres.normal_form(total)
 
 
 def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
-    """Triviality of [[d1, d2]] on the equation: the bracket is encoded as
+    """Triviality of [[d1, d2]] on the equation: one cofactor pass over each
+    Theta gives its membership residual and nabla; the bracket is encoded as
     a fiber-cubic superdensity on the cotangent covering (odd fibers),
     reduced modulo its rules, and tested by the internal Euler operator."""
-    for d, name in ((d1, "first"), (d2, "second")):
-        chk = verify_bivector_on_equation(d, pres)
-        if not chk["ok"]:
+    n1, n2 = (BilinearNabla(pres, _theta(d, pres)) for d in (d1, d2))
+    for nabla, name in ((n1, "first"), (n2, "second")):
+        if not nabla.restricted.is_zero():
             return {"ok": False, "trivial": False,
                     "reason": f"{name} operator is not an equation bivector",
-                    "residual": chk["residual"]}
-    T = _eq_bracket_on_dummies(d1, d2, pres)
+                    "residual": nabla.restricted.render_matrix()}
+    T = _eq_bracket_on_dummies(d1, d2, n1, n2, pres)
     cot = cotangent_covering(pres)
     cspace = cot.space
     m = pres.space.m

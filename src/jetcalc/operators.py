@@ -241,17 +241,8 @@ def linearize(psis, space: JetSpace = None, columns=None) -> CDiffOp:
 def ev_apply(phi, e: DiffExpr) -> DiffExpr:
     """Evolutionary derivation: E_phi(e) = sum_{I,j} D_I(phi^j) de/du_I^j;
     families j >= len(phi) are left out."""
-    space = e.space
-    out = space.zero()
-    for key in e.jet_keys():
-        _, j, I = key
-        if j >= len(phi):
-            continue
-        part = e.partial(key)
-        if part.is_zero():
-            continue
-        out = out + apply_DI(phi[j], I) * part
-    return out
+    return sum_of_products(e.space, [(apply_DI(phi[key[1]], key[2]), e.partial(key))
+                                     for key in e.jet_keys() if key[1] < len(phi)])
 
 
 def ev_apply_op(phi, op: CDiffOp) -> CDiffOp:

@@ -59,8 +59,7 @@ class Presentation:
         self._rules_by_dep = {}
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
-        self._jet_nfs, self._determining_ops = {}, {}
-        self._lin = None
+        self._jet_nfs, self._determining_ops, self._lin = {}, {}, {}
         self._tag_space = space.extended(
             dependent=space.fresh(f"_F{s}" for s in range(len(self.components))))
 
@@ -189,11 +188,13 @@ class Presentation:
     def restrict_operator(self, op: CDiffOp) -> CDiffOp:
         return op.map_coefficients(self.normal_form)
 
-    def linearization(self) -> CDiffOp:
-        """l_F, built once: the solvers apply it to every candidate."""
-        if self._lin is None:
-            self._lin = linearize(list(self.components), self.space)
-        return self._lin
+    def linearization(self, adjoint=False) -> CDiffOp:
+        """l_F, or l_F* when adjoint, each built once per presentation."""
+        lin = self._lin.get(adjoint)
+        if lin is None:
+            lin = self._lin[adjoint] = self.linearization().adjoint() if adjoint \
+                else linearize(list(self.components), self.space)
+        return lin
 
     def restricted(self, op: CDiffOp, d=None):
         """op on the equation, as the function vec -> sum_K NF(a_K) *
@@ -222,8 +223,8 @@ class Presentation:
     def _determining(self, adjoint, vec) -> list:
         apply = self._determining_ops.get(adjoint)
         if apply is None:
-            op = self.linearization().adjoint() if adjoint else self.linearization()
-            apply = self._determining_ops[adjoint] = self.restricted(op)
+            apply = self._determining_ops[adjoint] = self.restricted(
+                self.linearization(adjoint))
         return apply(vec)
 
     def reduce_form(self, form: HorizontalForm) -> HorizontalForm:

@@ -23,7 +23,15 @@ from jetcalc import (
     parse,
     render,
 )
-from jetcalc.algebra import _E, _integrate_var, apply_DI, euler_is_zero, mi_order
+from jetcalc.algebra import (
+    _E,
+    _P,
+    _integrate_var,
+    _power_work,
+    apply_DI,
+    euler_is_zero,
+    mi_order,
+)
 from jetcalc.errors import BudgetError, ExprSyntaxError
 from jetcalc.hamiltonian import momenta_space
 from jetcalc.linalg import nullspace, rref
@@ -842,6 +850,69 @@ def test_powers_beyond_the_term_budget_fail_before_expanding(monkeypatch):
     assert len(x ** 3) == 10
     with pytest.raises(BudgetError):
         x ** 4
+
+
+def test_powers_beyond_the_work_budget_fail_before_expanding(monkeypatch):
+    """(u + 1)^8192 is within the exponent, coefficient and term budgets,
+    but its last squaring multiplies two 4,097-term polynomials of 4,096-bit
+    coefficients: parse reports it at its '^' without allocating more than
+    a few kilobytes, and ** refuses it before its first product."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExprSyntaxError, match=r"power of up to \d+ coefficient-word "
+                                                  r"products beyond the budget of 1048576 "
+                                                  r"\(at position 10\)"):
+            parse("(u[0,0]+1)^8192", SP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    base = parse("u[0,0]+1", SP)
+
+    def product(a, b):
+        pytest.fail("** multiplied before it checked the budget")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DiffExpr, "__mul__", product)
+        with pytest.raises(BudgetError):
+            base ** 8192
+    # (u + 1)^447 is the highest power of u + 1 within the budget
+    assert len(base ** 447) == 448
+    with pytest.raises(BudgetError):
+        base ** 448
+
+
+def test_the_work_bound_follows_the_power_chain(monkeypatch):
+    """With one term and one-word coefficients every product costs 1, so
+    the bound is the number of products ** makes."""
+    products = []
+    mul = DiffExpr.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(DiffExpr, "__mul__", counting)
+    u = SP.jet("u", (0, 0))
+    for k in range(2, 70):
+        del products[:]
+        u ** k
+        assert len(products) == _power_work(1, k, 0.0)
+    assert _power_work(2, 447, 1.0) <= _P < _power_work(2, 448, 1.0)
+
+
+def test_render_names_the_digits_of_a_coefficient_it_cannot_print():
+    """Python prints an int of at most 4,300 digits; render reports a longer
+    numerator or denominator as a BudgetError with its digit count."""
+    assert len(render(SP.num(10 ** 4299))) == 4300
+    for value, digits in ((2 ** 16000, 4817), (Fraction(1, 2 ** 16000), 4817),
+                          (10 ** 4300, 4301), (10 ** 5000 - 1, 5000)):
+        for e in (SP.num(value), SP.num(value) * SP.jet("u", (1, 0))):
+            with pytest.raises(BudgetError,
+                               match=f"^coefficient of {digits} digits is too long to print$"):
+                render(e)
 
 
 def _old_sort_odd(keys):

@@ -27,7 +27,7 @@ from jetcalc import (
     verify_symmetry,
     verify_symplectic,
 )
-from jetcalc.analysis import AnsatzError
+from jetcalc.analysis import AnsatzError, BilinearNabla, _theta
 from jetcalc.linalg import rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -340,3 +340,25 @@ def test_solver_bases_match_reference(label, dependent, parameters, equations,
     basis = solver(pres, Ansatz(*bounds))
     expected = json.loads(SOLVE_REFERENCE.read_text())[label]
     assert [[render(x) for x in vec] for vec in basis] == expected
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["bivector", "symplectic"])
+def test_bilinear_nabla_records_theta_on_the_equation(kdv, adjoint):
+    """Theta of u D_x does not vanish on KdV (u D_x is neither a bivector
+    nor symplectic there).  BilinearNabla's one cofactor pass records Theta
+    restricted to the equation, equal to restrict_operator's, because each
+    coefficient's reduce has its normal form as normal form; and Theta is
+    that restriction plus the nabla read off the cofactors."""
+    theta = _theta(CDiffOp.scalar(SP, {(1, 0): SP.jet("u", (0, 0))}), kdv, adjoint)
+    restricted = kdv.restrict_operator(theta)
+    assert not restricted.is_zero()
+    nabla = BilinearNabla(kdv, theta)
+    assert nabla.restricted == restricted
+    for *_, coeff in theta.terms():
+        assert kdv.reduce(coeff).normal_form == kdv.normal_form(coeff)
+    # Theta(arg) = restricted(arg) + nabla(F, arg): pair both sides with chi
+    # and compare <nabla(F, arg), chi> with <F, nabla*1(chi, arg)> by Euler
+    arg, chi = [parse("u[1,0]*u[0,0]", SP)], [parse("u[2,0] + 1", SP)]
+    lhs = (theta - restricted).apply(arg)[0] * chi[0]
+    rhs = kdv.components[0] * nabla.star1(chi, arg)[0]
+    assert all(e.is_zero() for e in euler(lhs - rhs))

@@ -610,3 +610,37 @@ def test_max_prolong_reaches_the_coverings_of_tasks(monkeypatch):
     report = run_problem(dict(data, tasks=tasks), max_prolong=2)
     assert report["status"] == "ok"
     assert len(bounds) == 3 and set(bounds) == {2}
+
+
+def test_coefficients_beyond_the_print_limit_are_task_errors(tmp_path, capsys):
+    """Reducing u_tt on u_t = 2^8000 u_x builds the coefficient 2^16000, of
+    4,817 digits, more than Python prints: the task ends in an error that
+    names the digit count, with exit 1 and no traceback."""
+    data = {"space": {"independent": ["x", "t"], "dependent": ["u"]},
+            "equations": [{"expr": "u[0,1] - 2^8000*u[1,0]", "leading": "u[0,1]"}],
+            "tasks": [{"kind": "reduce", "expr": "u[0,2]"}]}
+    code, report = _run_json(tmp_path, capsys, data)
+    assert code == 1
+    assert report["tasks"] == [{"task": "reduce", "status": "error",
+                                "detail": "coefficient of 4817 digits is too long to print"}]
+    assert capsys.readouterr().err == ""
+
+
+def test_schouten_equation_reports_an_operator_that_is_not_a_bivector(tmp_path, capsys):
+    """u D_x is not a bivector on KdV: as either operator of a
+    schouten-equation task the task fails with the residual that a
+    verify-bivector task on it reports."""
+    def op(coef):
+        return {"rows": 1, "cols": 1, "entries": [
+            {"row": 0, "col": 0, "terms": [{"D": [1, 0], "coef": coef}]}]}
+
+    u_dx, dx = op("u[0,0]"), op("1")
+    code, report = _run_json(tmp_path, capsys, dict(corpus("kdv"), tasks=[
+        {"kind": "verify-bivector", "op": u_dx},
+        {"kind": "schouten-equation", "ops": [u_dx, dx]},
+        {"kind": "schouten-equation", "ops": [dx, u_dx]}]))
+    assert code == 1
+    membership, first, second = report["tasks"]
+    assert membership["status"] == "fail"
+    assert first == second == {"task": "schouten-equation", "status": "fail",
+                               "trivial": False, "residual": membership["residual"]}

@@ -386,3 +386,56 @@ def test_weingarten_bivectors(weingarten):
                               (0, 1): sp.jet("z", (1, 0))})
     assert verify_bivector_on_equation(D2, weingarten)["ok"]
     assert verify_bivector_on_equation(Dxy, weingarten)["ok"]
+
+
+def test_schouten_on_equation_reports_an_operator_that_is_not_a_bivector(kdv):
+    """u D_x fails membership on KdV: as either argument, the report names
+    it and carries the residual verify_bivector_on_equation gives."""
+    sp = kdv.space
+    A = CDiffOp.total_derivative(sp, 0)
+    bad = CDiffOp.scalar(sp, {(1, 0): sp.jet("u", (0, 0))})
+    membership = verify_bivector_on_equation(bad, kdv)
+    assert not membership["ok"]
+    for pair, name in (((bad, A), "first"), ((A, bad), "second")):
+        assert schouten_on_equation(*pair, kdv) == {
+            "ok": False, "trivial": False,
+            "reason": f"{name} operator is not an equation bivector",
+            "residual": membership["residual"]}
+
+
+def test_schouten_on_equation_builds_each_theta_once(kdv, monkeypatch):
+    """Theta = l_F o delta - delta* o l_F* is built once per operator, from
+    two compositions, and one cofactor pass over it gives both the
+    membership residual and nabla."""
+    sp = kdv.space
+    A = CDiffOp.total_derivative(sp, 0)
+    B = CDiffOp.scalar(sp, {(3, 0): sp.one(), (1, 0): 4 * sp.jet("u", (0, 0)),
+                            (0, 0): 2 * sp.jet("u", (1, 0))})
+    composed = []
+    compose = CDiffOp.compose
+
+    def counting(self, other):
+        composed.append(self)
+        return compose(self, other)
+
+    monkeypatch.setattr(CDiffOp, "compose", counting)
+    assert schouten_on_equation(A, B, kdv)["trivial"]
+    assert len(composed) == 4
+
+
+def test_is_hamiltonian_is_the_polarized_test_with_b_equal_to_a():
+    """is_hamiltonian(A) is are_compatible(A, A), which builds one W and
+    half the bracket density; an equal but distinct copy of A takes the
+    two-W path with the full density, and the verdicts agree.  The seeded
+    skew operators include the route universe's non-Hamiltonian
+    -u D^3 - 3/2 u_x D^2 - 1/2 u_xx D."""
+    from test_acceptance import _rand_op
+
+    rng = random.Random(71)
+    ops = [op for op in (skew(_rand_op(rng, SP1)) for _ in range(24)) if not op.is_zero()]
+    ops.append(CDiffOp.scalar(SP1, {(3,): -U, (2,): Fraction(-3, 2) * SP1.jet("u", (1,)),
+                                    (1,): Fraction(-1, 2) * SP1.jet("u", (2,))}))
+    verdicts = [is_hamiltonian(op) for op in ops]
+    assert verdicts == [are_compatible(op, op) for op in ops]
+    assert verdicts == [are_compatible(op, op.scale(1)) for op in ops]
+    assert verdicts[-1] is False and True in verdicts

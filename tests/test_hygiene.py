@@ -355,3 +355,57 @@ obj.m(**opts)
 C.s(*args)
 """)
     assert list(_unpassed_defaults([defining], [calling])) == ["f(c)", "f(e)", "C(y)"]
+
+
+def _linearization_rebuilds(tree):
+    """Nodes that rebuild what a Presentation caches: `.adjoint()` of a
+    `linearization(...)` call, made directly or through a name that the same
+    function assigns one, and `linearize(...)` of an argument that reads
+    `.components`."""
+    def calls(node, name):
+        return isinstance(node, ast.Call) and _callee(node) == name
+
+    found = {}
+    for scope in [tree] + [f for f in ast.walk(tree)
+                           if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+        named = {t.id for n in ast.walk(scope)
+                 if isinstance(n, ast.Assign) and calls(n.value, "linearization")
+                 for t in n.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(scope):
+            if calls(node, "adjoint") and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if calls(owner, "linearization") or getattr(owner, "id", None) in named:
+                    found[id(node)] = node
+            elif calls(node, "linearize") and any(
+                    isinstance(a, ast.Attribute) and a.attr == "components"
+                    for arg in node.args for a in ast.walk(arg)):
+                found[id(node)] = node
+    return sorted(found.values(), key=lambda node: node.lineno)
+
+
+def test_only_presentations_builds_the_linearizations():
+    """l_F and l_F* are built once per presentation, by
+    Presentation.linearization(adjoint=...); other modules read them there
+    instead of taking an adjoint or a linearization of their own."""
+    rebuilds = [f"{path.name}:{node.lineno}" for path, tree in _trees(PACKAGE)
+                if path.name != "presentations.py" for node in _linearization_rebuilds(tree)]
+    assert rebuilds == []
+
+
+def test_the_linearization_check_sees_every_rebuild():
+    source = """
+def f(pres, delta, psi):
+    L = pres.linearization()
+    a = L.adjoint()
+    b = pres.linearization().adjoint()
+    c = linearize(list(pres.components), pres.space)
+    d = pres.linearization(adjoint=True)
+    e = delta.adjoint().compose(d)
+    g = linearize(psi)
+
+    def h():
+        return L.adjoint()
+    return a, b, c, e, g, h
+"""
+    lines = [node.lineno for node in _linearization_rebuilds(ast.parse(source))]
+    assert lines == [4, 5, 6, 12]

@@ -366,3 +366,13 @@ def test_reduction_errors_name_the_jet(kdv, kdv_cotangent):
             route(parse("u[1,0]*u[0,1]^-1 + u[1,1]", SP))
     with pytest.raises(ReductionError, match=re.escape("even reducible jets: p[1,1]")):
         kdv_cotangent.reduce(parse("u[0,1]*p[1,1] + p[0,0]", kdv_cotangent.space))
+
+
+def test_adjoint_linearization_is_built_once():
+    """l_F* is cached beside l_F, once per presentation."""
+    F = parse("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", SP)
+    pres = make_presentation(SP, [F], [("u", (0, 1))])
+    adjoint = pres.linearization(adjoint=True)
+    assert adjoint is pres.linearization(adjoint=True)
+    assert adjoint == pres.linearization().adjoint()
+    assert pres.linearization() is pres.linearization()
