@@ -13,10 +13,13 @@ Odd variables (Grassmann) occur with exponent exactly one and are kept in
 key order; every constructor normalizes the sign accordingly.  Negative
 exponents are allowed on even jet and nonlocal variables only.
 
-Coefficients are canonical: an int when integral, a Fraction only when
-not (`_q`), since int arithmetic costs a small fraction of Fraction's.
+Coefficients are int numerators over one positive denominator per
+expression (`DiffExpr.den`, coprime to them, 1 for an integral expression;
+FLINT's fmpq_poly layout, Hart, ICMS 2010), since int arithmetic costs a
+small fraction of Fraction's.  Only `coefficients` and `summands` build a
+coefficient value: an int when integral, else a reduced Fraction.
 
-A monomial is one int, the key of a {monomial: coefficient} term dict:
+A monomial is one int, the key of a {monomial: numerator} term dict:
 sum_s e_s * 2^(W*s), one signed W-bit field per variable slot s (packed
 exponent vectors, as in Bachmann & Schoenemann, ISSAC 1998, and Monagan
 & Pearce, CASC 2007).  A process-wide registry gives each variable key a
@@ -28,12 +31,13 @@ reads factors or sorts monomials (rendering, `summands`) goes through it,
 so no output depends on the order in which slots were registered.
 
 One accumulator per result: the kernels that sum many products, D_i
-(`total_derivative`), the product (`_terms_mul`) and `sum_of_products`
-(each row of `CDiffOp.apply`), add every term into one dict of raw sums
-(`_mul_into`) and make it canonical in one pass at the end (`_canonical`:
-zero sums dropped, a Fraction with denominator 1 turned into an int),
-not on every addition.  D_i looks up the image of each distinct variable
-once per call.  On a space without odd variables a monomial product is
+(`total_derivative`), the product and `sum_of_products` (each row of
+`CDiffOp.apply`), add every term into one dict of raw int sums over the
+lcm of the denominators (`_mul_into`) and make it canonical in one pass at
+the end (`_canonical`: zero sums dropped and, over a denominator above 1,
+the gcd of it and the numerators divided out); an integral result pays only
+for the zero scan.  D_i looks up the image of each distinct variable once
+per call.  On a space without odd variables a monomial product is
 the sum of two ints, with no sign to find.  A result's terms come in the
 order of their first occurrence, which may differ from a term-by-term
 sum's; nothing that is reported depends on it.  The exponent bound of
@@ -53,8 +57,8 @@ parser reports a power or product beyond E as an ExprSyntaxError at its
 operator.
 
 Coefficient budget: C = 2^13 bits.  Before its first product, a power x^k
-bounds its coefficients' bit length by k * log2(max(L, S)), L the common
-denominator of x's coefficients and S = L * sum |c|, and raises BudgetError
+bounds its coefficients' bit length by k * log2(max(L, S)), L the
+denominator of x and S the sum of its |numerators|, and raises BudgetError
 beyond C: 2^N fails at once, and a power's coefficients stay within Python's
 4,300-digit limit on printing an int.
 
@@ -65,14 +69,18 @@ chain by the sum of size(a) * size(b) over its products x^a * x^b, size(j)
 the terms of x^j times the 64-bit words of its coefficients; it raises
 BudgetError beyond either.  (u + u_x + u_xx + u_xxx)^4000 would have about
 10^10 terms, and (u + 1)^8192 squares two 4,097-term polynomials of 4,096-bit
-coefficients for minutes.  The slowest power found within P, (u/3 + u_x/5 +
-1/7)^51, takes about 1.1 s (Python 3.11.7, 2-vCPU Xeon).
+coefficients for minutes.  (u/3 + u_x/5 + 1/7)^51, the slowest power found
+within P with a Fraction per coefficient (1.1 s), takes 0.09 s over one
+denominator (Python 3.11.7, 2-vCPU Xeon).
 
 The monomial format is private to this module.  Other modules build
 expressions from the JetSpace constructors and the ring operations, and
 read them through `variables`, `summands` (single-term expressions in
 sorted monomial order), `coefficients` ((opaque monomial, coefficient)
-pairs), `negative_keys` and `len` (the term count).
+pairs), `negative_keys` and `len` (the term count).  The ring operations
+raise ShapeError, and == is False, for expressions over incompatible spaces
+(`_compatible`: renamed variables; a space and its `extended` results
+meet).
 """
 
 from __future__ import annotations
@@ -82,13 +90,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, comb, floor, lcm, log2, log10
+from math import ceil, comb, floor, gcd, lcm, log2, log10
 
 from .errors import (
     BudgetError,
     ExprSyntaxError,
     LaurentError,
     NonlocalObstruction,
+    ShapeError,
     UnknownNameError,
     VariationalityError,
 )
@@ -211,8 +220,9 @@ class JetSpace:
         return DiffExpr(self, {}, 0)
 
     def num(self, value) -> "DiffExpr":
-        c = value if type(value) is int else _q(Fraction(value))
-        return DiffExpr(self, {0: c} if c else {}, 0)
+        if type(value) is not int:
+            value = Fraction(value)
+        return DiffExpr(self, {0: value.numerator} if value else {}, 0, value.denominator)
 
     def one(self) -> "DiffExpr":
         return self.num(1)
@@ -253,13 +263,30 @@ class JetSpace:
         raise UnknownNameError(f"unknown name {name!r}")
 
 
+# -- space compatibility ---------------------------------------------------
+
+
+def _compatible(a: JetSpace, b: JetSpace) -> bool:
+    """Whether expressions over the spaces a and b may meet: the same
+    independents; dependents, parameters and nonlocals each the same up to
+    a tail that one of them appends, as `extended` does; and the same parity
+    for every name the two share.  Renamed variables are not compatible."""
+    def prefix(x, y):
+        return x == y[:len(x)] or y == x[:len(y)]
+
+    shared = set(a.dependent + a.nonlocals) & set(b.dependent + b.nonlocals)
+    return a.independent == b.independent and prefix(a.dependent, b.dependent) \
+        and prefix(a.parameters, b.parameters) and prefix(a.nonlocals, b.nonlocals) \
+        and not (a.odd ^ b.odd) & shared
+
+
+def _check_space(a: JetSpace, b: JetSpace):
+    """ShapeError unless expressions over a and b may meet."""
+    if not _compatible(a, b):
+        raise ShapeError(f"expressions over incompatible jet spaces: {a} and {b}")
+
+
 # -- coefficient and monomial helpers -------------------------------------
-
-
-def _q(c):
-    """Canonical coefficient: a Fraction with denominator 1 becomes its
-    numerator."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def _merge_sign(odd1, odd2) -> int:
@@ -378,22 +405,34 @@ def _mono_mul(space: JetSpace, m1, m2):
     return (m1 + m2, sign) if sign else None
 
 
-def _canonical(res: dict) -> dict:
-    """The raw sums of a kernel made canonical in one pass: zero sums are
-    dropped and a Fraction with denominator 1 becomes its numerator.  The
-    scans for a Fraction and for a zero run in C, so a result of nonzero
-    ints is returned as it is."""
-    values = res.values()
-    if Fraction in set(map(type, values)):
-        return {m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                for m, c in res.items() if c}
-    return {m: c for m, c in res.items() if c} if 0 in values else res
+def _canonical(res: dict, den: int) -> tuple:
+    """(terms, den) of a kernel's raw integer sums `res` over `den`, made
+    canonical in one pass: zero sums dropped and, for den > 1, the gcd of
+    den and the numerators divided out.  Both scans run in C; an integral
+    result of nonzero sums is returned as it is."""
+    if 0 in res.values():
+        res = {m: c for m, c in res.items() if c}
+    if den > 1:
+        g = gcd(den, *res.values())
+        if g > 1:
+            res = {m: c // g for m, c in res.items()}
+            den //= g
+    return res, den
+
+
+def _widen(res: dict, den: int, d: int) -> int:
+    """lcm(den, d), for den not a multiple of d, with the raw sums `res`
+    over den rescaled to it in place."""
+    g = lcm(den, d) // den
+    for m in res:
+        res[m] *= g
+    return den * g
 
 
 def _mul_into(res: dict, space: JetSpace, t1: dict, t2: dict) -> dict:
-    """Add the product of two term dicts, t1 on the left, to the raw sums
-    `res`, and return `res`.  Without odd variables a monomial product is
-    the sum of the two ints."""
+    """Add the product of two dicts of integer numerators, t1 on the left,
+    to the raw sums `res`, and return `res`.  Without odd variables a
+    monomial product is the sum of the two ints."""
     get = res.get
     if not space.odd:
         for m1, c1 in t1.items():
@@ -410,21 +449,25 @@ def _mul_into(res: dict, space: JetSpace, t1: dict, t2: dict) -> dict:
     return res
 
 
-def _terms_mul(space: JetSpace, t1: dict, t2: dict) -> dict:
-    """Product of two term dicts, t1 on the left."""
-    return _canonical(_mul_into({}, space, t1, t2))
-
-
 def sum_of_products(space: JetSpace, pairs) -> "DiffExpr":
     """The sum of a * b over the (a, b) pairs, a on the left: every product
-    is added into one term dict, made canonical once.  Its exponent bound
+    is added into one term dict over the lcm of the pairs' denominators (a's
+    numerators scaled to it first), made canonical once.  Its exponent bound
     is the largest of the products' bounds."""
-    res, top = {}, 0
+    res, den, top = {}, 1, 0
     for a, b in pairs:
-        _mul_into(res, space, a.terms, b.terms)
+        if a.space is not space or b.space is not space:
+            _check_space(space, a.space)
+            _check_space(space, b.space)
+        d = a.den * b.den
+        if den % d:
+            den = _widen(res, den, d)
+        s = den // d
+        _mul_into(res, space, a.terms if s == 1 else {m: c * s for m, c in a.terms.items()},
+                  b.terms)
         top = max(top, a._top_bound() + b._top_bound())
-    res = _canonical(res)
-    return DiffExpr(space, res, _within_budget(res, top))
+    res, den = _canonical(res, den)
+    return DiffExpr(space, res, _within_budget(res, top), den)
 
 
 def _drop_factor(space: JetSpace, mono, key, e):
@@ -436,16 +479,19 @@ def _drop_factor(space: JetSpace, mono, key, e):
 
 
 class DiffExpr:
-    """Immutable sparse differential polynomial over a JetSpace.  No code
-    writes `terms` in place, so the free total derivatives can be cached on
-    the expression (`_free_d`, {i: D_i(self)}), and so can `_top`, a bound
-    on its largest |exponent| (None until needed)."""
+    """Immutable sparse differential polynomial over a JetSpace: `terms`
+    {monomial: integer numerator} over the positive denominator `den`, in
+    canonical form.  No code writes `terms` in place, so the free total
+    derivatives can be cached on the expression (`_free_d`, {i: D_i(self)}),
+    and so can `_top`, a bound on its largest |exponent| (None until
+    needed)."""
 
-    __slots__ = ("space", "terms", "_free_d", "_top")
+    __slots__ = ("space", "terms", "den", "_free_d", "_top")
 
-    def __init__(self, space: JetSpace, terms: dict, top=None):
+    def __init__(self, space: JetSpace, terms: dict, top=None, den=1):
         self.space = space
         self.terms = terms
+        self.den = den
         self._free_d = None
         self._top = top
 
@@ -460,20 +506,21 @@ class DiffExpr:
 
     def __add__(self, other):
         other = self._coerce(other)
-        res = dict(self.terms)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        res = dict(self.terms) if s == 1 else {m: c * s for m, c in self.terms.items()}
+        get = res.get
         for m, c in other.terms.items():
-            s = res.get(m, 0) + c
-            if s:
-                res[m] = _q(s)
-            elif m in res:
-                del res[m]
+            res[m] = get(m, 0) + c * t
+        res, den = _canonical(res, den)
         top = None if self._top is None or other._top is None else max(self._top, other._top)
-        return DiffExpr(self.space, res, top)
+        return DiffExpr(self.space, res, top, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffExpr(self.space, {m: -c for m, c in self.terms.items()}, self._top)
+        return DiffExpr(self.space, {m: -c for m, c in self.terms.items()}, self._top,
+                        self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -485,12 +532,15 @@ class DiffExpr:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return DiffExpr(self.space, {}, 0)
-            return DiffExpr(self.space, {m: _q(v * other) for m, v in self.terms.items()},
-                            self._top)
+            p = other.numerator
+            terms, den = _canonical({m: c * p for m, c in self.terms.items()},
+                                    self.den * other.denominator)
+            return DiffExpr(self.space, terms, self._top, den)
         other = self._coerce(other)
-        terms = _terms_mul(self.space, self.terms, other.terms)
+        terms, den = _canonical(_mul_into({}, self.space, self.terms, other.terms),
+                                self.den * other.den)
         return DiffExpr(self.space, terms, _within_budget(
-            terms, self._top_bound() + other._top_bound()))
+            terms, self._top_bound() + other._top_bound()), den)
 
     __rmul__ = __mul__
 
@@ -524,24 +574,27 @@ class DiffExpr:
         return result
 
     def _coefficient_bits(self) -> float:
-        """log2 of a bound on the numerators and denominators of the
-        coefficients: the bound of a product adds its factors' bounds."""
-        coeffs = self.terms.values()
-        den = lcm(*(c.denominator for c in coeffs))
-        return log2(max(den, int(sum(map(abs, coeffs)) * den)))
+        """log2 of a bound on the numerators and the denominator: the bound
+        of a product adds its factors' bounds."""
+        return log2(max(self.den, sum(map(abs, self.terms.values()))))
 
     def inverse_monomial(self) -> "DiffExpr":
         """Inverse of a single-term monomial in even jet/nonlocal variables."""
         if len(self.terms) != 1:
             raise LaurentError(f"cannot invert non-monomial {self}")
-        (mono, coeff), = self.terms.items()
+        (mono, n), = self.terms.items()
         for key, _ in _factors(mono):
             if key[0] not in ('j', 'w') or self.space.is_odd_key(key):
                 raise LaurentError(f"cannot invert factor {key} in {self}")
-        return DiffExpr(self.space, {-mono: _q(Fraction(1) / coeff)}, self._top)
+        return DiffExpr(self.space, {-mono: self.den if n > 0 else -self.den}, self._top,
+                        abs(n))
 
     def _coerce(self, other) -> "DiffExpr":
+        """`other` as an expression over a space compatible with self's:
+        a number over self's space, ShapeError for an incompatible one."""
         if isinstance(other, DiffExpr):
+            if other.space is not self.space:
+                _check_space(self.space, other.space)
             return other
         return self.space.num(other)
 
@@ -553,10 +606,12 @@ class DiffExpr:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.space.num(other)
-        return isinstance(other, DiffExpr) and self.terms == other.terms
+        return isinstance(other, DiffExpr) and self.den == other.den \
+            and self.terms == other.terms \
+            and (other.space is self.space or _compatible(self.space, other.space))
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def __bool__(self):
         return bool(self.terms)
@@ -566,13 +621,20 @@ class DiffExpr:
 
     def summands(self):
         """The single-term expressions of self, in sorted monomial order."""
-        for mono, c in sorted(self.terms.items(), key=_by_factors):
-            yield DiffExpr(self.space, {mono: c}, self._top)
+        den = self.den
+        for mono, n in sorted(self.terms.items(), key=_by_factors):
+            g = gcd(n, den)
+            yield DiffExpr(self.space, {mono: n // g}, self._top, den // g)
 
     def coefficients(self):
-        """(monomial, coefficient) pairs; a monomial is an opaque hashable
-        key, equal for equal monomials."""
-        return self.terms.items()
+        """(monomial, coefficient) pairs, each coefficient an int or a
+        reduced Fraction; a monomial is an opaque hashable key, equal for
+        equal monomials."""
+        den = self.den
+        if den == 1:
+            return self.terms.items()
+        return [(mono, Fraction(n, den) if n % den else n // den)
+                for mono, n in self.terms.items()]
 
     def negative_keys(self) -> set:
         """The variable keys that carry a negative exponent."""
@@ -603,9 +665,10 @@ class DiffExpr:
             for k, e in _factors(mono):
                 if k == key:
                     rest, f = _drop_factor(space, mono, key, e)
-                    res[rest] = _q(c * f)
+                    res[rest] = c * f
                     break
-        return DiffExpr(space, res, _within_budget(res, self._top_bound() + 1))
+        res, den = _canonical(res, self.den)
+        return DiffExpr(space, res, _within_budget(res, self._top_bound() + 1), den)
 
     def total_derivative(self, i: int, wmap=None, jets=None) -> "DiffExpr":
         """Total derivative D_i.  `wmap` maps nonlocal names to D_i-images;
@@ -627,7 +690,9 @@ class DiffExpr:
                 return self._free_d[i]
         space = self.space
         odd = space.odd
-        images = {}  # variable key -> the terms of its D_i, looked up once
+        # variable key -> the numerators of its D_i over den, looked up once;
+        # den, the lcm of the images' denominators, grows when an image needs it
+        images, den = {}, 1
         top = 1  # a bound on the exponents of the images D_i(v)
         res = {}
         get = res.get
@@ -635,26 +700,32 @@ class DiffExpr:
             for key, e in _factors(mono):
                 dv = images.get(key)
                 if dv is None:
-                    kind = key[0]
+                    kind, image = key[0], None
                     if kind == 'q' or (kind == 'i' and key[1] != i):
                         dv = ()
                     elif kind == 'i':
-                        dv = ((0, 1),)
+                        dv = ((0, den),)
                     elif kind == 'j':
                         K = key[2]
                         up = ('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:])
                         if jets is None:
-                            dv = ((_unit(up), 1),)
+                            dv = ((_unit(up), den),)
                         else:
                             image = jets(up)
-                            dv = image.terms.items()
-                            top = max(top, image._top_bound())
                     elif wmap is None:
                         raise NonlocalObstruction(
                             f"total derivative of nonlocal variable {key[1]!r} requires a covering")
                     else:
-                        dv = wmap[key[1]].terms.items()
-                        top = max(top, wmap[key[1]]._top_bound())
+                        image = wmap[key[1]]
+                    if image is not None:
+                        top = max(top, image._top_bound())
+                        if den % image.den:  # rescale the sums and images met so far
+                            old, den = den, _widen(res, den, image.den)
+                            images = {k: [(m, v * (den // old)) for m, v in x]
+                                      for k, x in images.items()}
+                        s = den // image.den
+                        dv = image.terms.items() if s == 1 else \
+                            [(m, v * s) for m, v in image.terms.items()]
                     images[key] = dv
                 if not dv:
                     continue
@@ -673,8 +744,8 @@ class DiffExpr:
                     if merged is not None:
                         new, sign = merged
                         res[new] = get(new, 0) + sign * kc * dc
-        res = _canonical(res)
-        out = DiffExpr(space, res, _within_budget(res, self._top_bound() + 1 + top))
+        res, den = _canonical(res, self.den * den)
+        out = DiffExpr(space, res, _within_budget(res, self._top_bound() + 1 + top), den)
         if free:
             self._free_d[i] = out
         return out
@@ -689,31 +760,36 @@ class DiffExpr:
         the odd factors, kept or replaced, in their monomial order."""
         space = self.space
         powers = {}
-        out = {}
+        out, den = {}, 1  # den: the lcm of the denominators of the images so far
         for mono, c in self.terms.items():
             kept, factors, odd = mono, [], []
             for key, e in _factors(mono):
                 if space.odd and space.is_odd_key(key):
                     kept -= _UNITS[key]
-                    odd.append(mapping[key].terms if key in mapping else {_UNITS[key]: 1})
+                    odd.append(mapping[key] if key in mapping else DiffExpr(
+                        space, {_UNITS[key]: 1}))
                 elif key in mapping:
                     kept -= e * _UNITS[key]
                     if (key, e) not in powers:
                         powers[key, e] = mapping[key] ** e
-                    factors.append(powers[key, e].terms)
-            term = {kept: c}
+                    factors.append(powers[key, e])
+            term, d = {kept: c}, 1
             for f in factors + odd:
-                term = _mul_into({}, space, term, f)
+                term = _mul_into({}, space, term, f.terms)
+                d *= f.den
+            if den % d:
+                den = _widen(out, den, d)
+            s = den // d
             for m, v in term.items():
-                out[m] = out.get(m, 0) + v
+                out[m] = out.get(m, 0) + v * s
         images = list(powers.values()) + [x for k, x in mapping.items() if space.is_odd_key(k)]
-        out = _canonical(out)
+        out, den = _canonical(out, self.den * den)
         return DiffExpr(space, out, _within_budget(
-            out, sum(map(DiffExpr._top_bound, images), self._top_bound())))
+            out, sum(map(DiffExpr._top_bound, images), self._top_bound())), den)
 
     def rename_space(self, space: JetSpace) -> "DiffExpr":
         """Reinterpret over a compatible (extended) space."""
-        return DiffExpr(space, dict(self.terms), self._top)
+        return DiffExpr(space, dict(self.terms), self._top, self.den)
 
     # -- rendering ---------------------------------------------------------
 
@@ -848,12 +924,12 @@ def homotopy_density(psi) -> DiffExpr:
     space = psi[0].space
     if any(k[0] == 'j' for p in psi for k in p.negative_keys()):
         raise NonlocalObstruction("homotopy base point u=0 incompatible with Laurent part")
-    out = space.zero()
-    for j, p in zip(range(space.m), psi):
-        u = space.jet(j, mi_zero(space.n))
-        for mono, c in sorted(p.terms.items(), key=_by_factors):
-            d = sum(e for k, e in _factors(mono) if k[0] == 'j')
-            out = out + u * DiffExpr(space, {mono: c}, p._top) * Fraction(1, d + 1)
+    # int_0^1 psi_j(s u) ds divides each term of psi_j by 1 + its degree in the jets
+    out = sum_of_products(space, [
+        (space.jet(j, mi_zero(space.n)),
+         _divided(p, {m: 1 + sum(e for k, e in _factors(m) if k[0] == 'j') for m in p.terms},
+                  0, 0))
+        for j, p in zip(range(space.m), psi)])
     check = euler(out)
     if any((a - b) for a, b in zip(check, psi)):
         raise VariationalityError("input is not a variational gradient")
@@ -918,14 +994,20 @@ def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
 
 def _integrate_var(c: DiffExpr, key) -> DiffExpr:
     """Antiderivative of c with respect to the (even) variable `key`."""
-    out = {}
-    unit = _unit(key)
-    for mono, v in c.terms.items():
-        e = dict(_factors(mono)).get(key, 0)
-        if e == -1:
-            raise NonlocalObstruction("logarithmic primitive required")
-        out[mono + unit] = _q(Fraction(v, e + 1))
-    return DiffExpr(c.space, out, _within_budget(out, c._top_bound() + 1))
+    exponents = {mono: dict(_factors(mono)).get(key, 0) + 1 for mono in c.terms}
+    if 0 in exponents.values():
+        raise NonlocalObstruction("logarithmic primitive required")
+    return _divided(c, exponents, _unit(key), 1)
+
+
+def _divided(e: DiffExpr, divisors: dict, unit: int, top: int) -> DiffExpr:
+    """sum c/q * m*unit over the terms c*m of e, q = divisors[m] a nonzero
+    int, built over the lcm of the divisors; `top` bounds the exponents
+    that `unit` adds."""
+    den = lcm(*divisors.values())
+    terms, den = _canonical({m + unit: c * (den // divisors[m]) for m, c in e.terms.items()},
+                            e.den * den)
+    return DiffExpr(e.space, terms, _within_budget(terms, e._top_bound() + top), den)
 
 
 def invert_divergence(density: DiffExpr, n: int):
@@ -1129,7 +1211,7 @@ def render(e: DiffExpr) -> str:
     if e.is_zero():
         return "0"
     parts = []
-    for mono, c in sorted(e.terms.items(), key=_by_factors):
+    for mono, c in sorted(e.coefficients(), key=_by_factors):
         factors = []
         for key, exp in _factors(mono):
             name = _render_key(e.space, key)

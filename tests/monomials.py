@@ -1,15 +1,21 @@
 """The tests' one reader of the monomial format, which is otherwise private
 to jetcalc.algebra: `decoded_terms` spells an expression's monomials out
-as sorted ((key, exponent), ...) tuples.  `from_factors` builds an
-expression back from such a dict with the JetSpace constructors and
-products alone."""
+as sorted ((key, exponent), ...) tuples, and `layout` gives its integer
+numerators and denominator.  `from_factors` builds an expression back
+from such a dict with the JetSpace constructors and products alone."""
 
 from jetcalc.algebra import _factors
 
 
 def decoded_terms(e) -> dict:
-    """{((key, exponent), ...): coefficient} of an expression, in term order."""
-    return {_factors(mono): c for mono, c in e.terms.items()}
+    """{((key, exponent), ...): coefficient} of an expression, in term order,
+    each coefficient an int or a reduced Fraction as `coefficients()` gives it."""
+    return {_factors(mono): c for mono, c in e.coefficients()}
+
+
+def layout(e) -> tuple:
+    """(numerators, denominator) of an expression as it is stored."""
+    return list(e.terms.values()), e.den
 
 
 def key_expr(space, key):

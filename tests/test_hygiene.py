@@ -4,7 +4,7 @@ that its function never reads, no default that no call overrides, no
 local that its function never reads, no module but operators.py that
 touches an operator's coefficient table, no module but algebra.py (and,
 among the tests, the monomials helper) that knows the monomial format,
-and no write to an expression's terms."""
+no write to an expression's terms, and no Fraction in the inner kernels."""
 
 import ast
 from pathlib import Path
@@ -271,6 +271,54 @@ def f(e, m):
 """
     lines = [node.lineno for node in _terms_writes(ast.parse(source))]
     assert sorted(lines) == [7, 8, 9, 10, 11, 12, 13, 14]
+
+
+# the kernels that run on int numerators over one denominator
+INT_KERNELS = ("total_derivative", "_mul_into", "sum_of_products", "partial", "substitute",
+               "__add__", "euler")
+
+
+def _fraction_uses(tree):
+    """(function, line) of each `Fraction(...)` call and each read of the
+    old per-coefficient helper `_q` inside a function named in INT_KERNELS."""
+    for f in ast.walk(tree):
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name in INT_KERNELS:
+            for node in ast.walk(f):
+                if isinstance(node, ast.Call) and _callee(node) == "Fraction" \
+                        or isinstance(node, ast.Name) and node.id == "_q":
+                    yield f.name, node.lineno
+
+
+def test_the_kernels_build_no_fraction():
+    """Coefficients are int numerators over one denominator per expression;
+    a Fraction is built only at the boundary, never in an inner kernel."""
+    tree = ast.parse((PACKAGE / "algebra.py").read_text())
+    defined = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    assert set(INT_KERNELS) <= defined
+    assert list(_fraction_uses(tree)) == []
+
+
+def test_the_fraction_check_sees_a_planted_fraction():
+    source = """
+class DiffExpr:
+    def __add__(self, other):
+        return Fraction(1, 2)
+
+    def render(self):
+        return Fraction(3)
+
+def total_derivative(e):
+    c = _q(e)
+    return fractions.Fraction(c)
+
+def euler(e):
+    def inner(x):
+        return _q
+    return inner
+"""
+    found = sorted(_fraction_uses(ast.parse(source)), key=lambda use: use[1])
+    assert found == [("__add__", 4), ("total_derivative", 10), ("total_derivative", 11),
+                     ("euler", 15)]
 
 
 def _callee(call):

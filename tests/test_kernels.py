@@ -1,23 +1,27 @@
-"""Seeded oracles for the one-accumulator kernels of jetcalc.algebra: the
-total derivative (free, with `jets=` and with `wmap=`), the product and
-`sum_of_products` against a term-by-term reference on decoded terms, over
-spaces with odd variables, with Fraction coefficients, and one step past
-the exponent budget."""
+"""Seeded oracles for the kernels of jetcalc.algebra: the total derivative
+(free, with `jets=` and with `wmap=`), the product, `sum_of_products`,
+`partial`, `substitute`, scalar products, `inverse_monomial` and `euler`
+against a term-by-term reference on decoded terms, over spaces with odd
+variables, with coefficients over coprime denominators, and one step past
+the exponent budget.  Every result is checked for the stored layout: int
+numerators over one denominator, in canonical form."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from jetcalc import JetSpace
+from jetcalc import JetSpace, euler, parse
 from jetcalc.algebra import _E, sum_of_products
-from jetcalc.errors import BudgetError
-from monomials import decoded_terms, from_factors
+from jetcalc.errors import BudgetError, ShapeError
+from monomials import decoded_terms, from_factors, layout
 
 # v and z are odd; w is an even nonlocal and a a parameter
 SPACE = JetSpace.create(["x", "t"], ["u", "v"], ["a"], ["w", "z"], odd=["v", "z"])
 EVEN = JetSpace.create(["x", "t"], ["u"], ["a"], ["w"])
-COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
+          Fraction(1, 3), Fraction(-3, 4), Fraction(5, 6), Fraction(7, 10)]
 
 
 def rand_index(rng):
@@ -103,6 +107,52 @@ def ref_total_derivative(space, terms, image):
     return out
 
 
+def ref_partial(space, terms, key):
+    """Each term c*m with m = ...*key^e*... gives e*c*(m / key), an odd key
+    first moved to the front (the left derivative)."""
+    out = {}
+    for m, c in terms.items():
+        e = dict(m).get(key)
+        if e is not None:
+            rest = tuple((k, x - (k == key)) for k, x in m if k != key or x != 1)
+            if space.is_odd_key(key):
+                e = (-1) ** sum(1 for k, _ in m if k < key and space.is_odd_key(k))
+            out = ref_add(out, {rest: e * c})
+    return out
+
+
+def ref_power(space, terms, x):
+    out = {(): 1}
+    for _ in range(x):
+        out = ref_mul(space, out, terms)
+    return out
+
+
+def ref_substitute(space, terms, mapping):
+    """Each term rebuilt factor by factor in its (key) order, a mapped
+    key^x replaced by the image's x-th power."""
+    out = {}
+    for m, c in terms.items():
+        term = {(): c}
+        for key, x in m:
+            factor = ref_power(space, mapping[key], x) if key in mapping else {((key, x),): 1}
+            term = ref_mul(space, term, factor)
+        out = ref_add(out, term)
+    return out
+
+
+def ref_euler(space, terms, j):
+    """sum over the jets u^j_K of (-D)_K (dL/du^j_K), one D at a time."""
+    out = {}
+    for key in sorted({k for m in terms for k, _ in m if k[0] == 'j' and k[1] == j}):
+        t = ref_partial(space, terms, key)
+        for i, times in enumerate(key[2]):
+            for _ in range(times):
+                t = {m: -c for m, c in ref_total_derivative(space, t, free_image(i)).items()}
+        out = ref_add(out, t)
+    return out
+
+
 def free_image(i):
     def image(key):
         if key[0] == 'i':
@@ -116,9 +166,16 @@ def free_image(i):
 
 
 def assert_canonical(e):
-    """No zero entry, and a Fraction only where the value is not an integer."""
-    assert all(c and (type(c) is int or c.denominator != 1)
-               for c in decoded_terms(e).values())
+    """The stored layout: nonzero int numerators over a denominator den > 0
+    with gcd(den, *numerators) == 1, and den == 1 exactly when every
+    coefficient is an integer; each coefficient read back is an int when
+    integral and a Fraction otherwise."""
+    nums, den = layout(e)
+    assert all(type(n) is int and n for n in nums) and type(den) is int and den > 0
+    assert gcd(den, *nums) == 1
+    coeffs = decoded_terms(e).values()
+    assert all(type(c) is int or c.denominator != 1 for c in coeffs)
+    assert (den == 1) == all(type(c) is int for c in coeffs)
 
 
 # -- the oracles ----------------------------------------------------------------
@@ -243,3 +300,120 @@ def test_one_step_past_the_budget_raises():
     for make in beyond:
         with pytest.raises(BudgetError):
             make()
+
+
+def local_terms(rng, space, nterms=4):
+    """Random terms without nonlocal factors, for the free derivatives."""
+    return {tuple(f for f in rand_factors(rng, space) if f[0][0] != 'w'): rng.choice(COEFFS)
+            for _ in range(nterms)}
+
+
+@pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
+def test_partial_and_scalar_products_match_the_reference(space):
+    rng = random.Random(97)
+    for _ in range(60):
+        terms = rand_terms(rng, space)
+        e = from_factors(space, terms)
+        for key in sorted(e.variables()):
+            got = e.partial(key)
+            assert decoded_terms(got) == ref_partial(space, decoded_terms(e), key)
+            assert_canonical(got)
+        for k in (0, 1, -2, 6, 15, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 5),
+                  Fraction(10, 7), rng.choice(COEFFS)):
+            want = {m: c * k for m, c in decoded_terms(e).items() if c * k}
+            for got in (e * k, k * e):
+                assert decoded_terms(got) == want
+                assert_canonical(got)
+
+
+@pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
+def test_substitute_matches_the_reference(space):
+    """Even keys of positive exponent go to even images, odd keys to
+    odd-linear ones."""
+    rng = random.Random(101)
+    for _ in range(40):
+        e = rand_expr(rng, space)
+        terms = decoded_terms(e)
+        positive = {k for m in terms for k, _ in m} - {k for m in terms for k, x in m if x < 0}
+        mapping = {key: rand_expr(rng, space, nterms=2, odd=int(space.is_odd_key(key)))
+                   for key in sorted(positive) if rng.random() < 0.6}
+        got = e.substitute(mapping)
+        assert decoded_terms(got) == ref_substitute(
+            space, terms, {k: decoded_terms(x) for k, x in mapping.items()})
+        assert_canonical(got)
+
+
+def test_inverse_monomials_match_the_reference():
+    rng = random.Random(103)
+    for _ in range(60):
+        m = tuple((k, x) for k, x in rand_factors(rng, EVEN) if k[0] in ('j', 'w'))
+        c = rng.choice(COEFFS)
+        got = from_factors(EVEN, {m: c}).inverse_monomial()
+        want = {tuple((k, -x) for k, x in m): 1 / Fraction(c)}
+        assert decoded_terms(got) == want
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
+def test_euler_matches_the_reference(space):
+    rng = random.Random(107)
+    for _ in range(40):
+        terms = local_terms(rng, space)
+        grads = euler(from_factors(space, terms))
+        assert len(grads) == space.m
+        for j, got in enumerate(grads):
+            assert decoded_terms(got) == ref_euler(space, decoded_terms(
+                from_factors(space, terms)), j)
+            assert_canonical(got)
+
+
+def test_equal_values_built_by_different_routes_are_one_key():
+    u = EVEN.jet("u", (0, 0))
+    half, third = u * Fraction(1, 2), u * Fraction(1, 3)
+    routes = [half + third, u * Fraction(5, 6), (u * 10) * Fraction(1, 12),
+              (u * 5) * Fraction(1, 6), half * Fraction(1, 3) * 5,
+              parse("5/6*u[0,0]", EVEN), Fraction(5, 6) * u, u - half + third]
+    for route in routes:
+        assert route == routes[0] and hash(route) == hash(routes[0])
+        assert_canonical(route)
+    assert len(set(routes)) == 1
+    ints = [half + half, u, third * 3, u * Fraction(3, 3), (u * 2) * Fraction(1, 2)]
+    assert len(set(ints)) == 1 and all(layout(x) == ([1], 1) for x in ints)
+    zeros = [EVEN.zero(), half - half, third * 0, (half + third) - u * Fraction(5, 6)]
+    assert len(set(zeros)) == 1 and all(layout(x) == ([], 1) for x in zeros)
+    constants = [EVEN.num(Fraction(5, 6)), EVEN.one() * Fraction(5, 6), zeros[1] + Fraction(5, 6)]
+    assert all(x == Fraction(5, 6) and hash(x) == hash(constants[0]) for x in constants)
+    assert half != third and half != u and half * 2 == 1 * u and half * 2 == u
+
+
+def test_incompatible_spaces_do_not_meet():
+    """Variables renamed in either direction, or with another parity, are
+    an error in every ring operation and unequal under ==; a space meets an
+    equal copy and its extended spaces."""
+    a = JetSpace.create(["x", "t"], ["u"])
+    renamed = [JetSpace.create(["y", "s"], ["v"]), JetSpace.create(["x", "t"], ["v"]),
+               JetSpace.create(["t", "x"], ["u"]), JetSpace.create(["x", "t"], ["u"], odd=["u"]),
+               JetSpace.create(["x", "t"], ["u"], ["c"], ["w"]).extended(nonlocals=["z"]),
+               a.extended(nonlocals=["w"])]
+    ua = parse("u[1,0]", a)
+    for space in renamed[:4]:
+        ub = parse("u[1,0]" if "u" in space.dependent else "v[1,0]", space)
+        for x, y in ((ua, ub), (ub, ua)):
+            for op in (lambda: x + y, lambda: x - y, lambda: x * y,
+                       lambda: sum_of_products(x.space, [(x, y)]),
+                       lambda: sum_of_products(x.space, [(y, x)])):
+                with pytest.raises(ShapeError):
+                    op()
+            assert x != y and not x == y
+    # nonlocals w, z against w alone: a prefix; parameter c against none: a prefix
+    w1 = renamed[4].nonlocal_var("w")
+    w2 = renamed[5].nonlocal_var("w")
+    assert w1 == w2 and w2 == w1 and len(w1 + w2) == 1
+    swapped = JetSpace.create(["x", "t"], ["u"], [], ["z", "w"]).nonlocal_var("w")
+    with pytest.raises(ShapeError):
+        w1 * swapped
+    ext = a.extended(dependent=["p"], nonlocals=["w"], odd=["p"])
+    u_ext, u_copy = parse("u[1,0]", ext), parse("u[1,0]", JetSpace.create(["x", "t"], ["u"]))
+    for x, y in ((ua, u_ext), (u_ext, ua), (ua, u_copy), (u_copy, ua)):
+        assert x == y and len(x + y) == 1 and len(x * y) == 1
+        assert len(sum_of_products(x.space, [(x, y), (y, x)])) == 1
