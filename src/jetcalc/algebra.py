@@ -304,6 +304,7 @@ _E = 1 << 16            # exponent budget: no |exponent| may exceed it
 _C = 1 << 13            # coefficient budget of a power or a parsed product, in bits
 _T = 1 << 16            # term budget of a power
 _P = 1 << 20            # work budget of a power, in products of coefficient words
+_D = 100                # nesting budget of a parsed expression: '(' and unary '-'
 _FIELD = (1 << _W) - 1
 _UNITS = {}             # variable key -> 2^(W*slot), its monomial x^1
 _KEYS = []              # slot -> variable key
@@ -536,11 +537,7 @@ class DiffExpr:
             terms, den = _canonical({m: c * p for m, c in self.terms.items()},
                                     self.den * other.denominator)
             return DiffExpr(self.space, terms, self._top, den)
-        other = self._coerce(other)
-        terms, den = _canonical(_mul_into({}, self.space, self.terms, other.terms),
-                                self.den * other.den)
-        return DiffExpr(self.space, terms, _within_budget(
-            terms, self._top_bound() + other._top_bound()), den)
+        return sum_of_products(self.space, ((self, self._coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -1072,6 +1069,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.space = space
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -1086,6 +1084,15 @@ class _Parser:
         if val != value:
             raise ExprSyntaxError(f"expected {value!r}, found {val!r}", pos)
 
+    def nested(self, parse, pos) -> DiffExpr:
+        """parse() one level deeper, for the '(' or unary '-' at pos."""
+        self.depth += 1
+        if self.depth > _D:
+            raise ExprSyntaxError(f"expression nested deeper than {_D} levels", pos)
+        e = parse()
+        self.depth -= 1
+        return e
+
     def parse(self) -> DiffExpr:
         e = self.expr()
         kind, val, pos = self.peek()
@@ -1094,13 +1101,10 @@ class _Parser:
         return e
 
     def expr(self) -> DiffExpr:
-        negate = False
         if self.peek()[1] == '-':
-            self.next()
-            negate = True
-        e = self.term()
-        if negate:
-            e = -e
+            e = -self.nested(self.term, self.next()[2])
+        else:
+            e = self.term()
         while self.peek()[1] in ('+', '-'):
             op = self.next()[1]
             t = self.term()
@@ -1148,11 +1152,11 @@ class _Parser:
                 return self.space.num(Fraction(p, q))
             return self.space.num(_number(val, pos))
         if val == '(':
-            e = self.expr()
+            e = self.nested(self.expr, pos)
             self.expect(')')
             return e
         if val == '-':
-            return -self.atom()
+            return -self.nested(self.atom, pos)
         if kind == 'name':
             if self.peek()[1] == '[':
                 if val not in self.space.dependent:

@@ -11,6 +11,7 @@ from .algebra import (
     HorizontalForm,
     apply_DI,
     canonical_density,
+    d_h,
     homotopy_density,
     invert_total_derivative,
     mi_order,
@@ -18,7 +19,7 @@ from .algebra import (
 )
 from .errors import AnsatzError, CheckError, ProblemError, ShapeError, VariationalityError
 from .linalg import nullspace
-from .operators import CDiffOp, PseudoOp, ev_apply, green_form, helmholtz, linearize
+from .operators import CDiffOp, PseudoOp, ev_apply, green_form, helmholtz, jacobi, linearize
 from .presentations import Presentation
 
 
@@ -40,6 +41,8 @@ class Ansatz:
 # about ten times the largest pool of a bundled, benchmarked or tested
 # problem (1,001: KdV at order 7, degree 4)
 MAX_MONOMIALS = 10_000
+# the test arguments of the symplectic closedness check, by default
+SYMPLECTIC_ANSATZ = Ansatz(2, 1)
 
 
 def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
@@ -157,7 +160,6 @@ class ConservedCurrent:
 
 
 def verify_current(form: HorizontalForm, pres: Presentation) -> bool:
-    from .algebra import d_h
     return pres.reduce_form(d_h(form)).is_zero()
 
 
@@ -240,8 +242,6 @@ def nijenhuis_torsion(R: PseudoOp, phi1, phi2, pres: Presentation):
     """(1/2)[[R, R]](phi1, phi2) by direct evaluation through the bracket
     form  {R p1, R p2} - R{R p1, p2} - R{p1, R p2} + R^2{p1, p2};  every
     D_x^{-1} is taken in internal coordinates."""
-    from .operators import jacobi
-
     def jac(a, b):
         return pres.normal_form(jacobi(a, b))
 
@@ -311,7 +311,7 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None)
               "membership_residual": membership.render_matrix()}
     if not report["membership"]:
         return dict(report, closed=False, ok=False)
-    test_args = slot_candidates(ansatz_monomials(pres, ansatz or Ansatz(2, 1)), space.m, space)
+    test_args = slot_candidates(ansatz_monomials(pres, ansatz or SYMPLECTIC_ANSATZ), space.m, space)
     failures = []
     if pres.is_evolutionary():
         if not pres.restrict_operator(delta + delta.adjoint()).is_zero():

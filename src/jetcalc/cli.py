@@ -7,12 +7,14 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 
 import jsonschema
 
 from . import __version__
 from .algebra import JetSpace, parse, render
 from .analysis import (
+    SYMPLECTIC_ANSATZ,
     Ansatz,
     conservation_law_from_cosymmetry,
     solve_cosymmetries,
@@ -30,6 +32,7 @@ from .coverings import (
     verify_flat,
     verify_shadow,
 )
+from .corpus import corpus
 from .errors import (
     ExprSyntaxError,
     JetCalcError,
@@ -46,7 +49,7 @@ from .hamiltonian import (
     verify_bivector_on_equation,
 )
 from .operators import CDiffOp, PseudoOp
-from .presentations import EquivalenceWitness, make_presentation, verify_equivalence
+from .presentations import CHECK_ORDER, EquivalenceWitness, make_presentation, verify_equivalence
 
 
 def _object(properties: dict, optional=()) -> dict:
@@ -257,8 +260,8 @@ _TASKS = {
     "magri": (False, _magri, {"A": "operator", "B": "operator", "seed": _TEXT,
                               "steps": dict(_NAT, maximum=MAX_STEPS)}),
     "verify-symplectic": (True, _verify_symplectic, {
-        "op": _OPERATOR, "order": dict(_ORDER, default=2),
-        "degree": dict(_DEGREE, default=1), "whitelist": _NAMES}),
+        "op": _OPERATOR, "order": dict(_ORDER, default=SYMPLECTIC_ANSATZ.max_jet_order),
+        "degree": dict(_DEGREE, default=SYMPLECTIC_ANSATZ.max_degree), "whitelist": _NAMES}),
     "verify-bivector": (True, lambda p, t: _report(verify_bivector_on_equation(
         _load_operator(t["op"], p.space), p.presentation), "residual"), {"op": _OPERATOR}),
     "schouten-equation": (True, _schouten_equation,
@@ -300,7 +303,7 @@ _CHECKS = {kind: (jsonschema.Draft202012Validator({"properties": typed}),
 class Problem:
     """A validated problem file with its constructed objects."""
 
-    def __init__(self, data: dict, max_prolong: int = 4):
+    def __init__(self, data: dict, max_prolong: int = CHECK_ORDER):
         error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
         if error is not None:
             raise error
@@ -390,11 +393,9 @@ def run_task(problem: Problem, task: dict) -> dict:
     return {"task": kind, **_TASKS[kind][1](problem, {**_CHECKS[kind][1], **task})}
 
 
-def run_problem(data: dict, max_prolong: int = 4, timings: list = None) -> dict:
+def run_problem(data: dict, max_prolong: int = CHECK_ORDER, timings: list = None) -> dict:
     """Execute all tasks.  Wall-clock timings go to the optional `timings`
     list (human report only) so the machine report stays byte-deterministic."""
-    import time
-
     canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode()).hexdigest()
     problem = Problem(data, max_prolong)
@@ -453,16 +454,17 @@ def main(argv=None) -> int:
     corp.add_argument("--emit", action="store_true")
     for parser in (runp, corp):
         parser.add_argument("--json", action="store_true", dest="as_json")
-        parser.add_argument("--max-prolong", type=int, default=4)
+        parser.add_argument("--max-prolong", type=int, default=CHECK_ORDER)
     args = ap.parse_args(argv)
-
-    from .corpus import corpus
 
     timings = []
     try:
         if args.command == "run":
-            with open(args.file) as fh:
-                data = json.load(fh)
+            try:
+                with open(args.file) as fh:
+                    data = json.load(fh)
+            except RecursionError:  # json.load recurses once per nesting level
+                raise ProblemError("problem file is nested too deeply") from None
         else:
             data = corpus(args.name)
             if args.emit:

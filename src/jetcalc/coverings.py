@@ -10,14 +10,16 @@ from .algebra import (
     DiffExpr,
     HorizontalForm,
     JetSpace,
+    d_h,
     invert_total_derivative,
     mi_order,
     mi_zero,
     render,
+    sum_of_products,
     tower_DI,
 )
 from .errors import NonlocalObstruction, NonSolvableError, ShapeError
-from .analysis import Ansatz, ansatz_monomials, solve_determining
+from .analysis import Ansatz, ansatz_monomials, slot_candidates, solve_determining
 from .operators import CDiffOp, linearize
 from .presentations import Presentation, make_presentation
 
@@ -62,6 +64,16 @@ class Covering:
         (Presentation.restricted with D~)."""
         return self.presentation.restricted(op.rename_space(self.space), self._lift_internal)
 
+    def extended(self, names, fields: dict, odd) -> "Covering":
+        """This covering with the nonlocals `names` (the `odd` ones odd)
+        appended, D~_i of each new one given by the list fields[i]."""
+        pres = self.presentation.extend_space(nonlocals=names, odd=odd)
+        space = pres.space
+        X = {i: tuple(f.rename_space(space) for f in (*self.X.get(i, ()), *fields[i]))
+             for i in range(space.n)}
+        return Covering(pres, self.base, tuple(self.nonlocals) + tuple(names), X,
+                        self.fiber_families, dict(self.structures))
+
     def is_abelian(self) -> bool:
         wkeys = {('w', name) for name in self.nonlocals}
         return all(not (set(f.variables()) & wkeys)
@@ -94,16 +106,12 @@ def verify_flat(cov: Covering) -> dict:
 def make_covering(base: Presentation, nonlocals, X, odd=()) -> Covering:
     """Nonlocal-variable covering over a presentation.  `nonlocals` is a
     list of names, X maps independent index -> list of extension fields."""
-    pres = base.extend_space(nonlocals=nonlocals, odd=odd)
-    space = pres.space
-    Xn = {i: tuple(f.rename_space(space) for f in fields) for i, fields in X.items()}
-    return Covering(pres, base, tuple(nonlocals), Xn)
+    return Covering(base, base).extended(nonlocals, X, odd)
 
 
 def abelian_from_current(form: HorizontalForm, base: Presentation) -> Covering:
     """One-dimensional Abelian covering from a closed current (n = 2):
     w_x = X, w_t = T.  Flags trivializable coverings (exact currents)."""
-    from .algebra import d_h
     if base.space.n != 2:
         raise ShapeError("current coverings implemented for n = 2")
     if not base.reduce_form(d_h(form)).is_zero():
@@ -188,14 +196,7 @@ def cotangent_covering(base: Presentation) -> Covering:
 def add_abelian_layer(cov: Covering, name: str, fields: dict) -> Covering:
     """Declare an extra nonlocal variable over an existing covering (the
     auxiliary layers such as D_x(v_-1) = v)."""
-    pres = cov.presentation.extend_space(nonlocals=[name])
-    space = pres.space
-    X = {}
-    for i in range(space.n):
-        old = [f.rename_space(space) for f in cov.X.get(i, ())]
-        X[i] = tuple(old + [fields[i].rename_space(space)])
-    return Covering(pres, cov.base, tuple(cov.nonlocals) + (name,), X,
-                    cov.fiber_families, dict(cov.structures))
+    return cov.extended([name], {i: [f] for i, f in fields.items()}, ())
 
 
 # -- shadows and fiber-linear solving ----------------------------------------
@@ -222,15 +223,8 @@ def fiber_linear_candidates(cov: Covering, ansatz: Ansatz):
                 slots.append(space.jet(key[1], key[2]))
     for name in cov.nonlocals:
         slots.append(space.nonlocal_var(name))
-    m = cov.base.space.m
-    cands = []
-    for slot in range(m):
-        for s in slots:
-            for b in base_monos:
-                vec = [space.zero()] * m
-                vec[slot] = b * s
-                cands.append(vec)
-    return cands
+    return slot_candidates([b * s for s in slots for b in base_monos], cov.base.space.m,
+                           space)
 
 
 def solve_fiberlinear(cov: Covering, ansatz: Ansatz):
@@ -247,26 +241,18 @@ def reconstruct_step(cov: Covering, phi) -> Covering:
     """One-step shadow reconstruction: adjoin w~ with
     d w~^j / dx^i = l~_{X_i^j}(phi) + sum_a (dX_i^j/dw^a) w~^a."""
     names = cov.space.fresh(f"{name}_r" for name in cov.nonlocals)
-    pres = cov.presentation.extend_space(nonlocals=names)
-    space = pres.space
+    space = cov.space.extended(nonlocals=names)
     m = cov.base.space.m
-    X = {}
-    for i in range(space.n):
-        old = [f.rename_space(space) for f in cov.X.get(i, ())]
-        new = []
-        for j, name in enumerate(cov.nonlocals):
-            Xij = cov.X[i][j]
-            # l~_{X_i^j}(phi): lifted linearization along the base dependents
-            val = cov.lifted(linearize([Xij], columns=range(m)))(phi[:m])[0]
-            val = val.rename_space(space)
-            for a, wa in enumerate(cov.nonlocals):
-                dd = Xij.partial(('w', wa))
-                if not dd.is_zero():
-                    val = val + dd.rename_space(space) * space.nonlocal_var(names[a])
-            new.append(val)
-        X[i] = tuple(old + new)
-    out = Covering(pres, cov.base, tuple(cov.nonlocals) + tuple(names), X,
-                   cov.fiber_families, dict(cov.structures))
+
+    def field(Xij):
+        # l~_{X_i^j}(phi): lifted linearization along the base dependents
+        val = cov.lifted(linearize([Xij], columns=range(m)))(phi[:m])[0]
+        return val.rename_space(space) + sum_of_products(space, [
+            (Xij.partial(('w', wa)).rename_space(space), space.nonlocal_var(wr))
+            for wa, wr in zip(cov.nonlocals, names)])
+
+    fields = {i: [field(Xij) for Xij in cov.X.get(i, ())] for i in range(space.n)}
+    out = cov.extended(names, fields, ())
     flat = verify_flat(out)
     if not flat["ok"]:
         raise NonlocalObstruction(
@@ -337,9 +323,9 @@ def recursion_as_backlund(cov: Covering, omega_R, phi):
     # the fiber jets v_K take D-bar_K(phi^0), all from one tower
     keys = sorted(k for k in omega_R.variables()
                   if k[0] == 'j' and k[1] in cov.fiber_families)
-    D = CDiffOp(base.space, len(keys), 1,
-                ((r, 0, k[2], base.space.one()) for r, k in enumerate(keys)))
-    mapping = {k: v.rename_space(space) for k, v in zip(keys, base.restricted(D)([phi0]))}
+    tower = {}
+    mapping = {k: tower_DI(tower, phi0, k[2], base.d_internal).rename_space(space)
+               for k in keys}
     for key in omega_R.variables():
         if key[0] == 'w':
             mapping[key] = invert_total_derivative(phi0, 0).rename_space(space)

@@ -7,6 +7,9 @@ extended by one odd momentum family per dependent variable; A is a
 Hamiltonian structure iff the density  sum_i (dW/du^i)(dW/dp^i)  has
 vanishing variational derivative in every even and odd variable, and two
 structures are compatible iff the polarized density passes the same test.
+The operator is read back from W_A by the Euler operator: the momentum
+gradient delta W_A / delta p is (A* - A)(p), whatever divergence W_A
+carries, so its linearization in p is -2 times the skew part of A.
 The direct route evaluates the graded un-shuffle bracket on supplied
 gradients; agreement of the two routes pins all sign conventions."""
 
@@ -21,7 +24,6 @@ from .algebra import (
     euler,
     homotopy_density,
     invert_total_derivative,
-    mi_order,
     mi_unit,
     mi_zero,
     render,
@@ -73,51 +75,20 @@ def to_superdensity(op: CDiffOp) -> Superdensity:
 
 
 def from_superdensity(sd: Superdensity) -> CDiffOp:
-    """Skew operator recovered from a fiber-quadratic superdensity:
-    integrate by parts until every monomial carries an undifferentiated
-    momentum, then read the coefficients and project to the skew part."""
-    ext = sd.space
-    m = sd.base_m
-    W = sd.expr
-
-    def momenta(t):
-        odd = sorted(k for k in t.variables() if k[0] == 'j' and k[1] >= m)
-        if len(odd) != 2:
-            raise ShapeError("superdensity is not fiber-quadratic")
-        return odd
-
-    # strip derivatives from the lower-order slot until one factor is plain:
-    # with p_key = D_i(p_down),  t = p_key * dt/dp_key
-    #                              = D_i(p_down * dt/dp_key) - p_down * D_i(dt/dp_key)
-    while True:
-        target = None
-        for t in W.summands():
-            odd = momenta(t)
-            if all(mi_order(k[2]) > 0 for k in odd):
-                target = (t, min(odd, key=lambda k: (mi_order(k[2]), k)))
-                break
-        if target is None:
-            break
-        t, key = target
-        _, j, K = key
-        i = max(k for k in range(ext.n) if K[k] > 0)
-        piece = ext.jet(j, K[:i] + (K[i] - 1,) + K[i + 1:]) * t.partial(key)
-        W = W - piece.total_derivative(i)
+    """Skew part of the operator A of a fiber-quadratic superdensity
+    W = <A(p), p>: its momentum gradient delta W / delta p is (A* - A)(p),
+    whatever divergence W carries, so the skew part is -1/2 times the
+    linearization of that gradient in the momenta."""
+    ext, m = sd.space, sd.base_m
+    if any(sum(k[0] == 'j' and k[1] >= m for k in t.variables()) != 2
+           for t in sd.expr.summands()):
+        raise ShapeError("superdensity is not fiber-quadratic")
+    momenta = range(m, ext.m)
     # the operator lives on the base space: coefficients mention no momentum
     carrier = JetSpace.create(ext.independent, ext.dependent[:m], ext.parameters,
-                              ext.nonlocals,
-                              [n for n in ext.odd
-                               if n in ext.dependent[:m] or n in ext.nonlocals])
-    terms = []
-    for t in W.summands():
-        odd = momenta(t)
-        k0 = [k for k in odd if mi_order(k[2]) == 0][-1]
-        ks = odd[0] if odd[1] == k0 else odd[1]
-        # coefficient of the slot-ordered product p^j_sigma p^i
-        coeff = t.partial(ks).partial(k0).rename_space(carrier)
-        terms.append((k0[1] - m, ks[1] - m, ks[2], coeff))
-    op = CDiffOp(carrier, m, m, terms)
-    return op.scale(Fraction(1, 2)) - op.adjoint().scale(Fraction(1, 2))
+                              ext.nonlocals, ext.odd - set(ext.dependent[m:]))
+    a_star_minus_a = linearize(euler(sd.expr, momenta), ext, momenta)
+    return a_star_minus_a.rename_space(carrier).scale(Fraction(-1, 2))
 
 
 def _bracket_density(op1: CDiffOp, op2: CDiffOp) -> DiffExpr:
@@ -126,10 +97,9 @@ def _bracket_density(op1: CDiffOp, op2: CDiffOp) -> DiffExpr:
     the sum, whose Euler operator vanishes exactly when the full sum's does."""
     Ws = [to_superdensity(op) for op in ((op1,) if op2 is op1 else (op1, op2))]
     m = Ws[0].base_m
-    grads = [[(euler(W.expr, [i])[0], euler(W.expr, [m + i])[0]) for i in range(m)]
-             for W in Ws]
-    return sum_of_products(Ws[0].space, [(du, dp) for g, h in zip(grads, grads[::-1])
-                                         for (du, _), (_, dp) in zip(g, h)])
+    grads = [euler(W.expr) for W in Ws]
+    return sum_of_products(Ws[0].space, [(g[i], h[m + i]) for g, h in zip(grads, grads[::-1])
+                                         for i in range(m)])
 
 
 def is_hamiltonian(op: CDiffOp) -> bool:
@@ -312,7 +282,7 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
     cspace = cot.space
     m = pres.space.m
     l = len(pres.components)
-    density = cspace.zero()
+    products = []
     for j, comp in enumerate(T):
         pj = cspace.jet(m + j, mi_zero(cspace.n))
         for t in comp.summands():
@@ -323,7 +293,8 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
             base = t.partial(a[0]).partial(b[0]).rename_space(cspace)
             pa = cspace.jet(a[0][1], a[0][2])
             pb = cspace.jet(b[0][1] - l, b[0][2])
-            density = density + base * pa * pb * pj
+            products.append((base * pa, pb * pj))
+    density = sum_of_products(cspace, products)
     cpres = cot.presentation
     # the sweep stays internal: one normal form, of the density
     residues = euler(cpres.normal_form(density), None, cpres.d_internal)

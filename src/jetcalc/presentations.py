@@ -253,8 +253,11 @@ class Presentation:
         return len(seen) == self.space.m
 
 
+CHECK_ORDER = 4  # the default prolongation order of the confluence check
+
+
 def make_presentation(space: JetSpace, components, leadings,
-                      check_order=4) -> Presentation:
+                      check_order=CHECK_ORDER) -> Presentation:
     """Build and validate an orthonomic presentation.
 
     components: DiffExpr vector F; leadings: list of (dep, multi-index),

@@ -29,6 +29,7 @@ from jetcalc import (
 )
 from jetcalc.analysis import AnsatzError, BilinearNabla, _theta
 from jetcalc.linalg import rref, same_span
+from jetcalc.presentations import Presentation
 
 SP = JetSpace.create(["x", "t"], ["u"])
 
@@ -307,6 +308,19 @@ def test_symplectic(kdv, wdvv):
     assert not repk["ok"] and not repk["membership"]
     assert repk["membership_residual"] != [["0"]]
     assert verify_symplectic(CDiffOp.zero(SP, 1, 1), kdv)["ok"]
+
+
+def test_symplectic_dx_on_potential_kdv(monkeypatch):
+    """D_x is symplectic on potential KdV, an evolution equation; the
+    general nabla closedness check agrees with the evolution shortcut."""
+    pkdv = make_presentation(SP, [parse("u[0,1] - 3*u[1,0]^2 - u[3,0]", SP)],
+                             [("u", (0, 1))])
+    assert pkdv.is_evolutionary()
+    dx = CDiffOp.total_derivative(SP, 0)
+    rep = verify_symplectic(dx, pkdv)
+    assert rep["membership"] and rep["closed"] and rep["ok"]
+    monkeypatch.setattr(Presentation, "is_evolutionary", lambda self: False)
+    assert verify_symplectic(dx, pkdv) == rep
 
 
 # the benchmark's four reference solves, with its reference bases: the

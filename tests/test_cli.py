@@ -10,6 +10,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from jetcalc import presentations
+from jetcalc.algebra import _D, JetSpace, parse
 from jetcalc.analysis import MAX_MONOMIALS
 from jetcalc.cli import (
     _TASKS,
@@ -541,6 +542,28 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys):
     code, err = _input_error(tmp_path, capsys, data)
     assert code == 2
     assert err == "input error: division by zero (at position 7)\n"
+
+
+@pytest.mark.parametrize("expr", ["(" * 2000 + "u[0,0]" + ")" * 2000, "-" * 3000 + "u[0,0]"],
+                         ids=["parentheses", "minus-signs"])
+def test_deep_expressions_are_input_errors(tmp_path, capsys, expr):
+    """Each '(' and each unary '-' is one level of the parser's recursion;
+    the first token past the nesting budget is the error's position."""
+    data = _changed("heat", {"tasks": [{"kind": "reduce", "expr": expr}]})
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err == (f"input error: expression nested deeper than {_D} levels "
+                   f"(at position {_D})\n")
+    sp = JetSpace.create(["x", "t"], ["u"])
+    within = "-(" * (_D // 2) + "u[0,0]" + ")" * (_D // 2)
+    assert parse(within, sp) == parse("u[0,0]", sp)
+
+
+def test_deeply_nested_problem_file_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text('{"tasks": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr().err == "input error: problem file is nested too deeply\n"
 
 
 @pytest.mark.parametrize("expr, caret", [("2^3000000000", 1), ("(2^65536)^65536", 2),

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from jetcalc import (
     CDiffOp,
     JetSpace,
+    ShapeError,
     Superdensity,
     euler,
     are_compatible,
@@ -147,6 +150,15 @@ def test_superdensity_up_to_a_divergence():
             G = rand_coeff(space, rng).rename_space(ext) * p1 * p2
             W = Superdensity(ext, m, W.expr + G.total_derivative(rng.randrange(space.n)))
             assert from_superdensity(W) == skew(op)
+
+
+@pytest.mark.parametrize("text", ["u[1]*p_u[0] + p_u[0]*p_u[1]", "p_u[0]*p_u[1]*p_u[2]"],
+                         ids=["one-momentum", "three-momenta"])
+def test_superdensity_of_another_degree_is_rejected(text):
+    """A term with one momentum, or with three, is not fiber-quadratic."""
+    ext = momenta_space(SP1)
+    with pytest.raises(ShapeError, match="superdensity is not fiber-quadratic"):
+        from_superdensity(Superdensity(ext, 1, parse(text, ext)))
 
 
 def test_schouten_direct_clauses():

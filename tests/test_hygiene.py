@@ -4,7 +4,8 @@ that its function never reads, no default that no call overrides, no
 local that its function never reads, no module but operators.py that
 touches an operator's coefficient table, no module but algebra.py (and,
 among the tests, the monomials helper) that knows the monomial format,
-no write to an expression's terms, and no Fraction in the inner kernels."""
+no write to an expression's terms, no Fraction in the inner kernels and
+no import inside a function."""
 
 import ast
 from pathlib import Path
@@ -457,3 +458,41 @@ def f(pres, delta, psi):
 """
     lines = [node.lineno for node in _linearization_rebuilds(ast.parse(source))]
     assert lines == [4, 5, 6, 12]
+
+
+def _function_imports(tree):
+    """Line of each import statement made inside a function or method."""
+    return sorted({node.lineno for f in ast.walk(tree)
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(f) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_no_import_inside_a_function():
+    """Each module imports at its top, so its head lists what it depends on."""
+    found = [f"{path.name}:{line}" for path, tree in _trees(PACKAGE)
+             for line in _function_imports(tree)]
+    assert found == []
+
+
+def test_the_import_check_sees_every_nested_import():
+    source = """
+import os
+from .algebra import d_h
+
+def f():
+    import time
+    return time
+
+class C:
+    def m(self):
+        from .corpus import corpus
+
+        def inner():
+            from . import operators
+            return operators
+        return corpus, inner
+
+async def g():
+    import json
+"""
+    assert _function_imports(ast.parse(source)) == [6, 11, 14, 19]
