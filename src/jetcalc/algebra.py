@@ -30,6 +30,13 @@ into its sorted ((key, exponent), ...) pairs, cached; everything that
 reads factors or sorts monomials (rendering, `summands`) goes through it,
 so no output depends on the order in which slots were registered.
 
+Odd signs come from a parity record shared by equal spaces (`_Parity`; the
+bitmaps of Dorst, Fontijne & Mann, Geometric Algebra for Computer Science,
+2007, ch. 19).  A monomial's odd part is (m + bias) & mask: mask holds the
+low bit of each odd slot, bias 2^(W-1) in every slot, without which u^-1*p
+would borrow from p's field and read 0.  A product's sign is 1 when an odd
+part is 0, else a table entry computed once in key order: no decoder reads it.
+
 One accumulator per result: the kernels that sum many products, D_i
 (`total_derivative`), the product and `sum_of_products` (each row of
 `CDiffOp.apply`), add every term into one dict of raw int sums over the
@@ -179,14 +186,15 @@ class JetSpace:
         return self.dependent.index(name)
 
     @cached_property
-    def _odd_cache(self) -> dict:
-        """monomial -> its odd keys in key order, filled by _odd_keys."""
-        return {}
+    def _parity(self) -> "_Parity":
+        """The parity record of the space, shared by equal spaces."""
+        key = (self.dependent, self.nonlocals, self.odd)
+        return _PARITIES.setdefault(key, _Parity(self))
 
     def is_odd_key(self, key) -> bool:
         kind = key[0]
         if kind == 'j':
-            return self.dependent[key[1]] in self.odd
+            return key[1] < len(self.dependent) and self.dependent[key[1]] in self.odd
         if kind == 'w':
             return key[1] in self.odd
         return False
@@ -289,16 +297,6 @@ def _check_space(a: JetSpace, b: JetSpace):
 # -- coefficient and monomial helpers -------------------------------------
 
 
-def _merge_sign(odd1, odd2) -> int:
-    """The sign of merging two key-ordered tuples of odd keys into key
-    order, (-1)^(pairs a > b with a in odd1, b in odd2), or 0 when they
-    share a key (an odd square is zero)."""
-    if not set(odd1).isdisjoint(odd2):
-        return 0
-    inversions = sum(len(odd1) - bisect_left(odd1, b) for b in odd2)
-    return -1 if inversions & 1 else 1
-
-
 _W = 64                 # bits per exponent field
 _E = 1 << 16            # exponent budget: no |exponent| may exceed it
 _C = 1 << 13            # coefficient budget of a power or a parsed product, in bits
@@ -309,6 +307,31 @@ _FIELD = (1 << _W) - 1
 _UNITS = {}             # variable key -> 2^(W*slot), its monomial x^1
 _KEYS = []              # slot -> variable key
 _FACTORS = {}           # monomial -> its factors, decoded
+_PARITIES = {}          # (dependent, nonlocals, odd) -> the spaces' parity record
+
+
+class _Parity(dict):
+    """The parity record of the spaces with given dependents, nonlocals and
+    odd names: the table {(o1, o2): sign of o1 * o2} of odd parts, and the
+    `mask` and `bias` of the slots that `current` last saw registered."""
+
+    __slots__ = ("space", "mask", "bias")
+
+    def __init__(self, space: JetSpace):
+        super().__init__()
+        self.space, self.mask, self.bias = space, 0, 0
+
+    def current(self) -> "_Parity":
+        for s in range(self.bias.bit_length() // _W, len(_KEYS)):
+            self.bias |= 1 << (_W * s + _W - 1)
+            self.mask |= self.space.is_odd_key(_KEYS[s]) << (_W * s)
+        return self
+
+    def __missing__(self, pair) -> int:  # (-1)^(pairs a > b, a in o1, b in o2); 0 for a square
+        odd1, odd2 = ([k for k, _ in _factors(o)] for o in pair)
+        inversions = sum(len(odd1) - bisect_left(odd1, b) for b in odd2)
+        sign = self[pair] = 0 if pair[0] & pair[1] else -1 if inversions & 1 else 1
+        return sign
 
 
 def _unit(key) -> int:
@@ -388,24 +411,6 @@ def _power_work(n, k, bits) -> int:
     return work
 
 
-def _odd_keys(space: JetSpace, mono) -> tuple:
-    """The odd keys of a monomial in key order, cached per space."""
-    odd = space._odd_cache.get(mono)
-    if odd is None:
-        odd = space._odd_cache[mono] = tuple(k for k, _ in _factors(mono)
-                                             if space.is_odd_key(k))
-    return odd
-
-
-def _mono_mul(space: JetSpace, m1, m2):
-    """Product of two monomials over a space with odd variables; returns
-    (mono, sign) or None for an odd square."""
-    odd1 = _odd_keys(space, m1)
-    odd2 = _odd_keys(space, m2)
-    sign = _merge_sign(odd1, odd2) if odd1 and odd2 else 1
-    return (m1 + m2, sign) if sign else None
-
-
 def _canonical(res: dict, den: int) -> tuple:
     """(terms, den) of a kernel's raw integer sums `res` over `den`, made
     canonical in one pass: zero sums dropped and, for den > 1, the gcd of
@@ -441,11 +446,15 @@ def _mul_into(res: dict, space: JetSpace, t1: dict, t2: dict) -> dict:
                 m = m1 + m2
                 res[m] = get(m, 0) + c1 * c2
         return res
+    signs = space._parity.current()
+    mask, bias = signs.mask, signs.bias
+    right = [(m2, c2, (m2 + bias) & mask) for m2, c2 in t2.items()]
     for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            merged = _mono_mul(space, m1, m2)
-            if merged is not None:
-                m, sign = merged
+        o1 = (m1 + bias) & mask
+        for m2, c2, o2 in right:
+            sign = signs[o1, o2] if o1 and o2 else 1
+            if sign:
+                m = m1 + m2
                 res[m] = get(m, 0) + sign * c1 * c2
     return res
 
@@ -471,29 +480,20 @@ def sum_of_products(space: JetSpace, pairs) -> "DiffExpr":
     return DiffExpr(space, res, _within_budget(res, top), den)
 
 
-def _drop_factor(space: JetSpace, mono, key, e):
-    """(rest, k): `mono` with one power of its factor key^e removed; k is e
-    for an even key, and for an odd key the sign of moving it to the front."""
-    if space.odd and space.is_odd_key(key):
-        return mono - _UNITS[key], -1 if _odd_keys(space, mono).index(key) % 2 else 1
-    return mono - _UNITS[key], e
-
-
 class DiffExpr:
     """Immutable sparse differential polynomial over a JetSpace: `terms`
     {monomial: integer numerator} over the positive denominator `den`, in
     canonical form.  No code writes `terms` in place, so the free total
     derivatives can be cached on the expression (`_free_d`, {i: D_i(self)}),
-    and so can `_top`, a bound on its largest |exponent| (None until
-    needed)."""
+    and so can its partial derivatives (`_partials`, {key: raw sums until
+    first asked for, then the partial}, all split off in one pass) and
+    `_top`, a bound on its largest |exponent| (None until needed)."""
 
-    __slots__ = ("space", "terms", "den", "_free_d", "_top")
+    __slots__ = ("space", "terms", "den", "_free_d", "_partials", "_top")
 
     def __init__(self, space: JetSpace, terms: dict, top=None, den=1):
-        self.space = space
-        self.terms = terms
-        self.den = den
-        self._free_d = None
+        self.space, self.terms, self.den = space, terms, den
+        self._free_d = self._partials = None
         self._top = top
 
     def _top_bound(self) -> int:
@@ -505,10 +505,11 @@ class DiffExpr:
 
     # -- ring structure ---------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign * other, built in one dict: the body of + and -."""
         other = self._coerce(other)
         den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
+        s, t = den // self.den, sign * (den // other.den)
         res = dict(self.terms) if s == 1 else {m: c * s for m, c in self.terms.items()}
         get = res.get
         for m, c in other.terms.items():
@@ -517,6 +518,9 @@ class DiffExpr:
         top = None if self._top is None or other._top is None else max(self._top, other._top)
         return DiffExpr(self.space, res, top, den)
 
+    def __add__(self, other):
+        return self._sum(other, 1)
+
     __radd__ = __add__
 
     def __neg__(self):
@@ -524,7 +528,7 @@ class DiffExpr:
                         self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -653,19 +657,27 @@ class DiffExpr:
     # -- calculus ----------------------------------------------------------
 
     def partial(self, key) -> "DiffExpr":
-        """Partial derivative; left derivative for odd variables.  Distinct
-        monomials containing `key` lose it to distinct rests, so no two
-        terms of the result meet."""
-        space = self.space
-        res = {}
-        for mono, c in self.terms.items():
-            for k, e in _factors(mono):
-                if k == key:
-                    rest, f = _drop_factor(space, mono, key, e)
-                    res[rest] = c * f
-                    break
-        res, den = _canonical(res, self.den)
-        return DiffExpr(space, res, _within_budget(res, self._top_bound() + 1), den)
+        """Partial derivative; left derivative for odd variables.  The first
+        call splits off every partial's raw sums in one pass (distinct
+        monomials with a key lose it to distinct rests, so none meet); each
+        is made canonical and checked against the budget when asked for."""
+        parts = self._partials
+        if parts is None:
+            parts = self._partials = {}
+            signs = self.space._parity.current()
+            for mono, c in self.terms.items():
+                odd = (mono + signs.bias) & signs.mask
+                for k, e in _factors(mono):
+                    unit = _UNITS[k]
+                    if unit & odd:
+                        e = signs[unit, odd - unit] if odd - unit else 1
+                    parts.setdefault(k, {})[mono - unit] = c * e
+        got = parts.get(key, {})
+        if type(got) is dict:
+            res, den = _canonical(got, self.den)
+            top = _within_budget(res, self._top_bound() + 1)
+            got = parts[key] = DiffExpr(self.space, res, top, den)
+        return got
 
     def total_derivative(self, i: int, wmap=None, jets=None) -> "DiffExpr":
         """Total derivative D_i.  `wmap` maps nonlocal names to D_i-images;
@@ -686,7 +698,7 @@ class DiffExpr:
             elif i in self._free_d:
                 return self._free_d[i]
         space = self.space
-        odd = space.odd
+        odd, signs = space.odd, space._parity
         # variable key -> the numerators of its D_i over den, looked up once;
         # den, the lcm of the images' denominators, grows when an image needs it
         images, den = {}, 1
@@ -724,23 +736,25 @@ class DiffExpr:
                         dv = image.terms.items() if s == 1 else \
                             [(m, v * s) for m, v in image.terms.items()]
                     images[key] = dv
+                    if odd:  # set at the first key, and again for slots the image adds
+                        mask, bias = signs.current().mask, signs.bias
                 if not dv:
                     continue
+                unit = _UNITS[key]
+                rest, ec = mono - unit, e * c
                 if not odd:
-                    rest, ec = mono - _UNITS[key], e * c
                     for dmono, dc in dv:
                         new = rest + dmono
                         res[new] = get(new, 0) + ec * dc
                     continue
-                rest, k = _drop_factor(space, mono, key, e)
-                kc = k * c
-                left = space.is_odd_key(key)
+                o, front = (rest + bias) & mask, unit & mask
+                ec = signs[unit, o] * c if front and o else ec
                 for dmono, dc in dv:
-                    merged = _mono_mul(space, dmono, rest) if left \
-                        else _mono_mul(space, rest, dmono)
-                    if merged is not None:
-                        new, sign = merged
-                        res[new] = get(new, 0) + sign * kc * dc
+                    od = (dmono + bias) & mask
+                    sign = 1 if not (o and od) else signs[od, o] if front else signs[o, od]
+                    if sign:
+                        new = rest + dmono
+                        res[new] = get(new, 0) + sign * ec * dc
         res, den = _canonical(res, self.den * den)
         out = DiffExpr(space, res, _within_budget(res, self._top_bound() + 1 + top), den)
         if free:
@@ -898,16 +912,10 @@ def d_h(form: HorizontalForm) -> HorizontalForm:
         raise ValueError("d_h on a top-degree form")
     comps = {}
     for S, a in form.comps.items():
-        for i in range(n):
-            if i in S:
-                continue
-            da = a.total_derivative(i)
-            if da.is_zero():
-                continue
+        for i in (i for i in range(n) if i not in S):
             newS = tuple(sorted(S + (i,)))
-            sign = 1 if sum(1 for s in S if s < i) % 2 == 0 else -1
-            cur = comps.get(newS, space.zero())
-            comps[newS] = cur + (da if sign > 0 else -da)
+            comps[newS] = comps.get(newS, space.zero())._sum(
+                a.total_derivative(i), (-1) ** sum(s < i for s in S))
     comps = {k: v for k, v in comps.items() if not v.is_zero()}
     return HorizontalForm(space, form.degree + 1, comps)
 
@@ -937,10 +945,7 @@ _JETKEY = lambda k: (mi_order(k[2]), k[1], k[2])
 
 
 def _top_jet(e: DiffExpr):
-    jets = [k for k in e.variables() if k[0] == 'j']
-    if not jets:
-        return None
-    return max(jets, key=_JETKEY)
+    return max((k for k in e.variables() if k[0] == 'j'), key=_JETKEY, default=None)
 
 
 def _by_parts(g: DiffExpr, z, i: int):

@@ -393,9 +393,24 @@ def run_task(problem: Problem, task: dict) -> dict:
     return {"task": kind, **_TASKS[kind][1](problem, {**_CHECKS[kind][1], **task})}
 
 
+MAX_NESTING = 64  # levels of objects and arrays; the bundled problems have up to 10
+
+
+def _check_nesting(data):
+    """ProblemError beyond MAX_NESTING levels, found level by level before
+    validation, whose messages echo the instance and can recurse through it."""
+    level = [data]
+    for _ in range(MAX_NESTING):
+        level = [v for x in level if isinstance(x, (dict, list))
+                 for v in (x.values() if isinstance(x, dict) else x)]
+    if any(isinstance(x, (dict, list)) for x in level):
+        raise ProblemError(f"problem nested deeper than {MAX_NESTING} levels")
+
+
 def run_problem(data: dict, max_prolong: int = CHECK_ORDER, timings: list = None) -> dict:
     """Execute all tasks.  Wall-clock timings go to the optional `timings`
     list (human report only) so the machine report stays byte-deterministic."""
+    _check_nesting(data)
     canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode()).hexdigest()
     problem = Problem(data, max_prolong)

@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError
 
 from jetcalc import presentations
 from jetcalc.algebra import _D, JetSpace, parse
@@ -15,6 +15,7 @@ from jetcalc.analysis import MAX_MONOMIALS
 from jetcalc.cli import (
     _TASKS,
     MAX_DEGREE,
+    MAX_NESTING,
     MAX_ORDER,
     MAX_PROLONG,
     MAX_STEPS,
@@ -23,6 +24,7 @@ from jetcalc.cli import (
     run_problem,
 )
 from jetcalc.corpus import corpus, corpus_names
+from jetcalc.errors import ProblemError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -564,6 +566,49 @@ def test_deeply_nested_problem_file_is_an_input_error(tmp_path, capsys):
     f.write_text('{"tasks": ' + "[" * 100_000 + "]" * 100_000 + "}")
     assert main(["run", str(f)]) == 2
     assert capsys.readouterr().err == "input error: problem file is nested too deeply\n"
+
+
+# `jetcalc run` on each file named in argv, from the top of a fresh process
+# as the command runs it; prints repr((exit code, stderr)) a line per file
+_RUN_FILES = """
+import contextlib, io, sys
+from jetcalc.cli import main
+for path in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", path])
+    print(repr((code, err.getvalue())))
+"""
+
+
+def test_problems_nested_beyond_the_bound_are_input_errors(tmp_path):
+    """A problem that loads but nests beyond MAX_NESTING is refused before
+    validation, whose message would echo the instance and, from about 500
+    levels, recurse through it."""
+    files = []
+    for depth in (300, 600, 985):
+        files.append(tmp_path / f"deep{depth}.json")
+        files[-1].write_text('{"tasks": ' + "[" * depth + "]" * depth + "}")
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _RUN_FILES, *map(str, files)], env=env,
+                          capture_output=True, text=True, timeout=600, check=True)
+    message = f"input error: problem nested deeper than {MAX_NESTING} levels\n"
+    assert proc.stdout.splitlines() == [repr((2, message))] * 3
+
+
+def test_problems_nested_to_the_bound_reach_validation():
+    def nested(levels):
+        x = []
+        for _ in range(levels - 1):
+            x = [x]
+        return x
+
+    space = {"independent": ["x"], "dependent": ["u"]}
+    with pytest.raises(ValidationError, match="is not of type 'object'"):
+        run_problem({"space": space, "tasks": nested(MAX_NESTING - 1)})
+    with pytest.raises(ProblemError, match=f"^problem nested deeper than {MAX_NESTING} levels$"):
+        run_problem({"space": space, "tasks": nested(MAX_NESTING)})
 
 
 @pytest.mark.parametrize("expr, caret", [("2^3000000000", 1), ("(2^65536)^65536", 2),

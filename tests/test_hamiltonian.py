@@ -451,3 +451,23 @@ def test_is_hamiltonian_is_the_polarized_test_with_b_equal_to_a():
     assert verdicts == [are_compatible(op, op) for op in ops]
     assert verdicts == [are_compatible(op, op.scale(1)) for op in ops]
     assert verdicts[-1] is False and True in verdicts
+
+
+def test_parity_records_are_shared_and_bounded():
+    """Each `is_hamiltonian` call builds a fresh momenta space; equal spaces
+    share one parity record, whose sign table holds an entry per pair of
+    odd parts met, not one per monomial: after the first 40 skew operators
+    of criterion 9 it stays below 1,000 entries."""
+    from test_acceptance import _rand_op
+
+    first, second = momenta_space(SP1), momenta_space(SP1)
+    assert first is not second and first._parity is second._parity
+    assert momenta_space(JetSpace.create(["x"], ["v"]))._parity is not first._parity
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 40:
+        op = skew(_rand_op(rng, SP1))
+        if not op.is_zero():
+            is_hamiltonian(op)
+            checked += 1
+    assert 0 < len(first._parity) < 1000

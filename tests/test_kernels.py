@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 from jetcalc import JetSpace, euler, parse
-from jetcalc.algebra import _E, sum_of_products
+from jetcalc.algebra import _E, _KEYS, sum_of_products
 from jetcalc.errors import BudgetError, ShapeError
 from monomials import decoded_terms, from_factors, layout
 
@@ -417,3 +417,49 @@ def test_incompatible_spaces_do_not_meet():
     for x, y in ((ua, u_ext), (u_ext, ua), (ua, u_copy), (u_copy, ua)):
         assert x == y and len(x + y) == 1 and len(x * y) == 1
         assert len(sum_of_products(x.space, [(x, y), (y, x)])) == 1
+
+
+def test_odd_signs_see_through_a_borrow_from_a_lower_slot():
+    """An even Laurent jet in a lower slot than an odd factor borrows from
+    the odd factor's field: stored as an int, u^-1*v has a 0 where v's
+    exponent was.  Products, total derivatives and partials still give the
+    reference's signs.  The jets are fresh, so they get slots in the order
+    they are built here."""
+    u, v, w = (SPACE.jet(j, K) for j, K in ((0, (41, 7)), (1, (41, 7)), (1, (40, 7))))
+    keys = [next(iter(x.variables())) for x in (u, v, w)]
+    assert _KEYS.index(keys[0]) < _KEYS.index(keys[1]) < _KEYS.index(keys[2])
+    a, b = u ** -1 * v, 3 * u ** -2 * v - 2 * w * u ** -1 + u
+    assert decoded_terms(a * w) == {((keys[0], -1), (keys[2], 1), (keys[1], 1)): -1}
+    for x, y in ((a, w), (w, a), (a, b), (b, a), (b, w * v)):
+        assert decoded_terms(x * y) == ref_mul(SPACE, decoded_terms(x), decoded_terms(y))
+    for e in (a, b, a * w, b * a, a + b * w):
+        for i in range(2):
+            assert decoded_terms(e.total_derivative(i)) == ref_total_derivative(
+                SPACE, decoded_terms(e), free_image(i))
+        for key in sorted(e.variables()):
+            assert decoded_terms(e.partial(key)) == ref_partial(SPACE, decoded_terms(e), key)
+
+
+def test_partials_are_split_once_and_finished_per_key():
+    """Every partial comes from one cached split of the terms: a key the
+    expression lacks gives zero, a repeated call an equal result, and an
+    exponent beyond the budget fails only the partial that has it."""
+    rng = random.Random(109)
+    for _ in range(20):
+        e = rand_expr(rng, SPACE)
+        copy = from_factors(SPACE, decoded_terms(e))
+        for key in sorted(e.variables()) + [('j', 0, (9, 9)), ('w', 'absent')]:
+            first = e.partial(key)
+            assert first == e.partial(key) == copy.partial(key)
+            assert_canonical(first)
+            if key not in e.variables():
+                assert first.is_zero()
+    u, v = EVEN.jet("u", (0, 0)), EVEN.jet("u", (1, 0))
+    for keys in ([('j', 0, (0, 0)), ('j', 0, (1, 0))], [('j', 0, (1, 0)), ('j', 0, (0, 0))]):
+        e = u ** -_E * v  # a fresh split for each order of the calls
+        for key in keys * 2:
+            if key[2] == (0, 0):
+                with pytest.raises(BudgetError):
+                    e.partial(key)
+            else:
+                assert e.partial(key) == u ** -_E
