@@ -43,12 +43,15 @@ One accumulator per result: the kernels that sum many products, D_i
 lcm of the denominators (`_mul_into`) and make it canonical in one pass at
 the end (`_canonical`: zero sums dropped and, over a denominator above 1,
 the gcd of it and the numerators divided out); an integral result pays only
-for the zero scan.  D_i looks up the image of each distinct variable once
-per call.  On a space without odd variables a monomial product is
-the sum of two ints, with no sign to find.  A result's terms come in the
-order of their first occurrence, which may differ from a term-by-term
-sum's; nothing that is reported depends on it.  The exponent bound of
-a sum_of_products is the largest of its products' bounds.
+for the zero scan.  D_i reads each variable's image from an `ImageTable`
+kept per setting and direction, at most one entry per slot: process-wide
+when free, on a Presentation (emptied with its jet normal forms) or on a
+Covering (rebuilt when X is reassigned).  On a space without odd variables
+a monomial product is the sum of two ints, with no sign to find.  A
+result's terms come in the order of their first occurrence, which may
+differ from a term-by-term sum's; nothing that is reported depends on it.
+The exponent bound of a sum_of_products is the largest of its products'
+bounds.
 
 Exponent budget: W = 64 and E = 2^16.  Every operation that can raise an
 exponent (a product, a power, a substitution, D_i, a partial derivative,
@@ -78,7 +81,9 @@ BudgetError beyond either.  (u + u_x + u_xx + u_xxx)^4000 would have about
 10^10 terms, and (u + 1)^8192 squares two 4,097-term polynomials of 4,096-bit
 coefficients for minutes.  (u/3 + u_x/5 + 1/7)^51, the slowest power found
 within P with a Fraction per coefficient (1.1 s), takes 0.09 s over one
-denominator (Python 3.11.7, 2-vCPU Xeon).
+denominator (Python 3.11.7, 2-vCPU Xeon).  A product of a by b terms raises
+BudgetError before any work beyond P term pairs: the power budgets pass each
+of two 3,003-term powers, whose product would have 9,018,009 terms.
 
 The monomial format is private to this module.  Other modules build
 expressions from the JetSpace constructors and the ring operations, and
@@ -301,7 +306,8 @@ _W = 64                 # bits per exponent field
 _E = 1 << 16            # exponent budget: no |exponent| may exceed it
 _C = 1 << 13            # coefficient budget of a power or a parsed product, in bits
 _T = 1 << 16            # term budget of a power
-_P = 1 << 20            # work budget of a power, in products of coefficient words
+_P = 1 << 20            # work budget of a power, in products of coefficient words,
+                        # and of a product, in term pairs
 _D = 100                # nesting budget of a parsed expression: '(' and unary '-'
 _FIELD = (1 << _W) - 1
 _UNITS = {}             # variable key -> 2^(W*slot), its monomial x^1
@@ -438,7 +444,11 @@ def _widen(res: dict, den: int, d: int) -> int:
 def _mul_into(res: dict, space: JetSpace, t1: dict, t2: dict) -> dict:
     """Add the product of two dicts of integer numerators, t1 on the left,
     to the raw sums `res`, and return `res`.  Without odd variables a
-    monomial product is the sum of the two ints."""
+    monomial product is the sum of the two ints.  BudgetError, before any
+    work, beyond P term pairs."""
+    if len(t1) * len(t2) > _P:
+        raise BudgetError(f"product of {len(t1)} by {len(t2)} terms beyond the budget "
+                          f"of {_P} term pairs")
     get = res.get
     if not space.odd:
         for m1, c1 in t1.items():
@@ -478,6 +488,39 @@ def sum_of_products(space: JetSpace, pairs) -> "DiffExpr":
         top = max(top, a._top_bound() + b._top_bound())
     res, den = _canonical(res, den)
     return DiffExpr(space, res, _within_budget(res, top), den)
+
+
+class ImageTable(dict):
+    """{variable key: (pairs, den, top)} of its D_i image in one derivative
+    setting, filled on first use: (monomial, numerator) pairs over den and
+    an exponent bound.  `jets` maps the key of u^j_{K+e_i} to the image of
+    u^j_K (None: that jet), `wmap` a nonlocal's name to its image (None:
+    NonlocalObstruction).  It holds at most one entry per registered slot."""
+
+    __slots__ = ("i", "wmap", "jets")
+
+    def __init__(self, i: int, wmap, jets):
+        super().__init__()
+        self.i, self.wmap, self.jets = i, wmap, jets
+
+    def __missing__(self, key) -> tuple:
+        kind, i = key[0], self.i
+        if kind == 'j':
+            K = key[2]
+            up = ('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:])
+            image = DiffExpr(None, {_unit(up): 1}, 1) if self.jets is None else self.jets(up)
+        elif kind == 'w' and self.wmap is None:
+            raise NonlocalObstruction(
+                f"total derivative of nonlocal variable {key[1]!r} requires a covering")
+        elif kind == 'w':
+            image = self.wmap[key[1]]
+        else:  # an independent variable or a parameter
+            image = DiffExpr(None, {0: 1} if key == ('i', i) else {}, 0)
+        entry = self[key] = (tuple(image.terms.items()), image.den, image._top_bound())
+        return entry
+
+
+_FREE_TABLES = {}       # i -> the ImageTable of the free D_i
 
 
 class DiffExpr:
@@ -684,71 +727,52 @@ class DiffExpr:
         without it a nonlocal occurrence is an error (lifted derivatives
         live in the covering layer).  `jets` maps the key of u^j_{K+e_i} to
         the expression taken as D_i(u^j_K), such as its normal form on an
-        equation.  Each factor v^e of a monomial gives e*v^(e-1)*D_i(v); an
-        odd v is first moved to the front, and D_i(v) stays there.
+        equation, or is the `ImageTable` of a setting.  Each factor v^e of a
+        monomial gives e*v^(e-1)*D_i(v); an odd v is first moved to the
+        front, and D_i(v) stays there.
 
-        The free derivative (neither `wmap` nor `jets`) is cached on the
-        expression, so D_K reuses every D_{K-e_i} of the same object.  The
-        others are not: a covering's X and a presentation's normal forms
-        may change after the call."""
+        The images come from one table per setting: process-wide when free,
+        kept by a presentation or a covering, or built for this call from a
+        plain `jets` or `wmap`.  The free derivative is also cached on the
+        expression, so D_K reuses every D_{K-e_i} of the same object."""
         free = wmap is None and jets is None
         if free:
             if self._free_d is None:
                 self._free_d = {}
             elif i in self._free_d:
                 return self._free_d[i]
+            table = _FREE_TABLES.get(i) or _FREE_TABLES.setdefault(i, ImageTable(i, None, None))
+        else:
+            table = jets if type(jets) is ImageTable else ImageTable(i, wmap, jets)
         space = self.space
         odd, signs = space.odd, space._parity
-        # variable key -> the numerators of its D_i over den, looked up once;
-        # den, the lcm of the images' denominators, grows when an image needs it
-        images, den = {}, 1
+        if odd:  # refreshed whenever filling an entry registers a slot
+            mask, bias, slots = signs.current().mask, signs.bias, len(_KEYS)
+        den = 1  # the lcm of the denominators of the images met
         top = 1  # a bound on the exponents of the images D_i(v)
         res = {}
         get = res.get
         for mono, c in self.terms.items():
             for key, e in _factors(mono):
-                dv = images.get(key)
-                if dv is None:
-                    kind, image = key[0], None
-                    if kind == 'q' or (kind == 'i' and key[1] != i):
-                        dv = ()
-                    elif kind == 'i':
-                        dv = ((0, den),)
-                    elif kind == 'j':
-                        K = key[2]
-                        up = ('j', key[1], K[:i] + (K[i] + 1,) + K[i + 1:])
-                        if jets is None:
-                            dv = ((_unit(up), den),)
-                        else:
-                            image = jets(up)
-                    elif wmap is None:
-                        raise NonlocalObstruction(
-                            f"total derivative of nonlocal variable {key[1]!r} requires a covering")
-                    else:
-                        image = wmap[key[1]]
-                    if image is not None:
-                        top = max(top, image._top_bound())
-                        if den % image.den:  # rescale the sums and images met so far
-                            old, den = den, _widen(res, den, image.den)
-                            images = {k: [(m, v * (den // old)) for m, v in x]
-                                      for k, x in images.items()}
-                        s = den // image.den
-                        dv = image.terms.items() if s == 1 else \
-                            [(m, v * s) for m, v in image.terms.items()]
-                    images[key] = dv
-                    if odd:  # set at the first key, and again for slots the image adds
-                        mask, bias = signs.current().mask, signs.bias
+                dv, d, t = table[key]
+                if t > top:
+                    top = t
                 if not dv:
                     continue
+                if den % d:
+                    den = _widen(res, den, d)
+                ec = e * c if den == d else e * c * (den // d)
                 unit = _UNITS[key]
-                rest, ec = mono - unit, e * c
+                rest = mono - unit
                 if not odd:
                     for dmono, dc in dv:
                         new = rest + dmono
                         res[new] = get(new, 0) + ec * dc
                     continue
+                if len(_KEYS) != slots:
+                    mask, bias, slots = signs.current().mask, signs.bias, len(_KEYS)
                 o, front = (rest + bias) & mask, unit & mask
-                ec = signs[unit, o] * c if front and o else ec
+                ec = signs[unit, o] * ec if front and o else ec
                 for dmono, dc in dv:
                     od = (dmono + bias) & mask
                     sign = 1 if not (o and od) else signs[od, o] if front else signs[o, od]

@@ -486,7 +486,11 @@ def main(argv=None) -> int:
                 print(json.dumps(data, indent=2, sort_keys=True))
                 return 0
         report = run_problem(data, args.max_prolong, timings)
-    except (OSError, json.JSONDecodeError, jsonschema.ValidationError, JetCalcError) as exc:
+    except jsonschema.ValidationError as exc:  # one line, not the schema and instance
+        path = "".join(f"[{p!r}]" for p in exc.absolute_path)
+        print(f"input error: {exc.message} (at problem{path})", file=sys.stderr)
+        return 2
+    except (OSError, json.JSONDecodeError, JetCalcError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if args.as_json:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     DiffExpr,
     HorizontalForm,
+    ImageTable,
     JetSpace,
     d_h,
     invert_total_derivative,
@@ -51,12 +52,12 @@ class Covering:
 
     def _lift_internal(self, e: DiffExpr, i: int) -> DiffExpr:
         """D~_i of an internal expression, with each field X_i reduced once
-        (again if X is reassigned) and normal_form fixing the nonlocals."""
+        into its table (again if X is reassigned), normal_form fixing w."""
         pres, fields = self.presentation, self.X.get(i, ())
         if self._reduced_X.get(i, (None,))[0] is not fields:
-            self._reduced_X[i] = (fields, {name: pres.normal_form(fields[k])
-                                           for k, name in enumerate(self.nonlocals)})
-        return e.total_derivative(i, self._reduced_X[i][1], pres.jet_image)
+            wmap = {name: pres.normal_form(fields[k]) for k, name in enumerate(self.nonlocals)}
+            self._reduced_X[i] = (fields, ImageTable(i, wmap, pres.jet_image))
+        return e.total_derivative(i, jets=self._reduced_X[i][1])
 
     def lifted(self, op: CDiffOp):
         """A base operator on the covering, as a function of a vector: its

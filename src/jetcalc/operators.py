@@ -94,9 +94,8 @@ class CDiffOp:
         return cls(space, 1, 1, {(0, 0): table})
 
     @classmethod
-    def total_derivative(cls, space, i: int, size: int = 1):
-        I = mi_unit(space.n, i)
-        return cls(space, size, size, ((k, k, I, space.one()) for k in range(size)))
+    def total_derivative(cls, space, i: int):
+        return cls(space, 1, 1, ((0, 0, mi_unit(space.n, i), space.one()),))
 
     @classmethod
     def mult(cls, space, expr: DiffExpr, size: int = 1):

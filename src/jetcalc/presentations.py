@@ -11,10 +11,12 @@ the bivector calculus, generating sections)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .algebra import (
     DiffExpr,
     HorizontalForm,
+    ImageTable,
     JetSpace,
     apply_DI,
     mi_add,
@@ -59,7 +61,8 @@ class Presentation:
         self._rules_by_dep = {}
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
-        self._jet_nfs, self._determining_ops, self._lin = {}, {}, {}
+        self._determining_ops, self._lin = {}, {}
+        self._forget_rules()
         self._tag_space = space.extended(
             dependent=space.fresh(f"_F{s}" for s in range(len(self.components))))
 
@@ -80,6 +83,14 @@ class Presentation:
                     if self.find_rule(j, K) is None:
                         out.append(('j', j, K))
         return out
+
+    def _forget_rules(self):
+        """Empty the caches built from the rules, the only place that does:
+        the jet normal forms {(tagged, jet): normal form} and the D_i tables
+        {(tagged, i): ImageTable}, which read each jet as its normal form."""
+        self._jet_nfs = {}
+        self._d_tables = {(t, i): ImageTable(i, None, partial(self._image, tagged=t))
+                          for t in (False, True) for i in range(self.space.n)}
 
     def jet_image(self, key) -> DiffExpr:
         """The jet's normal form, the image D_i takes for it in d_bar and
@@ -113,7 +124,7 @@ class Presentation:
         if K != I:
             i = max(k for k in range(self.space.n) if K[k] > I[k])
             base = self._image(('j', j, mi_sub(K, mi_unit(self.space.n, i))), tagged)
-            return base.total_derivative(i, jets=lambda key: self._image(key, tagged))
+            return base.total_derivative(i, jets=self._d_tables[tagged, i])
         if not tagged:
             return self.rhss[s]
         tag = sp.jet(self.space.m + s, mi_zero(sp.n))
@@ -154,7 +165,7 @@ class Presentation:
 
     def d_internal(self, e: DiffExpr, i: int) -> DiffExpr:
         """d_bar on an internal e, taking no normal form; internal too."""
-        return e.total_derivative(i, jets=self.jet_image)
+        return e.total_derivative(i, jets=self._d_tables[False, i])
 
     # -- cofactor-tracking reduction ------------------------------------------
 
@@ -305,7 +316,7 @@ def make_presentation(space: JetSpace, components, leadings,
             new = pres.normal_form(pres.rhss[s])
             if not (new - pres.rhss[s]).is_zero():
                 pres.rhss[s] = new
-                pres._jet_nfs.clear()
+                pres._forget_rules()
                 changed = True
         if not changed:
             break

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -523,6 +524,18 @@ def test_each_typed_field_is_checked(tmp_path, capsys, kind, field, value):
     assert err.startswith("input error: ") and f"['tasks'][0][{field!r}]" in err
 
 
+def test_schema_errors_are_one_line(tmp_path, capsys):
+    """A schema error prints its message and where it is, not the schema and
+    the instance."""
+    for data, message in [
+            ({"no": "space"}, "'tasks' is a required property (at problem)"),
+            (dict(corpus("kdv"), tasks=[{"kind": "reduce", "expr": 0}]),
+             "0 is not of type 'string' (at problem['tasks'][0]['expr'])")]:
+        code, err = _input_error(tmp_path, capsys, data)
+        assert code == 2
+        assert err == f"input error: {message}\n" and len(err.encode()) < 300
+
+
 _DIGITS = "9" * 5000  # beyond Python's 4,300-digit limit on int conversion
 
 
@@ -642,6 +655,20 @@ def test_powers_beyond_the_term_budget_are_input_errors(tmp_path, capsys):
     assert err == ("input error: power of up to 10682674001 terms beyond the budget "
                    "of 65536 terms (at position 29)\n")
     assert peak < 10 * 2**20  # no power was expanded
+
+
+def test_products_beyond_the_pair_budget_are_input_errors(tmp_path, capsys):
+    """Each power has 3,003 terms and is within every power budget; their
+    product would have 9,018,009, and is refused at the `*` before any of
+    them is built."""
+    expr = "(u[0,0]+u[1,0]+u[2,0]+u[3,0]+u[4,0]+1)^10*(u[5,0]+u[6,0]+u[7,0]+u[8,0]+u[9,0]+1)^10"
+    data = _changed("heat", {"tasks": [{"kind": "reduce", "expr": expr}]})
+    start = time.perf_counter()
+    code, err = _input_error(tmp_path, capsys, data)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert err == ("input error: product of 3003 by 3003 terms beyond the budget of "
+                   f"1048576 term pairs (at position {expr.index(')^10*') + 4})\n")
 
 
 def test_verify_shadow_task_reports_ok_and_fail(tmp_path, capsys):

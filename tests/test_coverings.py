@@ -231,8 +231,20 @@ def test_lifted_and_restricted_derivatives_are_not_cached(kdv):
     sp = cov.space
     w, u = sp.nonlocal_var("w"), parse("u[0,0]", sp)
     assert cov.lift_d(w, 0) == u
+    e = parse("w^2*u[1,0] + x*w^-1*u[0,1]", sp)
+    before = [cov.lift_d(e, i) for i in range(2)]
+    original = cov.X
     cov.X = {0: (u * u,), 1: cov.X[1]}
     assert cov.lift_d(w, 0) == u * u
+    # each direction's table is rebuilt with its fields, and only then
+    for X in ({0: (u * u,), 1: (parse("1/2*u[1,0]^2", sp),)}, original):
+        cov.X = X
+        wmaps = [{"w": X[i][0]} for i in range(2)]
+        pres = cov.presentation
+        assert [cov.lift_d(e, i) for i in range(2)] == [
+            pres.normal_form(pres.normal_form(e).total_derivative(i, wmaps[i]))
+            for i in range(2)]
+    assert [cov.lift_d(e, i) for i in range(2)] == before
     assert w.total_derivative(0, {"w": u}) == u
     assert w.total_derivative(0, {"w": u * u}) == u * u
     assert u.total_derivative(1) == parse("u[0,1]", sp)

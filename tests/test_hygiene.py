@@ -4,8 +4,9 @@ that its function never reads, no default that no call overrides, no
 local that its function never reads, no module but operators.py that
 touches an operator's coefficient table, no module but algebra.py (and,
 among the tests, the monomials helper) that knows the monomial format,
-no write to an expression's terms, no Fraction in the inner kernels and
-no import inside a function."""
+no write to an expression's terms, no Fraction in the inner kernels, no
+import inside a function and one place only that empties a presentation's
+rule caches."""
 
 import ast
 from pathlib import Path
@@ -458,6 +459,70 @@ def f(pres, delta, psi):
 """
     lines = [node.lineno for node in _linearization_rebuilds(ast.parse(source))]
     assert lines == [4, 5, 6, 12]
+
+
+RULE_CACHES = ("_jet_nfs", "_d_tables")
+
+
+def _rule_cache_resets(tree):
+    """(line, function, cache) of each place that empties, replaces or
+    deletes from one of a Presentation's rule caches: an assignment to it,
+    a `del` of it or of an entry, or a call of its `clear`, `pop` or
+    `popitem`; the function is the innermost one around it."""
+    def cache(node):
+        return node.attr if isinstance(node, ast.Attribute) and node.attr in RULE_CACHES \
+            else None
+
+    owner = {}
+    for f in ast.walk(tree):
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(f):
+                owner[id(node)] = f.name  # inner functions are walked later
+    found = []
+    for node in ast.walk(tree):
+        name = None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            name = cache(node)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Del):
+            name = cache(node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("clear", "pop", "popitem"):
+            name = cache(node.func.value)
+        if name:
+            found.append((node.lineno, owner.get(id(node), "<module>"), name))
+    return sorted(found)
+
+
+def test_the_rule_caches_are_emptied_in_one_place():
+    """The jet normal forms and the D_i tables are built from the rules, so
+    they are emptied together, by one function, and by no other."""
+    sites = [(path.name, function, name) for path, tree in _trees(PACKAGE)
+             for _, function, name in _rule_cache_resets(tree)]
+    assert len({site[:2] for site in sites}) == 1
+    assert sorted(name for *_, name in sites) == sorted(RULE_CACHES)
+
+
+def test_the_rule_cache_check_sees_every_reset():
+    source = """
+class P:
+    def __init__(self):
+        self._jet_nfs = {}
+
+    def forget(self):
+        self._jet_nfs, self._d_tables = {}, {}
+
+def f(pres):
+    pres._jet_nfs.clear()
+    del pres._d_tables[0, 1]
+    pres._jet_nfs[0, 1] = pres._d_tables.get((0, 1))
+
+    def g():
+        pres._d_tables.pop((0, 1))
+    return g
+"""
+    assert _rule_cache_resets(ast.parse(source)) == [
+        (4, "__init__", "_jet_nfs"), (7, "forget", "_d_tables"), (7, "forget", "_jet_nfs"),
+        (10, "f", "_jet_nfs"), (11, "f", "_d_tables"), (15, "g", "_d_tables")]
 
 
 def _function_imports(tree):

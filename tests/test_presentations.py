@@ -290,6 +290,68 @@ def test_d_bar_matches_its_definition(request, name):
             assert canonical_terms(pres.d_bar(e, i)) == dict(expected.coefficients())
 
 
+@pytest.fixture(scope="module")
+def fractional():
+    """An evolution equation with a fractional and a parametric right-hand side."""
+    sp = JetSpace.create(["x", "t"], ["u"], ["lam"])
+    return make_presentation(sp, [parse("u[0,1] - 1/2*u[3,0] - lam*u[0,0]*u[1,0]", sp)],
+                             [("u", (0, 1))])
+
+
+# internal factors, Laurent and parametric ones among them
+INTERNAL = {
+    "kdv": ("u[0,0]", "u[0,0]^-1", "u[1,0]", "u[3,0]", "u[2,0]^-2", "x", "t"),
+    "camassa_holm": ("u[0,0]", "u[0,0]^-1", "u[1,0]", "u[0,1]", "u[1,1]", "u[0,2]",
+                     "u[1,0]^-1", "x"),
+    "boussinesq": ("u[0,0]", "u[0,0]^-1", "v[0,0]", "u[1,0]", "v[2,0]", "v[1,0]^-1",
+                   "sigma", "t"),
+    "fractional": ("u[0,0]", "u[0,0]^-1", "u[1,0]", "u[2,0]", "u[1,0]^-2", "lam", "x", "t"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERNAL))
+def test_d_internal_matches_a_table_built_per_call(request, name):
+    """d_internal reads the presentation's D_i tables, kept between calls; a
+    plain `jets` callable gets a table of its own for one call.  Both give
+    the same terms in the same order, whatever the order of the calls, and
+    the normal form of the free derivative."""
+    pres = request.getfixturevalue(name)
+    rng = random.Random(97)
+    for _ in range(16):
+        e = rand_poly(pres.space, rng, INTERNAL[name])
+        for i in rng.sample(range(pres.space.n), pres.space.n):
+            got = pres.d_internal(e, i)
+            fresh = e.total_derivative(i, jets=pres.jet_image)
+            assert list(got.coefficients()) == list(fresh.coefficients())
+            assert canonical_terms(got) == dict(
+                pres.normal_form(e.total_derivative(i)).coefficients())
+
+
+def test_inter_reduced_rules_derive_as_rules_given_reduced():
+    """u_t = u_x p_tt reduces through the prolonged rule of p_t = v^2, and
+    v_t = w_t + v_xx through w's rule; the rule caches built meanwhile are
+    emptied, so the presentation derives as one given the reduced rules."""
+    sp = JetSpace.create(["x", "t"], ["u", "p", "v", "w"])
+    leads = [("u", (0, 1)), ("p", (0, 1)), ("v", (0, 1)), ("w", (0, 1))]
+    F = [parse(f, sp) for f in ("u[0,1] - p[0,2]*u[1,0]", "p[0,1] - v[0,0]^2",
+                                "v[0,1] - w[0,1] - v[2,0]",
+                                "w[0,1] - w[2,0] - w[0,0]*w[1,0]")]
+    pres = make_presentation(sp, F, leads)
+    raw = [sp.jet(j, K) - f for (j, K), f in zip(leads, F)]
+    assert [r != x for r, x in zip(pres.rhss, raw)] == [True, False, True, False]
+    given = make_presentation(sp, [sp.jet(j, K) - r for (j, K), r in zip(leads, pres.rhss)],
+                              leads)
+    assert given.rhss == pres.rhss
+    factors = ("u[0,0]", "u[1,0]", "p[0,0]", "p[1,0]", "v[0,0]", "v[1,0]", "w[0,0]",
+               "w[0,0]^-1", "x")
+    rng = random.Random(101)
+    for _ in range(12):
+        e = rand_poly(sp, rng, factors)
+        for i in range(2):
+            assert list(pres.d_internal(e, i).coefficients()) == \
+                list(given.d_internal(e, i).coefficients())
+
+
 EVOLUTION = ("kdv", "boussinesq", "coupled")
 
 
