@@ -909,23 +909,8 @@ class HorizontalForm:
         return HorizontalForm(self.space, self.degree,
                               {k: fn(v) for k, v in self.comps.items()})
 
-    def __add__(self, other):
-        comps = dict(self.comps)
-        for k, v in other.comps.items():
-            comps[k] = comps.get(k, self.space.zero()) + v
-        return HorizontalForm(self.space, self.degree, comps)
-
-    def __neg__(self):
-        return self.map_components(lambda e: -e)
-
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.comps.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, HorizontalForm) or self.degree != other.degree:
-            return NotImplemented
-        keys = set(self.comps) | set(other.comps)
-        return all(self.component(k) == other.component(k) for k in keys)
 
 
 def d_h(form: HorizontalForm) -> HorizontalForm:

@@ -302,8 +302,7 @@ class BilinearNabla:
 
 def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None) -> dict:
     """Membership l_F* delta = delta* l_F modulo reduction, then closedness
-    on a generating family of arguments (evolution shortcut when the
-    presentation is evolutionary, cofactor nabla otherwise)."""
+    on a generating family of arguments through the cofactor nabla."""
     space = pres.space
     nabla = BilinearNabla(pres, _theta(delta, pres, adjoint=True))
     membership = nabla.restricted
@@ -313,21 +312,10 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None)
         return dict(report, closed=False, ok=False)
     test_args = slot_candidates(ansatz_monomials(pres, ansatz or SYMPLECTIC_ANSATZ), space.m, space)
     failures = []
-    if pres.is_evolutionary():
-        if not pres.restrict_operator(delta + delta.adjoint()).is_zero():
-            failures.append("delta* != -delta")
-
-        def defect(p1, p2):
-            return [a - b - c for a, b, c in zip(
-                ell_delta_op(delta, p1).apply(p2), ell_delta_op(delta, p2).apply(p1),
-                ell_delta_op(delta, p1).adjoint().apply(p2))]
-    else:
-        def defect(p1, p2):
-            return [a - b + c for a, b, c in zip(
-                ell_delta_op(delta, p2).apply(p1), ell_delta_op(delta, p1).apply(p2),
-                nabla.star1(p1, p2))]
     for p1, p2 in combinations_with_replacement(test_args, 2):
-        res = [pres.normal_form(x) for x in defect(p1, p2)]
+        res = pres.normal_form([a - b + c for a, b, c in zip(
+            ell_delta_op(delta, p2).apply(p1), ell_delta_op(delta, p1).apply(p2),
+            nabla.star1(p1, p2))])
         if any(not x.is_zero() for x in res):
             failures.append([render(x) for x in res])
             break

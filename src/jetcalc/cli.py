@@ -394,6 +394,7 @@ def run_task(problem: Problem, task: dict) -> dict:
 
 
 MAX_NESTING = 64  # levels of objects and arrays; the bundled problems have up to 10
+MAX_MESSAGE = 400  # UTF-8 bytes of an input-error message, beyond which its middle is cut
 
 
 def _check_nesting(data):
@@ -488,16 +489,20 @@ def main(argv=None) -> int:
         report = run_problem(data, args.max_prolong, timings)
     except jsonschema.ValidationError as exc:  # one line, not the schema and instance
         path = "".join(f"[{p!r}]" for p in exc.absolute_path)
-        print(f"input error: {exc.message} (at problem{path})", file=sys.stderr)
-        return 2
+        message = f"{exc.message} (at problem{path})"
     except (OSError, json.JSONDecodeError, JetCalcError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    if args.as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        message = str(exc)
     else:
-        _print_human(report, timings)
-    return 0 if report["status"] == "ok" else 1
+        if args.as_json:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            _print_human(report, timings)
+        return 0 if report["status"] == "ok" else 1
+    raw, half = message.encode(), MAX_MESSAGE // 2
+    if len(raw) > MAX_MESSAGE:  # keep the head and where in the input it is
+        message = f"{raw[:half].decode(errors='ignore')} ... {raw[-half:].decode(errors='ignore')}"
+    print(f"input error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,17 +1,20 @@
 """Equation presentations as orthonomic rewrite systems.
 
 A presentation solves each component F_s for a designated leading jet,
-u_{I_s}^{j_s} = g_s, with internal-coordinate right-hand sides.  Derived
-rules are prolonged on demand and cached.  Reduction optionally tracks
-cofactors Delta_s with  input = normal_form + sum_s Delta_s(F_s)  exactly
-on the free jet space; the cofactors feed every construction downstream
-that the source theory states existentially (box operators, the nabla of
-the bivector calculus, generating sections)."""
+u_{I_s}^{j_s} = g_s, with internal-coordinate right-hand sides, and does
+not change once built.  Derived rules are prolonged on demand and cached.
+Reduction optionally tracks cofactors Delta_s with  input = normal_form +
+sum_s Delta_s(F_s)  exactly on the free jet space, by reducing modulo a
+second presentation, of F - _F = 0 with one tag _F<s> per component; the
+cofactors feed every construction downstream that the source theory
+states existentially (box operators, the nabla of the bivector calculus,
+generating sections)."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .algebra import (
     DiffExpr,
@@ -48,7 +51,8 @@ class Reduction:
 class Presentation:
     """Equation E = {F = 0} with user-designated leading jets; critical
     pairs are checked up to order `check_order`, and so are those of the
-    coverings built over it."""
+    coverings built over it.  Its rules do not change once it is built;
+    the caches built from them are filled on first use."""
 
     def __init__(self, space: JetSpace, components, leadings, lead_coeffs, rhss,
                  check_order: int):
@@ -56,15 +60,19 @@ class Presentation:
         self.components = tuple(components)
         self.leadings = tuple(leadings)          # (dep index, multi-index)
         self.lead_coeffs = tuple(lead_coeffs)    # monomial DiffExpr per rule
-        self.rhss = list(rhss)
+        self.rhss = tuple(rhss)
         self.check_order = check_order
         self._rules_by_dep = {}
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
         self._determining_ops, self._lin = {}, {}
-        self._forget_rules()
-        self._tag_space = space.extended(
-            dependent=space.fresh(f"_F{s}" for s in range(len(self.components))))
+        # {jet: its normal form}, and the D_i table per i, which reads each
+        # jet as its normal form; the tables reach the presentation weakly
+        # (a proxy's bound method would hold it), so that a dropped
+        # presentation is freed at once
+        self._jet_nfs = {}
+        image = partial(Presentation.jet_image, weakref.proxy(self))
+        self._d_tables = [ImageTable(i, None, image) for i in range(space.n)]
 
     # -- rule machinery ------------------------------------------------------
 
@@ -84,54 +92,29 @@ class Presentation:
                         out.append(('j', j, K))
         return out
 
-    def _forget_rules(self):
-        """Empty the caches built from the rules, the only place that does:
-        the jet normal forms {(tagged, jet): normal form} and the D_i tables
-        {(tagged, i): ImageTable}, which read each jet as its normal form."""
-        self._jet_nfs = {}
-        self._d_tables = {(t, i): ImageTable(i, None, partial(self._image, tagged=t))
-                          for t in (False, True) for i in range(self.space.n)}
-
     def jet_image(self, key) -> DiffExpr:
-        """The jet's normal form, the image D_i takes for it in d_bar and
-        lift_d."""
-        image = self._jet_nfs.get((False, key))
-        return self._image(key, False) if image is None else image
-
-    def _image(self, key, tagged) -> DiffExpr:
-        """The jet's normal form, cached per (tagged, jet): the jet itself
-        when no rule applies, else _rule_nf.  Tagged images live on the tag
-        space (tag families have no rules)."""
-        image = self._jet_nfs.get((tagged, key))
+        """The jet's normal form, cached; the image D_i takes for it in
+        d_bar and lift_d.  It is the jet itself when no rule applies, the
+        right-hand side at a rule's leading jet, and above it D_i of the
+        normal form of u_{K-e_i}, one pass reading each jet u_{L+e_i} as
+        its normal form: that normal form is internal, and D_i of it is
+        linear in the u_{L+e_i}, so nothing is left to reduce."""
+        image = self._jet_nfs.get(key)
         if image is None:
             _, j, K = key
-            sp = self._tag_space if tagged else self.space
-            image = sp.jet(j, K) if self.find_rule(j, K) is None \
-                else self._rule_nf(j, K, tagged)
-            self._jet_nfs[tagged, key] = image
+            s = self.find_rule(j, K)
+            if s is None:
+                image = self.space.jet(j, K)
+            elif K == self.leadings[s][1]:
+                image = self.rhss[s]
+            else:
+                i = max(k for k, (a, b) in enumerate(zip(K, self.leadings[s][1])) if a > b)
+                base = self.jet_image(('j', j, mi_sub(K, mi_unit(self.space.n, i))))
+                image = base.total_derivative(i, jets=self._d_tables[i])
+            self._jet_nfs[key] = image
         return image
 
-    def _rule_nf(self, j, K, tagged) -> DiffExpr:
-        """Normal form of the reducible jet u_K^j.  At a rule's leading jet it
-        is the right-hand side; when tagged, plus the rule's tag _F<s> over
-        its leading coefficient, so the cofactors ride along.  Above it, it
-        is D_i of the normal form of u_{K-e_i}, one pass reading each jet
-        u_{L+e_i} as its normal form: that normal form is internal, and D_i
-        of it is linear in the u_{L+e_i}, so nothing is left to reduce."""
-        s = self.find_rule(j, K)
-        I = self.leadings[s][1]
-        sp = self._tag_space if tagged else self.space
-        if K != I:
-            i = max(k for k in range(self.space.n) if K[k] > I[k])
-            base = self._image(('j', j, mi_sub(K, mi_unit(self.space.n, i))), tagged)
-            return base.total_derivative(i, jets=self._d_tables[tagged, i])
-        if not tagged:
-            return self.rhss[s]
-        tag = sp.jet(self.space.m + s, mi_zero(sp.n))
-        inv = self.lead_coeffs[s].rename_space(sp).inverse_monomial()
-        return self.rhss[s].rename_space(sp) + inv * tag
-
-    def _reduce(self, e: DiffExpr, tagged) -> DiffExpr:
+    def _reduce(self, e: DiffExpr) -> DiffExpr:
         """Substitute every reducible jet by its normal form in one pass.
         The normal forms are internal, so this is the polynomial that
         substituting them one jet at a time gives."""
@@ -143,7 +126,7 @@ class Presentation:
         if negative:
             raise ReductionError(f"reducible jet {self._jet_name(min(negative))} "
                                  "occurs with negative exponent")
-        return e.substitute({z: self._image(z, tagged) for z in reducible})
+        return e.substitute({z: self.jet_image(z) for z in reducible})
 
     def _jet_name(self, key) -> str:
         return render(self.space.jet(key[1], key[2]))
@@ -152,8 +135,7 @@ class Presentation:
         """The expression with every reducible jet replaced by its normal
         form, in one substitution; elementwise on a list."""
         def nf(x):
-            return self._reduce(x if x.space is self.space else x.rename_space(self.space),
-                                False)
+            return self._reduce(x if x.space is self.space else x.rename_space(self.space))
         return [nf(x) for x in e] if isinstance(e, (list, tuple)) else nf(e)
 
     def d_bar(self, e: DiffExpr, i: int) -> DiffExpr:
@@ -165,9 +147,26 @@ class Presentation:
 
     def d_internal(self, e: DiffExpr, i: int) -> DiffExpr:
         """d_bar on an internal e, taking no normal form; internal too."""
-        return e.total_derivative(i, jets=self._d_tables[False, i])
+        return e.total_derivative(i, jets=self._d_tables[i])
 
     # -- cofactor-tracking reduction ------------------------------------------
+
+    @cached_property
+    def _cofactor_rules(self) -> "Presentation":
+        """The presentation of F - _F = 0 on the space with one tag family
+        _F<s> per component (tags have no rules): each right-hand side plus
+        its tag over its leading coefficient.  Its normal form of e is
+        NF(e) + sum_s Delta_s(_F<s>), so the cofactors ride along."""
+        sp = self.space.extended(
+            dependent=self.space.fresh(f"_F{s}" for s in range(len(self.components))))
+        tags = [sp.jet(self.space.m + s, mi_zero(sp.n)) for s in range(len(self.components))]
+        coeffs = [a.rename_space(sp) for a in self.lead_coeffs]
+        return Presentation(
+            sp, [F.rename_space(sp) - t for F, t in zip(self.components, tags)],
+            self.leadings, coeffs,
+            [g.rename_space(sp) + a.inverse_monomial() * t
+             for g, a, t in zip(self.rhss, coeffs, tags)],
+            self.check_order)
 
     def reduce(self, e: DiffExpr) -> Reduction:
         """Normal form together with exact cofactors."""
@@ -175,9 +174,10 @@ class Presentation:
             if self.space.is_odd_key(key) and self.find_rule(key[1], key[2]) is not None:
                 raise ReductionError("cofactor tracking is limited to even "
                                      f"reducible jets: {self._jet_name(key)}")
-        sp = self._tag_space
+        rules = self._cofactor_rules
+        sp = rules.space
         m, l = self.space.m, len(self.components)
-        full = self._reduce(e.rename_space(sp), True)
+        full = rules._reduce(e.rename_space(sp))
         tags = {k for k in full.variables() if k[0] == 'j' and k[1] >= m}
         cofactor = []
         for t in full.summands():
@@ -219,7 +219,7 @@ class Presentation:
         = NF(a_K) NF(D_K NF phi)."""
         op = self.restrict_operator(op)
         d = d or self.d_internal
-        return lambda vec: op.apply(self.normal_form(vec), d)
+        return lambda vec: op.apply(self.normal_form(vec), d=d)
 
     def lin_apply(self, phi) -> list:
         """l_F(phi) reduced (the symmetry determining operator), computed as
@@ -232,11 +232,11 @@ class Presentation:
         return self._determining(True, psi)
 
     def _determining(self, adjoint, vec) -> list:
-        apply = self._determining_ops.get(adjoint)
-        if apply is None:
-            apply = self._determining_ops[adjoint] = self.restricted(
-                self.linearization(adjoint))
-        return apply(vec)
+        """restricted(linearization(adjoint))(vec), with the restricted
+        operator cached."""
+        if adjoint not in self._determining_ops:
+            self._determining_ops[adjoint] = self.restrict_operator(self.linearization(adjoint))
+        return self._determining_ops[adjoint].apply(self.normal_form(vec), self.d_internal)
 
     def reduce_form(self, form: HorizontalForm) -> HorizontalForm:
         return form.map_components(self.normal_form)
@@ -309,14 +309,15 @@ def make_presentation(space: JetSpace, components, leadings,
                 raise NonSolvableError(
                     f"leading jets {leads[s1]} and {leads[s2]} are not orthonomic")
     pres = Presentation(space, comps, leads, coeffs, rhss, check_order)
-    # inter-reduce right-hand sides to a fixpoint
+    # inter-reduce right-hand sides to a fixpoint, one rule at a time, with a
+    # new presentation each time one changes
     for _ in range(20):
         changed = False
         for s in range(len(rhss)):
-            new = pres.normal_form(pres.rhss[s])
-            if not (new - pres.rhss[s]).is_zero():
-                pres.rhss[s] = new
-                pres._forget_rules()
+            new = pres.normal_form(rhss[s])
+            if not (new - rhss[s]).is_zero():
+                rhss[s] = new
+                pres = Presentation(space, comps, leads, coeffs, rhss, check_order)
                 changed = True
         if not changed:
             break

@@ -29,7 +29,6 @@ from jetcalc import (
 )
 from jetcalc.analysis import AnsatzError, BilinearNabla, _theta
 from jetcalc.linalg import rref, same_span
-from jetcalc.presentations import Presentation
 
 SP = JetSpace.create(["x", "t"], ["u"])
 
@@ -310,22 +309,38 @@ def test_symplectic(kdv, wdvv):
     assert verify_symplectic(CDiffOp.zero(SP, 1, 1), kdv)["ok"]
 
 
-def test_symplectic_dx_on_potential_kdv(monkeypatch):
-    """D_x is symplectic on potential KdV, an evolution equation; the
-    general nabla closedness check agrees with the evolution shortcut."""
+def test_symplectic_dx_on_potential_kdv():
+    """D_x is symplectic on potential KdV, an evolution equation."""
     pkdv = make_presentation(SP, [parse("u[0,1] - 3*u[1,0]^2 - u[3,0]", SP)],
                              [("u", (0, 1))])
     assert pkdv.is_evolutionary()
-    dx = CDiffOp.total_derivative(SP, 0)
-    rep = verify_symplectic(dx, pkdv)
+    rep = verify_symplectic(CDiffOp.total_derivative(SP, 0), pkdv)
     assert rep["membership"] and rep["closed"] and rep["ok"]
-    monkeypatch.setattr(Presentation, "is_evolutionary", lambda self: False)
-    assert verify_symplectic(dx, pkdv) == rep
 
 
-# the benchmark's four reference solves, with its reference bases: the
-# evolution equations take the internal-coordinate residual route, and
-# Camassa-Holm (leading jet u_txx) the route over free jets
+@pytest.mark.parametrize("entries, closed", [
+    (("w[0,0]", "0", "0"), False), (("w[0,0]", "-v[0,0]", "u[0,0]"), False),
+    (("1", "0", "0"), True), (("u[0,0]^2", "0", "0"), True)])
+def test_symplectic_closedness_of_a_constant_two_form(entries, closed):
+    """On u_t = v_t = w_t = 0 the skew multiplication operator with entries
+    (d12, d13, d23) is a 2-form on (u, v, w), closed exactly when
+    d_u d23 - d_v d13 + d_w d12 = 0."""
+    sp = JetSpace.create(["x", "t"], ["u", "v", "w"])
+    pres = make_presentation(sp, [sp.jet(j, (0, 1)) for j in range(3)],
+                             [(j, (0, 1)) for j in range(3)])
+    d12, d13, d23 = (parse(a, sp) for a in entries)
+    delta = CDiffOp(sp, 3, 3, [(0, 1, (0, 0), d12), (0, 2, (0, 0), d13), (1, 2, (0, 0), d23),
+                               (1, 0, (0, 0), -d12), (2, 0, (0, 0), -d13), (2, 1, (0, 0), -d23)])
+    assert (d23.partial(('j', 0, (0, 0))) - d13.partial(('j', 1, (0, 0)))
+            + d12.partial(('j', 2, (0, 0)))).is_zero() == closed
+    rep = verify_symplectic(delta, pres, ansatz=Ansatz(1, 1))
+    assert rep["membership"]
+    assert rep["closed"] == rep["ok"] == closed
+    assert len(rep["closed_failures"]) == (0 if closed else 1)
+
+
+# the benchmark's four reference solves, with its reference bases; every
+# presentation takes the one residual route, Presentation.restricted
 SOLVE_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "solve.json"
 
 

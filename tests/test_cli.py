@@ -536,6 +536,29 @@ def test_schema_errors_are_one_line(tmp_path, capsys):
         assert err == f"input error: {message}\n" and len(err.encode()) < 300
 
 
+def _flat_task(covering):
+    data = corpus("potential-kdv-we")
+    return dict(data, tasks=[dict(data["tasks"][0], covering=covering)])
+
+
+@pytest.mark.parametrize("data, head, tail", [
+    ({"tasks": "x" * 100000}, "{'tasks': 'xxx", "given schemas (at problem)"),
+    (dict(corpus("potential-kdv-we"), coverings={"k" * 30000: 1}),
+     "1 is not of type 'object' (at problem['coverings']['kkk", "kkk'])"),
+    (dict(corpus("potential-kdv-we"), coverings={"\u20ac" * 30000: 1}),
+     "1 is not of type 'object' (at problem['coverings']['\u20ac\u20ac", "\u20ac\u20ac'])"),
+    (_flat_task("c" * 50000), "task 'verify-flat' names unknown covering 'ccc", "ccc'"),
+    (_changed("heat", {"tasks": [{"kind": "reduce", "expr": "n" * 50000}]}),
+     "unknown name 'nnn", "nnn' (at position 0)")],
+    ids=["schema-value", "schema-path", "schema-path-utf8", "covering", "expression"])
+def test_input_errors_are_bounded(tmp_path, capsys, data, head, tail):
+    """A long message keeps its head and where it is, and loses its middle."""
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err.startswith(f"input error: {head}") and err.endswith(f"{tail}\n")
+    assert err.count("\n") == 1 and " ... " in err and len(err.encode()) < 500
+
+
 _DIGITS = "9" * 5000  # beyond Python's 4,300-digit limit on int conversion
 
 

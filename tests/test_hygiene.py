@@ -5,8 +5,8 @@ local that its function never reads, no module but operators.py that
 touches an operator's coefficient table, no module but algebra.py (and,
 among the tests, the monomials helper) that knows the monomial format,
 no write to an expression's terms, no Fraction in the inner kernels, no
-import inside a function and one place only that empties a presentation's
-rule caches."""
+import inside a function, and a presentation's rule caches assigned only
+when it is built."""
 
 import ast
 from pathlib import Path
@@ -329,10 +329,10 @@ def _callee(call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def _defaulted_parameters(tree):
-    """(callee name, positional index or None, parameter) of each parameter
-    that has a default.  A method's index counts from the argument after
-    self or cls, and __init__ is called by its class's name."""
+def _signatures(tree):
+    """(callee name, function, skip) of each function and method: a method
+    skips its self or cls argument, and __init__ is called by its class's
+    name."""
     owner = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
              for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
     for f in ast.walk(tree):
@@ -340,46 +340,94 @@ def _defaulted_parameters(tree):
             continue
         static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
         skip = 1 if id(f) in owner and not static else 0
-        name = owner[id(f)] if f.name == "__init__" and id(f) in owner else f.name
-        args = f.args
-        positional = args.posonlyargs + args.args
-        first = len(positional) - len(args.defaults)
-        for k, a in enumerate(positional[first:], first):
-            yield name, k - skip, a.arg
-        for a, d in zip(args.kwonlyargs, args.kw_defaults):
-            if d is not None:
-                yield name, None, a.arg
+        yield owner[id(f)] if f.name == "__init__" and id(f) in owner else f.name, f, skip
+
+
+def _defaulted_parameters(f, skip):
+    """(positional index or None, parameter) of each parameter of the
+    function f that has a default, the index counted after `skip`
+    arguments."""
+    args = f.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for k, a in enumerate(positional[first:], first):
+        yield k - skip, a.arg
+    for a, d in zip(args.kwonlyargs, args.kw_defaults):
+        if d is not None:
+            yield None, a.arg
+
+
+def _module_name(path):
+    return path.parent.name if path.stem == "__init__" else path.stem
 
 
 def _unpassed_defaults(defining, calling):
-    """`name(parameter)` of each defaulted parameter of a function in the
-    trees `defining` that no call in the trees `calling` passes, by position
-    or by keyword; a call with *args or **kwargs passes every parameter."""
+    """`module: name(parameter)` of each defaulted parameter of a function
+    in the modules `defining` ({module name: tree}) that no call in the
+    modules `calling` passes.  `f(...)` reaches the module-level f of its
+    own module, or of the module it imports f from, followed through
+    re-exports (else every f), and `x.f(...)` every function and method
+    named f.  A call passes a parameter by keyword to each definition it
+    reaches (**kwargs passes every one), and by position (*args passes
+    every one) only when it reaches one definition."""
+    modules = {**calling, **defining}
+    every, top, imported = {}, {}, {}
+    for module, tree in modules.items():
+        for name, f, _ in _signatures(tree):
+            every.setdefault(name, set()).add(id(f))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                inits = [f for f in node.body if getattr(f, "name", None) == "__init__"]
+                top[module, node.name] = {id(f) for f in inits or [node]}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                top[module, node.name] = {id(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                for a in node.names:
+                    imported[module, a.asname or a.name] = (node.module.rpartition(".")[2],
+                                                            a.name)
+
+    def reach(module, call):
+        name = _callee(call)
+        if not isinstance(call.func, ast.Name):
+            return every.get(name, set())
+        key = (module, name)
+        if key not in top and key not in imported:
+            return every.get(name, set())
+        while key in imported and key not in top:
+            key = imported[key]
+        return top.get(key, set())
+
     most, keywords = {}, {}
-    for tree in calling:
+    for module, tree in calling.items():
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
-            name = _callee(call)
+            targets = reach(module, call)
             n = len(call.args)
             if any(isinstance(a, ast.Starred) for a in call.args):
                 n = float("inf")
-            most[name] = max(most.get(name, 0), n)
-            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
-    for tree in defining:
-        for name, k, param in _defaulted_parameters(tree):
-            kws = keywords.get(name, set())
-            if param not in kws and None not in kws \
-                    and (k is None or most.get(name, 0) <= k):
-                yield f"{name}({param})"
+            for target in targets:
+                if len(targets) == 1:
+                    most[target] = max(most.get(target, 0), n)
+                keywords.setdefault(target, set()).update(k.arg for k in call.keywords)
+    for module, tree in defining.items():
+        for name, f, skip in _signatures(tree):
+            kws = keywords.get(id(f), set())
+            for k, param in _defaulted_parameters(f, skip):
+                if param not in kws and None not in kws \
+                        and (k is None or most.get(id(f), 0) <= k):
+                    yield f"{module}: {name}({param})"
 
 
 def test_every_default_is_passed_somewhere():
     """A default that no caller overrides is a constant in disguise."""
-    calling = [tree for _, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "bench")]
-    unpassed = [f"{path.name}: {param}" for path, tree in _trees(PACKAGE)
-                for param in _unpassed_defaults([tree], calling)]
-    assert unpassed == []
+    trees = list(_trees(ROOT / "src", ROOT / "tests", ROOT / "bench"))
+    calling = {_module_name(path): tree for path, tree in trees}
+    assert len(calling) == len(trees)  # no two modules share a name
+    package = {_module_name(path) for path in PACKAGE.glob("*.py")}
+    defining = {module: tree for module, tree in calling.items() if module in package}
+    assert list(_unpassed_defaults(defining, calling)) == []
 
 
 def test_the_default_check_sees_an_unpassed_parameter():
@@ -399,12 +447,50 @@ class C:
         pass
 """)
     calling = ast.parse("""
+from lib import f, C
 f(0, 1, d=5)
 C(1)
 obj.m(**opts)
 C.s(*args)
 """)
-    assert list(_unpassed_defaults([defining], [calling])) == ["f(c)", "f(e)", "C(y)"]
+    assert list(_unpassed_defaults({"lib": defining}, {"user": calling})) == [
+        "lib: f(c)", "lib: f(e)", "lib: C(y)"]
+
+
+def test_the_default_check_tells_same_named_definitions_apart():
+    """A call that reaches two definitions of its name passes neither's
+    defaults by position; a keyword passes the parameter of that name, and
+    an imported function is told apart from another module's."""
+    defining = ast.parse("""
+class A:
+    def m(self, p=0):
+        pass
+
+class B:
+    def m(self, a, b=0):
+        pass
+
+    def n(self, c=0):
+        pass
+
+def main(argv=None):
+    pass
+""")
+    other = ast.parse("""
+from lib import main as run
+
+def main(argv=None):
+    run(["x"])
+""")
+    calling = ast.parse("""
+from other import run
+obj.m(1, b=2)
+obj.n(1)
+run(["y"])
+""")
+    assert list(_unpassed_defaults({"lib": defining, "other": other},
+                                   {"user": calling, "other": other})) == [
+        "lib: m(p)", "other: main(argv)"]
 
 
 def _linearization_rebuilds(tree):
@@ -494,12 +580,13 @@ def _rule_cache_resets(tree):
 
 
 def test_the_rule_caches_are_emptied_in_one_place():
-    """The jet normal forms and the D_i tables are built from the rules, so
-    they are emptied together, by one function, and by no other."""
+    """The jet normal forms and the D_i tables are built from the rules,
+    which do not change once a presentation is built, so each is assigned
+    once, in Presentation.__init__, and never emptied."""
     sites = [(path.name, function, name) for path, tree in _trees(PACKAGE)
              for _, function, name in _rule_cache_resets(tree)]
-    assert len({site[:2] for site in sites}) == 1
-    assert sorted(name for *_, name in sites) == sorted(RULE_CACHES)
+    assert sorted(sites) == [("presentations.py", "__init__", name)
+                             for name in sorted(RULE_CACHES)]
 
 
 def test_the_rule_cache_check_sees_every_reset():

@@ -1,10 +1,13 @@
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from jetcalc import (
+    Ansatz,
     CDiffOp,
     ConfluenceError,
     EquivalenceWitness,
@@ -14,6 +17,7 @@ from jetcalc import (
     cotangent_covering,
     make_presentation,
     parse,
+    solve_symmetries,
     verify_equivalence,
 )
 from jetcalc.algebra import apply_DI, mi_iter, mi_order, mi_sub, mi_unit
@@ -438,3 +442,25 @@ def test_adjoint_linearization_is_built_once():
     assert adjoint is pres.linearization(adjoint=True)
     assert adjoint == pres.linearization().adjoint()
     assert pres.linearization() is pres.linearization()
+
+
+def test_a_dropped_presentation_is_freed_at_once():
+    """No cache of a presentation refers back to it (the D_i tables reach
+    it weakly), so with the cycle collector off it is freed on `del`, after
+    every kind of use that fills a cache."""
+    F = parse("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", SP)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pres = make_presentation(SP, [F], [("u", (0, 1))])
+        pres.d_internal(parse("u[0,0]*u[2,0]", SP), 0)
+        pres.reduce(parse("u[1,1] + u[0,0]*u[0,2]", SP))
+        pres.lin_apply([parse("u[1,0]", SP)])
+        pres.adj_apply([parse("u[0,0]^2", SP)])
+        solve_symmetries(pres, Ansatz(1, 1))
+        freed = weakref.ref(pres)
+        del pres
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
