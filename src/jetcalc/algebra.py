@@ -45,8 +45,8 @@ the end (`_canonical`: zero sums dropped and, over a denominator above 1,
 the gcd of it and the numerators divided out); an integral result pays only
 for the zero scan.  D_i reads each variable's image from an `ImageTable`
 kept per setting and direction, at most one entry per slot: process-wide
-when free, on a Presentation (emptied with its jet normal forms) or on a
-Covering (rebuilt when X is reassigned).  On a space without odd variables
+when free, else on a Presentation, whose tables also hold a covering's
+fields, reduced once when it is built.  On a space without odd variables
 a monomial product is the sum of two ints, with no sign to find.  A
 result's terms come in the order of their first occurrence, which may
 differ from a term-by-term sum's; nothing that is reported depends on it.
@@ -893,7 +893,7 @@ def euler_is_zero(density: DiffExpr, targets=None) -> bool:
 # -- horizontal forms ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class HorizontalForm:
     """Horizontal q-form; components indexed by sorted q-subsets of
     independent variables."""
@@ -970,7 +970,7 @@ def _by_parts(g: DiffExpr, z, i: int):
         c = g.partial(z)
         if down in c.variables():
             raise NonlocalObstruction("odd integrand not linear in its primitive slot")
-        B = c * DiffExpr(space, {_unit(down): 1}, 1)
+        B = DiffExpr(space, {_unit(down): 1}, 1) * c  # D_i(B) = z*c + down*D_i(c)
     else:
         if not g.is_linear_in(z):
             raise NonlocalObstruction(f"integrand nonlinear in top jet {z}")

@@ -150,7 +150,7 @@ def _cofactor_operator(image, pres: Presentation):
 # -- conservation laws --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConservedCurrent:
     form: HorizontalForm     # degree n-1 on the equation
     section: list            # generating section (evolution convention)

@@ -1,11 +1,12 @@
 """Batch front end: parse problem files, dispatch tasks, emit deterministic
-reports.  Exit codes: 0 all tasks ok, 1 any fail/obstruction, 2 input error."""
+reports.  Exit codes: 0 all tasks ok, 1 any fail/obstruction or closed stdout, 2 input error."""
 
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -459,6 +460,18 @@ def _print_human(report: dict, timings=None):
     print(f"overall: {report['status']}")
 
 
+def _output(write, code: int) -> int:
+    """write() and flush stdout: exit `code`, or 1 if the reader has gone
+    (stdout then goes to os.devnull, so the flush at shutdown is silent)."""
+    try:
+        write()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="jetcalc",
                                  description="symbolic jet-space calculus")
@@ -484,8 +497,7 @@ def main(argv=None) -> int:
         else:
             data = corpus(args.name)
             if args.emit:
-                print(json.dumps(data, indent=2, sort_keys=True))
-                return 0
+                return _output(lambda: print(json.dumps(data, indent=2, sort_keys=True)), 0)
         report = run_problem(data, args.max_prolong, timings)
     except jsonschema.ValidationError as exc:  # one line, not the schema and instance
         path = "".join(f"[{p!r}]" for p in exc.absolute_path)
@@ -493,11 +505,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, JetCalcError) as exc:
         message = str(exc)
     else:
-        if args.as_json:
-            print(json.dumps(report, sort_keys=True, indent=2))
-        else:
-            _print_human(report, timings)
-        return 0 if report["status"] == "ok" else 1
+        return _output(lambda: print(json.dumps(report, sort_keys=True, indent=2))
+                       if args.as_json else _print_human(report, timings),
+                       0 if report["status"] == "ok" else 1)
     raw, half = message.encode(), MAX_MESSAGE // 2
     if len(raw) > MAX_MESSAGE:  # keep the head and where in the input it is
         message = f"{raw[:half].decode(errors='ignore')} ... {raw[-half:].decode(errors='ignore')}"

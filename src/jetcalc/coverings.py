@@ -1,15 +1,14 @@
 """Differential coverings: flatness, Abelian coverings from currents,
 tangent/cotangent/Delta-coverings, lifted operators, shadows, one-step
-reconstruction and finite covering symmetries."""
+reconstruction and finite covering symmetries, each covering built once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebra import (
     DiffExpr,
     HorizontalForm,
-    ImageTable,
     JetSpace,
     d_h,
     invert_total_derivative,
@@ -25,13 +24,14 @@ from .operators import CDiffOp, linearize
 from .presentations import Presentation, make_presentation
 
 
-@dataclass
+@dataclass(frozen=True)
 class Covering:
     """A presentation (possibly with fiber jet families appended to the
     base) plus derivative-free nonlocal variables with extension fields.
 
-    The lifted derivatives are D~_i = D-bar_i + sum_j X_i^j d/dw^j; nonlocal
-    variables never carry jet indices."""
+    The lifted derivatives D~_i = D-bar_i + sum_j X_i^j d/dw^j are the
+    restricted derivatives of its presentation, which holds the fields
+    reduced; nonlocal variables never carry jet indices."""
 
     presentation: Presentation
     base: Presentation
@@ -39,41 +39,28 @@ class Covering:
     X: dict = field(default_factory=dict)  # i -> tuple of DiffExpr per nonlocal
     fiber_families: tuple = ()            # dependent indices added over base
     structures: dict = field(default_factory=dict)
-    _reduced_X: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def space(self) -> JetSpace:
         return self.presentation.space
 
     def lift_d(self, e: DiffExpr, i: int) -> DiffExpr:
-        """Lifted total derivative: one pass over the normal form, exact as
-        Presentation.d_bar is."""
-        return self._lift_internal(self.presentation.normal_form(e), i)
-
-    def _lift_internal(self, e: DiffExpr, i: int) -> DiffExpr:
-        """D~_i of an internal expression, with each field X_i reduced once
-        into its table (again if X is reassigned), normal_form fixing w."""
-        pres, fields = self.presentation, self.X.get(i, ())
-        if self._reduced_X.get(i, (None,))[0] is not fields:
-            wmap = {name: pres.normal_form(fields[k]) for k, name in enumerate(self.nonlocals)}
-            self._reduced_X[i] = (fields, ImageTable(i, wmap, pres.jet_image))
-        return e.total_derivative(i, jets=self._reduced_X[i][1])
+        return self.presentation.d_bar(e, i)
 
     def lifted(self, op: CDiffOp):
-        """A base operator on the covering, as a function of a vector: its
-        coefficients restricted once, its derivatives lifted
-        (Presentation.restricted with D~)."""
-        return self.presentation.restricted(op.rename_space(self.space), self._lift_internal)
+        """A base operator on the covering, as a function of a vector."""
+        return self.presentation.restricted(op.rename_space(self.space))
 
     def extended(self, names, fields: dict, odd) -> "Covering":
         """This covering with the nonlocals `names` (the `odd` ones odd)
         appended, D~_i of each new one given by the list fields[i]."""
-        pres = self.presentation.extend_space(nonlocals=names, odd=odd)
-        space = pres.space
-        X = {i: tuple(f.rename_space(space) for f in (*self.X.get(i, ()), *fields[i]))
-             for i in range(space.n)}
-        return Covering(pres, self.base, tuple(self.nonlocals) + tuple(names), X,
-                        self.fiber_families, dict(self.structures))
+        nonlocals = tuple(self.nonlocals) + tuple(names)
+        merged = {i: (*self.X.get(i, ()), *fields[i]) for i in range(self.space.n)}
+        pres = self.presentation.extend_space(
+            nonlocals=names, odd=odd,
+            fields={i: dict(zip(nonlocals, fs)) for i, fs in merged.items()})
+        X = {i: tuple(f.rename_space(pres.space) for f in fs) for i, fs in merged.items()}
+        return Covering(pres, self.base, nonlocals, X, self.fiber_families, dict(self.structures))
 
     def is_abelian(self) -> bool:
         wkeys = {('w', name) for name in self.nonlocals}
@@ -117,17 +104,14 @@ def abelian_from_current(form: HorizontalForm, base: Presentation) -> Covering:
         raise ShapeError("current coverings implemented for n = 2")
     if not base.reduce_form(d_h(form)).is_zero():
         raise NonlocalObstruction("current is not closed on the equation")
-    X = form.component((0,))
-    T = form.component((1,))
-    cov = make_covering(base, ["w"], {0: [X], 1: [T]})
-    trivial = False
+    X, T = form.component((0,)), form.component((1,))
     try:
         f = invert_total_derivative(base.normal_form(X), 0)
-        if (base.d_bar(f, 1) - base.normal_form(T)).is_zero():
-            trivial = True
+        trivial = (base.d_bar(f, 1) - base.normal_form(T)).is_zero()
     except NonlocalObstruction:
         trivial = False
-    cov.structures["trivial"] = trivial
+    cov = Covering(base, base, structures={"trivial": trivial}).extended(
+        ["w"], {0: [X], 1: [T]}, ())
     flat = verify_flat(cov)
     if not flat["ok"]:  # pragma: no cover - closedness implies flatness
         raise NonlocalObstruction(f"covering is not flat: {flat['residuals']}")
@@ -187,11 +171,9 @@ def cotangent_covering(base: Presentation) -> Covering:
         rows = [j for (j, _) in base.leadings]
         adj = adj.submatrix(rows, list(range(adj.cols)))
     cov = delta_covering(base, adj, odd=True, leadings=ext_leads)
-    m = base.space.m
-    sp = cov.space
-    cov.structures["rho"] = ([sp.jet(m + s, mi_zero(sp.n)) for s in range(adj.cols)],
-                             [sp.zero() for _ in range(adj.cols)])
-    return cov
+    m, sp = base.space.m, cov.space
+    return replace(cov, structures={"rho": (
+        [sp.jet(m + s, mi_zero(sp.n)) for s in range(adj.cols)], [sp.zero()] * adj.cols)})
 
 
 def add_abelian_layer(cov: Covering, name: str, fields: dict) -> Covering:
@@ -289,7 +271,7 @@ class FiniteSubstitution:
         for key in e.variables():
             if key[0] == 'j':
                 image, tower = self._towers[key[1]]
-                mapping[key] = tower_DI(tower, image, key[2], self.cov._lift_internal)
+                mapping[key] = tower_DI(tower, image, key[2], self.cov.presentation.d_internal)
             elif key[0] == 'w' and key[1] in self.w_images:
                 mapping[key] = self.w_images[key[1]]
         return self.cov.presentation.normal_form(e.substitute(mapping))

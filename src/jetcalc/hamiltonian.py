@@ -53,7 +53,7 @@ def momenta_space(space: JetSpace) -> JetSpace:
     return space.extended(dependent=names, odd=names)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Superdensity:
     """Multivector as a density multilinear in the odd momentum families."""
 

@@ -7,9 +7,10 @@ are eliminated over the integers: each row is cleared of denominators and
 kept primitive, and is reduced against a pivot row without division, as in
 fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  Rows are taken
 sparsest first, the row-count form of Markowitz's pivot order (Management
-Science 3, 1957), which keeps fill-in low.  Only the back-substitution, the
-free-column basis and `rref` work over Q, `rref` only on the columns the
-basis touches."""
+Science 3, 1957), which keeps fill-in low.  Each row's pivot is its highest
+column, so after back-substitution the free-column vectors are the reduced
+row echelon form itself.  Only the back-substitution, the basis and `rref`
+(for `same_span`) work over Q."""
 
 from __future__ import annotations
 
@@ -40,9 +41,9 @@ def nullspace(rows, ncols):
     leaves every row; zero entries go first, so `{0: 0}` forces nothing, and
     the caller's rows are not mutated.  Forward elimination of the rows left
     is over Z: rows, cleared of denominators, are taken in order of nonzero
-    count (stable), and a row whose leading column holds a pivot p becomes
-    `(p/g)*row - (row[lead]/g)*pivot` with `g = gcd(p, row[lead])`, made
-    primitive again; a row whose leading column is free becomes that
+    count (stable), and a row whose highest column `lead` holds a pivot p
+    becomes `(p/g)*row - (row[lead]/g)*pivot` with `g = gcd(p, row[lead])`,
+    made primitive again; a row whose highest column is free becomes that
     column's pivot, with a positive lead.  The pivot columns, and so the
     returned basis, do not depend on row order."""
     rows = [row if all(row.values()) else {c: v for c, v in row.items() if v}
@@ -56,7 +57,7 @@ def nullspace(rows, ncols):
     pivots = {}
     for row in sorted(map(_integral, filter(None, rows)), key=len):
         while row:
-            lead = min(row)
+            lead = max(row)
             piv = pivots.get(lead)
             if piv is None:
                 row = _primitive(row)
@@ -78,8 +79,9 @@ def nullspace(rows, ncols):
                 row = _primitive(row)
     pivots = {lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
               for lead, row in pivots.items()}
-    # back-substitute so every pivot row is clean in the other pivot columns
-    for lead in sorted(pivots, reverse=True):
+    # back-substitute in ascending pivot order: a row's other columns lie
+    # below its pivot, so the pivot rows it meets are already clean
+    for lead in sorted(pivots):
         row = pivots[lead]
         for other in [c for c in row if c != lead and c in pivots]:
             factor = row[other]
@@ -89,18 +91,17 @@ def nullspace(rows, ncols):
                     row[c] = nv
                 elif c in row:
                     del row[c]
-    # a sparse vector per free column, neither a pivot nor forced to 0; the
-    # RREF is taken on the columns they touch, every other entry being 0
-    vecs = [{f: Fraction(1), **{c: -row[f] for c, row in pivots.items() if f in row}}
-            for f in range(ncols) if f not in pivots and f not in forced]
-    touched = sorted({c for vec in vecs for c in vec})
-    basis = []
-    for small in rref([vec.get(c, 0) for c in touched] for vec in vecs):
-        full = [Fraction(0)] * ncols
-        for c, v in zip(touched, small):
-            full[c] = v
-        basis.append(full)
-    return basis
+    # one vector per free column f, neither a pivot nor forced to 0: 1 at f
+    # and -row[f] in each pivot column c above it, which is already the RREF
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols)
+             if f not in pivots and f not in forced}
+    for f, vec in basis.items():
+        vec[f] = Fraction(1)
+    for c, row in pivots.items():
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = -v
+    return list(basis.values())
 
 
 def rref(vectors):

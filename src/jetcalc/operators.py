@@ -5,7 +5,7 @@ one-layer D_x^{-1} pseudo-operators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from math import comb, prod
 
 from .algebra import (
@@ -30,20 +30,6 @@ from .errors import ShapeError
 
 def _binom(I: MultiIndex, J: MultiIndex) -> int:
     return prod(map(comb, I, J))
-
-
-def _sub_indices(I: MultiIndex):
-    """All J <= I componentwise."""
-    idx = [0] * len(I)
-    while True:
-        yield tuple(idx)
-        for k in range(len(I) - 1, -1, -1):
-            idx[k] += 1
-            if idx[k] <= I[k]:
-                break
-            idx[k] = 0
-        else:
-            return
 
 
 class CDiffOp:
@@ -151,7 +137,8 @@ class CDiffOp:
         return CDiffOp(self.space, self.rows, other.cols,
                        ((r, c, mi_add(mi_sub(I, Jp), J), a * db * _binom(I, Jp))
                         for r, k, I, a in self.terms() for c in range(other.cols)
-                        for J, b in other.entry(k, c).items() for Jp in _sub_indices(I)
+                        for J, b in other.entry(k, c).items()
+                        for Jp in product(*(range(e + 1) for e in I))
                         if not (db := apply_DI(b, Jp)).is_zero()))
 
     def adjoint(self) -> "CDiffOp":
@@ -159,7 +146,8 @@ class CDiffOp:
         # D_Jp(a) vanishes for constant a and Jp != 0: skip those products
         return CDiffOp(self.space, self.cols, self.rows,
                        ((c, r, mi_sub(I, Jp), da * ((-1) ** mi_order(I) * _binom(I, Jp)))
-                        for r, c, I, a in self.terms() for Jp in _sub_indices(I)
+                        for r, c, I, a in self.terms()
+                        for Jp in product(*(range(e + 1) for e in I))
                         if not (da := apply_DI(a, Jp)).is_zero()))
 
     def apply(self, vec, d=None) -> list:
@@ -297,7 +285,7 @@ def pairing_density(ps, qs) -> DiffExpr:
 # -- pseudo-differential operators with one D_x^{-1} layer -------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PseudoOp:
     """local + sum_a  a * D_x^{-1} o b  with one inversion layer in the
     first independent variable x."""

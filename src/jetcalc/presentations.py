@@ -2,7 +2,9 @@
 
 A presentation solves each component F_s for a designated leading jet,
 u_{I_s}^{j_s} = g_s, with internal-coordinate right-hand sides, and does
-not change once built.  Derived rules are prolonged on demand and cached.
+not change once built (a covering's also holds D_i of its nonlocals, so
+its restricted derivatives are the lifted ones).  Derived rules are
+prolonged on demand and cached.
 Reduction optionally tracks cofactors Delta_s with  input = normal_form +
 sum_s Delta_s(F_s)  exactly on the free jet space, by reducing modulo a
 second presentation, of F - _F = 0 with one tag _F<s> per component; the
@@ -35,7 +37,7 @@ from .errors import ConfluenceError, NonSolvableError, ReductionError
 from .operators import CDiffOp, linearize
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reduction:
     """Result of reducing an expression modulo a presentation."""
 
@@ -51,11 +53,11 @@ class Reduction:
 class Presentation:
     """Equation E = {F = 0} with user-designated leading jets; critical
     pairs are checked up to order `check_order`, and so are those of the
-    coverings built over it.  Its rules do not change once it is built;
-    the caches built from them are filled on first use."""
+    coverings built over it.  Its rules and `fields` (D_i of nonlocals) do
+    not change once it is built; the caches built from them are filled on first use."""
 
     def __init__(self, space: JetSpace, components, leadings, lead_coeffs, rhss,
-                 check_order: int):
+                 check_order: int, fields=None):
         self.space = space
         self.components = tuple(components)
         self.leadings = tuple(leadings)          # (dep index, multi-index)
@@ -73,6 +75,9 @@ class Presentation:
         self._jet_nfs = {}
         image = partial(Presentation.jet_image, weakref.proxy(self))
         self._d_tables = [ImageTable(i, None, image) for i in range(space.n)]
+        # a nonlocal's D_i image: its field, reduced once (reading jets only)
+        for i, named in (fields or {}).items():
+            self._d_tables[i].wmap = {w: self.normal_form(f) for w, f in named.items()}
 
     # -- rule machinery ------------------------------------------------------
 
@@ -94,7 +99,7 @@ class Presentation:
 
     def jet_image(self, key) -> DiffExpr:
         """The jet's normal form, cached; the image D_i takes for it in
-        d_bar and lift_d.  It is the jet itself when no rule applies, the
+        d_bar.  It is the jet itself when no rule applies, the
         right-hand side at a rule's leading jet, and above it D_i of the
         normal form of u_{K-e_i}, one pass reading each jet u_{L+e_i} as
         its normal form: that normal form is internal, and D_i of it is
@@ -207,19 +212,17 @@ class Presentation:
                 else linearize(list(self.components), self.space)
         return lin
 
-    def restricted(self, op: CDiffOp, d=None):
+    def restricted(self, op: CDiffOp):
         """op on the equation, as the function vec -> sum_K NF(a_K) *
         D_K(NF vec): the coefficients are restricted here, once, each
         argument is normalized once, and each column's D_K comes from one
-        tower (CDiffOp.apply) of d, the total derivative on internal
-        expressions: d_internal by default, D~ on a covering
-        (Covering.lifted).  The result is internal, so nothing reduces it.
+        tower (CDiffOp.apply) of d_internal, which is D~ on a covering's
+        presentation.  The result is internal, so nothing reduces it.
         It equals NF(op vec) wherever NF o D_i = NF o D_i o NF, which
         confluent rules give: NF is a ring homomorphism, so NF(a_K D_K phi)
         = NF(a_K) NF(D_K NF phi)."""
         op = self.restrict_operator(op)
-        d = d or self.d_internal
-        return lambda vec: op.apply(self.normal_form(vec), d=d)
+        return lambda vec: op.apply(self.normal_form(vec), d=self.d_internal)
 
     def lin_apply(self, phi) -> list:
         """l_F(phi) reduced (the symmetry determining operator), computed as
@@ -241,15 +244,16 @@ class Presentation:
     def reduce_form(self, form: HorizontalForm) -> HorizontalForm:
         return form.map_components(self.normal_form)
 
-    def extend_space(self, dependent=(), nonlocals=(), odd=()) -> "Presentation":
-        """Same rules over a space with extra (ruleless) variables."""
+    def extend_space(self, dependent=(), nonlocals=(), odd=(), fields=None) -> "Presentation":
+        """Same rules over a space with extra (ruleless) variables, D_i of
+        the nonlocals given by fields {i: {name: field}} (Covering.extended)."""
         space = self.space.extended(dependent, nonlocals, odd)
         return Presentation(space,
                             [c.rename_space(space) for c in self.components],
                             self.leadings,
                             [c.rename_space(space) for c in self.lead_coeffs],
                             [c.rename_space(space) for c in self.rhss],
-                            self.check_order)
+                            self.check_order, fields)
 
     def is_evolutionary(self) -> bool:
         """One rule per dependent with a first-order pure-t leading jet."""
@@ -352,7 +356,7 @@ def _check_confluence(pres: Presentation, check_order: int):
                             f"{render(via_a)} != {render(via_b)}", jet=(j, K))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivalenceWitness:
     """Operators relating two presentations of the same equation, all
     expressed over the host (larger) presentation's space."""

@@ -244,6 +244,17 @@ def test_invert_divergence():
     assert invert_total_derivative(parse("3*x^2*t + 1/2", SP), 0) == parse("x^3*t + 1/2*x", SP)
 
 
+def test_invert_divergence_at_an_odd_top_jet():
+    """At an odd top jet z = D_x(y), with g = z*c + ..., one integration by
+    parts takes B = y*c; c*y would be -y*c for an odd c, and the order
+    would not drop."""
+    sp = JetSpace.create(["x"], ["u", "p", "q"], odd=["p", "q"])
+    for text in ("p[0]*q[0]", "p[1]*q[0]", "u[0]*p[0]*q[1]", "p[0]*p[1]", "q[2]*p[0]",
+                 "p[0]*p[1]*u[0]", "p[1]*p[2]", "u[0]*p[0]", "p[0]*q[0]*u[1]"):
+        g = parse(text, sp).total_derivative(0)
+        assert invert_total_derivative(g, 0).total_derivative(0) == g
+
+
 def test_invert_divergence_sections_random():
     rng = random.Random(17)
     for _ in range(30):

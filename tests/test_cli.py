@@ -762,3 +762,24 @@ def test_schouten_equation_reports_an_operator_that_is_not_a_bivector(tmp_path, 
     assert membership["status"] == "fail"
     assert first == second == {"task": "schouten-equation", "status": "fail",
                                "trivial": False, "residual": membership["residual"]}
+
+
+@pytest.mark.parametrize("args", [["corpus", "kdv", "--emit"], ["corpus", "heat"],
+                                  ["corpus", "heat", "--json"]], ids=["emit", "human", "json"])
+def test_a_closed_output_pipe_exits_1_quietly(args):
+    """Writing to a pipe that has no reader ends the command with exit 1 and
+    nothing on stderr: no traceback, no `input error:` line and no
+    `Exception ignored` line at shutdown.  The read end is closed before
+    the process starts, so the pipe is already broken at its first write."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from jetcalc.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *args],
+            env=env, stdout=write, stderr=subprocess.PIPE, timeout=600)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr.decode()) == (1, "")

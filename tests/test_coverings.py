@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -219,30 +220,28 @@ def test_reconstruct_step(kdv):
     # gauge freedom: constants solve the gauge equation, shifting w~ by a
     # constant preserves flatness
     shifted = reconstruct_step(cov, [parse("u[1,0]", cov.space)])
-    shifted.X = {i: tuple(f for f in fields) for i, fields in shifted.X.items()}
+    with pytest.raises(dataclasses.FrozenInstanceError):  # built once, with its fields
+        shifted.X = {i: tuple(f for f in fields) for i, fields in shifted.X.items()}
     assert verify_flat(shifted)["ok"]
 
 
 def test_lifted_and_restricted_derivatives_are_not_cached(kdv):
-    """Only the free derivative is cached on an expression: after X is
-    reassigned, lift_d of the same object gives the new lift, and D_t
-    restricted to KdV is not the free D_t taken before it."""
+    """Only the free derivative is cached on an expression: coverings with
+    other fields lift the same object their own way, and D_t restricted to
+    KdV is not the free D_t taken before it."""
     cov = potential_covering(kdv)
     sp = cov.space
     w, u = sp.nonlocal_var("w"), parse("u[0,0]", sp)
     assert cov.lift_d(w, 0) == u
     e = parse("w^2*u[1,0] + x*w^-1*u[0,1]", sp)
     before = [cov.lift_d(e, i) for i in range(2)]
-    original = cov.X
-    cov.X = {0: (u * u,), 1: cov.X[1]}
-    assert cov.lift_d(w, 0) == u * u
-    # each direction's table is rebuilt with its fields, and only then
-    for X in ({0: (u * u,), 1: (parse("1/2*u[1,0]^2", sp),)}, original):
-        cov.X = X
-        wmaps = [{"w": X[i][0]} for i in range(2)]
-        pres = cov.presentation
-        assert [cov.lift_d(e, i) for i in range(2)] == [
-            pres.normal_form(pres.normal_form(e).total_derivative(i, wmaps[i]))
+    assert make_covering(kdv, ["w"], {0: [u * u], 1: [cov.X[1][0]]}).lift_d(w, 0) == u * u
+    # each covering's tables hold its own fields
+    for X in ({0: (u * u,), 1: (parse("1/2*u[1,0]^2", sp),)}, cov.X):
+        other = make_covering(kdv, ["w"], {i: list(X[i]) for i in range(2)})
+        pres = other.presentation
+        assert [other.lift_d(e, i) for i in range(2)] == [
+            pres.normal_form(pres.normal_form(e).total_derivative(i, {"w": X[i][0]}))
             for i in range(2)]
     assert [cov.lift_d(e, i) for i in range(2)] == before
     assert w.total_derivative(0, {"w": u}) == u

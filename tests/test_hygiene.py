@@ -5,8 +5,8 @@ local that its function never reads, no module but operators.py that
 touches an operator's coefficient table, no module but algebra.py (and,
 among the tests, the monomials helper) that knows the monomial format,
 no write to an expression's terms, no Fraction in the inner kernels, no
-import inside a function, and a presentation's rule caches assigned only
-when it is built."""
+import inside a function, a presentation's rule caches assigned only
+when it is built, and every dataclass frozen."""
 
 import ast
 from pathlib import Path
@@ -648,3 +648,59 @@ async def g():
     import json
 """
     assert _function_imports(ast.parse(source)) == [6, 11, 14, 19]
+
+
+def _unfrozen_dataclasses(tree):
+    """(line, class) of each class decorated `@dataclass` or
+    `@dataclass(...)`, plain or as `dataclasses.dataclass`, without
+    `frozen=True`."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for d in cls.decorator_list:
+            func = d.func if isinstance(d, ast.Call) else d
+            if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
+                continue
+            keywords = d.keywords if isinstance(d, ast.Call) else []
+            if not any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                       for k in keywords):
+                yield cls.lineno, cls.name
+
+
+def test_every_dataclass_is_frozen():
+    """No engine object changes after it is built: a covering's fields
+    live in its presentation's tables, reduced once, and every dataclass
+    is frozen."""
+    found = [f"{path.name}:{line}: {name}" for path, tree in _trees(PACKAGE)
+             for line, name in _unfrozen_dataclasses(tree)]
+    assert found == []
+
+
+def test_the_frozen_check_sees_every_unfrozen_dataclass():
+    source = """
+@dataclass
+class A:
+    x: int
+
+@dataclass(frozen=True)
+class B:
+    x: int
+
+@dataclass(eq=False)
+class C:
+    x: int
+
+@dataclasses.dataclass(frozen=False)
+class D:
+    x: int
+
+@dataclasses.dataclass(eq=False, frozen=True)
+class E:
+    x: int
+
+@total_ordering
+class F:
+    x: int
+"""
+    assert list(_unfrozen_dataclasses(ast.parse(source))) == [
+        (3, "A"), (11, "C"), (15, "D")]
