@@ -33,9 +33,10 @@ so no output depends on the order in which slots were registered.
 Odd signs come from a parity record shared by equal spaces (`_Parity`; the
 bitmaps of Dorst, Fontijne & Mann, Geometric Algebra for Computer Science,
 2007, ch. 19).  A monomial's odd part is (m + bias) & mask: mask holds the
-low bit of each odd slot, bias 2^(W-1) in every slot, without which u^-1*p
-would borrow from p's field and read 0.  A product's sign is 1 when an odd
-part is 0, else a table entry computed once in key order: no decoder reads it.
+low bit of each odd slot, bias 2^(W-1) = 2^31 in every slot, without which
+u^-1*p would borrow from p's field and read 0.  A product's sign is 1 when
+an odd part is 0, else a table entry computed once in key order: no decoder
+reads it.
 
 One accumulator per result: the kernels that sum many products, D_i
 (`total_derivative`), the product and `sum_of_products` (each row of
@@ -53,14 +54,19 @@ differ from a term-by-term sum's; nothing that is reported depends on it.
 The exponent bound of a sum_of_products is the largest of its products'
 bounds.
 
-Exponent budget: W = 64 and E = 2^16.  Every operation that can raise an
+Exponent budget: W = 32 and E = 2^16.  Every operation that can raise an
 exponent (a product, a power, a substitution, D_i, a partial derivative,
 an antiderivative) checks its result and raises BudgetError beyond E; the
 others (sums, negation, scaling, inverses, renaming) keep the exponents
 they are given.  So every field of every expression lies in [-E, E], and
-a product adds two such fields into [-2E, 2E], far inside a field's range
-[-2^63, 2^63): no carry or borrow ever crosses into the next slot.  The
-check is cheap: each expression carries a bound on its largest |exponent|
+a product adds two such fields into [-2E, 2E], inside a field's range
+[-2^31, 2^31): no carry or borrow ever crosses into the next slot.  The
+widest intermediate is `substitute`'s chain of products over one
+monomial's k replaced or odd factors, at most (k+1)*E, which stays inside
+the range for k < 2^15 - 1; `substitute` raises BudgetError beyond that
+before any product.  With the odd parts' bias 2^31, a field in [-2E, 2E]
+lies in [2^31 - 2E, 2^31 + 2E], inside [0, 2^32).  The budget check is
+cheap: each expression carries a bound on its largest |exponent|
 (`DiffExpr._top_bound`), the bound of a result is the sum of its operands'
 bounds, and only a bound beyond E costs a pass over the result.  The
 parser reports a power or product beyond E as an ExprSyntaxError at its
@@ -103,6 +109,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, comb, floor, gcd, lcm, log2, log10
+from types import MappingProxyType
 
 from .errors import (
     BudgetError,
@@ -302,13 +309,14 @@ def _check_space(a: JetSpace, b: JetSpace):
 # -- coefficient and monomial helpers -------------------------------------
 
 
-_W = 64                 # bits per exponent field
+_W = 32                 # bits per exponent field
 _E = 1 << 16            # exponent budget: no |exponent| may exceed it
 _C = 1 << 13            # coefficient budget of a power or a parsed product, in bits
 _T = 1 << 16            # term budget of a power
 _P = 1 << 20            # work budget of a power, in products of coefficient words,
                         # and of a product, in term pairs
 _D = 100                # nesting budget of a parsed expression: '(' and unary '-'
+_S = (1 << (_W - 1)) // _E - 2  # factors one monomial may substitute: (k+1)*E < 2^(W-1)
 _FIELD = (1 << _W) - 1
 _UNITS = {}             # variable key -> 2^(W*slot), its monomial x^1
 _KEYS = []              # slot -> variable key
@@ -808,6 +816,8 @@ class DiffExpr:
                     if (key, e) not in powers:
                         powers[key, e] = mapping[key] ** e
                     factors.append(powers[key, e])
+            if (k := len(factors) + len(odd)) > _S:
+                raise BudgetError(f"substitution into {k} factors beyond the budget of {_S}")
             term, d = {kept: c}, 1
             for f in factors + odd:
                 term = _mul_into({}, space, term, f.terms)
@@ -901,6 +911,9 @@ class HorizontalForm:
     space: JetSpace
     degree: int
     comps: dict
+
+    def __post_init__(self):  # a read-only map, over a copy
+        object.__setattr__(self, "comps", MappingProxyType(dict(self.comps)))
 
     def component(self, idxs) -> DiffExpr:
         return self.comps.get(tuple(sorted(idxs)), self.space.zero())

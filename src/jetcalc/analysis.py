@@ -153,7 +153,10 @@ def _cofactor_operator(image, pres: Presentation):
 @dataclass(frozen=True)
 class ConservedCurrent:
     form: HorizontalForm     # degree n-1 on the equation
-    section: list            # generating section (evolution convention)
+    section: tuple           # generating section (evolution convention)
+
+    def __post_init__(self):
+        object.__setattr__(self, "section", tuple(self.section))
 
     def components(self):
         return {k: render(v) for k, v in sorted(self.form.comps.items())}

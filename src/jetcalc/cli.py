@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 import jsonschema
 
@@ -472,7 +473,10 @@ def _output(write, code: int) -> int:
     return code
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call rather than at
+    import or per call."""
     ap = argparse.ArgumentParser(prog="jetcalc",
                                  description="symbolic jet-space calculus")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -484,7 +488,11 @@ def main(argv=None) -> int:
     for parser in (runp, corp):
         parser.add_argument("--json", action="store_true", dest="as_json")
         parser.add_argument("--max-prolong", type=int, default=CHECK_ORDER)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     timings = []
     try:

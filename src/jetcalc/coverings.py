@@ -5,6 +5,7 @@ reconstruction and finite covering symmetries, each covering built once."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .algebra import (
     DiffExpr,
@@ -40,6 +41,10 @@ class Covering:
     fiber_families: tuple = ()            # dependent indices added over base
     structures: dict = field(default_factory=dict)
 
+    def __post_init__(self):  # read-only maps, over copies
+        object.__setattr__(self, "X", MappingProxyType(dict(self.X)))
+        object.__setattr__(self, "structures", MappingProxyType(dict(self.structures)))
+
     @property
     def space(self) -> JetSpace:
         return self.presentation.space
@@ -53,14 +58,18 @@ class Covering:
 
     def extended(self, names, fields: dict, odd) -> "Covering":
         """This covering with the nonlocals `names` (the `odd` ones odd)
-        appended, D~_i of each new one given by the list fields[i]."""
+        appended, D~_i of each new one given by the list fields[i];
+        ShapeError unless each list has one field per new nonlocal."""
+        for i, x in enumerate(self.space.independent):
+            if (k := len(fields.get(i, ()))) != len(names):
+                raise ShapeError(f"covering fields along {x}: {k} for {len(names)} nonlocals")
         nonlocals = tuple(self.nonlocals) + tuple(names)
         merged = {i: (*self.X.get(i, ()), *fields[i]) for i in range(self.space.n)}
         pres = self.presentation.extend_space(
             nonlocals=names, odd=odd,
             fields={i: dict(zip(nonlocals, fs)) for i, fs in merged.items()})
         X = {i: tuple(f.rename_space(pres.space) for f in fs) for i, fs in merged.items()}
-        return Covering(pres, self.base, nonlocals, X, self.fiber_families, dict(self.structures))
+        return Covering(pres, self.base, nonlocals, X, self.fiber_families, self.structures)
 
     def is_abelian(self) -> bool:
         wkeys = {('w', name) for name in self.nonlocals}

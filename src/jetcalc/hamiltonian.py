@@ -148,24 +148,27 @@ def schouten_direct(A, B, psis=()):
         return [-x for x in out]
     # bivector-bivector: two gradient arguments, corrections from l*
     psi1, psi2 = psis
-    corr_A = ell_delta_op(A, psi1).adjoint().apply(psi2)
-    corr_B = corr_A if B is A else ell_delta_op(B, psi1).adjoint().apply(psi2)
-    return _bivector_bracket(A, B, psi1, psi2, corr_A, corr_B)
+    ell_A = ell_delta_op(A, psi1)
+    ell_B = ell_A if B is A else ell_delta_op(B, psi1)
+    corr_A = ell_A.adjoint().apply(psi2)
+    corr_B = corr_A if B is A else ell_B.adjoint().apply(psi2)
+    return _bivector_bracket(A, B, psi1, psi2, corr_A, corr_B, ell_A, ell_B)
 
 
-def _bivector_bracket(A, B, psi1, psi2, corr_A, corr_B, ncols=None):
+def _bivector_bracket(A, B, psi1, psi2, corr_A, corr_B, ell_A, ell_B, ncols=None):
     """[[A, B]](psi1, psi2) for bivectors A and B, whose variations along
-    the first ncols dependents enter through ell_delta_op; corr_A and
-    corr_B are the adjoint correction vectors (l* on free jets, the nabla
-    *1-adjoint on an equation).  Swapping A and B swaps the two halves of
-    the sum, so [[A, A]] computes one half and uses it twice."""
-    def half(X, Y, corr_X):
-        return (ell_delta_op(Y, psi1, ncols).apply(X.apply(psi2)),
+    the first ncols dependents enter through ell_delta_op, ell_A and ell_B
+    being E_psi1(A) and E_psi1(B); corr_A and corr_B are the adjoint
+    correction vectors (l* on free jets, the nabla *1-adjoint on an
+    equation).  Swapping A and B swaps the two halves of the sum, so
+    [[A, A]] computes one half and uses it twice."""
+    def half(X, Y, corr_X, ell_Y):
+        return (ell_Y.apply(X.apply(psi2)),
                 ell_delta_op(Y, psi2, ncols).apply(X.apply(psi1)),
                 Y.apply(corr_X))
 
-    t1, t2, t5 = half(A, B, corr_A)
-    t3, t4, t6 = (t1, t2, t5) if B is A and corr_B is corr_A else half(B, A, corr_B)
+    t1, t2, t5 = half(A, B, corr_A, ell_B)
+    t3, t4, t6 = (t1, t2, t5) if B is A and corr_B is corr_A else half(B, A, corr_B, ell_A)
     return [a - b + c - d + e + f
             for a, b, c, d, e, f in zip(t1, t2, t3, t4, t5, t6)]
 
@@ -261,8 +264,8 @@ def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, n1, n2, pres: Presentation)
     avec = [ext.jet(m + s, mi_zero(ext.n)) for s in range(l)]
     bvec = [ext.jet(m + l + s, mi_zero(ext.n)) for s in range(l)]
     D1, D2 = (d.rename_space(ext) for d in (d1, d2))
-    total = _bivector_bracket(D1, D2, avec, bvec, n1.star1(bvec, avec),
-                              n2.star1(bvec, avec), m)
+    total = _bivector_bracket(D1, D2, avec, bvec, n1.star1(bvec, avec), n2.star1(bvec, avec),
+                              ell_delta_op(D1, avec, m), ell_delta_op(D2, avec, m), m)
     return ext_pres.normal_form(total)
 
 

@@ -36,7 +36,7 @@ class CDiffOp:
     """rows x cols matrix with entries  sum_I a_I D_I  (coefficients left
     of the derivatives; equality is equality of this normal form)."""
 
-    __slots__ = ("space", "rows", "cols", "entries")
+    __slots__ = ("space", "rows", "cols", "entries", "_plan")
 
     def __init__(self, space: JetSpace, rows: int, cols: int, entries=()):
         """entries: a table {(row, col): {I: a_I}} or an iterable of
@@ -45,6 +45,7 @@ class CDiffOp:
         self.space = space
         self.rows = rows
         self.cols = cols
+        self._plan = None
         if isinstance(entries, dict):
             entries = ((r, c, I, a) for (r, c), tab in entries.items()
                        for I, a in tab.items())
@@ -152,17 +153,27 @@ class CDiffOp:
 
     def apply(self, vec, d=None) -> list:
         """The operator on a vector, with total derivatives d as in apply_DI.
-        Each D_K(vec[c]) is taken once per call, from the tower of the
-        column's derivatives built in apply_DI's order, and each row is
-        one sum_of_products of its a_K and D_K(vec[c])."""
+        The first call plans the derivatives, once per operator, by tower_DI
+        on node numbers: node c is vec[c], each step (b, i) appends the node
+        D_i(node b), and each row holds its (a_K, node of D_K(vec[c])) pairs
+        in entry order.  Each call takes every step once, in tower_DI's
+        order, and sums each row with one sum_of_products."""
         if len(vec) != self.cols:
             raise ShapeError(f"operator takes {self.cols} arguments, got {len(vec)}")
-        rows = [[] for _ in range(self.rows)]
-        towers = [{} for _ in vec]
-        for (r, c), tab in self.entries.items():
-            for I, a in tab.items():
-                rows[r].append((a, tower_DI(towers[c], vec[c], I, d)))
-        return [sum_of_products(self.space, pairs) for pairs in rows]
+        if self._plan is None:
+            steps, towers, rows = [], [{} for _ in vec], [[] for _ in range(self.rows)]
+
+            def step(b, i):
+                steps.append((b, i))
+                return self.cols + len(steps) - 1
+            for (r, c), tab in self.entries.items():
+                rows[r].extend((a, tower_DI(towers[c], c, K, step)) for K, a in tab.items())
+            self._plan = steps, rows
+        steps, rows = self._plan
+        nodes = list(vec)
+        for b, i in steps:
+            nodes.append(nodes[b].total_derivative(i) if d is None else d(nodes[b], i))
+        return [sum_of_products(self.space, [(a, nodes[k]) for a, k in pairs]) for pairs in rows]
 
     def apply1(self, e: DiffExpr) -> DiffExpr:
         return self.apply([e])[0]
@@ -291,7 +302,10 @@ class PseudoOp:
     first independent variable x."""
 
     local: CDiffOp
-    tails: list  # list of (a: list[DiffExpr], b: CDiffOp row 1 x cols)
+    tails: tuple  # (a: list[DiffExpr], b: CDiffOp row 1 x cols) pairs
+
+    def __post_init__(self):
+        object.__setattr__(self, "tails", tuple(self.tails))
 
     @property
     def space(self):

@@ -26,6 +26,8 @@ from jetcalc import (
 from jetcalc.algebra import (
     _E,
     _P,
+    _S,
+    _W,
     _integrate_var,
     _power_work,
     apply_DI,
@@ -799,6 +801,49 @@ def test_monomials_round_trip_at_the_budget():
     for make in beyond:
         with pytest.raises(BudgetError):
             make()
+
+
+def test_fields_at_the_budget_keep_to_their_slots():
+    """Products of fields at +-E in adjacent slots decode exactly, up to
+    the 2E a product can reach, and an odd slot just above a field at -E
+    keeps its parity: the bias keeps the borrow out of the odd part."""
+    names = ["width_a", "width_b", "width_p", "width_q"]
+    space = JetSpace.create(["x"], ["u"], (), names, odd=["width_p", "width_q"])
+    a, b, p, q = map(space.nonlocal_var, names)  # fresh keys: adjacent slots, in order
+    ka, kb, kp, kq = (('w', n) for n in names)
+    x = a ** _E * b ** -_E
+    assert decoded_terms(x * a ** -1 * b) == {((ka, _E - 1), (kb, 1 - _E)): 1}
+    assert decoded_terms(x * b ** _E) == {((ka, _E),): 1}
+    assert decoded_terms(a ** -_E * b ** _E * x) == {(): 1}
+    with pytest.raises(BudgetError, match=f"exponent {2 * _E} beyond"):
+        x * x
+    y = b ** -_E * p
+    assert decoded_terms(y * q) == {((kb, -_E), (kp, 1), (kq, 1)): 1}
+    assert decoded_terms(q * y) == {((kb, -_E), (kp, 1), (kq, 1)): -1}
+    assert (y * y).is_zero() and (y * p).is_zero()
+    assert decoded_terms(y * (b ** _E * q)) == {((kp, 1), (kq, 1)): 1}
+    assert decoded_terms((y * q).partial(kq)) == {((kb, -_E), (kp, 1)): -1}
+
+
+def test_substitution_chains_are_bounded(monkeypatch):
+    """A substitution multiplies a monomial's kept part by each replaced
+    factor's image, so k replaced factors each at E give (k+1)*E, named
+    exactly; a monomial with more factors than the fields can hold
+    without a carry is refused before any product."""
+    names = [f"chain_{k}" for k in range(5)]
+    space = JetSpace.create(["x"], ["u"], (), names)
+    ws = [space.nonlocal_var(n) for n in names]
+    monomial = space.one()
+    for w in ws:
+        monomial = monomial * w ** _E
+    for k in range(1, 5):
+        with pytest.raises(BudgetError, match=f"exponent {(k + 1) * _E} beyond"):
+            monomial.substitute({('w', n): ws[0] for n in names[1:k + 1]})
+    assert (_S + 1) * _E < 1 << (_W - 1) <= (_S + 2) * _E
+    monkeypatch.setattr("jetcalc.algebra._S", 3)
+    with pytest.raises(BudgetError, match="substitution into 4 factors"):
+        monomial.substitute({('w', n): ws[0] for n in names[1:]})
+    assert monomial.substitute({('w', names[1]): ws[1]}) == monomial
 
 
 @pytest.mark.parametrize("text, caret", [("(u[0,0]^60000)^60000", 14),

@@ -21,6 +21,7 @@ from jetcalc.cli import (
     MAX_PROLONG,
     MAX_STEPS,
     PROBLEM_SCHEMA,
+    _parser,
     main,
     run_problem,
 )
@@ -114,6 +115,27 @@ def test_emit_roundtrip(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_successive_calls_print_what_fresh_processes_print(tmp_path, capsys):
+    """main builds its parser on the first call and reuses it: a `corpus`
+    call and then a `run` call in one process each print, and exit with,
+    what each prints in a process of its own."""
+    f = tmp_path / "heat.json"
+    f.write_text(json.dumps(corpus("heat")))
+    argvs = [["corpus", "heat", "--json"], ["run", str(f), "--json"]]
+    inside = []
+    for argv in argvs:
+        code = main(argv)
+        inside.append((code, capsys.readouterr().out))
+    assert _parser() is _parser()
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    fresh = [subprocess.run([sys.executable, "-m", "jetcalc.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=600)
+             for argv in argvs]
+    assert inside == [(p.returncode, p.stdout) for p in fresh]
+    assert inside[0][0] == 0 and json.loads(inside[0][1])["status"] == "ok"
+
+
 def test_human_and_json_agree(capsys):
     main(["corpus", "heat", "--json"])
     asjson = json.loads(capsys.readouterr().out)
@@ -196,6 +218,14 @@ def _input_error(tmp_path, capsys, data):
     f.write_text(json.dumps(data))
     code = main(["run", str(f)])
     return code, capsys.readouterr().err
+
+
+def test_covering_fields_short_of_its_nonlocals_are_an_input_error(tmp_path, capsys):
+    """A second nonlocal without fields of its own is refused as input."""
+    data = corpus("miura")
+    data["coverings"]["miura"]["nonlocal"].append({"name": "v"})
+    code, err = _input_error(tmp_path, capsys, data)
+    assert (code, err) == (2, "input error: covering fields along x: 1 for 2 nonlocals\n")
 
 
 def test_unknown_covering_is_an_input_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -11,6 +12,7 @@ from jetcalc import (
     JetSpace,
     NonlocalObstruction,
     PseudoOp,
+    ShapeError,
     abelian_from_current,
     add_abelian_layer,
     cotangent_covering,
@@ -44,6 +46,33 @@ def test_potential_kdv_flat(kdv):
     cov = potential_covering(kdv)
     assert verify_flat(cov)["ok"]
     assert cov.is_abelian()
+
+
+def test_field_lists_must_match_the_nonlocals(kdv):
+    """A covering takes one field per new nonlocal along each independent
+    variable; any other count is a ShapeError, before anything is built."""
+    u = parse("u[0,0]", SP)
+    with pytest.raises(ShapeError, match="covering fields along x: 1 for 2 nonlocals"):
+        make_covering(kdv, ["w", "v"], {0: [u], 1: [u, u]})
+    with pytest.raises(ShapeError, match="covering fields along t: 0 for 1 nonlocals"):
+        make_covering(kdv, ["w"], {0: [u]})
+    with pytest.raises(ShapeError, match="along x: 2 for 1 nonlocals"):
+        potential_covering(kdv).extended(["v"], {0: [u, u], 1: [u]}, ())
+
+
+def test_built_coverings_and_forms_hold_read_only_maps(kdv):
+    """A built covering's fields and structures, and a form's components,
+    cannot be changed in place, and the maps they were built from can be
+    changed without reaching them."""
+    mass = {(0,): parse("u[0,0]", SP), (1,): parse("u[2,0] + 3*u[0,0]^2", SP)}
+    form = HorizontalForm(SP, 1, mass)
+    cov = abelian_from_current(form, kdv)
+    for target, key in ((cov.X, 0), (cov.structures, "trivial"), (form.comps, (0,))):
+        with pytest.raises(TypeError):
+            target[key] = 1
+    mass[(0,)] = SP.zero()
+    assert form.component((0,)) == parse("u[0,0]", SP)
+    assert type(dataclasses.replace(cov, structures={}).structures) is MappingProxyType
 
 
 def test_lifted_derivatives_commute(kdv):

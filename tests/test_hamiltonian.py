@@ -25,6 +25,7 @@ from jetcalc import (
     to_superdensity,
     verify_bivector_on_equation,
 )
+from jetcalc import hamiltonian
 from jetcalc.hamiltonian import momenta_space
 
 SP1 = JetSpace.create(["x"], ["u"])
@@ -171,6 +172,28 @@ def test_schouten_direct_clauses():
     lhs = schouten_direct(A_KDV, phi, [[U]])
     rhs = schouten_direct(phi, A_KDV, [[U]])
     assert all((a + b).is_zero() for a, b in zip(lhs, rhs))
+
+
+def test_bivector_bracket_takes_each_variation_once(monkeypatch):
+    """[[A, B]](psi1, psi2) takes E_psi1 and E_psi2 of each bivector once:
+    E_psi1(A) serves both the l* correction and the bracket's half.  An
+    equal but distinct copy of A takes the two-operator path and gives
+    the same bracket."""
+    built = []
+    ell = hamiltonian.ell_delta_op
+
+    def counting(delta, phi, ncols=None):
+        built.append(delta)
+        return ell(delta, phi, ncols)
+
+    monkeypatch.setattr(hamiltonian, "ell_delta_op", counting)
+    psis = [[U], [parse("3*u[0]^2 + u[2]", SP1)]]
+    copy = B_KDV.scale(1)
+    same = schouten_direct(B_KDV, B_KDV, psis)
+    assert len(built) == 2 and all(b is B_KDV for b in built)
+    del built[:]
+    assert schouten_direct(B_KDV, copy, psis) == same
+    assert len(built) == 4 and sum(b is copy for b in built) == 2
 
 
 def grads():

@@ -6,10 +6,29 @@ touches an operator's coefficient table, no module but algebra.py (and,
 among the tests, the monomials helper) that knows the monomial format,
 no write to an expression's terms, no Fraction in the inner kernels, no
 import inside a function, a presentation's rule caches assigned only
-when it is built, and every dataclass frozen."""
+when it is built, and every dataclass frozen; and, on built objects, no
+dataclass holding a plain dict or list."""
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 from pathlib import Path
+
+import jetcalc
+from jetcalc import (
+    Ansatz,
+    CDiffOp,
+    EquivalenceWitness,
+    HorizontalForm,
+    PseudoOp,
+    abelian_from_current,
+    conservation_law_from_cosymmetry,
+    cotangent_covering,
+    d_h,
+    parse,
+    to_superdensity,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jetcalc"
@@ -674,6 +693,33 @@ def test_every_dataclass_is_frozen():
     found = [f"{path.name}:{line}: {name}" for path, tree in _trees(PACKAGE)
              for line, name in _unfrozen_dataclasses(tree)]
     assert found == []
+
+
+def _engine_dataclasses():
+    """Every dataclass that a jetcalc module defines."""
+    modules = [importlib.import_module(f"jetcalc.{m.name}")
+               for m in pkgutil.iter_modules(jetcalc.__path__)]
+    return {obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+            and obj.__module__ == module.__name__}
+
+
+def test_no_dataclass_holds_a_plain_dict_or_list(kdv):
+    """One object of each engine dataclass, built as the engine builds it:
+    a map field is read-only and a sequence field a tuple, so a frozen
+    object's contents cannot change either."""
+    sp = kdv.space
+    u = sp.jet("u", (0, 0))
+    mass = HorizontalForm(sp, 1, {(0,): u, (1,): parse("u[2,0] + 3*u[0,0]^2", sp)})
+    one = CDiffOp.identity(sp, 1)
+    built = [sp, Ansatz(2, 2), mass, d_h(mass), abelian_from_current(mass, kdv),
+             cotangent_covering(kdv), conservation_law_from_cosymmetry([sp.one()], kdv),
+             to_superdensity(CDiffOp.total_derivative(sp, 0)), kdv.reduce(parse("u[0,1]", sp)),
+             PseudoOp(one, [([u], one)]).scale(2), EquivalenceWitness(*[one] * 6)]
+    assert {type(x) for x in built} == _engine_dataclasses()
+    plain = [f"{type(x).__name__}.{f.name}" for x in built for f in dataclasses.fields(x)
+             if isinstance(getattr(x, f.name), (dict, list))]
+    assert plain == []
 
 
 def test_the_frozen_check_sees_every_unfrozen_dataclass():

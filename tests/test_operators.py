@@ -178,6 +178,45 @@ def test_apply_takes_each_derivative_once(camassa_holm):
     assert len(calls) == 5
 
 
+def _chain(K):
+    """K, K - e_i, ... down to the zero multi-index (left out), i each
+    time the last nonzero slot."""
+    while any(K):
+        yield K
+        i = max(k for k, x in enumerate(K) if x)
+        K = K[:i] + (K[i] - 1,) + K[i + 1:]
+
+
+def test_apply_plan_serves_every_vector(boussinesq, monkeypatch):
+    """An operator plans its derivatives once: applied to two different
+    vectors, free and restricted, it gives the term-by-term sums, and each
+    apply takes one total derivative per nonzero node of the plan."""
+    pres = boussinesq
+    space = pres.space
+    ops = [pres.linearization(), pres.restrict_operator(pres.linearization().adjoint())]
+    vecs = [[parse("u[0,0]*v[1,0] + x*u[2,0]", space), parse("sigma*v[0,1]", space)],
+            [parse("v[0,0]^2", space), parse("u[1,0] - 3*u[0,0]*v[0,0]", space)]]
+    calls = []
+
+    def d_bar(e, i):
+        calls.append(i)
+        return pres.d_bar(e, i)
+    free = DiffExpr.total_derivative
+    for op in ops:
+        nodes = {(c, J) for _, c, K, _ in op.terms() for J in _chain(K)}
+        assert len(nodes) > len({(c, K) for _, c, K, _ in op.terms() if any(K)})
+        for vec in vecs:
+            for d in (None, d_bar):
+                if d is None:  # counted on the free D_i itself
+                    monkeypatch.setattr(DiffExpr, "total_derivative",
+                                        lambda e, i: calls.append(i) or free(e, i))
+                got = op.apply([x.rename_space(space) for x in vec], d)
+                monkeypatch.undo()
+                assert len(calls) == len(nodes)
+                del calls[:]
+                assert got == apply_by_terms(op, vec, pres.d_bar if d else None)
+
+
 def test_linearize_kdv():
     F = parse("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", SP)
     lF = linearize([F])
