@@ -67,7 +67,7 @@ the range for k < 2^15 - 1; `substitute` raises BudgetError beyond that
 before any product.  With the odd parts' bias 2^31, a field in [-2E, 2E]
 lies in [2^31 - 2E, 2^31 + 2E], inside [0, 2^32).  The budget check is
 cheap: each expression carries a bound on its largest |exponent|
-(`DiffExpr._top_bound`), the bound of a result is the sum of its operands'
+(`DiffExpr._top`), the bound of a result is the sum of its operands'
 bounds, and only a bound beyond E costs a pass over the result.  The
 parser reports a power or product beyond E as an ExprSyntaxError at its
 operator.
@@ -271,15 +271,13 @@ class JetSpace:
         return DiffExpr(self, {_unit(('w', name)): 1}, 1)
 
     def var(self, name) -> "DiffExpr":
-        """Variable by bare name; dependents resolve to their order-0 jet."""
+        """Independent, parameter or nonlocal variable by bare name."""
         if name in self.independent:
             return self.indep(name)
         if name in self.parameters:
             return self.param(name)
         if name in self.nonlocals:
             return self.nonlocal_var(name)
-        if name in self.dependent:
-            return self.jet(name, mi_zero(self.n))
         raise UnknownNameError(f"unknown name {name!r}")
 
 
@@ -493,7 +491,7 @@ def sum_of_products(space: JetSpace, pairs) -> "DiffExpr":
         s = den // d
         _mul_into(res, space, a.terms if s == 1 else {m: c * s for m, c in a.terms.items()},
                   b.terms)
-        top = max(top, a._top_bound() + b._top_bound())
+        top = max(top, a._top + b._top)
     res, den = _canonical(res, den)
     return DiffExpr(space, res, _within_budget(res, top), den)
 
@@ -524,7 +522,7 @@ class ImageTable(dict):
             image = self.wmap[key[1]]
         else:  # an independent variable or a parameter
             image = DiffExpr(None, {0: 1} if key == ('i', i) else {}, 0)
-        entry = self[key] = (tuple(image.terms.items()), image.den, image._top_bound())
+        entry = self[key] = (tuple(image.terms.items()), image.den, image._top)
         return entry
 
 
@@ -538,21 +536,14 @@ class DiffExpr:
     derivatives can be cached on the expression (`_free_d`, {i: D_i(self)}),
     and so can its partial derivatives (`_partials`, {key: raw sums until
     first asked for, then the partial}, all split off in one pass) and
-    `_top`, a bound on its largest |exponent| (None until needed)."""
+    `_top`, a bound on its largest |exponent|."""
 
     __slots__ = ("space", "terms", "den", "_free_d", "_partials", "_top")
 
-    def __init__(self, space: JetSpace, terms: dict, top=None, den=1):
+    def __init__(self, space: JetSpace, terms: dict, top: int, den=1):
         self.space, self.terms, self.den = space, terms, den
         self._free_d = self._partials = None
         self._top = top
-
-    def _top_bound(self) -> int:
-        """A bound on the largest |exponent| of a factor: exact unless
-        carried over from the operands of the operation that built self."""
-        if self._top is None:
-            self._top = _top_exponent(self.terms)
-        return self._top
 
     # -- ring structure ---------------------------------------------------
 
@@ -566,8 +557,7 @@ class DiffExpr:
         for m, c in other.terms.items():
             res[m] = get(m, 0) + c * t
         res, den = _canonical(res, den)
-        top = None if self._top is None or other._top is None else max(self._top, other._top)
-        return DiffExpr(self.space, res, top, den)
+        return DiffExpr(self.space, res, max(self._top, other._top), den)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -602,7 +592,7 @@ class DiffExpr:
         if k < 0:
             return self.inverse_monomial() ** (-k)
         if k > 1:
-            top = _top_exponent(self.terms) * k if self._top_bound() * k > _E else 0
+            top = _top_exponent(self.terms) * k if self._top * k > _E else 0
             if top > _E:
                 raise BudgetError(f"exponent {top} beyond the budget of {_E}")
             bits = self._coefficient_bits()
@@ -726,32 +716,26 @@ class DiffExpr:
         got = parts.get(key, {})
         if type(got) is dict:
             res, den = _canonical(got, self.den)
-            top = _within_budget(res, self._top_bound() + 1)
+            top = _within_budget(res, self._top + 1)
             got = parts[key] = DiffExpr(self.space, res, top, den)
         return got
 
-    def total_derivative(self, i: int, wmap=None, jets=None) -> "DiffExpr":
-        """Total derivative D_i.  `wmap` maps nonlocal names to D_i-images;
-        without it a nonlocal occurrence is an error (lifted derivatives
-        live in the covering layer).  `jets` maps the key of u^j_{K+e_i} to
-        the expression taken as D_i(u^j_K), such as its normal form on an
-        equation, or is the `ImageTable` of a setting.  Each factor v^e of a
-        monomial gives e*v^(e-1)*D_i(v); an odd v is first moved to the
-        front, and D_i(v) stays there.
-
-        The images come from one table per setting: process-wide when free,
-        kept by a presentation or a covering, or built for this call from a
-        plain `jets` or `wmap`.  The free derivative is also cached on the
-        expression, so D_K reuses every D_{K-e_i} of the same object."""
-        free = wmap is None and jets is None
+    def total_derivative(self, i: int, table=None) -> "DiffExpr":
+        """Total derivative D_i, each variable's image read from `table`,
+        the `ImageTable` of one setting: kept by a presentation (restricted
+        to its equation, and lifted on a covering's), or the process-wide
+        free one for None, where a nonlocal occurrence is an error.  Each
+        factor v^e of a monomial gives e*v^(e-1)*D_i(v); an odd v is first
+        moved to the front, and D_i(v) stays there.  The free derivative is
+        also cached on the expression, so D_K reuses every D_{K-e_i} of the
+        same object."""
+        free = table is None
         if free:
             if self._free_d is None:
                 self._free_d = {}
             elif i in self._free_d:
                 return self._free_d[i]
             table = _FREE_TABLES.get(i) or _FREE_TABLES.setdefault(i, ImageTable(i, None, None))
-        else:
-            table = jets if type(jets) is ImageTable else ImageTable(i, wmap, jets)
         space = self.space
         odd, signs = space.odd, space._parity
         if odd:  # refreshed whenever filling an entry registers a slot
@@ -788,7 +772,7 @@ class DiffExpr:
                         new = rest + dmono
                         res[new] = get(new, 0) + sign * ec * dc
         res, den = _canonical(res, self.den * den)
-        out = DiffExpr(space, res, _within_budget(res, self._top_bound() + 1 + top), den)
+        out = DiffExpr(space, res, _within_budget(res, self._top + 1 + top), den)
         if free:
             self._free_d[i] = out
         return out
@@ -810,7 +794,7 @@ class DiffExpr:
                 if space.odd and space.is_odd_key(key):
                     kept -= _UNITS[key]
                     odd.append(mapping[key] if key in mapping else DiffExpr(
-                        space, {_UNITS[key]: 1}))
+                        space, {_UNITS[key]: 1}, 1))
                 elif key in mapping:
                     kept -= e * _UNITS[key]
                     if (key, e) not in powers:
@@ -830,7 +814,7 @@ class DiffExpr:
         images = list(powers.values()) + [x for k, x in mapping.items() if space.is_odd_key(k)]
         out, den = _canonical(out, self.den * den)
         return DiffExpr(space, out, _within_budget(
-            out, sum(map(DiffExpr._top_bound, images), self._top_bound())), den)
+            out, sum((x._top for x in images), self._top)), den)
 
     def rename_space(self, space: JetSpace) -> "DiffExpr":
         """Reinterpret over a compatible (extended) space."""
@@ -1031,7 +1015,7 @@ def _divided(e: DiffExpr, divisors: dict, unit: int, top: int) -> DiffExpr:
     den = lcm(*divisors.values())
     terms, den = _canonical({m + unit: c * (den // divisors[m]) for m, c in e.terms.items()},
                             e.den * den)
-    return DiffExpr(e.space, terms, _within_budget(terms, e._top_bound() + top), den)
+    return DiffExpr(e.space, terms, _within_budget(terms, e._top + top), den)
 
 
 def invert_divergence(density: DiffExpr, n: int):

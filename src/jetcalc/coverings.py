@@ -31,7 +31,8 @@ class Covering:
     base) plus derivative-free nonlocal variables with extension fields.
 
     The lifted derivatives D~_i = D-bar_i + sum_j X_i^j d/dw^j are the
-    restricted derivatives of its presentation, which holds the fields
+    restricted derivatives of its presentation (`presentation.d_bar`, and
+    `presentation.restricted` for an operator), which holds the fields
     reduced; nonlocal variables never carry jet indices."""
 
     presentation: Presentation
@@ -48,13 +49,6 @@ class Covering:
     @property
     def space(self) -> JetSpace:
         return self.presentation.space
-
-    def lift_d(self, e: DiffExpr, i: int) -> DiffExpr:
-        return self.presentation.d_bar(e, i)
-
-    def lifted(self, op: CDiffOp):
-        """A base operator on the covering, as a function of a vector."""
-        return self.presentation.restricted(op.rename_space(self.space))
 
     def extended(self, names, fields: dict, odd) -> "Covering":
         """This covering with the nonlocals `names` (the `odd` ones odd)
@@ -85,15 +79,15 @@ def verify_flat(cov: Covering) -> dict:
     for i in range(n):
         for j in range(i + 1, n):
             for k, name in enumerate(cov.nonlocals):
-                lhs = cov.lift_d(cov.X[j][k], i)
-                rhs = cov.lift_d(cov.X[i][k], j)
+                lhs = cov.presentation.d_bar(cov.X[j][k], i)
+                rhs = cov.presentation.d_bar(cov.X[i][k], j)
                 residuals[(i, j, name)] = lhs - rhs
     for fam in cov.fiber_families:
         v = cov.space.jet(fam, mi_zero(n))
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = cov.lift_d(cov.lift_d(v, i), j)
-                rhs = cov.lift_d(cov.lift_d(v, j), i)
+                lhs = cov.presentation.d_bar(cov.presentation.d_bar(v, i), j)
+                rhs = cov.presentation.d_bar(cov.presentation.d_bar(v, j), i)
                 residuals[(i, j, cov.space.dependent[fam])] = lhs - rhs
     ok = all(r.is_zero() for r in residuals.values())
     return {"ok": ok,
@@ -182,7 +176,7 @@ def cotangent_covering(base: Presentation) -> Covering:
     cov = delta_covering(base, adj, odd=True, leadings=ext_leads)
     m, sp = base.space.m, cov.space
     return replace(cov, structures={"rho": (
-        [sp.jet(m + s, mi_zero(sp.n)) for s in range(adj.cols)], [sp.zero()] * adj.cols)})
+        tuple(sp.jet(m + s, mi_zero(sp.n)) for s in range(adj.cols)), (sp.zero(),) * adj.cols)})
 
 
 def add_abelian_layer(cov: Covering, name: str, fields: dict) -> Covering:
@@ -196,7 +190,7 @@ def add_abelian_layer(cov: Covering, name: str, fields: dict) -> Covering:
 
 def verify_shadow(phi, cov: Covering):
     """l~_F(phi): the base linearization with the lifted derivatives."""
-    residual = cov.lifted(cov.base.linearization())(phi)
+    residual = cov.presentation.restricted(cov.base.linearization())(phi)
     return all(r.is_zero() for r in residual), residual
 
 
@@ -223,7 +217,8 @@ def solve_fiberlinear(cov: Covering, ansatz: Ansatz):
     """All fiber-linear solutions of the lifted base linearization within
     the ansatz."""
     return solve_determining(fiber_linear_candidates(cov, ansatz),
-                             cov.lifted(cov.base.linearization()), cov.base.space.m)
+                             cov.presentation.restricted(cov.base.linearization()),
+                             cov.base.space.m)
 
 
 # -- reconstruction and finite symmetries --------------------------------------
@@ -238,7 +233,7 @@ def reconstruct_step(cov: Covering, phi) -> Covering:
 
     def field(Xij):
         # l~_{X_i^j}(phi): lifted linearization along the base dependents
-        val = cov.lifted(linearize([Xij], columns=range(m)))(phi[:m])[0]
+        val = cov.presentation.restricted(linearize([Xij], columns=range(m)))(phi[:m])[0]
         return val.rename_space(space) + sum_of_products(space, [
             (Xij.partial(('w', wa)).rename_space(space), space.nonlocal_var(wr))
             for wa, wr in zip(cov.nonlocals, names)])
@@ -295,7 +290,7 @@ def verify_finite_symmetry(cov: Covering, images: dict) -> dict:
     for i in range(cov.space.n):
         for j, name in enumerate(cov.nonlocals):
             img = sigma.w_images.get(name, cov.space.nonlocal_var(name))
-            lhs = cov.lift_d(img, i)
+            lhs = cov.presentation.d_bar(img, i)
             rhs = sigma(cov.X[i][j])
             residuals[(cov.space.independent[i], name)] = lhs - rhs
     for s, F in enumerate(cov.presentation.components):

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 from math import comb, prod
+from types import MappingProxyType
 
 from .algebra import (
     DiffExpr,
@@ -41,7 +42,7 @@ class CDiffOp:
     def __init__(self, space: JetSpace, rows: int, cols: int, entries=()):
         """entries: a table {(row, col): {I: a_I}} or an iterable of
         (row, col, I, a_I) terms; terms on one slot are summed, and zero
-        coefficients dropped."""
+        coefficients dropped.  The table is read-only: `apply` plans from it."""
         self.space = space
         self.rows = rows
         self.cols = cols
@@ -59,17 +60,14 @@ class CDiffOp:
             else:
                 cur = tab.get(I)
                 tab[I] = a if cur is None else cur + a
-        self.entries = {}
+        entries = {}
         for rc, tab in table.items():
             clean = {I: a for I, a in tab.items() if not a.is_zero()}
             if clean:
-                self.entries[rc] = clean
+                entries[rc] = MappingProxyType(clean)
+        self.entries = MappingProxyType(entries)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, space, rows, cols):
-        return cls(space, rows, cols)
 
     @classmethod
     def identity(cls, space, size):
@@ -174,9 +172,6 @@ class CDiffOp:
         for b, i in steps:
             nodes.append(nodes[b].total_derivative(i) if d is None else d(nodes[b], i))
         return [sum_of_products(self.space, [(a, nodes[k]) for a, k in pairs]) for pairs in rows]
-
-    def apply1(self, e: DiffExpr) -> DiffExpr:
-        return self.apply([e])[0]
 
     def submatrix(self, rows, cols) -> "CDiffOp":
         return CDiffOp(self.space, len(rows), len(cols),
@@ -302,10 +297,16 @@ class PseudoOp:
     first independent variable x."""
 
     local: CDiffOp
-    tails: tuple  # (a: list[DiffExpr], b: CDiffOp row 1 x cols) pairs
+    tails: tuple  # (a: one DiffExpr per row, b: CDiffOp row 1 x cols) pairs
 
-    def __post_init__(self):
-        object.__setattr__(self, "tails", tuple(self.tails))
+    def __post_init__(self):  # tuples, each tail of the local part's shape
+        tails = tuple((tuple(a), b) for a, b in self.tails)
+        for a, b in tails:
+            if len(a) != self.local.rows or (b.rows, b.cols) != (1, self.local.cols):
+                raise ShapeError(f"pseudo-operator tail: a has {len(a)} entries and b is "
+                                 f"{b.rows}x{b.cols}, for a {self.local.rows}x"
+                                 f"{self.local.cols} local part")
+        object.__setattr__(self, "tails", tails)
 
     @property
     def space(self):
@@ -316,7 +317,7 @@ class PseudoOp:
         merged = {}
         for a_vec, b in self.tails:
             old = merged.get(b)
-            merged[b] = list(a_vec) if old is None else [x + y for x, y in zip(old, a_vec)]
+            merged[b] = a_vec if old is None else [x + y for x, y in zip(old, a_vec)]
         tails = [(a_vec, b) for b, a_vec in merged.items()
                  if any(not x.is_zero() for x in a_vec) and not b.is_zero()]
         return PseudoOp(self.local, tails)
@@ -341,9 +342,6 @@ class PseudoOp:
             out = [x + a * prim for x, a in zip(out, pres.normal_form(a_vec))]
         return out
 
-    def apply1(self, e: DiffExpr, pres) -> DiffExpr:
-        return self.apply([e], pres)[0]
-
     def ev(self, phi) -> "PseudoOp":
         """E_phi acting on all coefficients (Leibniz over both tail slots)."""
         tails = []
@@ -353,7 +351,7 @@ class PseudoOp:
                 tails.append((ea, b))
             eb = ev_apply_op(phi, b)
             if not eb.is_zero():
-                tails.append((list(a_vec), eb))
+                tails.append((a_vec, eb))
         return PseudoOp(ev_apply_op(phi, self.local), tails)
 
     def scale(self, factor):

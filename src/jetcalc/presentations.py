@@ -115,7 +115,7 @@ class Presentation:
             else:
                 i = max(k for k, (a, b) in enumerate(zip(K, self.leadings[s][1])) if a > b)
                 base = self.jet_image(('j', j, mi_sub(K, mi_unit(self.space.n, i))))
-                image = base.total_derivative(i, jets=self._d_tables[i])
+                image = base.total_derivative(i, table=self._d_tables[i])
             self._jet_nfs[key] = image
         return image
 
@@ -152,7 +152,7 @@ class Presentation:
 
     def d_internal(self, e: DiffExpr, i: int) -> DiffExpr:
         """d_bar on an internal e, taking no normal form; internal too."""
-        return e.total_derivative(i, jets=self._d_tables[i])
+        return e.total_derivative(i, table=self._d_tables[i])
 
     # -- cofactor-tracking reduction ------------------------------------------
 
@@ -202,7 +202,9 @@ class Presentation:
     # -- operators on the equation ---------------------------------------------
 
     def restrict_operator(self, op: CDiffOp) -> CDiffOp:
-        return op.map_coefficients(self.normal_form)
+        """op with each coefficient in normal form, over this presentation's space."""
+        return CDiffOp(self.space, op.rows, op.cols,
+                       ((r, c, I, self.normal_form(a)) for r, c, I, a in op.terms()))
 
     def linearization(self, adjoint=False) -> CDiffOp:
         """l_F, or l_F* when adjoint, each built once per presentation."""

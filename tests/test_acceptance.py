@@ -291,7 +291,7 @@ def test_criterion_8_presentation_equivalence():
         beta_p=CDiffOp(sp3, 1, 3, {
             (0, 0): {(2, 0): -one, (0, 0): -6 * sp3.jet("u", (0, 0))},
             (0, 1): {(1, 0): -one}, (0, 2): {(0, 0): -one}}),
-        s1=CDiffOp.zero(sp3, 1, 1),
+        s1=CDiffOp(sp3, 1, 1),
         s2=CDiffOp(sp3, 3, 3, {(1, 0): {(0, 0): one}, (2, 0): {(1, 0): one},
                                (2, 1): {(0, 0): one}}))
     F1 = parse("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", sp3)

@@ -30,6 +30,7 @@ from jetcalc.algebra import (
     _W,
     _integrate_var,
     _power_work,
+    ImageTable,
     apply_DI,
     euler_is_zero,
     mi_order,
@@ -145,7 +146,8 @@ def test_derivation_laws():
     for _ in range(40):
         e, f = rand_graded(), rand_graded()
         for i in range(2):
-            D = lambda g: g.total_derivative(i, wmaps[i])
+            table = ImageTable(i, wmaps[i], None)
+            D = lambda g: g.total_derivative(i, table)
             assert D(e * f) == D(e) * f + e * D(f)  # D_i is an even derivation
             chain = sp.zero()
             for v in e.variables():

@@ -228,6 +228,19 @@ def test_covering_fields_short_of_its_nonlocals_are_an_input_error(tmp_path, cap
     assert (code, err) == (2, "input error: covering fields along x: 1 for 2 nonlocals\n")
 
 
+def test_a_pseudo_operator_tail_short_of_its_rows_is_an_input_error(tmp_path, capsys):
+    """A second row of the local part with the tail's one-entry a kept: the
+    image would lose that row, so the file is refused as input."""
+    data = corpus("kdv")
+    op = data["pseudo_operators"]["lenard"]
+    op["rows"] = 2
+    op["local"].append({"row": 1, "col": 0, "terms": [{"D": [0, 0], "coef": "1"}]})
+    data["tasks"] = [{"kind": "pseudo-apply", "op": "lenard", "exprs": ["u[1,0]"]}]
+    code, err = _input_error(tmp_path, capsys, data)
+    assert (code, err) == (2, "input error: pseudo-operator tail: a has 1 entries and b "
+                              "is 1x1, for a 2x1 local part\n")
+
+
 def test_unknown_covering_is_an_input_error(tmp_path, capsys):
     data = corpus("potential-kdv-we")
     data["tasks"] = [dict(data["tasks"][0], covering="nope")]

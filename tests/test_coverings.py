@@ -32,6 +32,7 @@ from jetcalc import (
     verify_flat,
     verify_shadow,
 )
+from jetcalc.algebra import ImageTable
 from jetcalc.linalg import rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -78,8 +79,9 @@ def test_built_coverings_and_forms_hold_read_only_maps(kdv):
 def test_lifted_derivatives_commute(kdv):
     cov = potential_covering(kdv)
     probe = parse("w^2*u[1,0] + x*w", cov.space)
-    a = cov.lift_d(cov.lift_d(probe, 0), 1)
-    b = cov.lift_d(cov.lift_d(probe, 1), 0)
+    d = cov.presentation.d_bar
+    a = d(d(probe, 0), 1)
+    b = d(d(probe, 1), 0)
     assert (a - b).is_zero()
 
 
@@ -261,22 +263,24 @@ def test_lifted_and_restricted_derivatives_are_not_cached(kdv):
     cov = potential_covering(kdv)
     sp = cov.space
     w, u = sp.nonlocal_var("w"), parse("u[0,0]", sp)
-    assert cov.lift_d(w, 0) == u
+    assert cov.presentation.d_bar(w, 0) == u
     e = parse("w^2*u[1,0] + x*w^-1*u[0,1]", sp)
-    before = [cov.lift_d(e, i) for i in range(2)]
-    assert make_covering(kdv, ["w"], {0: [u * u], 1: [cov.X[1][0]]}).lift_d(w, 0) == u * u
+    before = [cov.presentation.d_bar(e, i) for i in range(2)]
+    assert make_covering(kdv, ["w"], {0: [u * u], 1: [cov.X[1][0]]}).presentation.d_bar(
+        w, 0) == u * u
     # each covering's tables hold its own fields
     for X in ({0: (u * u,), 1: (parse("1/2*u[1,0]^2", sp),)}, cov.X):
         other = make_covering(kdv, ["w"], {i: list(X[i]) for i in range(2)})
         pres = other.presentation
-        assert [other.lift_d(e, i) for i in range(2)] == [
-            pres.normal_form(pres.normal_form(e).total_derivative(i, {"w": X[i][0]}))
+        assert [pres.d_bar(e, i) for i in range(2)] == [
+            pres.normal_form(pres.normal_form(e).total_derivative(
+                i, ImageTable(i, {"w": X[i][0]}, None)))
             for i in range(2)]
-    assert [cov.lift_d(e, i) for i in range(2)] == before
-    assert w.total_derivative(0, {"w": u}) == u
-    assert w.total_derivative(0, {"w": u * u}) == u * u
+    assert [cov.presentation.d_bar(e, i) for i in range(2)] == before
+    assert w.total_derivative(0, ImageTable(0, {"w": u}, None)) == u
+    assert w.total_derivative(0, ImageTable(0, {"w": u * u}, None)) == u * u
     assert u.total_derivative(1) == parse("u[0,1]", sp)
-    assert u.total_derivative(1, jets=cov.presentation.jet_image) == \
+    assert u.total_derivative(1, ImageTable(1, None, cov.presentation.jet_image)) == \
         parse("6*u[0,0]*u[1,0] + u[3,0]", sp)
     assert u.total_derivative(1) == parse("u[0,1]", sp)
 
@@ -356,8 +360,21 @@ def test_lift_d_matches_its_definition(kdv, make, factors):
         e = rand_poly(cov.space, rng, factors)
         for i in range(cov.space.n):
             wmap = {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}
-            expected = pres.normal_form(pres.normal_form(e).total_derivative(i, wmap))
-            assert canonical_terms(cov.lift_d(e, i)) == dict(expected.coefficients())
+            expected = pres.normal_form(pres.normal_form(e).total_derivative(
+                i, ImageTable(i, wmap, None)))
+            assert canonical_terms(pres.d_bar(e, i)) == dict(expected.coefficients())
+
+
+def test_a_base_operator_is_restricted_onto_the_covering(kdv):
+    """A covering's presentation takes an operator over the base as it is:
+    the restricted operator and its values live on the covering's space,
+    which knows the fiber family v."""
+    pres = tangent_covering(kdv).presentation
+    L = kdv.linearization()
+    assert L.space is kdv.space and pres.restrict_operator(L).space is pres.space
+    (value,) = pres.restricted(L)([parse("v[1,0]", pres.space)])
+    assert value.space is pres.space
+    assert render(value) == "6*u[1,0]*v[1,0] + 6*u[2,0]*v[0,0]"
 
 
 @pytest.mark.parametrize("make, factors", [
@@ -382,10 +399,11 @@ def test_lifted_operators_match_their_definition(kdv, make, factors):
     rng = random.Random(89)
 
     def free_lift(e, i):
-        return e.total_derivative(i, {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)})
+        return e.total_derivative(i, ImageTable(
+            i, {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}, None))
 
     for op in (L, L.adjoint(), off):
-        lifted = cov.lifted(op)
+        lifted = pres.restricted(op)
         for _ in range(4):
             vec = [rand_poly(cov.space, rng, factors)]
             expected = pres.normal_form(op.rename_space(cov.space).apply(vec, free_lift))

@@ -26,6 +26,7 @@ from jetcalc import (
     verify_bivector_on_equation,
 )
 from jetcalc import hamiltonian
+from jetcalc.algebra import apply_DI
 from jetcalc.hamiltonian import momenta_space
 
 SP1 = JetSpace.create(["x"], ["u"])
@@ -172,6 +173,31 @@ def test_schouten_direct_clauses():
     lhs = schouten_direct(A_KDV, phi, [[U]])
     rhs = schouten_direct(phi, A_KDV, [[U]])
     assert all((a + b).is_zero() for a, b in zip(lhs, rhs))
+
+
+def test_schouten_direct_with_a_density():
+    """[[phi, omega]] = E_phi(omega), d/d eps at eps = 0 of omega with u_K
+    replaced by u_K + eps*D_K(phi), which differs from <phi, delta omega>
+    by a divergence; by graded antisymmetry [[omega, phi]] = -[[phi, omega]]
+    and [[omega, A]] = [[A, omega]] = A(delta omega), summed term by term."""
+    sp = JetSpace.create(["x"], ["u", "v"], parameters=["eps"])
+    eps = sp.param("eps")
+    rng = random.Random(109)
+    for _ in range(8):
+        omega = rand_coeff(sp, rng) * rand_coeff(sp, rng)
+        phi = [rand_coeff(sp, rng) for _ in range(sp.m)]
+        A = rand_square_op(sp, rng)
+        flow = schouten_direct(phi, omega)
+        moved = omega.substitute({k: sp.jet(k[1], k[2]) + eps * apply_DI(phi[k[1]], k[2])
+                                  for k in omega.jet_keys()})
+        assert flow == moved.partial(('q', 'eps')).substitute({('q', 'eps'): sp.zero()})
+        assert all(e.is_zero() for e in euler(flow - pairing_density(phi, euler(omega))))
+        assert schouten_direct(omega, phi) == -flow
+        delta = euler(omega)
+        want = [sp.zero() for _ in range(A.rows)]
+        for r, c, I, a in A.terms():
+            want[r] += a * apply_DI(delta[c], I)
+        assert schouten_direct(omega, A) == schouten_direct(A, omega) == want
 
 
 def test_bivector_bracket_takes_each_variation_once(monkeypatch):

@@ -7,13 +7,14 @@ among the tests, the monomials helper) that knows the monomial format,
 no write to an expression's terms, no Fraction in the inner kernels, no
 import inside a function, a presentation's rule caches assigned only
 when it is built, and every dataclass frozen; and, on built objects, no
-dataclass holding a plain dict or list."""
+dataclass or operator table holding a plain dict or list at any depth."""
 
 import ast
 import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
+from types import MappingProxyType
 
 import jetcalc
 from jetcalc import (
@@ -704,10 +705,30 @@ def _engine_dataclasses():
             and obj.__module__ == module.__name__}
 
 
+def _plain_containers(value, where):
+    """The paths below `value` that hold a plain dict or list, looking into
+    tuples, the values of read-only maps, dataclass fields and operator
+    tables; an expression's term dict is its own (no module writes it)."""
+    if isinstance(value, (dict, list)):
+        yield where
+    elif isinstance(value, tuple):
+        for k, x in enumerate(value):
+            yield from _plain_containers(x, f"{where}[{k}]")
+    elif isinstance(value, MappingProxyType):
+        for k, x in value.items():
+            yield from _plain_containers(x, f"{where}[{k!r}]")
+    elif isinstance(value, CDiffOp):
+        yield from _plain_containers(value.entries, f"{where}.entries")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _plain_containers(getattr(value, f.name), f"{where}.{f.name}")
+
+
 def test_no_dataclass_holds_a_plain_dict_or_list(kdv):
     """One object of each engine dataclass, built as the engine builds it:
-    a map field is read-only and a sequence field a tuple, so a frozen
-    object's contents cannot change either."""
+    a map is read-only and a sequence a tuple, in its fields and in the
+    values and operator tables they hold, so a frozen object's contents
+    cannot change either."""
     sp = kdv.space
     u = sp.jet("u", (0, 0))
     mass = HorizontalForm(sp, 1, {(0,): u, (1,): parse("u[2,0] + 3*u[0,0]^2", sp)})
@@ -717,9 +738,27 @@ def test_no_dataclass_holds_a_plain_dict_or_list(kdv):
              to_superdensity(CDiffOp.total_derivative(sp, 0)), kdv.reduce(parse("u[0,1]", sp)),
              PseudoOp(one, [([u], one)]).scale(2), EquivalenceWitness(*[one] * 6)]
     assert {type(x) for x in built} == _engine_dataclasses()
-    plain = [f"{type(x).__name__}.{f.name}" for x in built for f in dataclasses.fields(x)
-             if isinstance(getattr(x, f.name), (dict, list))]
+    plain = [path for x in built for path in _plain_containers(x, type(x).__name__)]
     assert plain == []
+
+
+def test_the_container_check_sees_nested_plain_values(kdv):
+    sp = kdv.space
+    u = sp.jet("u", (0, 0))
+    one = CDiffOp.identity(sp, 1)
+    unsafe = CDiffOp(sp, 1, 1)
+    unsafe.entries = {(0, 0): MappingProxyType({(0, 0): u})}
+    inner = CDiffOp(sp, 1, 1)
+    inner.entries = MappingProxyType({(0, 0): {(0, 0): u}})
+    form = HorizontalForm(sp, 1, {(0,): u})
+    object.__setattr__(form, "comps", MappingProxyType({(0,): [u]}))
+    pseudo = PseudoOp(one, [([u], one)])
+    object.__setattr__(pseudo, "tails", (([u], one),))
+    found = [path for x in (form, pseudo, EquivalenceWitness(one, unsafe, inner, *[one] * 3))
+             for path in _plain_containers(x, type(x).__name__)]
+    assert found == ["HorizontalForm.comps[(0,)]", "PseudoOp.tails[0][0]",
+                     "EquivalenceWitness.beta.entries",
+                     "EquivalenceWitness.alpha_p.entries[(0, 0)]"]
 
 
 def test_the_frozen_check_sees_every_unfrozen_dataclass():

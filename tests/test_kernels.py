@@ -1,5 +1,5 @@
 """Seeded oracles for the kernels of jetcalc.algebra: the total derivative
-(free, with `jets=` and with `wmap=`), the product, `sum_of_products`,
+(free, and through an `ImageTable` of given images), the product, `sum_of_products`,
 `partial`, `substitute`, scalar products, `inverse_monomial` and `euler`
 against a term-by-term reference on decoded terms, over spaces with odd
 variables, with coefficients over coprime denominators, and one step past
@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 from jetcalc import JetSpace, euler, parse
-from jetcalc.algebra import _E, _KEYS, sum_of_products
+from jetcalc.algebra import _E, _KEYS, ImageTable, sum_of_products
 from jetcalc.errors import BudgetError, ShapeError
 from monomials import decoded_terms, from_factors, layout
 
@@ -188,8 +188,9 @@ def test_free_total_derivative_matches_the_reference(space):
         terms = rand_terms(rng, space)
         e = from_factors(space, terms)
         for i in range(2):
-            got = e.total_derivative(i, wmap={'w': space.zero(), 'z': space.zero()}
-                                     if space is SPACE else {'w': space.zero()})
+            got = e.total_derivative(i, ImageTable(i, {'w': space.zero(), 'z': space.zero()}
+                                                   if space is SPACE else {'w': space.zero()},
+                                                   None))
             assert decoded_terms(got) == ref_total_derivative(
                 space, decoded_terms(e), free_image(i))
             assert_canonical(got)
@@ -199,8 +200,8 @@ def test_free_total_derivative_matches_the_reference(space):
 
 @pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
 def test_restricted_and_lifted_derivatives_match_the_reference(space):
-    """`jets=` maps u_{K+e_i} to a random image, odd-linear for an odd
-    family and even otherwise; `wmap=` maps each nonlocal likewise."""
+    """The table's `jets` maps u_{K+e_i} to a random image, odd-linear for
+    an odd family and even otherwise; its `wmap` maps each nonlocal likewise."""
     rng = random.Random(73)
     for _ in range(40):
         images = {}
@@ -215,7 +216,7 @@ def test_restricted_and_lifted_derivatives_match_the_reference(space):
                 for name in space.nonlocals}
         e = rand_expr(rng, space)
         i = rng.randrange(2)
-        got = e.total_derivative(i, wmap=wmap, jets=jets)
+        got = e.total_derivative(i, ImageTable(i, wmap, jets))
 
         def image(key):
             if key[0] == 'j':
@@ -263,7 +264,7 @@ def test_fractions_that_sum_to_integers_are_ints():
     u_ux = ((('j', 0, (0, 0)), 1), (('j', 0, (1, 0)), 1))
     for got, want in [
         ((u * u * half).total_derivative(0), {u_ux: 1}),
-        ((u * half).total_derivative(0, jets=lambda key: ux * 2), {u_ux[1:]: 1}),
+        ((u * half).total_derivative(0, ImageTable(0, None, lambda key: ux * 2)), {u_ux[1:]: 1}),
         ((u * half) * (ux * 4), {u_ux: 2}),
         (sum_of_products(EVEN, [(u * half, ux), (ux * Fraction(3, 2), u)]), {u_ux: 2}),
     ]:
@@ -276,7 +277,7 @@ def test_full_cancellation_leaves_no_entry():
     u, u1 = sp.jet("u", (0,)), sp.jet("u", (1,))
     # D(u u_x) with u_x -> u_x and u_xx -> -u_x^2 / u: u_x^2 - u_x^2
     images = {('j', 0, (1,)): u1, ('j', 0, (2,)): -(u1 * u1) * u ** -1}
-    assert len((u * u1).total_derivative(0, jets=images.get)) == 0
+    assert len((u * u1).total_derivative(0, ImageTable(0, None, images.get))) == 0
     a, b = rand_expr(random.Random(83), SPACE), rand_expr(random.Random(89), SPACE)
     assert len(sum_of_products(SPACE, [(a, b), (-a, b)])) == 0
     v, z = SPACE.jet("v", (0, 0)), SPACE.nonlocal_var("z")
@@ -290,10 +291,10 @@ def test_one_step_past_the_budget_raises():
     assert max(e for m in decoded_terms(at_budget) for _, e in m) == _E
     beyond = [
         lambda: (u * u1 ** _E).total_derivative(0),
-        lambda: (u ** _E).total_derivative(0, jets=lambda key: u * u),
-        lambda: (u * u1).total_derivative(0, jets=lambda key: u ** _E),
-        lambda: (w ** _E).total_derivative(0, wmap={'w': w * w}),
-        lambda: (w * w).total_derivative(0, wmap={'w': w ** _E}),
+        lambda: (u ** _E).total_derivative(0, ImageTable(0, None, lambda key: u * u)),
+        lambda: (u * u1).total_derivative(0, ImageTable(0, None, lambda key: u ** _E)),
+        lambda: (w ** _E).total_derivative(0, ImageTable(0, {'w': w * w}, None)),
+        lambda: (w * w).total_derivative(0, ImageTable(0, {'w': w ** _E}, None)),
         lambda: u ** _E * u,
         lambda: sum_of_products(EVEN, [(u1, u1), (u ** _E, u)]),
     ]

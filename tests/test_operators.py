@@ -73,7 +73,7 @@ def test_compose_leibniz():
     assert comp == CDiffOp.scalar(SP, {(0, 0): SP.jet("u", (1, 0)), (1, 0): u})
     ident = CDiffOp.identity(SP, 1)
     assert Dx.compose(ident) == Dx
-    assert Dx.compose(Dx).apply1(u) == SP.jet("u", (2, 0))
+    assert Dx.compose(Dx).apply([u])[0] == SP.jet("u", (2, 0))
 
 
 def test_compose_shape_mismatch():
@@ -215,6 +215,21 @@ def test_apply_plan_serves_every_vector(boussinesq, monkeypatch):
                 assert len(calls) == len(nodes)
                 del calls[:]
                 assert got == apply_by_terms(op, vec, pres.d_bar if d else None)
+
+
+def test_an_applied_operator_table_refuses_writes():
+    """The plan that the first apply builds from an operator's table cannot
+    go stale: neither the table nor an entry of it can be written."""
+    sp = JetSpace.create(["x"], ["u"])
+    u, ux = sp.jet("u", (0,)), sp.jet("u", (1,))
+    op = CDiffOp.total_derivative(sp, 0)
+    assert op.apply([u * u]) == [2 * u * ux]
+    with pytest.raises(TypeError):
+        op.entries[(0, 0)] = {(2,): sp.one()}
+    with pytest.raises(TypeError):
+        op.entries[(0, 0)][(2,)] = sp.one()
+    assert op.apply([u * u]) == [2 * u * ux]
+    assert op == CDiffOp.total_derivative(sp, 0)
 
 
 def test_linearize_kdv():
@@ -455,9 +470,9 @@ FREE = make_presentation(SP, [], [])  # free jets: a presentation without rules
 def test_pseudo_apply_free():
     R = lenard(SP)
     ux = SP.jet("u", (1, 0))
-    flow = R.apply1(ux, FREE)
+    flow = R.apply([ux], FREE)[0]
     assert flow == parse("6*u[0,0]*u[1,0] + u[3,0]", SP)
-    flow2 = R.apply1(flow, FREE)
+    flow2 = R.apply([flow], FREE)[0]
     assert flow2 == parse("u[5,0] + 10*u[0,0]*u[3,0] + 20*u[1,0]*u[2,0]"
                           " + 30*u[0,0]^2*u[1,0]", SP)
 
@@ -467,7 +482,50 @@ def test_pseudo_json_roundtrip():
     data = R.to_json()
     back = PseudoOp.from_json(SP, 1, 1, data)
     assert back.local == R.local
-    assert back.apply1(SP.jet("u", (1, 0)), FREE) == R.apply1(SP.jet("u", (1, 0)), FREE)
+    assert back.apply([SP.jet("u", (1, 0))], FREE)[0] == R.apply([SP.jet("u", (1, 0))], FREE)[0]
+
+
+def test_pseudo_tails_must_fit_the_local_part():
+    """Each tail's a has one entry per row of the local part, and its b is
+    one row over the local part's columns; a short a would drop rows of
+    the image and a long one be cut.  A built tail's a is a tuple."""
+    u = SP.jet("u", (0, 0))
+    one = CDiffOp.identity(SP, 1)
+    two = CDiffOp(SP, 2, 1, ((r, 0, (0, 0), SP.one()) for r in range(2)))
+    for local, a, b in [(two, [u], one), (one, [u, u], one), (two, [u, u, u], one),
+                        (one, [u], CDiffOp.identity(SP, 2)), (two, [u, u], two)]:
+        with pytest.raises(ShapeError, match="pseudo-operator tail"):
+            PseudoOp(local, [(a, b)])
+    P = PseudoOp(two, [([u, u], one)])
+    assert P.tails[0][0] == (u, u)
+    assert len(P.apply([SP.jet("u", (1, 0))], FREE)) == 2
+
+
+def test_pseudo_ev_matches_the_derivative_along_phi():
+    """On free jets, E_phi(R)(chi) is d/d eps at eps = 0 of R(chi) with
+    u_K replaced by u_K + eps*D_K(phi) in R's coefficients, eps a
+    parameter.  R's b depends on u, so E_phi(b) is a tail of its own;
+    chi is chosen so that every D_x^{-1} exists."""
+    sp = JetSpace.create(["x"], ["u"], parameters=["eps"])
+    free = make_presentation(sp, [], [])
+    eps = sp.param("eps")
+    P = lambda text: parse(text, sp)
+    R = PseudoOp(CDiffOp.scalar(sp, {(2,): sp.one(), (0,): P("u[0]^2")}),
+                 [([P("u[1]")], CDiffOp.mult(sp, P("u[0]")))])
+    for phi, chi in [("u[2]", "u[1]"), ("u[0]^2", "u[1]"), ("3*u[0]", "u[0]*u[1]")]:
+        phi, chi = [P(phi)], [P(chi)]
+        E = R.ev(phi)
+        assert len(E.tails) == 2 and not E.tails[1][1].is_zero()
+
+        def moved(a):
+            return a.substitute({k: sp.jet(0, k[2]) + eps * apply_DI(phi[0], k[2])
+                                 for k in a.jet_keys()})
+        R_eps = PseudoOp(R.local.map_coefficients(moved),
+                         [([moved(a) for a in av], b.map_coefficients(moved))
+                          for av, b in R.tails])
+        slope = R_eps.apply(chi, free)[0].partial(('q', 'eps'))
+        assert E.apply(chi, free) == [slope.substitute({('q', 'eps'): sp.zero()})]
+        assert not slope.is_zero()
 
 
 def _kdv_ops():

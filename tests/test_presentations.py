@@ -20,7 +20,7 @@ from jetcalc import (
     solve_symmetries,
     verify_equivalence,
 )
-from jetcalc.algebra import apply_DI, mi_iter, mi_order, mi_sub, mi_unit
+from jetcalc.algebra import ImageTable, apply_DI, mi_iter, mi_order, mi_sub, mi_unit
 from jetcalc.cli import Problem
 from jetcalc.corpus import corpus
 from monomials import decoded_terms
@@ -149,7 +149,7 @@ def _witness(sp3):
     beta_p = CDiffOp(sp3, 1, 3, {
         (0, 0): {(2, 0): -one, (0, 0): -6 * sp3.jet("u", (0, 0))},
         (0, 1): {(1, 0): -one}, (0, 2): {(0, 0): -one}})
-    s1 = CDiffOp.zero(sp3, 1, 1)
+    s1 = CDiffOp(sp3, 1, 1)
     s2 = CDiffOp(sp3, 3, 3, {(1, 0): {(0, 0): one}, (2, 0): {(1, 0): one},
                              (2, 1): {(0, 0): one}})
     return EquivalenceWitness(alpha, beta, alpha_p, beta_p, s1, s2)
@@ -167,7 +167,7 @@ def test_equivalence_identity_witness(kdv):
     idw = EquivalenceWitness(
         CDiffOp.identity(SP, 1), CDiffOp.identity(SP, 1),
         CDiffOp.identity(SP, 1), CDiffOp.identity(SP, 1),
-        CDiffOp.zero(SP, 1, 1), CDiffOp.zero(SP, 1, 1))
+        CDiffOp(SP, 1, 1), CDiffOp(SP, 1, 1))
     rep = verify_equivalence(kdv, list(kdv.components), 1, idw)
     assert rep["ok"]
 
@@ -316,7 +316,7 @@ INTERNAL = {
 @pytest.mark.parametrize("name", sorted(INTERNAL))
 def test_d_internal_matches_a_table_built_per_call(request, name):
     """d_internal reads the presentation's D_i tables, kept between calls; a
-    plain `jets` callable gets a table of its own for one call.  Both give
+    table built for one call from `jet_image` is filled afresh.  Both give
     the same terms in the same order, whatever the order of the calls, and
     the normal form of the free derivative."""
     pres = request.getfixturevalue(name)
@@ -325,7 +325,7 @@ def test_d_internal_matches_a_table_built_per_call(request, name):
         e = rand_poly(pres.space, rng, INTERNAL[name])
         for i in rng.sample(range(pres.space.n), pres.space.n):
             got = pres.d_internal(e, i)
-            fresh = e.total_derivative(i, jets=pres.jet_image)
+            fresh = e.total_derivative(i, ImageTable(i, None, pres.jet_image))
             assert list(got.coefficients()) == list(fresh.coefficients())
             assert canonical_terms(got) == dict(
                 pres.normal_form(e.total_derivative(i)).coefficients())
