@@ -1,17 +1,19 @@
 """Batch front end: parse problem files, dispatch tasks, emit deterministic
-reports.  Exit codes: 0 all tasks ok, 1 any fail/obstruction or closed stdout, 2 input error."""
+reports.  Exit codes: 0 all tasks ok, 1 any fail/obstruction or closed stdout, 2 input error.
+
+A problem is accepted by one walk over it (`_fits`); jsonschema is imported
+only when the walk rejects, to word the message."""
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
 import time
 from functools import cache
-
-import jsonschema
 
 from . import __version__
 from .algebra import JetSpace, parse, render
@@ -35,13 +37,7 @@ from .coverings import (
     verify_shadow,
 )
 from .corpus import corpus
-from .errors import (
-    ExprSyntaxError,
-    JetCalcError,
-    NonlocalObstruction,
-    ProblemError,
-    ShapeError,
-)
+from .errors import ExprSyntaxError, JetCalcError, NonlocalObstruction, ProblemError, ShapeError
 from .hamiltonian import (
     are_compatible,
     is_hamiltonian,
@@ -101,21 +97,22 @@ def _parse_leading(text: str, space: JetSpace):
     keys = e.jet_keys()
     if len(keys) != 1 or e != space.jet(keys[0][1], keys[0][2]):
         raise ExprSyntaxError(f"leading {text!r} is not a single jet", 0)
-    _, j, K = keys[0]
-    return (j, K)
+    return keys[0][1:]
+
+
+def _space(sp: dict) -> JetSpace:
+    return JetSpace.create(sp["independent"], sp["dependent"], sp.get("parameters", ()))
 
 
 def _load_operator(data: dict, space: JetSpace) -> CDiffOp:
     try:
-        return CDiffOp.from_json(space, int(data["rows"]), int(data["cols"]),
-                                 data["entries"])
+        return CDiffOp.from_json(space, int(data["rows"]), int(data["cols"]), data["entries"])
     except ShapeError as exc:  # an input error, also inline in a task
         raise ProblemError(str(exc)) from None
 
 
 def _task_ansatz(task: dict) -> Ansatz:
-    return Ansatz(int(task["order"]), int(task["degree"]),
-                  tuple(task["whitelist"]) or None)
+    return Ansatz(int(task["order"]), int(task["degree"]), tuple(task["whitelist"]) or None)
 
 
 def _status(ok: bool) -> str:
@@ -196,8 +193,7 @@ def _pseudo_apply(problem, task):
 
 def _magri(problem, task):
     A, B = problem.ham_ops[task["A"]], problem.ham_ops[task["B"]]
-    densities, flows = magri_chain(A, B, parse(task["seed"], problem.ham_space),
-                                   int(task["steps"]))
+    densities, flows = magri_chain(A, B, parse(task["seed"], problem.ham_space), int(task["steps"]))
     involution = all(poisson_bracket(f, g, op)[1]
                      for f in densities for g in densities for op in (A, B))
     return {"densities": [render(d) for d in densities],
@@ -271,6 +267,7 @@ _TASKS = {
     "verify-equivalence": (True, _verify_equivalence, {"witness": _WITNESS}),
 }
 
+_TASK = _object({"kind": _TEXT})  # its other fields by its kind's row, in _ACCEPT
 PROBLEM_SCHEMA = {
     "type": "object",
     "properties": {
@@ -285,62 +282,98 @@ PROBLEM_SCHEMA = {
         "coverings": _mapping(_COVERING),
         "hamiltonian": _HAMILTONIAN,
         "pseudo_operators": _mapping(_PSEUDO_OPERATOR),
-        # each task's fields are checked by Problem, against its kind's row
-        "tasks": _array(_object({"kind": _TEXT})),
+        "tasks": _array(_TASK),
     },
     "required": ["tasks"],
     "anyOf": [{"required": ["space"]}, {"required": ["independent", "dependent"]}],
 }
 
-# built once: jsonschema.validate would check the schema itself on every call
-_VALIDATOR = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
 # each kind's typed fields, and the values of those that have a default
 _TYPED = {kind: {f: of for f, of in fields.items() if isinstance(of, dict)}
           for kind, (_, _, fields) in _TASKS.items()}
-_CHECKS = {kind: (jsonschema.Draft202012Validator({"properties": typed}),
-                  {f: of["default"] for f, of in typed.items() if "default" in of})
-           for kind, typed in _TYPED.items()}
+_DEFAULTS = {kind: {f: of["default"] for f, of in typed.items() if "default" in of}
+             for kind, typed in _TYPED.items()}
+# what the walk checks: PROBLEM_SCHEMA, and each task of a known kind against its row
+_ACCEPT = dict(PROBLEM_SCHEMA, properties=dict(PROBLEM_SCHEMA["properties"], tasks=_array(
+    dict(_TASK, kinds={kind: dict(_TASK, properties={"kind": _TEXT, **typed})
+                       for kind, typed in _TYPED.items()}))))
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+MAX_NESTING = 64  # levels of objects and arrays; the bundled problems have up to 10
+
+
+def _fits(x, schema: dict, depth) -> bool:
+    """Whether `x` fits `schema` as jsonschema's Draft202012Validator decides for the
+    keywords used here, and a task its row in `kinds`.  A container MAX_NESTING levels
+    down is a ProblemError (an `anyOf` branch takes depth None: x is visited)."""
+    if depth is not None and (depth := depth + 1) > MAX_NESTING and isinstance(x, (dict, list)):
+        raise ProblemError(f"problem nested deeper than {MAX_NESTING} levels")
+    of, ok = schema.get("type"), True
+    if of == "integer":  # an integral float is one too
+        ok = (type(x) is int or type(x) is float and x.is_integer()) and \
+            schema.get("minimum", x) <= x <= schema.get("maximum", x)
+    elif of:
+        ok = isinstance(x, _TYPES[of])
+    if isinstance(x, dict):
+        if "kinds" in schema and isinstance(x.get("kind"), str):
+            schema = schema["kinds"].get(x["kind"], schema)
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
+        ok = ok and all(k in x for k in schema.get("required", ()))
+        if depth is not None or props or extra:  # else only x is checked
+            ok = all([_fits(v, props.get(k, extra), depth) for k, v in x.items()]) and ok
+    elif isinstance(x, list):
+        items = schema.get("items", {})
+        ok = ok and schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x))
+        if depth is not None or items:
+            ok = all([_fits(v, items, depth) for v in x]) and ok
+    return ok and ("anyOf" not in schema or any(_fits(x, s, None) for s in schema["anyOf"]))
+
+
+@cache
+def _jsonschema():
+    """jsonschema, and validators of the problem (None) and each kind's typed fields."""
+    jsonschema = importlib.import_module("jsonschema")  # on the first rejection, to word it
+    check = jsonschema.Draft202012Validator  # jsonschema.validate checks its schema per call
+    return jsonschema, {None: check(PROBLEM_SCHEMA),
+                        **{kind: check({"properties": typed}) for kind, typed in _TYPED.items()}}
+
+
+def _reject(instance, kind, path):
+    """Raise the best-matching error of `instance`, if any, at `path` in the problem."""
+    jsonschema, validators = _jsonschema()
+    error = jsonschema.exceptions.best_match(validators[kind].iter_errors(instance))
+    if error is not None:
+        error.path.extendleft(reversed(path))
+        raise error
 
 
 class Problem:
     """A validated problem file with its constructed objects."""
 
     def __init__(self, data: dict, max_prolong: int = CHECK_ORDER):
-        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
-        if error is not None:
-            raise error
+        accepted = _fits(data, _ACCEPT, 0)  # else jsonschema words the first error
+        if not accepted:
+            _reject(data, None, ())
         if max_prolong < 0:  # would check fewer critical pairs, not fail
             raise ProblemError(f"--max-prolong must be at least 0, not {max_prolong}")
         if max_prolong > MAX_PROLONG:  # the critical pairs grow as its n-th power
-            raise ProblemError(f"--max-prolong must be at most {MAX_PROLONG}, "
-                               f"not {max_prolong}")
+            raise ProblemError(f"--max-prolong must be at most {MAX_PROLONG}, not {max_prolong}")
         named = dict(data.get("coverings", {}))
         if "covering" in data:  # single-covering spec fragment
             named.setdefault("covering", data["covering"])
         # lists, so that an unhashable name is unknown rather than a TypeError
-        namespaces = {
-            "covering": list(named),
-            "operator": list((data.get("hamiltonian") or {}).get("operators", {})),
-            "pseudo-operator": list(data.get("pseudo_operators", {})),
-        }
-        on_equation_kinds = set()
-        for i, task in enumerate(data["tasks"]):
-            kind = task["kind"]
-            if kind not in _TASKS:
-                continue  # reported by run_task
-            on_equation, _, fields = _TASKS[kind]
-            validator, defaults = _CHECKS[kind]
-            error = jsonschema.exceptions.best_match(validator.iter_errors(task))
-            if error is not None:
-                error.path.extendleft((i, "tasks"))  # its path in the problem
-                raise error
-            if on_equation:
-                on_equation_kinds.add(kind)
-            for field, of in fields.items():
-                if field not in task and field not in defaults:
+        namespaces = {"covering": list(named),
+                      "operator": list((data.get("hamiltonian") or {}).get("operators", {})),
+                      "pseudo-operator": list(data.get("pseudo_operators", {}))}
+        known = [(i, task, task["kind"]) for i, task in enumerate(data["tasks"])
+                 if task["kind"] in _TASKS]  # an unknown kind is reported by run_task
+        for i, task, kind in known:
+            if not accepted:
+                _reject(task, kind, ("tasks", i))
+            for field, of in _TASKS[kind][2].items():
+                if field not in task and field not in _DEFAULTS[kind]:
                     raise ProblemError(f"task {kind!r} needs {field!r}")
                 if field not in task or isinstance(of, dict):
-                    continue  # optional and absent, or typed by the validator
+                    continue  # optional and absent, or checked by the walk
                 names = task[field]
                 if isinstance(of, str):
                     of, names = [of], [names]
@@ -349,19 +382,14 @@ class Problem:
                 for ns, name in zip(of, names):
                     if name not in namespaces[ns]:
                         raise ProblemError(f"task {kind!r} names unknown {ns} {name!r}")
-        if not data.get("equations"):
-            users = (["coverings"] if named else []) + sorted(on_equation_kinds)
-            if users:
-                raise ProblemError(f"no equations given, but {', '.join(users)} "
-                                   "work on one")
-        sp = data.get("space") or data  # spec fragment keeps space fields flat
-        self.space = JetSpace.create(sp["independent"], sp["dependent"],
-                                     sp.get("parameters", ()))
+        users = (["coverings"] if named else []) + sorted({k for _, _, k in known if _TASKS[k][0]})
+        if users and not data.get("equations"):
+            raise ProblemError(f"no equations given, but {', '.join(users)} work on one")
+        self.space = _space(data.get("space") or data)  # a spec fragment keeps it flat
         self.presentation = None
         if data.get("equations"):
             comps = [parse(eq["expr"], self.space) for eq in data["equations"]]
-            leads = [_parse_leading(eq["leading"], self.space)
-                     for eq in data["equations"]]
+            leads = [_parse_leading(eq["leading"], self.space) for eq in data["equations"]]
             self.presentation = make_presentation(self.space, comps, leads,
                                                   check_order=max_prolong)
         self.coverings = {}
@@ -371,52 +399,32 @@ class Problem:
             ext = self.space.extended(nonlocals=names, odd=odd)
             X = {i: [parse(f, ext) for f in cdata["X"].get(iname, ["0"] * len(names))]
                  for i, iname in enumerate(self.space.independent)}
-            self.coverings[name] = make_covering(self.presentation, names, X,
-                                                 odd=odd)
-        self.ham_space = None
-        self.ham_ops = {}
-        ham = data.get("hamiltonian")
-        if ham:
-            hs = ham["space"]
-            self.ham_space = JetSpace.create(hs["independent"], hs["dependent"],
-                                             hs.get("parameters", ()))
-            for name, op in sorted(ham.get("operators", {}).items()):
-                self.ham_ops[name] = _load_operator(op, self.ham_space)
-        self.pseudo_ops = {}
-        for name, op in sorted(data.get("pseudo_operators", {}).items()):
-            self.pseudo_ops[name] = PseudoOp.from_json(self.space, int(op["rows"]),
-                                                       int(op["cols"]), op)
+            self.coverings[name] = make_covering(self.presentation, names, X, odd=odd)
+        ham = data.get("hamiltonian") or {}  # with a space if given at all
+        self.ham_space = _space(ham["space"]) if ham else None
+        self.ham_ops = {name: _load_operator(op, self.ham_space)
+                        for name, op in sorted(ham.get("operators", {}).items())}
+        self.pseudo_ops = {
+            name: PseudoOp.from_json(self.space, int(op["rows"]), int(op["cols"]), op)
+            for name, op in sorted(data.get("pseudo_operators", {}).items())}
 
 
 def run_task(problem: Problem, task: dict) -> dict:
     kind = task["kind"]
     if kind not in _TASKS:
         raise JetCalcError(f"unknown task kind {kind!r}")
-    return {"task": kind, **_TASKS[kind][1](problem, {**_CHECKS[kind][1], **task})}
+    return {"task": kind, **_TASKS[kind][1](problem, {**_DEFAULTS[kind], **task})}
 
 
-MAX_NESTING = 64  # levels of objects and arrays; the bundled problems have up to 10
 MAX_MESSAGE = 400  # UTF-8 bytes of an input-error message, beyond which its middle is cut
-
-
-def _check_nesting(data):
-    """ProblemError beyond MAX_NESTING levels, found level by level before
-    validation, whose messages echo the instance and can recurse through it."""
-    level = [data]
-    for _ in range(MAX_NESTING):
-        level = [v for x in level if isinstance(x, (dict, list))
-                 for v in (x.values() if isinstance(x, dict) else x)]
-    if any(isinstance(x, (dict, list)) for x in level):
-        raise ProblemError(f"problem nested deeper than {MAX_NESTING} levels")
 
 
 def run_problem(data: dict, max_prolong: int = CHECK_ORDER, timings: list = None) -> dict:
     """Execute all tasks.  Wall-clock timings go to the optional `timings`
     list (human report only) so the machine report stays byte-deterministic."""
-    _check_nesting(data)
+    problem = Problem(data, max_prolong)
     canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode()).hexdigest()
-    problem = Problem(data, max_prolong)
     results = []
     for task in data["tasks"]:
         t0 = time.perf_counter()
@@ -429,15 +437,9 @@ def run_problem(data: dict, max_prolong: int = CHECK_ORDER, timings: list = None
             results.append({"task": task["kind"], "status": status, "detail": str(exc)})
         if timings is not None:
             timings.append(time.perf_counter() - t0)
-    status = "ok" if all(r["status"] == "ok" for r in results) else "fail"
-    return {
-        "engine": "jetcalc",
-        "version": __version__,
-        "input_digest": digest,
-        "name": data.get("name", ""),
-        "tasks": results,
-        "status": status,
-    }
+    return {"engine": "jetcalc", "version": __version__, "input_digest": digest,
+            "name": data.get("name", ""), "tasks": results,
+            "status": "ok" if all(r["status"] == "ok" for r in results) else "fail"}
 
 
 def _print_human(report: dict, timings=None):
@@ -446,8 +448,7 @@ def _print_human(report: dict, timings=None):
     for k, r in enumerate(report["tasks"]):
         extra = ""
         if "dimension" in r:
-            extra = f"  dim={r['dimension']}: " + \
-                "; ".join(", ".join(vec) for vec in r["basis"])
+            extra = f"  dim={r['dimension']}: " + "; ".join(", ".join(vec) for vec in r["basis"])
         elif "densities" in r:
             extra = "  densities: " + "; ".join(r["densities"])
         elif "image" in r:
@@ -475,10 +476,8 @@ def _output(write, code: int) -> int:
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call rather than at
-    import or per call."""
-    ap = argparse.ArgumentParser(prog="jetcalc",
-                                 description="symbolic jet-space calculus")
+    """The command-line parser, built on the first call, not at import or per call."""
+    ap = argparse.ArgumentParser(prog="jetcalc", description="symbolic jet-space calculus")
     sub = ap.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a problem file")
     runp.add_argument("file")
@@ -493,7 +492,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
     timings = []
     try:
         if args.command == "run":
@@ -507,11 +505,11 @@ def main(argv=None) -> int:
             if args.emit:
                 return _output(lambda: print(json.dumps(data, indent=2, sort_keys=True)), 0)
         report = run_problem(data, args.max_prolong, timings)
-    except jsonschema.ValidationError as exc:  # one line, not the schema and instance
-        path = "".join(f"[{p!r}]" for p in exc.absolute_path)
-        message = f"{exc.message} (at problem{path})"
     except (OSError, json.JSONDecodeError, JetCalcError) as exc:
         message = str(exc)
+    except _jsonschema()[0].ValidationError as exc:  # one line, not the schema and instance
+        path = "".join(f"[{p!r}]" for p in exc.absolute_path)
+        message = f"{exc.message} (at problem{path})"
     else:
         return _output(lambda: print(json.dumps(report, sort_keys=True, indent=2))
                        if args.as_json else _print_human(report, timings),

@@ -4,7 +4,7 @@ one-layer D_x^{-1} pseudo-operators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, product
 from math import comb, prod
 from types import MappingProxyType
@@ -42,11 +42,7 @@ class CDiffOp:
     def __init__(self, space: JetSpace, rows: int, cols: int, entries=()):
         """entries: a table {(row, col): {I: a_I}} or an iterable of
         (row, col, I, a_I) terms; terms on one slot are summed, and zero
-        coefficients dropped.  The table is read-only: `apply` plans from it."""
-        self.space = space
-        self.rows = rows
-        self.cols = cols
-        self._plan = None
+        coefficients dropped.  The operator is frozen: `apply` plans from it."""
         if isinstance(entries, dict):
             entries = ((r, c, I, a) for (r, c), tab in entries.items()
                        for I, a in tab.items())
@@ -60,12 +56,17 @@ class CDiffOp:
             else:
                 cur = tab.get(I)
                 tab[I] = a if cur is None else cur + a
-        entries = {}
-        for rc, tab in table.items():
-            clean = {I: a for I, a in tab.items() if not a.is_zero()}
-            if clean:
-                entries[rc] = MappingProxyType(clean)
-        self.entries = MappingProxyType(entries)
+        entries = {rc: MappingProxyType(clean) for rc, tab in table.items()
+                   if (clean := {I: a for I, a in tab.items() if not a.is_zero()})}
+        for name, value in (("space", space), ("rows", rows), ("cols", cols),
+                            ("entries", MappingProxyType(entries)), ("_plan", None)):
+            object.__setattr__(self, name, value)  # once: the operator is frozen
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign a {type(value).__name__} to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -166,7 +167,7 @@ class CDiffOp:
                 return self.cols + len(steps) - 1
             for (r, c), tab in self.entries.items():
                 rows[r].extend((a, tower_DI(towers[c], c, K, step)) for K, a in tab.items())
-            self._plan = steps, rows
+            object.__setattr__(self, "_plan", (steps, rows))
         steps, rows = self._plan
         nodes = list(vec)
         for b, i in steps:

@@ -579,6 +579,69 @@ def test_schema_errors_are_one_line(tmp_path, capsys):
         assert err == f"input error: {message}\n" and len(err.encode()) < 300
 
 
+# every bundled problem through `main`, from the top of a fresh process;
+# prints the exit codes and whether jsonschema was imported
+_CORPUS_IMPORTS = """
+import contextlib, io, sys
+from jetcalc.cli import main
+from jetcalc.corpus import corpus_names
+codes = []
+for name in corpus_names():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(["corpus", name, "--json"]))
+print(repr((codes, "jsonschema" in sys.modules)))
+"""
+
+
+def test_accepted_problems_leave_jsonschema_unimported(tmp_path):
+    """jsonschema only words a rejection: a fresh process that runs all 12
+    bundled problems never imports it, and one that reads rejected files
+    prints the messages the schema errors above pin."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _CORPUS_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=600, check=True)
+    assert proc.stdout == repr(([0] * len(corpus_names()), False)) + "\n"
+    files = []
+    for k, data in enumerate([{"no": "space"},
+                              dict(corpus("kdv"), tasks=[{"kind": "reduce", "expr": 0}])]):
+        files.append(tmp_path / f"rejected{k}.json")
+        files[-1].write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-c", _RUN_FILES, *map(str, files)], env=env,
+                          capture_output=True, text=True, timeout=600, check=True)
+    assert proc.stdout.splitlines() == [
+        repr((2, "input error: 'tasks' is a required property (at problem)\n")),
+        repr((2, "input error: 0 is not of type 'string' (at problem['tasks'][0]['expr'])\n"))]
+
+
+_DEEP = {"k": [[[[]]]]}
+for _ in range(MAX_NESTING):
+    _DEEP = [_DEEP]
+
+
+@pytest.mark.parametrize("change, args, message", [
+    ({"normal": 1, "deep": _DEEP}, [], f"problem nested deeper than {MAX_NESTING} levels"),
+    ({"normal": 1, "tasks": [{"kind": "verify-flat", "covering": "nope"}]}, ["-1"],
+     "1 is not of type 'boolean' (at problem['normal'])"),
+    ({"tasks": [{"kind": "reduce", "expr": 0}]}, ["-1"],
+     "--max-prolong must be at least 0, not -1"),
+    ({"tasks": [{"kind": "verify-flat", "covering": "nope"}, {"kind": "reduce", "expr": 0}]},
+     [], "task 'verify-flat' names unknown covering 'nope'"),
+    ({"tasks": [{"kind": "reduce", "expr": 0}, {"kind": "verify-flat", "covering": "nope"}]},
+     [], "0 is not of type 'string' (at problem['tasks'][0]['expr'])"),
+    ({"tasks": [{"kind": "verify-flat"}, {"kind": "reduce", "expr": 0}]}, [],
+     "task 'verify-flat' needs 'covering'"),
+], ids=["depth", "problem-schema", "max-prolong", "names", "task-schema", "needs"])
+def test_the_first_of_several_input_errors_is_reported(tmp_path, capsys, change, args,
+                                                       message):
+    """Depth, then the problem's schema, then --max-prolong, then each task
+    in order: its schema, then the fields it needs and the names it gives."""
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(dict(corpus("kdv"), **change)))
+    assert main(["run", str(f), *(["--max-prolong", *args] if args else [])]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def _flat_task(covering):
     data = corpus("potential-kdv-we")
     return dict(data, tasks=[dict(data["tasks"][0], covering=covering)])

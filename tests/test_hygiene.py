@@ -747,9 +747,9 @@ def test_the_container_check_sees_nested_plain_values(kdv):
     u = sp.jet("u", (0, 0))
     one = CDiffOp.identity(sp, 1)
     unsafe = CDiffOp(sp, 1, 1)
-    unsafe.entries = {(0, 0): MappingProxyType({(0, 0): u})}
+    object.__setattr__(unsafe, "entries", {(0, 0): MappingProxyType({(0, 0): u})})
     inner = CDiffOp(sp, 1, 1)
-    inner.entries = MappingProxyType({(0, 0): {(0, 0): u}})
+    object.__setattr__(inner, "entries", MappingProxyType({(0, 0): {(0, 0): u}}))
     form = HorizontalForm(sp, 1, {(0,): u})
     object.__setattr__(form, "comps", MappingProxyType({(0,): [u]}))
     pseudo = PseudoOp(one, [([u], one)])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -230,6 +231,26 @@ def test_an_applied_operator_table_refuses_writes():
         op.entries[(0, 0)][(2,)] = sp.one()
     assert op.apply([u * u]) == [2 * u * ux]
     assert op == CDiffOp.total_derivative(sp, 0)
+
+
+def test_an_applied_operator_refuses_rebinding():
+    """Nor can a field be rebound or deleted, as on a frozen dataclass: the
+    D_x^2 table put in place of D_x's after a first apply would leave that
+    apply's plan behind it."""
+    sp = JetSpace.create(["x"], ["u"])
+    u, ux = sp.jet("u", (0,)), sp.jet("u", (1,))
+    op = CDiffOp.total_derivative(sp, 0)
+    assert op.apply([u * u]) == [2 * u * ux]
+    other = CDiffOp.scalar(sp, {(2,): sp.one()})
+    for name, value in [("space", JetSpace.create(["x"], ["v"])), ("rows", 2), ("cols", 2),
+                        ("entries", other.entries), ("_plan", None)]:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field {name!r}"):
+            setattr(op, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field {name!r}"):
+            delattr(op, name)
+    assert op.apply([u * u]) == [2 * u * ux]
+    assert (op.rows, op.cols, op.space) == (1, 1, sp)
+    assert op == CDiffOp.total_derivative(sp, 0) and repr(op) != repr(other)
 
 
 def test_linearize_kdv():
