@@ -39,20 +39,20 @@ an odd part is 0, else a table entry computed once in key order: no decoder
 reads it.
 
 One accumulator per result: the kernels that sum many products, D_i
-(`total_derivative`), the product and `sum_of_products` (each row of
-`CDiffOp.apply`), add every term into one dict of raw int sums over the
-lcm of the denominators (`_mul_into`) and make it canonical in one pass at
-the end (`_canonical`: zero sums dropped and, over a denominator above 1,
-the gcd of it and the numerators divided out); an integral result pays only
-for the zero scan.  D_i reads each variable's image from an `ImageTable`
+(`total_derivative`), the product and `sum_of_terms` (each row of
+`CDiffOp.apply`, each slot of an operator built from unmultiplied Leibniz
+terms), add every term into one dict of raw int sums over the lcm of the
+denominators (`_mul_into`) and make it canonical in one pass at the end
+(`_canonical`: zero sums dropped and, over a denominator above 1, the gcd
+of it and the numerators divided out); an integral result pays only for
+the zero scan.  D_i reads each variable's image from an `ImageTable`
 kept per setting and direction, at most one entry per slot: process-wide
 when free, else on a Presentation, whose tables also hold a covering's
 fields, reduced once when it is built.  On a space without odd variables
 a monomial product is the sum of two ints, with no sign to find.  A
 result's terms come in the order of their first occurrence, which may
 differ from a term-by-term sum's; nothing that is reported depends on it.
-The exponent bound of a sum_of_products is the largest of its products'
-bounds.
+The exponent bound of a sum_of_terms is the largest of its terms' bounds.
 
 Exponent budget: W = 32 and E = 2^16.  Every operation that can raise an
 exponent (a product, a power, a substitution, D_i, a partial derivative,
@@ -476,22 +476,31 @@ def _mul_into(res: dict, space: JetSpace, t1: dict, t2: dict) -> dict:
 
 
 def sum_of_products(space: JetSpace, pairs) -> "DiffExpr":
-    """The sum of a * b over the (a, b) pairs, a on the left: every product
-    is added into one term dict over the lcm of the pairs' denominators (a's
-    numerators scaled to it first), made canonical once.  Its exponent bound
-    is the largest of the products' bounds."""
+    """The sum of a * b over the (a, b) pairs, a on the left."""
+    return sum_of_terms(space, [(1, a, b) for a, b in pairs])
+
+
+def sum_of_terms(space: JetSpace, terms: list) -> "DiffExpr":
+    """The sum of k * a * b over the (k, a, b) terms (an int k, a on the left,
+    b None for k * a), added unmultiplied into one term dict over the lcm of
+    the denominators and made canonical once; a lone k * a is a times k."""
+    if len(terms) == 1 and terms[0][2] is None:
+        return terms[0][1] if terms[0][0] == 1 else terms[0][1] * terms[0][0]
     res, den, top = {}, 1, 0
-    for a, b in pairs:
-        if a.space is not space or b.space is not space:
+    for k, a, b in terms:
+        if a.space is not space or b is not None and b.space is not space:
             _check_space(space, a.space)
-            _check_space(space, b.space)
-        d = a.den * b.den
+            _check_space(space, (a if b is None else b).space)
+        d = a.den if b is None else a.den * b.den
         if den % d:
             den = _widen(res, den, d)
-        s = den // d
-        _mul_into(res, space, a.terms if s == 1 else {m: c * s for m, c in a.terms.items()},
-                  b.terms)
-        top = max(top, a._top + b._top)
+        s = k * (den // d)
+        if b is None:  # the constant s times a
+            _mul_into(res, space, {0: s}, a.terms)
+        else:
+            _mul_into(res, space, a.terms if s == 1 else {m: c * s for m, c in a.terms.items()},
+                      b.terms)
+        top = max(top, a._top if b is None else a._top + b._top)
     res, den = _canonical(res, den)
     return DiffExpr(space, res, _within_budget(res, top), den)
 
@@ -582,7 +591,10 @@ class DiffExpr:
             terms, den = _canonical({m: c * p for m, c in self.terms.items()},
                                     self.den * other.denominator)
             return DiffExpr(self.space, terms, self._top, den)
-        return sum_of_products(self.space, ((self, self._coerce(other)),))
+        other = self._coerce(other)  # one product: no accumulator bookkeeping
+        res, den = _canonical(_mul_into({}, self.space, self.terms, other.terms),
+                              self.den * other.den)
+        return DiffExpr(self.space, res, _within_budget(res, self._top + other._top), den)
 
     __rmul__ = __mul__
 

@@ -16,6 +16,7 @@ from .algebra import (
     invert_total_derivative,
     mi_order,
     render,
+    sum_of_terms,
 )
 from .errors import AnsatzError, CheckError, ProblemError, ShapeError, VariationalityError
 from .linalg import nullspace
@@ -231,14 +232,10 @@ def ell_delta_op(delta: CDiffOp, phi, ncols: int = None) -> CDiffOp:
     evaluated on phi).  chi ranges over the first ncols dependents."""
     if ncols is None:
         ncols = delta.space.m
-
-    def terms():
-        for r, c, tau, a in delta.terms():
-            dphi = apply_DI(phi[c], tau)
-            for key in a.jet_keys():
-                if key[1] < ncols:
-                    yield r, key[1], key[2], a.partial(key) * dphi
-    return CDiffOp(delta.space, delta.rows, ncols, terms())
+    return CDiffOp(delta.space, delta.rows, ncols,
+                   ((r, key[1], key[2], (1, a.partial(key), dphi))
+                    for r, c, tau, a in delta.terms() for dphi in (apply_DI(phi[c], tau),)
+                    for key in a.jet_keys() if key[1] < ncols))
 
 
 def nijenhuis_torsion(R: PseudoOp, phi1, phi2, pres: Presentation):
@@ -271,8 +268,8 @@ def lie_derivative_recursion(phi, R: PseudoOp, pres: Presentation) -> PseudoOp:
 def _theta(delta: CDiffOp, pres: Presentation, adjoint=False) -> CDiffOp:
     """l_F o delta - delta* o l_F*, zero on the equation iff delta is a
     bivector there; with adjoint, l_F* o delta - delta* o l_F (symplectic)."""
-    return (pres.linearization(adjoint).compose(delta)
-            - delta.adjoint().compose(pres.linearization(not adjoint)))
+    return CDiffOp.sum_of_compositions(((1, pres.linearization(adjoint), delta),
+                                        (-1, delta.adjoint(), pres.linearization(not adjoint))))
 
 
 class BilinearNabla:
@@ -293,14 +290,11 @@ class BilinearNabla:
         """Adjoint in the F-slot, applied to (chi, arg), unreduced, over the
         space of the arguments (which may extend the presentation's)."""
         space = arg[0].space
-        out = [space.zero() for _ in range(self.l)]
+        out = [[] for _ in range(self.l)]
         for (r, c, J, s, K, lam) in self.data:
             coeff = lam.rename_space(space) * apply_DI(arg[c], J)
-            piece = apply_DI(coeff * chi[r], K)
-            if mi_order(K) % 2:
-                piece = -piece
-            out[s] = out[s] + piece
-        return out
+            out[s].append(((-1) ** mi_order(K), apply_DI(coeff * chi[r], K), None))
+        return [sum_of_terms(space, terms) for terms in out]
 
 
 def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None) -> dict:

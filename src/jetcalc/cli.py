@@ -16,7 +16,7 @@ import time
 from functools import cache
 
 from . import __version__
-from .algebra import JetSpace, parse, render
+from .algebra import JetSpace, euler, euler_is_zero, parse, render
 from .analysis import (
     SYMPLECTIC_ANSATZ,
     Ansatz,
@@ -42,11 +42,10 @@ from .hamiltonian import (
     are_compatible,
     is_hamiltonian,
     magri_chain,
-    poisson_bracket,
     schouten_on_equation,
     verify_bivector_on_equation,
 )
-from .operators import CDiffOp, PseudoOp
+from .operators import CDiffOp, PseudoOp, pairing_density
 from .presentations import CHECK_ORDER, EquivalenceWitness, make_presentation, verify_equivalence
 
 
@@ -194,8 +193,10 @@ def _pseudo_apply(problem, task):
 def _magri(problem, task):
     A, B = problem.ham_ops[task["A"]], problem.ham_ops[task["B"]]
     densities, flows = magri_chain(A, B, parse(task["seed"], problem.ham_space), int(task["steps"]))
-    involution = all(poisson_bracket(f, g, op)[1]
-                     for f in densities for g in densities for op in (A, B))
+    grads = [euler(w) for w in densities]
+    b_image = cache(lambda k: B.apply(grads[k]))
+    involution = all(euler_is_zero(pairing_density(flows[i] if op is A else b_image(i), g))
+                     for i in range(len(grads)) for g in grads for op in (A, B))
     return {"densities": [render(d) for d in densities],
             "flows": [[render(x) for x in f] for f in flows],
             "involution": involution, "status": _status(involution)}
@@ -496,16 +497,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             try:
-                with open(args.file) as fh:
+                with open(args.file, encoding="utf-8") as fh:
                     data = json.load(fh)
             except RecursionError:  # json.load recurses once per nesting level
                 raise ProblemError("problem file is nested too deeply") from None
+            except ValueError as exc:  # not JSON or not UTF-8, or an int beyond 4,300 digits
+                raise ProblemError(str(exc)) from None
         else:
             data = corpus(args.name)
             if args.emit:
                 return _output(lambda: print(json.dumps(data, indent=2, sort_keys=True)), 0)
         report = run_problem(data, args.max_prolong, timings)
-    except (OSError, json.JSONDecodeError, JetCalcError) as exc:
+    except (OSError, JetCalcError) as exc:
         message = str(exc)
     except _jsonschema()[0].ValidationError as exc:  # one line, not the schema and instance
         path = "".join(f"[{p!r}]" for p in exc.absolute_path)

@@ -1,9 +1,10 @@
-"""Matrix operators in total derivatives: composition, formal adjoint,
-linearization, Green forms, Jacobi bracket, Helmholtz test, and the
-one-layer D_x^{-1} pseudo-operators."""
+"""Matrix operators in total derivatives, each slot summed once from its
+unmultiplied terms: composition, formal adjoint, linearization, Green forms,
+Jacobi bracket, Helmholtz test, and the one-layer D_x^{-1} pseudo-operators."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, product
 from math import comb, prod
@@ -24,40 +25,39 @@ from .algebra import (
     parse,
     render,
     sum_of_products,
+    sum_of_terms,
     tower_DI,
 )
 from .errors import ShapeError
 
 
-def _binom(I: MultiIndex, J: MultiIndex) -> int:
-    return prod(map(comb, I, J))
+class _Leibniz(dict):
+    """One build's cache: I to the (Jp, I - Jp, C(I, Jp)) of every Jp <= I."""
+
+    def __missing__(self, I):
+        rule = self[I] = tuple((Jp, mi_sub(I, Jp), prod(map(comb, I, Jp)))
+                               for Jp in product(*(range(e + 1) for e in I)))
+        return rule
 
 
 class CDiffOp:
     """rows x cols matrix with entries  sum_I a_I D_I  (coefficients left
-    of the derivatives; equality is equality of this normal form)."""
+    of the derivatives; equality is equality of this normal form), each
+    a_I summed once, by sum_of_terms, from the terms that land on its slot."""
 
     __slots__ = ("space", "rows", "cols", "entries", "_plan")
 
     def __init__(self, space: JetSpace, rows: int, cols: int, entries=()):
-        """entries: a table {(row, col): {I: a_I}} or an iterable of
-        (row, col, I, a_I) terms; terms on one slot are summed, and zero
-        coefficients dropped.  The operator is frozen: `apply` plans from it."""
+        """entries: {(row, col): {I: a_I}} or (row, col, I, a_I) terms, a_I also an unmultiplied
+        (k, a, b) of sum_of_terms; zero sums are dropped.  Frozen: `apply` plans from it."""
         if isinstance(entries, dict):
-            entries = ((r, c, I, a) for (r, c), tab in entries.items()
-                       for I, a in tab.items())
-        table = {}
+            entries = ((r, c, I, a) for (r, c), tab in entries.items() for I, a in tab.items())
+        table = defaultdict(dict)
         for r, c, I, a in entries:
-            if a.is_zero():
-                continue
-            tab = table.get((r, c))
-            if tab is None:
-                table[r, c] = {I: a}
-            else:
-                cur = tab.get(I)
-                tab[I] = a if cur is None else cur + a
+            table[r, c].setdefault(I, []).append(a if type(a) is tuple else (1, a, None))
         entries = {rc: MappingProxyType(clean) for rc, tab in table.items()
-                   if (clean := {I: a for I, a in tab.items() if not a.is_zero()})}
+                   if (clean := {I: a for I, terms in tab.items()
+                                 if not (a := sum_of_terms(terms[0][1].space, terms)).is_zero()})}
         for name, value in (("space", space), ("rows", rows), ("cols", cols),
                             ("entries", MappingProxyType(entries)), ("_plan", None)):
             object.__setattr__(self, name, value)  # once: the operator is frozen
@@ -87,6 +87,24 @@ class CDiffOp:
     def mult(cls, space, expr: DiffExpr, size: int = 1):
         z = mi_zero(space.n)
         return cls(space, size, size, ((k, k, z, expr) for k in range(size)))
+
+    @classmethod
+    def sum_of_compositions(cls, parts) -> "CDiffOp":
+        """The sum of k * (A o B) over the (k, A, B) parts, built once from
+        their Leibniz terms, unmultiplied: a D_I in A and b D_J in B give
+        k * C(I, Jp) * a * D_Jp(b) on D_{I-Jp+J} for each Jp <= I."""
+        (_, A0, B0), rules = parts[0], _Leibniz()
+        for _, A, B in parts:
+            if A.cols != B.rows:
+                raise ShapeError(f"cannot compose {A.rows}x{A.cols} with {B.rows}x{B.cols}")
+            if (A.rows, B.cols) != (A0.rows, B0.cols):
+                raise ShapeError("operator shapes differ in addition")
+        # D_Jp(b) vanishes for constant b and Jp != 0: no term for those
+        return cls(A0.space, A0.rows, B0.cols,
+                   ((r, c, mi_add(rest, J), (k * C, a, db))
+                    for k, A, B in parts for r, m, I, a in A.terms() for c in range(B.cols)
+                    for J, b in B.entry(m, c).items() for Jp, rest, C in rules[I]
+                    if not (db := apply_DI(b, Jp)).is_zero()))
 
     def terms(self):
         """The operator as (row, col, I, a_I) terms, one per nonzero slot."""
@@ -119,7 +137,10 @@ class CDiffOp:
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeError("operator shapes differ in addition")
+        return CDiffOp(self.space, self.rows, self.cols, chain(
+            self.terms(), ((r, c, I, (-1, a, None)) for r, c, I, a in other.terms())))
 
     def scale(self, factor):
         return self.map_coefficients(lambda a: a * factor)
@@ -129,25 +150,16 @@ class CDiffOp:
                        ((r, c, I, fn(a)) for r, c, I, a in self.terms()))
 
     def compose(self, other: "CDiffOp") -> "CDiffOp":
-        """(self o other)(p) = self(other(p)); Leibniz expansion of D_I o a."""
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot compose {self.rows}x{self.cols} with "
-                             f"{other.rows}x{other.cols}")
-        # D_Jp(b) vanishes for constant b and Jp != 0: skip those products
-        return CDiffOp(self.space, self.rows, other.cols,
-                       ((r, c, mi_add(mi_sub(I, Jp), J), a * db * _binom(I, Jp))
-                        for r, k, I, a in self.terms() for c in range(other.cols)
-                        for J, b in other.entry(k, c).items()
-                        for Jp in product(*(range(e + 1) for e in I))
-                        if not (db := apply_DI(b, Jp)).is_zero()))
+        """(self o other)(p) = self(other(p))."""
+        return CDiffOp.sum_of_compositions(((1, self, other),))
 
     def adjoint(self) -> "CDiffOp":
         """Formal adjoint: transpose of entrywise sum (-1)^|I| D_I o a_I."""
-        # D_Jp(a) vanishes for constant a and Jp != 0: skip those products
+        rules = _Leibniz()
+        # linear terms (-1)^|I| C(I, Jp) D_Jp(a) D_{I-Jp}; none for constant a, Jp != 0
         return CDiffOp(self.space, self.cols, self.rows,
-                       ((c, r, mi_sub(I, Jp), da * ((-1) ** mi_order(I) * _binom(I, Jp)))
-                        for r, c, I, a in self.terms()
-                        for Jp in product(*(range(e + 1) for e in I))
+                       ((c, r, rest, ((-1) ** mi_order(I) * k, da, None))
+                        for r, c, I, a in self.terms() for Jp, rest, k in rules[I]
                         if not (da := apply_DI(a, Jp)).is_zero()))
 
     def apply(self, vec, d=None) -> list:
@@ -156,7 +168,7 @@ class CDiffOp:
         on node numbers: node c is vec[c], each step (b, i) appends the node
         D_i(node b), and each row holds its (a_K, node of D_K(vec[c])) pairs
         in entry order.  Each call takes every step once, in tower_DI's
-        order, and sums each row with one sum_of_products."""
+        order, and sums each row with one sum_of_terms."""
         if len(vec) != self.cols:
             raise ShapeError(f"operator takes {self.cols} arguments, got {len(vec)}")
         if self._plan is None:
@@ -172,7 +184,7 @@ class CDiffOp:
         nodes = list(vec)
         for b, i in steps:
             nodes.append(nodes[b].total_derivative(i) if d is None else d(nodes[b], i))
-        return [sum_of_products(self.space, [(a, nodes[k]) for a, k in pairs]) for pairs in rows]
+        return [sum_of_terms(self.space, [(1, a, nodes[k]) for a, k in pairs]) for pairs in rows]
 
     def submatrix(self, rows, cols) -> "CDiffOp":
         return CDiffOp(self.space, len(rows), len(cols),
@@ -367,17 +379,14 @@ class PseudoOp:
 
     def compose_local_right(self, op: CDiffOp) -> "PseudoOp":
         """self o op for a local scalar operator in x."""
-        tails = []
-        local = self.local.compose(op)
+        local, tails = list(self.local.compose(op).terms()), []
         for a_vec, b in self.tails:
-            row = b.compose(op)
-            loc_row, tail_row = _absorb_inverse(row)
+            loc_row, tail_row = _absorb_inverse(b.compose(op))
             if not tail_row.is_zero():
                 tails.append((a_vec, tail_row))
-            if not loc_row.is_zero():
-                extra = _outer(a_vec, loc_row)
-                local = local + extra
-        return PseudoOp(local, tails)
+            local.extend((r, c, I, (1, a, coeff)) for r, a in enumerate(a_vec)
+                         for _, c, I, coeff in loc_row.terms())
+        return PseudoOp(CDiffOp(self.space, self.local.rows, op.cols, local), tails)
 
     def compose_local_left(self, op: CDiffOp) -> "PseudoOp":
         """op o self for a local scalar operator in x:
@@ -426,12 +435,6 @@ class PseudoOp:
             b = CDiffOp.from_json(space, 1, cols, t["b"])
             tails.append((a_vec, b))
         return cls(local, tails)
-
-
-def _outer(a_vec, row: CDiffOp) -> CDiffOp:
-    return CDiffOp(row.space, len(a_vec), row.cols,
-                   ((r, c, I, a * coeff) for r, a in enumerate(a_vec)
-                    for _, c, I, coeff in row.terms()))
 
 
 def _absorb_inverse(row: CDiffOp):

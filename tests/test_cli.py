@@ -710,6 +710,22 @@ def test_deeply_nested_problem_file_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: problem file is nested too deeply\n"
 
 
+def test_an_integer_beyond_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "big.json"
+    f.write_text('{"tasks": [], "n": ' + "9" * 5000 + "}")
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "utf16.json"
+    f.write_bytes(b"\xff\xfe{")
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr().err == ("input error: 'utf-8' codec can't decode byte 0xff "
+                                       "in position 0: invalid start byte\n")
+
+
 # `jetcalc run` on each file named in argv, from the top of a fresh process
 # as the command runs it; prints repr((exit code, stderr)) a line per file
 _RUN_FILES = """

@@ -465,23 +465,25 @@ def test_schouten_on_equation_reports_an_operator_that_is_not_a_bivector(kdv):
 
 
 def test_schouten_on_equation_builds_each_theta_once(kdv, monkeypatch):
-    """Theta = l_F o delta - delta* o l_F* is built once per operator, from
-    two compositions, and one cofactor pass over it gives both the
+    """Theta = l_F o delta - delta* o l_F* is built once per operator, as one
+    sum of two compositions, and one cofactor pass over it gives both the
     membership residual and nabla."""
     sp = kdv.space
     A = CDiffOp.total_derivative(sp, 0)
     B = CDiffOp.scalar(sp, {(3, 0): sp.one(), (1, 0): 4 * sp.jet("u", (0, 0)),
                             (0, 0): 2 * sp.jet("u", (1, 0))})
-    composed = []
-    compose = CDiffOp.compose
+    composed, builds = [], []
+    build = CDiffOp.sum_of_compositions
 
-    def counting(self, other):
-        composed.append(self)
-        return compose(self, other)
+    def counting(cls, parts):
+        composed.extend(parts)
+        builds.append(parts)
+        return build(parts)
 
-    monkeypatch.setattr(CDiffOp, "compose", counting)
+    monkeypatch.setattr(CDiffOp, "sum_of_compositions", classmethod(counting))
     assert schouten_on_equation(A, B, kdv)["trivial"]
     assert len(composed) == 4
+    assert len(builds) == 2
 
 
 def test_is_hamiltonian_is_the_polarized_test_with_b_equal_to_a():

@@ -296,8 +296,8 @@ def f(e, m):
 
 
 # the kernels that run on int numerators over one denominator
-INT_KERNELS = ("total_derivative", "_mul_into", "sum_of_products", "partial", "substitute",
-               "__add__", "_sum", "euler")
+INT_KERNELS = ("total_derivative", "_mul_into", "sum_of_terms", "sum_of_products", "partial",
+               "substitute", "__add__", "_sum", "euler")
 
 
 def _fraction_uses(tree):

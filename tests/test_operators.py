@@ -1,5 +1,8 @@
 import dataclasses
 import random
+from fractions import Fraction
+from itertools import chain, product
+from math import comb, prod
 
 import pytest
 
@@ -18,7 +21,10 @@ from jetcalc import (
     pairing_density,
     parse,
 )
-from jetcalc.algebra import apply_DI, sum_of_products
+from jetcalc import operators
+from jetcalc.algebra import apply_DI, mi_add, mi_order, mi_sub, sum_of_products, sum_of_terms
+from jetcalc.analysis import _theta
+from jetcalc.hamiltonian import momenta_space
 from jetcalc.errors import NonlocalObstruction, ShapeError
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -109,22 +115,116 @@ def test_adjoint_involution_and_antihomomorphism():
 
 
 def test_adjoint_skips_vanishing_derivatives(monkeypatch):
-    """(5 D_x^3 + u D_x)*: D_x^k(5) = 0 for k > 0 costs no product, so the
-    adjoint makes 1 + 2 products, not 4 + 2."""
+    """(5 D_x^3 + u D_x)*: D_x^k(5) = 0 for k > 0 costs no term, so the
+    adjoint hands its slots' accumulator 1 + 2 terms, not 4 + 2."""
     u = SP.jet("u", (0, 0))
     op = CDiffOp.scalar(SP, {(3, 0): SP.num(5), (1, 0): u})
     expected = CDiffOp.scalar(SP, {(3, 0): SP.num(-5), (1, 0): -u,
                                    (0, 0): -SP.jet("u", (1, 0))})
-    products = []
-    mul = DiffExpr.__mul__
+    handed = []
 
-    def counting(self, other):
-        products.append(other)
-        return mul(self, other)
+    def counting(space, terms):
+        handed.extend(terms)
+        return sum_of_terms(space, terms)
 
-    monkeypatch.setattr(DiffExpr, "__mul__", counting)
+    monkeypatch.setattr(operators, "sum_of_terms", counting)
     assert op.adjoint() == expected
-    assert len(products) == 3
+    assert len(handed) == 3
+
+
+# -- the operator algebra against its term-by-term definition ---------------
+
+
+def by_terms(space, rows, cols, terms):
+    """The operator of (r, c, I, a) terms added one by one with +, each
+    product already formed: the construction the accumulator replaces."""
+    table = {}
+    for r, c, I, a in terms:
+        if not a.is_zero():
+            tab = table.setdefault((r, c), {})
+            tab[I] = tab[I] + a if I in tab else a
+    return CDiffOp(space, rows, cols, {rc: {I: a for I, a in tab.items() if not a.is_zero()}
+                                       for rc, tab in table.items()})
+
+
+def compose_by_terms(A, B):
+    return by_terms(A.space, A.rows, B.cols,
+                    ((r, c, mi_add(mi_sub(I, Jp), J), a * apply_DI(b, Jp) * prod(map(comb, I, Jp)))
+                     for r, k, I, a in A.terms() for c in range(B.cols)
+                     for J, b in B.entry(k, c).items()
+                     for Jp in product(*(range(e + 1) for e in I))))
+
+
+def adjoint_by_terms(A):
+    return by_terms(A.space, A.cols, A.rows,
+                    ((c, r, mi_sub(I, Jp),
+                      apply_DI(a, Jp) * ((-1) ** mi_order(I) * prod(map(comb, I, Jp))))
+                     for r, c, I, a in A.terms() for Jp in product(*(range(e + 1) for e in I))))
+
+
+def sub_by_terms(A, B):
+    return by_terms(A.space, A.rows, A.cols,
+                    chain(A.terms(), ((r, c, I, -a) for r, c, I, a in B.terms())))
+
+
+def rand_coefficient(space, rng):
+    """A sum of up to three Fraction multiples of products of up to two jets
+    of any family, odd ones included, or of the first independent variable."""
+    e = space.zero()
+    for _ in range(rng.randint(1, 3)):
+        m = space.num(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 2)):
+            K = tuple(rng.randint(0, 2 if i == 0 else 1) for i in range(space.n))
+            m = m * (space.indep(0) if rng.random() < 0.1 else space.jet(rng.randrange(space.m), K))
+        e = e + m
+    return e
+
+
+def rand_matrix_op(space, rng, rows, cols, maxorder=2):
+    return CDiffOp(space, rows, cols, [
+        (rng.randrange(rows), rng.randrange(cols),
+         tuple(rng.randint(0, maxorder if i == 0 else 1) for i in range(space.n)),
+         rand_coefficient(space, rng)) for _ in range(rng.randint(1, 6))])
+
+
+ORACLE_SPACES = {"x;u": JetSpace.create(["x"], ["u"]),
+                 "x,t;u,v": JetSpace.create(["x", "t"], ["u", "v"]),
+                 "x;u,p_u odd": momenta_space(JetSpace.create(["x"], ["u"]))}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SPACES))
+def test_operator_algebra_matches_the_term_by_term_sum(name):
+    """compose, adjoint, + and - equal the operators built by forming each
+    product and adding term by term, on seeded random operators with
+    Fraction coefficients, more than one column, and odd coefficients."""
+    space = ORACLE_SPACES[name]
+    rng = random.Random(83)
+    for _ in range(30):
+        m = rng.randint(1, 3)
+        A, B = (rand_matrix_op(space, rng, 2, m) for _ in range(2))
+        C = rand_matrix_op(space, rng, m, rng.randint(1, 3))
+        assert A.compose(C) == compose_by_terms(A, C)
+        assert A.adjoint() == adjoint_by_terms(A)
+        assert A + B == by_terms(space, 2, m, chain(A.terms(), B.terms()))
+        assert A - B == sub_by_terms(A, B)
+        assert A - A == CDiffOp(space, 2, m)
+
+
+@pytest.mark.parametrize("name", ["kdv", "boussinesq"])
+def test_theta_matches_the_term_by_term_sum(name, request):
+    """Theta, for a bivector and with adjoint for a symplectic operator, is
+    l o delta - delta* o l* by the term-by-term construction."""
+    pres = request.getfixturevalue(name)
+    rng = random.Random(89)
+    L = pres.linearization()
+    for _ in range(8):
+        delta = rand_matrix_op(pres.space, rng, pres.space.m, pres.space.m)
+        assert _theta(delta, pres) == sub_by_terms(
+            compose_by_terms(L, delta), compose_by_terms(adjoint_by_terms(delta),
+                                                         adjoint_by_terms(L)))
+        assert _theta(delta, pres, adjoint=True) == sub_by_terms(
+            compose_by_terms(adjoint_by_terms(L), delta), compose_by_terms(
+                adjoint_by_terms(delta), L))
 
 
 def apply_by_terms(op, vec, d=None):
