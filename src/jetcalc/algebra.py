@@ -1046,13 +1046,13 @@ def invert_divergence(density: DiffExpr, n: int):
     raise ValueError("invert_divergence implemented for n <= 2")
 
 
-def canonical_density(e: DiffExpr, i: int = 0) -> DiffExpr:
+def canonical_density(e: DiffExpr) -> DiffExpr:
     """Deterministic divergence-equivalent representative: integrate even
-    top jets by parts while that strictly lowers the top jet."""
+    top jets by parts in x^0 while that strictly lowers the top jet."""
     g = e
     while (z := _top_jet(g)) is not None and not e.space.is_odd_key(z):
         try:
-            _, g = _by_parts(g, z, i)
+            _, g = _by_parts(g, z, 0)
         except NonlocalObstruction:
             break
     return g
@@ -1060,21 +1060,18 @@ def canonical_density(e: DiffExpr, i: int = 0) -> DiffExpr:
 
 # -- parsing and rendering -------------------------------------------------
 
+# a token past any blanks; `bad` is a character that no token starts with
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>[\[\],()+^*-]))")
+                    r"|(?P<op>[\[\],()+^*-])|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
     pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip():
-                raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            break
-        if m.lastgroup is not None:
-            out.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+    while m := _TOKEN.match(text, pos):  # none once only blanks are left
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(f"unexpected character {m['bad']!r}", m.start("bad"))
+        out.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
         pos = m.end()
     out.append(("end", "", len(text)))
     return out
@@ -1103,9 +1100,10 @@ class _Parser:
         return tok
 
     def expect(self, value):
-        _, val, pos = self.next()
+        kind, val, pos = self.next()
         if val != value:
-            raise ExprSyntaxError(f"expected {value!r}, found {val!r}", pos)
+            found = "end of input" if kind == "end" else repr(val)
+            raise ExprSyntaxError(f"expected {value!r}, found {found}", pos)
 
     def nested(self, parse, pos) -> DiffExpr:
         """parse() one level deeper, for the '(' or unary '-' at pos."""
@@ -1206,7 +1204,8 @@ class _Parser:
                 return self.space.var(val)
             except UnknownNameError:
                 raise ExprSyntaxError(f"unknown name {val!r}", pos) from None
-        raise ExprSyntaxError(f"unexpected token {val!r}", pos)
+        raise ExprSyntaxError("unexpected end of input" if kind == "end"
+                              else f"unexpected token {val!r}", pos)
 
 
 def parse(text: str, space: JetSpace) -> DiffExpr:

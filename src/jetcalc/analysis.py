@@ -74,10 +74,10 @@ def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
     return monos
 
 
-def solve_determining(candidates, apply_fn, ncomps):
-    """Common linear solver: candidates are vectors, apply_fn maps a vector
-    to the reduced residual vector.  Returns the echelonized solution basis
-    as vectors of expressions."""
+def solve_determining(candidates, apply_fn):
+    """Common linear solver: candidates are vectors of one length, apply_fn
+    maps a vector to the reduced residual vector.  Returns the echelonized
+    solution basis as vectors of expressions."""
     if not candidates:
         raise AnsatzError("ansatz generates no unknowns")
     space = candidates[0][0].space
@@ -92,7 +92,7 @@ def solve_determining(candidates, apply_fn, ncomps):
     basis = nullspace(rows, len(candidates))
     out = []
     for vec in basis:
-        sol = [space.zero() for _ in range(ncomps)]
+        sol = [space.zero() for _ in candidates[0]]
         for j, c in enumerate(vec):
             if c:
                 sol = [s + candidates[j][k] * c for k, s in enumerate(sol)]
@@ -121,7 +121,7 @@ def verify_symmetry(phi, pres: Presentation):
 def solve_symmetries(pres: Presentation, ansatz: Ansatz):
     monos = ansatz_monomials(pres, ansatz)
     cands = slot_candidates(monos, pres.space.m, pres.space)
-    return solve_determining(cands, pres.lin_apply, pres.space.m)
+    return solve_determining(cands, pres.lin_apply)
 
 
 def verify_cosymmetry(psi, pres: Presentation):
@@ -131,9 +131,8 @@ def verify_cosymmetry(psi, pres: Presentation):
 
 def solve_cosymmetries(pres: Presentation, ansatz: Ansatz):
     monos = ansatz_monomials(pres, ansatz)
-    ncomps = len(pres.components)
-    cands = slot_candidates(monos, ncomps, pres.space)
-    return solve_determining(cands, pres.adj_apply, ncomps)
+    cands = slot_candidates(monos, len(pres.components), pres.space)
+    return solve_determining(cands, pres.adj_apply)
 
 
 def _cofactor_operator(image, pres: Presentation):
@@ -177,7 +176,7 @@ def conservation_law_from_cosymmetry(psi, pres: Presentation) -> ConservedCurren
     if not helmholtz(psi).map_coefficients(pres.normal_form).is_zero():
         raise VariationalityError(
             "cosymmetry fails the Helmholtz condition: not a generating section")
-    X = canonical_density(homotopy_density(psi), 0)
+    X = canonical_density(homotopy_density(psi))
     t_index = space.n - 1
     DtX = pres.d_bar(X, t_index)
     T = invert_total_derivative(DtX, 0)

@@ -103,6 +103,14 @@ def _space(sp: dict) -> JetSpace:
     return JetSpace.create(sp["independent"], sp["dependent"], sp.get("parameters", ()))
 
 
+def _along(fields: dict, space: JetSpace, where: str, absent) -> dict:
+    """{i: the field along x^i, or `absent`}; a ProblemError for any other key."""
+    for key in fields:
+        if key not in space.independent:
+            raise ProblemError(f"{where} has a field along {key!r}, not an independent variable")
+    return {i: fields.get(x, absent) for i, x in enumerate(space.independent)}
+
+
 def _load_operator(data: dict, space: JetSpace) -> CDiffOp:
     try:
         return CDiffOp.from_json(space, int(data["rows"]), int(data["cols"]), data["entries"])
@@ -177,9 +185,9 @@ def _verify_shadow(problem, task):
 def _recursion_fiberlinear(problem, task):
     cov = tangent_covering(problem.presentation)
     for layer in task["layers"]:
-        fields = {i: parse(layer["X"].get(nm, "0"), cov.space)
-                  for i, nm in enumerate(problem.space.independent)}
-        cov = add_abelian_layer(cov, layer["name"], fields)
+        fields = _along(layer["X"], problem.space, f"layer {layer['name']!r}", "0")
+        cov = add_abelian_layer(cov, layer["name"],
+                                {i: parse(f, cov.space) for i, f in fields.items()})
     return _basis(solve_fiberlinear(cov, _task_ansatz(task)))
 
 
@@ -398,8 +406,8 @@ class Problem:
             names = [w["name"] for w in cdata["nonlocal"]]
             odd = [w["name"] for w in cdata["nonlocal"] if w.get("odd")]
             ext = self.space.extended(nonlocals=names, odd=odd)
-            X = {i: [parse(f, ext) for f in cdata["X"].get(iname, ["0"] * len(names))]
-                 for i, iname in enumerate(self.space.independent)}
+            along = _along(cdata["X"], self.space, f"covering {name!r}", ["0"] * len(names))
+            X = {i: [parse(f, ext) for f in fs] for i, fs in along.items()}
             self.coverings[name] = make_covering(self.presentation, names, X, odd=odd)
         ham = data.get("hamiltonian") or {}  # with a space if given at all
         self.ham_space = _space(ham["space"]) if ham else None

@@ -217,8 +217,7 @@ def solve_fiberlinear(cov: Covering, ansatz: Ansatz):
     """All fiber-linear solutions of the lifted base linearization within
     the ansatz."""
     return solve_determining(fiber_linear_candidates(cov, ansatz),
-                             cov.presentation.restricted(cov.base.linearization()),
-                             cov.base.space.m)
+                             cov.presentation.restricted(cov.base.linearization()))
 
 
 # -- reconstruction and finite symmetries --------------------------------------
@@ -247,53 +246,42 @@ def reconstruct_step(cov: Covering, phi) -> Covering:
     return out
 
 
-class FiniteSubstitution:
-    """Substitution on covering coordinates: images of the order-0 dependents
-    and of the nonlocal variables; jets prolong through the lifted
-    derivatives.  Unlisted variables map to themselves."""
+def verify_finite_symmetry(cov: Covering, images: dict) -> dict:
+    """Whether the substitution sigma, given by the images of order-0
+    dependents and nonlocals (unlisted ones map to themselves, jets
+    prolong through the lifted derivatives), preserves the covering: it
+    does iff sigma commutes with the lifted derivatives, i.e. the covering
+    rules D~_i w = X_i and the base equation are stable under it."""
+    space, pres = cov.space, cov.presentation
+    dep_images, w_images = {}, {}
+    for name, expr in images.items():
+        if name in space.dependent:
+            dep_images[space.dep_index(name)] = expr
+        elif name in space.nonlocals:
+            w_images[('w', name)] = expr
+        else:
+            raise ShapeError(f"substitution target {name!r} is not a variable")
+    # per dependent: its image's normal form and the tower of its D~_K
+    towers = [(pres.normal_form(dep_images.get(j, space.jet(j, mi_zero(space.n)))), {})
+              for j in range(space.m)]
 
-    def __init__(self, cov: Covering, images: dict):
-        self.cov = cov
-        space = cov.space
-        dep_images = {}
-        self.w_images = {}
-        for name, expr in images.items():
-            if name in space.dependent:
-                dep_images[space.dep_index(name)] = expr
-            elif name in space.nonlocals:
-                self.w_images[name] = expr
-            else:
-                raise ShapeError(f"substitution target {name!r} is not a variable")
-        # per dependent: its image's normal form and the tower of its D~_K
-        self._towers = [(cov.presentation.normal_form(
-            dep_images.get(j, space.jet(j, mi_zero(space.n)))), {})
-            for j in range(space.m)]
-
-    def __call__(self, e: DiffExpr) -> DiffExpr:
-        e = self.cov.presentation.normal_form(e)
+    def sigma(e: DiffExpr) -> DiffExpr:
+        e = pres.normal_form(e)
         mapping = {}
         for key in e.variables():
             if key[0] == 'j':
-                image, tower = self._towers[key[1]]
-                mapping[key] = tower_DI(tower, image, key[2], self.cov.presentation.d_internal)
-            elif key[0] == 'w' and key[1] in self.w_images:
-                mapping[key] = self.w_images[key[1]]
-        return self.cov.presentation.normal_form(e.substitute(mapping))
+                image, tower = towers[key[1]]
+                mapping[key] = tower_DI(tower, image, key[2], pres.d_internal)
+            elif key in w_images:
+                mapping[key] = w_images[key]
+        return pres.normal_form(e.substitute(mapping))
 
-
-def verify_finite_symmetry(cov: Covering, images: dict) -> dict:
-    """sigma preserves the covering iff it commutes with the lifted
-    derivatives: the covering rules D~_i w = X_i and the base equation are
-    stable under the substitution."""
-    sigma = FiniteSubstitution(cov, images)
     residuals = {}
-    for i in range(cov.space.n):
+    for i in range(space.n):
         for j, name in enumerate(cov.nonlocals):
-            img = sigma.w_images.get(name, cov.space.nonlocal_var(name))
-            lhs = cov.presentation.d_bar(img, i)
-            rhs = sigma(cov.X[i][j])
-            residuals[(cov.space.independent[i], name)] = lhs - rhs
-    for s, F in enumerate(cov.presentation.components):
+            img = w_images.get(('w', name), space.nonlocal_var(name))
+            residuals[(space.independent[i], name)] = pres.d_bar(img, i) - sigma(cov.X[i][j])
+    for s, F in enumerate(pres.components):
         residuals[("component", s)] = sigma(F)
     ok = all(r.is_zero() for r in residuals.values())
     return {"ok": ok, "residuals": {f"{k}": render(v)

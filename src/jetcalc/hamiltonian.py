@@ -116,36 +116,33 @@ def are_compatible(op1: CDiffOp, op2: CDiffOp) -> bool:
 
 
 def schouten_direct(A, B, psis=()):
-    """Eq.-style literal un-shuffle bracket for small degrees.
-
-    Degrees are inferred from the argument types: CDiffOp = bivector,
-    list of expressions = vector, DiffExpr = density.  Returns a vector
-    for results in degree 1, a density for degree 0."""
-    psis = list(psis)
-    if isinstance(B, DiffExpr) and isinstance(A, DiffExpr):
-        raise ShapeError("bracket of two densities is not defined")
-    if isinstance(B, DiffExpr):
-        if isinstance(A, CDiffOp):
-            return A.apply(euler(B))      # [[A, omega]] = A(delta omega)
-        return ev_apply(A, B)             # [[phi, omega]] = [E_phi(omega)]
-    if isinstance(A, DiffExpr):
+    """Eq.-style literal un-shuffle bracket for small degrees p, q, read
+    from the argument types; for p < q, graded antisymmetry gives
+    [[A, B]] = -(-1)^((p-1)(q-1)) [[B, A]].  Returns a vector for results
+    in degree 1, a density for degree 0."""
+    degree = {DiffExpr: 0, list: 1, CDiffOp: 2}  # a density, a vector, a bivector
+    p, q = degree.get(type(A)), degree.get(type(B))
+    if p is None or q is None:
+        raise ShapeError(f"no bracket with a {type(A if p is None else B).__name__}")
+    if p < q:
         out = schouten_direct(B, A, psis)
-        # graded antisymmetry: [[omega, B]] = -(-1)^(q-1) [[B, omega]]
-        if isinstance(B, list):
-            return -out
-        return out
-    if isinstance(A, list) and isinstance(B, list):
+        if (p - 1) * (q - 1) % 2:
+            return out
+        return [-x for x in out] if isinstance(out, list) else -out
+    if q == 0:
+        if p == 0:
+            raise ShapeError("bracket of two densities is not defined")
+        # [[A, omega]] = A(delta omega), [[phi, omega]] = [E_phi(omega)]
+        return A.apply(euler(B)) if p == 2 else ev_apply(A, B)
+    if p == 1:
         return jacobi(A, B)
-    if isinstance(A, CDiffOp) and isinstance(B, list):
+    if q == 1:
         # [[A, phi]](psi) = E_{A psi}(phi) - E_phi(A)(psi) + A(l_phi*(psi))
         (psi,) = psis
         t1 = [ev_apply(A.apply(psi), comp) for comp in B]
         t2 = ell_delta_op(A, psi).apply(B)
         t3 = A.apply(linearize(B).adjoint().apply(psi))
         return [a - b + c for a, b, c in zip(t1, t2, t3)]
-    if isinstance(A, list) and isinstance(B, CDiffOp):
-        out = schouten_direct(B, A, psis)
-        return [-x for x in out]
     # bivector-bivector: two gradient arguments, corrections from l*
     psi1, psi2 = psis
     ell_A = ell_delta_op(A, psi1)
@@ -193,7 +190,7 @@ def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
     The candidates carry one extra slot, the coefficient t of the target in
     A(psi) + t * target = 0; a solution with t != 0 gives psi / -t."""
     space = A.space
-    monos = ansatz_monomials(Presentation(space, (), (), (), (), check_order=0), ansatz)
+    monos = ansatz_monomials(Presentation(space, (), (), (), check_order=0), ansatz)
     zero = space.zero()
     cands = [vec + [zero] for vec in slot_candidates(monos, A.cols, space)]
     cands.append([zero] * A.cols + [space.one()])
@@ -201,7 +198,7 @@ def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
     def residual(v):
         return [a + v[-1] * b for a, b in zip(A.apply(v[:-1]), target)]
 
-    for sol in solve_determining(cands, residual, A.cols + 1):
+    for sol in solve_determining(cands, residual):
         if sol[-1]:
             scale = -sol[-1] ** -1
             return [x * scale for x in sol[:-1]]

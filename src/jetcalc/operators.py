@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
+from functools import cache
 from itertools import chain, product
 from math import comb, prod
 from types import MappingProxyType
@@ -31,13 +32,12 @@ from .algebra import (
 from .errors import ShapeError
 
 
-class _Leibniz(dict):
-    """One build's cache: I to the (Jp, I - Jp, C(I, Jp)) of every Jp <= I."""
-
-    def __missing__(self, I):
-        rule = self[I] = tuple((Jp, mi_sub(I, Jp), prod(map(comb, I, Jp)))
-                               for Jp in product(*(range(e + 1) for e in I)))
-        return rule
+@cache
+def _leibniz(I: MultiIndex) -> tuple:
+    """The (Jp, I - Jp, C(I, Jp)) of every Jp <= I, once per process: the
+    distinct I are the few operator orders of a problem."""
+    return tuple((Jp, mi_sub(I, Jp), prod(map(comb, I, Jp)))
+                 for Jp in product(*(range(e + 1) for e in I)))
 
 
 class CDiffOp:
@@ -93,7 +93,7 @@ class CDiffOp:
         """The sum of k * (A o B) over the (k, A, B) parts, built once from
         their Leibniz terms, unmultiplied: a D_I in A and b D_J in B give
         k * C(I, Jp) * a * D_Jp(b) on D_{I-Jp+J} for each Jp <= I."""
-        (_, A0, B0), rules = parts[0], _Leibniz()
+        _, A0, B0 = parts[0]
         for _, A, B in parts:
             if A.cols != B.rows:
                 raise ShapeError(f"cannot compose {A.rows}x{A.cols} with {B.rows}x{B.cols}")
@@ -103,7 +103,7 @@ class CDiffOp:
         return cls(A0.space, A0.rows, B0.cols,
                    ((r, c, mi_add(rest, J), (k * C, a, db))
                     for k, A, B in parts for r, m, I, a in A.terms() for c in range(B.cols)
-                    for J, b in B.entry(m, c).items() for Jp, rest, C in rules[I]
+                    for J, b in B.entry(m, c).items() for Jp, rest, C in _leibniz(I)
                     if not (db := apply_DI(b, Jp)).is_zero()))
 
     def terms(self):
@@ -155,11 +155,10 @@ class CDiffOp:
 
     def adjoint(self) -> "CDiffOp":
         """Formal adjoint: transpose of entrywise sum (-1)^|I| D_I o a_I."""
-        rules = _Leibniz()
         # linear terms (-1)^|I| C(I, Jp) D_Jp(a) D_{I-Jp}; none for constant a, Jp != 0
         return CDiffOp(self.space, self.cols, self.rows,
                        ((c, r, rest, ((-1) ** mi_order(I) * k, da, None))
-                        for r, c, I, a in self.terms() for Jp, rest, k in rules[I]
+                        for r, c, I, a in self.terms() for Jp, rest, k in _leibniz(I)
                         if not (da := apply_DI(a, Jp)).is_zero()))
 
     def apply(self, vec, d=None) -> list:

@@ -51,17 +51,16 @@ class Reduction:
 
 
 class Presentation:
-    """Equation E = {F = 0} with user-designated leading jets; critical
-    pairs are checked up to order `check_order`, and so are those of the
-    coverings built over it.  Its rules and `fields` (D_i of nonlocals) do
-    not change once it is built; the caches built from them are filled on first use."""
+    """Equation E = {F = 0} with user-designated leading jets, whose monomial coefficients
+    are read from the components; critical pairs are checked up to order `check_order`, and
+    so are those of the coverings built over it.  Its rules and `fields` (D_i of nonlocals)
+    do not change once it is built; the caches built from them are filled on first use."""
 
-    def __init__(self, space: JetSpace, components, leadings, lead_coeffs, rhss,
+    def __init__(self, space: JetSpace, components, leadings, rhss,
                  check_order: int, fields=None):
         self.space = space
         self.components = tuple(components)
         self.leadings = tuple(leadings)          # (dep index, multi-index)
-        self.lead_coeffs = tuple(lead_coeffs)    # monomial DiffExpr per rule
         self.rhss = tuple(rhss)
         self.check_order = check_order
         self._rules_by_dep = {}
@@ -160,17 +159,16 @@ class Presentation:
     def _cofactor_rules(self) -> "Presentation":
         """The presentation of F - _F = 0 on the space with one tag family
         _F<s> per component (tags have no rules): each right-hand side plus
-        its tag over its leading coefficient.  Its normal form of e is
-        NF(e) + sum_s Delta_s(_F<s>), so the cofactors ride along."""
+        its tag over its leading coefficient a_s, the monomial dF_s/du_{I_s}^{j_s}.
+        Its normal form of e is NF(e) + sum_s Delta_s(_F<s>), so the
+        cofactors ride along."""
         sp = self.space.extended(
             dependent=self.space.fresh(f"_F{s}" for s in range(len(self.components))))
         tags = [sp.jet(self.space.m + s, mi_zero(sp.n)) for s in range(len(self.components))]
-        coeffs = [a.rename_space(sp) for a in self.lead_coeffs]
         return Presentation(
-            sp, [F.rename_space(sp) - t for F, t in zip(self.components, tags)],
-            self.leadings, coeffs,
-            [g.rename_space(sp) + a.inverse_monomial() * t
-             for g, a, t in zip(self.rhss, coeffs, tags)],
+            sp, [F.rename_space(sp) - t for F, t in zip(self.components, tags)], self.leadings,
+            [g.rename_space(sp) + F.partial(('j', j, I)).rename_space(sp).inverse_monomial() * t
+             for g, F, (j, I), t in zip(self.rhss, self.components, self.leadings, tags)],
             self.check_order)
 
     def reduce(self, e: DiffExpr) -> Reduction:
@@ -253,7 +251,6 @@ class Presentation:
         return Presentation(space,
                             [c.rename_space(space) for c in self.components],
                             self.leadings,
-                            [c.rename_space(space) for c in self.lead_coeffs],
                             [c.rename_space(space) for c in self.rhss],
                             self.check_order, fields)
 
@@ -288,7 +285,7 @@ def make_presentation(space: JetSpace, components, leadings,
         leads.append((j, tuple(K)))
     if len(comps) != len(leads):
         raise NonSolvableError("one leading jet per component is required")
-    coeffs, rhss = [], []
+    rhss = []
     for F, (j, I) in zip(comps, leads):
         key = ('j', j, I)
         if not F.is_linear_in(key):
@@ -297,15 +294,12 @@ def make_presentation(space: JetSpace, components, leadings,
         if len(a) != 1:
             raise NonSolvableError(
                 f"leading coefficient of {key} is not a monomial: {render(a)}")
-        if key in a.variables():
-            raise NonSolvableError(f"leading coefficient depends on {key}")
         z = space.jet(j, I)
         rhs = (a * z - F) * a.inverse_monomial()
         for other in rhs.variables():
             if other[0] == 'j' and other[1] == j and mi_leq(I, other[2]):
                 raise NonSolvableError(
                     f"right-hand side contains a derivative {other} of the leading jet")
-        coeffs.append(a)
         rhss.append(rhs)
     # orthonomicity: leading jets pairwise non-divisible
     for s1 in range(len(leads)):
@@ -314,7 +308,7 @@ def make_presentation(space: JetSpace, components, leadings,
                     and mi_leq(leads[s1][1], leads[s2][1]):
                 raise NonSolvableError(
                     f"leading jets {leads[s1]} and {leads[s2]} are not orthonomic")
-    pres = Presentation(space, comps, leads, coeffs, rhss, check_order)
+    pres = Presentation(space, comps, leads, rhss, check_order)
     # inter-reduce right-hand sides to a fixpoint, one rule at a time, with a
     # new presentation each time one changes
     for _ in range(20):
@@ -323,7 +317,7 @@ def make_presentation(space: JetSpace, components, leadings,
             new = pres.normal_form(rhss[s])
             if not (new - rhss[s]).is_zero():
                 rhss[s] = new
-                pres = Presentation(space, comps, leads, coeffs, rhss, check_order)
+                pres = Presentation(space, comps, leads, rhss, check_order)
                 changed = True
         if not changed:
             break

@@ -83,6 +83,24 @@ def test_parse_errors():
         parse("p[0]^-1", spo)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("u[0,0] +  #", "unexpected character '#' (at position 10)"),
+    ("u[0,0] + #", "unexpected character '#' (at position 9)"),
+    ("u[0,0] +#", "unexpected character '#' (at position 8)"),
+    ("", "unexpected end of input (at position 0)"),
+    ("u[0,0] +", "unexpected end of input (at position 8)"),
+    ("u[0,0] +  ", "unexpected end of input (at position 10)"),
+    ("(u[0,0] *", "unexpected end of input (at position 9)"),
+    ("(u[0,0]", "expected ')', found end of input (at position 7)"),
+])
+def test_parse_errors_name_what_is_there(text, message):
+    """A character no token starts with is named at its own position, past
+    any blanks before it; a missing operand or bracket is the input's end."""
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text, SP)
+    assert str(err.value) == message
+
+
 def test_render_roundtrip():
     rng = random.Random(11)
     for _ in range(40):

@@ -118,8 +118,8 @@ def test_solver_bases_do_not_depend_on_term_order(name, request):
 
     assert any(list(r.coefficients()) != list(e.coefficients())
                for c in cands for r, e in zip(reordered(c), pres.lin_apply(c)))
-    basis = solve_determining(cands, pres.lin_apply, 1)
-    assert basis and solve_determining(cands, reordered, 1) == basis
+    basis = solve_determining(cands, pres.lin_apply)
+    assert basis and solve_determining(cands, reordered) == basis
 
 
 def test_empty_ansatz_errors(kdv):
@@ -282,6 +282,10 @@ def test_conservation_factorization(kdv, wdvv):
         [parse("2*u[0,0]", SP)], CDiffOp.identity(SP, 1), kdv)["ok"]
     assert not verify_conservation_factorization(
         [parse("u[1,0]", SP)], CDiffOp(SP, 1, 1), kdv)["ok"]
+    # D_x is skew-adjoint: refused before the factorization is tested
+    assert verify_conservation_factorization(
+        [parse("2*u[0,0]", SP)], CDiffOp.total_derivative(SP, 0), kdv) == \
+        {"ok": False, "reason": "delta' is not self-adjoint"}
     spv = wdvv.space
     rep4 = verify_conservation_factorization([spv.one()],
                                              CDiffOp(spv, 1, 1), wdvv)

@@ -136,15 +136,31 @@ def test_successive_calls_print_what_fresh_processes_print(tmp_path, capsys):
     assert inside[0][0] == 0 and json.loads(inside[0][1])["status"] == "ok"
 
 
-def test_human_and_json_agree(capsys):
-    main(["corpus", "heat", "--json"])
-    asjson = json.loads(capsys.readouterr().out)
-    main(["corpus", "heat"])
-    human = capsys.readouterr().out
-    for task in asjson["tasks"]:
-        for vec in task.get("basis", []):
-            for expr in vec:
-                assert expr in human
+def test_human_and_json_agree(tmp_path, capsys):
+    """Each task's line of the human report holds its status and what the
+    JSON report gives of its basis, densities, image, currents or, for a
+    task that did not succeed, detail: on every corpus problem, and on a
+    reduce task that fails."""
+    failing = tmp_path / "problem.json"
+    failing.write_text(json.dumps(dict(corpus("kdv"), tasks=[{"kind": "reduce",
+                                                              "expr": "u[0,1]^-1"}])))
+    for argv in [*(["corpus", name] for name in corpus_names()), ["run", str(failing)]]:
+        code = main([*argv, "--json"])
+        asjson = json.loads(capsys.readouterr().out)
+        assert main(argv) == code
+        _, *lines, overall = capsys.readouterr().out.splitlines()
+        assert overall == f"overall: {asjson['status']}" and len(lines) == len(asjson["tasks"])
+        for task, line in zip(asjson["tasks"], lines):
+            assert line.startswith(f"  [{task['status']:11s}] {task['task']} (")
+            shown = [expr for vec in task.get("basis", ()) for expr in vec]
+            shown += [*task.get("densities", ()), *task.get("image", ())]
+            shown += [f"{k!r}: {v!r}" for c in task.get("currents", ()) for k, v in c.items()]
+            if task["status"] != "ok" and "detail" in task:
+                shown.append(task["detail"])
+            assert all(part in line for part in shown), (argv, line)
+    (line,) = lines  # of the failing reduce
+    assert line.startswith("  [error      ] reduce (")
+    assert line.endswith(")  reducible jet u[0,1] occurs with negative exponent")
 
 
 def test_spec_fragment_layout():
@@ -226,6 +242,26 @@ def test_covering_fields_short_of_its_nonlocals_are_an_input_error(tmp_path, cap
     data["coverings"]["miura"]["nonlocal"].append({"name": "v"})
     code, err = _input_error(tmp_path, capsys, data)
     assert (code, err) == (2, "input error: covering fields along x: 1 for 2 nonlocals\n")
+
+
+def _kdv_potential_along_T():
+    data = corpus("kdv")
+    X = data["coverings"]["potential"]["X"]
+    X["T"] = X.pop("t")
+    return dict(data, tasks=[t for t in data["tasks"] if t["kind"] == "verify-flat"])
+
+
+@pytest.mark.parametrize("data, where", [
+    (_kdv_potential_along_T(), "covering 'potential' has a field along 'T'"),
+    (dict(corpus("heat"), tasks=[{"kind": "recursion-fiberlinear", "order": 1, "degree": 1,
+                                  "layers": [{"name": "vm1", "X": {"y": "v[0,0]"}}]}]),
+     "layer 'vm1' has a field along 'y'"),
+], ids=["covering", "layer"])
+def test_a_field_along_an_unknown_name_is_an_input_error(tmp_path, capsys, data, where):
+    """A field under a key that is not an independent variable would be
+    dropped, and the covering or layer taken with 0 along that variable."""
+    code, err = _input_error(tmp_path, capsys, data)
+    assert (code, err) == (2, f"input error: {where}, not an independent variable\n")
 
 
 def test_a_pseudo_operator_tail_short_of_its_rows_is_an_input_error(tmp_path, capsys):

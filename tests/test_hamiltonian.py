@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jetcalc import (
+    AnsatzError,
     CDiffOp,
     JetSpace,
     ShapeError,
@@ -173,6 +174,11 @@ def test_schouten_direct_clauses():
     lhs = schouten_direct(A_KDV, phi, [[U]])
     rhs = schouten_direct(phi, A_KDV, [[U]])
     assert all((a + b).is_zero() for a, b in zip(lhs, rhs))
+    with pytest.raises(ShapeError, match="bracket of two densities"):
+        schouten_direct(om, om)
+    for args in ((A_KDV, tuple(phi)), ({}, om)):
+        with pytest.raises(ShapeError, match="no bracket with a (tuple|dict)"):
+            schouten_direct(*args)
 
 
 def test_schouten_direct_with_a_density():
@@ -319,6 +325,12 @@ def test_magri_step_solves_for_an_operator_other_than_d_x():
     densities, _ = magri_chain(A_KDV, B_KDV, U * Fraction(1, 2), 2)
     halved, _ = magri_chain(A_KDV.scale(2), B_KDV, U * Fraction(1, 2), 2)
     assert halved == [w * Fraction(1, 2**k) for k, w in enumerate(densities)]
+
+
+def test_magri_step_without_a_solution_is_an_ansatz_error():
+    """A = 0 takes no psi to B(delta omega) != 0, so no step is taken."""
+    with pytest.raises(AnsatzError, match="no ansatz solution"):
+        magri_step(CDiffOp(SP1, 1, 1), B_KDV, U * Fraction(1, 2))
 
 
 def test_magri_step_values():

@@ -606,6 +606,17 @@ def test_pseudo_json_roundtrip():
     assert back.apply([SP.jet("u", (1, 0))], FREE)[0] == R.apply([SP.jet("u", (1, 0))], FREE)[0]
 
 
+def test_pseudo_json_with_a_tail_over_several_rows():
+    """A one-row tail's a is one expression; over several rows, a list."""
+    u = SP.jet("u", (0, 0))
+    two = CDiffOp(SP, 2, 1, ((r, 0, (0, 0), SP.one()) for r in range(2)))
+    P = PseudoOp(two, [([u, 2 * u], CDiffOp.identity(SP, 1))])
+    data = P.to_json()
+    assert data["tail"][0]["a"] == ["u[0,0]", "2*u[0,0]"]
+    back = PseudoOp.from_json(SP, 2, 1, data)
+    assert back.local == P.local and back.tails == P.tails
+
+
 def test_pseudo_tails_must_fit_the_local_part():
     """Each tail's a has one entry per row of the local part, and its b is
     one row over the local part's columns; a short a would drop rows of

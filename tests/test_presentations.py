@@ -88,6 +88,11 @@ def test_non_solvable_leading():
     with pytest.raises(NonSolvableError):
         # rhs contains a derivative of the leading jet
         make_presentation(SP, [parse("u[0,1] - u[1,1]", SP)], [("u", (0, 1))])
+    with pytest.raises(NonSolvableError, match="one leading jet per component"):
+        make_presentation(SP, [F, F], [("u", (0, 1))])
+    with pytest.raises(NonSolvableError, match=re.escape(
+            "leading coefficient of ('j', 0, (0, 1)) is not a monomial: 1 + u[0,0]")):
+        make_presentation(SP, [parse("(1 + u[0,0])*u[0,1] - u[1,0]", SP)], [("u", (0, 1))])
 
 
 def test_confluence_failure_reports_pair():
