@@ -48,10 +48,12 @@ of it and the numerators divided out); an integral result pays only for
 the zero scan.  D_i reads each variable's image from an `ImageTable`
 kept per setting and direction, at most one entry per slot: process-wide
 when free, else on a Presentation, whose tables also hold a covering's
-fields, reduced once when it is built.  On a space without odd variables
-a monomial product is the sum of two ints, with no sign to find.  A
-result's terms come in the order of their first occurrence, which may
-differ from a term-by-term sum's; nothing that is reported depends on it.
+fields, reduced once when it is built; its monomials are stored divided
+by their variable v, so a factor v^e of m adds m + dm, with no m / v to
+take.  On a space without odd variables a monomial product is the sum of
+two ints, with no sign to find.  A result's terms come in the order of
+their first occurrence, which may differ from a term-by-term sum's;
+nothing that is reported depends on it.
 The exponent bound of a sum_of_terms is the largest of its terms' bounds.
 
 Exponent budget: W = 32 and E = 2^16.  Every operation that can raise an
@@ -506,11 +508,13 @@ def sum_of_terms(space: JetSpace, terms: list) -> "DiffExpr":
 
 
 class ImageTable(dict):
-    """{variable key: (pairs, den, top)} of its D_i image in one derivative
-    setting, filled on first use: (monomial, numerator) pairs over den and
-    an exponent bound.  `jets` maps the key of u^j_{K+e_i} to the image of
-    u^j_K (None: that jet), `wmap` a nonlocal's name to its image (None:
-    NonlocalObstruction).  It holds at most one entry per registered slot."""
+    """{variable key v: (pairs, den, top)} of its D_i image in one derivative
+    setting, filled on first use: (monomial, numerator) pairs over den, each
+    monomial divided by v (so that m + dm is a term of (m / v) * D_i(v)),
+    and the image's exponent bound.  `jets` maps the key of u^j_{K+e_i} to
+    the image of u^j_K (None: that jet), `wmap` a nonlocal's name to its
+    image (None: NonlocalObstruction).  It holds at most one entry per
+    registered slot."""
 
     __slots__ = ("i", "wmap", "jets")
 
@@ -531,8 +535,9 @@ class ImageTable(dict):
             image = self.wmap[key[1]]
         else:  # an independent variable or a parameter
             image = DiffExpr(None, {0: 1} if key == ('i', i) else {}, 0)
-        entry = self[key] = (tuple(image.terms.items()), image.den, image._top)
-        return entry
+        u = _unit(key)
+        self[key] = tuple((m - u, c) for m, c in image.terms.items()), image.den, image._top
+        return self[key]
 
 
 _FREE_TABLES = {}       # i -> the ImageTable of the free D_i
@@ -757,7 +762,7 @@ class DiffExpr:
         res = {}
         get = res.get
         for mono, c in self.terms.items():
-            for key, e in _factors(mono):
+            for key, e in _FACTORS.get(mono) or _factors(mono):
                 dv, d, t = table[key]
                 if t > top:
                     top = t
@@ -766,22 +771,21 @@ class DiffExpr:
                 if den % d:
                     den = _widen(res, den, d)
                 ec = e * c if den == d else e * c * (den // d)
-                unit = _UNITS[key]
-                rest = mono - unit
                 if not odd:
-                    for dmono, dc in dv:
-                        new = rest + dmono
+                    for dm, dc in dv:
+                        new = mono + dm
                         res[new] = get(new, 0) + ec * dc
                     continue
                 if len(_KEYS) != slots:
                     mask, bias, slots = signs.current().mask, signs.bias, len(_KEYS)
-                o, front = (rest + bias) & mask, unit & mask
+                unit = _UNITS[key]
+                o, front = (mono - unit + bias) & mask, unit & mask
                 ec = signs[unit, o] * ec if front and o else ec
-                for dmono, dc in dv:
-                    od = (dmono + bias) & mask
+                for dm, dc in dv:
+                    od = (dm + unit + bias) & mask
                     sign = 1 if not (o and od) else signs[od, o] if front else signs[o, od]
                     if sign:
-                        new = rest + dmono
+                        new = mono + dm
                         res[new] = get(new, 0) + sign * ec * dc
         res, den = _canonical(res, self.den * den)
         out = DiffExpr(space, res, _within_budget(res, self._top + 1 + top), den)
@@ -893,7 +897,10 @@ def euler(density: DiffExpr, targets=None, d=None) -> list:
 
 
 def euler_is_zero(density: DiffExpr, targets=None) -> bool:
-    return all(x.is_zero() for x in euler(density, targets))
+    """Whether euler(density, targets) vanishes, one target at a time: False
+    at the first nonzero one, with the later ones never computed."""
+    return all(euler(density, [j])[0].is_zero()
+               for j in (range(density.space.m) if targets is None else targets))
 
 
 # -- horizontal forms ------------------------------------------------------

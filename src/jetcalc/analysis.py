@@ -63,14 +63,13 @@ def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
     count = comb(len(gens) + ansatz.max_degree, ansatz.max_degree)
     if count > MAX_MONOMIALS:
         raise ProblemError(f"ansatz of {count} monomials beyond the cap of {MAX_MONOMIALS}")
-    monos = [space.one()]
+    # one product per monomial: the previous degree's product of all but the
+    # last generator (zeros kept), times the last
+    monos, prev = [space.one()], {(): space.one()}
     for deg in range(1, ansatz.max_degree + 1):
-        for combo in combinations_with_replacement(range(len(gens)), deg):
-            m = space.one()
-            for k in combo:
-                m = m * gens[k]
-            if not m.is_zero():
-                monos.append(m)
+        prev = {combo: prev[combo[:-1]] * gens[combo[-1]]
+                for combo in combinations_with_replacement(range(len(gens)), deg)}
+        monos.extend(m for m in prev.values() if not m.is_zero())
     return monos
 
 
@@ -81,11 +80,12 @@ def solve_determining(candidates, apply_fn):
     if not candidates:
         raise AnsatzError("ansatz generates no unknowns")
     space = candidates[0][0].space
-    row_index, rows = {}, []  # row of each (component, monomial) of a residual
+    row_index, rows = {}, []  # per component, the row of each monomial of a residual
     for j, cand in enumerate(candidates):
         for comp, expr in enumerate(apply_fn(cand)):
+            index = row_index.setdefault(comp, {})
             for mono, c in expr.coefficients():
-                r = row_index.setdefault((comp, mono), len(rows))
+                r = index.setdefault(mono, len(rows))
                 if r == len(rows):
                     rows.append({})
                 rows[r][j] = c

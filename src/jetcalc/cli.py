@@ -173,6 +173,9 @@ def _verify_flat(problem, task):
 
 def _verify_finite_symmetry(problem, task):
     cov = problem.coverings[task["covering"]]
+    if bad := [k for k in task["map"] if k not in cov.space.dependent + cov.space.nonlocals]:
+        raise ProblemError(f"map key {bad[0]!r} is neither a dependent nor a nonlocal "
+                           f"of covering {task['covering']!r}")
     images = {nm: parse(txt, cov.space) for nm, txt in sorted(task["map"].items())}
     return _report(verify_finite_symmetry(cov, images), "residuals")
 

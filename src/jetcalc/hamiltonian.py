@@ -22,6 +22,7 @@ from .algebra import (
     DiffExpr,
     JetSpace,
     euler,
+    euler_is_zero,
     homotopy_density,
     invert_total_derivative,
     mi_unit,
@@ -109,7 +110,7 @@ def is_hamiltonian(op: CDiffOp) -> bool:
 
 def are_compatible(op1: CDiffOp, op2: CDiffOp) -> bool:
     """[[A, B]] = 0 via the polarized odd-variable criterion."""
-    return all(e.is_zero() for e in euler(_bracket_density(op1, op2)))
+    return euler_is_zero(_bracket_density(op1, op2))
 
 
 # -- direct (un-shuffle) bracket ----------------------------------------------
@@ -119,11 +120,16 @@ def schouten_direct(A, B, psis=()):
     """Eq.-style literal un-shuffle bracket for small degrees p, q, read
     from the argument types; for p < q, graded antisymmetry gives
     [[A, B]] = -(-1)^((p-1)(q-1)) [[B, A]].  Returns a vector for results
-    in degree 1, a density for degree 0."""
+    in degree 1, a density for degree 0; a result of degree r > 1 is taken
+    on the r - 1 gradients `psis`, a ShapeError for any other count."""
     degree = {DiffExpr: 0, list: 1, CDiffOp: 2}  # a density, a vector, a bivector
     p, q = degree.get(type(A)), degree.get(type(B))
     if p is None or q is None:
         raise ShapeError(f"no bracket with a {type(A if p is None else B).__name__}")
+    need = max(p + q - 2, 0)  # the arguments of the degree p + q - 1 result, but one
+    if len(psis) != need:
+        raise ShapeError(f"a bracket of degrees {p} and {q} takes {need} "
+                         f"gradient{'s' * (need != 1)}, not {len(psis)}")
     if p < q:
         out = schouten_direct(B, A, psis)
         if (p - 1) * (q - 1) % 2:
@@ -181,7 +187,7 @@ def schouten_pairing(A, B, psi1, psi2, psi3) -> DiffExpr:
 def poisson_bracket(omega1: DiffExpr, omega2: DiffExpr, A: CDiffOp):
     """<A(delta w1), delta w2> as a density with a triviality verdict."""
     density = pairing_density(A.apply(euler(omega1)), euler(omega2))
-    return density, all(e.is_zero() for e in euler(density))
+    return density, euler_is_zero(density)
 
 
 def solve_linear(A: CDiffOp, target, ansatz: Ansatz):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .algebra import (
     DiffExpr,
@@ -67,10 +67,13 @@ class Presentation:
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
         self._determining_ops, self._lin = {}, {}
-        # {jet: its normal form}, and the D_i table per i, which reads each
-        # jet as its normal form; the tables reach the presentation weakly
-        # (a proxy's bound method would hold it), so that a dropped
-        # presentation is freed at once
+        # a jet's rule (the first of its dependent's below it, or None), its
+        # normal form, and the D_i table per i, reading each jet as its normal
+        # form; none holds the presentation (a table reaches it weakly, which a
+        # proxy's bound method would not), so a dropped one is freed at once
+        by_dep = self._rules_by_dep
+        self._jet_rules = cache(lambda key: next(
+            (s for I, s in by_dep.get(key[1], ()) if mi_leq(I, key[2])), None))
         self._jet_nfs = {}
         image = partial(Presentation.jet_image, weakref.proxy(self))
         self._d_tables = [ImageTable(i, None, image) for i in range(space.n)]
@@ -81,10 +84,7 @@ class Presentation:
     # -- rule machinery ------------------------------------------------------
 
     def find_rule(self, j, K):
-        for I, s in self._rules_by_dep.get(j, ()):
-            if mi_leq(I, K):
-                return s
-        return None
+        return self._jet_rules(('j', j, K))
 
     def internal_jets(self, max_order: int):
         """All internal jet keys up to the given total order."""
@@ -106,7 +106,7 @@ class Presentation:
         image = self._jet_nfs.get(key)
         if image is None:
             _, j, K = key
-            s = self.find_rule(j, K)
+            s = self._jet_rules(key)
             if s is None:
                 image = self.space.jet(j, K)
             elif K == self.leadings[s][1]:
@@ -122,8 +122,8 @@ class Presentation:
         """Substitute every reducible jet by its normal form in one pass.
         The normal forms are internal, so this is the polynomial that
         substituting them one jet at a time gives."""
-        reducible = {k for k in e.variables()
-                     if k[0] == 'j' and self.find_rule(k[1], k[2]) is not None}
+        rules = self._jet_rules
+        reducible = {k for k in e.variables() if k[0] == 'j' and rules(k) is not None}
         if not reducible:
             return e
         negative = e.negative_keys() & reducible
@@ -174,7 +174,7 @@ class Presentation:
     def reduce(self, e: DiffExpr) -> Reduction:
         """Normal form together with exact cofactors."""
         for key in e.jet_keys():
-            if self.space.is_odd_key(key) and self.find_rule(key[1], key[2]) is not None:
+            if self.space.is_odd_key(key) and self._jet_rules(key) is not None:
                 raise ReductionError("cofactor tracking is limited to even "
                                      f"reducible jets: {self._jet_name(key)}")
         rules = self._cofactor_rules

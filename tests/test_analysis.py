@@ -1,5 +1,7 @@
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from jetcalc import (
     Ansatz,
     CDiffOp,
+    DiffExpr,
     JetSpace,
     NonlocalObstruction,
     PseudoOp,
@@ -27,7 +30,7 @@ from jetcalc import (
     verify_symmetry,
     verify_symplectic,
 )
-from jetcalc.analysis import AnsatzError, BilinearNabla, _theta
+from jetcalc.analysis import AnsatzError, BilinearNabla, _theta, ansatz_monomials
 from jetcalc.linalg import rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -120,6 +123,62 @@ def test_solver_bases_do_not_depend_on_term_order(name, request):
                for c in cands for r, e in zip(reordered(c), pres.lin_apply(c)))
     basis = solve_determining(cands, pres.lin_apply)
     assert basis and solve_determining(cands, reordered) == basis
+
+
+def _degree_fold_products(pres, ansatz):
+    """The pool as each combination of generators, multiplied out one
+    generator at a time from 1, with the zero products dropped."""
+    space = pres.space
+    allowed = (lambda name: True) if ansatz.whitelist is None \
+        else (lambda name: name in ansatz.whitelist)
+    gens = [space.indep(i) for i, x in enumerate(space.independent) if allowed(x)]
+    gens += [space.jet(k[1], k[2]) for k in pres.internal_jets(ansatz.max_jet_order)
+             if allowed(space.dependent[k[1]])]
+    pool = []
+    for deg in range(ansatz.max_degree + 1):
+        for combo in combinations_with_replacement(gens, deg):
+            m = space.one()
+            for g in combo:
+                m = m * g
+            if not m.is_zero():
+                pool.append(m)
+    return pool
+
+
+@pytest.mark.parametrize("case", ["kdv", "odd", "whitelist"])
+def test_ansatz_monomials_are_the_degree_fold_products(kdv, case):
+    """Built from the previous degree's products, the pool is the same list,
+    in the same order; with an odd dependent, the products with a square
+    are zero and dropped, and so is every product above one."""
+    pres, ansatz = {
+        "kdv": (kdv, Ansatz(3, 3)),
+        "odd": (kdv.extend_space(dependent=["v"], odd=["v"]), Ansatz(2, 3)),
+        "whitelist": (kdv, Ansatz(4, 3, ("x", "u"))),
+    }[case]
+    want = _degree_fold_products(pres, ansatz)
+    got = ansatz_monomials(pres, ansatz)
+    assert len(got) == len(want) and all(
+        a == b and list(a.coefficients()) == list(b.coefficients()) for a, b in zip(got, want))
+    if case == "odd":
+        v = pres.space.jet("v", (0, 0))
+        assert len(got) < comb(len(pres.internal_jets(2)) + 2 + 3, 3)
+        assert v in got and v * pres.space.jet("v", (1, 0)) in got and v * v not in got
+
+
+def test_ansatz_monomials_take_one_product_each(kdv, monkeypatch):
+    """KdV at order 7 and degree 4: 1,001 monomials, one of them 1, and a
+    product for each of the other 1,000 (a degree-fold product per monomial
+    would take 3,640)."""
+    calls = []
+    mul = DiffExpr.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(DiffExpr, "__mul__", counted)
+    pool = ansatz_monomials(kdv, Ansatz(7, 4))
+    assert len(pool) == 1001 and len(calls) == 1000
 
 
 def test_empty_ansatz_errors(kdv):

@@ -264,6 +264,19 @@ def test_a_field_along_an_unknown_name_is_an_input_error(tmp_path, capsys, data,
     assert (code, err) == (2, f"input error: {where}, not an independent variable\n")
 
 
+@pytest.mark.parametrize("key", ["x", "lam", "v"], ids=["independent", "parameter", "unknown"])
+def test_a_finite_symmetry_of_a_name_that_is_not_a_variable_is_an_input_error(
+        tmp_path, capsys, key):
+    """A map key must name a dependent or a nonlocal of the covering's space:
+    the map is input, as an operator's shape is."""
+    data = corpus("miura")
+    data["tasks"] = [{"kind": "verify-finite-symmetry", "covering": "miura",
+                      "map": {"w": "-w", key: "x + 1"}}]
+    code, err = _input_error(tmp_path, capsys, data)
+    assert (code, err) == (2, f"input error: map key {key!r} is neither a dependent nor a "
+                              "nonlocal of covering 'miura'\n")
+
+
 def test_a_pseudo_operator_tail_short_of_its_rows_is_an_input_error(tmp_path, capsys):
     """A second row of the local part with the tail's one-entry a kept: the
     image would lose that row, so the file is refused as input."""

@@ -179,6 +179,14 @@ def test_schouten_direct_clauses():
     for args in ((A_KDV, tuple(phi)), ({}, om)):
         with pytest.raises(ShapeError, match="no bracket with a (tuple|dict)"):
             schouten_direct(*args)
+    # a result of degree r is taken on r - 1 gradients
+    for args, want in (((A_KDV, A_KDV), "degrees 2 and 2 takes 2 gradients, not 0"),
+                       ((A_KDV, A_KDV, [[U]]), "degrees 2 and 2 takes 2 gradients, not 1"),
+                       ((A_KDV, [SP1.one()]), "degrees 2 and 1 takes 1 gradient, not 0"),
+                       ((phi, A_KDV), "degrees 1 and 2 takes 1 gradient, not 0"),
+                       ((phi, psi, [[U]]), "degrees 1 and 1 takes 0 gradients, not 1")):
+        with pytest.raises(ShapeError, match=want):
+            schouten_direct(*args)
 
 
 def test_schouten_direct_with_a_density():

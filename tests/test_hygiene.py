@@ -567,7 +567,7 @@ def f(pres, delta, psi):
     assert lines == [4, 5, 6, 12]
 
 
-RULE_CACHES = ("_jet_nfs", "_d_tables")
+RULE_CACHES = ("_jet_rules", "_jet_nfs", "_d_tables")
 
 
 def _rule_cache_resets(tree):
@@ -600,9 +600,9 @@ def _rule_cache_resets(tree):
 
 
 def test_the_rule_caches_are_emptied_in_one_place():
-    """The jet normal forms and the D_i tables are built from the rules,
-    which do not change once a presentation is built, so each is assigned
-    once, in Presentation.__init__, and never emptied."""
+    """The jets' rules, their normal forms and the D_i tables are built from
+    the rules, which do not change once a presentation is built, so each is
+    assigned once, in Presentation.__init__, and never emptied."""
     sites = [(path.name, function, name) for path, tree in _trees(PACKAGE)
              for _, function, name in _rule_cache_resets(tree)]
     assert sorted(sites) == [("presentations.py", "__init__", name)

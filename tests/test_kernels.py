@@ -3,7 +3,8 @@
 `partial`, `substitute`, scalar products, `inverse_monomial` and `euler`
 against a term-by-term reference on decoded terms, over spaces with odd
 variables, with coefficients over coprime denominators, and one step past
-the exponent budget.  Every result is checked for the stored layout: int
+the exponent budget; the derivative through a table also against a sum of
+ring products.  Every result is checked for the stored layout: int
 numerators over one denominator, in canonical form."""
 
 import random
@@ -15,6 +16,7 @@ import pytest
 from jetcalc import JetSpace, euler, parse
 from jetcalc.algebra import _E, _KEYS, ImageTable, sum_of_products
 from jetcalc.errors import BudgetError, ShapeError
+from jetcalc.hamiltonian import momenta_space
 from monomials import decoded_terms, from_factors, layout
 
 # v and z are odd; w is an even nonlocal and a a parameter
@@ -229,6 +231,70 @@ def test_restricted_and_lifted_derivatives_match_the_reference(space):
 
         assert decoded_terms(got) == ref_total_derivative(space, decoded_terms(e), image)
         assert_canonical(got)
+
+
+# the momenta space of a base with an odd nonlocal: u even (with negative
+# exponents), its momentum p_u odd, w even and z odd nonlocals, a a parameter
+MOMENTA = momenta_space(JetSpace.create(["x", "t"], ["u"], ["a"], ["w", "z"], odd=["z"]))
+
+
+def product_total_derivative(e, i, image):
+    """D_i(e) as the sum, over each term c*m of e and each factor v^x of m,
+    of x*c*(m / v)*D_i(v), every product taken with `*`: an odd v is first
+    moved to the front of m, past the odd factors before it, and D_i(v)
+    stays there; image(key) is D_i(v) as an expression."""
+    space = e.space
+    out = space.zero()
+    for m, c in decoded_terms(e).items():
+        for p, (key, x) in enumerate(m):
+            rest = from_factors(space, {tuple((k, y - (k == key)) for k, y in m
+                                              if k != key or y != 1): 1})
+            if space.is_odd_key(key):
+                passed = sum(space.is_odd_key(k) for k, _ in m[:p])
+                out = out + image(key) * rest * (c * (-1) ** passed)
+            else:
+                out = out + rest * image(key) * (x * c)
+    return out
+
+
+@pytest.mark.parametrize("space", [MOMENTA, SPACE, EVEN], ids=["momenta", "odd", "even"])
+def test_derivatives_through_tables_match_a_sum_of_products(space):
+    """Entries stored divided by their variable give D_i as the ring does:
+    random jet and nonlocal images, odd-linear for an odd variable, with
+    Fraction coefficients and negative exponents, in the table and in e."""
+    rng = random.Random(97)
+    seen = set()
+    for _ in range(40):
+        images = {}
+
+        def jets(key):
+            if key not in images:
+                images[key] = rand_expr(rng, space, nterms=3, odd=int(space.is_odd_key(key)))
+            return images[key]
+
+        wmap = {name: rand_expr(rng, space, nterms=3, odd=int(name in space.odd))
+                for name in space.nonlocals}
+        e = rand_expr(rng, space)
+        i = rng.randrange(2)
+
+        def image(key):
+            if key[0] == 'j':
+                K = list(key[2])
+                K[i] += 1
+                return jets(('j', key[1], tuple(K)))
+            if key[0] == 'w':
+                return wmap[key[1]]
+            return space.one() if key == ('i', i) else space.zero()
+
+        got = e.total_derivative(i, ImageTable(i, wmap, jets))
+        assert got == product_total_derivative(e, i, image)
+        assert_canonical(got)
+        for m in decoded_terms(e):
+            odd = [k for k, _ in m if space.is_odd_key(k)]
+            seen |= {"negative" for _, x in m if x < 0} | {"nonlocal" for k, _ in m if k[0] == 'w'}
+            seen |= {"odd front" for k in odd[1:] if image(k)}
+        seen |= {"fraction" for x in list(images.values()) + list(wmap.values()) if x.den > 1}
+    assert seen == {"negative", "nonlocal", "fraction"} | ({"odd front"} if space.odd else set())
 
 
 @pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
