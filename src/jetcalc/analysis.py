@@ -4,7 +4,7 @@ symplectic verification on equation presentations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 from .algebra import (
@@ -73,40 +73,38 @@ def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
     return monos
 
 
-def solve_determining(candidates, apply_fn):
-    """Common linear solver: candidates are vectors of one length, apply_fn
-    maps a vector to the reduced residual vector.  Returns the echelonized
-    solution basis as vectors of expressions."""
-    if not candidates:
+def solve_determining(monos, slots: int, columns, target=None):
+    """The ansatz solver.  Its unknowns are one coefficient per monomial and
+    slot, column j = slot * len(monos) + i for monos[i] in that slot, and a
+    last one for `target`, a residual of its own, when one is given.
+    columns(e) gives, per slot, the residual of the vector holding e in that
+    slot and 0 elsewhere, so each monomial takes one call: one normal form
+    and one derivative tower serve every slot, and nothing outlives the
+    solve.  Returns the echelonized solution basis as vectors of `slots`
+    expressions, with the target's coefficient (a Fraction) last if given."""
+    if not monos or not slots and target is None:
         raise AnsatzError("ansatz generates no unknowns")
-    space = candidates[0][0].space
+    zero, n = monos[0].space.zero(), len(monos)
+    ncols = slots * n + (target is not None)
+    residuals = ((slot * n + i, res) for i, m in enumerate(monos)
+                 for slot, res in enumerate(columns(m)))
     row_index, rows = {}, []  # per component, the row of each monomial of a residual
-    for j, cand in enumerate(candidates):
-        for comp, expr in enumerate(apply_fn(cand)):
+    for j, residual in chain(residuals, [(ncols - 1, target)] if target is not None else ()):
+        for comp, expr in enumerate(residual):
             index = row_index.setdefault(comp, {})
             for mono, c in expr.coefficients():
-                r = index.setdefault(mono, len(rows))
-                if r == len(rows):
-                    rows.append({})
-                rows[r][j] = c
-    basis = nullspace(rows, len(candidates))
+                row = index.get(mono)
+                if row is None:
+                    row = index[mono] = {}
+                    rows.append(row)
+                row[j] = c
     out = []
-    for vec in basis:
-        sol = [space.zero() for _ in candidates[0]]
-        for j, c in enumerate(vec):
+    for vec in nullspace(rows, ncols):
+        sol = [zero] * slots
+        for j, c in enumerate(vec[:slots * n]):
             if c:
-                sol = [s + candidates[j][k] * c for k, s in enumerate(sol)]
-        out.append(sol)
-    return out
-
-
-def slot_candidates(monos, ncomps, space):
-    out = []
-    for slot in range(ncomps):
-        for m in monos:
-            vec = [space.zero()] * ncomps
-            vec[slot] = m
-            out.append(vec)
+                sol[j // n] += monos[j % n] * c
+        out.append(sol + vec[slots * n:])
     return out
 
 
@@ -119,9 +117,8 @@ def verify_symmetry(phi, pres: Presentation):
 
 
 def solve_symmetries(pres: Presentation, ansatz: Ansatz):
-    monos = ansatz_monomials(pres, ansatz)
-    cands = slot_candidates(monos, pres.space.m, pres.space)
-    return solve_determining(cands, pres.lin_apply)
+    return solve_determining(ansatz_monomials(pres, ansatz), pres.space.m,
+                             pres.determining_columns())
 
 
 def verify_cosymmetry(psi, pres: Presentation):
@@ -130,9 +127,8 @@ def verify_cosymmetry(psi, pres: Presentation):
 
 
 def solve_cosymmetries(pres: Presentation, ansatz: Ansatz):
-    monos = ansatz_monomials(pres, ansatz)
-    cands = slot_candidates(monos, len(pres.components), pres.space)
-    return solve_determining(cands, pres.adj_apply)
+    return solve_determining(ansatz_monomials(pres, ansatz), len(pres.components),
+                             pres.determining_columns(adjoint=True))
 
 
 def _cofactor_operator(image, pres: Presentation):
@@ -306,7 +302,9 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None)
               "membership_residual": membership.render_matrix()}
     if not report["membership"]:
         return dict(report, closed=False, ok=False)
-    test_args = slot_candidates(ansatz_monomials(pres, ansatz or SYMPLECTIC_ANSATZ), space.m, space)
+    monos = ansatz_monomials(pres, ansatz or SYMPLECTIC_ANSATZ)
+    test_args = [[m if k == slot else space.zero() for k in range(space.m)]
+                 for slot in range(space.m) for m in monos]
     failures = []
     for p1, p2 in combinations_with_replacement(test_args, 2):
         res = pres.normal_form([a - b + c for a, b, c in zip(

@@ -20,7 +20,7 @@ from .algebra import (
     tower_DI,
 )
 from .errors import NonlocalObstruction, NonSolvableError, ShapeError
-from .analysis import Ansatz, ansatz_monomials, slot_candidates, solve_determining
+from .analysis import Ansatz, ansatz_monomials, solve_determining
 from .operators import CDiffOp, linearize
 from .presentations import Presentation, make_presentation
 
@@ -64,11 +64,6 @@ class Covering:
             fields={i: dict(zip(nonlocals, fs)) for i, fs in merged.items()})
         X = {i: tuple(f.rename_space(pres.space) for f in fs) for i, fs in merged.items()}
         return Covering(pres, self.base, nonlocals, X, self.fiber_families, self.structures)
-
-    def is_abelian(self) -> bool:
-        wkeys = {('w', name) for name in self.nonlocals}
-        return all(not (set(f.variables()) & wkeys)
-                   for fields in self.X.values() for f in fields)
 
 
 def verify_flat(cov: Covering) -> dict:
@@ -194,9 +189,10 @@ def verify_shadow(phi, cov: Covering):
     return all(r.is_zero() for r in residual), residual
 
 
-def fiber_linear_candidates(cov: Covering, ansatz: Ansatz):
-    """Candidate vectors: base-coefficient monomials times one fiber slot
-    (fiber jets up to the ansatz order, plus nonlocal fiber variables)."""
+def fiber_linear_monomials(cov: Covering, ansatz: Ansatz):
+    """The ansatz of a fiber-linear solution: base-coefficient monomials
+    times one fiber slot (fiber jets up to the ansatz order, plus nonlocal
+    fiber variables)."""
     space = cov.space
     base_monos = ansatz_monomials(cov.presentation, ansatz)
     base_monos = [m for m in base_monos
@@ -209,15 +205,14 @@ def fiber_linear_candidates(cov: Covering, ansatz: Ansatz):
                 slots.append(space.jet(key[1], key[2]))
     for name in cov.nonlocals:
         slots.append(space.nonlocal_var(name))
-    return slot_candidates([b * s for s in slots for b in base_monos], cov.base.space.m,
-                           space)
+    return [b * s for s in slots for b in base_monos]
 
 
 def solve_fiberlinear(cov: Covering, ansatz: Ansatz):
     """All fiber-linear solutions of the lifted base linearization within
     the ansatz."""
-    return solve_determining(fiber_linear_candidates(cov, ansatz),
-                             cov.presentation.restricted(cov.base.linearization()))
+    return solve_determining(fiber_linear_monomials(cov, ansatz), cov.base.space.m,
+                             cov.presentation.restricted_columns(cov.base.linearization()))
 
 
 # -- reconstruction and finite symmetries --------------------------------------

@@ -37,7 +37,6 @@ from .analysis import (
     _theta,
     ansatz_monomials,
     ell_delta_op,
-    slot_candidates,
     solve_determining,
 )
 from .coverings import cotangent_covering
@@ -193,21 +192,12 @@ def poisson_bracket(omega1: DiffExpr, omega2: DiffExpr, A: CDiffOp):
 def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
     """One solution psi of A(psi) = target within the ansatz, or None.
 
-    The candidates carry one extra slot, the coefficient t of the target in
+    The unknowns take one more, the coefficient t of the target in
     A(psi) + t * target = 0; a solution with t != 0 gives psi / -t."""
-    space = A.space
-    monos = ansatz_monomials(Presentation(space, (), (), (), check_order=0), ansatz)
-    zero = space.zero()
-    cands = [vec + [zero] for vec in slot_candidates(monos, A.cols, space)]
-    cands.append([zero] * A.cols + [space.one()])
-
-    def residual(v):
-        return [a + v[-1] * b for a, b in zip(A.apply(v[:-1]), target)]
-
-    for sol in solve_determining(cands, residual):
-        if sol[-1]:
-            scale = -sol[-1] ** -1
-            return [x * scale for x in sol[:-1]]
+    monos = ansatz_monomials(Presentation(A.space, (), (), (), check_order=0), ansatz)
+    for *psi, t in solve_determining(monos, A.cols, A.columns, target):
+        if t:
+            return [x * (-1 / t) for x in psi]
     return None
 
 

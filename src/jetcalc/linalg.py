@@ -9,8 +9,8 @@ fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  Rows are taken
 sparsest first, the row-count form of Markowitz's pivot order (Management
 Science 3, 1957), which keeps fill-in low.  Each row's pivot is its highest
 column, so after back-substitution the free-column vectors are the reduced
-row echelon form itself.  Only the back-substitution, the basis and `rref`
-(for `same_span`) work over Q."""
+row echelon form itself.  Only the back-substitution and the basis work
+over Q."""
 
 from __future__ import annotations
 
@@ -102,37 +102,3 @@ def nullspace(rows, ncols):
             if f != c:
                 basis[f][c] = -v
     return list(basis.values())
-
-
-def rref(vectors):
-    """Reduced row echelon form of a list of dense rational vectors (int or
-    Fraction entries); the rows returned hold Fractions."""
-    rows = [list(v) for v in vectors]
-    out = []
-    pivot_cols = []
-    for row in rows:
-        for pc, prow in zip(pivot_cols, out):
-            factor = row[pc]
-            if factor:
-                for k in range(len(row)):
-                    row[k] -= factor * prow[k]
-        lead = next((k for k, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        inv = Fraction(row[lead])
-        row = [v / inv for v in row]
-        out.append(row)
-        pivot_cols.append(lead)
-    order = sorted(range(len(out)), key=lambda i: pivot_cols[i])
-    out = [out[order[i]] for i in range(len(out))]
-    pivot_cols.sort()
-    for i in range(len(out)):
-        for k in range(i + 1, len(out)):
-            factor = out[i][pivot_cols[k]]
-            if factor:
-                out[i] = [a - factor * b for a, b in zip(out[i], out[k])]
-    return out
-
-
-def same_span(vecs_a, vecs_b) -> bool:
-    return rref(vecs_a) == rref(vecs_b)

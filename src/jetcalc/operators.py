@@ -43,13 +43,16 @@ def _leibniz(I: MultiIndex) -> tuple:
 class CDiffOp:
     """rows x cols matrix with entries  sum_I a_I D_I  (coefficients left
     of the derivatives; equality is equality of this normal form), each
-    a_I summed once, by sum_of_terms, from the terms that land on its slot."""
+    a_I summed once, by sum_of_terms, from the terms that land on its slot.
+    It applies to a vector (`apply`, a tower of derivatives per column) or to
+    one expression in every column at once (`columns`, one tower for all)."""
 
     __slots__ = ("space", "rows", "cols", "entries", "_plan")
 
     def __init__(self, space: JetSpace, rows: int, cols: int, entries=()):
         """entries: {(row, col): {I: a_I}} or (row, col, I, a_I) terms, a_I also an unmultiplied
-        (k, a, b) of sum_of_terms; zero sums are dropped.  Frozen: `apply` plans from it."""
+        (k, a, b) of sum_of_terms; zero sums are dropped.  Frozen: `apply` and `columns`
+        plan from it."""
         if isinstance(entries, dict):
             entries = ((r, c, I, a) for (r, c), tab in entries.items() for I, a in tab.items())
         table = defaultdict(dict)
@@ -59,7 +62,7 @@ class CDiffOp:
                    if (clean := {I: a for I, terms in tab.items()
                                  if not (a := sum_of_terms(terms[0][1].space, terms)).is_zero()})}
         for name, value in (("space", space), ("rows", rows), ("cols", cols),
-                            ("entries", MappingProxyType(entries)), ("_plan", None)):
+                            ("entries", MappingProxyType(entries)), ("_plan", {})):
             object.__setattr__(self, name, value)  # once: the operator is frozen
 
     def __setattr__(self, name, value):
@@ -161,29 +164,50 @@ class CDiffOp:
                         for r, c, I, a in self.terms() for Jp, rest, k in _leibniz(I)
                         if not (da := apply_DI(a, Jp)).is_zero()))
 
-    def apply(self, vec, d=None) -> list:
-        """The operator on a vector, with total derivatives d as in apply_DI.
-        The first call plans the derivatives, once per operator, by tower_DI
-        on node numbers: node c is vec[c], each step (b, i) appends the node
-        D_i(node b), and each row holds its (a_K, node of D_K(vec[c])) pairs
-        in entry order.  Each call takes every step once, in tower_DI's
-        order, and sums each row with one sum_of_terms."""
-        if len(vec) != self.cols:
-            raise ShapeError(f"operator takes {self.cols} arguments, got {len(vec)}")
-        if self._plan is None:
-            steps, towers, rows = [], [{} for _ in vec], [[] for _ in range(self.rows)]
+    def _walk(self, args, d, shared: bool):
+        """(nodes, groups) of the derivative plan, which tower_DI builds on
+        node numbers on first use, one per kind of call.  The arguments are
+        the first nodes (one per column, or one expression for all columns
+        when shared), and each step (b, i) appends D_i(node b), taken with d
+        as in apply_DI; groups[c][r] lists slot (r, c)'s (a_K, node of D_K
+        of its argument) pairs in entry order, with every column in groups[0]
+        unless shared.  The towers are per column, or one when shared."""
+        plan = self._plan.get(shared)
+        if plan is None:
+            bases = 1 if shared else self.cols
+            steps, towers = [], [{} for _ in range(bases)]
+            groups = [[[] for _ in range(self.rows)] for _ in range(self.cols if shared else 1)]
 
             def step(b, i):
                 steps.append((b, i))
-                return self.cols + len(steps) - 1
+                return bases + len(steps) - 1
             for (r, c), tab in self.entries.items():
-                rows[r].extend((a, tower_DI(towers[c], c, K, step)) for K, a in tab.items())
-            object.__setattr__(self, "_plan", (steps, rows))
-        steps, rows = self._plan
-        nodes = list(vec)
+                b = 0 if shared else c
+                groups[c if shared else 0][r].extend(
+                    (a, tower_DI(towers[b], b, K, step)) for K, a in tab.items())
+            plan = self._plan[shared] = (steps, groups)
+        steps, groups = plan
+        nodes = list(args)
         for b, i in steps:
             nodes.append(nodes[b].total_derivative(i) if d is None else d(nodes[b], i))
+        return nodes, groups
+
+    def apply(self, vec, d=None) -> list:
+        """The operator on a vector, with total derivatives d as in apply_DI:
+        each row summed by one sum_of_terms over the plan's nodes of vec."""
+        if len(vec) != self.cols:
+            raise ShapeError(f"operator takes {self.cols} arguments, got {len(vec)}")
+        nodes, (rows,) = self._walk(vec, d, False)
         return [sum_of_terms(self.space, [(1, a, nodes[k]) for a, k in pairs]) for pairs in rows]
+
+    def columns(self, e: DiffExpr, d=None) -> list:
+        """The operator on each unit-slot vector of e: out[c][r] = sum_K a^{rc}_K D_K(e),
+        which is apply on the vector holding e at c and 0 elsewhere.  One tower of e over
+        every column's K serves them all, and each slot is summed from its nonzero nodes."""
+        nodes, cols = self._walk((e,), d, True)
+        return [[sum_of_terms(self.space, [(1, a, nodes[k]) for a, k in pairs
+                                           if not nodes[k].is_zero()]) for pairs in rows]
+                for rows in cols]
 
     def submatrix(self, rows, cols) -> "CDiffOp":
         return CDiffOp(self.space, len(rows), len(cols),

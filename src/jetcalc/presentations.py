@@ -102,20 +102,21 @@ class Presentation:
         right-hand side at a rule's leading jet, and above it D_i of the
         normal form of u_{K-e_i}, one pass reading each jet u_{L+e_i} as
         its normal form: that normal form is internal, and D_i of it is
-        linear in the u_{L+e_i}, so nothing is left to reduce."""
-        image = self._jet_nfs.get(key)
-        if image is None:
+        linear in the u_{L+e_i}, so nothing is left to reduce.  One loop
+        walks down to the first known image, and one takes the D_i back up."""
+        pending = []  # (key, i) of each image still to take, from the top down
+        while (image := self._jet_nfs.get(key)) is None:
             _, j, K = key
             s = self._jet_rules(key)
-            if s is None:
-                image = self.space.jet(j, K)
-            elif K == self.leadings[s][1]:
-                image = self.rhss[s]
-            else:
-                i = max(k for k, (a, b) in enumerate(zip(K, self.leadings[s][1])) if a > b)
-                base = self.jet_image(('j', j, mi_sub(K, mi_unit(self.space.n, i))))
-                image = base.total_derivative(i, table=self._d_tables[i])
-            self._jet_nfs[key] = image
+            if s is None or K == self.leadings[s][1]:
+                image = self._jet_nfs[key] = self.space.jet(j, K) if s is None else self.rhss[s]
+                break
+            i = max(k for k, (a, b) in enumerate(zip(K, self.leadings[s][1])) if a > b)
+            pending.append((key, i))
+            key = ('j', j, mi_sub(K, mi_unit(self.space.n, i)))
+        while pending:
+            key, i = pending.pop()
+            image = self._jet_nfs[key] = image.total_derivative(i, table=self._d_tables[i])
         return image
 
     def _reduce(self, e: DiffExpr) -> DiffExpr:
@@ -224,22 +225,34 @@ class Presentation:
         op = self.restrict_operator(op)
         return lambda vec: op.apply(self.normal_form(vec), d=self.d_internal)
 
+    def restricted_columns(self, op: CDiffOp):
+        """restricted(op) on every unit-slot vector of one expression, as the
+        function e -> CDiffOp.columns of the restricted op at NF(e): one
+        normal form and one tower of d_internal serve every column."""
+        op = self.restrict_operator(op)
+        return lambda e: op.columns(self.normal_form(e), self.d_internal)
+
     def lin_apply(self, phi) -> list:
         """l_F(phi) reduced (the symmetry determining operator), computed as
         l_E, l_F restricted to the equation once per presentation."""
-        return self._determining(False, phi)
+        return self._determining(False).apply(self.normal_form(phi), self.d_internal)
 
     def adj_apply(self, psi) -> list:
         """l_F*(psi) reduced (the cosymmetry determining operator), computed
         as lin_apply is, from the adjoint."""
-        return self._determining(True, psi)
+        return self._determining(True).apply(self.normal_form(psi), self.d_internal)
 
-    def _determining(self, adjoint, vec) -> list:
-        """restricted(linearization(adjoint))(vec), with the restricted
-        operator cached."""
+    def determining_columns(self, adjoint=False):
+        """e -> lin_apply (adj_apply when adjoint) on every unit-slot vector
+        of e, as restricted_columns gives them, through the cached operator."""
+        op = self._determining(adjoint)
+        return lambda e: op.columns(self.normal_form(e), self.d_internal)
+
+    def _determining(self, adjoint) -> CDiffOp:
+        """restrict_operator(linearization(adjoint)), once per presentation."""
         if adjoint not in self._determining_ops:
             self._determining_ops[adjoint] = self.restrict_operator(self.linearization(adjoint))
-        return self._determining_ops[adjoint].apply(self.normal_form(vec), self.d_internal)
+        return self._determining_ops[adjoint]
 
     def reduce_form(self, form: HorizontalForm) -> HorizontalForm:
         return form.map_components(self.normal_form)

@@ -40,8 +40,8 @@ from jetcalc import (
     verify_flat,
     verify_symplectic,
 )
-from jetcalc.linalg import rref, same_span
 from jetcalc.presentations import EquivalenceWitness
+from spans import rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])
 SP1 = JetSpace.create(["x"], ["u"])

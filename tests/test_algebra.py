@@ -34,11 +34,13 @@ from jetcalc.algebra import (
     apply_DI,
     euler_is_zero,
     mi_order,
+    tower_DI,
 )
 from jetcalc.errors import BudgetError, ExprSyntaxError
 from jetcalc.hamiltonian import momenta_space
-from jetcalc.linalg import nullspace, rref
+from jetcalc.linalg import nullspace
 from monomials import decoded_terms, from_factors, key_expr
+from spans import rref
 
 ROOT = Path(__file__).resolve().parents[1]
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -1096,3 +1098,44 @@ def test_reports_do_not_depend_on_slot_order():
         assert second[:len(first)] == first[::-1] != first
         assert code == code2 == 0
         assert report == report2 == reference.read_text()
+
+
+def test_a_tower_is_built_in_apply_order_without_recursion():
+    """tower_DI walks down to the tower in one loop and takes the
+    derivatives back up in another, so a chain three times the recursion
+    limit is built: on node numbers, D_K for K = (1500, 1500) takes every
+    x derivative, then every t one, as apply_DI does, each once; a taller
+    K takes one more step, and a K below it none."""
+    steps = []
+
+    def d(b, i):
+        steps.append((b, i))
+        return len(steps)
+    tower = {}
+    assert tower_DI(tower, 0, (1500, 1500), d) == 3000
+    assert steps == [(b, 0) for b in range(1500)] + [(b, 1) for b in range(1500, 3000)]
+    assert tower_DI(tower, 0, (1500, 1501), d) == 3001 and len(steps) == 3001
+    assert tower_DI(tower, 0, (700, 0), d) == 700 and len(steps) == 3001
+    assert tower_DI(tower, "e", (0, 0), d) == "e"
+
+
+_DEEP_JET = """
+from jetcalc import JetSpace, make_presentation, parse
+sp = JetSpace.create(["x", "t"], ["u"])
+pres = make_presentation(sp, [parse("u[0,1] - u[1,0]", sp)], [("u", (0, 1))])
+print(pres.jet_image(("j", 0, (0, 3000))) == sp.jet("u", (3000, 0)))
+"""
+
+
+def test_a_jet_far_above_its_rule_is_reduced_without_recursion():
+    """Presentation.jet_image walks down to a known image in one loop and
+    takes the D_i back up in another: on u_t = u_x, u[0,3000] (built
+    directly, beyond the parser's bound) reduces to u[3000,0], three times
+    deeper than the recursion limit.  In a fresh process, since it registers
+    some 6,000 jet slots."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _DEEP_JET], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "True\n"

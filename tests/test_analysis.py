@@ -31,7 +31,11 @@ from jetcalc import (
     verify_symplectic,
 )
 from jetcalc.analysis import AnsatzError, BilinearNabla, _theta, ansatz_monomials
-from jetcalc.linalg import rref, same_span
+from jetcalc.cli import Problem
+from jetcalc.corpus import corpus
+from jetcalc.linalg import nullspace
+from jetcalc.presentations import Presentation
+from spans import rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])
 
@@ -110,19 +114,22 @@ def test_solver_bases_do_not_depend_on_term_order(name, request):
     """The residuals' terms may come in any order (one accumulator per row
     orders them by first occurrence): rebuilt in reverse sorted order, they
     give the same basis."""
-    from jetcalc.analysis import ansatz_monomials, slot_candidates, solve_determining
+    from jetcalc.analysis import ansatz_monomials, solve_determining
 
     pres = request.getfixturevalue(name)
     space = pres.space
-    cands = slot_candidates(ansatz_monomials(pres, Ansatz(2, 2)), 1, space)
+    monos = ansatz_monomials(pres, Ansatz(2, 2))
+    columns = pres.determining_columns()
 
-    def reordered(vec):
-        return [sum(reversed(list(e.summands())), space.zero()) for e in pres.lin_apply(vec)]
+    def reordered(e):
+        return [[sum(reversed(list(r.summands())), space.zero()) for r in col]
+                for col in columns(e)]
 
     assert any(list(r.coefficients()) != list(e.coefficients())
-               for c in cands for r, e in zip(reordered(c), pres.lin_apply(c)))
-    basis = solve_determining(cands, pres.lin_apply)
-    assert basis and solve_determining(cands, reordered) == basis
+               for m in monos for rs, es in zip(reordered(m), columns(m))
+               for r, e in zip(rs, es))
+    basis = solve_determining(monos, 1, columns)
+    assert basis and solve_determining(monos, 1, reordered) == basis
 
 
 def _degree_fold_products(pres, ansatz):
@@ -432,6 +439,53 @@ def test_solver_bases_match_reference(label, dependent, parameters, equations,
     basis = solver(pres, Ansatz(*bounds))
     expected = json.loads(SOLVE_REFERENCE.read_text())[label]
     assert [[render(x) for x in vec] for vec in basis] == expected
+
+
+def _presentation(name):
+    return Problem(corpus(name)).presentation
+
+
+@pytest.mark.parametrize("name", ["boussinesq", "kdv-3comp"])
+def test_one_tower_per_monomial_serves_every_slot(name, monkeypatch):
+    """solve_symmetries takes d_internal len(monomials) times per step of
+    the restricted l_F's shared plan, whatever the number of slots; one
+    tower per slot and candidate would take m times as many towers."""
+    pres = _presentation(name)
+    ansatz = Ansatz(3, 2)
+    calls = []
+    d_internal = Presentation.d_internal
+    monkeypatch.setattr(Presentation, "d_internal",
+                        lambda self, e, i: calls.append(i) or d_internal(self, e, i))
+    assert solve_symmetries(pres, ansatz)
+    steps, _ = pres._determining(False)._plan[True]
+    assert pres.space.m > 1 and steps
+    assert len(calls) == len(ansatz_monomials(pres, ansatz)) * len(steps)
+
+
+@pytest.mark.parametrize("solver, route, bounds", [
+    (solve_symmetries, "lin_apply", (3, 3)),
+    (solve_cosymmetries, "adj_apply", (3, 2)),
+], ids=["symmetries", "cosymmetries"])
+def test_column_bases_match_the_per_vector_route(solver, route, bounds):
+    """On the 3-component KdV system, the bases equal those of one vector
+    per slot and monomial through lin_apply or adj_apply, each residual's
+    coefficients a row, then nullspace, to the rendered byte."""
+    pres = _presentation("kdv-3comp")
+    monos = ansatz_monomials(pres, Ansatz(*bounds))
+    zero, slots = pres.space.zero(), 3
+    cands = [[m if k == slot else zero for k in range(slots)]
+             for slot in range(slots) for m in monos]
+    rows = {}
+    for j, cand in enumerate(cands):
+        for comp, expr in enumerate(getattr(pres, route)(cand)):
+            for mono, c in expr.coefficients():
+                rows.setdefault((comp, mono), {})[j] = c
+    expected = [[sum((cands[j][k] * c for j, c in enumerate(vec) if c), zero)
+                 for k in range(slots)] for vec in nullspace(list(rows.values()), len(cands))]
+    got = solver(pres, Ansatz(*bounds))
+    assert expected and got == expected
+    assert [[render(x) for x in vec] for vec in got] == \
+        [[render(x) for x in vec] for vec in expected]
 
 
 @pytest.mark.parametrize("adjoint", [False, True], ids=["bivector", "symplectic"])

@@ -11,10 +11,11 @@ import pytest
 from jsonschema import Draft202012Validator, ValidationError
 
 from jetcalc import presentations
-from jetcalc.algebra import _D, JetSpace, parse
+from jetcalc.algebra import _D, _J, JetSpace, parse
 from jetcalc.analysis import MAX_MONOMIALS
 from jetcalc.cli import (
     _TASKS,
+    MAX_D,
     MAX_DEGREE,
     MAX_NESTING,
     MAX_ORDER,
@@ -461,6 +462,68 @@ def test_magri_steps_beyond_their_maximum_are_an_input_error(tmp_path, capsys,
     assert err.startswith(f"input error: {MAX_STEPS + 1} is greater than the maximum of ")
     bundled = [t for name in corpus_names() for t in corpus(name)["tasks"]]
     assert all(t["steps"] <= MAX_STEPS for t in bundled if t["kind"] == "magri")
+
+
+def _derivative_entries(x, path=()):
+    """(path, value) of every entry of every `D` in a problem."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            if k == "D":
+                yield from (((*path, k, i), e) for i, e in enumerate(v))
+            else:
+                yield from _derivative_entries(v, (*path, k))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _derivative_entries(v, (*path, i))
+
+
+def _with_entry(name, path, value):
+    data = corpus(name)
+    obj = data
+    for k in path[:-1]:
+        obj = obj[k]
+    obj[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("kdv6", ("tasks", 0, "op", "entries", 0, "terms", 0, "D", 1), 10**30),
+    ("kdv6", ("tasks", 0, "op", "entries", 0, "terms", 0, "D", 1), 1e308),
+    ("kdv6", ("tasks", 1, "op", "entries", 0, "terms", 0, "D", 0), 2**64 + 1),
+    ("boussinesq", ("hamiltonian", "operators", "A", "entries", 0, "terms", 0, "D", 0), 5000),
+    ("kdv", ("pseudo_operators", "lenard", "local", 0, "terms", 0, "D", 0), MAX_D + 1),
+    ("kdv", ("pseudo_operators", "lenard", "tail", 0, "b", 0, "terms", 0, "D", 0), MAX_D + 1),
+    ("kdv-3comp", ("tasks", 0, "witness", "alpha", "entries", 0, "terms", 0, "D", 0),
+     MAX_D + 1),
+], ids=["kdv6-10^30", "kdv6-1e308", "kdv6-2^64+1", "boussinesq-5000", "pseudo-local",
+        "pseudo-tail", "witness"])
+def test_operator_orders_beyond_their_maximum_are_input_errors(tmp_path, capsys, name,
+                                                               path, value):
+    """An operator term's D entry beyond MAX_D, in an operator, a
+    pseudo-operator's local part or tail, or a witness, is refused by the
+    schema before any operator is built; every bundled entry is inside it."""
+    code, err = _input_error(tmp_path, capsys, _with_entry(name, path, value))
+    assert code == 2
+    assert err.startswith(f"input error: {value} is greater than the maximum of {MAX_D} ")
+    assert all(e <= MAX_D for n in corpus_names() for _, e in _derivative_entries(corpus(n)))
+
+
+@pytest.mark.parametrize("name, task", [
+    ("kdv", {"kind": "verify-symmetry", "exprs": ["u[0,3000]"]}),
+    ("kdv", {"kind": "reduce", "expr": f"u[{_J + 1},0]"}),
+    ("boussinesq", {"kind": "verify-cosymmetry", "exprs": ["u[0,0]", f"v[0,{10**30}]"]}),
+], ids=["kdv-3000", "just-beyond", "10^30"])
+def test_jet_orders_beyond_their_maximum_are_input_errors(tmp_path, capsys, name, task):
+    """A jet whose multi-index has an entry beyond algebra._J is refused by
+    the parser at that entry, before its task's work; every bundled jet is
+    inside it."""
+    code, err = _input_error(tmp_path, capsys, _changed(name, {"tasks": [task]}))
+    assert code == 2
+    assert re.fullmatch(rf"input error: multi-index entries must be at most {_J} "
+                        r"\(at position \d+\)\n", err)
+    texts = json.dumps([corpus(n) for n in corpus_names()])
+    assert all(int(k) <= _J for index in re.findall(r"\w\[([\d,]+)\]", texts)
+               for k in index.split(","))
 
 
 @pytest.mark.parametrize("name, kind, order, degree, count", [

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jetcalc import (
+    Ansatz,
     AnsatzError,
     CDiffOp,
     JetSpace,
@@ -339,6 +340,16 @@ def test_magri_step_without_a_solution_is_an_ansatz_error():
     """A = 0 takes no psi to B(delta omega) != 0, so no step is taken."""
     with pytest.raises(AnsatzError, match="no ansatz solution"):
         magri_step(CDiffOp(SP1, 1, 1), B_KDV, U * Fraction(1, 2))
+
+
+def test_solve_linear_reads_every_row_of_the_target():
+    """A(psi) = target with one row more in the target than in A: its last
+    row, 1, asks 0 = 1, so there is no solution, though A(u) is the first
+    row; without the extra row, u solves it."""
+    A = CDiffOp.scalar(SP1, {(1,): U})
+    first = U * parse("u[1]", SP1)
+    assert hamiltonian.solve_linear(A, [first], Ansatz(2, 2)) == [U]
+    assert hamiltonian.solve_linear(A, [first, SP1.one()], Ansatz(2, 2)) is None
 
 
 def test_magri_step_values():

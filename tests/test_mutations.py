@@ -14,10 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from jsonschema import Draft202012Validator, ValidationError
 from jsonschema.exceptions import best_match
 
-from jetcalc.cli import _ACCEPT, _TASKS, _TYPED, MAX_NESTING, PROBLEM_SCHEMA, Problem, _fits
+from jetcalc.cli import (_ACCEPT, _TASKS, _TYPED, MAX_D, MAX_NESTING, PROBLEM_SCHEMA, Problem,
+                         _fits, main)
 from jetcalc.corpus import corpus, corpus_names
 from jetcalc.errors import JetCalcError, ProblemError
 
@@ -25,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PROBLEM = Draft202012Validator(PROBLEM_SCHEMA)
 ROWS = {kind: Draft202012Validator({"properties": typed}) for kind, typed in _TYPED.items()}
 EDGES = [2.0, True, math.nan, math.inf, -0.0]
+EDITS = ["delete", "retype", "number", "truncate", "nest", "rename", "duplicate", "edge"]
 MUTANTS_PER_PROBLEM = 40
 
 
@@ -141,10 +144,8 @@ def _mutation_report(seed):
         verdict = _verdict(data)
         assert verdict.startswith("1 ") and verdict.endswith(" built"), name
         rng = random.Random(f"{seed}:{name}")
-        edits = ["delete", "retype", "number", "truncate", "nest", "rename", "duplicate",
-                 "edge"]
         for i in range(MUTANTS_PER_PROBLEM):
-            edit = edits[i % len(edits)]
+            edit = EDITS[i % len(EDITS)]
             lines.append(f"{name} {i} {edit} {_verdict(_mutant(data, edit, rng))}")
     return lines
 
@@ -176,3 +177,19 @@ def test_mutant_verdicts_do_not_depend_on_the_hash_seed():
         outputs.append(json.loads(proc.stdout))
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == MUTANTS_PER_PROBLEM * len(corpus_names())
+
+
+@pytest.mark.parametrize("seed, name", [(61, "kdv6"), (231, "boussinesq")])
+def test_mutants_run_end_to_end(tmp_path, capsys, seed, name):
+    """Every mutant of one seed of a problem through `jetcalc run`: each exit
+    is 0, 1 or 2, an exit of 2 prints `input error:`, and none ends in a
+    traceback (main would raise it).  These seeds set operator terms' D
+    entries to 10^30, 1e308 and 2^64 + 1, which the schema refuses."""
+    rng, beyond = random.Random(f"{seed}:{name}"), 0
+    for i in range(MUTANTS_PER_PROBLEM):
+        f = tmp_path / f"{i}.json"
+        f.write_text(json.dumps(_mutant(corpus(name), EDITS[i % len(EDITS)], rng)))
+        code, err = main(["run", str(f)]), capsys.readouterr().err
+        assert code in (0, 1, 2) and (code == 2) == err.startswith("input error: "), (i, err)
+        beyond += f"is greater than the maximum of {MAX_D} " in err
+    assert beyond >= 2

@@ -318,6 +318,38 @@ def test_apply_plan_serves_every_vector(boussinesq, monkeypatch):
                 assert got == apply_by_terms(op, vec, pres.d_bar if d else None)
 
 
+def test_columns_are_apply_on_unit_slot_vectors(boussinesq, monkeypatch):
+    """columns(e, d)[c] is apply on the vector holding e at c and 0
+    elsewhere, free and restricted, and it takes one total derivative per
+    node of one tower over every column's K: each D_J(e) once, whatever
+    the number of columns that need it."""
+    pres = boussinesq
+    space = pres.space
+    ops = [pres.linearization(), pres.restrict_operator(pres.linearization().adjoint())]
+    exprs = [parse("u[0,0]*v[1,0] + x*u[2,0]", space), parse("sigma*v[0,0]^2", space)]
+    calls = []
+
+    def d_bar(e, i):
+        calls.append(i)
+        return pres.d_bar(e, i)
+    free = DiffExpr.total_derivative
+    for op in ops:
+        nodes = {J for _, _, K, _ in op.terms() for J in _chain(K)}
+        assert len(nodes) < len({(c, J) for _, c, K, _ in op.terms() for J in _chain(K)})
+        for e in exprs:
+            for d in (None, d_bar):
+                if d is None:  # counted on the free D_i itself
+                    monkeypatch.setattr(DiffExpr, "total_derivative",
+                                        lambda x, i: calls.append(i) or free(x, i))
+                got = op.columns(e, d)
+                monkeypatch.undo()
+                assert len(calls) == len(nodes)
+                del calls[:]
+                units = [[e if k == c else space.zero() for k in range(op.cols)]
+                         for c in range(op.cols)]
+                assert got == [op.apply(vec, pres.d_bar if d else None) for vec in units]
+
+
 def test_an_applied_operator_table_refuses_writes():
     """The plan that the first apply builds from an operator's table cannot
     go stale: neither the table nor an entry of it can be written."""
