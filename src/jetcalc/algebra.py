@@ -97,10 +97,10 @@ The monomial format is private to this module.  Other modules build
 expressions from the JetSpace constructors and the ring operations, and
 read them through `variables`, `summands` (single-term expressions in
 sorted monomial order), `coefficients` ((opaque monomial, coefficient)
-pairs), `negative_keys` and `len` (the term count).  The ring operations
-raise ShapeError, and == is False, for expressions over incompatible spaces
-(`_compatible`: renamed variables; a space and its `extended` results
-meet).
+pairs), `exponents` (each monomial's factors), `negative_keys` and `len`
+(the term count).  The ring operations raise ShapeError, and == is False,
+for expressions over incompatible spaces (`_compatible`: renamed
+variables; a space and its `extended` results meet).
 """
 
 from __future__ import annotations
@@ -699,6 +699,9 @@ class DiffExpr:
     def negative_keys(self) -> set:
         """The variable keys that carry a negative exponent."""
         return {k for mono in self.terms for k, e in _factors(mono) if e < 0}
+
+    def exponents(self):  # the sorted ((key, exponent), ...) of each monomial
+        return [_factors(m) for m in self.terms]
 
     def variables(self):
         seen = set()

@@ -3,7 +3,9 @@ symplectic verification on equation presentations."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from math import comb
 
@@ -19,7 +21,7 @@ from .algebra import (
     sum_of_terms,
 )
 from .errors import AnsatzError, CheckError, ProblemError, ShapeError, VariationalityError
-from .linalg import nullspace
+from .linalg import eliminate, peel
 from .operators import CDiffOp, PseudoOp, ev_apply, green_form, helmholtz, jacobi, linearize
 from .presentations import Presentation
 
@@ -42,6 +44,10 @@ class Ansatz:
 # about ten times the largest pool of a bundled, benchmarked or tested
 # problem (1,001: KdV at order 7, degree 4)
 MAX_MONOMIALS = 10_000
+# completed weight blocks are peeled together until they hold this many
+# rows: any value up to 128 bounds memory the same, and at 32 the heat and
+# burgers corpus solves peel once, not 9 times
+PEEL_ROWS = 32
 # the test arguments of the symplectic closedness check, by default
 SYMPLECTIC_ANSATZ = Ansatz(2, 1)
 
@@ -51,60 +57,87 @@ def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
     products of up to max_degree generators, at most C(g + max_degree,
     max_degree) of them for g generators.  A ProblemError (an input error)
     when that count is beyond MAX_MONOMIALS, before any product is built."""
+    return _weighted_pool(pres, ansatz, Counter())[0]
+
+
+def _weighted_pool(pres: Presentation, ansatz: Ansatz, scaling):
+    """(ansatz_monomials, the weight of each under `scaling`, a
+    Presentation.scaling): the generators' weights summed as their products
+    are folded, so no monomial is decoded."""
     space = pres.space
-    gens = []
+    gens, weights = [], []
     for i, name in enumerate(space.independent):
         if ansatz.whitelist is None or name in ansatz.whitelist:
             gens.append(space.indep(i))
+            weights.append(scaling['i', i])
     for key in pres.internal_jets(ansatz.max_jet_order):
         name = space.dependent[key[1]]
         if ansatz.whitelist is None or name in ansatz.whitelist:
             gens.append(space.jet(key[1], key[2]))
+            weights.append(scaling['j', key[1]]
+                           - sum(d * scaling['i', i] for i, d in enumerate(key[2])))
     count = comb(len(gens) + ansatz.max_degree, ansatz.max_degree)
     if count > MAX_MONOMIALS:
         raise ProblemError(f"ansatz of {count} monomials beyond the cap of {MAX_MONOMIALS}")
-    # one product per monomial: the previous degree's product of all but the
-    # last generator (zeros kept), times the last
-    monos, prev = [space.one()], {(): space.one()}
+    # one product and one sum of weights per monomial: the previous degree's
+    # product of all but the last generator (zeros kept), times the last
+    pool, prev = [(space.one(), 0)], {(): (space.one(), 0)}
     for deg in range(1, ansatz.max_degree + 1):
-        prev = {combo: prev[combo[:-1]] * gens[combo[-1]]
-                for combo in combinations_with_replacement(range(len(gens)), deg)}
-        monos.extend(m for m in prev.values() if not m.is_zero())
-    return monos
+        prev = {combo: (m * gens[combo[-1]], w + weights[combo[-1]])
+                for combo in combinations_with_replacement(range(len(gens)), deg)
+                for m, w in (prev[combo[:-1]],)}
+        pool.extend(p for p in prev.values() if not p[0].is_zero())
+    return [m for m, _ in pool], [w for _, w in pool]
 
 
-def solve_determining(monos, slots: int, columns, target=None):
+def solve_determining(monos, slots: int, columns, target=None, weights=None):
     """The ansatz solver.  Its unknowns are one coefficient per monomial and
     slot, column j = slot * len(monos) + i for monos[i] in that slot, and a
     last one for `target`, a residual of its own, when one is given.
     columns(e) gives, per slot, the residual of the vector holding e in that
-    slot and 0 elsewhere, so each monomial takes one call: one normal form
-    and one derivative tower serve every slot, and nothing outlives the
-    solve.  Returns the echelonized solution basis as vectors of `slots`
-    expressions, with the target's coefficient (a Fraction) last if given."""
+    slot and 0 elsewhere, so each monomial takes one call: one derivative
+    tower serves every slot, and nothing outlives the solve.  `weights`
+    (w(m) per monomial, an offset per slot) weigh the candidate (m, slot),
+    and every row of its residual, w(m) + offset under a scaling: in weight
+    order, a weight's rows are peeled after its last candidate (with other
+    closed ones, up to PEEL_ROWS), and the survivors eliminated once; a
+    target weighs 0, so a solve with one takes no weights.  Returns the echelonized solution basis as vectors of
+    `slots` expressions, with the target's coefficient (a Fraction) last if
+    given."""
     if not monos or not slots and target is None:
         raise AnsatzError("ansatz generates no unknowns")
     zero, n = monos[0].space.zero(), len(monos)
     ncols = slots * n + (target is not None)
-    residuals = ((slot * n + i, res) for i, m in enumerate(monos)
-                 for slot, res in enumerate(columns(m)))
-    row_index, rows = {}, []  # per component, the row of each monomial of a residual
-    for j, residual in chain(residuals, [(ncols - 1, target)] if target is not None else ()):
+    mono_w, offsets = weights or ([0] * n, [0] * slots)
+    order = sorted(range(n), key=mono_w.__getitem__)
+    cands = [(slot * n + i, mono_w[i] + offsets[slot]) for i in order for slot in range(slots)]
+    cands += [(ncols - 1, 0)] * (target is not None)
+    last = {w: j for j, w in cands}
+    residuals = chain(chain.from_iterable(columns(monos[i]) for i in order), [target])
+    blocks, closed, survivors, forced = {}, [], [], set()  # a row per weight, component, monomial
+    for (j, w), residual in zip(cands, residuals):
+        block = blocks.setdefault(w, {})
         for comp, expr in enumerate(residual):
-            index = row_index.setdefault(comp, {})
+            index = block.setdefault(comp, {})
             for mono, c in expr.coefficients():
                 row = index.get(mono)
                 if row is None:
                     row = index[mono] = {}
-                    rows.append(row)
                 row[j] = c
+        if last[w] == j:  # no later candidate weighs w
+            closed += (r for index in blocks.pop(w).values() for r in index.values())
+            if len(closed) >= PEEL_ROWS or j == cands[-1][0]:
+                rows, cols = peel(closed)
+                survivors += rows
+                forced |= cols
+                closed = []
     out = []
-    for vec in nullspace(rows, ncols):
+    for vec in eliminate(survivors, forced, ncols):
         sol = [zero] * slots
-        for j, c in enumerate(vec[:slots * n]):
-            if c:
-                sol[j // n] += monos[j % n] * c
-        out.append(sol + vec[slots * n:])
+        for j in sorted(vec):
+            if j < slots * n:
+                sol[j // n] += monos[j % n] * vec[j]
+        out.append(sol + [vec.get(j, Fraction(0)) for j in range(slots * n, ncols)])
     return out
 
 
@@ -116,9 +149,16 @@ def verify_symmetry(phi, pres: Presentation):
     return all(r.is_zero() for r in residual), residual
 
 
+def _solve(pres: Presentation, ansatz: Ansatz, adjoint, offsets):
+    """solve_determining on the ansatz, (m, slot) weighing w(m) + offsets[slot]: w(m) - w(u^j)
+    for symmetries (row s of l_F(m in slot j) weighs that + W_s), w(m) + W_s for cosymmetries."""
+    monos, weights = _weighted_pool(pres, ansatz, pres.scaling)
+    return solve_determining(monos, len(offsets), pres.determining_columns(adjoint), None,
+                             (weights, offsets))
+
+
 def solve_symmetries(pres: Presentation, ansatz: Ansatz):
-    return solve_determining(ansatz_monomials(pres, ansatz), pres.space.m,
-                             pres.determining_columns())
+    return _solve(pres, ansatz, False, [-pres.scaling['j', j] for j in range(pres.space.m)])
 
 
 def verify_cosymmetry(psi, pres: Presentation):
@@ -127,8 +167,7 @@ def verify_cosymmetry(psi, pres: Presentation):
 
 
 def solve_cosymmetries(pres: Presentation, ansatz: Ansatz):
-    return solve_determining(ansatz_monomials(pres, ansatz), len(pres.components),
-                             pres.determining_columns(adjoint=True))
+    return _solve(pres, ansatz, True, [pres.scaling['F', s] for s in range(len(pres.components))])
 
 
 def _cofactor_operator(image, pres: Presentation):

@@ -75,9 +75,11 @@ MAX_D = 10
 # the objects `Problem` and the handlers read by key
 _ENTRIES = _array(_object({"row": _NAT, "col": _NAT, "terms": _array(
     _object({"D": _array(dict(_NAT, maximum=MAX_D)), "coef": _TEXT}))}))
-_OPERATOR = _object({"rows": _NAT, "cols": _NAT, "entries": _ENTRIES})
+MAX_SHAPE = 100  # rows, cols, m1: 10^6 columns take 2 s, an m1 of 10^8 1.4 GB; bundled <= 3
+_SHAPE = dict(_NAT, maximum=MAX_SHAPE)
+_OPERATOR = _object({"rows": _SHAPE, "cols": _SHAPE, "entries": _ENTRIES})
 _PSEUDO_OPERATOR = _object({
-    "rows": _NAT, "cols": _NAT, "local": _ENTRIES,
+    "rows": _SHAPE, "cols": _SHAPE, "local": _ENTRIES,
     "tail": _array(_object({"a": {"anyOf": [_TEXT, _EXPRS]}, "b": _ENTRIES}))},
     optional=("tail",))
 _COVERING = _object({
@@ -87,7 +89,7 @@ _COVERING = _object({
 _HAMILTONIAN = _object({"space": _SPACE_SCHEMA, "operators": _mapping(_OPERATOR)},
                        optional=("operators",))
 _WITNESS_OPERATORS = ("alpha", "beta", "alpha_p", "beta_p", "s1", "s2")
-_WITNESS = _object({"components": _EXPRS, "m1": _NAT,
+_WITNESS = _object({"components": _EXPRS, "m1": _SHAPE,
                     **dict.fromkeys(_WITNESS_OPERATORS, _OPERATOR)})
 
 

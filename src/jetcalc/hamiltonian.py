@@ -62,16 +62,19 @@ class Superdensity:
     expr: DiffExpr
 
 
-def to_superdensity(op: CDiffOp) -> Superdensity:
-    """W_A = <A(p), p> = sum a_sigma^{ij} p^j_sigma p^i for a square
-    operator (the undifferentiated momentum carries the row index; for one
-    dependent variable this is the familiar  sum a_sigma p_sigma p)."""
-    if op.rows != op.cols:
-        raise ShapeError("superdensity encoding needs a square operator")
+def _on_momenta(op: CDiffOp):  # (momenta space, p, A(p))
+    if op.rows != op.cols or op.cols != op.space.m:
+        raise ShapeError("superdensity encoding needs a square operator on the dependents")
     ext = momenta_space(op.space)
-    m = op.space.m
-    p = [ext.jet(m + c, mi_zero(ext.n)) for c in range(op.cols)]
-    return Superdensity(ext, m, pairing_density(op.rename_space(ext).apply(p), p))
+    p = [ext.jet(op.space.m + c, mi_zero(ext.n)) for c in range(op.cols)]
+    return ext, p, op.rename_space(ext).apply(p)
+
+
+def to_superdensity(op: CDiffOp) -> Superdensity:
+    """W_A = <A(p), p> = sum a_sigma^{ij} p^j_sigma p^i (the undifferentiated momentum
+    carries the row index; for one dependent variable, sum a_sigma p_sigma p)."""
+    ext, p, image = _on_momenta(op)
+    return Superdensity(ext, op.space.m, pairing_density(image, p))
 
 
 def from_superdensity(sd: Superdensity) -> CDiffOp:
@@ -91,25 +94,29 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
     return a_star_minus_a.rename_space(carrier).scale(Fraction(-1, 2))
 
 
-def _bracket_density(op1: CDiffOp, op2: CDiffOp) -> DiffExpr:
+def _bracket_density(op1: CDiffOp, op2: CDiffOp):
     """sum_i dW1/du^i dW2/dp^i + dW2/du^i dW1/dp^i on the momentum space, over
     the gradient pairs (W1, W2) and (W2, W1); for op2 is op1, (W, W) once: half
-    the sum, whose Euler operator vanishes exactly when the full sum's does."""
-    Ws = [to_superdensity(op) for op in ((op1,) if op2 is op1 else (op1, op2))]
-    m = Ws[0].base_m
-    grads = [euler(W.expr) for W in Ws]
-    return sum_of_products(Ws[0].space, [(g[i], h[m + i]) for g, h in zip(grads, grads[::-1])
-                                         for i in range(m)])
+    the sum, whose Euler operator vanishes exactly when the full sum's does.
+    None unless each A is skew-adjoint, that is dW/dp = (A* - A)(p) = -2 A(p)."""
+    grads, m = [], op1.space.m
+    for op in (op1,) if op2 is op1 else (op1, op2):
+        ext, p, image = _on_momenta(op)
+        grads.append(euler(pairing_density(image, p)))
+        if not all(g == a * -2 for g, a in zip(grads[-1][m:], image)):
+            return None
+    return sum_of_products(ext, [(g[i], h[m + i]) for g, h in zip(grads, grads[::-1])
+                                 for i in range(m)])
 
 
 def is_hamiltonian(op: CDiffOp) -> bool:
-    """[[A, A]] = 0: the polarized criterion with B = A."""
+    """[[A, A]] = 0 for a skew-adjoint A: the polarized criterion with B = A."""
     return are_compatible(op, op)
 
 
 def are_compatible(op1: CDiffOp, op2: CDiffOp) -> bool:
-    """[[A, B]] = 0 via the polarized odd-variable criterion."""
-    return euler_is_zero(_bracket_density(op1, op2))
+    """[[A, B]] = 0 for skew-adjoint A and B, via the polarized odd-variable criterion."""
+    return (density := _bracket_density(op1, op2)) is not None and euler_is_zero(density)
 
 
 # -- direct (un-shuffle) bracket ----------------------------------------------

@@ -34,6 +34,7 @@ from .algebra import (
     render,
 )
 from .errors import ConfluenceError, NonSolvableError, ReductionError
+from .linalg import _integral, nullspace
 from .operators import CDiffOp, linearize
 
 
@@ -253,6 +254,27 @@ class Presentation:
         if adjoint not in self._determining_ops:
             self._determining_ops[adjoint] = self.restrict_operator(self.linearization(adjoint))
         return self._determining_ops[adjoint]
+
+    @cached_property
+    def scaling(self) -> dict:
+        """Scaling weights (Goktas & Hereman, J. Symb. Comput. 24, 1997), an
+        int per ('i', k), ('j', j), ('q', name) and ('F', s): each monomial of
+        F_s weighs ('F', s), a jet u_K weighs w(u) - sum_i K_i w(x^i).  Basis
+        vector k of the weights' nullspace fills bits 32k up; all 0 on a space
+        with nonlocals, whose weights the system does not cover."""
+        sp = self.space
+        keys = [('i', k) for k in range(sp.n)] + [('j', j) for j in range(sp.m)] + \
+            [('q', q) for q in sp.parameters] + [('F', s) for s in range(len(self.components))]
+        col, rows = {k: c for c, k in enumerate(keys)}, []
+        for s, F in enumerate(self.components if not sp.nonlocals else ()):
+            for factors in F.exponents():
+                rows.append(row := {col['F', s]: -1})
+                for key, e in factors:
+                    row[col[key[:2]]] = row.get(col[key[:2]], 0) + e
+                    for i, d in enumerate(key[2] if key[0] == 'j' else ()):
+                        row[i] = row.get(i, 0) - e * d  # x^i is column i
+        basis = [_integral(dict(enumerate(v))) for v in nullspace(rows, len(keys))] if rows else []
+        return {key: sum(v[c] << 32 * k for k, v in enumerate(basis)) for c, key in enumerate(keys)}
 
     def reduce_form(self, form: HorizontalForm) -> HorizontalForm:
         return form.map_components(self.normal_form)

@@ -709,7 +709,8 @@ def test_nullspace_matches_fraction_elimination():
 
 def test_peeling_leaves_few_rows_to_eliminate(monkeypatch):
     """On KdV's (7,4) symmetry system (3,173 rows, 999 of them singletons)
-    at most 45 rows reach the integer elimination."""
+    at most 45 rows reach the integer elimination.  The presentation's
+    scaling weights, a 3-row system of their own, are found first."""
     from jetcalc import Ansatz, make_presentation, solve_symmetries
     from jetcalc import linalg
 
@@ -719,9 +720,10 @@ def test_peeling_leaves_few_rows_to_eliminate(monkeypatch):
         calls.append(len(row))
         return integral(row)
 
-    monkeypatch.setattr(linalg, "_integral", counted)
     pres = make_presentation(SP, [parse("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", SP)],
                              [("u", (0, 1))])
+    assert pres.scaling['F', 0]
+    monkeypatch.setattr(linalg, "_integral", counted)
     assert len(solve_symmetries(pres, Ansatz(7, 4))) == 6
     assert 0 < len(calls) <= 45
 

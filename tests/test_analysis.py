@@ -30,6 +30,7 @@ from jetcalc import (
     verify_symmetry,
     verify_symplectic,
 )
+from jetcalc import analysis
 from jetcalc.analysis import AnsatzError, BilinearNabla, _theta, ansatz_monomials
 from jetcalc.cli import Problem
 from jetcalc.corpus import corpus
@@ -508,3 +509,109 @@ def test_bilinear_nabla_records_theta_on_the_equation(kdv, adjoint):
     lhs = (theta - restricted).apply(arg)[0] * chi[0]
     rhs = kdv.components[0] * nabla.star1(chi, arg)[0]
     assert all(e.is_zero() for e in euler(lhs - rhs))
+
+
+# -- the split by scaling weight ----------------------------------------------
+
+
+def _fields(w):
+    """A packed weight's scalings, one balanced 32-bit field each."""
+    out = []
+    while w:
+        f = (w + (1 << 31)) % (1 << 32) - (1 << 31)
+        out.append(f)
+        w = (w - f) >> 32
+    return out
+
+
+def _weight(pres, key):
+    """The scaling weight of a variable key, a jet u_K weighing w(u) - sum_i K_i w(x^i)."""
+    w = pres.scaling
+    return w[key[:2]] - sum(d * w['i', i] for i, d in enumerate(key[2] if key[0] == 'j' else ()))
+
+
+def _whole_system_basis(pres, bounds, slots, adjoint=False):
+    """The solutions from one nullspace over every row of the determining
+    system, in the solver's column order, as the solver gave them before
+    the split."""
+    monos = ansatz_monomials(pres, Ansatz(*bounds))
+    columns, n, rows = pres.determining_columns(adjoint), len(monos), {}
+    for i, m in enumerate(monos):
+        for slot, res in enumerate(columns(m)):
+            for comp, expr in enumerate(res):
+                for mono, c in expr.coefficients():
+                    rows.setdefault((comp, mono), {})[slot * n + i] = c
+    zero = pres.space.zero()
+    return [[sum((monos[j % n] * c for j, c in enumerate(vec) if c and j // n == k), zero)
+             for k in range(slots)] for vec in nullspace(list(rows.values()), slots * n)]
+
+
+@pytest.mark.parametrize("name, dimension, line", [
+    ("kdv", 1, (1, 3, -2)), ("camassa-holm", 1, (0, 1, -1)), ("boussinesq", 2, None),
+])
+def test_scaling_weights_make_every_component_homogeneous(name, dimension, line):
+    """KdV has one scaling, (w_x, w_t, w_u) on the line of (1, 3, -2),
+    Camassa-Holm one, with w_x = 0, and Boussinesq (with its parameter) a
+    2-dimensional group.  Under the packed weights every monomial of F_s
+    weighs W_s, as it does under each scaling apart."""
+    pres = _presentation(name)
+    space = pres.space
+    keys = [('i', i) for i in range(space.n)] + [('j', j, (0,) * space.n) for j in range(space.m)]
+    weights = [_weight(pres, k) for k in keys]
+    assert max(len(_fields(w)) for w in weights) == dimension
+    if line:
+        assert any(weights) and all(weights[a] * line[b] == line[a] * weights[b]
+                                    for a in range(3) for b in range(3))
+    for s, F in enumerate(pres.components):
+        for factors in F.exponents():
+            assert sum(e * _weight(pres, k) for k, e in factors) == pres.scaling['F', s]
+
+
+def _blocks(monkeypatch):
+    """The rows of each block the solver peels, recorded."""
+    sizes, peel = [], analysis.peel
+
+    def recorded(rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return peel(rows)
+
+    monkeypatch.setattr(analysis, "peel", recorded)
+    return sizes
+
+
+def test_an_equation_without_a_scaling_is_solved_as_one_block(monkeypatch):
+    """u_t = u_xx + u + u^2 has only the trivial scaling: every weight is 0,
+    the system is peeled as one block, and the basis is the whole-system
+    nullspace's."""
+    space = JetSpace.create(["x", "t"], ["u"])
+    pres = make_presentation(space, [parse("u[0,1] - u[2,0] - u[0,0] - u[0,0]^2", space)],
+                             [("u", (0, 1))])
+    assert not any(pres.scaling.values())
+    sizes = _blocks(monkeypatch)
+    basis = solve_symmetries(pres, Ansatz(3, 2))
+    assert len(sizes) == 1 and basis == _whole_system_basis(pres, (3, 2), 1)
+
+
+def test_camassa_holm_splits_into_small_blocks(monkeypatch):
+    """Camassa-Holm (3,3): 10,370 rows in all, the largest block at most 15%
+    of them, and the basis the whole-system nullspace's."""
+    pres = _presentation("camassa-holm")
+    sizes = _blocks(monkeypatch)
+    basis = solve_symmetries(pres, Ansatz(3, 3))
+    assert sum(sizes) == 10370 and max(sizes) <= 0.15 * 10370 and len(sizes) > 1
+    assert basis == _whole_system_basis(pres, (3, 3), 1)
+
+
+@pytest.mark.parametrize("name, solver, bounds, adjoint", [
+    ("boussinesq", solve_symmetries, (3, 2), False),
+    ("kdv-3comp", solve_cosymmetries, (3, 2), True),
+], ids=["boussinesq-symmetries", "kdv-3comp-cosymmetries"])
+def test_block_bases_equal_the_whole_system_basis(monkeypatch, name, solver, bounds, adjoint):
+    """With a 2-dimensional scaling group, and with cosymmetries' offsets W_s,
+    the blocks' survivors, eliminated once, give the whole-system basis."""
+    pres = _presentation(name)
+    sizes = _blocks(monkeypatch)
+    basis = solver(pres, Ansatz(*bounds))
+    slots = len(pres.components) if adjoint else pres.space.m
+    assert len(sizes) > 1 and basis and basis == _whole_system_basis(pres, bounds, slots, adjoint)

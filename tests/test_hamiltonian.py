@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from jetcalc import (
     verify_bivector_on_equation,
 )
 from jetcalc import hamiltonian
+from jetcalc.cli import main
+from jetcalc.corpus import corpus
 from jetcalc.algebra import apply_DI
 from jetcalc.hamiltonian import momenta_space
 
@@ -352,6 +355,16 @@ def test_solve_linear_reads_every_row_of_the_target():
     assert hamiltonian.solve_linear(A, [first, SP1.one()], Ansatz(2, 2)) is None
 
 
+def test_solve_linear_reads_every_row_of_the_operator():
+    """A(psi) = (D_x psi, psi) against a one-row target u u_x: the row A has
+    beyond the target asks psi = 0, so there is no solution, though
+    D_x(u^2/2) is the target; with u^2/2 as a second row, u^2/2 solves it."""
+    A = CDiffOp(SP1, 2, 1, [(0, 0, (1,), SP1.one()), (1, 0, (0,), SP1.one())])
+    first, half = U * parse("u[1]", SP1), U * U * Fraction(1, 2)
+    assert hamiltonian.solve_linear(A, [first], Ansatz(2, 2)) is None
+    assert hamiltonian.solve_linear(A, [first, half], Ansatz(2, 2)) == [half]
+
+
 def test_magri_step_values():
     w1 = magri_step(A_KDV, B_KDV, U * Fraction(1, 2))
     assert euler(w1)[0] == U  # density class of u^2/2
@@ -553,3 +566,38 @@ def test_parity_records_are_shared_and_bounded():
             is_hamiltonian(op)
             checked += 1
     assert 0 < len(first._parity) < 1000
+
+
+NOT_SKEW = {"identity": {(0,): "1"}, "D_x^2": {(2,): "1"}, "u*D_x": {(1,): "u[0]"}}
+
+
+@pytest.mark.parametrize("name", NOT_SKEW)
+def test_operators_that_are_not_skew_are_not_hamiltonian(tmp_path, capsys, name):
+    """<A(p), p> sees only A's skew part: 0 for the identity and D_x^2, and
+    u D_x + 1/2 u_x, a Hamiltonian operator, for u D_x.  None of the three
+    is skew-adjoint, so `verify-hamiltonian` fails on each and `compatible`
+    fails on each with D_x, while their skew parts pass."""
+    op = CDiffOp.scalar(SP1, {K: parse(c, SP1) for K, c in NOT_SKEW[name].items()})
+    assert not is_hamiltonian(op) and not are_compatible(A_KDV, op)
+    assert is_hamiltonian(skew(op)) and are_compatible(A_KDV, skew(op))
+    data = corpus("kdv")
+    data["hamiltonian"]["operators"]["N"] = {"rows": 1, "cols": 1, "entries": [
+        {"row": 0, "col": 0, "terms": [{"D": list(K), "coef": c}
+                                       for K, c in NOT_SKEW[name].items()]}]}
+    data["tasks"] = [{"kind": "verify-hamiltonian", "op": "N"},
+                     {"kind": "compatible", "ops": ["A", "N"]},
+                     {"kind": "verify-hamiltonian", "op": "B"}]
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(data))
+    assert main(["run", str(f), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [t["status"] for t in report["tasks"]] == ["fail", "fail", "ok"]
+
+
+def test_an_operator_on_other_dependents_has_no_superdensity():
+    """A 2 x 2 operator on the one dependent of (x; u) would pair momenta of
+    dependents the space does not have: a ShapeError, as for a non-square one."""
+    two = CDiffOp(SP1, 2, 2, [(0, 1, (1,), SP1.one()), (1, 0, (1,), SP1.one())])
+    for op in (two, CDiffOp(SP1, 1, 2, [])):
+        with pytest.raises(ShapeError):
+            is_hamiltonian(op)

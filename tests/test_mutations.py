@@ -6,6 +6,7 @@ Mutation-based fuzzing with a crash oracle (Zeller et al., *The Fuzzing
 Book*, "Mutation-Based Fuzzing"), standard library `random` only."""
 
 import copy
+import itertools
 import json
 import math
 import os
@@ -18,8 +19,8 @@ import pytest
 from jsonschema import Draft202012Validator, ValidationError
 from jsonschema.exceptions import best_match
 
-from jetcalc.cli import (_ACCEPT, _TASKS, _TYPED, MAX_D, MAX_NESTING, PROBLEM_SCHEMA, Problem,
-                         _fits, main)
+from jetcalc.cli import (_ACCEPT, _TASKS, _TYPED, MAX_D, MAX_NESTING, MAX_SHAPE, PROBLEM_SCHEMA,
+                         Problem, _fits, main)
 from jetcalc.corpus import corpus, corpus_names
 from jetcalc.errors import JetCalcError, ProblemError
 
@@ -179,17 +180,48 @@ def test_mutant_verdicts_do_not_depend_on_the_hash_seed():
     assert len(outputs[0]) == MUTANTS_PER_PROBLEM * len(corpus_names())
 
 
-@pytest.mark.parametrize("seed, name", [(61, "kdv6"), (231, "boussinesq")])
+# seeds whose mutants set operator terms' D entries beyond MAX_D
+D_CASES = [(61, "kdv6"), (231, "boussinesq")]
+
+
+def _mutants(seed, name):
+    """The seeded mutants of a bundled problem, in order, without end."""
+    data, rng = corpus(name), random.Random(f"{seed}:{name}")
+    for i in itertools.count():
+        yield _mutant(data, EDITS[i % len(EDITS)], rng)
+
+
+@pytest.mark.parametrize("seed, name", D_CASES + [(1, name) for name in corpus_names()])
 def test_mutants_run_end_to_end(tmp_path, capsys, seed, name):
     """Every mutant of one seed of a problem through `jetcalc run`: each exit
     is 0, 1 or 2, an exit of 2 prints `input error:`, and none ends in a
-    traceback (main would raise it).  These seeds set operator terms' D
-    entries to 10^30, 1e308 and 2^64 + 1, which the schema refuses."""
-    rng, beyond = random.Random(f"{seed}:{name}"), 0
-    for i in range(MUTANTS_PER_PROBLEM):
+    traceback (main would raise it).  Seed 1 runs every bundled problem; the
+    D_CASES seeds set operator terms' D entries to 10^30, 1e308 and
+    2^64 + 1, which the schema refuses."""
+    beyond = 0
+    for i, mutant in zip(range(MUTANTS_PER_PROBLEM), _mutants(seed, name)):
         f = tmp_path / f"{i}.json"
-        f.write_text(json.dumps(_mutant(corpus(name), EDITS[i % len(EDITS)], rng)))
+        f.write_text(json.dumps(mutant))
         code, err = main(["run", str(f)]), capsys.readouterr().err
         assert code in (0, 1, 2) and (code == 2) == err.startswith("input error: "), (i, err)
         beyond += f"is greater than the maximum of {MAX_D} " in err
-    assert beyond >= 2
+    assert beyond >= 2 or (seed, name) not in D_CASES
+
+
+@pytest.mark.parametrize("seed, name, index, value", [
+    (6, "kdv-3comp", 10, 10**30), (4, "kdv", 26, 1e308), (8, "kdv-3comp", 34, 10**30),
+], ids=["witness-m1", "hamiltonian-rows", "witness-cols"])
+def test_operator_shapes_beyond_their_maximum_are_input_errors(tmp_path, capsys, seed, name,
+                                                               index, value):
+    """Mutants that set a witness's m1 (range(m1) overflowed), a Hamiltonian
+    operator's rows or a witness operator's cols (one list per row, without
+    end) beyond MAX_SHAPE are refused by the schema, before any operator is
+    built; every bundled shape is inside it."""
+    f = tmp_path / "mutant.json"
+    f.write_text(json.dumps(next(itertools.islice(_mutants(seed, name), index, None))))
+    code, err = main(["run", str(f)]), capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"input error: {value} is greater than the maximum of {MAX_SHAPE} ")
+    shapes = [_at(data, p) for data in map(corpus, corpus_names()) for p in _paths(data)
+              if p and p[-1] in ("rows", "cols", "m1")]
+    assert shapes and max(shapes) <= 3
