@@ -299,13 +299,6 @@ def lie_derivative_recursion(phi, R: PseudoOp, pres: Presentation) -> PseudoOp:
 # -- symplectic structures -----------------------------------------------------
 
 
-def _theta(delta: CDiffOp, pres: Presentation, adjoint=False) -> CDiffOp:
-    """l_F o delta - delta* o l_F*, zero on the equation iff delta is a
-    bivector there; with adjoint, l_F* o delta - delta* o l_F (symplectic)."""
-    return CDiffOp.sum_of_compositions(((1, pres.linearization(adjoint), delta),
-                                        (-1, delta.adjoint(), pres.linearization(not adjoint))))
-
-
 class BilinearNabla:
     """Theta = restricted + nabla(F, .) on free jets, read off one cofactor
     pass over Theta's coefficients: `restricted` is Theta on the equation,
@@ -335,7 +328,7 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None)
     """Membership l_F* delta = delta* l_F modulo reduction, then closedness
     on a generating family of arguments through the cofactor nabla."""
     space = pres.space
-    nabla = BilinearNabla(pres, _theta(delta, pres, adjoint=True))
+    nabla = BilinearNabla(pres, pres.theta(delta, adjoint=True))
     membership = nabla.restricted
     report = {"membership": membership.is_zero(),
               "membership_residual": membership.render_matrix()}

@@ -16,7 +16,7 @@ import time
 from functools import cache
 
 from . import __version__
-from .algebra import JetSpace, euler, euler_is_zero, parse, render
+from .algebra import JetSpace, euler_is_zero, parse, render
 from .analysis import (
     SYMPLECTIC_ANSATZ,
     Ansatz,
@@ -39,9 +39,9 @@ from .coverings import (
 from .corpus import corpus
 from .errors import ExprSyntaxError, JetCalcError, NonlocalObstruction, ProblemError, ShapeError
 from .hamiltonian import (
-    are_compatible,
-    is_hamiltonian,
-    magri_chain,
+    gradients_compatible,
+    magri_hierarchy,
+    momentum_gradient,
     schouten_on_equation,
     verify_bivector_on_equation,
 )
@@ -207,11 +207,16 @@ def _pseudo_apply(problem, task):
 
 def _magri(problem, task):
     A, B = problem.ham_ops[task["A"]], problem.ham_ops[task["B"]]
-    densities, flows = magri_chain(A, B, parse(task["seed"], problem.ham_space), int(task["steps"]))
-    grads = [euler(w) for w in densities]
-    b_image = cache(lambda k: B.apply(grads[k]))
-    involution = all(euler_is_zero(pairing_density(flows[i] if op is A else b_image(i), g))
-                     for i in range(len(grads)) for g in grads for op in (A, B))
+    densities, grads, flows = magri_hierarchy(A, B, parse(task["seed"], problem.ham_space),
+                                              int(task["steps"]))
+    # <X psi_i, psi_j>, X = A, B: all n^2, or j > i for a square skew X (the sum with j, i
+    # is exact); an operator that is not square has no momentum gradient
+    n, pairs = len(grads), ((A, flows, task["A"]), (B, map(B.apply, grads), task["B"]))
+    involution = all(euler_is_zero(pairing_density(image, grads[j]))
+                     for X, images, name in pairs
+                     for skew in [X.rows == X.cols == X.space.m and problem.gradient(name)[1]]
+                     for i, image in zip(range(n - skew), images)
+                     for j in range(i + 1 if skew else 0, n))
     return {"densities": [render(d) for d in densities],
             "flows": [[render(x) for x in f] for f in flows],
             "involution": involution, "status": _status(involution)}
@@ -267,10 +272,10 @@ _TASKS = {
     "verify-shadow": (False, _verify_shadow, {"covering": "covering", "exprs": _EXPRS}),
     "recursion-fiberlinear": (True, _recursion_fiberlinear, dict(_ANSATZ, layers=_LAYERS)),
     "pseudo-apply": (False, _pseudo_apply, {"op": "pseudo-operator", "exprs": _EXPRS}),
-    "verify-hamiltonian": (False, lambda p, t: {"status": _status(is_hamiltonian(
-        p.ham_ops[t["op"]]))}, {"op": "operator"}),
-    "compatible": (False, lambda p, t: {"status": _status(are_compatible(
-        *(p.ham_ops[nm] for nm in t["ops"])))}, {"ops": ["operator", "operator"]}),
+    "verify-hamiltonian": (False, lambda p, t: {"status": _status(gradients_compatible(
+        *[p.gradient(t["op"])] * 2))}, {"op": "operator"}),
+    "compatible": (False, lambda p, t: {"status": _status(gradients_compatible(
+        *map(p.gradient, t["ops"])))}, {"ops": ["operator", "operator"]}),
     "magri": (False, _magri, {"A": "operator", "B": "operator", "seed": _TEXT,
                               "steps": dict(_NAT, maximum=MAX_STEPS)}),
     "verify-symplectic": (True, _verify_symplectic, {
@@ -418,8 +423,9 @@ class Problem:
             self.coverings[name] = make_covering(self.presentation, names, X, odd=odd)
         ham = data.get("hamiltonian") or {}  # with a space if given at all
         self.ham_space = _space(ham["space"]) if ham else None
-        self.ham_ops = {name: _load_operator(op, self.ham_space)
-                        for name, op in sorted(ham.get("operators", {}).items())}
+        self.ham_ops = ops = {name: _load_operator(op, self.ham_space)
+                              for name, op in sorted(ham.get("operators", {}).items())}
+        self.gradient = cache(lambda name: momentum_gradient(ops[name]))  # once per operator
         self.pseudo_ops = {
             name: PseudoOp.from_json(self.space, int(op["rows"]), int(op["cols"]), op)
             for name, op in sorted(data.get("pseudo_operators", {}).items())}

@@ -34,7 +34,6 @@ from .errors import AnsatzError, ShapeError, VariationalityError
 from .analysis import (
     Ansatz,
     BilinearNabla,
-    _theta,
     ansatz_monomials,
     ell_delta_op,
     solve_determining,
@@ -94,19 +93,21 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
     return a_star_minus_a.rename_space(carrier).scale(Fraction(-1, 2))
 
 
-def _bracket_density(op1: CDiffOp, op2: CDiffOp):
-    """sum_i dW1/du^i dW2/dp^i + dW2/du^i dW1/dp^i on the momentum space, over
-    the gradient pairs (W1, W2) and (W2, W1); for op2 is op1, (W, W) once: half
-    the sum, whose Euler operator vanishes exactly when the full sum's does.
-    None unless each A is skew-adjoint, that is dW/dp = (A* - A)(p) = -2 A(p)."""
-    grads, m = [], op1.space.m
-    for op in (op1,) if op2 is op1 else (op1, op2):
-        ext, p, image = _on_momenta(op)
-        grads.append(euler(pairing_density(image, p)))
-        if not all(g == a * -2 for g, a in zip(grads[-1][m:], image)):
-            return None
-    return sum_of_products(ext, [(g[i], h[m + i]) for g, h in zip(grads, grads[::-1])
-                                 for i in range(m)])
+def momentum_gradient(op: CDiffOp):
+    """(delta W_A / delta (u, p), whether A is skew-adjoint): the momentum part of
+    the gradient is (A* - A)(p), which is -2 A(p) exactly when A* = -A."""
+    _, p, image = _on_momenta(op)
+    grad = euler(pairing_density(image, p))
+    return grad, all(g == a * -2 for g, a in zip(grad[op.space.m:], image))
+
+
+def gradients_compatible(g1, g2) -> bool:
+    """[[A, B]] = 0 from momentum_gradient g1 of A and g2 of B: both skew, and the Euler
+    operator kills sum_i dW1/du^i dW2/dp^i + dW2/du^i dW1/dp^i over (W1, W2) and (W2, W1);
+    for g2 is g1, (W, W) once: half the sum, vanishing exactly when the sum does."""
+    grads, m = (g1[0],) if g2 is g1 else (g1[0], g2[0]), len(g1[0]) // 2
+    return g1[1] and g2[1] and euler_is_zero(sum_of_products(grads[-1][0].space, [
+        (g[i], h[m + i]) for g, h in zip(grads, grads[::-1]) for i in range(m)]))
 
 
 def is_hamiltonian(op: CDiffOp) -> bool:
@@ -116,7 +117,8 @@ def is_hamiltonian(op: CDiffOp) -> bool:
 
 def are_compatible(op1: CDiffOp, op2: CDiffOp) -> bool:
     """[[A, B]] = 0 for skew-adjoint A and B, via the polarized odd-variable criterion."""
-    return (density := _bracket_density(op1, op2)) is not None and euler_is_zero(density)
+    g1 = momentum_gradient(op1)
+    return gradients_compatible(g1, g1 if op2 is op1 else momentum_gradient(op2))
 
 
 # -- direct (un-shuffle) bracket ----------------------------------------------
@@ -216,10 +218,7 @@ def _is_single_dx(A: CDiffOp) -> bool:
     return set(tab) == {unit} and tab[unit] == A.space.one()
 
 
-def magri_step(A: CDiffOp, B: CDiffOp, omega: DiffExpr) -> DiffExpr:
-    """Next density up the hierarchy: solve A(psi) = B(delta omega), check
-    the Helmholtz condition, return its homotopy density."""
-    phi = B.apply(euler(omega))
+def _magri_step(A: CDiffOp, phi) -> DiffExpr:
     if _is_single_dx(A):
         psi = [invert_total_derivative(phi[0], 0)]
     else:
@@ -232,13 +231,25 @@ def magri_step(A: CDiffOp, B: CDiffOp, omega: DiffExpr) -> DiffExpr:
     return homotopy_density(psi)
 
 
-def magri_chain(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int):
-    """Iterated Magri steps; returns (densities, flows) with
-    flows[k] = A(delta densities[k])."""
-    densities = [omega]
+def magri_step(A: CDiffOp, B: CDiffOp, omega: DiffExpr) -> DiffExpr:
+    """Next density up the hierarchy: solve A(psi) = B(delta omega), check
+    the Helmholtz condition, return its homotopy density."""
+    return _magri_step(A, B.apply(euler(omega)))
+
+
+def magri_hierarchy(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int):
+    """Iterated Magri steps; returns (densities, their variational derivatives,
+    flows) with flows[k] = A(delta densities[k]), each euler taken once."""
+    densities, grads = [omega], [euler(omega)]
     for _ in range(steps):
-        densities.append(magri_step(A, B, densities[-1]))
-    flows = [A.apply(euler(w)) for w in densities]
+        densities.append(_magri_step(A, B.apply(grads[-1])))
+        grads.append(euler(densities[-1]))
+    return densities, grads, [A.apply(g) for g in grads]
+
+
+def magri_chain(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int):
+    """magri_hierarchy's (densities, flows)."""
+    densities, _, flows = magri_hierarchy(A, B, omega, steps)
     return densities, flows
 
 
@@ -247,7 +258,7 @@ def magri_chain(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int):
 
 def verify_bivector_on_equation(delta: CDiffOp, pres: Presentation) -> dict:
     """Membership  l_F delta = delta* l_F*  modulo reduction."""
-    residual = pres.restrict_operator(_theta(delta, pres))
+    residual = pres.restrict_operator(pres.theta(delta))
     return {"ok": residual.is_zero(), "residual": residual.render_matrix()}
 
 
@@ -274,7 +285,7 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
     Theta gives its membership residual and nabla; the bracket is encoded as
     a fiber-cubic superdensity on the cotangent covering (odd fibers),
     reduced modulo its rules, and tested by the internal Euler operator."""
-    n1, n2 = (BilinearNabla(pres, _theta(d, pres)) for d in (d1, d2))
+    n1, n2 = (BilinearNabla(pres, pres.theta(d)) for d in (d1, d2))
     for nabla, name in ((n1, "first"), (n2, "second")):
         if not nabla.restricted.is_zero():
             return {"ok": False, "trivial": False,

@@ -34,7 +34,7 @@ from .algebra import (
     render,
 )
 from .errors import ConfluenceError, NonSolvableError, ReductionError
-from .linalg import _integral, nullspace
+from .linalg import _integral, eliminate, peel
 from .operators import CDiffOp, linearize
 
 
@@ -67,7 +67,7 @@ class Presentation:
         self._rules_by_dep = {}
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
-        self._determining_ops, self._lin = {}, {}
+        self._determining_ops, self._lin, self._thetas = {}, {}, {}
         # a jet's rule (the first of its dependent's below it, or None), its
         # normal form, and the D_i table per i, reading each jet as its normal
         # form; none holds the presentation (a table reaches it weakly, which a
@@ -214,6 +214,16 @@ class Presentation:
                 else linearize(list(self.components), self.space)
         return lin
 
+    def theta(self, delta: CDiffOp, adjoint=False) -> CDiffOp:
+        """l_F o delta - delta* o l_F*, zero on the equation iff delta is a bivector there
+        (with adjoint, l_F* o delta - delta* o l_F), built once per value of delta."""
+        theta = self._thetas.get(key := (delta, adjoint))
+        if theta is None:
+            lin = self.linearization
+            theta = self._thetas[key] = CDiffOp.sum_of_compositions(
+                ((1, lin(adjoint), delta), (-1, delta.adjoint(), lin(not adjoint))))
+        return theta
+
     def restricted(self, op: CDiffOp):
         """op on the equation, as the function vec -> sum_K NF(a_K) *
         D_K(NF vec): the coefficients are restricted here, once, each
@@ -258,23 +268,28 @@ class Presentation:
     @cached_property
     def scaling(self) -> dict:
         """Scaling weights (Goktas & Hereman, J. Symb. Comput. 24, 1997), an
-        int per ('i', k), ('j', j), ('q', name) and ('F', s): each monomial of
-        F_s weighs ('F', s), a jet u_K weighs w(u) - sum_i K_i w(x^i).  Basis
-        vector k of the weights' nullspace fills bits 32k up; all 0 on a space
-        with nonlocals, whose weights the system does not cover."""
+        int per ('i', k), ('j', j), ('q', name) and ('F', s): a jet u_K weighs
+        w(u) - sum_i K_i w(x^i), and each monomial of F_s weighs that of its first,
+        ('F', s).  Basis vector k of the weights' nullspace fills bits 32k up; all
+        0 on a space with nonlocals, whose weights the system does not cover."""
         sp = self.space
         keys = [('i', k) for k in range(sp.n)] + [('j', j) for j in range(sp.m)] + \
-            [('q', q) for q in sp.parameters] + [('F', s) for s in range(len(self.components))]
-        col, rows = {k: c for c, k in enumerate(keys)}, []
-        for s, F in enumerate(self.components if not sp.nonlocals else ()):
-            for factors in F.exponents():
-                rows.append(row := {col['F', s]: -1})
+            [('q', q) for q in sp.parameters]
+        col, rows, firsts = {k: c for c, k in enumerate(keys)}, [], []
+        for F in self.components if not sp.nonlocals else ():
+            for t, factors in enumerate(F.exponents()):  # less the first monomial's weight
+                row = {c: -v for c, v in firsts[-1].items()} if t else {}
                 for key, e in factors:
                     row[col[key[:2]]] = row.get(col[key[:2]], 0) + e
                     for i, d in enumerate(key[2] if key[0] == 'j' else ()):
                         row[i] = row.get(i, 0) - e * d  # x^i is column i
-        basis = [_integral(dict(enumerate(v))) for v in nullspace(rows, len(keys))] if rows else []
-        return {key: sum(v[c] << 32 * k for k, v in enumerate(basis)) for c, key in enumerate(keys)}
+                (rows if t else firsts).append(row)
+        basis = [_integral(v) for v in eliminate(*peel(
+            {c: v for c, v in row.items() if v} for row in rows), len(keys))] if firsts else []
+        w = {key: sum(v.get(c, 0) << 32 * k for k, v in enumerate(basis))
+             for c, key in enumerate(keys)}
+        return w | {('F', s): sum(e * w[keys[c]] for c, e in first.items())
+                    for s, first in enumerate(firsts or [{}] * len(self.components))}
 
     def reduce_form(self, form: HorizontalForm) -> HorizontalForm:
         return form.map_components(self.normal_form)

@@ -710,7 +710,7 @@ def test_nullspace_matches_fraction_elimination():
 def test_peeling_leaves_few_rows_to_eliminate(monkeypatch):
     """On KdV's (7,4) symmetry system (3,173 rows, 999 of them singletons)
     at most 45 rows reach the integer elimination.  The presentation's
-    scaling weights, a 3-row system of their own, are found first."""
+    scaling weights, a 2-row system of their own, are found first."""
     from jetcalc import Ansatz, make_presentation, solve_symmetries
     from jetcalc import linalg
 

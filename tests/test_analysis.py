@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -31,7 +31,7 @@ from jetcalc import (
     verify_symplectic,
 )
 from jetcalc import analysis
-from jetcalc.analysis import AnsatzError, BilinearNabla, _theta, ansatz_monomials
+from jetcalc.analysis import AnsatzError, BilinearNabla, ansatz_monomials
 from jetcalc.cli import Problem
 from jetcalc.corpus import corpus
 from jetcalc.linalg import nullspace
@@ -496,7 +496,7 @@ def test_bilinear_nabla_records_theta_on_the_equation(kdv, adjoint):
     restricted to the equation, equal to restrict_operator's, because each
     coefficient's reduce has its normal form as normal form; and Theta is
     that restriction plus the nabla read off the cofactors."""
-    theta = _theta(CDiffOp.scalar(SP, {(1, 0): SP.jet("u", (0, 0))}), kdv, adjoint)
+    theta = kdv.theta(CDiffOp.scalar(SP, {(1, 0): SP.jet("u", (0, 0))}), adjoint)
     restricted = kdv.restrict_operator(theta)
     assert not restricted.is_zero()
     nabla = BilinearNabla(kdv, theta)
@@ -565,6 +565,54 @@ def test_scaling_weights_make_every_component_homogeneous(name, dimension, line)
     for s, F in enumerate(pres.components):
         for factors in F.exponents():
             assert sum(e * _weight(pres, k) for k, e in factors) == pres.scaling['F', s]
+
+
+def _scaling_with_component_columns(pres):
+    """The weights from one nullspace of a row per monomial of F_s, its weight
+    less W_s, over a column per variable and per component, each basis vector
+    cleared of denominators and packed as Presentation.scaling packs them."""
+    sp = pres.space
+    keys = [('i', k) for k in range(sp.n)] + [('j', j) for j in range(sp.m)] + \
+        [('q', q) for q in sp.parameters] + [('F', s) for s in range(len(pres.components))]
+    col, rows = {k: c for c, k in enumerate(keys)}, []
+    for s, F in enumerate(pres.components if not sp.nonlocals else ()):
+        for factors in F.exponents():
+            row = dict.fromkeys(range(len(keys)), 0)
+            row[col['F', s]] = -1
+            for key, e in factors:
+                row[col[key[:2]]] += e
+                for i, d in enumerate(key[2] if key[0] == 'j' else ()):
+                    row[i] -= e * d
+            rows.append(row)
+    basis = nullspace(rows, len(keys)) if rows else []
+    basis = [[x * lcm(*(y.denominator for y in vec)) for x in vec] for vec in basis]
+    return {key: sum(int(v[c]) << 32 * k for k, v in enumerate(basis))
+            for c, key in enumerate(keys)}
+
+
+def _scaling_cases():
+    space = JetSpace.create(["x", "t"], ["u"])
+    yield from (_presentation(name) for name in (
+        "kdv", "heat", "burgers", "camassa-holm", "boussinesq", "kdv-3comp", "kdv6", "wdvv",
+        "weingarten", "camassa-holm-2comp", "potential-kdv-we"))
+    for text in ("u[0,1]", "u[0,1] - x*u[1,0]", "u[0,1] - u[2,0] - u[0,0] - u[0,0]^2"):
+        yield make_presentation(space, [parse(text, space)], [("u", (0, 1))])
+    yield next(iter(Problem(corpus("kdv")).coverings.values())).presentation
+
+
+def test_scaling_weights_are_those_of_the_system_with_component_columns():
+    """Presentation.scaling solves for the variables' weights alone, each
+    monomial's weight less its component's first, and reads W_s from the
+    first: the same packed weights as the system with a column per
+    component, also with an explicit x, a one-monomial component, no scaling
+    at all, and nonlocals (all 0)."""
+    cases = list(_scaling_cases())
+    assert any(p.space.nonlocals for p in cases)
+    for pres in cases:
+        fresh = Presentation(pres.space, pres.components, pres.leadings, pres.rhss,
+                             pres.check_order)
+        assert fresh.scaling == _scaling_with_component_columns(pres)
+        assert list(fresh.scaling) == list(_scaling_with_component_columns(pres))
 
 
 def _blocks(monkeypatch):

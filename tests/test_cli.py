@@ -13,6 +13,7 @@ from jsonschema import Draft202012Validator, ValidationError
 from jetcalc import presentations
 from jetcalc.algebra import _D, _J, JetSpace, parse
 from jetcalc.analysis import MAX_MONOMIALS
+from jetcalc import cli
 from jetcalc.cli import (
     _TASKS,
     MAX_D,
@@ -22,12 +23,15 @@ from jetcalc.cli import (
     MAX_PROLONG,
     MAX_STEPS,
     PROBLEM_SCHEMA,
+    Problem,
     _parser,
     main,
     run_problem,
+    run_task,
 )
 from jetcalc.corpus import corpus, corpus_names
 from jetcalc.errors import ProblemError
+from jetcalc.operators import CDiffOp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -453,9 +457,9 @@ def test_magri_steps_beyond_their_maximum_are_an_input_error(tmp_path, capsys,
     """Rejected by the schema, before the chain starts; every bundled magri
     task is inside the bound."""
     def never(*args):
-        raise AssertionError("magri_chain ran")
+        raise AssertionError("magri_hierarchy ran")
 
-    monkeypatch.setattr("jetcalc.cli.magri_chain", never)
+    monkeypatch.setattr("jetcalc.cli.magri_hierarchy", never)
     task = {"kind": "magri", "steps": MAX_STEPS + 1, "A": "A", "B": "B", "seed": "u[0]"}
     code, err = _input_error(tmp_path, capsys, _changed("kdv", {"tasks": [task]}))
     assert code == 2
@@ -1017,3 +1021,56 @@ def test_a_closed_output_pipe_exits_1_quietly(args):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr.decode()) == (1, "")
+
+
+# -- derived objects, built once per problem ---------------------------------
+
+
+def test_a_problem_builds_one_momentum_gradient_per_operator(monkeypatch):
+    """Boussinesq's three verify-hamiltonian and three compatible tasks name
+    three operators, A, B and C: three momentum gradients with their skew
+    verdicts, not one per operator and task (nine).  A second Problem of the
+    same file builds its own three: nothing is carried across problems."""
+    built, gradient = [], cli.momentum_gradient
+
+    def counted(op):
+        built.append(op)
+        return gradient(op)
+
+    monkeypatch.setattr(cli, "momentum_gradient", counted)
+    data = corpus("boussinesq")
+    for total in (3, 6):
+        problem = Problem(data)
+        assert [run_task(problem, t)["status"] for t in data["tasks"]] == ["ok"] * 6
+        assert len(built) == total
+        assert built[-3:] == [problem.ham_ops[name] for name in "ABC"]
+
+
+def test_a_presentation_builds_one_theta_per_bivector(monkeypatch):
+    """kdv6's two verify-bivector tasks and its schouten-equation task name
+    two operators, each parsed anew by every task: two Thetas (the only sums
+    of two compositions), not four, because equal operators share one.  A
+    second Problem of the same file builds its own two."""
+    thetas, build = [], CDiffOp.sum_of_compositions
+
+    def counted(cls, parts):
+        if len(parts) == 2:
+            thetas.append(parts)
+        return build(parts)
+
+    monkeypatch.setattr(CDiffOp, "sum_of_compositions", classmethod(counted))
+    data = corpus("kdv6")
+    for total in (2, 4):
+        problem = Problem(data)
+        assert [run_task(problem, t)["status"] for t in data["tasks"]] == ["ok"] * 3
+        assert len(thetas) == total
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_tasks_in_reverse_order_give_the_same_results(name):
+    """A task that finds a shared object built reads it as the task that
+    built it would have: each problem's task results, run in reverse order,
+    are its results in reverse order."""
+    data = corpus(name)
+    forward = run_problem(data)["tasks"]
+    assert run_problem(dict(data, tasks=data["tasks"][::-1]))["tasks"] == forward[::-1]

@@ -28,8 +28,9 @@ from jetcalc import (
     to_superdensity,
     verify_bivector_on_equation,
 )
-from jetcalc import hamiltonian
-from jetcalc.cli import main
+from jetcalc import cli, hamiltonian
+from jetcalc.algebra import euler_is_zero
+from jetcalc.cli import Problem, main, run_task
 from jetcalc.corpus import corpus
 from jetcalc.algebra import apply_DI
 from jetcalc.hamiltonian import momenta_space
@@ -511,7 +512,9 @@ def test_schouten_on_equation_reports_an_operator_that_is_not_a_bivector(kdv):
 def test_schouten_on_equation_builds_each_theta_once(kdv, monkeypatch):
     """Theta = l_F o delta - delta* o l_F* is built once per operator, as one
     sum of two compositions, and one cofactor pass over it gives both the
-    membership residual and nabla."""
+    membership residual and nabla.  The presentation keeps each Theta, so
+    the test takes a fresh one of KdV, which holds none yet."""
+    kdv = make_presentation(kdv.space, kdv.components, [("u", (0, 1))])
     sp = kdv.space
     A = CDiffOp.total_derivative(sp, 0)
     B = CDiffOp.scalar(sp, {(3, 0): sp.one(), (1, 0): 4 * sp.jet("u", (0, 0)),
@@ -601,3 +604,70 @@ def test_an_operator_on_other_dependents_has_no_superdensity():
     for op in (two, CDiffOp(SP1, 1, 2, [])):
         with pytest.raises(ShapeError):
             is_hamiltonian(op)
+
+
+# -- the involution of a Magri hierarchy ---------------------------------------
+
+
+def _magri_pairings(data, monkeypatch):
+    """(the magri task's involution verdict, the pairings it tested) on a
+    fresh Problem that runs only that task."""
+    pairings, test = [], cli.euler_is_zero
+
+    def counted(density):
+        pairings.append(density)
+        return test(density)
+
+    monkeypatch.setattr(cli, "euler_is_zero", counted)
+    problem = Problem(data)
+    (task,) = [t for t in data["tasks"] if t["kind"] == "magri"]
+    return run_task(problem, task)["involution"], len(pairings), problem, task
+
+
+def _full_involution(A, B, omega, steps):
+    """Every one of the 2 n^2 pairings <X(delta w_i), delta w_j>, X = A and B,
+    of magri_chain's n densities w_i, a divergence."""
+    densities, flows = magri_chain(A, B, omega, steps)
+    grads = [euler(w) for w in densities]
+    assert flows == [A.apply(g) for g in grads]
+    return all(euler_is_zero(pairing_density(X.apply(g), h))
+               for X in (A, B) for g in grads for h in grads)
+
+
+def test_the_involution_of_skew_operators_tests_half_the_pairs(monkeypatch):
+    """KdV's magri task has n = 4 densities and skew A and B: 2 * 6 pairings
+    j > i, not 32, and the verdict of all 2 n^2."""
+    involution, pairings, problem, task = _magri_pairings(corpus("kdv"), monkeypatch)
+    A, B = problem.ham_ops["A"], problem.ham_ops["B"]
+    assert involution is True and pairings == 2 * 6
+    assert _full_involution(A, B, parse(task["seed"], problem.ham_space), task["steps"])
+
+
+def test_an_operator_that_is_not_skew_keeps_every_pair(monkeypatch):
+    """A = D_x and B = D_x o u = u D_x + u_x, which is not skew, from w_0 = u:
+    A(psi) = B(delta w_k) gives w_k = u^(k+1)/(k+1), and every pairing is a
+    divergence.  A takes its 6 pairs j > i, B all 16: 22 of 32."""
+    data = corpus("kdv")
+    data["hamiltonian"]["operators"]["N"] = {"rows": 1, "cols": 1, "entries": [
+        {"row": 0, "col": 0, "terms": [{"D": [1], "coef": "u[0]"}, {"D": [0], "coef": "u[1]"}]}]}
+    data["tasks"] = [{"kind": "magri", "steps": 3, "A": "A", "B": "N", "seed": "u[0]"}]
+    involution, pairings, problem, _ = _magri_pairings(data, monkeypatch)
+    A, N = problem.ham_ops["A"], problem.ham_ops["N"]
+    assert problem.gradient("A")[1] and not problem.gradient("N")[1]
+    assert involution is True and pairings == 6 + 16
+    densities, _ = magri_chain(A, N, U, 3)
+    assert densities == [U ** (k + 1) * Fraction(1, k + 1) for k in range(4)]
+    assert _full_involution(A, N, U, 3)
+
+
+def test_an_operator_that_is_not_square_keeps_every_pair(monkeypatch):
+    """A 2 x 1 B on the one dependent of (x; u) has no momentum gradient, so
+    no skew verdict: the magri task tests all its n^2 pairings, as it tests
+    them for any operator that is not skew, and reads no gradient of it."""
+    data = corpus("kdv")
+    data["hamiltonian"]["operators"]["W"] = {"rows": 2, "cols": 1, "entries": [
+        {"row": r, "col": 0, "terms": [{"D": [1], "coef": "1"}]} for r in range(2)]}
+    data["tasks"] = [{"kind": "magri", "steps": 2, "A": "A", "B": "W", "seed": "1/2*u[0]"}]
+    involution, pairings, problem, _ = _magri_pairings(data, monkeypatch)
+    assert involution is True and pairings == 3 + 9
+    assert problem.gradient.cache_info().currsize == 1

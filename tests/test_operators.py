@@ -23,7 +23,6 @@ from jetcalc import (
 )
 from jetcalc import operators
 from jetcalc.algebra import apply_DI, mi_add, mi_order, mi_sub, sum_of_products, sum_of_terms
-from jetcalc.analysis import _theta
 from jetcalc.hamiltonian import momenta_space
 from jetcalc.errors import NonlocalObstruction, ShapeError
 
@@ -219,10 +218,10 @@ def test_theta_matches_the_term_by_term_sum(name, request):
     L = pres.linearization()
     for _ in range(8):
         delta = rand_matrix_op(pres.space, rng, pres.space.m, pres.space.m)
-        assert _theta(delta, pres) == sub_by_terms(
+        assert pres.theta(delta) == sub_by_terms(
             compose_by_terms(L, delta), compose_by_terms(adjoint_by_terms(delta),
                                                          adjoint_by_terms(L)))
-        assert _theta(delta, pres, adjoint=True) == sub_by_terms(
+        assert pres.theta(delta, adjoint=True) == sub_by_terms(
             compose_by_terms(adjoint_by_terms(L), delta), compose_by_terms(
                 adjoint_by_terms(delta), L))
 
