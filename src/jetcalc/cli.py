@@ -1,14 +1,11 @@
 """Batch front end: parse problem files, dispatch tasks, emit deterministic
 reports.  Exit codes: 0 all tasks ok, 1 any fail/obstruction or closed stdout, 2 input error.
-
-A problem is accepted by one walk over it (`_fits`); jsonschema is imported
-only when the walk rejects, to word the message."""
+One walk over a problem (`_errors`) accepts it, or lists its errors for `_reject` to word."""
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import os
 import sys
@@ -288,7 +285,7 @@ _TASKS = {
     "verify-equivalence": (True, _verify_equivalence, {"witness": _WITNESS}),
 }
 
-_TASK = _object({"kind": _TEXT})  # its other fields by its kind's row, in _ACCEPT
+_TASK = _object({"kind": _TEXT})  # its other fields by its kind's row, in _ROWS
 PROBLEM_SCHEMA = {
     "type": "object",
     "properties": {
@@ -315,65 +312,73 @@ _TYPED = {kind: {f: of for f, of in fields.items() if isinstance(of, dict)}
 _DEFAULTS = {kind: {f: of["default"] for f, of in typed.items() if "default" in of}
              for kind, typed in _TYPED.items()}
 # what the walk checks: PROBLEM_SCHEMA, and each task of a known kind against its row
-_ACCEPT = dict(PROBLEM_SCHEMA, properties=dict(PROBLEM_SCHEMA["properties"], tasks=_array(
-    dict(_TASK, kinds={kind: dict(_TASK, properties={"kind": _TEXT, **typed})
-                       for kind, typed in _TYPED.items()}))))
+_ROWS = dict(_TASK, kinds={kind: {"properties": typed} for kind, typed in _TYPED.items()})
+_ACCEPT = dict(PROBLEM_SCHEMA, properties=dict(PROBLEM_SCHEMA["properties"], tasks=_array(_ROWS)))
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 MAX_NESTING = 64  # levels of objects and arrays; the bundled problems have up to 10
 
 
-def _fits(x, schema: dict, depth) -> bool:
-    """Whether `x` fits `schema` as jsonschema's Draft202012Validator decides for the
-    keywords used here, and a task its row in `kinds`.  A container MAX_NESTING levels
-    down is a ProblemError (an `anyOf` branch takes depth None: x is visited)."""
+def _errors(x, schema: dict, depth, path=()) -> list:
+    """[] if `x`, at `path` in the problem, fits `schema` as JSON Schema Draft 2020-12 reads
+    its keywords (a task its row in `kinds`), else each error as (path, message as the Python
+    JSON Schema validator 4 words it, an `anyOf`'s branch errors or None).  Too deep a
+    container is a ProblemError; depth None walks only what `schema` types, uncounted."""
     if depth is not None and (depth := depth + 1) > MAX_NESTING and isinstance(x, (dict, list)):
         raise ProblemError(f"problem nested deeper than {MAX_NESTING} levels")
-    of, ok = schema.get("type"), True
-    if of == "integer":  # an integral float is one too
-        ok = (type(x) is int or type(x) is float and x.is_integer()) and \
-            schema.get("minimum", x) <= x <= schema.get("maximum", x)
-    elif of:
-        ok = isinstance(x, _TYPES[of])
+    errors, of = [], schema.get("type")  # x's own errors in the schemas' keyword order
+    if of and not (type(x) is int or type(x) is float and x.is_integer() if of == "integer"
+                   else isinstance(x, _TYPES[of])):  # an integral float is an integer
+        errors.append((path, f"{x!r} is not of type {of!r}", None))
     if isinstance(x, dict):
         if "kinds" in schema and isinstance(x.get("kind"), str):
             schema = schema["kinds"].get(x["kind"], schema)
         props, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
-        ok = ok and all(k in x for k in schema.get("required", ()))
+        for k in schema.get("required", ()):
+            if k not in x:
+                errors.append((path, f"{k!r} is a required property", None))
         if depth is not None or props or extra:  # else only x is checked
-            ok = all([_fits(v, props.get(k, extra), depth) for k, v in x.items()]) and ok
+            for k, v in x.items():
+                errors += _errors(v, props.get(k, extra), depth, (*path, k))
     elif isinstance(x, list):
-        items = schema.get("items", {})
-        ok = ok and schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x))
-        if depth is not None or items:
-            ok = all([_fits(v, items, depth) for v in x]) and ok
-    return ok and ("anyOf" not in schema or any(_fits(x, s, None) for s in schema["anyOf"]))
+        if len(x) < schema.get("minItems", 0):
+            message = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            errors.append((path, f"{x!r} {message}", None))
+        if len(x) > schema.get("maxItems", len(x)):
+            errors.append((path, f"{x!r} is too long", None))
+        if depth is not None or "items" in schema:
+            for i, v in enumerate(x):
+                errors += _errors(v, schema.get("items", {}), depth, (*path, i))
+    elif type(x) is int or type(x) is float:  # bool is not a number
+        low, high = schema.get("minimum", x), schema.get("maximum", x)
+        if x < low:
+            errors.append((path, f"{x!r} is less than the minimum of {low!r}", None))
+        if x > high:
+            errors.append((path, f"{x!r} is greater than the maximum of {high!r}", None))
+    if "anyOf" in schema and all(branches := [_errors(x, s, None, path) for s in schema["anyOf"]]):
+        errors.append((path, f"{x!r} is not valid under any of the given schemas",
+                       [error for branch in branches for error in branch]))
+    return errors
 
 
-@cache
-def _jsonschema():
-    """jsonschema, and validators of the problem (None) and each kind's typed fields."""
-    jsonschema = importlib.import_module("jsonschema")  # on the first rejection, to word it
-    check = jsonschema.Draft202012Validator  # jsonschema.validate checks its schema per call
-    return jsonschema, {None: check(PROBLEM_SCHEMA),
-                        **{kind: check({"properties": typed}) for kind, typed in _TYPED.items()}}
+def _reject(x, schema: dict, path=()):
+    """Raise the error of `x` at `path` that the validator's best_match picks, if any: the
+    first of the highest rank, then from an `anyOf` its lowest branch error unless two tie."""
+    def rank(error):  # the shallowest, the greatest path among siblings, an `anyOf` last
+        return -len(error[0]), error[0], error[2] is None
 
-
-def _reject(instance, kind, path):
-    """Raise the best-matching error of `instance`, if any, at `path` in the problem."""
-    jsonschema, validators = _jsonschema()
-    error = jsonschema.exceptions.best_match(validators[kind].iter_errors(instance))
-    if error is not None:
-        error.path.extendleft(reversed(path))
-        raise error
+    if errors := _errors(x, schema, None, path):
+        path, message, context = max(errors, key=rank)
+        while context and [*map(rank, context)].count(min(map(rank, context))) == 1:
+            path, message, context = min(context, key=rank)
+        raise ProblemError(f"{message} (at problem{''.join(f'[{p!r}]' for p in path)})")
 
 
 class Problem:
     """A validated problem file with its constructed objects."""
 
     def __init__(self, data: dict, max_prolong: int = CHECK_ORDER):
-        accepted = _fits(data, _ACCEPT, 0)  # else jsonschema words the first error
-        if not accepted:
-            _reject(data, None, ())
+        if rejected := bool(_errors(data, _ACCEPT, 0)):  # word its first error: the problem's,
+            _reject(data, PROBLEM_SCHEMA)  # then, task by task, its row's
         if max_prolong < 0:  # would check fewer critical pairs, not fail
             raise ProblemError(f"--max-prolong must be at least 0, not {max_prolong}")
         if max_prolong > MAX_PROLONG:  # the critical pairs grow as its n-th power
@@ -388,8 +393,8 @@ class Problem:
         known = [(i, task, task["kind"]) for i, task in enumerate(data["tasks"])
                  if task["kind"] in _TASKS]  # an unknown kind is reported by run_task
         for i, task, kind in known:
-            if not accepted:
-                _reject(task, kind, ("tasks", i))
+            if rejected:
+                _reject(task, _ROWS, ("tasks", i))
             for field, of in _TASKS[kind][2].items():
                 if field not in task and field not in _DEFAULTS[kind]:
                     raise ProblemError(f"task {kind!r} needs {field!r}")
@@ -530,19 +535,14 @@ def main(argv=None) -> int:
                 return _output(lambda: print(json.dumps(data, indent=2, sort_keys=True)), 0)
         report = run_problem(data, args.max_prolong, timings)
     except (OSError, JetCalcError) as exc:
-        message = str(exc)
-    except _jsonschema()[0].ValidationError as exc:  # one line, not the schema and instance
-        path = "".join(f"[{p!r}]" for p in exc.absolute_path)
-        message = f"{exc.message} (at problem{path})"
-    else:
-        return _output(lambda: print(json.dumps(report, sort_keys=True, indent=2))
-                       if args.as_json else _print_human(report, timings),
-                       0 if report["status"] == "ok" else 1)
-    raw, half = message.encode(), MAX_MESSAGE // 2
-    if len(raw) > MAX_MESSAGE:  # keep the head and where in the input it is
-        message = f"{raw[:half].decode(errors='ignore')} ... {raw[-half:].decode(errors='ignore')}"
-    print(f"input error: {message}", file=sys.stderr)
-    return 2
+        message, half = str(exc), MAX_MESSAGE // 2
+        if len(raw := message.encode()) > MAX_MESSAGE:  # keep its head and where it is
+            message = " ... ".join(p.decode(errors="ignore") for p in (raw[:half], raw[-half:]))
+        print(f"input error: {message}", file=sys.stderr)
+        return 2
+    return _output(lambda: print(json.dumps(report, sort_keys=True, indent=2))
+                   if args.as_json else _print_human(report, timings),
+                   0 if report["status"] == "ok" else 1)
 
 
 if __name__ == "__main__":  # pragma: no cover

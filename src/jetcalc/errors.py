@@ -18,10 +18,10 @@ class UnknownNameError(JetCalcError):
 
 
 class ProblemError(JetCalcError):
-    """A problem file that passes the schema but asks for what it does not
-    define (an unknown covering, or work on an equation it does not give),
-    gives an operator entry that does not fit its operator, or asks for an
-    ansatz of more monomials than the engine's cap."""
+    """A problem file that breaks its schema or nests too deeply, asks for what
+    it does not define (an unknown covering, or work on an equation it does not
+    give), gives an operator entry that does not fit its operator, or asks for
+    an ansatz of more monomials than the engine's cap."""
 
 
 class LaurentError(JetCalcError):

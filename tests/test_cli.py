@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from jsonschema import Draft202012Validator, ValidationError
+from jsonschema import Draft202012Validator
 
 from jetcalc import presentations
 from jetcalc.algebra import _D, _J, JetSpace, parse
@@ -32,6 +33,7 @@ from jetcalc.cli import (
 from jetcalc.corpus import corpus, corpus_names
 from jetcalc.errors import ProblemError
 from jetcalc.operators import CDiffOp
+from test_mutations import PROBLEM, ROWS, _refusal
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -695,6 +697,55 @@ def test_schema_errors_are_one_line(tmp_path, capsys):
         assert err == f"input error: {message}\n" and len(err.encode()) < 300
 
 
+def _kdv_with(change):
+    """KdV with `change` applied in place to a copy of it."""
+    data = corpus("kdv")
+    change(data)
+    return data
+
+
+def _kdv_task(kind, **fields):
+    """KdV with only its first task of kind `kind`, with `fields` set."""
+    task = next(t for t in corpus("kdv")["tasks"] if t["kind"] == kind)
+    return dict(corpus("kdv"), tasks=[dict(task, **fields)])
+
+
+def _tail_a(a):
+    return _kdv_with(lambda d: d["pseudo_operators"]["lenard"]["tail"][0].update(a=a))
+
+
+@pytest.mark.parametrize("data, words", [
+    (dict(corpus("potential-kdv-we"), coverings={"a": 1, "b": 1}),
+     "1 is not of type 'object' (at problem['coverings']['b'])"),
+    ({"name": "no tasks, no space"}, "'tasks' is a required property (at problem)"),
+    (_tail_a(["u", 3]), "3 is not of type 'string' "
+                        "(at problem['pseudo_operators']['lenard']['tail'][0]['a'][1])"),
+    (_tail_a(3), "3 is not valid under any of the given schemas "
+                 "(at problem['pseudo_operators']['lenard']['tail'][0]['a'])"),
+    (_kdv_task("magri", steps=7.5),
+     "7.5 is not of type 'integer' (at problem['tasks'][0]['steps'])"),
+    (_kdv_task("magri", steps=math.inf),
+     "inf is not of type 'integer' (at problem['tasks'][0]['steps'])"),
+    (_kdv_with(lambda d: d["space"].update(independent=[])),
+     "[] should be non-empty (at problem['space']['independent'])"),
+    (_kdv_task("schouten-equation", ops=[_operator(0, [1, 0])]),
+     "is too short (at problem['tasks'][0]['ops'])"),
+    (_kdv_task("schouten-equation", ops=[_operator(0, [1, 0])] * 3),
+     "is too long (at problem['tasks'][0]['ops'])"),
+], ids=["sibling-paths", "required-before-anyOf", "anyOf-descends", "anyOf-ties",
+        "type-before-maximum", "infinity", "non-empty", "too-short", "too-long"])
+def test_the_reported_schema_error_is_the_one_best_match_picks(data, words):
+    """The shallowest error; of siblings, the greatest path; an `anyOf` after
+    another error at its place, and from an `anyOf` its deepest, earliest branch
+    error unless two tie.  A library caller gets it as a ProblemError."""
+    refusal = _refusal(PROBLEM, data) or next(filter(None, (
+        _refusal(ROWS[t["kind"]], t, ("tasks", i)) for i, t in enumerate(data["tasks"]))))
+    assert refusal.endswith(words)
+    with pytest.raises(ProblemError) as exc:
+        Problem(data)
+    assert str(exc.value) == refusal
+
+
 # every bundled problem through `main`, from the top of a fresh process;
 # prints the exit codes and whether jsonschema was imported
 _CORPUS_IMPORTS = """
@@ -710,9 +761,9 @@ print(repr((codes, "jsonschema" in sys.modules)))
 
 
 def test_accepted_problems_leave_jsonschema_unimported(tmp_path):
-    """jsonschema only words a rejection: a fresh process that runs all 12
-    bundled problems never imports it, and one that reads rejected files
-    prints the messages the schema errors above pin."""
+    """The CLI never imports jsonschema: neither a fresh process that runs all
+    12 bundled problems nor one that reads rejected files, which prints the
+    messages the schema errors above pin."""
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", _CORPUS_IMPORTS], env=env,
@@ -723,11 +774,13 @@ def test_accepted_problems_leave_jsonschema_unimported(tmp_path):
                               dict(corpus("kdv"), tasks=[{"kind": "reduce", "expr": 0}])]):
         files.append(tmp_path / f"rejected{k}.json")
         files[-1].write_text(json.dumps(data))
-    proc = subprocess.run([sys.executable, "-c", _RUN_FILES, *map(str, files)], env=env,
+    script = _RUN_FILES + 'print("jsonschema" in sys.modules)'
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, files)], env=env,
                           capture_output=True, text=True, timeout=600, check=True)
     assert proc.stdout.splitlines() == [
         repr((2, "input error: 'tasks' is a required property (at problem)\n")),
-        repr((2, "input error: 0 is not of type 'string' (at problem['tasks'][0]['expr'])\n"))]
+        repr((2, "input error: 0 is not of type 'string' (at problem['tasks'][0]['expr'])\n")),
+        "False"]
 
 
 _DEEP = {"k": [[[[]]]]}
@@ -879,7 +932,7 @@ def test_problems_nested_to_the_bound_reach_validation():
         return x
 
     space = {"independent": ["x"], "dependent": ["u"]}
-    with pytest.raises(ValidationError, match="is not of type 'object'"):
+    with pytest.raises(ProblemError, match="is not of type 'object'"):
         run_problem({"space": space, "tasks": nested(MAX_NESTING - 1)})
     with pytest.raises(ProblemError, match=f"^problem nested deeper than {MAX_NESTING} levels$"):
         run_problem({"space": space, "tasks": nested(MAX_NESTING)})

@@ -1,6 +1,7 @@
 """Seeded mutants of the bundled problems: the walk that accepts a problem
-file agrees with jsonschema, its oracle, on every one, and building a
-`Problem` from a mutant either succeeds or stops with an input error.
+file agrees with jsonschema, its oracle, on every one and words each refusal
+as jsonschema's best_match does, and building a `Problem` from a mutant either
+succeeds or stops with an input error.
 
 Mutation-based fuzzing with a crash oracle (Zeller et al., *The Fuzzing
 Book*, "Mutation-Based Fuzzing"), standard library `random` only."""
@@ -16,11 +17,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from jsonschema import Draft202012Validator, ValidationError
+from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from jetcalc.cli import (_ACCEPT, _TASKS, _TYPED, MAX_D, MAX_NESTING, MAX_SHAPE, PROBLEM_SCHEMA,
-                         Problem, _fits, main)
+                         Problem, _errors, main)
 from jetcalc.corpus import corpus, corpus_names
 from jetcalc.errors import JetCalcError, ProblemError
 
@@ -107,11 +108,22 @@ def _mutant(data, edit, rng):
     return data
 
 
+def _refusal(validator, instance, where=()):
+    """jsonschema's best_match error of `instance` at `where` in the problem, worded
+    as the CLI words a schema error, or None."""
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        path = "".join(f"[{p!r}]" for p in (*where, *error.absolute_path))
+        return f"{error.message} (at problem{path})"
+
+
 def _verdict(mutant):
     """The walk's verdicts on a mutant, each checked against jsonschema's,
-    and how building its Problem ends: one line, the same on every run."""
+    and how building its Problem ends: one line, the same on every run.  A
+    refusal by a schema prints best_match's error, the problem's own first,
+    then each task's row in turn."""
     try:
-        fits = _fits(mutant, PROBLEM_SCHEMA, 0)
+        fits = not _errors(mutant, PROBLEM_SCHEMA, 0)
     except ProblemError as exc:  # refused before any schema is read
         assert str(exc) == f"problem nested deeper than {MAX_NESTING} levels"
         try:
@@ -120,20 +132,26 @@ def _verdict(mutant):
             assert str(again) == str(exc)
             return "deep"
         raise AssertionError("a problem beyond MAX_NESTING was built")
-    assert fits == (best_match(PROBLEM.iter_errors(mutant)) is None)
+    refusals = [_refusal(PROBLEM, mutant)]
+    assert fits == (refusals[0] is None)
     rows = []
     if fits:
-        for task in mutant["tasks"]:
+        for i, task in enumerate(mutant["tasks"]):
             if task["kind"] in _TASKS:
-                row = _fits(task, {"properties": _TYPED[task["kind"]]}, 0)
-                assert row == (best_match(ROWS[task["kind"]].iter_errors(task)) is None)
-                rows.append(row)
-    assert _fits(mutant, _ACCEPT, 0) == (fits and all(rows))
+                rows.append(not _errors(task, {"properties": _TYPED[task["kind"]]}, 0))
+                refusals.append(_refusal(ROWS[task["kind"]], task, ("tasks", i)))
+                assert rows[-1] == (refusals[-1] is None)
+    assert (not _errors(mutant, _ACCEPT, 0)) == (fits and all(rows))
+    refusal = next(filter(None, refusals), None)
     try:
         Problem(mutant)
         outcome = "built"
-    except (ValidationError, JetCalcError) as exc:  # anything else is a crash
-        outcome = type(exc).__name__
+    except JetCalcError as exc:  # anything else is a crash
+        outcome = "schema" if str(exc) == refusal else type(exc).__name__
+        # a task's row is read after the fields and names of the tasks before it
+        assert refusal in (None, str(exc)) or fits and str(exc).startswith("task "), \
+            (str(exc), refusal)
+    assert outcome != "built" or refusal is None
     return f"{int(fits)} {''.join(str(int(r)) for r in rows) or '-'} {outcome}"
 
 
@@ -158,8 +176,8 @@ def test_the_walk_accepts_what_jsonschema_accepts():
     # the mutants reach every verdict: built, refused by a schema, refused
     # further in, refused for their depth, and a task row refused in a
     # problem whose own schema accepts it
-    assert {"built", "ValidationError", "deep"} <= set(outcomes)
-    assert any(o not in ("built", "ValidationError", "deep") for o in outcomes)
+    assert {"built", "schema", "deep"} <= set(outcomes)
+    assert any(o not in ("built", "schema", "deep") for o in outcomes)
     assert any(v[0] == "1" and "0" in v[1] for v in verdicts if len(v) == 3)
 
 
