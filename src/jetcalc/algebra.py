@@ -39,22 +39,22 @@ an odd part is 0, else a table entry computed once in key order: no decoder
 reads it.
 
 One accumulator per result: the kernels that sum many products, D_i
-(`total_derivative`), the product and `sum_of_terms` (each row of
-`CDiffOp.apply`, each slot of an operator built from unmultiplied Leibniz
-terms), add every term into one dict of raw int sums over the lcm of the
-denominators (`_mul_into`) and make it canonical in one pass at the end
-(`_canonical`: zero sums dropped and, over a denominator above 1, the gcd
-of it and the numerators divided out); an integral result pays only for
-the zero scan.  D_i reads each variable's image from an `ImageTable`
-kept per setting and direction, at most one entry per slot: process-wide
-when free, else on a Presentation, whose tables also hold a covering's
-fields, reduced once when it is built; its monomials are stored divided
-by their variable v, so a factor v^e of m adds m + dm, with no m / v to
-take.  On a space without odd variables a monomial product is the sum of
-two ints, with no sign to find.  A result's terms come in the order of
-their first occurrence, which may differ from a term-by-term sum's;
-nothing that is reported depends on it.
-The exponent bound of a sum_of_terms is the largest of its terms' bounds.
+(`total_derivative`), the product and `raw_sum` (each slot of
+`CDiffOp.columns`; through `sum_of_terms`, each row of `apply` and each slot
+of an operator built from unmultiplied Leibniz terms), add every term into one
+dict of raw int sums over the lcm of the denominators (`_mul_into`).  All but
+`raw_sum`, whose sums a determining row reads through `raw_coefficients`,
+make it canonical in one pass (`_canonical`: zero sums
+dropped and, over a denominator above 1, the gcd of it and the numerators
+divided out); an integral result pays only for the zero scan.  D_i reads each
+variable's image from an `ImageTable` kept per setting and direction, at most
+one entry per slot: process-wide when free, else on a Presentation, whose
+tables also hold a covering's fields, reduced once when it is built; its
+monomials are stored divided by their variable v, so a factor v^e of m adds
+m + dm, with no m / v to take.  On a space without odd variables a monomial
+product is the sum of two ints, with no sign to find.  A result's terms come
+in the order of their first occurrence, which may differ from a term-by-term
+sum's; nothing that is reported depends on it.
 
 Exponent budget: W = 32 and E = 2^16.  Every operation that can raise an
 exponent (a product, a power, a substitution, D_i, a partial derivative,
@@ -94,13 +94,13 @@ BudgetError before any work beyond P term pairs: the power budgets pass each
 of two 3,003-term powers, whose product would have 9,018,009 terms.
 
 The monomial format is private to this module.  Other modules build
-expressions from the JetSpace constructors and the ring operations, and
-read them through `variables`, `summands` (single-term expressions in
-sorted monomial order), `coefficients` ((opaque monomial, coefficient)
-pairs), `exponents` (each monomial's factors), `negative_keys` and `len`
-(the term count).  The ring operations raise ShapeError, and == is False,
-for expressions over incompatible spaces (`_compatible`: renamed
-variables; a space and its `extended` results meet).
+expressions from the JetSpace constructors and the ring operations, and read
+them through `variables`, `summands` (single-term expressions in sorted
+monomial order), `coefficients` ((opaque monomial, coefficient) pairs, as
+`raw_coefficients` gives them from `raw_sum`'s sums for a determining row),
+`exponents`, `negative_keys` and `len` (the term count).  The ring operations
+raise ShapeError, and == is False, for expressions over incompatible spaces
+(`_compatible`: renamed variables; a space and its `extended` results meet).
 """
 
 from __future__ import annotations
@@ -384,8 +384,8 @@ def _by_factors(item):
 
 
 def _top_exponent(terms) -> int:
-    """The largest |exponent| in a term dict."""
-    return max((abs(e) for m in terms for _, e in _factors(m)), default=0)
+    """The largest |exponent| in a term dict, zero sums left out."""
+    return max((abs(e) for m, c in terms.items() if c for _, e in _factors(m)), default=0)
 
 
 def _within_budget(terms, bound) -> int:
@@ -483,12 +483,10 @@ def sum_of_products(space: JetSpace, pairs) -> "DiffExpr":
     return sum_of_terms(space, [(1, a, b) for a, b in pairs])
 
 
-def sum_of_terms(space: JetSpace, terms: list) -> "DiffExpr":
-    """The sum of k * a * b over the (k, a, b) terms (an int k, a on the left,
-    b None for k * a), added unmultiplied into one term dict over the lcm of
-    the denominators and made canonical once; a lone k * a is a times k."""
-    if len(terms) == 1 and terms[0][2] is None:
-        return terms[0][1] if terms[0][0] == 1 else terms[0][1] * terms[0][0]
+def raw_sum(space: JetSpace, terms) -> tuple:
+    """(sums, den, top) of the sum of k * a * b over the (k, a, b) terms (an int k, a on the
+    left, b None for k * a): raw int sums over the lcm of the denominators, not canonical
+    (zeros kept; read by raw_coefficients), and their exponent bound, BudgetError beyond E."""
     res, den, top = {}, 1, 0
     for k, a, b in terms:
         if a.space is not space or b is not None and b.space is not space:
@@ -504,8 +502,24 @@ def sum_of_terms(space: JetSpace, terms: list) -> "DiffExpr":
             _mul_into(res, space, a.terms if s == 1 else {m: c * s for m, c in a.terms.items()},
                       b.terms)
         top = max(top, a._top if b is None else a._top + b._top)
+    return res, den, _within_budget(res, top)
+
+
+def raw_coefficients(sums: dict, den: int) -> list:
+    """(monomial, coefficient) of each nonzero raw sum over den, an int or a reduced Fraction:
+    `coefficients` of an expression, and a determining row's entries from a raw_sum."""
+    if den == 1:
+        return [item for item in sums.items() if item[1]]
+    return [(m, Fraction(c, den) if c % den else c // den) for m, c in sums.items() if c]
+
+
+def sum_of_terms(space: JetSpace, terms: list) -> "DiffExpr":
+    """The raw_sum of the (k, a, b) terms made canonical once; a lone k * a is a times k."""
+    if len(terms) == 1 and terms[0][2] is None:
+        return terms[0][1] if terms[0][0] == 1 else terms[0][1] * terms[0][0]
+    res, den, top = raw_sum(space, terms)
     res, den = _canonical(res, den)
-    return DiffExpr(space, res, _within_budget(res, top), den)
+    return DiffExpr(space, res, top, den)
 
 
 class ImageTable(dict):
@@ -690,11 +704,7 @@ class DiffExpr:
         """(monomial, coefficient) pairs, each coefficient an int or a
         reduced Fraction; a monomial is an opaque hashable key, equal for
         equal monomials."""
-        den = self.den
-        if den == 1:
-            return self.terms.items()
-        return [(mono, Fraction(n, den) if n % den else n // den)
-                for mono, n in self.terms.items()]
+        return raw_coefficients(self.terms, self.den)
 
     def negative_keys(self) -> set:
         """The variable keys that carry a negative exponent."""

@@ -17,6 +17,7 @@ from .algebra import (
     homotopy_density,
     invert_total_derivative,
     mi_order,
+    raw_coefficients,
     render,
     sum_of_terms,
 )
@@ -91,19 +92,18 @@ def _weighted_pool(pres: Presentation, ansatz: Ansatz, scaling):
 
 
 def solve_determining(monos, slots: int, columns, target=None, weights=None):
-    """The ansatz solver.  Its unknowns are one coefficient per monomial and
-    slot, column j = slot * len(monos) + i for monos[i] in that slot, and a
-    last one for `target`, a residual of its own, when one is given.
-    columns(e) gives, per slot, the residual of the vector holding e in that
-    slot and 0 elsewhere, so each monomial takes one call: one derivative
-    tower serves every slot, and nothing outlives the solve.  `weights`
-    (w(m) per monomial, an offset per slot) weigh the candidate (m, slot),
-    and every row of its residual, w(m) + offset under a scaling: in weight
-    order, a weight's rows are peeled after its last candidate (with other
-    closed ones, up to PEEL_ROWS), and the survivors eliminated once; a
-    target weighs 0, so a solve with one takes no weights.  Returns the echelonized solution basis as vectors of
-    `slots` expressions, with the target's coefficient (a Fraction) last if
-    given."""
+    """The ansatz solver.  Its unknowns are one coefficient per monomial and slot, column
+    j = slot * len(monos) + i for monos[i] in that slot, and a last one for `target`, a
+    residual of its own, when one is given.  columns(e) gives, per slot, the residual of the
+    vector holding e in that slot and 0 elsewhere, a raw_sum per row (CDiffOp.columns), so
+    each monomial takes one call: one derivative tower serves every slot, each nonzero sum
+    enters its row as raw_coefficients gives it, and nothing outlives the solve.  `weights`
+    (w(m) per monomial, an offset per slot) weigh the candidate (m, slot), and every row of
+    its residual, w(m) + offset under a scaling: in weight order, a weight's rows are peeled
+    after its last candidate (with other closed ones, up to PEEL_ROWS), and the survivors
+    eliminated once; a target weighs 0, so a solve with one takes no weights.  Returns the
+    echelonized solution basis as vectors of `slots` expressions, with the target's
+    coefficient (a Fraction) last if given."""
     if not monos or not slots and target is None:
         raise AnsatzError("ansatz generates no unknowns")
     zero, n = monos[0].space.zero(), len(monos)
@@ -117,9 +117,9 @@ def solve_determining(monos, slots: int, columns, target=None, weights=None):
     blocks, closed, survivors, forced = {}, [], [], set()  # a row per weight, component, monomial
     for (j, w), residual in zip(cands, residuals):
         block = blocks.setdefault(w, {})
-        for comp, expr in enumerate(residual):
+        for comp, (sums, den, _) in enumerate(residual):
             index = block.setdefault(comp, {})
-            for mono, c in expr.coefficients():
+            for mono, c in raw_coefficients(sums, den):
                 row = index.get(mono)
                 if row is None:
                     row = index[mono] = {}

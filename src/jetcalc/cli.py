@@ -428,12 +428,16 @@ class Problem:
             self.coverings[name] = make_covering(self.presentation, names, X, odd=odd)
         ham = data.get("hamiltonian") or {}  # with a space if given at all
         self.ham_space = _space(ham["space"]) if ham else None
-        self.ham_ops = ops = {name: _load_operator(op, self.ham_space)
-                              for name, op in sorted(ham.get("operators", {}).items())}
-        self.gradient = cache(lambda name: momentum_gradient(ops[name]))  # once per operator
+        self.ham_ops = {name: _load_operator(op, self.ham_space)
+                        for name, op in sorted(ham.get("operators", {}).items())}
+        self._gradients = {}
         self.pseudo_ops = {
             name: PseudoOp.from_json(self.space, int(op["rows"]), int(op["cols"]), op)
             for name, op in sorted(data.get("pseudo_operators", {}).items())}
+
+    def gradient(self, name):  # momentum_gradient of the named operator, once per problem
+        got = self._gradients  # a (gradient, skew) pair is never falsy
+        return got.get(name) or got.setdefault(name, momentum_gradient(self.ham_ops[name]))
 
 
 def run_task(problem: Problem, task: dict) -> dict:

@@ -27,6 +27,7 @@ from .algebra import (
     invert_total_derivative,
     mi_unit,
     mi_zero,
+    raw_sum,
     render,
     sum_of_products,
 )
@@ -204,6 +205,7 @@ def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
     The unknowns take one more, the coefficient t of the target in
     A(psi) + t * target = 0; a solution with t != 0 gives psi / -t."""
     monos = ansatz_monomials(Presentation(A.space, (), (), (), check_order=0), ansatz)
+    target = [raw_sum(A.space, [(1, x, None)]) for x in target]
     for *psi, t in solve_determining(monos, A.cols, A.columns, target):
         if t:
             return [x * (-1 / t) for x in psi]

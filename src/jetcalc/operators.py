@@ -24,6 +24,7 @@ from .algebra import (
     mi_unit,
     mi_zero,
     parse,
+    raw_sum,
     render,
     sum_of_products,
     sum_of_terms,
@@ -52,7 +53,7 @@ class CDiffOp:
     def __init__(self, space: JetSpace, rows: int, cols: int, entries=()):
         """entries: {(row, col): {I: a_I}} or (row, col, I, a_I) terms, a_I also an unmultiplied
         (k, a, b) of sum_of_terms; zero sums are dropped.  Frozen: `apply` and `columns`
-        plan from it."""
+        plan from it, and its hash is taken once."""
         if isinstance(entries, dict):
             entries = ((r, c, I, a) for (r, c), tab in entries.items() for I, a in tab.items())
         table = defaultdict(dict)
@@ -125,8 +126,9 @@ class CDiffOp:
         return (isinstance(other, CDiffOp) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.terms())))
+    def __hash__(self):  # taken once and kept with the plans: the table is frozen
+        plan = self._plan
+        return plan.get("hash") or plan.setdefault("hash", hash(frozenset(self.terms())))
 
     # -- algebra -----------------------------------------------------------
 
@@ -201,12 +203,12 @@ class CDiffOp:
         return [sum_of_terms(self.space, [(1, a, nodes[k]) for a, k in pairs]) for pairs in rows]
 
     def columns(self, e: DiffExpr, d=None) -> list:
-        """The operator on each unit-slot vector of e: out[c][r] = sum_K a^{rc}_K D_K(e),
-        which is apply on the vector holding e at c and 0 elsewhere.  One tower of e over
-        every column's K serves them all, and each slot is summed from its nonzero nodes."""
+        """The ansatz solver's row source, not expressions: out[c][r] = sum_K a^{rc}_K D_K(e) as
+        a raw_sum (sums may be 0; read them with raw_coefficients), apply on the vector holding
+        e at c and 0 elsewhere.  One tower of e over every column's K serves them all."""
         nodes, cols = self._walk((e,), d, True)
-        return [[sum_of_terms(self.space, [(1, a, nodes[k]) for a, k in pairs
-                                           if not nodes[k].is_zero()]) for pairs in rows]
+        return [[raw_sum(self.space, [(1, a, nodes[k]) for a, k in pairs
+                                      if not nodes[k].is_zero()]) for pairs in rows]
                 for rows in cols]
 
     def submatrix(self, rows, cols) -> "CDiffOp":

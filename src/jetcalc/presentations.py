@@ -237,11 +237,9 @@ class Presentation:
         return lambda vec: op.apply(self.normal_form(vec), d=self.d_internal)
 
     def restricted_columns(self, op: CDiffOp):
-        """restricted(op) on every unit-slot vector of one expression, as the
-        function e -> CDiffOp.columns of the restricted op at NF(e): one
-        normal form and one tower of d_internal serve every column."""
-        op = self.restrict_operator(op)
-        return lambda e: op.columns(self.normal_form(e), self.d_internal)
+        """restricted(op) on every unit-slot vector of an internal e, no normal form taken:
+        e -> CDiffOp.columns of the restricted op, one tower of d_internal for every column."""
+        return partial(self.restrict_operator(op).columns, d=self.d_internal)
 
     def lin_apply(self, phi) -> list:
         """l_F(phi) reduced (the symmetry determining operator), computed as
@@ -254,10 +252,9 @@ class Presentation:
         return self._determining(True).apply(self.normal_form(psi), self.d_internal)
 
     def determining_columns(self, adjoint=False):
-        """e -> lin_apply (adj_apply when adjoint) on every unit-slot vector
-        of e, as restricted_columns gives them, through the cached operator."""
-        op = self._determining(adjoint)
-        return lambda e: op.columns(self.normal_form(e), self.d_internal)
+        """restricted_columns of l_F (l_F* when adjoint), through the cached
+        operator: lin_apply (adj_apply) on every unit-slot vector of e."""
+        return partial(self._determining(adjoint).columns, d=self.d_internal)
 
     def _determining(self, adjoint) -> CDiffOp:
         """restrict_operator(linearization(adjoint)), once per presentation."""

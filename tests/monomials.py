@@ -2,7 +2,12 @@
 to jetcalc.algebra: `decoded_terms` spells an expression's monomials out
 as sorted ((key, exponent), ...) tuples, and `layout` gives its integer
 numerators and denominator.  `from_factors` builds an expression back
-from such a dict with the JetSpace constructors and products alone."""
+from such a dict with the JetSpace constructors and products alone.
+`entries` and `raw_entries` give an expression's and a raw_sum's nonzero
+coefficients with their types, and `as_raw` writes an expression as a
+raw_sum could give it, in another term order and over a larger denominator."""
+
+from fractions import Fraction
 
 from jetcalc.algebra import _factors
 
@@ -40,3 +45,30 @@ def from_factors(space, terms: dict):
             term = term * key_expr(space, key) ** x
         out = out + term
     return out
+
+
+def entries(e) -> dict:
+    """{monomial: (type, coefficient)} of an expression's coefficients()."""
+    return {mono: (type(c), c) for mono, c in e.coefficients()}
+
+
+def raw_entries(raw) -> dict:
+    """{monomial: (type, coefficient)} of the nonzero sums of a raw_sum's
+    (sums, den, top), each the reduced value of sum / den: an int when it
+    is integral, else a Fraction."""
+    sums, den, _ = raw
+    out = {}
+    for mono, c in sums.items():
+        if c:
+            q = Fraction(c, den)
+            q = q.numerator if q.denominator == 1 else q
+            out[mono] = (type(q), q)
+    return out
+
+
+def as_raw(e, scale: int) -> tuple:
+    """(sums, den, top) of the expression as a raw_sum could give them: its
+    terms in reverse sorted monomial order, each numerator and the
+    denominator times `scale`."""
+    items = sorted(e.terms.items(), key=lambda t: _factors(t[0]), reverse=True)
+    return {mono: c * scale for mono, c in items}, e.den * scale, e._top

@@ -32,10 +32,12 @@ from jetcalc import (
 )
 from jetcalc import analysis
 from jetcalc.analysis import AnsatzError, BilinearNabla, ansatz_monomials
-from jetcalc.cli import Problem
-from jetcalc.corpus import corpus
+from jetcalc.cli import Problem, run_problem
+from jetcalc.corpus import corpus, corpus_names
+from jetcalc.coverings import delta_covering, fiber_linear_monomials, solve_fiberlinear
 from jetcalc.linalg import nullspace
 from jetcalc.presentations import Presentation
+from monomials import as_raw
 from spans import rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -112,21 +114,21 @@ def test_heat_symmetries(heat):
 
 @pytest.mark.parametrize("name", ["kdv", "camassa_holm"])
 def test_solver_bases_do_not_depend_on_term_order(name, request):
-    """The residuals' terms may come in any order (one accumulator per row
-    orders them by first occurrence): rebuilt in reverse sorted order, they
-    give the same basis."""
+    """The raw sums of a slot may come in any order (one accumulator per row
+    orders them by first occurrence) and over a denominator that is not
+    reduced: the lin_apply residuals, handed over in reverse sorted order
+    with every numerator and denominator tripled, give the basis that the
+    solver's own columns give."""
     from jetcalc.analysis import ansatz_monomials, solve_determining
 
     pres = request.getfixturevalue(name)
-    space = pres.space
     monos = ansatz_monomials(pres, Ansatz(2, 2))
     columns = pres.determining_columns()
 
     def reordered(e):
-        return [[sum(reversed(list(r.summands())), space.zero()) for r in col]
-                for col in columns(e)]
+        return [[as_raw(r, 3) for r in pres.lin_apply([e])]]
 
-    assert any(list(r.coefficients()) != list(e.coefficients())
+    assert any([m for m, c in r[0].items() if c] != [m for m, c in e[0].items() if c]
                for m in monos for rs, es in zip(reordered(m), columns(m))
                for r, e in zip(rs, es))
     basis = solve_determining(monos, 1, columns)
@@ -415,7 +417,7 @@ def test_symplectic_closedness_of_a_constant_two_form(entries, closed):
 SOLVE_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "solve.json"
 
 
-@pytest.mark.parametrize("label, dependent, parameters, equations, solver, bounds", [
+BENCH_SOLVES = [
     ("kdv-symmetries-7-4", ["u"], [],
      [("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", ("u", (0, 1)))],
      solve_symmetries, (7, 4)),
@@ -430,8 +432,12 @@ SOLVE_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / 
      [("u[0,1] - u[2,1] - u[0,0]*u[3,0] - 2*u[1,0]*u[2,0] + 3*u[0,0]*u[1,0]",
        ("u", (2, 1)))],
      solve_symmetries, (3, 3)),
-], ids=["kdv-symmetries", "kdv-cosymmetries", "boussinesq-symmetries",
-        "camassa-holm-symmetries"])
+]
+
+
+@pytest.mark.parametrize("label, dependent, parameters, equations, solver, bounds",
+                         BENCH_SOLVES, ids=["kdv-symmetries", "kdv-cosymmetries",
+                                            "boussinesq-symmetries", "camassa-holm-symmetries"])
 def test_solver_bases_match_reference(label, dependent, parameters, equations,
                                       solver, bounds):
     space = JetSpace.create(["x", "t"], dependent, parameters)
@@ -530,17 +536,27 @@ def _weight(pres, key):
     return w[key[:2]] - sum(d * w['i', i] for i, d in enumerate(key[2] if key[0] == 'j' else ()))
 
 
-def _whole_system_basis(pres, bounds, slots, adjoint=False):
-    """The solutions from one nullspace over every row of the determining
-    system, in the solver's column order, as the solver gave them before
-    the split."""
-    monos = ansatz_monomials(pres, Ansatz(*bounds))
-    columns, n, rows = pres.determining_columns(adjoint), len(monos), {}
+def _residual_rows(apply, monos, slots):
+    """{(component, monomial): row} of the determining system, each row
+    {column: coefficient} read off the coefficients() of the residual
+    expressions apply(vector) on the vector holding monomial i at `slot` and
+    0 elsewhere, column slot * len(monos) + i as in the solver."""
+    n, rows, zero = len(monos), {}, monos[0].space.zero()
     for i, m in enumerate(monos):
-        for slot, res in enumerate(columns(m)):
-            for comp, expr in enumerate(res):
+        for slot in range(slots):
+            for comp, expr in enumerate(apply([m if k == slot else zero for k in range(slots)])):
                 for mono, c in expr.coefficients():
                     rows.setdefault((comp, mono), {})[slot * n + i] = c
+    return rows
+
+
+def _whole_system_basis(pres, bounds, slots, adjoint=False):
+    """The solutions from one nullspace over every row of the determining
+    system, each read off a residual expression (not the solver's raw
+    sums), in the solver's column order, as the solver gave them before
+    the split."""
+    monos = ansatz_monomials(pres, Ansatz(*bounds))
+    rows, n = _residual_rows(pres.adj_apply if adjoint else pres.lin_apply, monos, slots), len(monos)
     zero = pres.space.zero()
     return [[sum((monos[j % n] * c for j, c in enumerate(vec) if c and j // n == k), zero)
              for k in range(slots)] for vec in nullspace(list(rows.values()), slots * n)]
@@ -663,3 +679,110 @@ def test_block_bases_equal_the_whole_system_basis(monkeypatch, name, solver, bou
     basis = solver(pres, Ansatz(*bounds))
     slots = len(pres.components) if adjoint else pres.space.m
     assert len(sizes) > 1 and basis and basis == _whole_system_basis(pres, bounds, slots, adjoint)
+
+
+def _odd_lenard_covering(kdv):
+    """KdV's tangent covering with an odd fiber p, l_F(p) = 0, and an odd
+    nonlocal q with q_x = p, q_t = p_xx + 6 u p."""
+    cov = delta_covering(kdv, kdv.linearization(), odd=True)
+    p = cov.space.jet("p", (0, 0))
+    return cov.extended(["q"], {0: [p], 1: [parse("p[2,0] + 6*u[0,0]*p[0,0]", cov.space)]},
+                        ["q"])
+
+
+FRACTIONAL = ["u[0,1] - 1/4*u[3,0] - 3/2*u[0,0]*u[1,0]"]  # KdV with den > 1
+
+
+def _solve_case(case, kdv):
+    """(solve, apply, monos, slots, columns) of a case: the solver call, the
+    residual route its rows are read against, its candidates and the
+    columns it hands them to."""
+    if case == "odd-covering":
+        cov = _odd_lenard_covering(kdv)
+        ansatz, op = Ansatz(2, 2), cov.base.linearization()
+        return (lambda: solve_fiberlinear(cov, ansatz), cov.presentation.restricted(op),
+                fiber_linear_monomials(cov, ansatz), cov.base.space.m,
+                cov.presentation.restricted_columns(op))
+    name, _, kind = case.partition(":")
+    if name == "fractional":
+        space = JetSpace.create(["x", "t"], ["u"])
+        pres = make_presentation(space, [parse(FRACTIONAL[0], space)], [("u", (0, 1))])
+    else:
+        pres = _presentation(name)
+    adjoint = kind == "cosymmetries"
+    ansatz = Ansatz(3, 2) if name == "boussinesq" else Ansatz(3, 3)
+    return (lambda: (solve_cosymmetries if adjoint else solve_symmetries)(pres, ansatz),
+            pres.adj_apply if adjoint else pres.lin_apply, ansatz_monomials(pres, ansatz),
+            len(pres.components) if adjoint else pres.space.m, pres.determining_columns(adjoint))
+
+
+def _typed(rows):
+    """The rows in a sorted list, each as its sorted (column, type name, entry)."""
+    return sorted(sorted((j, type(c).__name__, c) for j, c in row.items()) for row in rows)
+
+
+@pytest.mark.parametrize("case", [
+    "kdv:symmetries", "kdv:cosymmetries", "boussinesq:symmetries", "camassa-holm:symmetries",
+    "fractional:symmetries", "fractional:cosymmetries", "odd-covering"])
+def test_solver_rows_are_the_residuals_coefficients(case, kdv, monkeypatch):
+    """The rows that solve_determining builds from the raw sums of the
+    columns are the rows read off the residual expressions of lin_apply,
+    adj_apply or the covering's restricted operator, each entry the same
+    value of the same type (an int, or a reduced Fraction), on an
+    evolution equation, a non-evolution one, two components with a
+    parameter, coefficients over a denominator, and a fiber-linear solve
+    with odd fibers and an odd nonlocal.  Some raw sums are 0; none
+    reaches a row."""
+    solve, apply, monos, slots, columns = _solve_case(case, kdv)
+    rows, peel = [], analysis.peel
+
+    def recorded(block):
+        block = list(block)
+        rows.extend(block)
+        return peel(block)
+
+    monkeypatch.setattr(analysis, "peel", recorded)
+    assert solve()
+    expected = list(_residual_rows(apply, monos, slots).values())
+    assert _typed(rows) == _typed(expected)
+    assert all(c for row in rows for c in row.values())
+    assert any(not c for m in monos for col in columns(m) for sums, _, _ in col
+               for c in sums.values())
+    fractions = any(type(c) is Fraction for row in rows for c in row.values())
+    assert fractions == case.startswith("fractional")
+
+
+def test_every_ansatz_monomial_is_its_own_normal_form(monkeypatch):
+    """The solvers hand the determining columns each ansatz monomial with no
+    normal form taken, which is exact because the pool is built from
+    internal jets: on the benchmark's solves and every solve task of the
+    bundled problems, each monomial equals its normal form."""
+    seen = {}
+
+    def checking(name):
+        original = getattr(Presentation, name)
+
+        def checked(self, *args):
+            columns = original(self, *args)
+
+            def check(e):
+                seen.setdefault(name, []).append(self.normal_form(e) == e)
+                return columns(e)
+            return check
+        return checked
+
+    for name in ("determining_columns", "restricted_columns"):
+        monkeypatch.setattr(Presentation, name, checking(name))
+    for label, dependent, parameters, equations, solver, bounds in BENCH_SOLVES:
+        space = JetSpace.create(["x", "t"], dependent, parameters)
+        pres = make_presentation(space, [parse(e, space) for e, _ in equations],
+                                 [lead for _, lead in equations])
+        assert solver(pres, Ansatz(*bounds))
+    for name in corpus_names():
+        tasks = [t for t in corpus(name)["tasks"]
+                 if t["kind"] in ("symmetries", "cosymmetries", "recursion-fiberlinear")]
+        if tasks:
+            assert run_problem(dict(corpus(name), tasks=tasks))["status"] == "ok"
+    assert sorted(seen) == ["determining_columns", "restricted_columns"]
+    assert len(seen["determining_columns"]) > 2000 and all(seen["determining_columns"])
+    assert seen["restricted_columns"] and all(seen["restricted_columns"])

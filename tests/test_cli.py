@@ -627,10 +627,27 @@ def test_problem_schema_is_valid():
 
 
 def test_schema_is_not_rechecked_per_problem(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("PROBLEM_SCHEMA checked against its metaschema again")
-    monkeypatch.setattr(Draft202012Validator, "check_schema", refuse)
-    assert run_problem(corpus("heat"))["status"] == "ok"
+    """An accepted problem costs one walk of the whole schema (`_errors` over
+    `_ACCEPT`) and no `_reject`, which walks `PROBLEM_SCHEMA` again only to
+    word a refusal."""
+    roots, rejects = [], []
+    errors, reject = cli._errors, cli._reject
+
+    def counted(x, schema, depth, path=()):
+        if schema is cli._ACCEPT or schema is PROBLEM_SCHEMA:
+            roots.append(schema)
+        return errors(x, schema, depth, path)
+
+    monkeypatch.setattr(cli, "_errors", counted)
+    monkeypatch.setattr(cli, "_reject", lambda *args: rejects.append(args) or reject(*args))
+    for name in corpus_names():
+        del roots[:]
+        assert run_problem(corpus(name))["status"] == "ok"
+        assert roots == [cli._ACCEPT] and rejects == []
+    del roots[:]
+    with pytest.raises(ProblemError, match="is not of type 'array'"):
+        run_problem(dict(corpus("heat"), tasks="none"))
+    assert roots == [cli._ACCEPT, PROBLEM_SCHEMA] and len(rejects) == 1
 
 
 def test_readme_lists_every_task_kind():

@@ -670,4 +670,4 @@ def test_an_operator_that_is_not_square_keeps_every_pair(monkeypatch):
     data["tasks"] = [{"kind": "magri", "steps": 2, "A": "A", "B": "W", "seed": "1/2*u[0]"}]
     involution, pairings, problem, _ = _magri_pairings(data, monkeypatch)
     assert involution is True and pairings == 3 + 9
-    assert problem.gradient.cache_info().currsize == 1
+    assert list(problem._gradients) == ["A"]

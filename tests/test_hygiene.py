@@ -5,14 +5,16 @@ local that its function never reads, no module but operators.py that
 touches an operator's coefficient table, no module but algebra.py (and,
 among the tests, the monomials helper) that knows the monomial format,
 no write to an expression's terms, no Fraction in the inner kernels, no
-import inside a function, a presentation's rule caches assigned only
-when it is built, and every dataclass frozen; and, on built objects, no
-dataclass or operator table holding a plain dict or list at any depth."""
+import inside a function, none from outside jetcalc and the standard
+library, a presentation's rule caches assigned only when it is built, and
+every dataclass frozen; and, on built objects, no dataclass or operator
+table holding a plain dict or list at any depth."""
 
 import ast
 import dataclasses
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 from types import MappingProxyType
 
@@ -296,8 +298,8 @@ def f(e, m):
 
 
 # the kernels that run on int numerators over one denominator
-INT_KERNELS = ("total_derivative", "_mul_into", "sum_of_terms", "sum_of_products", "partial",
-               "substitute", "__add__", "_sum", "euler")
+INT_KERNELS = ("total_derivative", "_mul_into", "raw_sum", "sum_of_terms", "sum_of_products",
+               "partial", "substitute", "__add__", "_sum", "euler")
 
 
 def _fraction_uses(tree):
@@ -668,6 +670,48 @@ async def g():
     import json
 """
     assert _function_imports(ast.parse(source)) == [6, 11, 14, 19]
+
+
+def _foreign_imports(tree):
+    """Sorted (line, module) of each import of a module that is neither
+    jetcalc's own (relative, or under `jetcalc`) nor in the standard library."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name.split(".")[0] not in sys.stdlib_module_names | {"jetcalc"})
+    return sorted(found)
+
+
+def test_the_package_has_no_runtime_dependency():
+    """Every import in src/jetcalc is of jetcalc itself or of Python's
+    standard library, so the package installs with no dependency."""
+    found = [f"{path.name}:{line} {name}" for path, tree in _trees(PACKAGE)
+             for line, name in _foreign_imports(tree)]
+    assert found == []
+
+
+def test_the_dependency_check_sees_a_planted_import():
+    source = """
+from __future__ import annotations
+import os, sympy.core
+from . import algebra
+from .errors import ProblemError
+from jetcalc.algebra import parse
+from jsonschema import Draft202012Validator
+from collections.abc import Mapping
+
+def f():
+    import numpy as np
+    return np
+"""
+    assert _foreign_imports(ast.parse(source)) == [(3, "sympy.core"), (7, "jsonschema"),
+                                                   (11, "numpy")]
 
 
 def _unfrozen_dataclasses(tree):

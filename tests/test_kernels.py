@@ -1,11 +1,12 @@
 """Seeded oracles for the kernels of jetcalc.algebra: the total derivative
-(free, and through an `ImageTable` of given images), the product, `sum_of_products`,
-`partial`, `substitute`, scalar products, `inverse_monomial` and `euler`
-against a term-by-term reference on decoded terms, over spaces with odd
-variables, with coefficients over coprime denominators, and one step past
-the exponent budget; the derivative through a table also against a sum of
-ring products.  Every result is checked for the stored layout: int
-numerators over one denominator, in canonical form."""
+(free, and through an `ImageTable` of given images), the product, `sum_of_products`
+(and the raw sums of `raw_sum` behind it), `partial`, `substitute`, scalar
+products, `inverse_monomial` and `euler` against a term-by-term reference
+on decoded terms, over spaces with odd variables, with coefficients over
+coprime denominators, and one step past the exponent budget; the derivative
+through a table also against a sum of ring products.  Every result is
+checked for the stored layout: int numerators over one denominator, in
+canonical form."""
 
 import random
 from fractions import Fraction
@@ -13,11 +14,12 @@ from math import gcd
 
 import pytest
 
-from jetcalc import JetSpace, euler, parse
-from jetcalc.algebra import _E, _KEYS, ImageTable, sum_of_products
+from jetcalc import CDiffOp, JetSpace, euler, parse
+from jetcalc import algebra
+from jetcalc.algebra import _E, _KEYS, ImageTable, raw_sum, sum_of_products, sum_of_terms
 from jetcalc.errors import BudgetError, ShapeError
 from jetcalc.hamiltonian import momenta_space
-from monomials import decoded_terms, from_factors, layout
+from monomials import decoded_terms, entries, from_factors, layout, raw_entries
 
 # v and z are odd; w is an even nonlocal and a a parameter
 SPACE = JetSpace.create(["x", "t"], ["u", "v"], ["a"], ["w", "z"], odd=["v", "z"])
@@ -367,6 +369,40 @@ def test_one_step_past_the_budget_raises():
     for make in beyond:
         with pytest.raises(BudgetError):
             make()
+
+
+@pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
+def test_raw_sums_are_the_sum_of_terms_before_its_canonical_pass(space):
+    """raw_sum's (sums, den, top) hold what sum_of_terms makes canonical:
+    its nonzero sums over den are the coefficients of the sum, each of the
+    same type, with cancelled sums kept as 0 and the same exponent bound."""
+    rng = random.Random(97)
+    zeros = 0
+    for _ in range(80):
+        terms = [(rng.choice([1, -1, 2, 3]), rand_expr(rng, space, 3),
+                  rng.choice([None, rand_expr(rng, space, 3)])) for _ in range(rng.randint(1, 4))]
+        terms += [(-k, a, b) for k, a, b in terms[:rng.randint(0, 1)]]
+        raw, got = raw_sum(space, terms), sum_of_terms(space, terms)
+        assert raw_entries(raw) == entries(got) and raw[2] == got._top
+        zeros += sum(not c for c in raw[0].values())
+    assert zeros > 20
+
+
+@pytest.mark.parametrize("space", [SPACE, EVEN], ids=["odd", "even"])
+def test_a_slot_sum_beyond_a_budget_raises(space, monkeypatch):
+    """The raw sums that the determining rows read keep the budgets: with P
+    and E lowered below a 3-by-3-term product u^3 * u^3, CDiffOp.columns
+    raises BudgetError for the slot, as sum_of_terms does for the sum."""
+    u, ux = space.jet("u", (0, 0)), space.jet("u", (1, 0))
+    a, e = u ** 3 + ux + 1, u ** 3 + ux ** 2 + u
+    op = CDiffOp.mult(space, a)
+    assert raw_entries(op.columns(e)[0][0]) == entries(a * e)
+    for name, value, match in [("_P", 8, "product of 3 by 3 terms"), ("_E", 5, "exponent 6")]:
+        monkeypatch.setattr(algebra, name, value)
+        for make in (lambda: op.columns(e), lambda: sum_of_terms(space, [(1, a, e)])):
+            with pytest.raises(BudgetError, match=match):
+                make()
+        monkeypatch.undo()
 
 
 def local_terms(rng, space, nterms=4):

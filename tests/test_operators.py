@@ -25,6 +25,7 @@ from jetcalc import operators
 from jetcalc.algebra import apply_DI, mi_add, mi_order, mi_sub, sum_of_products, sum_of_terms
 from jetcalc.hamiltonian import momenta_space
 from jetcalc.errors import NonlocalObstruction, ShapeError
+from monomials import entries, raw_entries
 
 SP = JetSpace.create(["x", "t"], ["u"])
 
@@ -319,7 +320,8 @@ def test_apply_plan_serves_every_vector(boussinesq, monkeypatch):
 
 def test_columns_are_apply_on_unit_slot_vectors(boussinesq, monkeypatch):
     """columns(e, d)[c] is apply on the vector holding e at c and 0
-    elsewhere, free and restricted, and it takes one total derivative per
+    elsewhere, free and restricted: its raw sums hold the coefficients of
+    apply's rows, each of the same type.  It takes one total derivative per
     node of one tower over every column's K: each D_J(e) once, whatever
     the number of columns that need it."""
     pres = boussinesq
@@ -346,7 +348,9 @@ def test_columns_are_apply_on_unit_slot_vectors(boussinesq, monkeypatch):
                 del calls[:]
                 units = [[e if k == c else space.zero() for k in range(op.cols)]
                          for c in range(op.cols)]
-                assert got == [op.apply(vec, pres.d_bar if d else None) for vec in units]
+                assert [[raw_entries(raw) for raw in col] for col in got] == [
+                    [entries(x) for x in op.apply(vec, pres.d_bar if d else None)]
+                    for vec in units]
 
 
 def test_an_applied_operator_table_refuses_writes():
