@@ -29,9 +29,9 @@ from .algebra import (
     mi_leq,
     mi_order,
     mi_sub,
-    mi_unit,
     mi_zero,
     render,
+    tower_DI,
 )
 from .errors import ConfluenceError, NonSolvableError, ReductionError
 from .linalg import _integral, eliminate, peel
@@ -67,15 +67,18 @@ class Presentation:
         self._rules_by_dep = {}
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
-        self._determining_ops, self._lin, self._thetas = {}, {}, {}
-        # a jet's rule (the first of its dependent's below it, or None), its
-        # normal form, and the D_i table per i, reading each jet as its normal
-        # form; none holds the presentation (a table reaches it weakly, which a
-        # proxy's bound method would not), so a dropped one is freed at once
+        # every operator derived here, built once: l_F and l_F* under False and
+        # True, each Theta under (delta, adjoint), each restricted op under op
+        self._ops = {}
+        # a jet's rule (the first of its dependent's below it, or None), one
+        # tower {K - I_s: normal form of u_K} per rule s, and the D_i table per
+        # i, reading each jet as its normal form; none holds the presentation (a
+        # table reaches it weakly, which a proxy's bound method would not), so a
+        # dropped one is freed at once
         by_dep = self._rules_by_dep
         self._jet_rules = cache(lambda key: next(
             (s for I, s in by_dep.get(key[1], ()) if mi_leq(I, key[2])), None))
-        self._jet_nfs = {}
+        self._towers = [{} for _ in self.rhss]
         image = partial(Presentation.jet_image, weakref.proxy(self))
         self._d_tables = [ImageTable(i, None, image) for i in range(space.n)]
         # a nonlocal's D_i image: its field, reduced once (reading jets only)
@@ -98,27 +101,17 @@ class Presentation:
         return out
 
     def jet_image(self, key) -> DiffExpr:
-        """The jet's normal form, cached; the image D_i takes for it in
-        d_bar.  It is the jet itself when no rule applies, the
-        right-hand side at a rule's leading jet, and above it D_i of the
-        normal form of u_{K-e_i}, one pass reading each jet u_{L+e_i} as
-        its normal form: that normal form is internal, and D_i of it is
-        linear in the u_{L+e_i}, so nothing is left to reduce.  One loop
-        walks down to the first known image, and one takes the D_i back up."""
-        pending = []  # (key, i) of each image still to take, from the top down
-        while (image := self._jet_nfs.get(key)) is None:
-            _, j, K = key
-            s = self._jet_rules(key)
-            if s is None or K == self.leadings[s][1]:
-                image = self._jet_nfs[key] = self.space.jet(j, K) if s is None else self.rhss[s]
-                break
-            i = max(k for k, (a, b) in enumerate(zip(K, self.leadings[s][1])) if a > b)
-            pending.append((key, i))
-            key = ('j', j, mi_sub(K, mi_unit(self.space.n, i)))
-        while pending:
-            key, i = pending.pop()
-            image = self._jet_nfs[key] = image.total_derivative(i, table=self._d_tables[i])
-        return image
+        """The jet's normal form, the image D_i takes for it in d_bar: the jet
+        itself when no rule applies, else D_{K-I_s} of its rule's right-hand
+        side in d_internal, through the rule's tower.  Each step reads every
+        jet u_{L+e_i} as its normal form, which is internal, and D_i of it is
+        linear in the u_{L+e_i}, so nothing is left to reduce."""
+        _, j, K = key
+        s = self._jet_rules(key)
+        if s is None:
+            return self.space.jet(j, K)
+        return tower_DI(self._towers[s], self.rhss[s], mi_sub(K, self.leadings[s][1]),
+                        self.d_internal)
 
     def _reduce(self, e: DiffExpr) -> DiffExpr:
         """Substitute every reducible jet by its normal form in one pass.
@@ -208,59 +201,50 @@ class Presentation:
 
     def linearization(self, adjoint=False) -> CDiffOp:
         """l_F, or l_F* when adjoint, each built once per presentation."""
-        lin = self._lin.get(adjoint)
-        if lin is None:
-            lin = self._lin[adjoint] = self.linearization().adjoint() if adjoint \
-                else linearize(list(self.components), self.space)
-        return lin
+        return self._ops.get(adjoint) or self._ops.setdefault(adjoint, (
+            self.linearization().adjoint() if adjoint
+            else linearize(list(self.components), self.space)))
 
     def theta(self, delta: CDiffOp, adjoint=False) -> CDiffOp:
         """l_F o delta - delta* o l_F*, zero on the equation iff delta is a bivector there
         (with adjoint, l_F* o delta - delta* o l_F), built once per value of delta."""
-        theta = self._thetas.get(key := (delta, adjoint))
-        if theta is None:
-            lin = self.linearization
-            theta = self._thetas[key] = CDiffOp.sum_of_compositions(
-                ((1, lin(adjoint), delta), (-1, delta.adjoint(), lin(not adjoint))))
-        return theta
+        lin, key = self.linearization, (delta, adjoint)
+        return self._ops.get(key) or self._ops.setdefault(key, CDiffOp.sum_of_compositions(
+            ((1, lin(adjoint), delta), (-1, delta.adjoint(), lin(not adjoint)))))
+
+    def _restricted_op(self, op: CDiffOp) -> CDiffOp:
+        """restrict_operator(op), built once per value of op."""
+        return self._ops.get(op) or self._ops.setdefault(op, self.restrict_operator(op))
 
     def restricted(self, op: CDiffOp):
         """op on the equation, as the function vec -> sum_K NF(a_K) *
-        D_K(NF vec): the coefficients are restricted here, once, each
-        argument is normalized once, and each column's D_K comes from one
-        tower (CDiffOp.apply) of d_internal, which is D~ on a covering's
+        D_K(NF vec): the coefficients are restricted once per value of op,
+        each argument is normalized once, and each column's D_K comes from
+        one tower (CDiffOp.apply) of d_internal, which is D~ on a covering's
         presentation.  The result is internal, so nothing reduces it.
         It equals NF(op vec) wherever NF o D_i = NF o D_i o NF, which
         confluent rules give: NF is a ring homomorphism, so NF(a_K D_K phi)
         = NF(a_K) NF(D_K NF phi)."""
-        op = self.restrict_operator(op)
+        op = self._restricted_op(op)
         return lambda vec: op.apply(self.normal_form(vec), d=self.d_internal)
 
     def restricted_columns(self, op: CDiffOp):
         """restricted(op) on every unit-slot vector of an internal e, no normal form taken:
         e -> CDiffOp.columns of the restricted op, one tower of d_internal for every column."""
-        return partial(self.restrict_operator(op).columns, d=self.d_internal)
+        return partial(self._restricted_op(op).columns, d=self.d_internal)
 
     def lin_apply(self, phi) -> list:
-        """l_F(phi) reduced (the symmetry determining operator), computed as
-        l_E, l_F restricted to the equation once per presentation."""
-        return self._determining(False).apply(self.normal_form(phi), self.d_internal)
+        """l_F(phi) reduced (the symmetry determining operator): restricted l_F."""
+        return self.restricted(self.linearization())(phi)
 
     def adj_apply(self, psi) -> list:
-        """l_F*(psi) reduced (the cosymmetry determining operator), computed
-        as lin_apply is, from the adjoint."""
-        return self._determining(True).apply(self.normal_form(psi), self.d_internal)
+        """l_F*(psi) reduced (the cosymmetry determining operator): restricted l_F*."""
+        return self.restricted(self.linearization(True))(psi)
 
     def determining_columns(self, adjoint=False):
-        """restricted_columns of l_F (l_F* when adjoint), through the cached
-        operator: lin_apply (adj_apply) on every unit-slot vector of e."""
-        return partial(self._determining(adjoint).columns, d=self.d_internal)
-
-    def _determining(self, adjoint) -> CDiffOp:
-        """restrict_operator(linearization(adjoint)), once per presentation."""
-        if adjoint not in self._determining_ops:
-            self._determining_ops[adjoint] = self.restrict_operator(self.linearization(adjoint))
-        return self._determining_ops[adjoint]
+        """restricted_columns of l_F (l_F* when adjoint): lin_apply (adj_apply) on
+        every unit-slot vector of e."""
+        return self.restricted_columns(self.linearization(adjoint))
 
     @cached_property
     def scaling(self) -> dict:

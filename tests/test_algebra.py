@@ -1130,11 +1130,11 @@ print(pres.jet_image(("j", 0, (0, 3000))) == sp.jet("u", (3000, 0)))
 
 
 def test_a_jet_far_above_its_rule_is_reduced_without_recursion():
-    """Presentation.jet_image walks down to a known image in one loop and
-    takes the D_i back up in another: on u_t = u_x, u[0,3000] (built
-    directly, beyond the parser's bound) reduces to u[3000,0], three times
-    deeper than the recursion limit.  In a fresh process, since it registers
-    some 6,000 jet slots."""
+    """Presentation.jet_image takes its rule's tower through tower_DI, which
+    walks down to a known image in one loop and takes the D_i back up in
+    another: on u_t = u_x, u[0,3000] (built directly, beyond the parser's
+    bound) reduces to u[3000,0], three times deeper than the recursion
+    limit.  In a fresh process, since it registers some 6,000 jet slots."""
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", _DEEP_JET], env=env, capture_output=True,

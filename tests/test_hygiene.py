@@ -569,7 +569,7 @@ def f(pres, delta, psi):
     assert lines == [4, 5, 6, 12]
 
 
-RULE_CACHES = ("_jet_rules", "_jet_nfs", "_d_tables")
+RULE_CACHES = ("_jet_rules", "_towers", "_d_tables", "_ops")
 
 
 def _rule_cache_resets(tree):
@@ -602,9 +602,10 @@ def _rule_cache_resets(tree):
 
 
 def test_the_rule_caches_are_emptied_in_one_place():
-    """The jets' rules, their normal forms and the D_i tables are built from
-    the rules, which do not change once a presentation is built, so each is
-    assigned once, in Presentation.__init__, and never emptied."""
+    """The jets' rules, their normal forms' towers, the D_i tables and the
+    memo of derived operators are built from the rules and components, which
+    do not change once a presentation is built, so each is assigned once, in
+    Presentation.__init__, and never emptied."""
     sites = [(path.name, function, name) for path, tree in _trees(PACKAGE)
              for _, function, name in _rule_cache_resets(tree)]
     assert sorted(sites) == [("presentations.py", "__init__", name)
@@ -615,23 +616,25 @@ def test_the_rule_cache_check_sees_every_reset():
     source = """
 class P:
     def __init__(self):
-        self._jet_nfs = {}
+        self._towers = []
 
     def forget(self):
-        self._jet_nfs, self._d_tables = {}, {}
+        self._towers, self._d_tables = [], {}
+        self._ops.clear()
 
 def f(pres):
-    pres._jet_nfs.clear()
+    pres._towers.clear()
     del pres._d_tables[0, 1]
-    pres._jet_nfs[0, 1] = pres._d_tables.get((0, 1))
+    pres._towers[0] = pres._d_tables.get((0, 1))
 
     def g():
         pres._d_tables.pop((0, 1))
     return g
 """
     assert _rule_cache_resets(ast.parse(source)) == [
-        (4, "__init__", "_jet_nfs"), (7, "forget", "_d_tables"), (7, "forget", "_jet_nfs"),
-        (10, "f", "_jet_nfs"), (11, "f", "_d_tables"), (15, "g", "_d_tables")]
+        (4, "__init__", "_towers"), (7, "forget", "_d_tables"), (7, "forget", "_towers"),
+        (8, "forget", "_ops"), (11, "f", "_towers"), (12, "f", "_d_tables"),
+        (16, "g", "_d_tables")]
 
 
 def _function_imports(tree):

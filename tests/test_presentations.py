@@ -13,10 +13,12 @@ from jetcalc import (
     EquivalenceWitness,
     JetSpace,
     NonSolvableError,
+    Presentation,
     ReductionError,
     cotangent_covering,
     make_presentation,
     parse,
+    presentations,
     solve_symmetries,
     verify_equivalence,
 )
@@ -447,6 +449,42 @@ def test_adjoint_linearization_is_built_once():
     assert adjoint is pres.linearization(adjoint=True)
     assert adjoint == pres.linearization().adjoint()
     assert pres.linearization() is pres.linearization()
+
+
+@pytest.mark.parametrize("name", ["kdv", "boussinesq"])
+def test_each_derived_operator_is_built_once(request, name, monkeypatch):
+    """linearize (l_F, whose adjoint is l_F*), CDiffOp.sum_of_compositions (each
+    Theta) and restrict_operator run once per operator value and presentation,
+    whatever mix of routes asks for them, and a fresh operator equal in value
+    finds the one built; lin_apply and adj_apply are restricted l_F and l_F*."""
+    given = request.getfixturevalue(name)
+    pres = make_presentation(given.space, given.components, given.leadings)
+    sp, m = pres.space, pres.space.m
+    calls = []
+
+    def counted(label, fn):
+        return lambda *args: calls.append(label) or fn(*args)
+    monkeypatch.setattr(presentations, "linearize", counted("l_F", presentations.linearize))
+    monkeypatch.setattr(CDiffOp, "sum_of_compositions",
+                        counted("Theta", CDiffOp.sum_of_compositions))
+    monkeypatch.setattr(Presentation, "restrict_operator",
+                        counted("restrict", Presentation.restrict_operator))
+
+    def fresh(op):
+        return CDiffOp(sp, op.rows, op.cols, op.terms())
+    phi = [rand_poly(sp, random.Random(97), FACTORS[name]) for _ in range(m)]
+    delta = CDiffOp(sp, m, m, ((k, k, mi_unit(sp.n, 0), sp.one()) for k in range(m)))
+    for _ in range(2):
+        L, L_adj = pres.linearization(), pres.linearization(adjoint=True)
+        assert pres.lin_apply(phi) == pres.restricted(L)(phi) == pres.restricted(fresh(L))(phi)
+        assert pres.adj_apply(phi) == pres.restricted(fresh(L_adj))(phi)
+        pres.determining_columns(), pres.determining_columns(adjoint=True)
+        pres.restricted_columns(fresh(L)), pres.restricted_columns(L_adj)
+        for adjoint in (False, True):
+            theta = pres.theta(delta, adjoint)
+            assert pres.theta(fresh(delta), adjoint) is theta
+            pres.restricted(fresh(theta))(phi), pres.restricted_columns(theta)
+    assert sorted(calls) == ["Theta"] * 2 + ["l_F"] + ["restrict"] * 4
 
 
 def test_a_dropped_presentation_is_freed_at_once():
