@@ -585,8 +585,8 @@ def test_linalg_is_exact_on_int_entries():
 
 
 def nullspace_reference(rows, ncols):
-    """Gaussian elimination over Fractions in assembly order, the nullspace
-    computed before integer elimination (the reference for `nullspace`)."""
+    """Gaussian elimination over Fractions in assembly order, lowest column
+    first, then back-substitution: the reference for `nullspace`."""
     mat = [dict(r) for r in rows if r]
     pivots = {}
     for row in mat:
@@ -707,25 +707,48 @@ def test_nullspace_matches_fraction_elimination():
     assert len(nullities) > 5  # the cases span many ranks
 
 
+def test_nullspace_matches_sympy():
+    """A third opinion on the first 60 random systems and the 4 peeled ones of
+    test_nullspace_matches_fraction_elimination (the same seed and draws):
+    sympy's Matrix.nullspace on the columns reversed, mapped back.  Its
+    lowest-column pivots are then highest-column ones, so its vectors are
+    `nullspace`'s, up to their order."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(53)
+    cases = [(rand_sparse_rows(rng, n), n) for n in [rng.randint(1, 12) for _ in range(400)][:60]]
+    cases += [([{0: 1}, {0: 2, 1: 3}, {1: 1, 2: 5}, {2: -1, 3: 1, 4: 1}], 6),
+              ([{0: 3}, {0: 1, 1: 2}, {1: Fraction(1, 2), 2: -1}], 3),
+              ([{2: Fraction(2, 3)}, {2: 1, 5: Fraction(-1, 7), 6: 1}], 9),
+              ([{1: Fraction(-5, 4)}, {1: Fraction(1, 3)}, {0: 1, 2: Fraction(3, 2)}], 3)]
+    for rows, ncols in cases:
+        mat = sympy.zeros(max(len(rows), 1), ncols)
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                mat[i, ncols - 1 - c] = sympy.Rational(v.numerator, v.denominator)
+        theirs = [[Fraction(int(x.p), int(x.q)) for x in reversed(list(vec))]
+                  for vec in mat.nullspace()]
+        assert sorted(nullspace(rows, ncols)) == sorted(theirs), (rows, ncols)
+
+
 def test_peeling_leaves_few_rows_to_eliminate(monkeypatch):
     """On KdV's (7,4) symmetry system (3,173 rows, 999 of them singletons)
-    at most 45 rows reach the integer elimination.  The presentation's
+    at most 45 nonempty rows reach the elimination.  The presentation's
     scaling weights, a 2-row system of their own, are found first."""
     from jetcalc import Ansatz, make_presentation, solve_symmetries
-    from jetcalc import linalg
+    from jetcalc import analysis
 
-    integral, calls = linalg._integral, []
+    eliminate, rows_in = analysis.eliminate, []
 
-    def counted(row):
-        calls.append(len(row))
-        return integral(row)
+    def counted(rows, forced, ncols):
+        rows_in.extend(row for row in rows if row)
+        return eliminate(rows, forced, ncols)
 
     pres = make_presentation(SP, [parse("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", SP)],
                              [("u", (0, 1))])
     assert pres.scaling['F', 0]
-    monkeypatch.setattr(linalg, "_integral", counted)
+    monkeypatch.setattr(analysis, "eliminate", counted)
     assert len(solve_symmetries(pres, Ansatz(7, 4))) == 6
-    assert 0 < len(calls) <= 45
+    assert 0 < len(rows_in) <= 45
 
 
 # -- independent oracle: sympy's Euler-Lagrange operator --------------------

@@ -1014,6 +1014,20 @@ def test_verify_shadow_task_reports_ok_and_fail(tmp_path, capsys):
         ("ok", ["0"]), ("fail", ["-3*u[0,0]^2 - 6*u[1,0]*w"])]
 
 
+def test_verify_symplectic_reports_the_residual_of_a_non_member(tmp_path, capsys):
+    """The identity is no symplectic operator of KdV: l_F* o 1 - 1 o l_F is
+    not 0 modulo the equation, so at order 1 and degree 1 the task reports
+    membership and closedness false with the residual matrix, and exits 1."""
+    identity = {"rows": 1, "cols": 1, "entries": [
+        {"row": 0, "col": 0, "terms": [{"D": [0, 0], "coef": "1"}]}]}
+    code, report = _run_json(tmp_path, capsys, dict(corpus("kdv"), tasks=[
+        {"kind": "verify-symplectic", "op": identity, "order": 1, "degree": 1}]))
+    assert code == 1
+    assert report["tasks"] == [{
+        "task": "verify-symplectic", "membership": False, "closed": False, "status": "fail",
+        "residual": [["(6*u[1,0])*D[0, 0] + (-2)*D[0, 1] + (12*u[0,0])*D[1, 0] + (2)*D[3, 0]"]]}]
+
+
 def test_constant_powers_within_the_budget_are_exact():
     report = run_problem(dict(corpus("heat"), tasks=[{"kind": "reduce", "expr": "2^1000"}]))
     assert report["tasks"][0]["normal_form"] == str(2**1000)

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from fractions import Fraction
@@ -597,6 +598,72 @@ def test_operators_that_are_not_skew_are_not_hamiltonian(tmp_path, capsys, name)
     assert [t["status"] for t in report["tasks"]] == ["fail", "fail", "ok"]
 
 
+def test_hamiltonian_verdicts_match_a_sympy_poisson_bracket():
+    """An oracle above the kernels: A is Hamiltonian iff {F, G} = int dF . A dG
+    is skew and satisfies the Jacobi identity modulo divergences (Olver,
+    Applications of Lie Groups to Differential Equations, 2nd ed., Ch. 7).
+    Both are checked in sympy alone, with `euler_equations` as the
+    variational derivative, on random densities c x^a u^b.  Where
+    `is_hamiltonian` says True every sampled triple passes both; where it says
+    False one of them fails on some sampled triple.  The operators are D_x,
+    KdV's B, the three of NOT_SKEW, the route universe's -u D^3 - 3/2 u_x D^2
+    - 1/2 u_xx D (skew, not Hamiltonian, yet criterion 9's 27 pairings pass it)
+    and skew operators from criterion 9's generator."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.calculus.euler import euler_equations
+    from test_acceptance import _rand_op
+    from test_algebra import _to_sympy
+
+    x, s = sympy.symbols("x s")
+    u = sympy.Function("u")(x)
+    jets = sympy.symbols("u0:24")  # u_k as a symbol; euler_equations sees d^k u/dx^k
+    as_function = {j: u.diff(x, k) for k, j in enumerate(jets)}
+    as_symbol = {d: j for j, d in as_function.items()}
+
+    def total_derivative(f, times):
+        for _ in range(times):
+            f = sympy.expand(f.diff(x) + sum(b * f.diff(a) for a, b in zip(jets, jets[1:])
+                                             if a in f.free_symbols))
+        return f
+
+    @functools.cache
+    def delta_monomial(m):  # s*u keeps a constant gradient from collapsing the Eq to a bool
+        (eq,) = euler_equations(m.xreplace(as_function) + s * u, [u], [x])
+        return sympy.expand(eq.lhs.xreplace(as_symbol) - s)
+
+    def delta(density):  # term by term, each monomial's once
+        return sympy.expand(sum(c * delta_monomial(m) for m, c in
+                                sympy.expand(density).as_coefficients_dict().items()))
+
+    rng = random.Random(7)
+    ops = [A_KDV, B_KDV] + [CDiffOp.scalar(SP1, {K: parse(c, SP1) for K, c in table.items()})
+                            for table in NOT_SKEW.values()]
+    ops.append(CDiffOp.scalar(SP1, {(3,): -U, (2,): Fraction(-3, 2) * SP1.jet("u", (1,)),
+                                    (1,): Fraction(-1, 2) * SP1.jet("u", (2,))}))
+    while len(ops) < 8:
+        op = skew(_rand_op(rng, SP1))
+        if not op.is_zero():
+            ops.append(op)
+    passes = []
+    for op in ops:
+        coeffs = [(K[0], _to_sympy(a, sympy, [u], [x]).xreplace(as_symbol))
+                  for K, a in op.entry(0, 0).items()]
+
+        def bracket(dF, dG):  # the density dF . A dG
+            return sympy.expand(dF * sum(a * total_derivative(dG, k) for k, a in coeffs))
+
+        def holds(dF, dG, dH):  # skew, then Jacobi, on three gradients
+            return delta(bracket(dF, dG) + bracket(dG, dF)) == 0 and delta(
+                bracket(delta(bracket(dF, dG)), dH) + bracket(delta(bracket(dG, dH)), dF)
+                + bracket(delta(bracket(dH, dF)), dG)) == 0
+
+        triples = ([delta(rng.choice([-2, -1, 1, 3]) * x ** rng.randint(0, 1)
+                          * jets[0] ** rng.randint(2, 4)) for _ in range(3)] for _ in range(2))
+        passes.append(all(holds(*triple) for triple in triples))
+    assert passes == [is_hamiltonian(op) for op in ops]
+    assert passes[:6] == [True, True, False, False, False, False]
+
+
 def test_an_operator_on_other_dependents_has_no_superdensity():
     """A 2 x 2 operator on the one dependent of (x; u) would pair momenta of
     dependents the space does not have: a ShapeError, as for a non-square one."""
@@ -641,6 +708,24 @@ def test_the_involution_of_skew_operators_tests_half_the_pairs(monkeypatch):
     A, B = problem.ham_ops["A"], problem.ham_ops["B"]
     assert involution is True and pairings == 2 * 6
     assert _full_involution(A, B, parse(task["seed"], problem.ham_space), task["steps"])
+
+
+def test_a_matrix_operator_takes_its_magri_step_through_the_ansatz(monkeypatch):
+    """Boussinesq's A is 2 x 2, not D_x, so each step solves A(psi) = B(delta w)
+    in the ansatz: two slots and the target.  One step from u."""
+    solves, solve = [], hamiltonian.solve_linear
+
+    def counted(A, target, ansatz):
+        solves.append((A.cols, len(target)))
+        return solve(A, target, ansatz)
+
+    monkeypatch.setattr(hamiltonian, "solve_linear", counted)
+    data = dict(corpus("boussinesq"),
+                tasks=[{"kind": "magri", "steps": 1, "A": "A", "B": "B", "seed": "u[0]"}])
+    assert run_task(Problem(data), data["tasks"][0]) == {
+        "task": "magri", "densities": ["u[0]", "1/2*u[0]*v[0]"],
+        "flows": [["0", "0"], ["1/2*u[1]", "1/2*v[1]"]], "involution": True, "status": "ok"}
+    assert solves == [(2, 2)]
 
 
 def test_an_operator_that_is_not_skew_keeps_every_pair(monkeypatch):

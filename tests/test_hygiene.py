@@ -11,6 +11,7 @@ every dataclass frozen; and, on built objects, no dataclass or operator
 table holding a plain dict or list at any depth."""
 
 import ast
+import copy
 import dataclasses
 import importlib
 import pkgutil
@@ -715,6 +716,81 @@ def f():
 """
     assert _foreign_imports(ast.parse(source)) == [(3, "sympy.core"), (7, "jsonschema"),
                                                    (11, "numpy")]
+
+
+def _repeated_runs(trees, length=3, least=40):
+    """(where first written, where again, AST nodes) of each run of `length`
+    consecutive statements, of at least `least` nodes, that dumps the same as
+    an earlier run once every name and argument is one placeholder."""
+    seen, found = {}, []
+    for name, tree in trees:
+        tree = copy.deepcopy(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                node.id = "_"
+            elif isinstance(node, ast.arg):
+                node.arg = "_"
+        for node in ast.walk(tree):
+            for field in ("body", "orelse", "finalbody"):
+                stmts = getattr(node, field, None)
+                if not isinstance(stmts, list) or not stmts or not isinstance(stmts[0], ast.stmt):
+                    continue
+                sizes = [sum(1 for _ in ast.walk(stmt)) for stmt in stmts]
+                dumps = [ast.dump(stmt) for stmt in stmts]
+                for k in range(len(stmts) - length + 1):
+                    size = sum(sizes[k:k + length])
+                    if size >= least:
+                        where = f"{name}:{stmts[k].lineno}"
+                        first = seen.setdefault("\n".join(dumps[k:k + length]), where)
+                        if first != where:
+                            found.append((first, where, size))
+    return found
+
+
+def test_no_statement_run_is_written_twice():
+    """No three consecutive statements of 40 or more AST nodes are a copy of
+    three others, whatever their names: a step written twice is one function.
+    corpus.py is problem data, not code."""
+    trees = [(path.name, tree) for path, tree in _trees(PACKAGE) if path.name != "corpus.py"]
+    assert _repeated_runs(trees) == []
+
+
+def test_the_repeated_run_check_sees_a_planted_copy():
+    source = """
+def f(row, piv, lead):
+    g = gcd(piv[lead], row[lead])
+    a, b = piv[lead] // g, row[lead] // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    return row
+
+class C:
+    def m(self, other):
+        try:
+            x = 1
+        finally:
+            h = gcd(self[other], other[self])
+            p, q = self[other] // h, other[self] // h
+            if p != 1:
+                other = {k: p * w for k, w in other.items()}
+
+def short(a):
+    b = a + 1
+    c = b + 1
+    return c
+
+def shorter(x):
+    y = x + 1
+    z = y + 1
+    return z
+"""
+    planted, again = ast.parse(source), ast.parse(source.split("class C")[0])
+    assert _repeated_runs([("planted.py", planted)]) == [("planted.py:3", "planted.py:14", 77)]
+    assert sorted(_repeated_runs([("planted.py", planted), ("again.py", again)])) == [
+        ("planted.py:3", "again.py:3", 77), ("planted.py:3", "planted.py:14", 77),
+        ("planted.py:4", "again.py:4", 62)]
+    assert sorted(_repeated_runs([("planted.py", planted)], least=10)) == [
+        ("planted.py:20", "planted.py:25", 19), ("planted.py:3", "planted.py:14", 77)]
 
 
 def _unfrozen_dataclasses(tree):

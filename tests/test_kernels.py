@@ -335,6 +335,7 @@ def test_fractions_that_sum_to_integers_are_ints():
         ((u * half).total_derivative(0, ImageTable(0, None, lambda key: ux * 2)), {u_ux[1:]: 1}),
         ((u * half) * (ux * 4), {u_ux: 2}),
         (sum_of_products(EVEN, [(u * half, ux), (ux * Fraction(3, 2), u)]), {u_ux: 2}),
+        ((3 - u * half) * 2, {u_ux[:1]: -1, (): 6}),  # int - DiffExpr
     ]:
         assert decoded_terms(got) == want
         assert all(type(c) is int for c in decoded_terms(got).values())

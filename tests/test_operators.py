@@ -194,7 +194,7 @@ ORACLE_SPACES = {"x;u": JetSpace.create(["x"], ["u"]),
 
 @pytest.mark.parametrize("name", list(ORACLE_SPACES))
 def test_operator_algebra_matches_the_term_by_term_sum(name):
-    """compose, adjoint, + and - equal the operators built by forming each
+    """compose, adjoint, +, - and negation equal the operators built by forming each
     product and adding term by term, on seeded random operators with
     Fraction coefficients, more than one column, and odd coefficients."""
     space = ORACLE_SPACES[name]
@@ -208,6 +208,7 @@ def test_operator_algebra_matches_the_term_by_term_sum(name):
         assert A + B == by_terms(space, 2, m, chain(A.terms(), B.terms()))
         assert A - B == sub_by_terms(A, B)
         assert A - A == CDiffOp(space, 2, m)
+        assert -A == sub_by_terms(CDiffOp(space, 2, m), A)
 
 
 @pytest.mark.parametrize("name", ["kdv", "boussinesq"])
