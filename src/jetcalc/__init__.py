@@ -69,8 +69,7 @@ from .hamiltonian import (
     are_compatible,
     from_superdensity,
     is_hamiltonian,
-    magri_chain,
-    magri_step,
+    magri_hierarchy,
     poisson_bracket,
     schouten_direct,
     schouten_on_equation,

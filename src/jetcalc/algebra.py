@@ -151,13 +151,22 @@ def mi_zero(n: int) -> MultiIndex:
 
 
 def mi_iter(n: int, order: int):
-    """All multi-indices of the given exact order, lexicographically."""
-    if n == 1:
-        yield (order,)
-        return
-    for first in range(order, -1, -1):
-        for rest in mi_iter(n - 1, order - first):
-            yield (first,) + rest
+    """All multi-indices of the given exact order, lexicographically, by an
+    odometer: each next index moves the last entry's units, plus one, from
+    the rightmost nonzero entry j before the last to the entry after it."""
+    index, j = [order] + [0] * (n - 1), min(0, n - 2)  # zeros after j, but the last
+    while True:
+        yield tuple(index)
+        while j >= 0 and not index[j]:
+            j -= 1
+        if j < 0:
+            return
+        index[j] -= 1
+        if j < n - 2:
+            j += 1
+            index[j], index[-1] = index[-1] + 1, 0
+        else:
+            index[-1] += 1
 
 
 @dataclass(frozen=True)

@@ -202,23 +202,20 @@ def verify_current(form: HorizontalForm, pres: Presentation) -> bool:
 
 
 def conservation_law_from_cosymmetry(psi, pres: Presentation) -> ConservedCurrent:
-    """Evolution shortcut: X = homotopy density of psi, T the x-primitive of
-    its reduced t-derivative; the generating section of the result is psi."""
-    if not pres.is_evolutionary():
-        raise ShapeError("conservation-law shortcut requires an evolution presentation")
-    space = pres.space
+    """Evolution shortcut in (x, t): X = homotopy density of psi, T the x-primitive
+    of its reduced t-derivative; the generating section of the result is psi."""
+    if not pres.is_evolutionary() or pres.space.n != 2:
+        raise ShapeError("conservation-law shortcut requires an evolution equation in (x, t)")
     psi = [pres.normal_form(p) for p in psi]
     if not helmholtz(psi).map_coefficients(pres.normal_form).is_zero():
         raise VariationalityError(
             "cosymmetry fails the Helmholtz condition: not a generating section")
     X = canonical_density(homotopy_density(psi))
-    t_index = space.n - 1
-    DtX = pres.d_bar(X, t_index)
+    DtX = pres.d_bar(X, 1)
     T = invert_total_derivative(DtX, 0)
     if not (DtX - pres.d_bar(T, 0)).is_zero():
         raise CheckError("D_t X != D_x T on the equation: the current is not conserved")
-    form = HorizontalForm(space, space.n - 1, {(0,): X, (1,): T})
-    return ConservedCurrent(form, psi)
+    return ConservedCurrent(HorizontalForm(pres.space, 1, {(0,): X, (1,): T}), psi)
 
 
 def verify_conservation_factorization(psi, delta_prime: CDiffOp,

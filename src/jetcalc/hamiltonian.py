@@ -25,7 +25,6 @@ from .algebra import (
     euler_is_zero,
     homotopy_density,
     invert_total_derivative,
-    mi_unit,
     mi_zero,
     raw_sum,
     render,
@@ -212,47 +211,25 @@ def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
     return None
 
 
-def _is_single_dx(A: CDiffOp) -> bool:
-    if A.rows != 1 or A.cols != 1:
-        return False
-    tab = A.entry(0, 0)
-    unit = mi_unit(A.space.n, 0)
-    return set(tab) == {unit} and tab[unit] == A.space.one()
-
-
-def _magri_step(A: CDiffOp, phi) -> DiffExpr:
-    if _is_single_dx(A):
-        psi = [invert_total_derivative(phi[0], 0)]
-    else:
-        psi = solve_linear(A, phi, Ansatz(4, 3))
-        if psi is None:
-            raise AnsatzError("no ansatz solution of A(psi) = B(delta omega)")
-    if not helmholtz(psi).is_zero():
-        raise VariationalityError(
-            "psi fails the Helmholtz condition: the hierarchy terminates")
-    return homotopy_density(psi)
-
-
-def magri_step(A: CDiffOp, B: CDiffOp, omega: DiffExpr) -> DiffExpr:
-    """Next density up the hierarchy: solve A(psi) = B(delta omega), check
-    the Helmholtz condition, return its homotopy density."""
-    return _magri_step(A, B.apply(euler(omega)))
-
-
 def magri_hierarchy(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int):
-    """Iterated Magri steps; returns (densities, their variational derivatives,
-    flows) with flows[k] = A(delta densities[k]), each euler taken once."""
+    """The Magri scheme from omega: each step solves A(psi) = B(delta omega_k),
+    exactly when A is D_x and in the ansatz otherwise, checks the Helmholtz
+    condition and takes omega_{k+1}, the homotopy density of psi.  Returns
+    (densities, their variational derivatives, flows) with
+    flows[k] = A(delta densities[k]), each euler taken once."""
+    is_dx = A == CDiffOp.total_derivative(A.space, 0)
     densities, grads = [omega], [euler(omega)]
     for _ in range(steps):
-        densities.append(_magri_step(A, B.apply(grads[-1])))
+        phi = B.apply(grads[-1])
+        psi = [invert_total_derivative(phi[0], 0)] if is_dx else solve_linear(A, phi, Ansatz(4, 3))
+        if psi is None:
+            raise AnsatzError("no ansatz solution of A(psi) = B(delta omega)")
+        if not helmholtz(psi).is_zero():
+            raise VariationalityError(
+                "psi fails the Helmholtz condition: the hierarchy terminates")
+        densities.append(homotopy_density(psi))
         grads.append(euler(densities[-1]))
     return densities, grads, [A.apply(g) for g in grads]
-
-
-def magri_chain(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int):
-    """magri_hierarchy's (densities, flows)."""
-    densities, _, flows = magri_hierarchy(A, B, omega, steps)
-    return densities, flows
 
 
 # -- equation-level bivectors ----------------------------------------------

@@ -21,7 +21,7 @@ from jetcalc import (
     helmholtz,
     is_hamiltonian,
     jacobi,
-    magri_chain,
+    magri_hierarchy,
     make_covering,
     make_presentation,
     pairing_density,
@@ -143,7 +143,7 @@ def test_criterion_4_magri_hierarchy():
     A = CDiffOp.total_derivative(SP1, 0)
     B = CDiffOp.scalar(SP1, {(3,): SP1.one(), (1,): 4 * SP1.jet("u", (0,)),
                              (0,): 2 * SP1.jet("u", (1,))})
-    densities, flows = magri_chain(A, B, SP1.jet("u", (0,)) * Fraction(1, 2), 3)
+    densities, _, flows = magri_hierarchy(A, B, SP1.jet("u", (0,)) * Fraction(1, 2), 3)
     ok = flows[1][0] == parse("u[1]", SP1)
     ok = ok and flows[2][0] == parse("6*u[0]*u[1] + u[3]", SP1)
     ok = ok and flows[3][0] == parse(

@@ -33,6 +33,7 @@ from jetcalc.algebra import (
     ImageTable,
     apply_DI,
     euler_is_zero,
+    mi_iter,
     mi_order,
     tower_DI,
 )
@@ -109,6 +110,22 @@ def test_render_roundtrip():
         e = rand_expr(SP, rng)
         text = render(e)
         assert render(parse(text, SP)) == text
+
+
+def _mi_iter_recursive(n, order):
+    """The multi-indices of one exact order by their first entry, largest first."""
+    if n == 1:
+        yield (order,)
+        return
+    for first in range(order, -1, -1):
+        for rest in _mi_iter_recursive(n - 1, order - first):
+            yield (first,) + rest
+
+
+def test_mi_iter_is_the_recursive_enumeration():
+    for n in range(1, 6):
+        for order in range(10):
+            assert list(mi_iter(n, order)) == list(_mi_iter_recursive(n, order)), (n, order)
 
 
 def test_total_derivative_basics():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from jetcalc import presentations
+from jetcalc import Ansatz, algebra, make_presentation, operators, presentations, solve_cosymmetries
 from jetcalc.algebra import _D, _J, JetSpace, parse
 from jetcalc.analysis import MAX_MONOMIALS
 from jetcalc import cli
@@ -1158,3 +1158,61 @@ def test_tasks_in_reverse_order_give_the_same_results(name):
     data = corpus(name)
     forward = run_problem(data)["tasks"]
     assert run_problem(dict(data, tasks=data["tasks"][::-1]))["tasks"] == forward[::-1]
+
+
+@pytest.mark.parametrize("independent, expr, leading, sections", [
+    (["x", "y", "t"], "u[0,0,1] - u[3,0,0] - 6*u[0,0,0]*u[1,0,0]", "u[0,0,1]",
+     ["1", "u[0,0,0]"]),
+    (["x"], "u[1] - u[0]", "u[1]", ["1", "u[0]"]),
+], ids=["x-y-t", "x"])
+def test_conservation_laws_need_an_equation_in_x_and_t(tmp_path, capsys, independent, expr,
+                                                       leading, sections):
+    """The shortcut's current is X dx + T dt: in (x, y, t) its t-flux would
+    be labelled dy, and in (x) alone there is no t."""
+    data = {"space": {"independent": independent, "dependent": ["u"]},
+            "equations": [{"expr": expr, "leading": leading}],
+            "tasks": [{"kind": "conservation-laws", "sections": sections}]}
+    code, report = _run_json(tmp_path, capsys, data)
+    assert code == 1
+    assert report["tasks"] == [{
+        "task": "conservation-laws", "status": "error",
+        "detail": "conservation-law shortcut requires an evolution equation in (x, t)"}]
+
+
+def test_a_thousand_independent_variables_reach_the_monomial_cap(tmp_path, capsys):
+    """The jets of 1,000 independents are enumerated without recursion, so the
+    symmetry task gets as far as counting its ansatz, beyond the cap."""
+    n = 1000
+
+    def jet(i):
+        return "u[" + ",".join("1" if k == i else "0" for k in range(n)) + "]"
+
+    data = {"space": {"independent": [f"x{k}" for k in range(n)], "dependent": ["u"]},
+            "equations": [{"expr": f"{jet(n - 1)} - {jet(0)}", "leading": jet(n - 1)}],
+            "tasks": [{"kind": "symmetries", "order": 1, "degree": 2}]}
+    code, err = _input_error(tmp_path, capsys, data)
+    assert code == 2
+    assert err == f"input error: ansatz of 2003001 monomials beyond the cap of {MAX_MONOMIALS}\n"
+
+
+def _cache_sizes():
+    """The sizes of every process-wide cache of algebra and operators."""
+    return (len(algebra._FACTORS), len(algebra._KEYS), len(algebra._UNITS),
+            {key: len(record) for key, record in algebra._PARITIES.items()},
+            {i: len(table) for i, table in algebra._FREE_TABLES.items()},
+            operators._leibniz.cache_info().currsize)
+
+
+def test_the_process_wide_caches_stop_growing_after_the_first_run():
+    """Each corpus problem and a KdV cosymmetry solve, run twice in one
+    process: the second pass adds nothing to any process-wide cache."""
+    space = JetSpace.create(["x", "t"], ["u"])
+    kdv = make_presentation(space, [parse("u[0,1] - 6*u[0,0]*u[1,0] - u[3,0]", space)],
+                            [("u", (0, 1))])
+    sizes = []
+    for _ in range(2):
+        for name in corpus_names():
+            run_problem(corpus(name))
+        solve_cosymmetries(kdv, Ansatz(5, 3))
+        sizes.append(_cache_sizes())
+    assert sizes[1] == sizes[0]

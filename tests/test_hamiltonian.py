@@ -17,8 +17,7 @@ from jetcalc import (
     from_superdensity,
     is_hamiltonian,
     jacobi,
-    magri_chain,
-    magri_step,
+    magri_hierarchy,
     make_presentation,
     pairing_density,
     parse,
@@ -321,7 +320,7 @@ def test_self_bracket_reuses_its_mirror_half(monkeypatch):
 
 
 def test_magri_chain_kdv():
-    densities, flows = magri_chain(A_KDV, B_KDV, U * Fraction(1, 2), 3)
+    densities, _, flows = magri_hierarchy(A_KDV, B_KDV, U * Fraction(1, 2), 3)
     assert flows[1][0] == parse("u[1]", SP1)
     assert flows[2][0] == parse("6*u[0]*u[1] + u[3]", SP1)
     assert flows[3][0] == parse("u[5] + 10*u[0]*u[3] + 20*u[1]*u[2]"
@@ -336,15 +335,15 @@ def test_magri_chain_kdv():
 def test_magri_step_solves_for_an_operator_other_than_d_x():
     """A = 2 D_x goes through solve_linear: from the same seed, each density
     is the D_x chain's over a power of 2."""
-    densities, _ = magri_chain(A_KDV, B_KDV, U * Fraction(1, 2), 2)
-    halved, _ = magri_chain(A_KDV.scale(2), B_KDV, U * Fraction(1, 2), 2)
+    densities = magri_hierarchy(A_KDV, B_KDV, U * Fraction(1, 2), 2)[0]
+    halved = magri_hierarchy(A_KDV.scale(2), B_KDV, U * Fraction(1, 2), 2)[0]
     assert halved == [w * Fraction(1, 2**k) for k, w in enumerate(densities)]
 
 
 def test_magri_step_without_a_solution_is_an_ansatz_error():
     """A = 0 takes no psi to B(delta omega) != 0, so no step is taken."""
     with pytest.raises(AnsatzError, match="no ansatz solution"):
-        magri_step(CDiffOp(SP1, 1, 1), B_KDV, U * Fraction(1, 2))
+        magri_hierarchy(CDiffOp(SP1, 1, 1), B_KDV, U * Fraction(1, 2), 1)
 
 
 def test_solve_linear_reads_every_row_of_the_target():
@@ -367,10 +366,22 @@ def test_solve_linear_reads_every_row_of_the_operator():
     assert hamiltonian.solve_linear(A, [first, half], Ansatz(2, 2)) == [half]
 
 
+def test_d_x_is_inverted_exactly_up_the_hierarchy(monkeypatch):
+    """A = D_x takes no ansatz solve: five KdV steps from u/2 reach a gradient
+    whose top jet is u_8, though the ansatz (jet order 4, degree 3) has no
+    solution of A(psi) = B(delta w_3), so only the D_x rule reaches step 4."""
+    solves, solve = [], hamiltonian.solve_linear
+    monkeypatch.setattr(hamiltonian, "solve_linear", lambda *args: solves.append(args))
+    _, grads, _ = magri_hierarchy(A_KDV, B_KDV, U * Fraction(1, 2), 5)
+    assert solves == []
+    assert max(K for _, _, K in grads[-1][0].jet_keys()) == (8,)
+    assert solve(A_KDV, B_KDV.apply(grads[3]), Ansatz(4, 3)) is None
+
+
 def test_magri_step_values():
-    w1 = magri_step(A_KDV, B_KDV, U * Fraction(1, 2))
+    w1 = magri_hierarchy(A_KDV, B_KDV, U * Fraction(1, 2), 1)[0][1]
     assert euler(w1)[0] == U  # density class of u^2/2
-    w2 = magri_step(A_KDV, B_KDV, w1)
+    w2 = magri_hierarchy(A_KDV, B_KDV, w1, 1)[0][1]
     assert euler(w2)[0] == parse("3*u[0]^2 + u[2]", SP1)
 
 
@@ -693,8 +704,8 @@ def _magri_pairings(data, monkeypatch):
 
 def _full_involution(A, B, omega, steps):
     """Every one of the 2 n^2 pairings <X(delta w_i), delta w_j>, X = A and B,
-    of magri_chain's n densities w_i, a divergence."""
-    densities, flows = magri_chain(A, B, omega, steps)
+    of magri_hierarchy's n densities w_i, a divergence."""
+    densities, _, flows = magri_hierarchy(A, B, omega, steps)
     grads = [euler(w) for w in densities]
     assert flows == [A.apply(g) for g in grads]
     return all(euler_is_zero(pairing_density(X.apply(g), h))
@@ -728,6 +739,19 @@ def test_a_matrix_operator_takes_its_magri_step_through_the_ansatz(monkeypatch):
     assert solves == [(2, 2)]
 
 
+def test_the_ansatz_stops_boussinesq_at_its_second_step(tmp_path, capsys):
+    """Boussinesq's second step needs the coefficient sigma/2, and the ansatz
+    solves over Q with no parameter among its generators: the task is an error."""
+    data = dict(corpus("boussinesq"),
+                tasks=[{"kind": "magri", "steps": 2, "A": "A", "B": "B", "seed": "u[0]"}])
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(data))
+    assert main(["run", str(f), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["tasks"] == [{
+        "task": "magri", "status": "error",
+        "detail": "no ansatz solution of A(psi) = B(delta omega)"}]
+
+
 def test_an_operator_that_is_not_skew_keeps_every_pair(monkeypatch):
     """A = D_x and B = D_x o u = u D_x + u_x, which is not skew, from w_0 = u:
     A(psi) = B(delta w_k) gives w_k = u^(k+1)/(k+1), and every pairing is a
@@ -740,7 +764,7 @@ def test_an_operator_that_is_not_skew_keeps_every_pair(monkeypatch):
     A, N = problem.ham_ops["A"], problem.ham_ops["N"]
     assert problem.gradient("A")[1] and not problem.gradient("N")[1]
     assert involution is True and pairings == 6 + 16
-    densities, _ = magri_chain(A, N, U, 3)
+    densities = magri_hierarchy(A, N, U, 3)[0]
     assert densities == [U ** (k + 1) * Fraction(1, k + 1) for k in range(4)]
     assert _full_involution(A, N, U, 3)
 

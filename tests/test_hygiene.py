@@ -6,9 +6,10 @@ touches an operator's coefficient table, no module but algebra.py (and,
 among the tests, the monomials helper) that knows the monomial format,
 no write to an expression's terms, no Fraction in the inner kernels, no
 import inside a function, none from outside jetcalc and the standard
-library, a presentation's rule caches assigned only when it is built, and
-every dataclass frozen; and, on built objects, no dataclass or operator
-table holding a plain dict or list at any depth."""
+library, a presentation's rule caches assigned only when it is built,
+every dataclass frozen, and no self-recursion but a few of bounded depth;
+on built objects, no dataclass or operator table holding a plain dict or
+list at any depth; and README's library example runs as printed."""
 
 import ast
 import copy
@@ -912,3 +913,82 @@ class F:
 """
     assert list(_unfrozen_dataclasses(ast.parse(source))) == [
         (3, "A"), (11, "C"), (15, "D")]
+
+
+# every direct self-recursion in src/jetcalc, with what bounds its depth; one
+# that recurses once per item of its input (an independent variable, say)
+# fails on a large enough input and is written as a loop instead
+BOUNDED_RECURSIONS = {
+    "cli._errors": "MAX_NESTING",
+    "hamiltonian.schouten_direct": "one swap of its arguments",
+    "presentations.Presentation.linearization": "the adjoint is built on l_F once",
+}
+
+
+def _self_recursions(tree):
+    """Each module-level function that calls its own name, and each method
+    (as `Class.method`) that calls its own name on `self` or `cls`."""
+    def by_itself(func, method):
+        if method:
+            return isinstance(func, ast.Attribute) and \
+                isinstance(func.value, ast.Name) and func.value.id in ("self", "cls")
+        return isinstance(func, ast.Name)
+
+    for node in tree.body:
+        owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for f in node.body if owner else [node]:
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(call, ast.Call) and _callee(call) == f.name
+                    and by_itself(call.func, owner) for call in ast.walk(f)):
+                yield owner + f.name
+
+
+def test_every_self_recursion_has_a_bounded_depth():
+    found = {f"{path.stem}.{name}" for path, tree in _trees(PACKAGE)
+             for name in _self_recursions(tree)}
+    assert found == set(BOUNDED_RECURSIONS)
+
+
+def test_the_recursion_check_sees_a_planted_recursion():
+    source = """
+def mi_iter(n, order):
+    if n == 1:
+        yield (order,)
+        return
+    for first in range(order, -1, -1):
+        for rest in mi_iter(n - 1, order - first):
+            yield (first,) + rest
+
+def once(x):
+    return x.once() + x.y.once()
+
+def outer(x):
+    def inner(y):
+        return inner(y)
+    return inner(x)
+
+class C:
+    def m(self, k):
+        return self.m(k - 1) if k else 0
+
+    @classmethod
+    def c(cls, k):
+        return cls.c(k - 1) if k else 0
+
+    def other(self, x):
+        return x.other() + other(x)
+
+    async def a(self):
+        return await self.a()
+"""
+    assert list(_self_recursions(ast.parse(source))) == ["mi_iter", "C.m", "C.c", "C.a"]
+
+
+def test_the_readme_library_example_runs():
+    """The example as README prints it: KdV's 4-dimensional classical symmetry
+    algebra and three Magri steps from u/2, four densities."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["basis"]) == 4 and len(namespace["densities"]) == 4
