@@ -13,7 +13,6 @@ from .algebra import (
     d_h,
     euler,
     homotopy_density,
-    invert_divergence,
     invert_total_derivative,
     parse,
     render,
@@ -22,27 +21,19 @@ from .analysis import (
     Ansatz,
     ConservedCurrent,
     conservation_law_from_cosymmetry,
-    lie_derivative_recursion,
-    lie_on_cosymmetry,
-    nijenhuis_torsion,
-    pair_symmetry_cosymmetry,
     solve_cosymmetries,
     solve_symmetries,
-    verify_conservation_factorization,
     verify_cosymmetry,
-    verify_current,
     verify_symmetry,
     verify_symplectic,
 )
 from .coverings import (
     Covering,
-    abelian_from_current,
     add_abelian_layer,
     cotangent_covering,
     delta_covering,
     make_covering,
     reconstruct_step,
-    recursion_as_backlund,
     solve_fiberlinear,
     tangent_covering,
     verify_finite_symmetry,

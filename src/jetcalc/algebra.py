@@ -951,10 +951,6 @@ class HorizontalForm:
     def component(self, idxs) -> DiffExpr:
         return self.comps.get(tuple(sorted(idxs)), self.space.zero())
 
-    def map_components(self, fn) -> "HorizontalForm":
-        return HorizontalForm(self.space, self.degree,
-                              {k: fn(v) for k, v in self.comps.items()})
-
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.comps.values())
 
@@ -1065,22 +1061,6 @@ def _divided(e: DiffExpr, divisors: dict, unit: int, top: int) -> DiffExpr:
     terms, den = _canonical({m + unit: c * (den // divisors[m]) for m, c in e.terms.items()},
                             e.den * den)
     return DiffExpr(e.space, terms, _within_budget(terms, e._top + top), den)
-
-
-def invert_divergence(density: DiffExpr, n: int):
-    """Homotopy inverse of d_h in top degree (n <= 2).
-
-    For n = 1 returns the D_x^{-1} primitive as a 0-form; for n = 2 returns
-    X dx + T dt with D_x T - D_t X = density, built by integrating the
-    density in the first variable."""
-    space = density.space
-    if n == 1:
-        theta = invert_total_derivative(density, 0)
-        return HorizontalForm(space, 0, {(): theta})
-    if n == 2:
-        T = invert_total_derivative(density, 0)
-        return HorizontalForm(space, 1, {(0,): space.zero(), (1,): T})
-    raise ValueError("invert_divergence implemented for n <= 2")
 
 
 def canonical_density(e: DiffExpr) -> DiffExpr:

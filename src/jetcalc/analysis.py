@@ -1,9 +1,8 @@
-"""Symmetries, cosymmetries, conservation laws, recursion calculus and
-symplectic verification on equation presentations."""
+"""Symmetries, cosymmetries, conservation laws and symplectic verification
+on equation presentations."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
@@ -13,7 +12,6 @@ from .algebra import (
     HorizontalForm,
     apply_DI,
     canonical_density,
-    d_h,
     homotopy_density,
     invert_total_derivative,
     mi_order,
@@ -23,7 +21,7 @@ from .algebra import (
 )
 from .errors import AnsatzError, CheckError, ProblemError, ShapeError, VariationalityError
 from .linalg import eliminate, peel
-from .operators import CDiffOp, PseudoOp, ev_apply, green_form, helmholtz, jacobi, linearize
+from .operators import CDiffOp, helmholtz
 from .presentations import Presentation
 
 
@@ -58,37 +56,30 @@ def ansatz_monomials(pres: Presentation, ansatz: Ansatz):
     products of up to max_degree generators, at most C(g + max_degree,
     max_degree) of them for g generators.  A ProblemError (an input error)
     when that count is beyond MAX_MONOMIALS, before any product is built."""
-    return _weighted_pool(pres, ansatz, Counter())[0]
+    return [m for _, m in _pool(pres, ansatz)[1]]
 
 
-def _weighted_pool(pres: Presentation, ansatz: Ansatz, scaling):
-    """(ansatz_monomials, the weight of each under `scaling`, a
-    Presentation.scaling): the generators' weights summed as their products
-    are folded, so no monomial is decoded."""
+def _pool(pres: Presentation, ansatz: Ansatz):
+    """(the generators' variable keys, ('i', i) or ('j', j, K), and the pool as
+    (generator indices, monomial) pairs): the generators are counted before
+    any product is built, and no weight is read."""
     space = pres.space
-    gens, weights = [], []
-    for i, name in enumerate(space.independent):
-        if ansatz.whitelist is None or name in ansatz.whitelist:
-            gens.append(space.indep(i))
-            weights.append(scaling['i', i])
-    for key in pres.internal_jets(ansatz.max_jet_order):
-        name = space.dependent[key[1]]
-        if ansatz.whitelist is None or name in ansatz.whitelist:
-            gens.append(space.jet(key[1], key[2]))
-            weights.append(scaling['j', key[1]]
-                           - sum(d * scaling['i', i] for i, d in enumerate(key[2])))
-    count = comb(len(gens) + ansatz.max_degree, ansatz.max_degree)
+    keys = [('i', i) for i, name in enumerate(space.independent)
+            if ansatz.whitelist is None or name in ansatz.whitelist]
+    keys += [key for key in pres.internal_jets(ansatz.max_jet_order)
+             if ansatz.whitelist is None or space.dependent[key[1]] in ansatz.whitelist]
+    count = comb(len(keys) + ansatz.max_degree, ansatz.max_degree)
     if count > MAX_MONOMIALS:
         raise ProblemError(f"ansatz of {count} monomials beyond the cap of {MAX_MONOMIALS}")
-    # one product and one sum of weights per monomial: the previous degree's
-    # product of all but the last generator (zeros kept), times the last
-    pool, prev = [(space.one(), 0)], {(): (space.one(), 0)}
+    gens = [space.indep(k[1]) if k[0] == 'i' else space.jet(k[1], k[2]) for k in keys]
+    # one product per monomial: the previous degree's product of all but the
+    # last generator (zeros kept), times the last
+    pool, prev = [((), space.one())], {(): space.one()}
     for deg in range(1, ansatz.max_degree + 1):
-        prev = {combo: (m * gens[combo[-1]], w + weights[combo[-1]])
-                for combo in combinations_with_replacement(range(len(gens)), deg)
-                for m, w in (prev[combo[:-1]],)}
-        pool.extend(p for p in prev.values() if not p[0].is_zero())
-    return [m for m, _ in pool], [w for _, w in pool]
+        prev = {combo: prev[combo[:-1]] * gens[combo[-1]]
+                for combo in combinations_with_replacement(range(len(gens)), deg)}
+        pool.extend(p for p in prev.items() if not p[1].is_zero())
+    return keys, pool
 
 
 def solve_determining(monos, slots: int, columns, target=None, weights=None):
@@ -149,16 +140,23 @@ def verify_symmetry(phi, pres: Presentation):
     return all(r.is_zero() for r in residual), residual
 
 
-def _solve(pres: Presentation, ansatz: Ansatz, adjoint, offsets):
-    """solve_determining on the ansatz, (m, slot) weighing w(m) + offsets[slot]: w(m) - w(u^j)
-    for symmetries (row s of l_F(m in slot j) weighs that + W_s), w(m) + W_s for cosymmetries."""
-    monos, weights = _weighted_pool(pres, ansatz, pres.scaling)
-    return solve_determining(monos, len(offsets), pres.determining_columns(adjoint), None,
-                             (weights, offsets))
+def _solve(pres: Presentation, ansatz: Ansatz, adjoint):
+    """solve_determining on the ansatz, (m, slot) weighing w(m) - w(u^j) for symmetries
+    (row s of l_F(m in slot j) weighs that + W_s) and w(m) + W_s for cosymmetries, the
+    weights read once the ansatz is counted."""
+    keys, pool = _pool(pres, ansatz)
+    w = pres.scaling
+    gen_w = [w[k[:2]] - sum(d * w['i', i] for i, d in enumerate(k[2] if k[0] == 'j' else ()))
+             for k in keys]
+    weights = [sum(map(gen_w.__getitem__, combo)) for combo, _ in pool]
+    offsets = [w['F', s] for s in range(len(pres.components))] if adjoint \
+        else [-w['j', j] for j in range(pres.space.m)]
+    return solve_determining([m for _, m in pool], len(offsets),
+                             pres.determining_columns(adjoint), None, (weights, offsets))
 
 
 def solve_symmetries(pres: Presentation, ansatz: Ansatz):
-    return _solve(pres, ansatz, False, [-pres.scaling['j', j] for j in range(pres.space.m)])
+    return _solve(pres, ansatz, False)
 
 
 def verify_cosymmetry(psi, pres: Presentation):
@@ -167,7 +165,7 @@ def verify_cosymmetry(psi, pres: Presentation):
 
 
 def solve_cosymmetries(pres: Presentation, ansatz: Ansatz):
-    return _solve(pres, ansatz, True, [pres.scaling['F', s] for s in range(len(pres.components))])
+    return _solve(pres, ansatz, True)
 
 
 def _cofactor_operator(image, pres: Presentation):
@@ -197,10 +195,6 @@ class ConservedCurrent:
         return {k: render(v) for k, v in sorted(self.form.comps.items())}
 
 
-def verify_current(form: HorizontalForm, pres: Presentation) -> bool:
-    return pres.reduce_form(d_h(form)).is_zero()
-
-
 def conservation_law_from_cosymmetry(psi, pres: Presentation) -> ConservedCurrent:
     """Evolution shortcut in (x, t): X = homotopy density of psi, T the x-primitive
     of its reduced t-derivative; the generating section of the result is psi."""
@@ -218,44 +212,7 @@ def conservation_law_from_cosymmetry(psi, pres: Presentation) -> ConservedCurren
     return ConservedCurrent(HorizontalForm(pres.space, 1, {(0,): X, (1,): T}), psi)
 
 
-def verify_conservation_factorization(psi, delta_prime: CDiffOp,
-                                      pres: Presentation) -> dict:
-    """General (non-evolution) conservation-law test, verification only:
-    with l_F*(psi) = nabla(F) read off the cofactors, check that
-    l_psi + nabla* = delta' l_F modulo reduction for the supplied
-    self-adjoint delta'."""
-    nabla, nfs = _cofactor_operator(pres.linearization(adjoint=True).apply(psi), pres)
-    leftover = [nf for nf in nfs if not nf.is_zero()]
-    if leftover:
-        return {"ok": False, "reason": "psi is not a cosymmetry",
-                "residual": [render(leftover[0])]}
-    if not pres.restrict_operator(delta_prime - delta_prime.adjoint()).is_zero():
-        return {"ok": False, "reason": "delta' is not self-adjoint"}
-    lhs = linearize(psi, pres.space) + nabla.adjoint()
-    rhs = delta_prime.compose(pres.linearization())
-    residual = pres.restrict_operator(lhs - rhs)
-    return {"ok": residual.is_zero(), "residual": residual.render_matrix()}
-
-
-def pair_symmetry_cosymmetry(phi, psi, pres: Presentation) -> HorizontalForm:
-    """Conserved current from the Green-formula pairing of a symmetry with a
-    cosymmetry."""
-    form = green_form(pres.linearization(), phi, psi)
-    return pres.reduce_form(form)
-
-
-def lie_on_cosymmetry(phi, psi, pres: Presentation):
-    """L_phi(psi) = E_phi(psi) + box*(psi), box read off the cofactors of
-    l_F(phi)."""
-    box, nfs = _cofactor_operator(pres.linearization().apply(phi), pres)
-    if any(not nf.is_zero() for nf in nfs):
-        raise ShapeError("lie_on_cosymmetry needs a symmetry argument")
-    correction = box.adjoint().apply(psi)
-    return [pres.normal_form(ev_apply(phi, p) + c)
-            for p, c in zip(psi, correction)]
-
-
-# -- recursion operators -------------------------------------------------------
+# -- variations of operators ---------------------------------------------------
 
 
 def ell_delta_op(delta: CDiffOp, phi, ncols: int = None) -> CDiffOp:
@@ -267,30 +224,6 @@ def ell_delta_op(delta: CDiffOp, phi, ncols: int = None) -> CDiffOp:
                    ((r, key[1], key[2], (1, a.partial(key), dphi))
                     for r, c, tau, a in delta.terms() for dphi in (apply_DI(phi[c], tau),)
                     for key in a.jet_keys() if key[1] < ncols))
-
-
-def nijenhuis_torsion(R: PseudoOp, phi1, phi2, pres: Presentation):
-    """(1/2)[[R, R]](phi1, phi2) by direct evaluation through the bracket
-    form  {R p1, R p2} - R{R p1, p2} - R{p1, R p2} + R^2{p1, p2};  every
-    D_x^{-1} is taken in internal coordinates."""
-    def jac(a, b):
-        return pres.normal_form(jacobi(a, b))
-
-    # R.apply gives internal vectors, so only the free brackets are reduced
-    r1 = R.apply(phi1, pres)
-    r2 = R.apply(phi2, pres)
-    t1 = jac(r1, r2)
-    t2 = R.apply(jac(r1, phi2), pres)
-    t3 = R.apply(jac(phi1, r2), pres)
-    t4 = R.apply(R.apply(jac(phi1, phi2), pres), pres)
-    return [a - b - c + d for a, b, c, d in zip(t1, t2, t3, t4)]
-
-
-def lie_derivative_recursion(phi, R: PseudoOp, pres: Presentation) -> PseudoOp:
-    """L_phi(R) = E_phi(R) - [l_phi, R], kept as a formal pseudo-operator;
-    expose it by evaluating on test arguments."""
-    lphi = linearize([pres.normal_form(p) for p in phi], pres.space)
-    return (R.ev(phi) - R.commutator_local(lphi)).normalized()
 
 
 # -- symplectic structures -----------------------------------------------------

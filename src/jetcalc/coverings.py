@@ -1,6 +1,6 @@
-"""Differential coverings: flatness, Abelian coverings from currents,
-tangent/cotangent/Delta-coverings, lifted operators, shadows, one-step
-reconstruction and finite covering symmetries, each covering built once."""
+"""Differential coverings: flatness, tangent/cotangent/Delta-coverings,
+lifted operators, shadows, one-step reconstruction and finite covering
+symmetries, each covering built once."""
 
 from __future__ import annotations
 
@@ -9,10 +9,7 @@ from types import MappingProxyType
 
 from .algebra import (
     DiffExpr,
-    HorizontalForm,
     JetSpace,
-    d_h,
-    invert_total_derivative,
     mi_order,
     mi_zero,
     render,
@@ -93,27 +90,6 @@ def make_covering(base: Presentation, nonlocals, X, odd=()) -> Covering:
     """Nonlocal-variable covering over a presentation.  `nonlocals` is a
     list of names, X maps independent index -> list of extension fields."""
     return Covering(base, base).extended(nonlocals, X, odd)
-
-
-def abelian_from_current(form: HorizontalForm, base: Presentation) -> Covering:
-    """One-dimensional Abelian covering from a closed current (n = 2):
-    w_x = X, w_t = T.  Flags trivializable coverings (exact currents)."""
-    if base.space.n != 2:
-        raise ShapeError("current coverings implemented for n = 2")
-    if not base.reduce_form(d_h(form)).is_zero():
-        raise NonlocalObstruction("current is not closed on the equation")
-    X, T = form.component((0,)), form.component((1,))
-    try:
-        f = invert_total_derivative(base.normal_form(X), 0)
-        trivial = (base.d_bar(f, 1) - base.normal_form(T)).is_zero()
-    except NonlocalObstruction:
-        trivial = False
-    cov = Covering(base, base, structures={"trivial": trivial}).extended(
-        ["w"], {0: [X], 1: [T]}, ())
-    flat = verify_flat(cov)
-    if not flat["ok"]:  # pragma: no cover - closedness implies flatness
-        raise NonlocalObstruction(f"covering is not flat: {flat['residuals']}")
-    return cov
 
 
 def delta_covering(base: Presentation, op: CDiffOp, odd=False,
@@ -281,23 +257,3 @@ def verify_finite_symmetry(cov: Covering, images: dict) -> dict:
     ok = all(r.is_zero() for r in residuals.values())
     return {"ok": ok, "residuals": {f"{k}": render(v)
                                     for k, v in residuals.items() if not v.is_zero()}}
-
-
-def recursion_as_backlund(cov: Covering, omega_R, phi):
-    """Evaluate the Backlund realization of a recursion operator: substitute
-    the jets of the symmetry phi for the fiber variables of the shadow
-    omega_R (nonlocal layers resolved by D_x^{-1}) and reduce."""
-    base = cov.base
-    space = cov.space
-    phi0 = base.normal_form(phi[0])
-    # the fiber jets v_K take D-bar_K(phi^0), all from one tower
-    keys = sorted(k for k in omega_R.variables()
-                  if k[0] == 'j' and k[1] in cov.fiber_families)
-    tower = {}
-    mapping = {k: tower_DI(tower, phi0, k[2], base.d_internal).rename_space(space)
-               for k in keys}
-    for key in omega_R.variables():
-        if key[0] == 'w':
-            mapping[key] = invert_total_derivative(phi0, 0).rename_space(space)
-    value = omega_R.substitute(mapping)
-    return base.normal_form(value.rename_space(base.space))

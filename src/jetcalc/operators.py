@@ -276,11 +276,6 @@ def ev_apply(phi, e: DiffExpr) -> DiffExpr:
                                      for key in e.jet_keys() if key[1] < len(phi)])
 
 
-def ev_apply_op(phi, op: CDiffOp) -> CDiffOp:
-    """E_phi applied to an operator's coefficients."""
-    return op.map_coefficients(lambda a: ev_apply(phi, a))
-
-
 def jacobi(phi, psi) -> list:
     """Jacobi bracket {phi, psi} = l_psi(phi) - l_phi(psi), componentwise."""
     return [ev_apply(phi, q) - ev_apply(psi, p) for p, q in zip(phi, psi)]
@@ -380,67 +375,6 @@ class PseudoOp:
             out = [x + a * prim for x, a in zip(out, pres.normal_form(a_vec))]
         return out
 
-    def ev(self, phi) -> "PseudoOp":
-        """E_phi acting on all coefficients (Leibniz over both tail slots)."""
-        tails = []
-        for a_vec, b in self.tails:
-            ea = [ev_apply(phi, a) for a in a_vec]
-            if any(not x.is_zero() for x in ea):
-                tails.append((ea, b))
-            eb = ev_apply_op(phi, b)
-            if not eb.is_zero():
-                tails.append((a_vec, eb))
-        return PseudoOp(ev_apply_op(phi, self.local), tails)
-
-    def scale(self, factor):
-        return PseudoOp(self.local.scale(factor),
-                        [([a * factor for a in av], b) for av, b in self.tails])
-
-    def __add__(self, other: "PseudoOp") -> "PseudoOp":
-        return PseudoOp(self.local + other.local, self.tails + other.tails)
-
-    def __sub__(self, other: "PseudoOp") -> "PseudoOp":
-        return self + other.scale(-1)
-
-    def compose_local_right(self, op: CDiffOp) -> "PseudoOp":
-        """self o op for a local scalar operator in x."""
-        local, tails = list(self.local.compose(op).terms()), []
-        for a_vec, b in self.tails:
-            loc_row, tail_row = _absorb_inverse(b.compose(op))
-            if not tail_row.is_zero():
-                tails.append((a_vec, tail_row))
-            local.extend((r, c, I, (1, a, coeff)) for r, a in enumerate(a_vec)
-                         for _, c, I, coeff in loc_row.terms())
-        return PseudoOp(CDiffOp(self.space, self.local.rows, op.cols, local), tails)
-
-    def compose_local_left(self, op: CDiffOp) -> "PseudoOp":
-        """op o self for a local scalar operator in x:
-        op o a D^{-1} b = sum_K p_K D^K o D^{-1} b over the terms p_K D^K of
-        op o a, where D^k o D^{-1} = D^{k-1} for k >= 1."""
-        space = self.space
-        unit = mi_unit(space.n, 0)
-        local = op.compose(self.local)
-        tails = []
-        for a_vec, b in self.tails:
-            column = CDiffOp(space, len(a_vec), 1,
-                             ((r, 0, mi_zero(space.n), a) for r, a in enumerate(a_vec)))
-            lowered, tail = [], [space.zero()] * op.rows
-            for r, _, K, p in op.compose(column).terms():
-                if mi_order(K) != K[0]:
-                    raise ShapeError("pseudo composition needs x-only operators")
-                if K[0]:
-                    lowered.append((r, 0, mi_sub(K, unit), p))
-                else:
-                    tail[r] = p
-            local = local + CDiffOp(space, op.rows, 1, lowered).compose(b)
-            if any(not x.is_zero() for x in tail):
-                tails.append((tail, b))
-        return PseudoOp(local, tails)
-
-    def commutator_local(self, op: CDiffOp) -> "PseudoOp":
-        """[op, self] = op o self - self o op, kept formal."""
-        return self.compose_local_left(op) - self.compose_local_right(op)
-
     def to_json(self):
         tail = []
         for a_vec, b in self.tails:
@@ -460,24 +394,3 @@ class PseudoOp:
             b = CDiffOp.from_json(space, 1, cols, t["b"])
             tails.append((a_vec, b))
         return cls(local, tails)
-
-
-def _absorb_inverse(row: CDiffOp):
-    """Rewrite D^{-1} o (row) as local + D^{-1} o (order-0 row) using
-    D^{-1} c D^k = c D^{k-1} - D^{-1} c' D^{k-1} (x-derivatives only)."""
-    unit = mi_unit(row.space.n, 0)
-    local, tail = [], []
-    work = [(I, c, col) for _, col, I, c in row.terms()]
-    while work:
-        I, c, col = work.pop()
-        if mi_order(I) != I[0]:
-            raise ShapeError("pseudo composition needs x-only operators")
-        if I[0] == 0:
-            tail.append((0, col, I, c))
-            continue
-        Idown = mi_sub(I, unit)
-        local.append((0, col, Idown, c))
-        dc = -c.total_derivative(0)
-        if not dc.is_zero():
-            work.append((Idown, dc, col))
-    return CDiffOp(row.space, 1, row.cols, local), CDiffOp(row.space, 1, row.cols, tail)

@@ -20,7 +20,6 @@ from functools import cache, cached_property, partial
 
 from .algebra import (
     DiffExpr,
-    HorizontalForm,
     ImageTable,
     JetSpace,
     apply_DI,
@@ -271,9 +270,6 @@ class Presentation:
              for c, key in enumerate(keys)}
         return w | {('F', s): sum(e * w[keys[c]] for c, e in first.items())
                     for s, first in enumerate(firsts or [{}] * len(self.components))}
-
-    def reduce_form(self, form: HorizontalForm) -> HorizontalForm:
-        return form.map_components(self.normal_form)
 
     def extend_space(self, dependent=(), nonlocals=(), odd=(), fields=None) -> "Presentation":
         """Same rules over a space with extra (ruleless) variables, D_i of

@@ -13,7 +13,6 @@ from jetcalc import (
     NonlocalObstruction,
     PseudoOp,
     ShapeError,
-    abelian_from_current,
     add_abelian_layer,
     cotangent_covering,
     d_h,
@@ -23,7 +22,6 @@ from jetcalc import (
     make_presentation,
     parse,
     reconstruct_step,
-    recursion_as_backlund,
     render,
     solve_cosymmetries,
     solve_fiberlinear,
@@ -33,6 +31,7 @@ from jetcalc import (
     verify_shadow,
 )
 from jetcalc.algebra import ImageTable
+from constructs import abelian_from_current, recursion_as_backlund
 from spans import is_abelian, rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -327,7 +326,7 @@ def test_cosymmetries_are_fiberlinear_currents(kdv):
         g = green_form(kdv.linearization().rename_space(tk.space),
                        [tk.space.jet("v", (0, 0))],
                        [p.rename_space(tk.space) for p in psi])
-        assert tk.presentation.reduce_form(d_h(g)).is_zero()
+        assert all(tk.presentation.normal_form(x).is_zero() for x in d_h(g).comps.values())
 
 
 def potential_covering_unreduced(kdv):

@@ -179,6 +179,11 @@ def test_schouten_direct_clauses():
     lhs = schouten_direct(A_KDV, phi, [[U]])
     rhs = schouten_direct(phi, A_KDV, [[U]])
     assert all((a + b).is_zero() for a, b in zip(lhs, rhs))
+    # KdV's flow psi preserves B, so [[B, psi]] vanishes on a gradient g, while
+    # each of its terms E_{B g}(psi), E_g(B)(psi) and B(l_psi*(g)) is nonzero:
+    # a sign flipped in the sum shows
+    gradient = [U * U + SP1.jet("u", (2,))]
+    assert all(x.is_zero() for x in schouten_direct(B_KDV, psi, [gradient]))
     with pytest.raises(ShapeError, match="bracket of two densities"):
         schouten_direct(om, om)
     for args in ((A_KDV, tuple(phi)), ({}, om)):

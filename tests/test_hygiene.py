@@ -7,9 +7,11 @@ among the tests, the monomials helper) that knows the monomial format,
 no write to an expression's terms, no Fraction in the inner kernels, no
 import inside a function, none from outside jetcalc and the standard
 library, a presentation's rule caches assigned only when it is built,
-every dataclass frozen, and no self-recursion but a few of bounded depth;
-on built objects, no dataclass or operator table holding a plain dict or
-list at any depth; and README's library example runs as printed."""
+every dataclass frozen, no self-recursion but a few of bounded depth, and
+no export that the CLI does not reach, the benchmark does not import and
+README does not name; on built objects, no dataclass or operator table
+holding a plain dict or list at any depth; and README's library example
+runs as printed."""
 
 import ast
 import copy
@@ -27,13 +29,13 @@ from jetcalc import (
     EquivalenceWitness,
     HorizontalForm,
     PseudoOp,
-    abelian_from_current,
     conservation_law_from_cosymmetry,
     cotangent_covering,
     d_h,
     parse,
     to_superdensity,
 )
+from constructs import abelian_from_current, scale
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jetcalc"
@@ -119,6 +121,118 @@ for order in range(3):
 """)
     referencing = ast.parse("Expr().used()")
     assert list(_unreferenced([defining], [defining, referencing])) == ["render", "order"]
+
+
+def _reached(trees, roots):
+    """Names reached from the AST nodes `roots` through the name graph of the
+    modules `trees`: a node reaches each name it reads, imports or takes as an
+    attribute, and a name reaches each module-level function, class or
+    assignment of that name and each method of that name; a class reaches its
+    decorators, bases, class-level statements and dunder methods, and its other
+    methods only by their names."""
+    def method(node):
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            and not _is_dunder(node.name)
+
+    defs = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name):
+                        defs.setdefault(t.id, []).append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+                for f in node.body if isinstance(node, ast.ClassDef) else ():
+                    if method(f):
+                        defs.setdefault(f.name, []).append(f)
+
+    def parts(node):
+        if not isinstance(node, ast.ClassDef):
+            return [node]
+        return node.decorator_list + node.bases + [f for f in node.body if not method(f)]
+
+    reached, work = set(), [name for root in roots for name, _ in _references(root)]
+    while work:
+        name = work.pop()
+        if name not in reached:
+            reached.add(name)
+            work.extend(ref for node in defs.get(name, ()) for part in parts(node)
+                        for ref, _ in _references(part))
+    return reached
+
+
+def _unreached_exports(package, outside, readme):
+    """Names that the package's __init__ (`package["jetcalc"]`, of the modules
+    {name: tree} in `package`) imports and that nothing uses: not reached from
+    the `main` of `package["cli"]` by the name graph of the package's modules,
+    imported from jetcalc by none of the trees `outside`, and not written in
+    backticks in `readme`."""
+    main = [node for node in package["cli"].body if getattr(node, "name", None) == "main"]
+    reached = _reached(package.values(), main)
+    imported = {alias.name for tree in outside for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "jetcalc" for alias in node.names}
+    exported = [alias.asname or alias.name for node in package["jetcalc"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return [name for name in exported
+            if name not in reached | imported and f"`{name}`" not in readme]
+
+
+def test_every_export_is_used():
+    """What the package exports is what the CLI runs, the benchmark imports or
+    README documents by name: a construct that only the tests reach lives
+    beside them (tests/spans.py, tests/constructs.py)."""
+    package = {_module_name(path): tree for path, tree in _trees(PACKAGE)}
+    bench = [tree for _, tree in _trees(ROOT / "bench")]
+    assert _unreached_exports(package, bench, (ROOT / "README.md").read_text()) == []
+
+
+def test_the_export_check_sees_a_planted_export():
+    package = {
+        "jetcalc": ast.parse("from .lib import Expr, LIMIT, documented, planted, solve, timed\n"
+                             "from .corpus import corpus\n"),
+        "cli": ast.parse("""
+from .lib import solve
+
+def main(argv=None):
+    return solve(argv).render()
+"""),
+        "lib": ast.parse("""
+LIMIT = 3
+
+class Expr:
+    def __init__(self):
+        self.n = helper(LIMIT)
+
+    def render(self):
+        return str(self.n)
+
+    def planted(self):
+        return planted() + corpus()
+
+def helper(n):
+    return n
+
+def solve(argv):
+    return Expr()
+
+def planted():
+    pass
+
+def timed():
+    pass
+
+def documented():
+    pass
+"""),
+        "corpus": ast.parse("def corpus():\n    pass\n"),
+    }
+    bench = [ast.parse("def run():\n    from jetcalc.lib import timed\n    return timed()\n")]
+    readme = "`documented` is documented; planted and corpus are not"
+    assert _unreached_exports(package, bench, readme) == ["planted", "corpus"]
+    assert _unreached_exports(package, [], readme + " `corpus`") == ["planted", "timed"]
 
 
 def test_every_import_is_used():
@@ -860,7 +974,7 @@ def test_no_dataclass_holds_a_plain_dict_or_list(kdv):
     built = [sp, Ansatz(2, 2), mass, d_h(mass), abelian_from_current(mass, kdv),
              cotangent_covering(kdv), conservation_law_from_cosymmetry([sp.one()], kdv),
              to_superdensity(CDiffOp.total_derivative(sp, 0)), kdv.reduce(parse("u[0,1]", sp)),
-             PseudoOp(one, [([u], one)]).scale(2), EquivalenceWitness(*[one] * 6)]
+             scale(PseudoOp(one, [([u], one)]), 2), EquivalenceWitness(*[one] * 6)]
     assert {type(x) for x in built} == _engine_dataclasses()
     plain = [path for x in built for path in _plain_containers(x, type(x).__name__)]
     assert plain == []
