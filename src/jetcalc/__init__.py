@@ -19,7 +19,6 @@ from .algebra import (
 )
 from .analysis import (
     Ansatz,
-    ConservedCurrent,
     conservation_law_from_cosymmetry,
     solve_cosymmetries,
     solve_symmetries,
@@ -29,7 +28,6 @@ from .analysis import (
 )
 from .coverings import (
     Covering,
-    add_abelian_layer,
     cotangent_covering,
     delta_covering,
     make_covering,

@@ -879,10 +879,11 @@ def apply_DI(e: DiffExpr, K: MultiIndex, d=None) -> DiffExpr:
 
 
 def tower_DI(tower: dict, e: DiffExpr, K: MultiIndex, d) -> DiffExpr:
-    """D_K(e) through the memo tower {K: D_K(e)}: D_K is d(D_{K-e_i}, i) for
-    i the last nonzero slot of K, exactly the derivatives apply_DI takes,
-    and each D_{K-e_i} already in the tower is reused.  One loop walks down
-    to the first D_L in the tower (or L = 0), and one walks back up."""
+    """D_K(e) through the memo tower {K: D_K(e)}: D_K is d(D_{K-e_i}, i), d the
+    caller's total derivative, for i the last nonzero slot of K, exactly the
+    derivatives apply_DI takes, and each D_{K-e_i} already in the tower is
+    reused.  One loop walks down to the first D_L in the tower (or L = 0), and
+    one walks back up."""
     pending = []  # (K, i) of each D_K still to take, from the top down
     while K not in tower:
         if not any(K):
@@ -895,7 +896,7 @@ def tower_DI(tower: dict, e: DiffExpr, K: MultiIndex, d) -> DiffExpr:
         got = tower[K]
     while pending:
         K, i = pending.pop()
-        got = tower[K] = got.total_derivative(i) if d is None else d(got, i)
+        got = tower[K] = d(got, i)
     return got
 
 
@@ -947,9 +948,6 @@ class HorizontalForm:
 
     def __post_init__(self):  # a read-only map, over a copy
         object.__setattr__(self, "comps", MappingProxyType(dict(self.comps)))
-
-    def component(self, idxs) -> DiffExpr:
-        return self.comps.get(tuple(sorted(idxs)), self.space.zero())
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.comps.values())

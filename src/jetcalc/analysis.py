@@ -168,36 +168,13 @@ def solve_cosymmetries(pres: Presentation, ansatz: Ansatz):
     return _solve(pres, ansatz, True)
 
 
-def _cofactor_operator(image, pres: Presentation):
-    """(op, normal forms) from one pres.reduce per component of `image`:
-    image = normal forms + op(F) on free jets, op (one row per component of
-    `image`, one column per component of F) read off the cofactors."""
-    terms, nfs = [], []
-    for r, comp in enumerate(image):
-        red = pres.reduce(comp)
-        nfs.append(red.normal_form)
-        terms.extend((r, s, K, a) for _, s, K, a in red.cofactor.terms())
-    return CDiffOp(pres.space, len(image), len(pres.components), terms), nfs
-
-
 # -- conservation laws --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConservedCurrent:
-    form: HorizontalForm     # degree n-1 on the equation
-    section: tuple           # generating section (evolution convention)
-
-    def __post_init__(self):
-        object.__setattr__(self, "section", tuple(self.section))
-
-    def components(self):
-        return {k: render(v) for k, v in sorted(self.form.comps.items())}
-
-
-def conservation_law_from_cosymmetry(psi, pres: Presentation) -> ConservedCurrent:
-    """Evolution shortcut in (x, t): X = homotopy density of psi, T the x-primitive
-    of its reduced t-derivative; the generating section of the result is psi."""
+def conservation_law_from_cosymmetry(psi, pres: Presentation) -> HorizontalForm:
+    """The current X dx + T dt with generating section psi, by the evolution shortcut
+    in (x, t): X = homotopy density of psi, T the x-primitive of its reduced
+    t-derivative."""
     if not pres.is_evolutionary() or pres.space.n != 2:
         raise ShapeError("conservation-law shortcut requires an evolution equation in (x, t)")
     psi = [pres.normal_form(p) for p in psi]
@@ -209,7 +186,7 @@ def conservation_law_from_cosymmetry(psi, pres: Presentation) -> ConservedCurren
     T = invert_total_derivative(DtX, 0)
     if not (DtX - pres.d_bar(T, 0)).is_zero():
         raise CheckError("D_t X != D_x T on the equation: the current is not conserved")
-    return ConservedCurrent(HorizontalForm(pres.space, 1, {(0,): X, (1,): T}), psi)
+    return HorizontalForm(pres.space, 1, {(0,): X, (1,): T})
 
 
 # -- variations of operators ---------------------------------------------------
@@ -236,12 +213,11 @@ class BilinearNabla:
 
     def __init__(self, pres: Presentation, theta: CDiffOp):
         self.l = len(pres.components)
-        slots = [(r, c, J) for r, c, J, _ in theta.terms()]
-        cofactors, nfs = _cofactor_operator([a for *_, a in theta.terms()], pres)
+        slots = [(r, c, J, pres.reduce(a)) for r, c, J, a in theta.terms()]
         self.restricted = CDiffOp(pres.space, theta.rows, theta.cols,
-                                  ((*slot, nf) for slot, nf in zip(slots, nfs)))
-        self.data = [(*slots[t], s, K, lam)  # (r, c, J, s, K, lam)
-                     for t, s, K, lam in cofactors.terms()]
+                                  ((r, c, J, red.normal_form) for r, c, J, red in slots))
+        self.data = [(r, c, J, s, K, lam)
+                     for r, c, J, red in slots for _, s, K, lam in red.cofactor.terms()]
 
     def star1(self, chi, arg):
         """Adjoint in the F-slot, applied to (chi, arg), unreduced, over the

@@ -25,7 +25,6 @@ from .analysis import (
     verify_symplectic,
 )
 from .coverings import (
-    add_abelian_layer,
     make_covering,
     solve_fiberlinear,
     tangent_covering,
@@ -155,9 +154,9 @@ def _conservation_laws(problem, task):
     space = problem.space
     currents = []
     for text in task["sections"]:
-        cur = conservation_law_from_cosymmetry([parse(text, space)], problem.presentation)
-        currents.append({"d" + "^d".join(space.independent[i] for i in idxs): comp
-                         for idxs, comp in cur.components().items()})
+        form = conservation_law_from_cosymmetry([parse(text, space)], problem.presentation)
+        currents.append({"d" + "^d".join(space.independent[i] for i in idxs): render(comp)
+                         for idxs, comp in sorted(form.comps.items())})
     return {"currents": currents, "status": "ok"}
 
 
@@ -190,8 +189,8 @@ def _recursion_fiberlinear(problem, task):
     cov = tangent_covering(problem.presentation)
     for layer in task["layers"]:
         fields = _along(layer["X"], problem.space, f"layer {layer['name']!r}", "0")
-        cov = add_abelian_layer(cov, layer["name"],
-                                {i: parse(f, cov.space) for i, f in fields.items()})
+        cov = cov.extended([layer["name"]],
+                           {i: [parse(f, cov.space)] for i, f in fields.items()}, ())
     return _basis(solve_fiberlinear(cov, _task_ansatz(task)))
 
 

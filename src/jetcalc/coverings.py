@@ -4,7 +4,7 @@ symmetries, each covering built once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .algebra import (
@@ -34,18 +34,24 @@ class Covering:
 
     presentation: Presentation
     base: Presentation
-    nonlocals: tuple = ()                 # names, ordered
     X: dict = field(default_factory=dict)  # i -> tuple of DiffExpr per nonlocal
-    fiber_families: tuple = ()            # dependent indices added over base
-    structures: dict = field(default_factory=dict)
 
-    def __post_init__(self):  # read-only maps, over copies
+    def __post_init__(self):  # a read-only map, over a copy
         object.__setattr__(self, "X", MappingProxyType(dict(self.X)))
-        object.__setattr__(self, "structures", MappingProxyType(dict(self.structures)))
 
     @property
     def space(self) -> JetSpace:
         return self.presentation.space
+
+    @property
+    def nonlocals(self) -> tuple:
+        """The nonlocal names over the base's, in the order of X's fields."""
+        return self.space.nonlocals[len(self.base.space.nonlocals):]
+
+    @property
+    def fiber_families(self) -> range:
+        """The dependent indices added over the base."""
+        return range(self.base.space.m, self.space.m)
 
     def extended(self, names, fields: dict, odd) -> "Covering":
         """This covering with the nonlocals `names` (the `odd` ones odd)
@@ -54,13 +60,13 @@ class Covering:
         for i, x in enumerate(self.space.independent):
             if (k := len(fields.get(i, ()))) != len(names):
                 raise ShapeError(f"covering fields along {x}: {k} for {len(names)} nonlocals")
-        nonlocals = tuple(self.nonlocals) + tuple(names)
+        nonlocals = self.nonlocals + tuple(names)
         merged = {i: (*self.X.get(i, ()), *fields[i]) for i in range(self.space.n)}
         pres = self.presentation.extend_space(
             nonlocals=names, odd=odd,
             fields={i: dict(zip(nonlocals, fs)) for i, fs in merged.items()})
         X = {i: tuple(f.rename_space(pres.space) for f in fs) for i, fs in merged.items()}
-        return Covering(pres, self.base, nonlocals, X, self.fiber_families, self.structures)
+        return Covering(pres, self.base, X)
 
 
 def verify_flat(cov: Covering) -> dict:
@@ -126,7 +132,7 @@ def delta_covering(base: Presentation, op: CDiffOp, odd=False,
     comps = [c.rename_space(ext) for c in base.components] + fiber_exprs
     leads = list(base.leadings) + list(leadings)
     pres = make_presentation(ext, comps, leads, base.check_order)
-    return Covering(pres, base, (), {}, tuple(range(fiber0, fiber0 + op.cols)))
+    return Covering(pres, base)
 
 
 def tangent_covering(base: Presentation) -> Covering:
@@ -134,8 +140,7 @@ def tangent_covering(base: Presentation) -> Covering:
 
 
 def cotangent_covering(base: Presentation) -> Covering:
-    """Covering cut out by the adjoint linearization on odd fibers, with the
-    canonical structure rho = (p, 0)."""
+    """Covering cut out by the adjoint linearization on odd fibers."""
     adj = base.linearization(adjoint=True)
     ext_leads = None
     if adj.rows == base.space.m and len(base.leadings) == adj.cols:
@@ -144,16 +149,7 @@ def cotangent_covering(base: Presentation) -> Covering:
         # reorder fiber component rows to match: row of adj giving p^s rule is j_s
         rows = [j for (j, _) in base.leadings]
         adj = adj.submatrix(rows, list(range(adj.cols)))
-    cov = delta_covering(base, adj, odd=True, leadings=ext_leads)
-    m, sp = base.space.m, cov.space
-    return replace(cov, structures={"rho": (
-        tuple(sp.jet(m + s, mi_zero(sp.n)) for s in range(adj.cols)), (sp.zero(),) * adj.cols)})
-
-
-def add_abelian_layer(cov: Covering, name: str, fields: dict) -> Covering:
-    """Declare an extra nonlocal variable over an existing covering (the
-    auxiliary layers such as D_x(v_-1) = v)."""
-    return cov.extended([name], {i: [f] for i, f in fields.items()}, ())
+    return delta_covering(base, adj, odd=True, leadings=ext_leads)
 
 
 # -- shadows and fiber-linear solving ----------------------------------------
@@ -169,11 +165,9 @@ def fiber_linear_monomials(cov: Covering, ansatz: Ansatz):
     """The ansatz of a fiber-linear solution: base-coefficient monomials
     times one fiber slot (fiber jets up to the ansatz order, plus nonlocal
     fiber variables)."""
-    space = cov.space
-    base_monos = ansatz_monomials(cov.presentation, ansatz)
-    base_monos = [m for m in base_monos
-                  if all(k[0] != 'j' or k[1] not in cov.fiber_families
-                         for k in m.variables())]
+    space, m = cov.space, cov.base.space.m
+    base_monos = [b for b in ansatz_monomials(cov.presentation, ansatz)
+                  if all(k[0] != 'j' or k[1] < m for k in b.variables())]
     slots = []
     for fam in cov.fiber_families:
         for key in cov.presentation.internal_jets(ansatz.max_jet_order):

@@ -24,10 +24,21 @@ from jetcalc import (
     verify_flat,
 )
 from jetcalc.algebra import mi_order, mi_sub, mi_unit, mi_zero, tower_DI
-from jetcalc.analysis import _cofactor_operator
 
 
 # -- currents and cosymmetries ------------------------------------------------
+
+
+def _cofactor_operator(image, pres: Presentation):
+    """(op, normal forms) from one pres.reduce per component of `image`:
+    image = normal forms + op(F) on free jets, op (one row per component of
+    `image`, one column per component of F) read off the cofactors."""
+    terms, nfs = [], []
+    for r, comp in enumerate(image):
+        red = pres.reduce(comp)
+        nfs.append(red.normal_form)
+        terms.extend((r, s, K, a) for _, s, K, a in red.cofactor.terms())
+    return CDiffOp(pres.space, len(image), len(pres.components), terms), nfs
 
 
 def verify_conservation_factorization(psi, delta_prime: CDiffOp,
@@ -83,25 +94,25 @@ def nijenhuis_torsion(R: PseudoOp, phi1, phi2, pres: Presentation):
 # -- coverings -----------------------------------------------------------------
 
 
-def abelian_from_current(form: HorizontalForm, base: Presentation) -> Covering:
-    """One-dimensional Abelian covering from a closed current (n = 2):
-    w_x = X, w_t = T.  Flags trivializable coverings (exact currents)."""
+def abelian_from_current(form: HorizontalForm, base: Presentation):
+    """(covering, trivial): the one-dimensional Abelian covering w_x = X,
+    w_t = T of a closed current (n = 2), and whether it is trivializable
+    (the current is exact)."""
     if base.space.n != 2:
         raise ShapeError("current coverings implemented for n = 2")
     if not all(base.normal_form(c).is_zero() for c in d_h(form).comps.values()):
         raise NonlocalObstruction("current is not closed on the equation")
-    X, T = form.component((0,)), form.component((1,))
+    X, T = (form.comps.get((i,), form.space.zero()) for i in range(2))
     try:
         f = invert_total_derivative(base.normal_form(X), 0)
         trivial = (base.d_bar(f, 1) - base.normal_form(T)).is_zero()
     except NonlocalObstruction:
         trivial = False
-    cov = Covering(base, base, structures={"trivial": trivial}).extended(
-        ["w"], {0: [X], 1: [T]}, ())
+    cov = Covering(base, base).extended(["w"], {0: [X], 1: [T]}, ())
     flat = verify_flat(cov)
     if not flat["ok"]:  # pragma: no cover - closedness implies flatness
         raise NonlocalObstruction(f"covering is not flat: {flat['residuals']}")
-    return cov
+    return cov, trivial
 
 
 def recursion_as_backlund(cov: Covering, omega_R, phi):

@@ -12,7 +12,6 @@ from jetcalc import (
     JetSpace,
     NonlocalObstruction,
     PseudoOp,
-    add_abelian_layer,
     are_compatible,
     conservation_law_from_cosymmetry,
     d_h,
@@ -103,7 +102,7 @@ def test_criterion_2_kdv_cosymmetries_and_currents(kdv):
     ]
     for section, X, T in known_currents:
         cur = conservation_law_from_cosymmetry([parse(section, SP)], kdv)
-        gx, gt = cur.form.component((0,)), cur.form.component((1,))
+        gx, gt = cur.comps[(0,)], cur.comps[(1,)]
         ex, et = parse(X, SP), parse(T, SP)
         match = (gx == ex and gt == et) or (gx == -ex and gt == -et)
         ok = ok and match
@@ -166,9 +165,9 @@ def test_criterion_5_recursion_operators(kdv, heat):
 
     tk = tangent_covering(kdv)
     sp = tk.space
-    lay = add_abelian_layer(tk, "vm1", {
-        0: sp.jet("v", (0, 0)),
-        1: sp.jet("v", (2, 0)) + 6 * sp.jet("u", (0, 0)) * sp.jet("v", (0, 0))})
+    lay = tk.extended(["vm1"], {
+        0: [sp.jet("v", (0, 0))],
+        1: [sp.jet("v", (2, 0)) + 6 * sp.jet("u", (0, 0)) * sp.jet("v", (0, 0))]}, ())
     rsols = solve_fiberlinear(lay, Ansatz(2, 1))
     target = parse("v[2,0] + 4*u[0,0]*v[0,0] + 2*u[1,0]*vm1", lay.space)
     got = coords([s[0] for s in rsols] + [target])
@@ -338,8 +337,8 @@ def test_criterion_9_property_suites():
         form = green_form(op, p, q)
         lhs = pairing_density(op.apply(p), q) - \
             pairing_density(p, op.adjoint().apply(q))
-        rhs = form.component((1,)).total_derivative(0) - \
-            form.component((0,)).total_derivative(1)
+        rhs = form.comps[(1,)].total_derivative(0) - \
+            form.comps[(0,)].total_derivative(1)
         assert (lhs - rhs).is_zero()
 
     for _ in range(N):  # Jacobi identity of the Jacobi bracket

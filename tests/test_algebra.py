@@ -231,8 +231,8 @@ def test_dh_complex():
     u = SP.jet("u", (0, 0))
     f0 = HorizontalForm(SP, 0, {(): u})
     df = d_h(f0)
-    assert df.component((0,)) == SP.jet("u", (1, 0))
-    assert df.component((1,)) == SP.jet("u", (0, 1))
+    assert df.comps[(0,)] == SP.jet("u", (1, 0))
+    assert df.comps[(1,)] == SP.jet("u", (0, 1))
     # KdV current is closed only after restriction
     w = HorizontalForm(SP, 1, {(0,): u, (1,): parse("u[2,0] + 3*u[0,0]^2", SP)})
     dw = d_h(w)
@@ -275,7 +275,7 @@ def test_invert_divergence():
     with pytest.raises(NonlocalObstruction):
         invert_total_derivative(u, 0)
     form = HorizontalForm(SP1, 0, {(): invert_total_derivative(u * ux, 0)})
-    assert form.component(()) == u * u * Fraction(1, 2)
+    assert form.comps[()] == u * u * Fraction(1, 2)
     # this summand occurs in R(phi_4); its primitive is genuinely nonlocal
     bad = parse("u[1,0]*(6*t*u[1,0] + 1)", SP)
     with pytest.raises(NonlocalObstruction):
@@ -308,7 +308,7 @@ def test_invert_divergence_n2():
     g = parse("u[1,0]*u[0,1] + u[0,0]*u[1,1]", SP)  # = D_x(u u_t)
     form = HorizontalForm(SP, 1, {(0,): SP.zero(), (1,): invert_total_derivative(g, 0)})
     back = d_h(form)
-    assert back.component((0, 1)) == g
+    assert back.comps[(0, 1)] == g
 
 
 def test_laurent_total_derivative_chain():

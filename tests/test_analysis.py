@@ -227,23 +227,23 @@ def test_cosymmetries(kdv):
 
 def test_conservation_laws_exact(kdv):
     cur = conservation_law_from_cosymmetry([parse("2*u[0,0]", SP)], kdv)
-    assert cur.form.component((0,)) == parse("u[0,0]^2", SP)
-    assert cur.form.component((1,)) == \
+    assert cur.comps[(0,)] == parse("u[0,0]^2", SP)
+    assert cur.comps[(1,)] == \
         parse("2*u[0,0]*u[2,0] - u[1,0]^2 + 4*u[0,0]^3", SP)
     cur1 = conservation_law_from_cosymmetry([SP.one()], kdv)
-    assert cur1.form.component((0,)) == SP.jet("u", (0, 0))
-    assert cur1.form.component((1,)) == parse("u[2,0] + 3*u[0,0]^2", SP)
+    assert cur1.comps[(0,)] == SP.jet("u", (0, 0))
+    assert cur1.comps[(1,)] == parse("u[2,0] + 3*u[0,0]^2", SP)
     cur3 = conservation_law_from_cosymmetry(
         [-(parse("u[2,0] + 3*u[0,0]^2", SP))], kdv)
-    assert cur3.form.component((0,)) == parse("1/2*u[1,0]^2 - u[0,0]^3", SP)
-    assert cur3.form.component((1,)) == \
+    assert cur3.comps[(0,)] == parse("1/2*u[1,0]^2 - u[0,0]^3", SP)
+    assert cur3.comps[(1,)] == \
         parse("u[1,0]*u[3,0] - 1/2*u[2,0]^2 - 3*u[0,0]^2*u[2,0]"
               " + 6*u[0,0]*u[1,0]^2 - 9/2*u[0,0]^4", SP)
     # round trip: the generating section is recovered by euler
-    assert euler(cur3.form.component((0,)))[0] == \
+    assert euler(cur3.comps[(0,)])[0] == \
         -(parse("u[2,0] + 3*u[0,0]^2", SP))
     for c in (cur, cur1, cur3):
-        assert all(kdv.normal_form(x).is_zero() for x in d_h(c.form).comps.values())
+        assert all(kdv.normal_form(x).is_zero() for x in d_h(c).comps.values())
 
 
 def test_conservation_law_checks_its_current(kdv, monkeypatch):

@@ -13,7 +13,6 @@ from jetcalc import (
     NonlocalObstruction,
     PseudoOp,
     ShapeError,
-    add_abelian_layer,
     cotangent_covering,
     d_h,
     delta_covering,
@@ -61,18 +60,39 @@ def test_field_lists_must_match_the_nonlocals(kdv):
 
 
 def test_built_coverings_and_forms_hold_read_only_maps(kdv):
-    """A built covering's fields and structures, and a form's components,
-    cannot be changed in place, and the maps they were built from can be
-    changed without reaching them."""
+    """A built covering's fields and a form's components cannot be changed
+    in place, and the maps they were built from can be changed without
+    reaching them."""
     mass = {(0,): parse("u[0,0]", SP), (1,): parse("u[2,0] + 3*u[0,0]^2", SP)}
     form = HorizontalForm(SP, 1, mass)
-    cov = abelian_from_current(form, kdv)
-    for target, key in ((cov.X, 0), (cov.structures, "trivial"), (form.comps, (0,))):
+    cov, _ = abelian_from_current(form, kdv)
+    for target, key in ((cov.X, 0), (form.comps, (0,))):
         with pytest.raises(TypeError):
             target[key] = 1
     mass[(0,)] = SP.zero()
-    assert form.component((0,)) == parse("u[0,0]", SP)
-    assert type(dataclasses.replace(cov, structures={}).structures) is MappingProxyType
+    assert form.comps[(0,)] == parse("u[0,0]", SP)
+    assert type(dataclasses.replace(cov, X=dict(cov.X)).X) is MappingProxyType
+
+
+def test_a_covering_reads_its_nonlocals_and_fibers_off_its_spaces(kdv):
+    """The nonlocals are the covering space's nonlocal names past the base's,
+    in the order of X's fields, and the fiber families its dependents past the
+    base's, however the covering is built, over a base with nonlocals too."""
+    pot = potential_covering(kdv)
+    tk = tangent_covering(kdv)
+    sp = tk.space
+    lay = tk.extended(["vm1"], {
+        0: [sp.jet("v", (0, 0))],
+        1: [sp.jet("v", (2, 0)) + 6 * sp.jet("u", (0, 0)) * sp.jet("v", (0, 0))]}, ())
+    w = parse("w", pot.space)
+    cases = [(pot, ("w",), ()), (tk, (), (1,)), (cotangent_covering(kdv), (), (1,)),
+             (lay, ("vm1",), (1,)),
+             (reconstruct_step(pot, [parse("u[1,0]", pot.space)]), ("w", "w_r"), ()),
+             (make_covering(pot.presentation, ["z"], {0: [w], 1: [w]}), ("z",), ()),
+             (tangent_covering(pot.presentation), (), (1,))]
+    for cov, nonlocals, fibers in cases:
+        assert (cov.nonlocals, tuple(cov.fiber_families)) == (nonlocals, fibers)
+        assert all(len(cov.X[i]) == len(nonlocals) for i in range(2) if nonlocals)
 
 
 def test_lifted_derivatives_commute(kdv):
@@ -132,19 +152,19 @@ def test_wahlquist_estabrook_flat():
 def test_abelian_from_current(kdv, camassa_holm):
     mass = HorizontalForm(SP, 1, {(0,): parse("u[0,0]", SP),
                                   (1,): parse("u[2,0] + 3*u[0,0]^2", SP)})
-    cov = abelian_from_current(mass, kdv)
+    cov, trivial = abelian_from_current(mass, kdv)
     assert verify_flat(cov)["ok"]
-    assert not cov.structures["trivial"]
+    assert not trivial
     spc = camassa_holm.space
     chcur = HorizontalForm(spc, 1, {
         (0,): parse("u[0,0] - u[2,0]", spc),
         (1,): parse("1/2*u[1,0]^2 - 3/2*u[0,0]^2 + u[0,0]*u[2,0]", spc)})
-    covch = abelian_from_current(chcur, camassa_holm)
+    covch, _ = abelian_from_current(chcur, camassa_holm)
     assert verify_flat(covch)["ok"]
     # exact currents produce trivializable coverings
     f = parse("u[0,0]*u[1,0]", SP)
     exact = HorizontalForm(SP, 1, {(0,): kdv.d_bar(f, 0), (1,): kdv.d_bar(f, 1)})
-    assert abelian_from_current(exact, kdv).structures["trivial"]
+    assert abelian_from_current(exact, kdv)[1]
     bad = HorizontalForm(SP, 1, {(0,): parse("u[0,0]", SP), (1,): SP.zero()})
     with pytest.raises(NonlocalObstruction):
         abelian_from_current(bad, kdv)
@@ -165,9 +185,6 @@ def test_cotangent_covering(kdv, heat):
     assert "p" in ck.space.odd
     rule = ck.presentation.normal_form(ck.space.jet("p", (0, 1)))
     assert rule == parse("6*u[0,0]*p[1,0] + p[3,0]", ck.space)
-    rho_p, rho_u = ck.structures["rho"]
-    assert [render(x) for x in rho_p] == ["p[0,0]"]
-    assert all(x.is_zero() for x in rho_u)
     # self-adjoint linearization (l = l*): tangent and cotangent rules coincide
     sp = JetSpace.create(["x", "y"], ["u"])
     toy = make_presentation(sp, [parse("u[2,0] + u[0,0]^3", sp)], [("u", (2, 0))])
@@ -209,9 +226,9 @@ def test_heat_recursion_operators(heat):
 def test_kdv_lenard_shadow(kdv):
     tk = tangent_covering(kdv)
     sp = tk.space
-    lay = add_abelian_layer(tk, "vm1", {
-        0: sp.jet("v", (0, 0)),
-        1: sp.jet("v", (2, 0)) + 6 * sp.jet("u", (0, 0)) * sp.jet("v", (0, 0))})
+    lay = tk.extended(["vm1"], {
+        0: [sp.jet("v", (0, 0))],
+        1: [sp.jet("v", (2, 0)) + 6 * sp.jet("u", (0, 0)) * sp.jet("v", (0, 0))]}, ())
     assert verify_flat(lay)["ok"]
     sols = solve_fiberlinear(lay, Ansatz(2, 1))
     target = parse("v[2,0] + 4*u[0,0]*v[0,0] + 2*u[1,0]*vm1", lay.space)
@@ -298,9 +315,9 @@ def test_reconstruct_step_leaves_user_names_alone():
 def test_recursion_as_backlund(kdv):
     tk = tangent_covering(kdv)
     sp = tk.space
-    lay = add_abelian_layer(tk, "vm1", {
-        0: sp.jet("v", (0, 0)),
-        1: sp.jet("v", (2, 0)) + 6 * sp.jet("u", (0, 0)) * sp.jet("v", (0, 0))})
+    lay = tk.extended(["vm1"], {
+        0: [sp.jet("v", (0, 0))],
+        1: [sp.jet("v", (2, 0)) + 6 * sp.jet("u", (0, 0)) * sp.jet("v", (0, 0))]}, ())
     omega = parse("v[2,0] + 4*u[0,0]*v[0,0] + 2*u[1,0]*vm1", lay.space)
     out = recursion_as_backlund(lay, omega, [parse("u[1,0]", SP)])
     assert out == parse("6*u[0,0]*u[1,0] + u[3,0]", SP)

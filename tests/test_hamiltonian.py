@@ -14,6 +14,7 @@ from jetcalc import (
     Superdensity,
     euler,
     are_compatible,
+    cotangent_covering,
     from_superdensity,
     is_hamiltonian,
     jacobi,
@@ -499,6 +500,31 @@ def test_kdv6_bivectors():
     assert verify_bivector_on_equation(T2, kdv6)["ok"]
     rep = schouten_on_equation(T1, T2, kdv6)
     assert rep["ok"] and rep["trivial"]
+
+
+def test_a_nontrivial_two_component_bracket_pairs_each_component_with_its_fiber():
+    """On u_t = u_x, v_t = v_x every skew operator with coefficients in the
+    jets of u and v is an equation bivector.  [[delta, delta]] for delta =
+    [[u v D_x + (u_x v + u v_x)/2, -u^2/2], [u^2/2, 0]] is not trivial, and
+    its superdensity pairs component j of the bracket with the odd fiber
+    p_j: a trivector density, so its Euler residual along u and v is cubic
+    in p1, p2, and along p1 and p2 quadratic."""
+    sp = JetSpace.create(["x", "t"], ["u", "v"])
+    P = lambda s: parse(s, sp)
+    pres = make_presentation(sp, [P("u[0,1] - u[1,0]"), P("v[0,1] - v[1,0]")],
+                             [("u", (0, 1)), ("v", (0, 1))])
+    delta = CDiffOp(sp, 2, 2, {
+        (0, 0): {(1, 0): P("u[0,0]*v[0,0]"), (0, 0): P("1/2*u[1,0]*v[0,0] + 1/2*u[0,0]*v[1,0]")},
+        (0, 1): {(0, 0): P("-1/2*u[0,0]^2")},
+        (1, 0): {(0, 0): P("1/2*u[0,0]^2")}})
+    assert verify_bivector_on_equation(delta, pres)["ok"]
+    rep = schouten_on_equation(delta, delta, pres)
+    assert rep["ok"] and not rep["trivial"]
+    cspace = cotangent_covering(pres).space
+    # an odd jet occurs at most once in a monomial: its keys count its degree
+    degrees = [{sum(k[0] == 'j' and k[1] >= sp.m for k in t.variables())
+                for t in parse(r, cspace).summands()} for r in rep["residual"]]
+    assert degrees == [{3}, {3}, {2}, {2}]
 
 
 def test_weingarten_bivectors(weingarten):

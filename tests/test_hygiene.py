@@ -7,17 +7,18 @@ among the tests, the monomials helper) that knows the monomial format,
 no write to an expression's terms, no Fraction in the inner kernels, no
 import inside a function, none from outside jetcalc and the standard
 library, a presentation's rule caches assigned only when it is built,
-every dataclass frozen, no self-recursion but a few of bounded depth, and
-no export that the CLI does not reach, the benchmark does not import and
-README does not name; on built objects, no dataclass or operator table
-holding a plain dict or list at any depth; and README's library example
-runs as printed."""
+every dataclass frozen, no self-recursion but a few of bounded depth, no
+export that the CLI does not reach, the benchmark does not import and
+README does not name, and no function, class or method that none of them
+reaches; on built objects, no dataclass or operator table holding a plain
+dict or list at any depth; and README's library example runs as printed."""
 
 import ast
 import copy
 import dataclasses
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 from types import MappingProxyType
@@ -123,9 +124,9 @@ for order in range(3):
     assert list(_unreferenced([defining], [defining, referencing])) == ["render", "order"]
 
 
-def _reached(trees, roots):
-    """Names reached from the AST nodes `roots` through the name graph of the
-    modules `trees`: a node reaches each name it reads, imports or takes as an
+def _reached(trees, names):
+    """Names reached from `names` through the name graph of the modules
+    `trees`: a node reaches each name it reads, imports or takes as an
     attribute, and a name reaches each module-level function, class or
     assignment of that name and each method of that name; a class reaches its
     decorators, bases, class-level statements and dunder methods, and its other
@@ -153,7 +154,7 @@ def _reached(trees, roots):
             return [node]
         return node.decorator_list + node.bases + [f for f in node.body if not method(f)]
 
-    reached, work = set(), [name for root in roots for name, _ in _references(root)]
+    reached, work = set(), list(names)
     while work:
         name = work.pop()
         if name not in reached:
@@ -169,8 +170,7 @@ def _unreached_exports(package, outside, readme):
     the `main` of `package["cli"]` by the name graph of the package's modules,
     imported from jetcalc by none of the trees `outside`, and not written in
     backticks in `readme`."""
-    main = [node for node in package["cli"].body if getattr(node, "name", None) == "main"]
-    reached = _reached(package.values(), main)
+    reached = _reached(package.values(), ["main"])
     imported = {alias.name for tree in outside for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 and (node.module or "").split(".")[0] == "jetcalc" for alias in node.names}
@@ -233,6 +233,93 @@ def documented():
     readme = "`documented` is documented; planted and corpus are not"
     assert _unreached_exports(package, bench, readme) == ["planted", "corpus"]
     assert _unreached_exports(package, [], readme + " `corpus`") == ["planted", "timed"]
+
+
+def _unreached_definitions(package, outside, readme):
+    """The module-level functions and classes and the non-dunder methods of the
+    modules {name: tree} in `package` that nothing reaches by the name graph
+    from the `main` of `package["cli"]`, from the names the trees `outside`
+    read (each part of a dotted string in a `LAYERS` table among them, too)
+    or from the names written in backticks in `readme`."""
+    layers = [node.value for tree in outside for node in tree.body
+              if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "LAYERS"]
+    roots = ["main"]
+    roots += (name for tree in outside for name, _ in _references(tree))
+    roots += (part for table in layers for node in ast.walk(table)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+              for part in node.value.split("."))
+    roots += (name for quoted in re.findall(r"`([^`\n]+)`", readme)
+              for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", quoted))
+    reached = _reached(package.values(), roots)
+    found = []
+    for module, tree in package.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name] + [f"{node.name}.{f.name}" for f in node.body
+                                       if isinstance(f, ast.FunctionDef) and not _is_dunder(f.name)]
+                found += (f"{module}: {name}" for name in names
+                          if name.rpartition(".")[2] not in reached)
+    return found
+
+
+def test_every_definition_is_reached():
+    """Each function, class and method of the package is reached from what the
+    CLI runs, the benchmark reads or README names, not only from the tests."""
+    package = {_module_name(path): tree for path, tree in _trees(PACKAGE)}
+    bench = [tree for _, tree in _trees(ROOT / "bench")]
+    assert _unreached_definitions(package, bench, (ROOT / "README.md").read_text()) == []
+
+
+def test_the_reach_check_sees_a_planted_definition():
+    package = {
+        "cli": ast.parse("""
+from .lib import solve
+
+def main(argv=None):
+    return solve(argv).render()
+"""),
+        "lib": ast.parse("""
+class Expr:
+    def __init__(self):
+        self.n = helper()
+
+    def render(self):
+        return str(self.n)
+
+    def planted(self):
+        return timed()
+
+    def documented(self):
+        pass
+
+def helper():
+    pass
+
+def solve(argv):
+    return Expr()
+
+def timed():
+    pass
+
+def wrapped():
+    pass
+
+def planted():
+    pass
+"""),
+    }
+    bench = [ast.parse("""
+LAYERS = {"lib.wrapped": ("jetcalc.lib", "wrapped")}
+
+def run():
+    from jetcalc.lib import timed
+    return timed()
+""")]
+    readme = "`Expr.documented` is documented; wrapped and helper are not"
+    assert _unreached_definitions(package, bench, readme) == ["lib: Expr.planted",
+                                                              "lib: planted"]
+    assert _unreached_definitions(package, bench[:0], readme) == [
+        "lib: Expr.planted", "lib: timed", "lib: wrapped", "lib: planted"]
 
 
 def test_every_import_is_used():
@@ -971,7 +1058,7 @@ def test_no_dataclass_holds_a_plain_dict_or_list(kdv):
     u = sp.jet("u", (0, 0))
     mass = HorizontalForm(sp, 1, {(0,): u, (1,): parse("u[2,0] + 3*u[0,0]^2", sp)})
     one = CDiffOp.identity(sp, 1)
-    built = [sp, Ansatz(2, 2), mass, d_h(mass), abelian_from_current(mass, kdv),
+    built = [sp, Ansatz(2, 2), mass, d_h(mass), abelian_from_current(mass, kdv)[0],
              cotangent_covering(kdv), conservation_law_from_cosymmetry([sp.one()], kdv),
              to_superdensity(CDiffOp.total_derivative(sp, 0)), kdv.reduce(parse("u[0,1]", sp)),
              scale(PseudoOp(one, [([u], one)]), 2), EquivalenceWitness(*[one] * 6)]

@@ -566,11 +566,11 @@ def test_green_form_examples():
     p = sp1.jet("u", (1,))
     q = sp1.jet("u", (0,)) * sp1.jet("u", (2,))
     Dx = CDiffOp.total_derivative(sp1, 0)
-    assert green_form(Dx, [p], [q]).component(()) == p * q
+    assert green_form(Dx, [p], [q]).comps[()] == p * q
     D2 = CDiffOp.scalar(sp1, {(2,): sp1.one()})
-    g2 = green_form(D2, [p], [q]).component(())
+    g2 = green_form(D2, [p], [q]).comps[()]
     assert g2 == p.total_derivative(0) * q - p * q.total_derivative(0)
-    assert green_form(CDiffOp.identity(sp1, 1), [p], [q]).component(()).is_zero()
+    assert green_form(CDiffOp.identity(sp1, 1), [p], [q]).comps[()].is_zero()
 
 
 def test_green_identity_random():
@@ -582,8 +582,8 @@ def test_green_identity_random():
         form = green_form(op, p, q)
         lhs = pairing_density(op.apply(p), q) - \
             pairing_density(p, op.adjoint().apply(q))
-        rhs = form.component((1,)).total_derivative(0) - \
-            form.component((0,)).total_derivative(1)
+        rhs = form.comps[(1,)].total_derivative(0) - \
+            form.comps[(0,)].total_derivative(1)
         assert (lhs - rhs).is_zero()
 
 
