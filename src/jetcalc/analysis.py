@@ -151,8 +151,8 @@ def _solve(pres: Presentation, ansatz: Ansatz, adjoint):
     weights = [sum(map(gen_w.__getitem__, combo)) for combo, _ in pool]
     offsets = [w['F', s] for s in range(len(pres.components))] if adjoint \
         else [-w['j', j] for j in range(pres.space.m)]
-    return solve_determining([m for _, m in pool], len(offsets),
-                             pres.determining_columns(adjoint), None, (weights, offsets))
+    columns = pres.restricted_columns(pres.linearization(adjoint))
+    return solve_determining([m for _, m in pool], len(offsets), columns, None, (weights, offsets))
 
 
 def solve_symmetries(pres: Presentation, ansatz: Ansatz):

@@ -10,13 +10,12 @@ from types import MappingProxyType
 from .algebra import (
     DiffExpr,
     JetSpace,
-    mi_order,
     mi_zero,
     render,
     sum_of_products,
     tower_DI,
 )
-from .errors import NonlocalObstruction, NonSolvableError, ShapeError
+from .errors import NonlocalObstruction, ShapeError
 from .analysis import Ansatz, ansatz_monomials, solve_determining
 from .operators import CDiffOp, linearize
 from .presentations import Presentation, make_presentation
@@ -98,58 +97,36 @@ def make_covering(base: Presentation, nonlocals, X, odd=()) -> Covering:
     return Covering(base, base).extended(nonlocals, X, odd)
 
 
-def delta_covering(base: Presentation, op: CDiffOp, odd=False,
-                   leadings=None) -> Covering:
+def delta_covering(base: Presentation, op: CDiffOp, leadings, odd=False) -> Covering:
     """Covering cut out by  op(v) = 0  on new fiber variables v^1..v^cols,
-    oriented along the supplied fiber leading jets (defaults mirror the
-    base leading jets when shapes match); its critical pairs are checked
-    to the base's order."""
+    row r solved for the fiber jet leadings[r], one per row as in
+    make_presentation; its critical pairs are checked to the base's order."""
     space = base.space
     stem = "p" if odd else "v"
     names = space.fresh(stem if op.cols == 1 else f"{stem}{c + 1}" for c in range(op.cols))
     ext = space.extended(dependent=names, odd=names if odd else ())
-    fiber0 = space.m
     fiber_exprs = op.rename_space(ext).apply(
-        [ext.jet(fiber0 + c, mi_zero(ext.n)) for c in range(op.cols)])
-    if leadings is None:
-        leadings = []
-        for r, expr in enumerate(fiber_exprs):
-            lead = None
-            if op.rows == len(base.leadings) and op.cols == space.m:
-                # mirror the base leading jet when the rule supports it
-                j, I = base.leadings[r]
-                key = ('j', fiber0 + j, I)
-                coeff = expr.partial(key)
-                if len(coeff) == 1 and expr.is_linear_in(key):
-                    lead = (fiber0 + j, I)
-            if lead is None:
-                keys = [k for k in expr.variables() if k[0] == 'j' and k[1] >= fiber0]
-                if not keys:
-                    raise NonSolvableError("fiber rule contains no fiber jet")
-                key = max(keys, key=lambda k: (mi_order(k[2]), k[2], k[1]))
-                lead = (key[1], key[2])
-            leadings.append(lead)
+        [ext.jet(space.m + c, mi_zero(ext.n)) for c in range(op.cols)])
     comps = [c.rename_space(ext) for c in base.components] + fiber_exprs
-    leads = list(base.leadings) + list(leadings)
-    pres = make_presentation(ext, comps, leads, base.check_order)
+    pres = make_presentation(ext, comps, list(base.leadings) + list(leadings), base.check_order)
     return Covering(pres, base)
 
 
 def tangent_covering(base: Presentation) -> Covering:
-    return delta_covering(base, base.linearization(), odd=False)
+    """Covering cut out by l_F(v) = 0, row s solved for v^{j_s}_{I_s} where
+    u^{j_s}_{I_s} is the base's leading jet of F_s."""
+    m = base.space.m
+    return delta_covering(base, base.linearization(), [(m + j, I) for j, I in base.leadings])
 
 
 def cotangent_covering(base: Presentation) -> Covering:
-    """Covering cut out by the adjoint linearization on odd fibers."""
-    adj = base.linearization(adjoint=True)
-    ext_leads = None
-    if adj.rows == base.space.m and len(base.leadings) == adj.cols:
-        # orient the rule read off component j_s along p^s at the base leading index
-        ext_leads = [(base.space.m + s, I) for s, (_, I) in enumerate(base.leadings)]
-        # reorder fiber component rows to match: row of adj giving p^s rule is j_s
-        rows = [j for (j, _) in base.leadings]
-        adj = adj.submatrix(rows, list(range(adj.cols)))
-    return delta_covering(base, adj, odd=True, leadings=ext_leads)
+    """Covering cut out by l*_F(p) = 0 on odd fibers p^1..p^l: the rows of
+    l*_F taken in the order j_s, row s solved for p^s_{I_s} where
+    u^{j_s}_{I_s} is the base's leading jet of F_s."""
+    adj, m = base.linearization(adjoint=True), base.space.m
+    adj = adj.submatrix([j for j, _ in base.leadings], list(range(adj.cols)))
+    return delta_covering(base, adj, [(m + s, I) for s, (_, I) in enumerate(base.leadings)],
+                          odd=True)
 
 
 # -- shadows and fiber-linear solving ----------------------------------------

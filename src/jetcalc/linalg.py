@@ -14,13 +14,6 @@ them."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
-
-def _integral(row):
-    """The row times the lcm of its denominators: int entries."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 
 
 def peel(rows):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from math import lcm
 
 from .algebra import (
     DiffExpr,
@@ -33,7 +34,7 @@ from .algebra import (
     tower_DI,
 )
 from .errors import ConfluenceError, NonSolvableError, ReductionError
-from .linalg import _integral, eliminate, peel
+from .linalg import eliminate, peel
 from .operators import CDiffOp, linearize
 
 
@@ -48,6 +49,12 @@ class Reduction:
     def check(self, pres: "Presentation") -> bool:
         total = self.normal_form + self.cofactor.apply(list(pres.components))[0]
         return (total - self.input).is_zero()
+
+
+def _integral(row):
+    """The row times the lcm of its denominators: int entries."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 
 
 class Presentation:
@@ -239,11 +246,6 @@ class Presentation:
     def adj_apply(self, psi) -> list:
         """l_F*(psi) reduced (the cosymmetry determining operator): restricted l_F*."""
         return self.restricted(self.linearization(True))(psi)
-
-    def determining_columns(self, adjoint=False):
-        """restricted_columns of l_F (l_F* when adjoint): lin_apply (adj_apply) on
-        every unit-slot vector of e."""
-        return self.restricted_columns(self.linearization(adjoint))
 
     @cached_property
     def scaling(self) -> dict:

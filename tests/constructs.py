@@ -5,7 +5,8 @@ Nijenhuis torsion of a recursion operator, Abelian coverings from currents,
 the Bäcklund evaluation of a recursion operator, and the formal algebra of
 one-layer D_x^{-1} pseudo-operators (E_phi, scaling, sums, composition with
 a local operator on either side and the commutator) that their Lie
-derivatives are taken in."""
+derivatives are taken in; and the direct route of the Hamiltonian test
+that is_hamiltonian is checked against."""
 
 from jetcalc import (
     CDiffOp,
@@ -17,10 +18,13 @@ from jetcalc import (
     ShapeError,
     d_h,
     ev_apply,
+    euler,
     invert_total_derivative,
     jacobi,
     linearize,
+    pairing_density,
     render,
+    schouten_direct,
     verify_flat,
 )
 from jetcalc.algebra import mi_order, mi_sub, mi_unit, mi_zero, tower_DI
@@ -228,3 +232,19 @@ def _absorb_inverse(row: CDiffOp):
         if not dc.is_zero():
             work.append((Idown, dc, col))
     return CDiffOp(row.space, 1, row.cols, local), CDiffOp(row.space, 1, row.cols, tail)
+
+
+# -- the direct route of the Hamiltonian test --------------------------------
+
+
+def hamiltonian_on(op: CDiffOp, gradients) -> bool:
+    """Whether the density of <[[A, A]](g1, g2), g3> has zero Euler derivative
+    for all g1, g2, g3 in `gradients`: one bracket per pair (g1, g2), paired
+    with every g3."""
+    for g1 in gradients:
+        for g2 in gradients:
+            bracket = schouten_direct(op, op, [g1, g2])
+            for g3 in gradients:
+                if not all(e.is_zero() for e in euler(pairing_density(bracket, g3))):
+                    return False
+    return True

@@ -11,6 +11,7 @@ from jetcalc import (
     HorizontalForm,
     JetSpace,
     NonlocalObstruction,
+    NonSolvableError,
     PseudoOp,
     ShapeError,
     cotangent_covering,
@@ -30,6 +31,8 @@ from jetcalc import (
     verify_shadow,
 )
 from jetcalc.algebra import ImageTable
+from jetcalc.cli import Problem
+from jetcalc.corpus import corpus, corpus_names
 from constructs import abelian_from_current, recursion_as_backlund
 from spans import is_abelian, rref, same_span
 
@@ -195,12 +198,29 @@ def test_cotangent_covering(kdv, heat):
     assert render(vr).replace("v", "q") == render(pr).replace("p", "q")
 
 
+def test_the_coverings_solve_for_the_base_leading_indices():
+    """Over every bundled equation, row s of l_F(v) = 0 is solved for
+    v^{j_s}_{I_s} and row s of l*_F(p) = 0 for p^s_{I_s}, where u^{j_s}_{I_s}
+    is the leading jet of F_s."""
+    bundled = [corpus(name) for name in corpus_names()]
+    presentations = [Problem(data).presentation for data in bundled if data.get("equations")]
+    assert presentations
+    for p in presentations:
+        m, l = p.space.m, len(p.leadings)
+        assert list(tangent_covering(p).presentation.leadings[l:]) == \
+            [(m + j, I) for j, I in p.leadings]
+        assert list(cotangent_covering(p).presentation.leadings[l:]) == \
+            [(m + s, I) for s, (_, I) in enumerate(p.leadings)]
+
+
 def test_delta_covering_cases(kdv):
-    dc = delta_covering(kdv, CDiffOp.total_derivative(SP, 0))
+    dc = delta_covering(kdv, CDiffOp.total_derivative(SP, 0), [(1, (1, 0))])
     assert dc.presentation.normal_form(dc.space.jet("v", (1, 0))).is_zero()
-    tk = delta_covering(kdv, kdv.linearization())
+    tk = delta_covering(kdv, kdv.linearization(), [(1, (0, 1))])
     assert tk.presentation.normal_form(tk.space.jet("v", (0, 1))) == \
         parse("6*u[1,0]*v[0,0] + 6*u[0,0]*v[1,0] + v[3,0]", tk.space)
+    with pytest.raises(NonSolvableError, match="not a monomial: 0"):  # v_x has no v_t
+        delta_covering(kdv, CDiffOp.total_derivative(SP, 0), [(1, (0, 1))])
 
 
 def test_heat_recursion_operators(heat):

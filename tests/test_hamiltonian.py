@@ -35,6 +35,7 @@ from jetcalc.cli import Problem, main, run_task
 from jetcalc.corpus import corpus
 from jetcalc.algebra import apply_DI
 from jetcalc.hamiltonian import momenta_space
+from constructs import hamiltonian_on
 
 SP1 = JetSpace.create(["x"], ["u"])
 U = SP1.jet("u", (0,))
@@ -252,19 +253,6 @@ def grads():
             [euler(U ** 4 + SP1.jet("u", (1,)) ** 2 * U)[0]]]
 
 
-def route41_verdict(op):
-    # one bracket [[A, A]](g1, g2) per pair, paired with every g3
-    gs = grads()
-    for g1 in gs:
-        for g2 in gs:
-            bracket = schouten_direct(op, op, [g1, g2])
-            for g3 in gs:
-                dens = pairing_density(bracket, g3)
-                if not all(e.is_zero() for e in euler(dens)):
-                    return False
-    return True
-
-
 def test_route_agreement_small():
     rng = random.Random(97)
     checked = 0
@@ -282,7 +270,7 @@ def test_route_agreement_small():
         op = skew(CDiffOp.scalar(SP1, tab))
         if op.is_zero():
             continue
-        assert is_hamiltonian(op) == route41_verdict(op)
+        assert is_hamiltonian(op) == hamiltonian_on(op, grads())
         checked += 1
     assert checked >= 8
     g1, g2, g3 = grads()[1:]
@@ -550,6 +538,27 @@ def test_schouten_on_equation_reports_an_operator_that_is_not_a_bivector(kdv):
             "ok": False, "trivial": False,
             "reason": f"{name} operator is not an equation bivector",
             "residual": membership["residual"]}
+
+
+def test_schouten_on_equation_rejects_a_bracket_that_is_not_bilinear(kdv, monkeypatch):
+    """Each term of the bracket on the dummy families must hold one jet of
+    each family: with D_x and the second KdV operator, both equation
+    bivectors, a term quadratic in the first family is a ShapeError."""
+    sp = kdv.space
+    A = CDiffOp.total_derivative(sp, 0)
+    B = CDiffOp.scalar(sp, {(3, 0): sp.one(), (1, 0): 4 * sp.jet("u", (0, 0)),
+                            (0, 0): 2 * sp.jet("u", (1, 0))})
+    bracket = hamiltonian._eq_bracket_on_dummies
+
+    def quadratic(*args):  # adds a_x a b, with a and b the dummies after u
+        T = bracket(*args)
+        ext = T[0].space
+        a, a_x, b = ext.jet(1, (0, 0)), ext.jet(1, (1, 0)), ext.jet(2, (0, 0))
+        return [T[0] + a_x * a * b, *T[1:]]
+
+    monkeypatch.setattr(hamiltonian, "_eq_bracket_on_dummies", quadratic)
+    with pytest.raises(ShapeError, match="not bilinear in the arguments"):
+        schouten_on_equation(A, B, kdv)
 
 
 def test_schouten_on_equation_builds_each_theta_once(kdv, monkeypatch):

@@ -478,7 +478,8 @@ def test_each_derived_operator_is_built_once(request, name, monkeypatch):
         L, L_adj = pres.linearization(), pres.linearization(adjoint=True)
         assert pres.lin_apply(phi) == pres.restricted(L)(phi) == pres.restricted(fresh(L))(phi)
         assert pres.adj_apply(phi) == pres.restricted(fresh(L_adj))(phi)
-        pres.determining_columns(), pres.determining_columns(adjoint=True)
+        pres.restricted_columns(pres.linearization())
+        pres.restricted_columns(pres.linearization(adjoint=True))
         pres.restricted_columns(fresh(L)), pres.restricted_columns(L_adj)
         for adjoint in (False, True):
             theta = pres.theta(delta, adjoint)
