@@ -98,7 +98,8 @@ expressions from the JetSpace constructors and the ring operations, and read
 them through `variables`, `summands` (single-term expressions in sorted
 monomial order), `coefficients` ((opaque monomial, coefficient) pairs, as
 `raw_coefficients` gives them from `raw_sum`'s sums for a determining row),
-`exponents`, `negative_keys` and `len` (the term count).  The ring operations
+`exponents`, `by_least` (the terms split by their least selected key, in one
+pass), `negative_keys` and `len` (the term count).  The ring operations
 raise ShapeError, and == is False, for expressions over incompatible spaces
 (`_compatible`: renamed variables; a space and its `extended` results meet).
 """
@@ -734,6 +735,23 @@ class DiffExpr:
 
     def is_linear_in(self, key) -> bool:
         return all(e == 1 for m in self.terms for k, e in _factors(m) if k == key)
+
+    def by_least(self, keep) -> tuple:
+        """(rest, {key: quotient}) in one pass over the terms: a term holding
+        a variable key with keep(key) goes to the quotient of its least such
+        key, divided by that key, and the other terms make up rest; every part
+        is canonical over self's space.  The selected keys must be even:
+        dividing out an odd one would need a sign."""
+        parts = {}
+        for mono, c in self.terms.items():
+            key = next((k for k, _ in _factors(mono) if keep(k)), None)
+            parts.setdefault(key, {})[mono if key is None else mono - _UNITS[key]] = c
+        out = {}
+        for key, terms in parts.items():
+            res, den = _canonical(terms, self.den)
+            out[key] = DiffExpr(self.space, res,
+                                _within_budget(res, self._top + (key is not None)), den)
+        return out.pop(None, None) or self.space.zero(), out
 
     # -- calculus ----------------------------------------------------------
 

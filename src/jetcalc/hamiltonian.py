@@ -243,27 +243,27 @@ def verify_bivector_on_equation(delta: CDiffOp, pres: Presentation) -> dict:
 
 def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, n1, n2, pres: Presentation):
     """[[d1, d2]](a, b) on two fresh even dummy families, with the nabla
-    corrections n1, n2 read off the cofactors of each Theta; reduced modulo
-    the presentation."""
+    corrections n1, n2 read off the cofactors of each Theta; unreduced, over
+    the presentation's space extended by the dummies."""
     space = pres.space
     l = len(pres.components)
-    dummies = space.fresh([f"_a{s}" for s in range(l)] + [f"_b{s}" for s in range(l)])
-    ext_pres = pres.extend_space(dependent=dummies)
-    ext = ext_pres.space
+    ext = space.extended(
+        dependent=space.fresh([f"_a{s}" for s in range(l)] + [f"_b{s}" for s in range(l)]))
     m = space.m
     avec = [ext.jet(m + s, mi_zero(ext.n)) for s in range(l)]
     bvec = [ext.jet(m + l + s, mi_zero(ext.n)) for s in range(l)]
     D1, D2 = (d.rename_space(ext) for d in (d1, d2))
-    total = _bivector_bracket(D1, D2, avec, bvec, n1.star1(bvec, avec), n2.star1(bvec, avec),
-                              ell_delta_op(D1, avec, m), ell_delta_op(D2, avec, m), m)
-    return ext_pres.normal_form(total)
+    return _bivector_bracket(D1, D2, avec, bvec, n1.star1(bvec, avec), n2.star1(bvec, avec),
+                             ell_delta_op(D1, avec, m), ell_delta_op(D2, avec, m), m)
 
 
 def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
     """Triviality of [[d1, d2]] on the equation: one cofactor pass over each
     Theta gives its membership residual and nabla; the bracket is encoded as
     a fiber-cubic superdensity on the cotangent covering (odd fibers),
-    reduced modulo its rules, and tested by the internal Euler operator."""
+    reduced modulo its rules, and tested by the internal Euler operator.
+    The dummy a^s_K and the fiber jet p^s_K share a key, so a bracket term
+    base a^s_K b^r_L is the product base p^s_K * p^r_L p^j."""
     n1, n2 = (BilinearNabla(pres, pres.theta(d)) for d in (d1, d2))
     for nabla, name in ((n1, "first"), (n2, "second")):
         if not nabla.restricted.is_zero():
@@ -275,18 +275,17 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
     cspace = cot.space
     m = pres.space.m
     l = len(pres.components)
+
+    def dummies(factors):  # (whether an a-jet, exponent) of each dummy factor
+        return [(k[1] < m + l, e) for k, e in factors if k[0] == 'j' and k[1] >= m]
     products = []
     for j, comp in enumerate(T):
         pj = cspace.jet(m + j, mi_zero(cspace.n))
-        for t in comp.summands():
-            a = [k for k in t.variables() if k[0] == 'j' and m <= k[1] < m + l]
-            b = [k for k in t.variables() if k[0] == 'j' and k[1] >= m + l]
-            if len(a) != 1 or len(b) != 1:
-                raise ShapeError("bracket term is not bilinear in the arguments")
-            base = t.partial(a[0]).partial(b[0]).rename_space(cspace)
-            pa = cspace.jet(a[0][1], a[0][2])
-            pb = cspace.jet(b[0][1] - l, b[0][2])
-            products.append((base * pa, pb * pj))
+        rest, by_b = comp.by_least(lambda k: k[0] == 'j' and k[1] >= m + l)
+        if rest or any(dummies(f) != [(True, 1)] for q in by_b.values() for f in q.exponents()):
+            raise ShapeError("bracket term is not bilinear in the arguments")
+        products += [(q.rename_space(cspace), cspace.jet(r - l, L) * pj)
+                     for (_, r, L), q in by_b.items()]
     density = sum_of_products(cspace, products)
     cpres = cot.presentation
     # the sweep stays internal: one normal form, of the density

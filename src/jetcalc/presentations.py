@@ -173,7 +173,10 @@ class Presentation:
             self.check_order)
 
     def reduce(self, e: DiffExpr) -> Reduction:
-        """Normal form together with exact cofactors."""
+        """Normal form together with exact cofactors.  The tagged normal form
+        is split by each term's least tag in one pass: the untagged rest is
+        the normal form, and the quotient of tag _F<s>_L is the cofactor of
+        D_L(F_s), once each tag still in it is replaced by its D_K(F)."""
         for key in e.jet_keys():
             if self.space.is_odd_key(key) and self._jet_rules(key) is not None:
                 raise ReductionError("cofactor tracking is limited to even "
@@ -181,22 +184,17 @@ class Presentation:
         rules = self._cofactor_rules
         sp = rules.space
         m, l = self.space.m, len(self.components)
-        full = rules._reduce(e.rename_space(sp))
-        tags = {k for k in full.variables() if k[0] == 'j' and k[1] >= m}
+
+        def is_tag(key):
+            return key[0] == 'j' and key[1] >= m
+        nf, slots = rules._reduce(e.rename_space(sp)).by_least(is_tag)
+        comps = [F.rename_space(sp) for F in self.components]
         cofactor = []
-        for t in full.summands():
-            mine = t.variables() & tags
-            if not mine:
-                continue
-            _, s, L = min(mine)
-            # tags are even: dividing by the least one leaves its coefficient
-            coeff = t * sp.jet(s, L) ** -1
-            coeff = coeff.substitute({
-                k: apply_DI(self.components[k[1] - m].rename_space(sp), k[2])
-                for k in coeff.variables() & tags})
+        for (_, s, L), coeff in slots.items():
+            if tags := {k for k in coeff.variables() if is_tag(k)}:
+                coeff = coeff.substitute({k: apply_DI(comps[k[1] - m], k[2]) for k in tags})
             cofactor.append((0, s - m, L, coeff.rename_space(self.space)))
-        nf = full.substitute({k: sp.zero() for k in tags}).rename_space(self.space)
-        return Reduction(e, nf, CDiffOp(self.space, 1, l, cofactor))
+        return Reduction(e, nf.rename_space(self.space), CDiffOp(self.space, 1, l, cofactor))
 
     # -- operators on the equation ---------------------------------------------
 

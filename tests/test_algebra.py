@@ -581,6 +581,32 @@ def test_substitute_matches_factor_by_factor_laurent():
         _check_substitute(e, mapping)
 
 
+def test_by_least_regroups_each_term_under_its_least_selected_key():
+    """by_least(keep) splits an expression exactly: rest + sum of key *
+    quotient is the expression, rest holds no selected key, each quotient
+    holds none below its own key, and every part is canonical.  The
+    expressions have Fraction coefficients, a parameter, a second family
+    and a negative exponent; keep selects the jets of the first family."""
+    space = JetSpace.create(["x", "t"], ["u", "v"], ["q"])
+    rng = random.Random(44)
+    q, v_x, u = space.param("q"), space.jet("v", (1, 0)), space.jet("u", (0, 0))
+
+    def keep(key):
+        return key[0] == 'j' and key[1] == 0
+
+    for _ in range(25):
+        e = (Fraction(2, 3) * rand_expr(space, rng) + q * v_x * rand_expr(space, rng)
+             + Fraction(-1, 5) * u.inverse_monomial() * rand_expr(space, rng))
+        rest, parts = e.by_least(keep)
+        assert rest + sum((space.jet(k[1], k[2]) * x for k, x in parts.items()),
+                          space.zero()) == e
+        assert not any(keep(k) for k in rest.variables())
+        for key, quotient in parts.items():
+            assert keep(key) and quotient
+            assert all(k >= key for k in quotient.variables() if keep(k))
+        assert all(x * 1 == x for x in (rest, *parts.values()))
+
+
 def test_product_ignores_an_unused_odd_family():
     rng = random.Random(53)
     odd_sp = JetSpace.create(["x", "t"], ["u", "p"], odd=["p"])

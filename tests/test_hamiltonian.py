@@ -30,11 +30,12 @@ from jetcalc import (
     verify_bivector_on_equation,
 )
 from jetcalc import cli, hamiltonian
-from jetcalc.algebra import euler_is_zero
+from jetcalc.algebra import DiffExpr, euler_is_zero, sum_of_products
 from jetcalc.cli import Problem, main, run_task
 from jetcalc.corpus import corpus
 from jetcalc.algebra import apply_DI
 from jetcalc.hamiltonian import momenta_space
+from jetcalc.presentations import Presentation
 from constructs import hamiltonian_on
 
 SP1 = JetSpace.create(["x"], ["u"])
@@ -541,24 +542,28 @@ def test_schouten_on_equation_reports_an_operator_that_is_not_a_bivector(kdv):
 
 
 def test_schouten_on_equation_rejects_a_bracket_that_is_not_bilinear(kdv, monkeypatch):
-    """Each term of the bracket on the dummy families must hold one jet of
-    each family: with D_x and the second KdV operator, both equation
-    bivectors, a term quadratic in the first family is a ShapeError."""
+    """Each term of the bracket on the dummy families must be of degree one
+    in each family: with D_x and the second KdV operator, both equation
+    bivectors, a term quadratic in the first family is a ShapeError, both
+    with two distinct jets of it (a_x a b) and with one jet squared (a^2 b),
+    which a count of distinct jets would pass; so is a term with no jet of
+    the second family (a_x)."""
     sp = kdv.space
     A = CDiffOp.total_derivative(sp, 0)
     B = CDiffOp.scalar(sp, {(3, 0): sp.one(), (1, 0): 4 * sp.jet("u", (0, 0)),
                             (0, 0): 2 * sp.jet("u", (1, 0))})
     bracket = hamiltonian._eq_bracket_on_dummies
+    for planted in ("a_x*a*b", "a*a*b", "a_x"):
+        def quadratic(*args, planted=planted):  # a and b: the dummies after u
+            T = bracket(*args)
+            ext = T[0].space
+            a, a_x, b = ext.jet(1, (0, 0)), ext.jet(1, (1, 0)), ext.jet(2, (0, 0))
+            term = {"a_x*a*b": a_x * a * b, "a*a*b": a * a * b, "a_x": a_x}[planted]
+            return [T[0] + term, *T[1:]]
 
-    def quadratic(*args):  # adds a_x a b, with a and b the dummies after u
-        T = bracket(*args)
-        ext = T[0].space
-        a, a_x, b = ext.jet(1, (0, 0)), ext.jet(1, (1, 0)), ext.jet(2, (0, 0))
-        return [T[0] + a_x * a * b, *T[1:]]
-
-    monkeypatch.setattr(hamiltonian, "_eq_bracket_on_dummies", quadratic)
-    with pytest.raises(ShapeError, match="not bilinear in the arguments"):
-        schouten_on_equation(A, B, kdv)
+        monkeypatch.setattr(hamiltonian, "_eq_bracket_on_dummies", quadratic)
+        with pytest.raises(ShapeError, match="not bilinear in the arguments"):
+            schouten_on_equation(A, B, kdv)
 
 
 def test_schouten_on_equation_builds_each_theta_once(kdv, monkeypatch):
@@ -583,6 +588,59 @@ def test_schouten_on_equation_builds_each_theta_once(kdv, monkeypatch):
     assert schouten_on_equation(A, B, kdv)["trivial"]
     assert len(composed) == 4
     assert len(builds) == 2
+
+
+def test_the_equation_schouten_pass_splits_each_expression_once(monkeypatch):
+    """Work counted on kdv6's schouten-equation task, with a fresh
+    presentation.  In `reduce`, every substitution but the rules' own puts
+    D_K(F) for the tags still in one cofactor slot's quotient, once per
+    such slot; none maps a tag to 0 to read off the normal form.  The
+    superdensity is one sum_of_products, over at most one product per
+    component and b-jet of the bracket on the dummies."""
+    data = corpus("kdv6")
+    problem = Problem(data)
+    task = next(t for t in data["tasks"] if t["kind"] == "schouten-equation")
+    m = problem.space.m
+    substitute, reduce = DiffExpr.substitute, Presentation.reduce
+    products, brackets, passes = [], [], []  # passes: (substituted, result) of each reduce
+
+    def counting_substitute(self, mapping):
+        tagged = any(k[0] == 'j' and k[1] >= m for k in mapping)
+        if passes and passes[-1][1] is None and (tagged or not mapping):
+            passes[-1][0].append((self, mapping))
+        return substitute(self, mapping)
+
+    def counting_reduce(self, e):
+        passes.append(([], None))
+        red = reduce(self, e)
+        passes[-1] = (passes[-1][0], red)
+        return red
+
+    def counting_bracket(*args):
+        brackets.append(bracket(*args))
+        return brackets[-1]
+
+    def counting_products(space, pairs):
+        products.append(list(pairs))
+        return sum_of_products(space, products[-1])
+
+    bracket = hamiltonian._eq_bracket_on_dummies
+    monkeypatch.setattr(DiffExpr, "substitute", counting_substitute)
+    monkeypatch.setattr(Presentation, "reduce", counting_reduce)
+    monkeypatch.setattr(hamiltonian, "_eq_bracket_on_dummies", counting_bracket)
+    monkeypatch.setattr(hamiltonian, "sum_of_products", counting_products)
+    assert run_task(problem, task)["status"] == "ok"
+    assert len(passes) >= 8
+    for substituted, red in passes:
+        assert len(substituted) <= len(list(red.cofactor.terms()))
+        assert len({id(e) for e, _ in substituted}) == len(substituted)
+        for e, mapping in substituted:
+            assert mapping and all(not x.is_zero() for x in mapping.values())
+            assert set(mapping) <= {k for k in e.variables() if k[0] == 'j' and k[1] >= m}
+    (T,), (pairs,) = brackets, products
+    l = len(T)
+    assert len(pairs) <= sum(len({k for k in comp.variables() if k[0] == 'j' and k[1] >= m + l})
+                             for comp in T)
 
 
 def test_is_hamiltonian_is_the_polarized_test_with_b_equal_to_a():

@@ -65,6 +65,55 @@ def test_cofactor_identity_random(kdv, camassa_holm):
             assert pres.normal_form(red.normal_form) == red.normal_form
 
 
+def test_cofactor_identity_matches_sympy():
+    """An oracle for `reduce`'s cofactors, in sympy alone: e - nf -
+    sum_{s,L} lambda_{s,L} D_L(F_s) expands to 0, each D_L being sympy's
+    d/dx^L of F_s written as a function of the independents (the total
+    derivative oracle of test_algebra).  The inputs are every Theta
+    coefficient of the corpus verify-bivector and schouten-equation
+    operators, and kdv-3comp's reduce input; a cofactor with one slot
+    dropped is a planted wrong one, which the oracle refuses."""
+    sympy = pytest.importorskip("sympy")
+    from test_algebra import _to_sympy
+
+    checked = 0
+    for name in ("kdv", "kdv6", "camassa-holm", "camassa-holm-2comp", "weingarten",
+                 "kdv-3comp"):
+        data = corpus(name)
+        problem = Problem(data)
+        pres, space = problem.presentation, problem.space
+        xs = sympy.symbols(space.independent)
+        funcs = [sympy.Function(f)(*xs) for f in space.dependent]
+
+        def to_sympy(e):
+            return _to_sympy(e, sympy, funcs, xs)
+
+        def D(f, L):  # d/dx^L, as _to_sympy writes a jet
+            steps = [x for x, k in zip(xs, L) for _ in range(k)]
+            return f.diff(*steps) if steps else f
+
+        def residual(e, red, slots):
+            return sympy.expand(to_sympy(e) - to_sympy(red.normal_form) - sum(
+                to_sympy(lam) * D(F[s], L) for _, s, L, lam in slots))
+
+        F = [to_sympy(c) for c in pres.components]
+        ops = {repr(op): op for t in data["tasks"]
+               for op in ([t["op"]] if t["kind"] == "verify-bivector" else t.get("ops", []))
+               if t["kind"] in ("verify-bivector", "schouten-equation")}
+        exprs = [a for op in ops.values() for *_, a in pres.theta(CDiffOp.from_json(
+            space, op["rows"], op["cols"], op["entries"])).terms()]
+        exprs += [parse(t["expr"], space) for t in data["tasks"] if t["kind"] == "reduce"]
+        assert exprs
+        for e in exprs:
+            red = pres.reduce(e)
+            slots = list(red.cofactor.terms())
+            assert residual(e, red, slots) == 0
+            if slots:
+                checked += 1
+                assert residual(e, red, slots[1:]) != 0
+    assert checked >= 15
+
+
 def test_reduction_commutes_with_derivatives(kdv, camassa_holm):
     rng = random.Random(67)
     indices = [K for order in range(3) for K in mi_iter(2, order)]
