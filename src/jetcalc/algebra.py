@@ -16,8 +16,8 @@ exponents are allowed on even jet and nonlocal variables only.
 Coefficients are int numerators over one positive denominator per
 expression (`DiffExpr.den`, coprime to them, 1 for an integral expression;
 FLINT's fmpq_poly layout, Hart, ICMS 2010), since int arithmetic costs a
-small fraction of Fraction's.  Only `coefficients` and `summands` build a
-coefficient value: an int when integral, else a reduced Fraction.
+small fraction of Fraction's.  Only `coefficients` builds a coefficient
+value: an int when integral, else a reduced Fraction.
 
 A monomial is one int, the key of a {monomial: numerator} term dict:
 sum_s e_s * 2^(W*s), one signed W-bit field per variable slot s (packed
@@ -27,7 +27,7 @@ slot on first use.  Fields are balanced, so a negative exponent needs no
 bias: the empty monomial is 0, a product is m1 + m2, dropping one power
 of v is m - unit(v) and the inverse is -m.  `_factors` decodes a monomial
 into its sorted ((key, exponent), ...) pairs, cached; everything that
-reads factors or sorts monomials (rendering, `summands`) goes through it,
+reads factors or sorts monomials (rendering, `exponents`) goes through it,
 so no output depends on the order in which slots were registered.
 
 Odd signs come from a parity record shared by equal spaces (`_Parity`; the
@@ -95,10 +95,10 @@ of two 3,003-term powers, whose product would have 9,018,009 terms.
 
 The monomial format is private to this module.  Other modules build
 expressions from the JetSpace constructors and the ring operations, and read
-them through `variables`, `summands` (single-term expressions in sorted
-monomial order), `coefficients` ((opaque monomial, coefficient) pairs, as
-`raw_coefficients` gives them from `raw_sum`'s sums for a determining row),
-`exponents`, `by_least` (the terms split by their least selected key, in one
+them through `variables`, `coefficients` ((opaque monomial, coefficient)
+pairs, as `raw_coefficients` gives them from `raw_sum`'s sums for a
+determining row), `exponents` (each monomial's sorted (key, exponent)
+pairs), `by_least` (the terms split by their least selected key, in one
 pass), `negative_keys` and `len` (the term count).  The ring operations
 raise ShapeError, and == is False, for expressions over incompatible spaces
 (`_compatible`: renamed variables; a space and its `extended` results meet).
@@ -702,13 +702,6 @@ class DiffExpr:
 
     def __len__(self):
         return len(self.terms)
-
-    def summands(self):
-        """The single-term expressions of self, in sorted monomial order."""
-        den = self.den
-        for mono, n in sorted(self.terms.items(), key=_by_factors):
-            g = gcd(n, den)
-            yield DiffExpr(self.space, {mono: n // g}, self._top, den // g)
 
     def coefficients(self):
         """(monomial, coefficient) pairs, each coefficient an int or a

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations_with_replacement
 from math import comb
 
@@ -241,13 +242,13 @@ def verify_symplectic(delta: CDiffOp, pres: Presentation, ansatz: Ansatz = None)
     if not report["membership"]:
         return dict(report, closed=False, ok=False)
     monos = ansatz_monomials(pres, ansatz or SYMPLECTIC_ANSATZ)
-    test_args = [[m if k == slot else space.zero() for k in range(space.m)]
+    test_args = [tuple(m if k == slot else space.zero() for k in range(space.m))
                  for slot in range(space.m) for m in monos]
+    ell = cache(lambda p: ell_delta_op(delta, p))  # E_p(delta), once per argument p
     failures = []
     for p1, p2 in combinations_with_replacement(test_args, 2):
         res = pres.normal_form([a - b + c for a, b, c in zip(
-            ell_delta_op(delta, p2).apply(p1), ell_delta_op(delta, p1).apply(p2),
-            nabla.star1(p1, p2))])
+            ell(p2).apply(p1), ell(p1).apply(p2), nabla.star1(p1, p2))])
         if any(not x.is_zero() for x in res):
             failures.append([render(x) for x in res])
             break

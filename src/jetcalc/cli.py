@@ -118,6 +118,17 @@ def _load_operator(data: dict, space: JetSpace) -> CDiffOp:
         raise ProblemError(str(exc)) from None
 
 
+def _equation_operator(problem, data: dict, adjoint=False) -> CDiffOp:
+    """A task's operator composed with l_F, so m x l (m dependents, l components),
+    or with l_F* (adjoint), so l x m; another shape is an input error."""
+    op = _load_operator(data, problem.space)
+    shape = (problem.space.m, len(problem.presentation.components))[::-1 if adjoint else 1]
+    if (op.rows, op.cols) != shape:
+        raise ProblemError(f"operator is {op.rows}x{op.cols}, "
+                           f"but the task needs {shape[0]}x{shape[1]}")
+    return op
+
+
 def _task_ansatz(task: dict) -> Ansatz:
     return Ansatz(int(task["order"]), int(task["degree"]), tuple(task["whitelist"]) or None)
 
@@ -219,7 +230,7 @@ def _magri(problem, task):
 
 
 def _verify_symplectic(problem, task):
-    rep = verify_symplectic(_load_operator(task["op"], problem.space),
+    rep = verify_symplectic(_equation_operator(problem, task["op"], adjoint=True),
                             problem.presentation, ansatz=_task_ansatz(task))
     out = _report(rep, "membership", "closed")
     if not rep["membership"]:
@@ -228,7 +239,7 @@ def _verify_symplectic(problem, task):
 
 
 def _schouten_equation(problem, task):
-    d1, d2 = (_load_operator(o, problem.space) for o in task["ops"])
+    d1, d2 = (_equation_operator(problem, o) for o in task["ops"])
     rep = schouten_on_equation(d1, d2, problem.presentation)
     return dict(_report(rep, "trivial", "residual"),
                 status=_status(bool(rep["ok"] and rep.get("trivial"))))
@@ -278,7 +289,7 @@ _TASKS = {
         "op": _OPERATOR, "order": dict(_ORDER, default=SYMPLECTIC_ANSATZ.max_jet_order),
         "degree": dict(_DEGREE, default=SYMPLECTIC_ANSATZ.max_degree), "whitelist": _NAMES}),
     "verify-bivector": (True, lambda p, t: _report(verify_bivector_on_equation(
-        _load_operator(t["op"], p.space), p.presentation), "residual"), {"op": _OPERATOR}),
+        _equation_operator(p, t["op"]), p.presentation), "residual"), {"op": _OPERATOR}),
     "schouten-equation": (True, _schouten_equation,
                           {"ops": _array(_OPERATOR, minItems=2, maxItems=2)}),
     "verify-equivalence": (True, _verify_equivalence, {"witness": _WITNESS}),

@@ -54,26 +54,25 @@ def momenta_space(space: JetSpace) -> JetSpace:
 
 @dataclass(frozen=True)
 class Superdensity:
-    """Multivector as a density multilinear in the odd momentum families."""
+    """Multivector as a density on momenta_space(base), multilinear in the momenta."""
 
-    space: JetSpace          # extended space (momenta_space of the base)
-    base_m: int              # number of even dependents
+    base: JetSpace
     expr: DiffExpr
 
 
-def _on_momenta(op: CDiffOp):  # (momenta space, p, A(p))
+def _on_momenta(op: CDiffOp):  # (p, A(p)) on the momenta space
     if op.rows != op.cols or op.cols != op.space.m:
         raise ShapeError("superdensity encoding needs a square operator on the dependents")
     ext = momenta_space(op.space)
     p = [ext.jet(op.space.m + c, mi_zero(ext.n)) for c in range(op.cols)]
-    return ext, p, op.rename_space(ext).apply(p)
+    return p, op.rename_space(ext).apply(p)
 
 
 def to_superdensity(op: CDiffOp) -> Superdensity:
     """W_A = <A(p), p> = sum a_sigma^{ij} p^j_sigma p^i (the undifferentiated momentum
     carries the row index; for one dependent variable, sum a_sigma p_sigma p)."""
-    ext, p, image = _on_momenta(op)
-    return Superdensity(ext, op.space.m, pairing_density(image, p))
+    p, image = _on_momenta(op)
+    return Superdensity(op.space, pairing_density(image, p))
 
 
 def from_superdensity(sd: Superdensity) -> CDiffOp:
@@ -81,22 +80,18 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
     W = <A(p), p>: its momentum gradient delta W / delta p is (A* - A)(p),
     whatever divergence W carries, so the skew part is -1/2 times the
     linearization of that gradient in the momenta."""
-    ext, m = sd.space, sd.base_m
-    if any(sum(k[0] == 'j' and k[1] >= m for k in t.variables()) != 2
-           for t in sd.expr.summands()):
+    momenta = range(sd.base.m, sd.expr.space.m)
+    if any(sum(e for k, e in factors if k[0] == 'j' and k[1] in momenta) != 2
+           for factors in sd.expr.exponents()):
         raise ShapeError("superdensity is not fiber-quadratic")
-    momenta = range(m, ext.m)
-    # the operator lives on the base space: coefficients mention no momentum
-    carrier = JetSpace.create(ext.independent, ext.dependent[:m], ext.parameters,
-                              ext.nonlocals, ext.odd - set(ext.dependent[m:]))
-    a_star_minus_a = linearize(euler(sd.expr, momenta), ext, momenta)
-    return a_star_minus_a.rename_space(carrier).scale(Fraction(-1, 2))
+    a_star_minus_a = linearize(euler(sd.expr, momenta), columns=momenta)
+    return a_star_minus_a.rename_space(sd.base).scale(Fraction(-1, 2))
 
 
 def momentum_gradient(op: CDiffOp):
     """(delta W_A / delta (u, p), whether A is skew-adjoint): the momentum part of
     the gradient is (A* - A)(p), which is -2 A(p) exactly when A* = -A."""
-    _, p, image = _on_momenta(op)
+    p, image = _on_momenta(op)
     grad = euler(pairing_density(image, p))
     return grad, all(g == a * -2 for g, a in zip(grad[op.space.m:], image))
 
@@ -157,29 +152,29 @@ def schouten_direct(A, B, psis=()):
         t2 = ell_delta_op(A, psi).apply(B)
         t3 = A.apply(linearize(B).adjoint().apply(psi))
         return [a - b + c for a, b, c in zip(t1, t2, t3)]
-    # bivector-bivector: two gradient arguments, corrections from l*
-    psi1, psi2 = psis
-    ell_A = ell_delta_op(A, psi1)
-    ell_B = ell_A if B is A else ell_delta_op(B, psi1)
-    corr_A = ell_A.adjoint().apply(psi2)
-    corr_B = corr_A if B is A else ell_B.adjoint().apply(psi2)
-    return _bivector_bracket(A, B, psi1, psi2, corr_A, corr_B, ell_A, ell_B)
+    return _bivector_bracket(A, B, *psis)  # bivector-bivector: corrections from l*
 
 
-def _bivector_bracket(A, B, psi1, psi2, corr_A, corr_B, ell_A, ell_B, ncols=None):
-    """[[A, B]](psi1, psi2) for bivectors A and B, whose variations along
-    the first ncols dependents enter through ell_delta_op, ell_A and ell_B
-    being E_psi1(A) and E_psi1(B); corr_A and corr_B are the adjoint
-    correction vectors (l* on free jets, the nabla *1-adjoint on an
-    equation).  Swapping A and B swaps the two halves of the sum, so
-    [[A, A]] computes one half and uses it twice."""
+def _bivector_bracket(A, B, psi1, psi2, correction=None, ncols=None):
+    """[[A, B]](psi1, psi2) for bivectors A and B, varied along the first
+    ncols dependents (all by default): the kernel takes E_psi1 of each
+    distinct operator once, and X's adjoint correction is correction(X)
+    (the nabla *1-adjoint on an equation), or E_psi1(X)*(psi2), the l*
+    correction on free jets, when correction is None.  Swapping A and B
+    swaps the two halves of the sum, so [[A, A]] computes one half and
+    uses it twice."""
+    def variations(X):  # E_psi1(X) and X's correction
+        ell = ell_delta_op(X, psi1, ncols)
+        return ell, correction(X) if correction else ell.adjoint().apply(psi2)
+
     def half(X, Y, corr_X, ell_Y):
         return (ell_Y.apply(X.apply(psi2)),
                 ell_delta_op(Y, psi2, ncols).apply(X.apply(psi1)),
                 Y.apply(corr_X))
 
+    (ell_A, corr_A), (ell_B, corr_B) = [variations(A)] * 2 if B is A else map(variations, (A, B))
     t1, t2, t5 = half(A, B, corr_A, ell_B)
-    t3, t4, t6 = (t1, t2, t5) if B is A and corr_B is corr_A else half(B, A, corr_B, ell_A)
+    t3, t4, t6 = (t1, t2, t5) if B is A else half(B, A, corr_B, ell_A)
     return [a - b + c - d + e + f
             for a, b, c, d, e, f in zip(t1, t2, t3, t4, t5, t6)]
 
@@ -241,10 +236,11 @@ def verify_bivector_on_equation(delta: CDiffOp, pres: Presentation) -> dict:
     return {"ok": residual.is_zero(), "residual": residual.render_matrix()}
 
 
-def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, n1, n2, pres: Presentation):
+def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, nablas: dict, pres: Presentation):
     """[[d1, d2]](a, b) on two fresh even dummy families, with the nabla
-    corrections n1, n2 read off the cofactors of each Theta; unreduced, over
-    the presentation's space extended by the dummies."""
+    corrections read off the cofactors of each Theta (`nablas`, one per
+    operator value); unreduced, over the presentation's space extended by
+    the dummies.  Equal operators are renamed once, so the kernel takes one half."""
     space = pres.space
     l = len(pres.components)
     ext = space.extended(
@@ -252,25 +248,27 @@ def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, n1, n2, pres: Presentation)
     m = space.m
     avec = [ext.jet(m + s, mi_zero(ext.n)) for s in range(l)]
     bvec = [ext.jet(m + l + s, mi_zero(ext.n)) for s in range(l)]
-    D1, D2 = (d.rename_space(ext) for d in (d1, d2))
-    return _bivector_bracket(D1, D2, avec, bvec, n1.star1(bvec, avec), n2.star1(bvec, avec),
-                             ell_delta_op(D1, avec, m), ell_delta_op(D2, avec, m), m)
+    renamed = {d: d.rename_space(ext) for d in nablas}
+    nabla_of = {renamed[d]: nabla for d, nabla in nablas.items()}
+    return _bivector_bracket(renamed[d1], renamed[d2], avec, bvec,
+                             lambda X: nabla_of[X].star1(bvec, avec), m)
 
 
 def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
     """Triviality of [[d1, d2]] on the equation: one cofactor pass over each
-    Theta gives its membership residual and nabla; the bracket is encoded as
+    Theta gives its membership residual and nabla, and value-equal operators
+    share one pass and one half of the bracket; the bracket is encoded as
     a fiber-cubic superdensity on the cotangent covering (odd fibers),
     reduced modulo its rules, and tested by the internal Euler operator.
     The dummy a^s_K and the fiber jet p^s_K share a key, so a bracket term
     base a^s_K b^r_L is the product base p^s_K * p^r_L p^j."""
-    n1, n2 = (BilinearNabla(pres, pres.theta(d)) for d in (d1, d2))
-    for nabla, name in ((n1, "first"), (n2, "second")):
-        if not nabla.restricted.is_zero():
+    nablas = {d: BilinearNabla(pres, pres.theta(d)) for d in dict.fromkeys((d1, d2))}
+    for d, name in ((d1, "first"), (d2, "second")):
+        if not (restricted := nablas[d].restricted).is_zero():
             return {"ok": False, "trivial": False,
                     "reason": f"{name} operator is not an equation bivector",
-                    "residual": nabla.restricted.render_matrix()}
-    T = _eq_bracket_on_dummies(d1, d2, n1, n2, pres)
+                    "residual": restricted.render_matrix()}
+    T = _eq_bracket_on_dummies(d1, d2, nablas, pres)
     cot = cotangent_covering(pres)
     cspace = cot.space
     m = pres.space.m

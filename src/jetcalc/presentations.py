@@ -336,18 +336,14 @@ def make_presentation(space: JetSpace, components, leadings,
                 raise NonSolvableError(
                     f"leading jets {leads[s1]} and {leads[s2]} are not orthonomic")
     pres = Presentation(space, comps, leads, rhss, check_order)
-    # inter-reduce right-hand sides to a fixpoint, one rule at a time, with a
-    # new presentation each time one changes
+    # inter-reduce right-hand sides to a fixpoint, one round at a time, with a
+    # new presentation after each round that changes one
     for _ in range(20):
-        changed = False
-        for s in range(len(rhss)):
-            new = pres.normal_form(rhss[s])
-            if not (new - rhss[s]).is_zero():
-                rhss[s] = new
-                pres = Presentation(space, comps, leads, rhss, check_order)
-                changed = True
-        if not changed:
+        new = pres.normal_form(rhss)
+        if new == rhss:
             break
+        rhss = new
+        pres = Presentation(space, comps, leads, rhss, check_order)
     else:  # pragma: no cover
         raise NonSolvableError("inter-reduction did not stabilize")
     _check_confluence(pres, check_order)

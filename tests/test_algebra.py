@@ -472,9 +472,9 @@ def test_coefficients_stay_canonical(kdv):
         results += euler(e * f)
         for r in results:
             assert _canonical(r), r
-        for term in e.summands():
-            if all(k[0] == 'j' for k in term.variables()):
-                assert _canonical(term.inverse_monomial())
+        for factors, c in decoded_terms(e).items():
+            if all(k[0] == 'j' for k, _ in factors):
+                assert _canonical(from_factors(SP, {factors: c}).inverse_monomial())
 
 
 def substitute_by_factors(e, mapping):

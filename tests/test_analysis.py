@@ -403,6 +403,24 @@ def test_symplectic(kdv, wdvv):
     assert verify_symplectic(CDiffOp(SP, 1, 1), kdv)["ok"]
 
 
+def test_symplectic_closedness_takes_each_variation_once(wdvv, monkeypatch):
+    """The closedness check pairs every two of its test arguments and takes
+    E_p(delta) of each argument p once, not once for each pair it is in: on
+    WDVV with D_x, which passes, one build per argument of the default
+    ansatz, each on its own argument."""
+    built = []
+    ell = analysis.ell_delta_op
+
+    def counting(delta, phi, ncols=None):
+        built.append(phi)
+        return ell(delta, phi, ncols)
+
+    monkeypatch.setattr(analysis, "ell_delta_op", counting)
+    assert verify_symplectic(CDiffOp.total_derivative(wdvv.space, 0), wdvv)["ok"]
+    args = wdvv.space.m * len(ansatz_monomials(wdvv, analysis.SYMPLECTIC_ANSATZ))
+    assert len(built) == args == len({id(p) for p in built}) > 1
+
+
 def test_symplectic_dx_on_potential_kdv():
     """D_x is symplectic on potential KdV, an evolution equation."""
     pkdv = make_presentation(SP, [parse("u[0,1] - 3*u[1,0]^2 - u[3,0]", SP)],

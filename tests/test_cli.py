@@ -297,6 +297,41 @@ def test_a_pseudo_operator_tail_short_of_its_rows_is_an_input_error(tmp_path, ca
                               "is 1x1, for a 2x1 local part\n")
 
 
+_TWO_RULES = [{"expr": "u[1,0] - u[0,0]", "leading": "u[1,0]"},
+              {"expr": "u[0,1] - u[0,0]", "leading": "u[0,1]"}]
+
+
+@pytest.mark.parametrize("kind, rules, shape, need", [
+    ("verify-bivector", 1, (2, 2), (1, 1)), ("schouten-equation", 1, (2, 2), (1, 1)),
+    ("verify-symplectic", 1, (2, 2), (1, 1)), ("verify-bivector", 2, (2, 1), (1, 2)),
+    ("schouten-equation", 2, (2, 1), (1, 2)), ("verify-symplectic", 2, (1, 2), (2, 1)),
+])
+def test_an_operator_of_the_wrong_shape_is_an_input_error(tmp_path, capsys, kind, rules,
+                                                          shape, need):
+    """verify-bivector and schouten-equation compose their operators with
+    l_F, so each must be m x l (m dependents, l components), and
+    verify-symplectic composes with l_F*, so l x m: on KdV a 2 x 2
+    operator, and on u_x = u, u_t = u (one dependent, two rules) the
+    transposed shape, is refused as input, with both shapes named.  An
+    operator of the shape asked for gets a report."""
+    def op(rows, cols):
+        return {"rows": rows, "cols": cols, "entries": []}
+
+    def problem(rows, cols):
+        task = {"kind": kind, **({"ops": [op(rows, cols)] * 2} if kind == "schouten-equation"
+                                 else {"op": op(rows, cols)})}
+        data = dict(corpus("kdv"), tasks=[task])
+        if rules == 2:
+            data["equations"] = _TWO_RULES
+        return data
+
+    code, err = _input_error(tmp_path, capsys, problem(*shape))
+    assert (code, err) == (2, f"input error: operator is {shape[0]}x{shape[1]}, "
+                              f"but the task needs {need[0]}x{need[1]}\n")
+    code, report = _run_json(tmp_path, capsys, problem(*need))  # a report: no input error
+    assert code in (0, 1) and report["tasks"][0]["task"] == kind
+
+
 def test_unknown_covering_is_an_input_error(tmp_path, capsys):
     data = corpus("potential-kdv-we")
     data["tasks"] = [dict(data["tasks"][0], covering="nope")]

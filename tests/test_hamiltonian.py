@@ -37,6 +37,7 @@ from jetcalc.algebra import apply_DI
 from jetcalc.hamiltonian import momenta_space
 from jetcalc.presentations import Presentation
 from constructs import hamiltonian_on
+from monomials import decoded_terms
 
 SP1 = JetSpace.create(["x"], ["u"])
 U = SP1.jet("u", (0,))
@@ -148,18 +149,18 @@ def test_superdensity_up_to_a_divergence():
     ext = momenta_space(sp)
     # p_x p_tt = p_xtt p + D_x(p p_tt): lowering p_x puts p ahead of p_tt
     W = ext.jet(1, (1, 0)) * ext.jet(1, (0, 2))
-    assert from_superdensity(Superdensity(ext, 1, W)) == \
+    assert from_superdensity(Superdensity(sp, W)) == \
         CDiffOp.scalar(sp, {(1, 2): sp.one()})
     rng = random.Random(5)
     for space in (SP_UV, SP_XT_UV):
         for _ in range(20):
             op = rand_square_op(space, rng)
             W = to_superdensity(op)
-            ext, m = W.space, space.m
+            ext, m = W.expr.space, space.m
             p1, p2 = (ext.jet(m + rng.randrange(m), [rng.randint(0, 2) for _ in range(space.n)])
                       for _ in range(2))
             G = rand_coeff(space, rng).rename_space(ext) * p1 * p2
-            W = Superdensity(ext, m, W.expr + G.total_derivative(rng.randrange(space.n)))
+            W = Superdensity(space, W.expr + G.total_derivative(rng.randrange(space.n)))
             assert from_superdensity(W) == skew(op)
 
 
@@ -169,7 +170,7 @@ def test_superdensity_of_another_degree_is_rejected(text):
     """A term with one momentum, or with three, is not fiber-quadratic."""
     ext = momenta_space(SP1)
     with pytest.raises(ShapeError, match="superdensity is not fiber-quadratic"):
-        from_superdensity(Superdensity(ext, 1, parse(text, ext)))
+        from_superdensity(Superdensity(SP1, parse(text, ext)))
 
 
 def test_schouten_direct_clauses():
@@ -491,13 +492,10 @@ def test_kdv6_bivectors():
     assert rep["ok"] and rep["trivial"]
 
 
-def test_a_nontrivial_two_component_bracket_pairs_each_component_with_its_fiber():
-    """On u_t = u_x, v_t = v_x every skew operator with coefficients in the
-    jets of u and v is an equation bivector.  [[delta, delta]] for delta =
-    [[u v D_x + (u_x v + u v_x)/2, -u^2/2], [u^2/2, 0]] is not trivial, and
-    its superdensity pairs component j of the bracket with the odd fiber
-    p_j: a trivector density, so its Euler residual along u and v is cubic
-    in p1, p2, and along p1 and p2 quadratic."""
+def transport_pair():
+    """u_t = u_x, v_t = v_x, and delta = [[u v D_x + (u_x v + u v_x)/2,
+    -u^2/2], [u^2/2, 0]], an equation bivector whose [[delta, delta]] is not
+    trivial there."""
     sp = JetSpace.create(["x", "t"], ["u", "v"])
     P = lambda s: parse(s, sp)
     pres = make_presentation(sp, [P("u[0,1] - u[1,0]"), P("v[0,1] - v[1,0]")],
@@ -506,13 +504,25 @@ def test_a_nontrivial_two_component_bracket_pairs_each_component_with_its_fiber(
         (0, 0): {(1, 0): P("u[0,0]*v[0,0]"), (0, 0): P("1/2*u[1,0]*v[0,0] + 1/2*u[0,0]*v[1,0]")},
         (0, 1): {(0, 0): P("-1/2*u[0,0]^2")},
         (1, 0): {(0, 0): P("1/2*u[0,0]^2")}})
+    return pres, delta
+
+
+def test_a_nontrivial_two_component_bracket_pairs_each_component_with_its_fiber():
+    """On u_t = u_x, v_t = v_x every skew operator with coefficients in the
+    jets of u and v is an equation bivector.  [[delta, delta]] for delta =
+    [[u v D_x + (u_x v + u v_x)/2, -u^2/2], [u^2/2, 0]] is not trivial, and
+    its superdensity pairs component j of the bracket with the odd fiber
+    p_j: a trivector density, so its Euler residual along u and v is cubic
+    in p1, p2, and along p1 and p2 quadratic."""
+    pres, delta = transport_pair()
+    sp = pres.space
     assert verify_bivector_on_equation(delta, pres)["ok"]
     rep = schouten_on_equation(delta, delta, pres)
     assert rep["ok"] and not rep["trivial"]
     cspace = cotangent_covering(pres).space
-    # an odd jet occurs at most once in a monomial: its keys count its degree
-    degrees = [{sum(k[0] == 'j' and k[1] >= sp.m for k in t.variables())
-                for t in parse(r, cspace).summands()} for r in rep["residual"]]
+    # an odd jet occurs with exponent 1: the fiber exponents sum to its degree
+    degrees = [{sum(e for k, e in factors if k[0] == 'j' and k[1] >= sp.m)
+                for factors in parse(r, cspace).exponents()} for r in rep["residual"]]
     assert degrees == [{3}, {3}, {2}, {2}]
 
 
@@ -588,6 +598,57 @@ def test_schouten_on_equation_builds_each_theta_once(kdv, monkeypatch):
     assert schouten_on_equation(A, B, kdv)["trivial"]
     assert len(composed) == 4
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("case", ["transport", "kdv"])
+def test_a_self_bracket_on_an_equation_shares_one_nabla_and_one_half(case, kdv, monkeypatch):
+    """[[delta, delta]] on an equation takes one cofactor pass over Theta
+    (one BilinearNabla) and one half of the bracket (E_a and E_b of one
+    operator: two ell_delta_op builds, not four), for the nontrivial
+    delta of transport_pair and for D_x on KdV.  A value-equal copy as the
+    second argument gives the same report the same way, and the shared
+    half gives the bracket on the dummies that two distinct copies give
+    with both halves."""
+    if case == "kdv":
+        pres, delta = kdv, CDiffOp.total_derivative(kdv.space, 0)
+    else:
+        pres, delta = transport_pair()
+    nablas, ells, brackets = [], [], []
+    nabla, ell, bracket = (hamiltonian.BilinearNabla, hamiltonian.ell_delta_op,
+                           hamiltonian._eq_bracket_on_dummies)
+
+    def counting_nabla(*args):
+        nablas.append(nabla(*args))
+        return nablas[-1]
+
+    def counting_ell(*args):
+        ells.append(args[0])
+        return ell(*args)
+
+    def kept_bracket(*args):
+        brackets.append(bracket(*args))
+        return brackets[-1]
+
+    monkeypatch.setattr(hamiltonian, "BilinearNabla", counting_nabla)
+    monkeypatch.setattr(hamiltonian, "ell_delta_op", counting_ell)
+    monkeypatch.setattr(hamiltonian, "_eq_bracket_on_dummies", kept_bracket)
+    copy = delta.scale(1)
+    assert copy == delta and copy is not delta
+    reports = []
+    for second in (delta, copy):
+        del nablas[:], ells[:]
+        reports.append(schouten_on_equation(delta, second, pres))
+        assert len(nablas) == 1 and len(ells) == 2
+    assert reports[0] == reports[1] and reports[0]["ok"]
+    assert reports[0]["trivial"] is (case == "kdv")
+    # both halves, from two distinct renamed copies on the same dummies
+    (n,), shared = nablas, brackets[0]
+    ext, m, l = shared[0].space, pres.space.m, len(pres.components)
+    avec, bvec = ([ext.jet(m + s, (0, 0)) for s in range(k, k + l)] for k in (0, l))
+    del ells[:]
+    both = hamiltonian._bivector_bracket(delta.rename_space(ext), copy.rename_space(ext),
+                                         avec, bvec, lambda X: n.star1(bvec, avec), m)
+    assert len(ells) == 4 and both == shared
 
 
 def test_the_equation_schouten_pass_splits_each_expression_once(monkeypatch):
@@ -771,6 +832,88 @@ def test_hamiltonian_verdicts_match_a_sympy_poisson_bracket():
         passes.append(all(holds(*triple) for triple in triples))
     assert passes == [is_hamiltonian(op) for op in ops]
     assert passes[:6] == [True, True, False, False, False, False]
+
+
+def test_matrix_hamiltonian_verdicts_match_a_sympy_poisson_bracket():
+    """The Poisson-bracket oracle on 2 x 2 operators and vector densities:
+    with dF = (delta_u F, delta_v F), A is Hamiltonian iff {F, G} = int
+    dF . A dG is skew and satisfies the Jacobi identity modulo divergences,
+    and skew A and B are compatible iff the cross term of the Jacobi
+    identity of A + B, the cyclic sum of {{F, G}_A, H}_B + {{F, G}_B, H}_A,
+    is a divergence (Olver, Ch. 7).  Both are checked in a sympy polynomial
+    ring alone, with delta = sum_k (-D)^k d/du_k and D the total derivative
+    on its jet generators, on random densities c x^a u^b v^c (u + v).  The
+    operators are Boussinesq's A, B and C and a mutant of each, which adds
+    a D + a_x/2 to a diagonal entry: a = 2u in A's (v, v) entry keeps it
+    Hamiltonian but compatible with neither B nor C, a = u in B's (u, u)
+    entry and a = v in C's (v, v) entry leave them skew, not Hamiltonian.
+    The sampled verdicts equal `is_hamiltonian` on every operator and
+    `are_compatible` on every pair of the Hamiltonian ones."""
+    sympy = pytest.importorskip("sympy")
+    sp, A, B, C = boussinesq_ops()
+
+    def plus(op, j, a):  # op with a D + a_x/2 added to entry (j, j)
+        a = parse(a, sp)
+        return op + CDiffOp(sp, 2, 2, {(j, j): {(1,): a, (0,): a.total_derivative(0) * Fraction(1, 2)}})
+
+    ops = [A, B, C, plus(A, 1, "2*u[0]"), plus(B, 0, "u[0]"), plus(C, 1, "v[0]")]
+    order = 16  # jet generators u0..u15 and v0..v15
+    R, x, sigma, *flat = sympy.ring(["x", "sigma"] + [f"{name}{k}" for name in sp.dependent
+                                                      for k in range(order)], sympy.QQ)
+    jets = [flat[:order], flat[order:]]
+    slot = {g: k for k, g in enumerate(R.gens)}
+
+    def present(f):  # the generators f mentions
+        return {R.gens[k] for m in f.itermonoms() for k, e in enumerate(m) if e}
+
+    def D(f, times):
+        for _ in range(times):
+            here = present(f)
+            assert not here & {js[-1] for js in jets}
+            f = f.diff(x) + sum((b * f.diff(a) for js in jets for a, b in zip(js, js[1:])
+                                 if a in here), R.zero)
+        return f
+
+    def delta(f):
+        here = present(f)
+        return [sum(((-1) ** k * D(f.diff(j), k) for k, j in enumerate(js) if j in here),
+                    R.zero) for js in jets]
+
+    def coefficient(a):
+        out = R.zero
+        for factors, c in decoded_terms(a).items():
+            term = R(sympy.Rational(c.numerator, c.denominator))
+            for key, e in factors:
+                base = jets[key[1]][key[2][0]] if key[0] == 'j' else {'i': x, 'q': sigma}[key[0]]
+                term *= base ** e
+            out += term
+        return out
+
+    def bracket(X, dF, dG):  # the density dF . X dG
+        return sum((dF[r] * a * D(dG[c], k) for r, c, k, a in X), R.zero)
+
+    def jacobi_cross(X, Y, triple):  # X is Y: the Jacobi identity itself
+        total = R.zero
+        for f, g, h in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
+            total += bracket(Y, delta(bracket(X, f, g)), h)
+            if Y is not X:
+                total += bracket(X, delta(bracket(Y, f, g)), h)
+        return not any(delta(total))
+
+    tables = [[(r, c, I[0], coefficient(a)) for r, c, I, a in op.terms()] for op in ops]
+    rng = random.Random(7)
+    u, v = jets[0][0], jets[1][0]
+    triples = [[delta(rng.choice([-2, -1, 1, 3]) * x ** rng.randint(0, 1) * u ** rng.randint(0, 2)
+                      * v ** rng.randint(0, 2) * (u + v)) for _ in range(3)] for _ in range(3)]
+    skew = [all(not any(delta(bracket(X, f, g) + bracket(X, g, f))) for f, g, _ in triples)
+            for X in tables]
+    hamiltonian = [s and all(jacobi_cross(X, X, t) for t in triples)
+                   for s, X in zip(skew, tables)]
+    assert hamiltonian == [is_hamiltonian(op) for op in ops] == [True] * 4 + [False] * 2
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]  # the Hamiltonian ones
+    compatible = [all(jacobi_cross(tables[i], tables[j], t) for t in triples) for i, j in pairs]
+    assert compatible == [are_compatible(ops[i], ops[j]) for i, j in pairs] == \
+        [True] * 4 + [False] * 2
 
 
 def test_an_operator_on_other_dependents_has_no_superdensity():

@@ -11,7 +11,9 @@ every dataclass frozen, no self-recursion but a few of bounded depth, no
 export that the CLI does not reach, the benchmark does not import and
 README does not name, and no function, class or method that none of them
 reaches; on built objects, no dataclass or operator table holding a plain
-dict or list at any depth; and README's library example runs as printed."""
+dict or list at any depth; README's library example runs as printed; and
+the statement-reach tracer of tests/traffic.py reports only what a run
+leaves unexecuted."""
 
 import ast
 import copy
@@ -37,6 +39,7 @@ from jetcalc import (
     to_superdensity,
 )
 from constructs import abelian_from_current, scale
+import traffic
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jetcalc"
@@ -1193,3 +1196,31 @@ def test_the_readme_library_example_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert len(namespace["basis"]) == 4 and len(namespace["densities"]) == 4
+
+
+def test_the_traffic_tracer_reports_only_an_untaken_branch(tmp_path):
+    """traffic.unreached on a planted module whose function takes one of its
+    two branches reports the other branch and nothing else: not the module
+    and function docstrings, the import, the decorated def, the test, nor
+    the taken branch, a statement over two lines."""
+    planted = (tmp_path / "planted.py").resolve()
+    planted.write_text('''"""A planted module."""
+from functools import cache
+
+
+@cache
+def pick(flag):
+    """One of two branches."""
+    if flag:
+        return (
+            "taken")
+    else:
+        return "untaken"
+''')
+
+    def run():
+        namespace = {}
+        exec(compile(planted.read_text(), str(planted), "exec"), namespace)
+        namespace["pick"](True)
+
+    assert traffic.unreached([planted], run) == [(planted, 12, 'return "untaken"')]
