@@ -10,7 +10,6 @@ from .algebra import (
     HorizontalForm,
     JetSpace,
     canonical_density,
-    d_h,
     euler,
     homotopy_density,
     invert_total_derivative,
@@ -31,7 +30,6 @@ from .coverings import (
     cotangent_covering,
     delta_covering,
     make_covering,
-    reconstruct_step,
     solve_fiberlinear,
     tangent_covering,
     verify_finite_symmetry,
@@ -54,23 +52,18 @@ from .errors import (
     VariationalityError,
 )
 from .hamiltonian import (
-    Superdensity,
     are_compatible,
-    from_superdensity,
     is_hamiltonian,
     magri_hierarchy,
-    poisson_bracket,
     schouten_direct,
     schouten_on_equation,
     schouten_pairing,
-    to_superdensity,
     verify_bivector_on_equation,
 )
 from .operators import (
     CDiffOp,
     PseudoOp,
     ev_apply,
-    green_form,
     helmholtz,
     jacobi,
     linearize,

@@ -964,22 +964,6 @@ class HorizontalForm:
         return all(v.is_zero() for v in self.comps.values())
 
 
-def d_h(form: HorizontalForm) -> HorizontalForm:
-    """Horizontal differential: d_h(a dx^S) = sum_i D_i(a) dx^i ^ dx^S."""
-    space = form.space
-    n = space.n
-    if form.degree >= n:
-        raise ValueError("d_h on a top-degree form")
-    comps = {}
-    for S, a in form.comps.items():
-        for i in (i for i in range(n) if i not in S):
-            newS = tuple(sorted(S + (i,)))
-            comps[newS] = comps.get(newS, space.zero())._sum(
-                a.total_derivative(i), (-1) ** sum(s < i for s in S))
-    comps = {k: v for k, v in comps.items() if not v.is_zero()}
-    return HorizontalForm(space, form.degree + 1, comps)
-
-
 # -- homotopy inverses -----------------------------------------------------
 
 

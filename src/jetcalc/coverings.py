@@ -1,6 +1,6 @@
 """Differential coverings: flatness, tangent/cotangent/Delta-coverings,
-lifted operators, shadows, one-step reconstruction and finite covering
-symmetries, each covering built once."""
+lifted operators, shadows and finite covering symmetries, each covering
+built once."""
 
 from __future__ import annotations
 
@@ -12,12 +12,11 @@ from .algebra import (
     JetSpace,
     mi_zero,
     render,
-    sum_of_products,
     tower_DI,
 )
-from .errors import NonlocalObstruction, ShapeError
+from .errors import ProblemError, ShapeError
 from .analysis import Ansatz, ansatz_monomials, solve_determining
-from .operators import CDiffOp, linearize
+from .operators import CDiffOp
 from .presentations import Presentation, make_presentation
 
 
@@ -122,9 +121,18 @@ def tangent_covering(base: Presentation) -> Covering:
 def cotangent_covering(base: Presentation) -> Covering:
     """Covering cut out by l*_F(p) = 0 on odd fibers p^1..p^l: the rows of
     l*_F taken in the order j_s, row s solved for p^s_{I_s} where
-    u^{j_s}_{I_s} is the base's leading jet of F_s."""
-    adj, m = base.linearization(adjoint=True), base.space.m
-    adj = adj.submatrix([j for j, _ in base.leadings], list(range(adj.cols)))
+    u^{j_s}_{I_s} is the base's leading jet of F_s.  A dependent that leads
+    more than one rule would take one fiber leading jet per rule for its one
+    row of l*_F, so such a presentation is refused, before any work."""
+    m, leaders = base.space.m, [j for j, _ in base.leadings]
+    if len(set(leaders)) < len(leaders):
+        j = max(leaders, key=leaders.count)
+        raise ProblemError(
+            f"the cotangent covering needs each dependent to lead at most one rule: "
+            f"{base.space.dependent[j]} leads {leaders.count(j)} of {len(leaders)} rules "
+            f"on {m} dependent{'s' * (m != 1)}")
+    adj = base.linearization(adjoint=True)
+    adj = adj.submatrix(leaders, list(range(adj.cols)))
     return delta_covering(base, adj, [(m + s, I) for s, (_, I) in enumerate(base.leadings)],
                           odd=True)
 
@@ -162,30 +170,7 @@ def solve_fiberlinear(cov: Covering, ansatz: Ansatz):
                              cov.presentation.restricted_columns(cov.base.linearization()))
 
 
-# -- reconstruction and finite symmetries --------------------------------------
-
-
-def reconstruct_step(cov: Covering, phi) -> Covering:
-    """One-step shadow reconstruction: adjoin w~ with
-    d w~^j / dx^i = l~_{X_i^j}(phi) + sum_a (dX_i^j/dw^a) w~^a."""
-    names = cov.space.fresh(f"{name}_r" for name in cov.nonlocals)
-    space = cov.space.extended(nonlocals=names)
-    m = cov.base.space.m
-
-    def field(Xij):
-        # l~_{X_i^j}(phi): lifted linearization along the base dependents
-        val = cov.presentation.restricted(linearize([Xij], columns=range(m)))(phi[:m])[0]
-        return val.rename_space(space) + sum_of_products(space, [
-            (Xij.partial(('w', wa)).rename_space(space), space.nonlocal_var(wr))
-            for wa, wr in zip(cov.nonlocals, names)])
-
-    fields = {i: [field(Xij) for Xij in cov.X.get(i, ())] for i in range(space.n)}
-    out = cov.extended(names, fields, ())
-    flat = verify_flat(out)
-    if not flat["ok"]:
-        raise NonlocalObstruction(
-            f"reconstruction produced a non-flat covering: {flat['residuals']}")
-    return out
+# -- finite symmetries ---------------------------------------------------------
 
 
 def verify_finite_symmetry(cov: Covering, images: dict) -> dict:

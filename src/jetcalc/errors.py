@@ -20,8 +20,9 @@ class UnknownNameError(JetCalcError):
 class ProblemError(JetCalcError):
     """A problem file that breaks its schema or nests too deeply, asks for what
     it does not define (an unknown covering, or work on an equation it does not
-    give), gives an operator entry that does not fit its operator, or asks for
-    an ansatz of more monomials than the engine's cap."""
+    give), gives an operator entry that does not fit its operator, asks for
+    an ansatz of more monomials than the engine's cap, or asks for the
+    cotangent covering of an equation in which one dependent leads two rules."""
 
 
 class LaurentError(JetCalcError):

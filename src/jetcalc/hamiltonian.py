@@ -7,16 +7,12 @@ extended by one odd momentum family per dependent variable; A is a
 Hamiltonian structure iff the density  sum_i (dW/du^i)(dW/dp^i)  has
 vanishing variational derivative in every even and odd variable, and two
 structures are compatible iff the polarized density passes the same test.
-The operator is read back from W_A by the Euler operator: the momentum
-gradient delta W_A / delta p is (A* - A)(p), whatever divergence W_A
-carries, so its linearization in p is -2 times the skew part of A.
+The momentum gradient delta W_A / delta p is (A* - A)(p), whatever
+divergence W_A carries, so it is -2 A(p) exactly when A is skew-adjoint.
 The direct route evaluates the graded un-shuffle bracket on supplied
 gradients; agreement of the two routes pins all sign conventions."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     DiffExpr,
@@ -52,40 +48,12 @@ def momenta_space(space: JetSpace) -> JetSpace:
     return space.extended(dependent=names, odd=names)
 
 
-@dataclass(frozen=True)
-class Superdensity:
-    """Multivector as a density on momenta_space(base), multilinear in the momenta."""
-
-    base: JetSpace
-    expr: DiffExpr
-
-
 def _on_momenta(op: CDiffOp):  # (p, A(p)) on the momenta space
     if op.rows != op.cols or op.cols != op.space.m:
         raise ShapeError("superdensity encoding needs a square operator on the dependents")
     ext = momenta_space(op.space)
     p = [ext.jet(op.space.m + c, mi_zero(ext.n)) for c in range(op.cols)]
     return p, op.rename_space(ext).apply(p)
-
-
-def to_superdensity(op: CDiffOp) -> Superdensity:
-    """W_A = <A(p), p> = sum a_sigma^{ij} p^j_sigma p^i (the undifferentiated momentum
-    carries the row index; for one dependent variable, sum a_sigma p_sigma p)."""
-    p, image = _on_momenta(op)
-    return Superdensity(op.space, pairing_density(image, p))
-
-
-def from_superdensity(sd: Superdensity) -> CDiffOp:
-    """Skew part of the operator A of a fiber-quadratic superdensity
-    W = <A(p), p>: its momentum gradient delta W / delta p is (A* - A)(p),
-    whatever divergence W carries, so the skew part is -1/2 times the
-    linearization of that gradient in the momenta."""
-    momenta = range(sd.base.m, sd.expr.space.m)
-    if any(sum(e for k, e in factors if k[0] == 'j' and k[1] in momenta) != 2
-           for factors in sd.expr.exponents()):
-        raise ShapeError("superdensity is not fiber-quadratic")
-    a_star_minus_a = linearize(euler(sd.expr, momenta), columns=momenta)
-    return a_star_minus_a.rename_space(sd.base).scale(Fraction(-1, 2))
 
 
 def momentum_gradient(op: CDiffOp):
@@ -184,13 +152,7 @@ def schouten_pairing(A, B, psi1, psi2, psi3) -> DiffExpr:
     return pairing_density(schouten_direct(A, B, [psi1, psi2]), psi3)
 
 
-# -- Poisson brackets and the Magri scheme -------------------------------------
-
-
-def poisson_bracket(omega1: DiffExpr, omega2: DiffExpr, A: CDiffOp):
-    """<A(delta w1), delta w2> as a density with a triviality verdict."""
-    density = pairing_density(A.apply(euler(omega1)), euler(omega2))
-    return density, euler_is_zero(density)
+# -- the Magri scheme ------------------------------------------------------------
 
 
 def solve_linear(A: CDiffOp, target, ansatz: Ansatz):
@@ -261,7 +223,9 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
     a fiber-cubic superdensity on the cotangent covering (odd fibers),
     reduced modulo its rules, and tested by the internal Euler operator.
     The dummy a^s_K and the fiber jet p^s_K share a key, so a bracket term
-    base a^s_K b^r_L is the product base p^s_K * p^r_L p^j."""
+    base a^s_K b^r_L is the product base p^s_K * p^r_L p^j.  The covering
+    comes first, so that an equation shape it refuses is refused before any work."""
+    cot = cotangent_covering(pres)
     nablas = {d: BilinearNabla(pres, pres.theta(d)) for d in dict.fromkeys((d1, d2))}
     for d, name in ((d1, "first"), (d2, "second")):
         if not (restricted := nablas[d].restricted).is_zero():
@@ -269,7 +233,6 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
                     "reason": f"{name} operator is not an equation bivector",
                     "residual": restricted.render_matrix()}
     T = _eq_bracket_on_dummies(d1, d2, nablas, pres)
-    cot = cotangent_covering(pres)
     cspace = cot.space
     m = pres.space.m
     l = len(pres.components)

@@ -13,7 +13,6 @@ from types import MappingProxyType
 
 from .algebra import (
     DiffExpr,
-    HorizontalForm,
     JetSpace,
     MultiIndex,
     apply_DI,
@@ -287,36 +286,6 @@ def helmholtz(psis) -> CDiffOp:
     return L - L.adjoint()
 
 
-# -- Green forms ------------------------------------------------------------
-
-
-def green_form(op: CDiffOp, ps, qs) -> HorizontalForm:
-    """Horizontal (n-1)-form with <op p, q> - <p, op* q> = d_h(form),
-    constructed by iterated integration by parts (n <= 2).
-
-    Orientation: n=1 volume dx, form is the 0-form theta_x; n=2 volume
-    dx^dt, form X dx + T dt with the identity equal to D_x T - D_t X."""
-    space = op.space
-    n = space.n
-    if n > 2:
-        raise ShapeError("green_form implemented for n <= 2")
-    theta = [space.zero() for _ in range(n)]
-
-    def split(coeff: DiffExpr, I: MultiIndex, target: DiffExpr):
-        # coeff * D_I(target): peel derivatives one at a time
-        while mi_order(I):
-            i = next(k for k in range(n) if I[k])
-            I = mi_sub(I, mi_unit(n, i))
-            theta[i] += coeff * apply_DI(target, I)
-            coeff = -coeff.total_derivative(i)
-
-    for r, c, I, a in sorted(op.terms(), key=lambda t: t[:3]):
-        split(qs[r] * a, I, ps[c])
-    if n == 1:
-        return HorizontalForm(space, 0, {(): theta[0]})
-    return HorizontalForm(space, 1, {(0,): -theta[1], (1,): theta[0]})
-
-
 def pairing_density(ps, qs) -> DiffExpr:
     return sum_of_products(ps[0].space, zip(ps, qs))
 
@@ -374,14 +343,6 @@ class PseudoOp:
             prim = invert_total_derivative(integrand, 0)
             out = [x + a * prim for x, a in zip(out, pres.normal_form(a_vec))]
         return out
-
-    def to_json(self):
-        tail = []
-        for a_vec, b in self.tails:
-            a = render(a_vec[0]) if len(a_vec) == 1 \
-                else [render(x) for x in a_vec]
-            tail.append({"a": a, "b": b.to_json()})
-        return {"local": self.local.to_json(), "tail": tail}
 
     @classmethod
     def from_json(cls, space, rows, cols, data):

@@ -159,18 +159,16 @@ class Presentation:
     @cached_property
     def _cofactor_rules(self) -> "Presentation":
         """The presentation of F - _F = 0 on the space with one tag family
-        _F<s> per component (tags have no rules): each right-hand side plus
-        its tag over its leading coefficient a_s, the monomial dF_s/du_{I_s}^{j_s}.
+        _F<s> per component (tags have no rules), solved and inter-reduced as
+        make_presentation does, with no confluence check: each right-hand side
+        plus its tag over its leading coefficient, then reduced by the others.
         Its normal form of e is NF(e) + sum_s Delta_s(_F<s>), so the
         cofactors ride along."""
         sp = self.space.extended(
             dependent=self.space.fresh(f"_F{s}" for s in range(len(self.components))))
         tags = [sp.jet(self.space.m + s, mi_zero(sp.n)) for s in range(len(self.components))]
-        return Presentation(
-            sp, [F.rename_space(sp) - t for F, t in zip(self.components, tags)], self.leadings,
-            [g.rename_space(sp) + F.partial(('j', j, I)).rename_space(sp).inverse_monomial() * t
-             for g, F, (j, I), t in zip(self.rhss, self.components, self.leadings, tags)],
-            self.check_order)
+        return _solved(sp, [F.rename_space(sp) - t for F, t in zip(self.components, tags)],
+                       self.leadings, self.check_order)
 
     def reduce(self, e: DiffExpr) -> Reduction:
         """Normal form together with exact cofactors.  The tagged normal form
@@ -312,6 +310,18 @@ def make_presentation(space: JetSpace, components, leadings,
         leads.append((j, tuple(K)))
     if len(comps) != len(leads):
         raise NonSolvableError("one leading jet per component is required")
+    pres = _solved(space, comps, leads, check_order)
+    _check_confluence(pres, check_order)
+    for s, F in enumerate(comps):
+        if not pres.normal_form(F).is_zero():
+            raise ConfluenceError(f"component {s} does not reduce to zero")
+    return pres
+
+
+def _solved(space: JetSpace, comps, leads, check_order: int) -> Presentation:
+    """The presentation of comps, each solved for its leading jet (dep index,
+    multi-index) in `leads`, the right-hand sides inter-reduced to a fixpoint;
+    its confluence is not checked."""
     rhss = []
     for F, (j, I) in zip(comps, leads):
         key = ('j', j, I)
@@ -341,16 +351,10 @@ def make_presentation(space: JetSpace, components, leadings,
     for _ in range(20):
         new = pres.normal_form(rhss)
         if new == rhss:
-            break
+            return pres
         rhss = new
         pres = Presentation(space, comps, leads, rhss, check_order)
-    else:  # pragma: no cover
-        raise NonSolvableError("inter-reduction did not stabilize")
-    _check_confluence(pres, check_order)
-    for s, F in enumerate(comps):
-        if not pres.normal_form(F).is_zero():
-            raise ConfluenceError(f"component {s} does not reduce to zero")
-    return pres
+    raise NonSolvableError("inter-reduction did not stabilize")  # pragma: no cover
 
 
 def _check_confluence(pres: Presentation, check_order: int):

@@ -1,22 +1,28 @@
 """The paper's recursion-operator and current calculus (arXiv:1002.0077)
-that no jetcalc task runs, kept beside its tests: the Lie action of a
-symmetry on cosymmetries, the factorization test of a conservation law, the
-Nijenhuis torsion of a recursion operator, Abelian coverings from currents,
-the Bäcklund evaluation of a recursion operator, and the formal algebra of
-one-layer D_x^{-1} pseudo-operators (E_phi, scaling, sums, composition with
-a local operator on either side and the commutator) that their Lie
-derivatives are taken in; and the direct route of the Hamiltonian test
-that is_hamiltonian is checked against."""
+that no jetcalc task runs, kept beside its tests: the horizontal
+differential d_h and Green forms, the Lie action of a symmetry on
+cosymmetries, the factorization test of a conservation law, the Nijenhuis
+torsion of a recursion operator, Abelian coverings from currents, one-step
+shadow reconstruction, the Bäcklund evaluation of a recursion operator, and
+the formal algebra of one-layer D_x^{-1} pseudo-operators (E_phi, scaling,
+sums, composition with a local operator on either side, the commutator and
+the JSON form) that their Lie derivatives are taken in; the superdensity
+encoding of a bivector and its inverse, Poisson brackets, and the direct
+route of the Hamiltonian test that is_hamiltonian is checked against."""
+
+from dataclasses import dataclass
+from fractions import Fraction
 
 from jetcalc import (
     CDiffOp,
     Covering,
+    DiffExpr,
     HorizontalForm,
+    JetSpace,
     NonlocalObstruction,
     Presentation,
     PseudoOp,
     ShapeError,
-    d_h,
     ev_apply,
     euler,
     invert_total_derivative,
@@ -27,7 +33,64 @@ from jetcalc import (
     schouten_direct,
     verify_flat,
 )
-from jetcalc.algebra import mi_order, mi_sub, mi_unit, mi_zero, tower_DI
+from jetcalc.algebra import (
+    MultiIndex,
+    apply_DI,
+    euler_is_zero,
+    mi_order,
+    mi_sub,
+    mi_unit,
+    mi_zero,
+    sum_of_products,
+    tower_DI,
+)
+from jetcalc.hamiltonian import _on_momenta
+
+
+# -- horizontal forms ----------------------------------------------------------
+
+
+def d_h(form: HorizontalForm) -> HorizontalForm:
+    """Horizontal differential: d_h(a dx^S) = sum_i D_i(a) dx^i ^ dx^S."""
+    space = form.space
+    n = space.n
+    if form.degree >= n:
+        raise ValueError("d_h on a top-degree form")
+    comps = {}
+    for S, a in form.comps.items():
+        for i in (i for i in range(n) if i not in S):
+            newS = tuple(sorted(S + (i,)))
+            comps[newS] = comps.get(newS, space.zero())._sum(
+                a.total_derivative(i), (-1) ** sum(s < i for s in S))
+    comps = {k: v for k, v in comps.items() if not v.is_zero()}
+    return HorizontalForm(space, form.degree + 1, comps)
+
+
+def green_form(op: CDiffOp, ps, qs) -> HorizontalForm:
+    """Horizontal (n-1)-form with <op p, q> - <p, op* q> = d_h(form),
+    constructed by iterated integration by parts (n <= 2).
+
+    Orientation: n=1 volume dx, form is the 0-form theta_x; n=2 volume
+    dx^dt, form X dx + T dt with the identity equal to D_x T - D_t X."""
+    space = op.space
+    n = space.n
+    if n > 2:
+        raise ShapeError("green_form implemented for n <= 2")
+    theta = [space.zero() for _ in range(n)]
+
+    def split(coeff: DiffExpr, I: MultiIndex, target: DiffExpr):
+        # coeff * D_I(target): peel derivatives one at a time
+        while mi_order(I):
+            i = next(k for k in range(n) if I[k])
+            I = mi_sub(I, mi_unit(n, i))
+            theta[i] += coeff * apply_DI(target, I)
+            coeff = -coeff.total_derivative(i)
+
+    for r, c, I, a in sorted(op.terms(), key=lambda t: t[:3]):
+        split(qs[r] * a, I, ps[c])
+    if n == 1:
+        return HorizontalForm(space, 0, {(): theta[0]})
+    return HorizontalForm(space, 1, {(0,): -theta[1], (1,): theta[0]})
 
 
 # -- currents and cosymmetries ------------------------------------------------
@@ -117,6 +180,29 @@ def abelian_from_current(form: HorizontalForm, base: Presentation):
     if not flat["ok"]:  # pragma: no cover - closedness implies flatness
         raise NonlocalObstruction(f"covering is not flat: {flat['residuals']}")
     return cov, trivial
+
+
+def reconstruct_step(cov: Covering, phi) -> Covering:
+    """One-step shadow reconstruction: adjoin w~ with
+    d w~^j / dx^i = l~_{X_i^j}(phi) + sum_a (dX_i^j/dw^a) w~^a."""
+    names = cov.space.fresh(f"{name}_r" for name in cov.nonlocals)
+    space = cov.space.extended(nonlocals=names)
+    m = cov.base.space.m
+
+    def field(Xij):
+        # l~_{X_i^j}(phi): lifted linearization along the base dependents
+        val = cov.presentation.restricted(linearize([Xij], columns=range(m)))(phi[:m])[0]
+        return val.rename_space(space) + sum_of_products(space, [
+            (Xij.partial(('w', wa)).rename_space(space), space.nonlocal_var(wr))
+            for wa, wr in zip(cov.nonlocals, names)])
+
+    fields = {i: [field(Xij) for Xij in cov.X.get(i, ())] for i in range(space.n)}
+    out = cov.extended(names, fields, ())
+    flat = verify_flat(out)
+    if not flat["ok"]:
+        raise NonlocalObstruction(
+            f"reconstruction produced a non-flat covering: {flat['residuals']}")
+    return out
 
 
 def recursion_as_backlund(cov: Covering, omega_R, phi):
@@ -213,6 +299,16 @@ def commutator_local(R: PseudoOp, op: CDiffOp) -> PseudoOp:
     return subtract(compose_local_left(R, op), compose_local_right(R, op))
 
 
+def pseudo_to_json(R: PseudoOp) -> dict:
+    """R in the problem file's pseudo-operator form, which PseudoOp.from_json reads."""
+    tail = []
+    for a_vec, b in R.tails:
+        a = render(a_vec[0]) if len(a_vec) == 1 \
+            else [render(x) for x in a_vec]
+        tail.append({"a": a, "b": b.to_json()})
+    return {"local": R.local.to_json(), "tail": tail}
+
+
 def _absorb_inverse(row: CDiffOp):
     """Rewrite D^{-1} o (row) as local + D^{-1} o (order-0 row) using
     D^{-1} c D^k = c D^{k-1} - D^{-1} c' D^{k-1} (x-derivatives only)."""
@@ -232,6 +328,43 @@ def _absorb_inverse(row: CDiffOp):
         if not dc.is_zero():
             work.append((Idown, dc, col))
     return CDiffOp(row.space, 1, row.cols, local), CDiffOp(row.space, 1, row.cols, tail)
+
+
+# -- superdensities and Poisson brackets ----------------------------------------
+
+
+@dataclass(frozen=True)
+class Superdensity:
+    """Multivector as a density on momenta_space(base), multilinear in the momenta."""
+
+    base: JetSpace
+    expr: DiffExpr
+
+
+def to_superdensity(op: CDiffOp) -> Superdensity:
+    """W_A = <A(p), p> = sum a_sigma^{ij} p^j_sigma p^i (the undifferentiated momentum
+    carries the row index; for one dependent variable, sum a_sigma p_sigma p)."""
+    p, image = _on_momenta(op)
+    return Superdensity(op.space, pairing_density(image, p))
+
+
+def from_superdensity(sd: Superdensity) -> CDiffOp:
+    """Skew part of the operator A of a fiber-quadratic superdensity
+    W = <A(p), p>: its momentum gradient delta W / delta p is (A* - A)(p),
+    whatever divergence W carries, so the skew part is -1/2 times the
+    linearization of that gradient in the momenta."""
+    momenta = range(sd.base.m, sd.expr.space.m)
+    if any(sum(e for k, e in factors if k[0] == 'j' and k[1] in momenta) != 2
+           for factors in sd.expr.exponents()):
+        raise ShapeError("superdensity is not fiber-quadratic")
+    a_star_minus_a = linearize(euler(sd.expr, momenta), columns=momenta)
+    return a_star_minus_a.rename_space(sd.base).scale(Fraction(-1, 2))
+
+
+def poisson_bracket(omega1: DiffExpr, omega2: DiffExpr, A: CDiffOp):
+    """<A(delta w1), delta w2> as a density with a triviality verdict."""
+    density = pairing_density(A.apply(euler(omega1)), euler(omega2))
+    return density, euler_is_zero(density)
 
 
 # -- the direct route of the Hamiltonian test --------------------------------

@@ -14,9 +14,7 @@ from jetcalc import (
     PseudoOp,
     are_compatible,
     conservation_law_from_cosymmetry,
-    d_h,
     euler,
-    green_form,
     helmholtz,
     is_hamiltonian,
     jacobi,
@@ -25,7 +23,6 @@ from jetcalc import (
     make_presentation,
     pairing_density,
     parse,
-    poisson_bracket,
     schouten_on_equation,
     solve_cosymmetries,
     solve_fiberlinear,
@@ -39,7 +36,7 @@ from jetcalc import (
     verify_symplectic,
 )
 from jetcalc.presentations import EquivalenceWitness
-from constructs import hamiltonian_on
+from constructs import d_h, green_form, hamiltonian_on, poisson_bracket
 from spans import rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])

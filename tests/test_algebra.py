@@ -15,7 +15,6 @@ from jetcalc import (
     NonlocalObstruction,
     VariationalityError,
     canonical_density,
-    d_h,
     euler,
     homotopy_density,
     invert_total_derivative,
@@ -41,6 +40,7 @@ from jetcalc.hamiltonian import momenta_space
 from jetcalc.linalg import nullspace
 from monomials import decoded_terms, from_factors, key_expr
 from spans import rref
+from constructs import d_h
 
 ROOT = Path(__file__).resolve().parents[1]
 SP = JetSpace.create(["x", "t"], ["u"])

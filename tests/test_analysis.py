@@ -14,9 +14,7 @@ from jetcalc import (
     NonlocalObstruction,
     PseudoOp,
     conservation_law_from_cosymmetry,
-    d_h,
     euler,
-    green_form,
     jacobi,
     linearize,
     make_presentation,
@@ -38,7 +36,9 @@ from jetcalc.linalg import nullspace
 from jetcalc.presentations import Presentation
 from constructs import (
     commutator_local,
+    d_h,
     ev,
+    green_form,
     lie_on_cosymmetry,
     nijenhuis_torsion,
     subtract,

@@ -313,7 +313,8 @@ def test_an_operator_of_the_wrong_shape_is_an_input_error(tmp_path, capsys, kind
     verify-symplectic composes with l_F*, so l x m: on KdV a 2 x 2
     operator, and on u_x = u, u_t = u (one dependent, two rules) the
     transposed shape, is refused as input, with both shapes named.  An
-    operator of the shape asked for gets a report."""
+    operator of the shape asked for gets a report, but for schouten-equation
+    on the two rules, whose cotangent covering is refused as input too."""
     def op(rows, cols):
         return {"rows": rows, "cols": cols, "entries": []}
 
@@ -328,6 +329,11 @@ def test_an_operator_of_the_wrong_shape_is_an_input_error(tmp_path, capsys, kind
     code, err = _input_error(tmp_path, capsys, problem(*shape))
     assert (code, err) == (2, f"input error: operator is {shape[0]}x{shape[1]}, "
                               f"but the task needs {need[0]}x{need[1]}\n")
+    if (kind, rules) == ("schouten-equation", 2):
+        assert _input_error(tmp_path, capsys, problem(*need)) == (
+            2, "input error: the cotangent covering needs each dependent to lead at most "
+               "one rule: u leads 2 of 2 rules on 1 dependent\n")
+        return
     code, report = _run_json(tmp_path, capsys, problem(*need))  # a report: no input error
     assert code in (0, 1) and report["tasks"][0]["task"] == kind
 
@@ -1035,6 +1041,45 @@ def test_products_beyond_the_pair_budget_are_input_errors(tmp_path, capsys):
     assert code == 2
     assert err == ("input error: product of 3003 by 3003 terms beyond the budget of "
                    f"1048576 term pairs (at position {expr.index(')^10*') + 4})\n")
+
+
+TRAFFIC = ROOT / "tests" / "traffic"
+# each problem file that tests/traffic.py runs as product traffic: its exit code
+# and each task's status with its densities (magri) or normal form (reduce); or
+# its input error
+_TRAFFIC = {
+    "boussinesq-magri": (1, [("ok", ["u[0]", "1/2*u[0]*v[0]"]), ("error", None)]),
+    "kdv": (1, [("ok", None), ("fail", None), ("ok", None),
+                ("ok", "12*u[0,0]*u[1,0]*u[3,0] + 36*u[0,0]^2*u[1,0]^2 + u[3,0]^2"),
+                ("fail", None), ("fail", None)]),
+    "two-rules": (0, [("ok", "u[0,0]"), ("ok", "u[0,0]"), ("ok", "u[0,0]^2"), ("ok", "u[0,0]^2")]),
+    "two-rules-cotangent": (2, "input error: the cotangent covering needs each dependent to "
+                               "lead at most one rule: u leads 2 of 2 rules on 1 dependent\n"),
+}
+
+
+def test_every_traffic_problem_is_pinned():
+    assert sorted(path.stem for path in TRAFFIC.glob("*.json")) == sorted(_TRAFFIC)
+
+
+@pytest.mark.parametrize("name", sorted(_TRAFFIC))
+def test_a_traffic_problem_keeps_its_report(capsys, name):
+    """On KdV, u is a cosymmetry and u_x is not, the nonlocal R(scaling) of
+    the Lenard operator is a shadow on the potential covering, and the
+    identity is no equation bivector and no symplectic operator; Boussinesq's
+    magri solves its first step in the ansatz and stops at its second; on
+    u_x = u, u_t = u_x, whose second rule inter-reduces to u_t = u, each
+    reduction's cofactors check; and the cotangent covering of u_x = u,
+    u_t = u is refused as input."""
+    code, expected = _TRAFFIC[name]
+    got = main(["run", str(TRAFFIC / f"{name}.json"), "--json"])
+    out = capsys.readouterr()
+    if code == 2:
+        assert (got, out.err) == (code, expected)
+        return
+    tasks = json.loads(out.out)["tasks"]
+    assert got == code
+    assert [(t["status"], t.get("densities", t.get("normal_form"))) for t in tasks] == expected
 
 
 def test_verify_shadow_task_reports_ok_and_fail(tmp_path, capsys):

@@ -15,14 +15,12 @@ from jetcalc import (
     PseudoOp,
     ShapeError,
     cotangent_covering,
-    d_h,
     delta_covering,
-    green_form,
     make_covering,
     make_presentation,
     parse,
-    reconstruct_step,
     render,
+    schouten_on_equation,
     solve_cosymmetries,
     solve_fiberlinear,
     tangent_covering,
@@ -33,7 +31,14 @@ from jetcalc import (
 from jetcalc.algebra import ImageTable
 from jetcalc.cli import Problem
 from jetcalc.corpus import corpus, corpus_names
-from constructs import abelian_from_current, recursion_as_backlund
+from jetcalc.errors import ProblemError
+from constructs import (
+    abelian_from_current,
+    d_h,
+    green_form,
+    reconstruct_step,
+    recursion_as_backlund,
+)
 from spans import is_abelian, rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -196,6 +201,34 @@ def test_cotangent_covering(kdv, heat):
     vr = tt.presentation.normal_form(tt.space.jet("v", (2, 0)))
     pr = cc.presentation.normal_form(cc.space.jet("p", (2, 0)))
     assert render(vr).replace("v", "q") == render(pr).replace("p", "q")
+
+
+@pytest.mark.parametrize("deps, rules", [
+    (["u"], [("u[1,0] - u[0,0]", (1, 0)), ("u[0,1] - u[0,0]", (0, 1))]),
+    (["u", "v"], [("u[1,0]", (1, 0)), ("u[0,1]", (0, 1))]),
+], ids=["one-dependent", "rules-equal-dependents"])
+def test_the_cotangent_covering_refuses_a_dependent_that_leads_two_rules(deps, rules):
+    """Its one row of l*_F would take two fiber leading jets, so the shape is an
+    input error, named before any work, also where there are as many rules as
+    dependents."""
+    sp = JetSpace.create(["x", "t"], deps)
+    base = make_presentation(sp, [parse(e, sp) for e, _ in rules], [("u", I) for _, I in rules])
+    with pytest.raises(ProblemError, match=f"u leads 2 of 2 rules on {len(deps)} dependent"):
+        cotangent_covering(base)
+    assert base._ops == {}  # refused before l_F* is built
+
+
+@pytest.mark.parametrize("rules", [
+    [("u[0,1] - v[1,0]", "u", (0, 1))],
+    [("u[1,0] - v[0,0]", "u", (1, 0)), ("v[0,1] - v[2,0]", "v", (0, 1))],
+], ids=["fewer-rules", "one-rule-each"])
+def test_the_cotangent_covering_builds_where_no_dependent_leads_two_rules(rules):
+    sp = JetSpace.create(["x", "t"], ["u", "v"])
+    base = make_presentation(sp, [parse(e, sp) for e, _, _ in rules],
+                             [(dep, I) for _, dep, I in rules])
+    zero = CDiffOp(sp, 2, len(rules))
+    assert verify_flat(cotangent_covering(base))["ok"]
+    assert schouten_on_equation(zero, zero, base)["trivial"]
 
 
 def test_the_coverings_solve_for_the_base_leading_indices():

@@ -11,22 +11,18 @@ from jetcalc import (
     CDiffOp,
     JetSpace,
     ShapeError,
-    Superdensity,
     euler,
     are_compatible,
     cotangent_covering,
-    from_superdensity,
     is_hamiltonian,
     jacobi,
     magri_hierarchy,
     make_presentation,
     pairing_density,
     parse,
-    poisson_bracket,
     schouten_direct,
     schouten_on_equation,
     schouten_pairing,
-    to_superdensity,
     verify_bivector_on_equation,
 )
 from jetcalc import cli, hamiltonian
@@ -36,7 +32,13 @@ from jetcalc.corpus import corpus
 from jetcalc.algebra import apply_DI
 from jetcalc.hamiltonian import momenta_space
 from jetcalc.presentations import Presentation
-from constructs import hamiltonian_on
+from constructs import (
+    from_superdensity,
+    hamiltonian_on,
+    poisson_bracket,
+    Superdensity,
+    to_superdensity,
+)
 from monomials import decoded_terms
 
 SP1 = JetSpace.create(["x"], ["u"])

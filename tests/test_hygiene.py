@@ -9,11 +9,13 @@ import inside a function, none from outside jetcalc and the standard
 library, a presentation's rule caches assigned only when it is built,
 every dataclass frozen, no self-recursion but a few of bounded depth, no
 export that the CLI does not reach, the benchmark does not import and
-README does not name, and no function, class or method that none of them
-reaches; on built objects, no dataclass or operator table holding a plain
-dict or list at any depth; README's library example runs as printed; and
-the statement-reach tracer of tests/traffic.py reports only what a run
-leaves unexecuted."""
+README's python blocks do not read, and no function, class or method that
+none of them reaches; on built objects, no dataclass or operator table
+holding a plain dict or list at any depth; README's python blocks run as
+printed; the statement-reach tracer of tests/traffic.py reports only what a
+run leaves unexecuted, and product traffic leaves unreached only the
+statements listed in tests/unreached.txt; and every task kind has an oracle
+in ORACLES."""
 
 import ast
 import copy
@@ -21,11 +23,13 @@ import dataclasses
 import importlib
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import MappingProxyType
 
 import jetcalc
+from jetcalc import cli
 from jetcalc import (
     Ansatz,
     CDiffOp,
@@ -34,11 +38,9 @@ from jetcalc import (
     PseudoOp,
     conservation_law_from_cosymmetry,
     cotangent_covering,
-    d_h,
     parse,
-    to_superdensity,
 )
-from constructs import abelian_from_current, scale
+from constructs import abelian_from_current, d_h, scale, Superdensity, to_superdensity
 import traffic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,29 +169,36 @@ def _reached(trees, names):
     return reached
 
 
+def _readme_blocks(text):
+    """The trees of README's python blocks, which tests/traffic.py runs; its
+    prose names nothing that counts."""
+    return [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", text, re.S)]
+
+
 def _unreached_exports(package, outside, readme):
     """Names that the package's __init__ (`package["jetcalc"]`, of the modules
     {name: tree} in `package`) imports and that nothing uses: not reached from
     the `main` of `package["cli"]` by the name graph of the package's modules,
-    imported from jetcalc by none of the trees `outside`, and not written in
-    backticks in `readme`."""
+    imported from jetcalc by none of the trees `outside`, and read by none of
+    README's python blocks `readme`."""
     reached = _reached(package.values(), ["main"])
     imported = {alias.name for tree in outside for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 and (node.module or "").split(".")[0] == "jetcalc" for alias in node.names}
+    read = {name for tree in readme for name, _ in _references(tree)}
     exported = [alias.asname or alias.name for node in package["jetcalc"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
-    return [name for name in exported
-            if name not in reached | imported and f"`{name}`" not in readme]
+    return [name for name in exported if name not in reached | imported | read]
 
 
 def test_every_export_is_used():
     """What the package exports is what the CLI runs, the benchmark imports or
-    README documents by name: a construct that only the tests reach lives
+    README's python blocks run: a construct that only the tests reach lives
     beside them (tests/spans.py, tests/constructs.py)."""
     package = {_module_name(path): tree for path, tree in _trees(PACKAGE)}
     bench = [tree for _, tree in _trees(ROOT / "bench")]
-    assert _unreached_exports(package, bench, (ROOT / "README.md").read_text()) == []
+    readme = _readme_blocks((ROOT / "README.md").read_text())
+    assert _unreached_exports(package, bench, readme) == []
 
 
 def test_the_export_check_sees_a_planted_export():
@@ -233,9 +242,10 @@ def documented():
         "corpus": ast.parse("def corpus():\n    pass\n"),
     }
     bench = [ast.parse("def run():\n    from jetcalc.lib import timed\n    return timed()\n")]
-    readme = "`documented` is documented; planted and corpus are not"
+    readme = _readme_blocks("`planted` is named\n```python\ndocumented()\n```\n")
     assert _unreached_exports(package, bench, readme) == ["planted", "corpus"]
-    assert _unreached_exports(package, [], readme + " `corpus`") == ["planted", "timed"]
+    readme += _readme_blocks("```python\nfrom jetcalc import *\n\ncorpus()\n```")
+    assert _unreached_exports(package, [], readme) == ["planted", "timed"]
 
 
 def _unreached_definitions(package, outside, readme):
@@ -243,16 +253,14 @@ def _unreached_definitions(package, outside, readme):
     modules {name: tree} in `package` that nothing reaches by the name graph
     from the `main` of `package["cli"]`, from the names the trees `outside`
     read (each part of a dotted string in a `LAYERS` table among them, too)
-    or from the names written in backticks in `readme`."""
+    or from the names README's python blocks `readme` read."""
     layers = [node.value for tree in outside for node in tree.body
               if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "LAYERS"]
     roots = ["main"]
-    roots += (name for tree in outside for name, _ in _references(tree))
+    roots += (name for tree in [*outside, *readme] for name, _ in _references(tree))
     roots += (part for table in layers for node in ast.walk(table)
               if isinstance(node, ast.Constant) and isinstance(node.value, str)
               for part in node.value.split("."))
-    roots += (name for quoted in re.findall(r"`([^`\n]+)`", readme)
-              for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", quoted))
     reached = _reached(package.values(), roots)
     found = []
     for module, tree in package.items():
@@ -267,10 +275,12 @@ def _unreached_definitions(package, outside, readme):
 
 def test_every_definition_is_reached():
     """Each function, class and method of the package is reached from what the
-    CLI runs, the benchmark reads or README names, not only from the tests."""
+    CLI runs, the benchmark reads or README's python blocks run, not only from
+    the tests."""
     package = {_module_name(path): tree for path, tree in _trees(PACKAGE)}
     bench = [tree for _, tree in _trees(ROOT / "bench")]
-    assert _unreached_definitions(package, bench, (ROOT / "README.md").read_text()) == []
+    readme = _readme_blocks((ROOT / "README.md").read_text())
+    assert _unreached_definitions(package, bench, readme) == []
 
 
 def test_the_reach_check_sees_a_planted_definition():
@@ -318,7 +328,7 @@ def run():
     from jetcalc.lib import timed
     return timed()
 """)]
-    readme = "`Expr.documented` is documented; wrapped and helper are not"
+    readme = _readme_blocks("`planted` is named\n```python\nExpr().documented()\n```\n")
     assert _unreached_definitions(package, bench, readme) == ["lib: Expr.planted",
                                                               "lib: planted"]
     assert _unreached_definitions(package, bench[:0], readme) == [
@@ -1053,10 +1063,10 @@ def _plain_containers(value, where):
 
 
 def test_no_dataclass_holds_a_plain_dict_or_list(kdv):
-    """One object of each engine dataclass, built as the engine builds it:
-    a map is read-only and a sequence a tuple, in its fields and in the
-    values and operator tables they hold, so a frozen object's contents
-    cannot change either."""
+    """One object of each engine dataclass, and of the superdensity kept
+    beside the tests, built as the engine builds it: a map is read-only and a
+    sequence a tuple, in its fields and in the values and operator tables
+    they hold, so a frozen object's contents cannot change either."""
     sp = kdv.space
     u = sp.jet("u", (0, 0))
     mass = HorizontalForm(sp, 1, {(0,): u, (1,): parse("u[2,0] + 3*u[0,0]^2", sp)})
@@ -1065,7 +1075,7 @@ def test_no_dataclass_holds_a_plain_dict_or_list(kdv):
              cotangent_covering(kdv), conservation_law_from_cosymmetry([sp.one()], kdv),
              to_superdensity(CDiffOp.total_derivative(sp, 0)), kdv.reduce(parse("u[0,1]", sp)),
              scale(PseudoOp(one, [([u], one)]), 2), EquivalenceWitness(*[one] * 6)]
-    assert {type(x) for x in built} == _engine_dataclasses()
+    assert {type(x) for x in built} == _engine_dataclasses() | {Superdensity}
     plain = [path for x in built for path in _plain_containers(x, type(x).__name__)]
     assert plain == []
 
@@ -1188,6 +1198,16 @@ class C:
     assert list(_self_recursions(ast.parse(source))) == ["mi_iter", "C.m", "C.c", "C.a"]
 
 
+def test_every_readme_python_block_runs():
+    """Each python block of README as printed, in a fresh namespace: the
+    library example and the Schouten bracket on each pair of degrees, whose
+    asserts check each value (tests/traffic.py runs them as product traffic)."""
+    blocks = _readme_blocks((ROOT / "README.md").read_text())
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_the_readme_library_example_runs():
     """The example as README prints it: KdV's 4-dimensional classical symmetry
     algebra and three Magri steps from u/2, four densities."""
@@ -1224,3 +1244,102 @@ def pick(flag):
         namespace["pick"](True)
 
     assert traffic.unreached([planted], run) == [(planted, 12, 'return "untaken"')]
+
+
+def test_traffic_leaves_unreached_only_the_listed_statements():
+    """python3 tests/traffic.py in a fresh process (a cache that earlier tests
+    filled would hide the statements that fill it): each statement of
+    src/jetcalc but a raise that product traffic leaves unreached is listed in
+    tests/unreached.txt, and each listed one still is unreached, so the list
+    only shrinks."""
+    run = subprocess.run([sys.executable, str(ROOT / "tests" / "traffic.py")],
+                         capture_output=True, text=True, timeout=600)
+    assert (run.returncode, run.stdout) == (0, "")
+
+
+def test_the_traffic_list_sees_a_new_and_a_stale_statement(tmp_path):
+    """traffic.entries keys each unreached statement by module, the functions
+    and classes around it and its text, and exempts a raise; a statement
+    missing from the list is new, and a listed one that a run reaches is
+    stale."""
+    planted = (tmp_path / "planted.py").resolve()
+    planted.write_text('''class Pick:
+    def pick(self, flag):
+        if flag:
+            return "taken"
+        if flag is None:
+            raise ValueError("no flag")
+        return "untaken"
+''')
+
+    def run():
+        namespace = {}
+        exec(compile(planted.read_text(), str(planted), "exec"), namespace)
+        namespace["Pick"]().pick(True)
+
+    found = traffic.entries(traffic.missed([planted], run))
+    assert found == ["planted:Pick.pick: if flag is None:", 'planted:Pick.pick: return "untaken"']
+    listed = ['planted:Pick.pick: return "untaken"', "planted:Pick.pick: return \"taken\""]
+    assert traffic.differences(found, listed) == (["planted:Pick.pick: if flag is None:"],
+                                                  ['planted:Pick.pick: return "taken"'])
+    assert traffic.differences(found, found) == ([], [])
+
+
+# Each task kind and the tests that check its verdict against what the engine
+# does not compute: a sympy computation of the same object, or the paper's and
+# the literature's closed forms in the acceptance criteria.  A kind that needs
+# none of its own would map to a one-line reason instead.  verify-symmetry and
+# verify-cosymmetry are l_F(phi) and l_F*(psi) on the equation, whose parts,
+# the linearization, the adjoint and the normal form, each have a sympy oracle.
+ORACLES = {
+    "symmetries": ("test_solver_oracle.py::test_solver_bases_span_the_sympy_nullspace",
+                   "test_acceptance.py::test_criterion_1_kdv_symmetries"),
+    "cosymmetries": ("test_solver_oracle.py::test_solver_bases_span_the_sympy_nullspace",
+                     "test_acceptance.py::test_criterion_2_kdv_cosymmetries_and_currents"),
+    "verify-symmetry": ("test_operators.py::test_linearize_matches_sympy",
+                        "test_solver_oracle.py::test_normal_forms_match_sympy_rewriting"),
+    "verify-cosymmetry": ("test_operators.py::test_linearize_matches_sympy",
+                          "test_operators.py::test_adjoint_satisfies_the_green_identity_in_sympy",
+                          "test_solver_oracle.py::test_normal_forms_match_sympy_rewriting"),
+    "conservation-laws": ("test_acceptance.py::test_criterion_2_kdv_cosymmetries_and_currents",),
+    "reduce": ("test_presentations.py::test_cofactor_identity_matches_sympy",),
+    "verify-flat": ("test_acceptance.py::test_criterion_7_coverings",),
+    "verify-finite-symmetry": ("test_acceptance.py::test_criterion_7_coverings",),
+    "verify-shadow": ("test_acceptance.py::test_criterion_5_recursion_operators",),
+    "recursion-fiberlinear": ("test_acceptance.py::test_criterion_5_recursion_operators",),
+    "pseudo-apply": ("test_acceptance.py::test_criterion_5_recursion_operators",),
+    "verify-hamiltonian": (
+        "test_hamiltonian.py::test_hamiltonian_verdicts_match_a_sympy_poisson_bracket",
+        "test_hamiltonian.py::test_matrix_hamiltonian_verdicts_match_a_sympy_poisson_bracket"),
+    "compatible": (
+        "test_hamiltonian.py::test_hamiltonian_verdicts_match_a_sympy_poisson_bracket",
+        "test_hamiltonian.py::test_matrix_hamiltonian_verdicts_match_a_sympy_poisson_bracket"),
+    "magri": ("test_acceptance.py::test_criterion_4_magri_hierarchy",),
+    "verify-symplectic": ("test_acceptance.py::test_criterion_10_symplectic",),
+    "verify-bivector": ("test_acceptance.py::test_criterion_6_equation_bivectors",),
+    "schouten-equation": ("test_acceptance.py::test_criterion_6_equation_bivectors",),
+    "verify-equivalence": ("test_acceptance.py::test_criterion_8_presentation_equivalence",),
+}
+
+
+def _missing_oracles(kinds, table, tests):
+    """The kinds without an entry in `table`, the entries of no kind, and the
+    test ids (`file::function`) that an entry names and `tests` lacks."""
+    named = [t for entry in table.values() if not isinstance(entry, str) for t in entry]
+    return [k for k in kinds if k not in table] + [k for k in table if k not in kinds] \
+        + [t for t in dict.fromkeys(named) if t not in tests]
+
+
+def test_every_task_kind_has_an_oracle():
+    tests = {f"{path.name}::{node.name}" for path, tree in _trees(ROOT / "tests")
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _missing_oracles(cli._TASKS, ORACLES, tests) == []
+
+
+def test_the_oracle_check_sees_a_planted_kind():
+    tests = {"test_presentations.py::test_cofactor_identity_matches_sympy"}
+    table = {"reduce": tuple(tests), "gone": "no kind of this name"}
+    assert _missing_oracles(["reduce", "planted"], table, tests) == ["planted", "gone"]
+    table = {"reduce": ("test_presentations.py::test_gone",), "planted": "needs none: a reason"}
+    assert _missing_oracles(["reduce", "planted"], table, tests) == [
+        "test_presentations.py::test_gone"]

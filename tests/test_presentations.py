@@ -52,10 +52,18 @@ def test_kdv_rules(kdv):
     assert r3.normal_form == SP.jet("u", (0, 0)) and r3.cofactor.is_zero()
 
 
+def _two_rules():
+    """u_x = u, u_t = u_x: its second rule inter-reduces to u_t = u."""
+    return make_presentation(SP, [parse("u[1,0] - u[0,0]", SP), parse("u[0,1] - u[1,0]", SP)],
+                             [("u", (1, 0)), ("u", (0, 1))])
+
+
 def test_cofactor_identity_random(kdv, camassa_holm):
     rng = random.Random(61)
-    # Camassa-Holm's leading jet is u[2,1], so give it jets that reduce
-    for pres, jets in ((kdv, JETS), (camassa_holm, JETS + ((2, 1), (3, 1)))):
+    # Camassa-Holm's leading jet is u[2,1], so give it jets that reduce; the
+    # two rules' right-hand sides are inter-reduced, and so are their tags
+    for pres, jets in ((kdv, JETS), (camassa_holm, JETS + ((2, 1), (3, 1))),
+                       (_two_rules(), JETS)):
         for _ in range(20):
             e = rand_expr(pres.space, rng, jets=jets)
             red = pres.reduce(e)
@@ -63,6 +71,20 @@ def test_cofactor_identity_random(kdv, camassa_holm):
             # the tagged and untagged reductions agree, and are idempotent
             assert red.normal_form == pres.normal_form(e)
             assert pres.normal_form(red.normal_form) == red.normal_form
+
+
+def test_cofactors_follow_the_inter_reduction():
+    """On u_x = u, u_t = u_x the rule u_t = u is F_1 + F_0 solved for u_t, so
+    u_t = u + F_0 + F_1 on free jets, and u_xt = u + (1 + D_t) F_0 + F_1: each
+    tag is inter-reduced with its rule, and the identity holds."""
+    pres = _two_rules()
+    one, dt = (0, 0), (0, 1)
+    for jet, slots in (((0, 1), {(0, 0): {one: SP.one()}, (0, 1): {one: SP.one()}}),
+                       ((1, 1), {(0, 0): {one: SP.one(), dt: SP.one()},
+                                 (0, 1): {one: SP.one()}})):
+        red = pres.reduce(SP.jet("u", jet))
+        assert red.normal_form == SP.jet("u", (0, 0)) and red.check(pres)
+        assert red.cofactor == CDiffOp(SP, 1, 2, slots)
 
 
 def test_cofactor_identity_matches_sympy():

@@ -4,14 +4,19 @@ nothing a user or the benchmark runs ever executes.
     python3 tests/traffic.py
 
 traces, with the standard library's sys.settrace alone, the 12 bundled
-problems through `jetcalc.cli.main` (each with and without --json), every
-ansatz solve of bench/workloads.SOLVES, one pass of the benchmark's
-RouteAgreement(40) and README's python blocks, and prints each statement of
-src/jetcalc that none of them executes, as `path:line: text`.  It imports
-bench/ and only reads it.  A statement counts as executed when the
-interpreter reports a line of it (the header lines alone for a compound
+problems through `jetcalc.cli.main` (each with and without --json, and one
+--emit), the problem files of tests/traffic through `jetcalc run` (with and
+without --json), every ansatz solve of bench/workloads.SOLVES, one pass of
+the benchmark's RouteAgreement(40) and README's python blocks.  It compares
+the statements that none of them executes, but `raise` statements, with
+tests/unreached.txt, one `module:scope: statement text` line each (scope the
+dotted name of the functions and classes around it, `<module>` at the top),
+prints the unreached ones missing from the list and the listed ones now
+reached or gone, and exits 1 if there are any: so the list only shrinks.
+It imports bench/ and only reads it.  A statement counts as executed when
+the interpreter reports a line of it (the header lines alone for a compound
 statement) or runs a statement in its body.  pytest does not collect this
-file; test_hygiene.py checks `unreached` on a planted function."""
+file; test_hygiene.py runs it and checks `unreached` on a planted function."""
 
 from __future__ import annotations
 
@@ -20,36 +25,50 @@ import contextlib
 import io
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LISTED = ROOT / "tests" / "unreached.txt"
+PROBLEMS = sorted((ROOT / "tests" / "traffic").glob("*.json"))
 
 
 def statements(path: Path):
-    """(first line, last line, [direct child statements]) of every statement
-    of the file but docstrings and the declarations that compile to no code;
-    a compound statement's lines are those of its header."""
-    tree = ast.parse(path.read_text(), str(path))
+    """(first line, last line, [direct child statements], scope) of every
+    statement of the file but docstrings and the declarations that compile to
+    no code; a compound statement's lines are those of its header, and its
+    scope is the dotted name of the functions and classes around it."""
     out = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or isinstance(node, (ast.Global, ast.Nonlocal)):
-            continue
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, str):
-            continue  # a docstring, or a string left as a comment
-        children = [c for field in ("body", "orelse", "finalbody", "handlers")
-                    for c in getattr(node, field, ())]
-        children = [s for c in children
-                    for s in (c.body if isinstance(c, ast.ExceptHandler) else [c])]
-        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
-        last = node.end_lineno if not children else min(c.lineno for c in children) - 1
-        out[node] = (first, max(first, last), children)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.stmt) and not _declaration(child):
+                children = [c for field in ("body", "orelse", "finalbody", "handlers")
+                            for c in getattr(child, field, ())]
+                children = [s for c in children
+                            for s in (c.body if isinstance(c, ast.ExceptHandler) else [c])]
+                first = min([child.lineno] + [d.lineno for d in
+                                              getattr(child, "decorator_list", ())])
+                last = child.end_lineno if not children else min(c.lineno for c in children) - 1
+                out[child] = (first, max(first, last), children, scope)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
     return out
 
 
-def unreached(paths, run):
-    """(path, line, text) of each statement of the files `paths` that `run()`,
-    called under sys.settrace, does not execute."""
+def _declaration(node):
+    """A global or nonlocal declaration, a docstring or a string left as a comment."""
+    return isinstance(node, (ast.Global, ast.Nonlocal)) or isinstance(node, ast.Expr) \
+        and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+
+
+def missed(paths, run):
+    """(path, statement node, first line, text, scope) of each statement of the
+    files `paths` that `run()`, called under sys.settrace, does not execute."""
     files = {str(Path(p).resolve()): Path(p) for p in paths}
     seen = {name: set() for name in files}
 
@@ -73,18 +92,37 @@ def unreached(paths, run):
         text = path.read_text().splitlines()
 
         def reached(node):
-            first, last, children = stmts[node]
+            first, last, children, _ = stmts[node]
             return any(k in lines for k in range(first, last + 1)) \
                 or any(reached(c) for c in children if c in stmts)
 
-        found += ((path, first, text[first - 1].strip())
-                  for node, (first, _, _) in stmts.items() if not reached(node))
-    return sorted(found, key=lambda f: (str(f[0]), f[1]))
+        found += ((path, node, first, text[first - 1].strip(), scope)
+                  for node, (first, _, _, scope) in stmts.items() if not reached(node))
+    return sorted(found, key=lambda f: (str(f[0]), f[2]))
+
+
+def unreached(paths, run):
+    """(path, line, text) of each statement of the files `paths` that `run()`,
+    called under sys.settrace, does not execute."""
+    return [(path, line, text) for path, _, line, text, _ in missed(paths, run)]
+
+
+def entries(found) -> list:
+    """The list line of each statement of `missed` but a raise."""
+    return [f"{path.stem}:{scope or '<module>'}: {text}"
+            for path, node, _, text, scope in found if not isinstance(node, ast.Raise)]
+
+
+def differences(found, listed):
+    """(the entries `found` that `listed` lacks, the listed ones not found),
+    each sorted and counted with its repeats."""
+    found, listed = Counter(found), Counter(listed)
+    return sorted((found - listed).elements()), sorted((listed - found).elements())
 
 
 def traffic():
-    """The product traffic: the CLI on the corpus, the benchmark's solves and
-    route-agreement pass, README's python blocks."""
+    """The product traffic: the CLI on the corpus and on the traffic problems,
+    the benchmark's solves and route-agreement pass, README's python blocks."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from jetcalc import cli, corpus_names
 
@@ -94,6 +132,10 @@ def traffic():
         for name in corpus_names():
             for flags in ([], ["--json"]):
                 cli.main(["corpus", name, *flags])
+        cli.main(["corpus", "kdv", "--emit"])
+        for path in PROBLEMS:
+            for flags in ([], ["--json"]):
+                cli.main(["run", str(path), *flags])
     for label in workloads.SOLVES:
         workloads.solve_case(label)()
     for _, case, check in workloads.RouteAgreement(40).build(0, 0):
@@ -104,12 +146,15 @@ def traffic():
 
 
 def main():
-    paths = sorted((ROOT / "src" / "jetcalc").glob("*.py"))
-    found = unreached(paths, traffic)
-    for path, line, text in found:
-        print(f"{path.relative_to(ROOT)}:{line}: {text}")
-    print(f"{len(found)} statements unreached", file=sys.stderr)
+    found = entries(missed(sorted((ROOT / "src" / "jetcalc").glob("*.py")), traffic))
+    listed = LISTED.read_text().splitlines()
+    new, stale = differences(found, listed)
+    for title, lines in (("unreached, not listed", new), ("listed, but reached or gone", stale)):
+        if lines:
+            print(f"{title} in {LISTED.relative_to(ROOT)}:", *lines, sep="\n  ")
+    print(f"{len(found)} statements unreached, {len(listed)} listed", file=sys.stderr)
+    return 1 if new or stale else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
