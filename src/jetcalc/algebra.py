@@ -615,8 +615,6 @@ class DiffExpr:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return DiffExpr(self.space, {}, 0)
             p = other.numerator
             terms, den = _canonical({m: c * p for m, c in self.terms.items()},
                                     self.den * other.denominator)
@@ -959,9 +957,6 @@ class HorizontalForm:
 
     def __post_init__(self):  # a read-only map, over a copy
         object.__setattr__(self, "comps", MappingProxyType(dict(self.comps)))
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.comps.values())
 
 
 # -- homotopy inverses -----------------------------------------------------

@@ -356,7 +356,7 @@ def test_criterion_9_property_suites():
 
     for _ in range(N):  # d_h^2 = 0
         form = HorizontalForm(SP, 0, {(): _rand_expr(rng)})
-        assert d_h(d_h(form)).is_zero()
+        assert all(c.is_zero() for c in d_h(d_h(form)).comps.values())
 
     # route agreement between the direct bracket and the odd-variable test
     gradients = [[SP1.one()], [SP1.jet("u", (0,))],

@@ -1049,12 +1049,21 @@ TRAFFIC = ROOT / "tests" / "traffic"
 # its input error
 _TRAFFIC = {
     "boussinesq-magri": (1, [("ok", ["u[0]", "1/2*u[0]*v[0]"]), ("error", None)]),
+    "camassa-holm-conservation": (1, [("error", None)]),
+    "constant-two-form": (1, [("fail", None)]),
+    "fresh-names": (0, [("ok", "u[0,0]*_F0^2 + 2*u[2,0]*_F0*v + u[4,0]*v^2"), ("ok", None),
+                        ("ok", None)]),
     "kdv": (1, [("ok", None), ("fail", None), ("ok", None),
                 ("ok", "12*u[0,0]*u[1,0]*u[3,0] + 36*u[0,0]^2*u[1,0]^2 + u[3,0]^2"),
                 ("fail", None), ("fail", None)]),
+    "kdv-fractions": (0, [("ok", "3/2*u[0,0]*u[1,0]^2 + 1/4*u[0,0]*u[4,0] + 3/4*u[0,0]^2*u[2,0]"
+                                 " + 5/8*u[1,0]*u[3,0] + 3/8*u[2,0]^2 + 1/48*u[6,0]"),
+                          ("ok", None), ("ok", None), ("ok", None)]),
     "two-rules": (0, [("ok", "u[0,0]"), ("ok", "u[0,0]"), ("ok", "u[0,0]^2"), ("ok", "u[0,0]^2")]),
+    "two-rules-conservation": (1, [("error", None)]),
     "two-rules-cotangent": (2, "input error: the cotangent covering needs each dependent to "
                                "lead at most one rule: u leads 2 of 2 rules on 1 dependent\n"),
+    "xyt": (0, [("ok", None), ("ok", "-2*u[0,0,0]"), ("ok", "u[0,0,0]^40000*u[1,0,0]^40000")]),
 }
 
 
@@ -1069,8 +1078,14 @@ def test_a_traffic_problem_keeps_its_report(capsys, name):
     identity is no equation bivector and no symplectic operator; Boussinesq's
     magri solves its first step in the ansatz and stops at its second; on
     u_x = u, u_t = u_x, whose second rule inter-reduces to u_t = u, each
-    reduction's cofactors check; and the cotangent covering of u_x = u,
-    u_t = u is refused as input."""
+    reduction's cofactors check; the cotangent covering of u_x = u,
+    u_t = u is refused as input; the conservation-law shortcut refuses
+    u_x = u, u_t = u_x and Camassa-Holm; on u_t = v_t = w_t = 0 the 2-form
+    w du^dv is no closed one; the engine's names move off a problem's `v`,
+    `_F0` and `p_u`; KdV with fractional coefficients reduces, has u_x and
+    its flow as symmetries and a pseudo-operator whose tail integrand
+    vanishes; and the heat equation in (x, y, t) has the 9 symmetries of
+    order 2 and degree 1, reads 2*-u and keeps u^40000*u_x^40000."""
     code, expected = _TRAFFIC[name]
     got = main(["run", str(TRAFFIC / f"{name}.json"), "--json"])
     out = capsys.readouterr()
@@ -1257,6 +1272,30 @@ def test_conservation_laws_need_an_equation_in_x_and_t(tmp_path, capsys, indepen
     assert report["tasks"] == [{
         "task": "conservation-laws", "status": "error",
         "detail": "conservation-law shortcut requires an evolution equation in (x, t)"}]
+
+
+@pytest.mark.parametrize("name", ["two-rules-conservation", "camassa-holm-conservation"])
+def test_conservation_laws_need_an_evolution_equation(capsys, name):
+    """In (x, t), the shortcut refuses a presentation with more rules than
+    dependents (u_x = u, u_t = u_x) and one whose leading jet is not a first
+    t-derivative (Camassa-Holm's u_txx): Presentation.is_evolutionary's two
+    refusals, in the traffic problems that reach them."""
+    code = main(["run", str(TRAFFIC / f"{name}.json"), "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["tasks"] == [{
+        "task": "conservation-laws", "status": "error",
+        "detail": "conservation-law shortcut requires an evolution equation in (x, t)"}]
+
+
+def test_the_readme_problem_runs(tmp_path, capsys):
+    """README's json problem, in the flat independent/dependent layout with
+    one covering: KdV's symmetries and the potential covering's flatness,
+    exit 0 (tests/traffic.py runs it as product traffic)."""
+    problem, = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    code, report = _run_json(tmp_path, capsys, json.loads(problem))
+    assert code == 0
+    assert [(t["task"], t["status"]) for t in report["tasks"]] == [
+        ("symmetries", "ok"), ("verify-flat", "ok")]
 
 
 def test_a_thousand_independent_variables_reach_the_monomial_cap(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -31,7 +33,7 @@ from jetcalc import (
 from jetcalc.algebra import ImageTable
 from jetcalc.cli import Problem
 from jetcalc.corpus import corpus, corpus_names
-from jetcalc.errors import ProblemError
+from jetcalc.errors import ConfluenceError, ProblemError
 from constructs import (
     abelian_from_current,
     d_h,
@@ -42,6 +44,7 @@ from constructs import (
 from spans import is_abelian, rref, same_span
 
 SP = JetSpace.create(["x", "t"], ["u"])
+TRAFFIC = Path(__file__).resolve().parent / "traffic"
 
 
 def potential_covering(kdv):
@@ -244,6 +247,44 @@ def test_the_coverings_solve_for_the_base_leading_indices():
             [(m + j, I) for j, I in p.leadings]
         assert list(cotangent_covering(p).presentation.leadings[l:]) == \
             [(m + s, I) for s, (_, I) in enumerate(p.leadings)]
+
+
+def test_the_lifted_derivatives_commute_on_every_fiber_jet():
+    """D~_j D~_i v = D~_i D~_j v on each order-0 fiber jet of the tangent
+    covering of every bundled and traffic equation, and of each cotangent
+    covering that builds: a fiber with one rule takes both sides from one
+    tower of that rule, and one with two rules (u_x = u, u_t = u_x) has the
+    jet as a critical pair that make_presentation checks."""
+    problems = [corpus(name) for name in corpus_names()] + [
+        json.loads(path.read_text()) for path in sorted(TRAFFIC.glob("*.json"))]
+    for p in [Problem(data).presentation for data in problems if data.get("equations")]:
+        coverings = [tangent_covering(p)]
+        try:
+            coverings.append(cotangent_covering(p))
+        except ProblemError:  # a dependent leads two rules
+            pass
+        for cov in coverings:
+            d, n = cov.presentation.d_bar, cov.space.n
+            for fam in cov.fiber_families:
+                v = cov.space.jet(fam, (0,) * n)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        assert d(d(v, i), j) == d(d(v, j), i)
+
+
+@pytest.mark.parametrize("check_order", [0, 4])
+def test_fiber_rules_that_do_not_commute_are_refused(check_order):
+    """On u_t = u_x, the fiber rules v_x = u v and v_t = v give
+    D_t(u v) = (u_x + u) v and D_x(v) = u v at v_xt: a critical pair at
+    pad 0, refused by make_presentation whatever the prolongation order."""
+    base = make_presentation(SP, [parse("u[0,1] - u[1,0]", SP)], [("u", (0, 1))],
+                             check_order=check_order)
+    u = parse("u[0,0]", SP)
+    op = CDiffOp(SP, 2, 1, [(0, 0, (1, 0), SP.one()), (0, 0, (0, 0), -u),
+                            (1, 0, (0, 1), SP.one()), (1, 0, (0, 0), -SP.one())])
+    with pytest.raises(ConfluenceError, match=r"critical pair at jet \(v, \(1, 1\)\)") as err:
+        delta_covering(base, op, [(1, (1, 0)), (1, (0, 1))])
+    assert err.value.jet == (1, (1, 1))
 
 
 def test_delta_covering_cases(kdv):

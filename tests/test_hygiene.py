@@ -1285,6 +1285,23 @@ def test_the_traffic_list_sees_a_new_and_a_stale_statement(tmp_path):
     assert traffic.differences(found, found) == ([], [])
 
 
+def test_the_traffic_check_sees_a_wrong_exit_code(capsys):
+    """A refused case that records exit 0 for an unclosed parenthesis, an
+    input error, is reported with what it printed, and the traffic check
+    exits 1; recorded as exit 2 it passes."""
+    case = {"name": "planted", "args": [], "code": 0, "problem": {
+        "space": {"independent": ["x", "t"], "dependent": ["u"]},
+        "equations": [{"expr": "u[0,1] - u[2,0]", "leading": "u[0,1]"}],
+        "tasks": [{"kind": "reduce", "expr": "(u[0,0]"}]}}
+    wrong = traffic.run_cases([case])
+    assert wrong == ["planted: exit 2, expected 0, stderr \"input error: expected ')', "
+                     "found end of input (at position 7)\\n\""]
+    assert traffic.report([], [], wrong) == 1
+    assert "planted: exit 2" in capsys.readouterr().out
+    assert traffic.run_cases([dict(case, code=2)]) == []
+    assert traffic.report([], [], []) == 0
+
+
 # Each task kind and the tests that check its verdict against what the engine
 # does not compute: a sympy computation of the same object, or the paper's and
 # the literature's closed forms in the acceptance criteria.  A kind that needs

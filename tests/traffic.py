@@ -7,30 +7,41 @@ traces, with the standard library's sys.settrace alone, the 12 bundled
 problems through `jetcalc.cli.main` (each with and without --json, and one
 --emit), the problem files of tests/traffic through `jetcalc run` (with and
 without --json), every ansatz solve of bench/workloads.SOLVES, one pass of
-the benchmark's RouteAgreement(40) and README's python blocks.  It compares
-the statements that none of them executes, but `raise` statements, with
-tests/unreached.txt, one `module:scope: statement text` line each (scope the
-dotted name of the functions and classes around it, `<module>` at the top),
-prints the unreached ones missing from the list and the listed ones now
-reached or gone, and exits 1 if there are any: so the list only shrinks.
-It imports bench/ and only reads it.  A statement counts as executed when
-the interpreter reports a line of it (the header lines alone for a compound
-statement) or runs a statement in its body.  pytest does not collect this
-file; test_hygiene.py runs it and checks `unreached` on a planted function."""
+the benchmark's RouteAgreement(40), README's python blocks, and the refused
+traffic: README's json problem and each case of tests/refused.json through
+`jetcalc run`, `jetcalc corpus kdv --emit` into a pipe whose reader has gone
+and `python -m jetcalc.cli`.  It compares the statements that none of them
+executes, but `raise` statements, with tests/unreached.txt, one
+`module:scope: statement text` line each (scope the dotted name of the
+functions and classes around it, `<module>` at the top), prints the
+unreached ones missing from the list, the listed ones now reached or gone
+and the cases that end otherwise than they record, and exits 1 if there are
+any: so the list only shrinks.  On stderr it prints its wall time and how
+many of the raise statements the traffic reaches.  It imports bench/ and
+only reads it.  A statement counts as executed when the interpreter reports
+a line of it (the header lines alone for a compound statement) or runs a
+statement in its body.  pytest does not collect this file; test_hygiene.py
+runs it and checks `unreached` on a planted function."""
 
 from __future__ import annotations
 
 import ast
 import contextlib
 import io
+import json
+import os
 import re
+import runpy
 import sys
+import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LISTED = ROOT / "tests" / "unreached.txt"
 PROBLEMS = sorted((ROOT / "tests" / "traffic").glob("*.json"))
+REFUSED = ROOT / "tests" / "refused.json"
 
 
 def statements(path: Path):
@@ -120,9 +131,53 @@ def differences(found, listed):
     return sorted((found - listed).elements()), sorted((listed - found).elements())
 
 
-def traffic():
+def run_cases(cases) -> list:
+    """Run each case, {"name", "args", "code", "problem"}, through `jetcalc run`
+    from a temporary file: the line of each that exits with another code than
+    its `code`, or at exit 2 prints anything but one `input error: ...` line."""
+    from jetcalc import cli
+
+    wrong = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in cases:
+            path = Path(tmp) / "problem.json"
+            path.write_text(json.dumps(case["problem"]))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["run", str(path), *case["args"]])
+            lines = err.getvalue().splitlines()
+            if code != case["code"] or code == 2 and not (
+                    len(lines) == 1 and lines[0].startswith("input error: ")):
+                wrong.append(f"{case['name']}: exit {code}, expected {case['code']}, "
+                             f"stderr {err.getvalue()!r}")
+    return wrong
+
+
+def _closed_stdout(cli) -> int:
+    """`jetcalc corpus kdv --emit` into a pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as pipe, contextlib.redirect_stdout(pipe):
+        return cli.main(["corpus", "kdv", "--emit"])
+
+
+def _as_module(argv) -> int:
+    """`python -m jetcalc.cli *argv`, in this process."""
+    saved = sys.argv
+    sys.argv = ["jetcalc", *argv]
+    try:
+        runpy.run_module("jetcalc.cli", run_name="__main__")
+    except SystemExit as done:
+        return done.code
+    finally:
+        sys.argv = saved
+
+
+def traffic() -> list:
     """The product traffic: the CLI on the corpus and on the traffic problems,
-    the benchmark's solves and route-agreement pass, README's python blocks."""
+    the benchmark's solves and route-agreement pass, README's python blocks,
+    and the refused traffic; the line of each case that ends otherwise than
+    it records, as run_cases."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from jetcalc import cli, corpus_names
 
@@ -143,17 +198,40 @@ def traffic():
     readme = (ROOT / "README.md").read_text()
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
         exec(compile(block, "README.md", "exec"), {})
+    problem, = re.findall(r"```json\n(.*?)```", readme, re.S)
+    wrong = run_cases([{"name": "README.md", "args": [], "code": 0,
+                        "problem": json.loads(problem)}, *json.loads(REFUSED.read_text())])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for name, code, got in (("closed stdout", 1, _closed_stdout(cli)),
+                                ("python -m jetcalc.cli", 0, _as_module(["corpus", "heat"]))):
+            if got != code:
+                wrong.append(f"{name}: exit {got}, expected {code}")
+    return wrong
+
+
+def report(new, stale, wrong) -> int:
+    """Print the unreached statements not listed, the listed ones reached or
+    gone and the cases that ended otherwise; exit code 1 if there are any."""
+    for title, lines in ((f"unreached, not listed in {LISTED.relative_to(ROOT)}", new),
+                         (f"listed in {LISTED.relative_to(ROOT)}, but reached or gone", stale),
+                         ("cases that ended otherwise than recorded", wrong)):
+        if lines:
+            print(f"{title}:", *lines, sep="\n  ")
+    return 1 if new or stale or wrong else 0
 
 
 def main():
-    found = entries(missed(sorted((ROOT / "src" / "jetcalc").glob("*.py")), traffic))
+    start, wrong = time.perf_counter(), []
+    sources = sorted((ROOT / "src" / "jetcalc").glob("*.py"))
+    found = missed(sources, lambda: wrong.extend(traffic()))
     listed = LISTED.read_text().splitlines()
-    new, stale = differences(found, listed)
-    for title, lines in (("unreached, not listed", new), ("listed, but reached or gone", stale)):
-        if lines:
-            print(f"{title} in {LISTED.relative_to(ROOT)}:", *lines, sep="\n  ")
-    print(f"{len(found)} statements unreached, {len(listed)} listed", file=sys.stderr)
-    return 1 if new or stale else 0
+    new, stale = differences(entries(found), listed)
+    raises = sum(isinstance(node, ast.Raise) for path in sources for node in statements(path))
+    unreached_raises = sum(isinstance(node, ast.Raise) for _, node, *_ in found)
+    print(f"{len(found) - unreached_raises} statements unreached, {len(listed)} listed; "
+          f"{raises - unreached_raises} of {raises} raise statements reached; "
+          f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return report(new, stale, wrong)
 
 
 if __name__ == "__main__":
