@@ -877,13 +877,12 @@ class DiffExpr:
 # -- derivative stacks -----------------------------------------------------
 
 
-def apply_DI(e: DiffExpr, K: MultiIndex, d=None) -> DiffExpr:
-    """D_K(e), one derivative at a time: d(e, i) is the total derivative
-    of the setting (free jets by default, or restricted to an equation, or
-    lifted to a covering)."""
+def apply_DI(e: DiffExpr, K: MultiIndex) -> DiffExpr:
+    """D_K(e) on free jets, one derivative at a time; a setting's D_K (restricted
+    to an equation, or lifted to a covering) is tower_DI's."""
     for i, k in enumerate(K):
         for _ in range(k):
-            e = e.total_derivative(i) if d is None else d(e, i)
+            e = e.total_derivative(i)
     return e
 
 
@@ -911,8 +910,8 @@ def tower_DI(tower: dict, e: DiffExpr, K: MultiIndex, d) -> DiffExpr:
 
 def euler(density: DiffExpr, targets=None, d=None) -> list:
     """Variational derivatives (delta L / delta u^j) for the listed
-    dependent families (default: all), with total derivatives d as in
-    apply_DI.  Left-derivative convention for odd targets.
+    dependent families (default: all), with total derivatives d(e, i) of
+    a setting (free jets by default).  Left-derivative convention for odd targets.
 
     sum_K (-D)_K (dL/du^j_K) is summed in one downward sweep over the
     multi-indices: node K hands -d(acc[K], i) to K - e_i, i the first

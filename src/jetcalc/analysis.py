@@ -179,7 +179,7 @@ def conservation_law_from_cosymmetry(psi, pres: Presentation) -> HorizontalForm:
     if not pres.is_evolutionary() or pres.space.n != 2:
         raise ShapeError("conservation-law shortcut requires an evolution equation in (x, t)")
     psi = [pres.normal_form(p) for p in psi]
-    if not helmholtz(psi).map_coefficients(pres.normal_form).is_zero():
+    if not pres.restrict_operator(helmholtz(psi)).is_zero():
         raise VariationalityError(
             "cosymmetry fails the Helmholtz condition: not a generating section")
     X = canonical_density(homotopy_density(psi))

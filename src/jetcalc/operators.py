@@ -170,7 +170,7 @@ class CDiffOp:
         node numbers on first use, one per kind of call.  The arguments are
         the first nodes (one per column, or one expression for all columns
         when shared), and each step (b, i) appends D_i(node b), taken with d
-        as in apply_DI; groups[c][r] lists slot (r, c)'s (a_K, node of D_K
+        (free when None); groups[c][r] lists slot (r, c)'s (a_K, node of D_K
         of its argument) pairs in entry order, with every column in groups[0]
         unless shared.  The towers are per column, or one when shared."""
         plan = self._plan.get(shared)
@@ -194,7 +194,7 @@ class CDiffOp:
         return nodes, groups
 
     def apply(self, vec, d=None) -> list:
-        """The operator on a vector, with total derivatives d as in apply_DI:
+        """The operator on a vector, with total derivatives d(e, i) (free by default):
         each row summed by one sum_of_terms over the plan's nodes of vec."""
         if len(vec) != self.cols:
             raise ShapeError(f"operator takes {self.cols} arguments, got {len(vec)}")

@@ -197,9 +197,11 @@ class Presentation:
     # -- operators on the equation ---------------------------------------------
 
     def restrict_operator(self, op: CDiffOp) -> CDiffOp:
-        """op with each coefficient in normal form, over this presentation's space."""
-        return CDiffOp(self.space, op.rows, op.cols,
-                       ((r, c, I, self.normal_form(a)) for r, c, I, a in op.terms()))
+        """op with each coefficient in normal form, over this presentation's space,
+        built once per value of op."""
+        return self._ops.get(op) or self._ops.setdefault(op, CDiffOp(
+            self.space, op.rows, op.cols,
+            ((r, c, I, self.normal_form(a)) for r, c, I, a in op.terms())))
 
     def linearization(self, adjoint=False) -> CDiffOp:
         """l_F, or l_F* when adjoint, each built once per presentation."""
@@ -214,10 +216,6 @@ class Presentation:
         return self._ops.get(key) or self._ops.setdefault(key, CDiffOp.sum_of_compositions(
             ((1, lin(adjoint), delta), (-1, delta.adjoint(), lin(not adjoint)))))
 
-    def _restricted_op(self, op: CDiffOp) -> CDiffOp:
-        """restrict_operator(op), built once per value of op."""
-        return self._ops.get(op) or self._ops.setdefault(op, self.restrict_operator(op))
-
     def restricted(self, op: CDiffOp):
         """op on the equation, as the function vec -> sum_K NF(a_K) *
         D_K(NF vec): the coefficients are restricted once per value of op,
@@ -227,13 +225,13 @@ class Presentation:
         It equals NF(op vec) wherever NF o D_i = NF o D_i o NF, which
         confluent rules give: NF is a ring homomorphism, so NF(a_K D_K phi)
         = NF(a_K) NF(D_K NF phi)."""
-        op = self._restricted_op(op)
+        op = self.restrict_operator(op)
         return lambda vec: op.apply(self.normal_form(vec), d=self.d_internal)
 
     def restricted_columns(self, op: CDiffOp):
         """restricted(op) on every unit-slot vector of an internal e, no normal form taken:
         e -> CDiffOp.columns of the restricted op, one tower of d_internal for every column."""
-        return partial(self._restricted_op(op).columns, d=self.d_internal)
+        return partial(self.restrict_operator(op).columns, d=self.d_internal)
 
     def lin_apply(self, phi) -> list:
         """l_F(phi) reduced (the symmetry determining operator): restricted l_F."""
@@ -269,10 +267,10 @@ class Presentation:
         return w | {('F', s): sum(e * w[keys[c]] for c, e in first.items())
                     for s, first in enumerate(firsts or [{}] * len(self.components))}
 
-    def extend_space(self, dependent=(), nonlocals=(), odd=(), fields=None) -> "Presentation":
-        """Same rules over a space with extra (ruleless) variables, D_i of
-        the nonlocals given by fields {i: {name: field}} (Covering.extended)."""
-        space = self.space.extended(dependent, nonlocals, odd)
+    def extend_space(self, nonlocals, odd, fields) -> "Presentation":
+        """Same rules over a space with extra (ruleless) nonlocals, D_i of
+        each given by fields {i: {name: field}} (Covering.extended)."""
+        space = self.space.extended(nonlocals=nonlocals, odd=odd)
         return Presentation(space,
                             [c.rename_space(space) for c in self.components],
                             self.leadings,

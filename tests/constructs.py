@@ -8,7 +8,9 @@ the formal algebra of one-layer D_x^{-1} pseudo-operators (E_phi, scaling,
 sums, composition with a local operator on either side, the commutator and
 the JSON form) that their Lie derivatives are taken in; the superdensity
 encoding of a bivector and its inverse, Poisson brackets, and the direct
-route of the Hamiltonian test that is_hamiltonian is checked against."""
+route of the Hamiltonian test that is_hamiltonian is checked against; and
+D_K in a setting's total derivatives, one at a time, that tower_DI and the
+restricted walks are checked against."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +47,18 @@ from jetcalc.algebra import (
     tower_DI,
 )
 from jetcalc.hamiltonian import _on_momenta
+
+
+# -- D_K in a setting ----------------------------------------------------------
+
+
+def apply_DI_in(e: DiffExpr, K: MultiIndex, d=None) -> DiffExpr:
+    """D_K(e) in apply_DI's order, with d(e, i) the total derivative of a
+    setting (restricted to an equation, say; free jets when None)."""
+    for i, k in enumerate(K):
+        for _ in range(k):
+            e = e.total_derivative(i) if d is None else d(e, i)
+    return e
 
 
 # -- horizontal forms ----------------------------------------------------------

@@ -40,7 +40,7 @@ from jetcalc.hamiltonian import momenta_space
 from jetcalc.linalg import nullspace
 from monomials import decoded_terms, from_factors, key_expr
 from spans import rref
-from constructs import d_h
+from constructs import apply_DI_in, d_h
 
 ROOT = Path(__file__).resolve().parents[1]
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -368,7 +368,7 @@ def euler_per_index(density, targets=None, d=None):
     for j in (range(space.m) if targets is None else targets):
         total = space.zero()
         for K in sorted({k[2] for k in density.variables() if k[0] == 'j' and k[1] == j}):
-            part = apply_DI(density.partial(('j', j, K)), K, d)
+            part = apply_DI_in(density.partial(('j', j, K)), K, d)
             total = total + part if mi_order(K) % 2 == 0 else total - part
         out.append(total)
     return out

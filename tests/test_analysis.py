@@ -167,9 +167,11 @@ def test_ansatz_monomials_are_the_degree_fold_products(kdv, case):
     """Built from the previous degree's products, the pool is the same list,
     in the same order; with an odd dependent, the products with a square
     are zero and dropped, and so is every product above one."""
+    odd = kdv.space.extended(dependent=["v"], odd=["v"])
     pres, ansatz = {
         "kdv": (kdv, Ansatz(3, 3)),
-        "odd": (kdv.extend_space(dependent=["v"], odd=["v"]), Ansatz(2, 3)),
+        "odd": (make_presentation(odd, [F.rename_space(odd) for F in kdv.components],
+                                  kdv.leadings), Ansatz(2, 3)),
         "whitelist": (kdv, Ansatz(4, 3, ("x", "u"))),
     }[case]
     want = _degree_fold_products(pres, ansatz)

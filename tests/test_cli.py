@@ -34,6 +34,7 @@ from jetcalc.corpus import corpus, corpus_names
 from jetcalc.errors import ProblemError
 from jetcalc.operators import CDiffOp
 from test_mutations import PROBLEM, ROWS, _refusal
+import traffic
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -1200,6 +1201,19 @@ def test_a_closed_output_pipe_exits_1_quietly(args):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr.decode()) == (1, "")
+
+
+def test_a_closed_output_pipe_leaves_no_descriptor_open():
+    """Five in-process runs into a pipe whose reader has gone each exit 1 and
+    leave the lowest free descriptor where it was: the descriptor opened on
+    os.devnull for stdout is closed once it is duplicated there."""
+    def lowest_free():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+    before = lowest_free()
+    assert [traffic.closed_stdout(cli) for _ in range(5)] == [1] * 5
+    assert lowest_free() == before
 
 
 # -- derived objects, built once per problem ---------------------------------

@@ -1,21 +1,21 @@
 """Source hygiene of the jetcalc package, checked with the stdlib ast module:
-no definition that nothing references, no unused import, no parameter
-that its function never reads, no default that no call overrides, no
-local that its function never reads, no module but operators.py that
-touches an operator's coefficient table, no module but algebra.py (and,
-among the tests, the monomials helper) that knows the monomial format,
-no write to an expression's terms, no Fraction in the inner kernels, no
-import inside a function, none from outside jetcalc and the standard
-library, a presentation's rule caches assigned only when it is built,
-every dataclass frozen, no self-recursion but a few of bounded depth, no
-export that the CLI does not reach, the benchmark does not import and
-README's python blocks do not read, and no function, class or method that
-none of them reaches; on built objects, no dataclass or operator table
-holding a plain dict or list at any depth; README's python blocks run as
-printed; the statement-reach tracer of tests/traffic.py reports only what a
-run leaves unexecuted, and product traffic leaves unreached only the
-statements listed in tests/unreached.txt; and every task kind has an oracle
-in ORACLES."""
+no unused import, no parameter that its function never reads, no default
+that no product caller (the package, the benchmark, README's python blocks;
+not the tests) overrides, no local that its function never reads, no module
+but operators.py that touches an operator's coefficient table, no module but
+algebra.py (and, among the tests, the monomials helper) that knows the
+monomial format, no write to an expression's terms, no Fraction in the inner
+kernels, no import inside a function, none from outside jetcalc and the
+standard library, a presentation's rule caches assigned only when it is
+built, every dataclass frozen, no self-recursion but a few of bounded depth,
+no export that the CLI does not reach, the benchmark does not import and
+README's python blocks do not read, and one reach check of what is unused:
+no module-level function or assignment, class or method that none of them
+reaches; on built objects, no dataclass or operator table holding a plain
+dict or list at any depth; README's python blocks run as printed; the
+statement-reach tracer of tests/traffic.py reports only what a run leaves
+unexecuted, and product traffic leaves unreached only the statements listed
+in tests/unreached.txt; and every task kind has an oracle in ORACLES."""
 
 import ast
 import copy
@@ -57,25 +57,10 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _definitions(tree):
-    """(name, whether it is a method) of the module-level names and of the
-    functions and methods defined anywhere."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, False
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from ((t.id, False) for t in targets if isinstance(t, ast.Name))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield from ((f.name, True) for f in node.body
-                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
-
-
-def _references(tree):
-    """(name, whether it is read as an attribute) of every name read,
-    attribute taken or name imported."""
-    for node in ast.walk(tree):
+def _references(tree, walk=ast.walk):
+    """(name, whether it is taken as an attribute) of every name read,
+    attribute taken or name imported among the nodes `walk(tree)`."""
+    for node in walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id, False
         elif isinstance(node, ast.Attribute):
@@ -84,88 +69,56 @@ def _references(tree):
             yield from ((alias.name, False) for alias in node.names)
 
 
-def _unreferenced(defining, referencing):
-    """Non-dunder definitions in `defining` that nothing in `referencing`
-    reads; a method counts as read only as an attribute (`.name`), so a
-    function, local or field of the same name does not hide it."""
-    names, attributes = set(), set()
-    for tree in referencing:
-        for name, attribute in _references(tree):
-            (attributes if attribute else names).add(name)
-    for tree in defining:
-        for name, method in _definitions(tree):
-            if not _is_dunder(name) and name not in attributes \
-                    and (method or name not in names):
-                yield name
+def _is_method(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(node.name)
 
 
-def test_every_definition_is_referenced():
-    referencing = [tree for _, tree in _trees(ROOT / "src", ROOT / "tests")]
-    dead = [f"{path.name}: {name}" for path, tree in _trees(PACKAGE)
-            for name in _unreferenced([tree], referencing)]
-    assert dead == []
+def _defined(tree):
+    """(dotted name, node, whether it is a method) of each module-level
+    function and assignment, each class at any depth and each non-dunder
+    method of one, in source order."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                dotted = scope + child.name
+                if isinstance(child, ast.ClassDef) or node is tree:
+                    yield dotted, child, False
+                elif isinstance(node, ast.ClassDef) and _is_method(child):
+                    yield dotted, child, True
+                yield from visit(child, f"{dotted}.")
+            else:
+                if node is tree and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                    targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                    yield from ((t.id, child, False) for t in targets if isinstance(t, ast.Name))
+                yield from visit(child, scope)
+    return visit(tree, "")
 
 
-def test_the_definition_check_sees_a_method_hidden_by_a_name():
-    defining = ast.parse("""
-def render(e):
-    pass
-
-class Expr:
-    def render(self):
-        pass
-
-    def used(self):
-        pass
-
-    @property
-    def order(self):
-        pass
-
-for order in range(3):
-    render(order)
-""")
-    referencing = ast.parse("Expr().used()")
-    assert list(_unreferenced([defining], [defining, referencing])) == ["render", "order"]
-
-
-def _reached(trees, names):
-    """Names reached from `names` through the name graph of the modules
-    `trees`: a node reaches each name it reads, imports or takes as an
-    attribute, and a name reaches each module-level function, class or
-    assignment of that name and each method of that name; a class reaches its
-    decorators, bases, class-level statements and dunder methods, and its other
-    methods only by their names."""
-    def method(node):
-        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-            and not _is_dunder(node.name)
+def _reached(trees, roots):
+    """The (name, whether taken as an attribute) pairs reached from `roots`,
+    such pairs, through the name graph of the modules `trees`: a definition
+    of `_defined` reaches each name it reads or imports and each attribute
+    it takes, but for those in the non-dunder methods of its classes, each a
+    definition of its own; a name reaches each definition of that name but
+    the methods, and an attribute reaches those and the methods too."""
+    def walk(node):
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not (isinstance(node, ast.ClassDef) and _is_method(child)):
+                yield from walk(child)
 
     defs = {}
     for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for t in targets:
-                    if isinstance(t, ast.Name):
-                        defs.setdefault(t.id, []).append(node)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
-                for f in node.body if isinstance(node, ast.ClassDef) else ():
-                    if method(f):
-                        defs.setdefault(f.name, []).append(f)
-
-    def parts(node):
-        if not isinstance(node, ast.ClassDef):
-            return [node]
-        return node.decorator_list + node.bases + [f for f in node.body if not method(f)]
-
-    reached, work = set(), list(names)
+        for dotted, node, method in _defined(tree):
+            defs.setdefault(dotted.rpartition(".")[2], []).append((node, method))
+    reached, work = set(), list(roots)
     while work:
-        name = work.pop()
-        if name not in reached:
-            reached.add(name)
-            work.extend(ref for node in defs.get(name, ()) for part in parts(node)
-                        for ref, _ in _references(part))
+        key = work.pop()
+        if key not in reached:
+            reached.add(key)
+            name, attribute = key
+            work.extend(ref for node, method in defs.get(name, ()) if attribute or not method
+                        for ref in _references(node, walk))
     return reached
 
 
@@ -181,7 +134,7 @@ def _unreached_exports(package, outside, readme):
     the `main` of `package["cli"]` by the name graph of the package's modules,
     imported from jetcalc by none of the trees `outside`, and read by none of
     README's python blocks `readme`."""
-    reached = _reached(package.values(), ["main"])
+    reached = {name for name, _ in _reached(package.values(), [("main", False)])}
     imported = {alias.name for tree in outside for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 and (node.module or "").split(".")[0] == "jetcalc" for alias in node.names}
@@ -249,34 +202,30 @@ def documented():
 
 
 def _unreached_definitions(package, outside, readme):
-    """The module-level functions and classes and the non-dunder methods of the
-    modules {name: tree} in `package` that nothing reaches by the name graph
-    from the `main` of `package["cli"]`, from the names the trees `outside`
-    read (each part of a dotted string in a `LAYERS` table among them, too)
-    or from the names README's python blocks `readme` read."""
+    """The definitions of `_defined` in the modules {name: tree} in `package`
+    that nothing reaches by the name graph from the `main` of
+    `package["cli"]`, from the names and attributes the trees `outside` and
+    README's python blocks `readme` read, or from each dotted string in a
+    `LAYERS` table of `outside`, read as an attribute of its last part."""
     layers = [node.value for tree in outside for node in tree.body
               if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "LAYERS"]
-    roots = ["main"]
-    roots += (name for tree in [*outside, *readme] for name, _ in _references(tree))
-    roots += (part for table in layers for node in ast.walk(table)
-              if isinstance(node, ast.Constant) and isinstance(node.value, str)
-              for part in node.value.split("."))
+    roots = [("main", False)]
+    roots += (ref for tree in [*outside, *readme] for ref in _references(tree))
+    roots += ((node.value.rpartition(".")[2], True) for table in layers
+              for node in ast.walk(table)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str))
     reached = _reached(package.values(), roots)
-    found = []
-    for module, tree in package.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name] + [f"{node.name}.{f.name}" for f in node.body
-                                       if isinstance(f, ast.FunctionDef) and not _is_dunder(f.name)]
-                found += (f"{module}: {name}" for name in names
-                          if name.rpartition(".")[2] not in reached)
-    return found
+    return [f"{module}: {dotted}" for module, tree in package.items()
+            for dotted, _, method in _defined(tree)
+            if (name := dotted.rpartition(".")[2], True) not in reached
+            and (method or (name, False) not in reached)]
 
 
 def test_every_definition_is_reached():
-    """Each function, class and method of the package is reached from what the
-    CLI runs, the benchmark reads or README's python blocks run, not only from
-    the tests."""
+    """Each module-level function and assignment, class and method of the
+    package is reached from what the CLI runs, the benchmark reads or README's
+    python blocks run, not only from the tests; a method only as an attribute,
+    so a function, local or field of the same name does not hide it."""
     package = {_module_name(path): tree for path, tree in _trees(PACKAGE)}
     bench = [tree for _, tree in _trees(ROOT / "bench")]
     readme = _readme_blocks((ROOT / "README.md").read_text())
@@ -284,6 +233,9 @@ def test_every_definition_is_reached():
 
 
 def test_the_reach_check_sees_a_planted_definition():
+    """What only the tests would reach is reported: a method, a function, a
+    constant, a nested class, and a method whose name only a same-named
+    function's call reads."""
     package = {
         "cli": ast.parse("""
 from .lib import solve
@@ -292,9 +244,15 @@ def main(argv=None):
     return solve(argv).render()
 """),
         "lib": ast.parse("""
+LIMIT = 3
+UNUSED = 4
+
 class Expr:
+    class Cache:
+        pass
+
     def __init__(self):
-        self.n = helper()
+        self.n = helper(LIMIT)
 
     def render(self):
         return str(self.n)
@@ -305,8 +263,11 @@ class Expr:
     def documented(self):
         pass
 
-def helper():
-    pass
+    def helper(self):
+        pass
+
+def helper(n):
+    return n
 
 def solve(argv):
     return Expr()
@@ -329,10 +290,10 @@ def run():
     return timed()
 """)]
     readme = _readme_blocks("`planted` is named\n```python\nExpr().documented()\n```\n")
-    assert _unreached_definitions(package, bench, readme) == ["lib: Expr.planted",
-                                                              "lib: planted"]
-    assert _unreached_definitions(package, bench[:0], readme) == [
-        "lib: Expr.planted", "lib: timed", "lib: wrapped", "lib: planted"]
+    planted = ["lib: UNUSED", "lib: Expr.Cache", "lib: Expr.planted", "lib: Expr.helper"]
+    assert _unreached_definitions(package, bench, readme) == planted + ["lib: planted"]
+    assert _unreached_definitions(package, bench[:0], readme) == planted + [
+        "lib: timed", "lib: wrapped", "lib: planted"]
 
 
 def test_every_import_is_used():
@@ -604,10 +565,11 @@ def _unpassed_defaults(defining, calling):
     in the modules `defining` ({module name: tree}) that no call in the
     modules `calling` passes.  `f(...)` reaches the module-level f of its
     own module, or of the module it imports f from, followed through
-    re-exports (else every f), and `x.f(...)` every function and method
-    named f.  A call passes a parameter by keyword to each definition it
-    reaches (**kwargs passes every one), and by position (*args passes
-    every one) only when it reaches one definition."""
+    re-exports (else every f); `m.f(...)`, m a module imported by name, the
+    module-level f of m; and `x.f(...)` every function and method named f.
+    `partial(f, ...)` is a call of f.  A call passes a parameter by keyword
+    to each definition it reaches (**kwargs passes every one), and by
+    position (*args passes every one) only when it reaches one definition."""
     modules = {**calling, **defining}
     every, top, imported = {}, {}, {}
     for module, tree in modules.items():
@@ -625,25 +587,33 @@ def _unpassed_defaults(defining, calling):
                     imported[module, a.asname or a.name] = (node.module.rpartition(".")[2],
                                                             a.name)
 
-    def reach(module, call):
-        name = _callee(call)
-        if not isinstance(call.func, ast.Name):
-            return every.get(name, set())
-        key = (module, name)
-        if key not in top and key not in imported:
-            return every.get(name, set())
+    def resolve(key):
         while key in imported and key not in top:
             key = imported[key]
-        return top.get(key, set())
+        return key
+
+    def reach(module, func):
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if isinstance(func, ast.Name) and ((module, name) in top or (module, name) in imported):
+            return top.get(resolve((module, name)), set())
+        owner = getattr(func, "value", None)
+        if isinstance(owner, ast.Name) and (module, owner.id) in imported:
+            owner = resolve((module, owner.id))
+            if owner not in top and owner[1] in modules:
+                return top.get(resolve((owner[1], name)), set())
+        return every.get(name, set())
 
     most, keywords = {}, {}
     for module, tree in calling.items():
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
-            targets = reach(module, call)
-            n = len(call.args)
-            if any(isinstance(a, ast.Starred) for a in call.args):
+            func, args = call.func, call.args
+            if _callee(call) == "partial" and args:
+                func, args = args[0], args[1:]
+            targets = reach(module, func)
+            n = len(args)
+            if any(isinstance(a, ast.Starred) for a in args):
                 n = float("inf")
             for target in targets:
                 if len(targets) == 1:
@@ -659,10 +629,14 @@ def _unpassed_defaults(defining, calling):
 
 
 def test_every_default_is_passed_somewhere():
-    """A default that no caller overrides is a constant in disguise."""
-    trees = list(_trees(ROOT / "src", ROOT / "tests", ROOT / "bench"))
+    """A default that no product caller (the package, the benchmark, README's
+    python blocks as one module) overrides is a constant in disguise: an
+    argument that only a test passes does not keep it."""
+    trees = list(_trees(PACKAGE, ROOT / "bench"))
     calling = {_module_name(path): tree for path, tree in trees}
     assert len(calling) == len(trees)  # no two modules share a name
+    blocks = _readme_blocks((ROOT / "README.md").read_text())
+    calling["README"] = ast.Module([s for b in blocks for s in b.body], [])
     package = {_module_name(path) for path in PACKAGE.glob("*.py")}
     defining = {module: tree for module, tree in calling.items() if module in package}
     assert list(_unpassed_defaults(defining, calling)) == []
@@ -729,6 +703,32 @@ run(["y"])
     assert list(_unpassed_defaults({"lib": defining, "other": other},
                                    {"user": calling, "other": other})) == [
         "lib: m(p)", "other: main(argv)"]
+
+
+def test_the_default_check_follows_a_module_and_a_partial():
+    """`m.f(...)` through a module imported by name reaches that module's f
+    alone, so it passes f's defaults by position, and `partial(f, ...)`
+    passes what a call of f with those arguments passes."""
+    defining = {"lib": ast.parse("""
+def main(argv=None):
+    pass
+
+def helper(a, b=0, c=0):
+    pass
+
+class Op:
+    def columns(self, e, d=None):
+        pass
+"""), "run": ast.parse("def main(argv=None):\n    pass\n")}
+    calling = ast.parse("""
+from functools import partial
+from jetcalc import lib
+lib.main(["x"])
+partial(lib.helper, 1, 2)
+partial(op.columns, d=step)
+""")
+    assert list(_unpassed_defaults(defining, {"user": calling})) == [
+        "lib: helper(c)", "run: main(argv)"]
 
 
 def _linearization_rebuilds(tree):

@@ -25,6 +25,7 @@ from jetcalc.algebra import apply_DI, mi_add, mi_order, mi_sub, sum_of_products,
 from jetcalc.hamiltonian import momenta_space
 from jetcalc.errors import NonlocalObstruction, ShapeError
 from constructs import (
+    apply_DI_in,
     commutator_local,
     compose_local_left,
     compose_local_right,
@@ -237,10 +238,10 @@ def test_theta_matches_the_term_by_term_sum(name, request):
 
 
 def apply_by_terms(op, vec, d=None):
-    """op(vec) by its definition, one apply_DI per term."""
+    """op(vec) by its definition, one apply_DI_in per term."""
     out = [op.space.zero() for _ in range(op.rows)]
     for r, c, I, a in op.terms():
-        out[r] = out[r] + a * apply_DI(vec[c], I, d)
+        out[r] = out[r] + a * apply_DI_in(vec[c], I, d)
     return out
 
 
@@ -261,7 +262,7 @@ def test_apply_towers_match_the_term_by_term_sum(name, request):
                 for _ in range(op.cols)]
             for d in (pres.d_bar, None):
                 got = op.apply(vec, d)
-                fused = [sum_of_products(space, [(a, apply_DI(vec[c], I, d))
+                fused = [sum_of_products(space, [(a, apply_DI_in(vec[c], I, d))
                                                  for row, c, I, a in op.terms() if row == r])
                          for r in range(op.rows)]
                 assert [list(x.coefficients()) for x in got] == \

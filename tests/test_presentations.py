@@ -13,7 +13,6 @@ from jetcalc import (
     EquivalenceWitness,
     JetSpace,
     NonSolvableError,
-    Presentation,
     ReductionError,
     cotangent_covering,
     make_presentation,
@@ -25,6 +24,7 @@ from jetcalc import (
 from jetcalc.algebra import ImageTable, apply_DI, mi_iter, mi_order, mi_sub, mi_unit
 from jetcalc.cli import Problem
 from jetcalc.corpus import corpus
+from constructs import apply_DI_in
 from monomials import decoded_terms
 
 SP = JetSpace.create(["x", "t"], ["u"])
@@ -144,7 +144,7 @@ def test_reduction_commutes_with_derivatives(kdv, camassa_holm):
             e = rand_expr(pres.space, rng)
             for K in indices:
                 a = pres.normal_form(apply_DI(e, K))
-                b = apply_DI(pres.normal_form(e), K, pres.d_bar)
+                b = apply_DI_in(pres.normal_form(e), K, pres.d_bar)
                 assert a == b
 
 
@@ -524,10 +524,11 @@ def test_adjoint_linearization_is_built_once():
 
 @pytest.mark.parametrize("name", ["kdv", "boussinesq"])
 def test_each_derived_operator_is_built_once(request, name, monkeypatch):
-    """linearize (l_F, whose adjoint is l_F*), CDiffOp.sum_of_compositions (each
-    Theta) and restrict_operator run once per operator value and presentation,
-    whatever mix of routes asks for them, and a fresh operator equal in value
-    finds the one built; lin_apply and adj_apply are restricted l_F and l_F*."""
+    """linearize (l_F, whose adjoint is l_F*), CDiffOp.sum_of_compositions
+    (each Theta) and the restriction of each run once per operator value and
+    presentation, whatever mix of routes asks for them, and a fresh operator
+    equal in value finds the one built, restricted too; lin_apply and
+    adj_apply are restricted l_F and l_F*."""
     given = request.getfixturevalue(name)
     pres = make_presentation(given.space, given.components, given.leadings)
     sp, m = pres.space, pres.space.m
@@ -538,8 +539,12 @@ def test_each_derived_operator_is_built_once(request, name, monkeypatch):
     monkeypatch.setattr(presentations, "linearize", counted("l_F", presentations.linearize))
     monkeypatch.setattr(CDiffOp, "sum_of_compositions",
                         counted("Theta", CDiffOp.sum_of_compositions))
-    monkeypatch.setattr(Presentation, "restrict_operator",
-                        counted("restrict", Presentation.restrict_operator))
+
+    class Restricted(CDiffOp):  # every operator presentations builds by name
+        def __init__(self, *args):
+            calls.append("restrict")
+            super().__init__(*args)
+    monkeypatch.setattr(presentations, "CDiffOp", Restricted)
 
     def fresh(op):
         return CDiffOp(sp, op.rows, op.cols, op.terms())
@@ -556,6 +561,8 @@ def test_each_derived_operator_is_built_once(request, name, monkeypatch):
             theta = pres.theta(delta, adjoint)
             assert pres.theta(fresh(delta), adjoint) is theta
             pres.restricted(fresh(theta))(phi), pres.restricted_columns(theta)
+        for op in (L, L_adj, pres.theta(delta), pres.theta(delta, True)):
+            assert pres.restrict_operator(fresh(op)) is pres.restrict_operator(op)
     assert sorted(calls) == ["Theta"] * 2 + ["l_F"] + ["restrict"] * 4
 
 

@@ -153,7 +153,7 @@ def run_cases(cases) -> list:
     return wrong
 
 
-def _closed_stdout(cli) -> int:
+def closed_stdout(cli) -> int:
     """`jetcalc corpus kdv --emit` into a pipe whose read end is closed."""
     read, write = os.pipe()
     os.close(read)
@@ -202,7 +202,7 @@ def traffic() -> list:
     wrong = run_cases([{"name": "README.md", "args": [], "code": 0,
                         "problem": json.loads(problem)}, *json.loads(REFUSED.read_text())])
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for name, code, got in (("closed stdout", 1, _closed_stdout(cli)),
+        for name, code, got in (("closed stdout", 1, closed_stdout(cli)),
                                 ("python -m jetcalc.cli", 0, _as_module(["corpus", "heat"]))):
             if got != code:
                 wrong.append(f"{name}: exit {got}, expected {code}")
