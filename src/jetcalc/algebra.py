@@ -99,9 +99,10 @@ them through `variables`, `coefficients` ((opaque monomial, coefficient)
 pairs, as `raw_coefficients` gives them from `raw_sum`'s sums for a
 determining row), `exponents` (each monomial's sorted (key, exponent)
 pairs), `by_least` (the terms split by their least selected key, in one
-pass), `negative_keys` and `len` (the term count).  The ring operations
-raise ShapeError, and == is False, for expressions over incompatible spaces
-(`_compatible`: renamed variables; a space and its `extended` results meet).
+pass), `negative_keys` and `len` (the term count).  Expressions over a space
+and its `extended` spaces meet, in either order, on the extending space
+(`_extending`), whose parity gives the signs; over spaces that neither extends
+the ring operations raise ShapeError, and == is False.
 """
 
 from __future__ import annotations
@@ -293,27 +294,23 @@ class JetSpace:
         raise UnknownNameError(f"unknown name {name!r}")
 
 
-# -- space compatibility ---------------------------------------------------
+# -- where a result lives ----------------------------------------------------
 
 
-def _compatible(a: JetSpace, b: JetSpace) -> bool:
-    """Whether expressions over the spaces a and b may meet: the same
-    independents; dependents, parameters and nonlocals each the same up to
-    a tail that one of them appends, as `extended` does; and the same parity
-    for every name the two share.  Renamed variables are not compatible."""
-    def prefix(x, y):
-        return x == y[:len(x)] or y == x[:len(y)]
-
-    shared = set(a.dependent + a.nonlocals) & set(b.dependent + b.nonlocals)
-    return a.independent == b.independent and prefix(a.dependent, b.dependent) \
-        and prefix(a.parameters, b.parameters) and prefix(a.nonlocals, b.nonlocals) \
-        and not (a.odd ^ b.odd) & shared
-
-
-def _check_space(a: JetSpace, b: JetSpace):
-    """ShapeError unless expressions over a and b may meet."""
-    if not _compatible(a, b):
-        raise ShapeError(f"expressions over incompatible jet spaces: {a} and {b}")
+def _extending(a: JetSpace, b: JetSpace):
+    """The one of the spaces a and b that extends the other, as `extended`
+    does: the same independents, each of its dependents, parameters and
+    nonlocals the other's plus a tail, and the same parity for every name
+    the two share; a for equal spaces, None when neither extends the other
+    (renamed or crossed variables)."""
+    for wide, narrow in ((a, b), (b, a)):
+        if wide.dependent[:len(narrow.dependent)] == narrow.dependent \
+                and wide.nonlocals[:len(narrow.nonlocals)] == narrow.nonlocals \
+                and wide.parameters[:len(narrow.parameters)] == narrow.parameters \
+                and wide.independent == narrow.independent \
+                and (wide.odd ^ narrow.odd).isdisjoint(narrow.dependent + narrow.nonlocals):
+            return wide
+    return None
 
 
 # -- coefficient and monomial helpers -------------------------------------
@@ -494,14 +491,18 @@ def sum_of_products(space: JetSpace, pairs) -> "DiffExpr":
 
 
 def raw_sum(space: JetSpace, terms) -> tuple:
-    """(sums, den, top) of the sum of k * a * b over the (k, a, b) terms (an int k, a on the
-    left, b None for k * a): raw int sums over the lcm of the denominators, not canonical
-    (zeros kept; read by raw_coefficients), and their exponent bound, BudgetError beyond E."""
-    res, den, top = {}, 1, 0
+    """(sums, den, top, space) of the sum of k * a * b over the (k, a, b) terms (an int k, a
+    on the left, b None for k * a): raw int sums over the lcm of the denominators, not canonical
+    (zeros kept; read by raw_coefficients), their exponent bound (BudgetError beyond E) and
+    the extending space."""
+    res, den, top, met = {}, 1, 0, space  # met: a space that `space` extends
     for k, a, b in terms:
         if a.space is not space or b is not None and b.space is not space:
-            _check_space(space, a.space)
-            _check_space(space, (a if b is None else b).space)
+            for x in (a,) if b is None else (a, b):
+                if x.space is not space and x.space is not met:
+                    if (wide := _extending(space, x.space)) is None:
+                        raise ShapeError(f"incompatible jet spaces: {space} and {x.space}")
+                    space, met = wide, x.space if wide is space else space
         d = a.den if b is None else a.den * b.den
         if den % d:
             den = _widen(res, den, d)
@@ -512,7 +513,7 @@ def raw_sum(space: JetSpace, terms) -> tuple:
             _mul_into(res, space, a.terms if s == 1 else {m: c * s for m, c in a.terms.items()},
                       b.terms)
         top = max(top, a._top if b is None else a._top + b._top)
-    return res, den, _within_budget(res, top)
+    return res, den, _within_budget(res, top), space
 
 
 def raw_coefficients(sums: dict, den: int) -> list:
@@ -527,7 +528,7 @@ def sum_of_terms(space: JetSpace, terms: list) -> "DiffExpr":
     """The raw_sum of the (k, a, b) terms made canonical once; a lone k * a is a times k."""
     if len(terms) == 1 and terms[0][2] is None:
         return terms[0][1] if terms[0][0] == 1 else terms[0][1] * terms[0][0]
-    res, den, top = raw_sum(space, terms)
+    res, den, top, space = raw_sum(space, terms)
     res, den = _canonical(res, den)
     return DiffExpr(space, res, top, den)
 
@@ -588,7 +589,7 @@ class DiffExpr:
 
     def _sum(self, other, sign: int):
         """self + sign * other, built in one dict: the body of + and -."""
-        other = self._coerce(other)
+        other, space = self._coerce(other)
         den = lcm(self.den, other.den)
         s, t = den // self.den, sign * (den // other.den)
         res = dict(self.terms) if s == 1 else {m: c * s for m, c in self.terms.items()}
@@ -596,7 +597,7 @@ class DiffExpr:
         for m, c in other.terms.items():
             res[m] = get(m, 0) + c * t
         res, den = _canonical(res, den)
-        return DiffExpr(self.space, res, max(self._top, other._top), den)
+        return DiffExpr(space, res, max(self._top, other._top), den)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -619,10 +620,10 @@ class DiffExpr:
             terms, den = _canonical({m: c * p for m, c in self.terms.items()},
                                     self.den * other.denominator)
             return DiffExpr(self.space, terms, self._top, den)
-        other = self._coerce(other)  # one product: no accumulator bookkeeping
-        res, den = _canonical(_mul_into({}, self.space, self.terms, other.terms),
+        other, space = self._coerce(other)  # one product: no accumulator bookkeeping
+        res, den = _canonical(_mul_into({}, space, self.terms, other.terms),
                               self.den * other.den)
-        return DiffExpr(self.space, res, _within_budget(res, self._top + other._top), den)
+        return DiffExpr(space, res, _within_budget(res, self._top + other._top), den)
 
     __rmul__ = __mul__
 
@@ -671,14 +672,17 @@ class DiffExpr:
         return DiffExpr(self.space, {-mono: self.den if n > 0 else -self.den}, self._top,
                         abs(n))
 
-    def _coerce(self, other) -> "DiffExpr":
-        """`other` as an expression over a space compatible with self's:
-        a number over self's space, ShapeError for an incompatible one."""
-        if isinstance(other, DiffExpr):
-            if other.space is not self.space:
-                _check_space(self.space, other.space)
-            return other
-        return self.space.num(other)
+    def _coerce(self, other) -> tuple:
+        """(`other` as an expression, the space that a result with it lives
+        on): a number lies over self's space, and two spaces meet on the one
+        that extends the other; ShapeError when neither does."""
+        if not isinstance(other, DiffExpr):
+            return self.space.num(other), self.space
+        if other.space is self.space:
+            return other, self.space
+        if (space := _extending(self.space, other.space)) is None:
+            raise ShapeError(f"incompatible jet spaces: {self.space} and {other.space}")
+        return other, space
 
     # -- structure queries -------------------------------------------------
 
@@ -690,7 +694,7 @@ class DiffExpr:
             other = self.space.num(other)
         return isinstance(other, DiffExpr) and self.den == other.den \
             and self.terms == other.terms \
-            and (other.space is self.space or _compatible(self.space, other.space))
+            and (other.space is self.space or _extending(self.space, other.space) is not None)
 
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.den))
@@ -834,6 +838,11 @@ class DiffExpr:
         each replaced even factor (computed once per call), and then takes
         the odd factors, kept or replaced, in their monomial order."""
         space = self.space
+        for x in mapping.values():
+            if x.space is not space:
+                if (wide := _extending(space, x.space)) is None:
+                    raise ShapeError(f"incompatible jet spaces: {space} and {x.space}")
+                space = wide
         powers = {}
         out, den = {}, 1  # den: the lcm of the denominators of the images so far
         for mono, c in self.terms.items():
@@ -865,7 +874,7 @@ class DiffExpr:
             out, sum((x._top for x in images), self._top)), den)
 
     def rename_space(self, space: JetSpace) -> "DiffExpr":
-        """Reinterpret over a compatible (extended) space."""
+        """The same terms, read over another space."""
         return DiffExpr(space, dict(self.terms), self._top, self.den)
 
     # -- rendering ---------------------------------------------------------
@@ -1021,11 +1030,7 @@ def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
         raise NonlocalObstruction("nonzero variational derivative: primitive is nonlocal")
     theta = e.space.zero()
     g = e
-    guard = 0
     while (z := _top_jet(g)) is not None:
-        guard += 1
-        if guard > 10000:  # pragma: no cover - safety net
-            raise NonlocalObstruction("integration did not terminate")
         B, g = _by_parts(g, z, i)
         theta = theta + B
     # residual depends on independents/parameters only

@@ -109,7 +109,7 @@ def solve_determining(monos, slots: int, columns, target=None, weights=None):
     blocks, closed, survivors, forced = {}, [], [], set()  # a row per weight, component, monomial
     for (j, w), residual in zip(cands, residuals):
         block = blocks.setdefault(w, {})
-        for comp, (sums, den, _) in enumerate(residual):
+        for comp, (sums, den, _, _) in enumerate(residual):
             index = block.setdefault(comp, {})
             for mono, c in raw_coefficients(sums, den):
                 row = index.get(mono)
@@ -226,7 +226,7 @@ class BilinearNabla:
         space = arg[0].space
         out = [[] for _ in range(self.l)]
         for (r, c, J, s, K, lam) in self.data:
-            coeff = lam.rename_space(space) * apply_DI(arg[c], J)
+            coeff = lam * apply_DI(arg[c], J)
             out[s].append(((-1) ** mi_order(K), apply_DI(coeff * chi[r], K), None))
         return [sum_of_terms(space, terms) for terms in out]
 

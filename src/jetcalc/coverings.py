@@ -96,10 +96,9 @@ def delta_covering(base: Presentation, op: CDiffOp, leadings, odd=False) -> Cove
     stem = "p" if odd else "v"
     names = space.fresh(stem if op.cols == 1 else f"{stem}{c + 1}" for c in range(op.cols))
     ext = space.extended(dependent=names, odd=names if odd else ())
-    fiber_exprs = op.rename_space(ext).apply(
-        [ext.jet(space.m + c, mi_zero(ext.n)) for c in range(op.cols)])
-    comps = [c.rename_space(ext) for c in base.components] + fiber_exprs
-    pres = make_presentation(ext, comps, list(base.leadings) + list(leadings), base.check_order)
+    fiber_exprs = op.apply([ext.jet(space.m + c, mi_zero(ext.n)) for c in range(op.cols)])
+    pres = make_presentation(ext, list(base.components) + fiber_exprs,
+                             list(base.leadings) + list(leadings), base.check_order)
     return Covering(pres, base)
 
 

@@ -53,7 +53,7 @@ def _on_momenta(op: CDiffOp):  # (p, A(p)) on the momenta space
         raise ShapeError("superdensity encoding needs a square operator on the dependents")
     ext = momenta_space(op.space)
     p = [ext.jet(op.space.m + c, mi_zero(ext.n)) for c in range(op.cols)]
-    return p, op.rename_space(ext).apply(p)
+    return p, op.apply(p)
 
 
 def momentum_gradient(op: CDiffOp):
@@ -198,11 +198,12 @@ def verify_bivector_on_equation(delta: CDiffOp, pres: Presentation) -> dict:
     return {"ok": residual.is_zero(), "residual": residual.render_matrix()}
 
 
-def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, nablas: dict, pres: Presentation):
-    """[[d1, d2]](a, b) on two fresh even dummy families, with the nabla
-    corrections read off the cofactors of each Theta (`nablas`, one per
-    operator value); unreduced, over the presentation's space extended by
-    the dummies.  Equal operators are renamed once, so the kernel takes one half."""
+def _eq_bracket_on_dummies(nablas: dict, pres: Presentation):
+    """[[d1, d2]](a, b) on two fresh even dummy families, d1 and d2 the first
+    and last keys of `nablas`, with the nabla corrections read off the
+    cofactors of each Theta (`nablas`, one per operator value); unreduced,
+    over the presentation's space extended by the dummies.  Value-equal
+    operators are one key, which the kernel gets for both, so it takes one half."""
     space = pres.space
     l = len(pres.components)
     ext = space.extended(
@@ -210,10 +211,9 @@ def _eq_bracket_on_dummies(d1: CDiffOp, d2: CDiffOp, nablas: dict, pres: Present
     m = space.m
     avec = [ext.jet(m + s, mi_zero(ext.n)) for s in range(l)]
     bvec = [ext.jet(m + l + s, mi_zero(ext.n)) for s in range(l)]
-    renamed = {d: d.rename_space(ext) for d in nablas}
-    nabla_of = {renamed[d]: nabla for d, nabla in nablas.items()}
-    return _bivector_bracket(renamed[d1], renamed[d2], avec, bvec,
-                             lambda X: nabla_of[X].star1(bvec, avec), m)
+    keys = list(nablas)
+    return _bivector_bracket(keys[0], keys[-1], avec, bvec,
+                             lambda X: nablas[X].star1(bvec, avec), m)
 
 
 def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
@@ -232,7 +232,7 @@ def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:
             return {"ok": False, "trivial": False,
                     "reason": f"{name} operator is not an equation bivector",
                     "residual": restricted.render_matrix()}
-    T = _eq_bracket_on_dummies(d1, d2, nablas, pres)
+    T = _eq_bracket_on_dummies(nablas, pres)
     cspace = cot.space
     m = pres.space.m
     l = len(pres.components)

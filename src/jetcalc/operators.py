@@ -215,10 +215,6 @@ class CDiffOp:
                        ((ri, ci, I, a) for ri, r in enumerate(rows)
                         for ci, c in enumerate(cols) for I, a in self.entry(r, c).items()))
 
-    def rename_space(self, space: JetSpace) -> "CDiffOp":
-        return CDiffOp(space, self.rows, self.cols,
-                       ((r, c, I, a.rename_space(space)) for r, c, I, a in self.terms()))
-
     def render_matrix(self):
         return [[" + ".join(f"({render(a)})*D{list(I)}"
                             for I, a in sorted(self.entry(r, c).items())) or "0"

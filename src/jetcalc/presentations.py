@@ -167,7 +167,7 @@ class Presentation:
         sp = self.space.extended(
             dependent=self.space.fresh(f"_F{s}" for s in range(len(self.components))))
         tags = [sp.jet(self.space.m + s, mi_zero(sp.n)) for s in range(len(self.components))]
-        return _solved(sp, [F.rename_space(sp) - t for F, t in zip(self.components, tags)],
+        return _solved(sp, [F - t for F, t in zip(self.components, tags)],
                        self.leadings, self.check_order)
 
     def reduce(self, e: DiffExpr) -> Reduction:
@@ -180,17 +180,16 @@ class Presentation:
                 raise ReductionError("cofactor tracking is limited to even "
                                      f"reducible jets: {self._jet_name(key)}")
         rules = self._cofactor_rules
-        sp = rules.space
         m, l = self.space.m, len(self.components)
 
         def is_tag(key):
             return key[0] == 'j' and key[1] >= m
-        nf, slots = rules._reduce(e.rename_space(sp)).by_least(is_tag)
-        comps = [F.rename_space(sp) for F in self.components]
+        nf, slots = rules._reduce(e).by_least(is_tag)
         cofactor = []
         for (_, s, L), coeff in slots.items():
             if tags := {k for k in coeff.variables() if is_tag(k)}:
-                coeff = coeff.substitute({k: apply_DI(comps[k[1] - m], k[2]) for k in tags})
+                coeff = coeff.substitute(
+                    {k: apply_DI(self.components[k[1] - m], k[2]) for k in tags})
             cofactor.append((0, s - m, L, coeff.rename_space(self.space)))
         return Reduction(e, nf.rename_space(self.space), CDiffOp(self.space, 1, l, cofactor))
 

@@ -372,7 +372,9 @@ def from_superdensity(sd: Superdensity) -> CDiffOp:
            for factors in sd.expr.exponents()):
         raise ShapeError("superdensity is not fiber-quadratic")
     a_star_minus_a = linearize(euler(sd.expr, momenta), columns=momenta)
-    return a_star_minus_a.rename_space(sd.base).scale(Fraction(-1, 2))
+    return CDiffOp(sd.base, a_star_minus_a.rows, a_star_minus_a.cols,
+                   ((r, c, I, a.rename_space(sd.base) * Fraction(-1, 2))
+                    for r, c, I, a in a_star_minus_a.terms()))
 
 
 def poisson_bracket(omega1: DiffExpr, omega2: DiffExpr, A: CDiffOp):

@@ -54,9 +54,9 @@ def entries(e) -> dict:
 
 def raw_entries(raw) -> dict:
     """{monomial: (type, coefficient)} of the nonzero sums of a raw_sum's
-    (sums, den, top), each the reduced value of sum / den: an int when it
+    (sums, den, top, space), each the reduced value of sum / den: an int when it
     is integral, else a Fraction."""
-    sums, den, _ = raw
+    sums, den, _, _ = raw
     out = {}
     for mono, c in sums.items():
         if c:
@@ -67,8 +67,8 @@ def raw_entries(raw) -> dict:
 
 
 def as_raw(e, scale: int) -> tuple:
-    """(sums, den, top) of the expression as a raw_sum could give them: its
+    """(sums, den, top, space) of the expression as a raw_sum could give them: its
     terms in reverse sorted monomial order, each numerator and the
     denominator times `scale`."""
     items = sorted(e.terms.items(), key=lambda t: _factors(t[0]), reverse=True)
-    return {mono: c * scale for mono, c in items}, e.den * scale, e._top
+    return {mono: c * scale for mono, c in items}, e.den * scale, e._top, e.space

@@ -797,7 +797,7 @@ def test_solver_rows_are_the_residuals_coefficients(case, kdv, monkeypatch):
     expected = list(_residual_rows(apply, monos, slots).values())
     assert _typed(rows) == _typed(expected)
     assert all(c for row in rows for c in row.values())
-    assert any(not c for m in monos for col in columns(m) for sums, _, _ in col
+    assert any(not c for m in monos for col in columns(m) for sums, _, _, _ in col
                for c in sums.values())
     fractions = any(type(c) is Fraction for row in rows for c in row.values())
     assert fractions == case.startswith("fractional")

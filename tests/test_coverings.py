@@ -434,9 +434,7 @@ def test_cosymmetries_are_fiberlinear_currents(kdv):
     tk = tangent_covering(kdv)
     basis = solve_cosymmetries(kdv, Ansatz(2, 2, whitelist=("u",)))
     for psi in basis:
-        g = green_form(kdv.linearization().rename_space(tk.space),
-                       [tk.space.jet("v", (0, 0))],
-                       [p.rename_space(tk.space) for p in psi])
+        g = green_form(kdv.linearization(), [tk.space.jet("v", (0, 0))], psi)
         assert all(tk.presentation.normal_form(x).is_zero() for x in d_h(g).comps.values())
 
 
@@ -516,6 +514,6 @@ def test_lifted_operators_match_their_definition(kdv, make, factors):
         lifted = pres.restricted(op)
         for _ in range(4):
             vec = [rand_poly(cov.space, rng, factors)]
-            expected = pres.normal_form(op.rename_space(cov.space).apply(vec, free_lift))
+            expected = pres.normal_form(op.apply(vec, free_lift))
             assert [canonical_terms(x) for x in lifted(vec)] == \
                 [dict(x.coefficients()) for x in expected]

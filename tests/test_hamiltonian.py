@@ -643,13 +643,13 @@ def test_a_self_bracket_on_an_equation_shares_one_nabla_and_one_half(case, kdv, 
         assert len(nablas) == 1 and len(ells) == 2
     assert reports[0] == reports[1] and reports[0]["ok"]
     assert reports[0]["trivial"] is (case == "kdv")
-    # both halves, from two distinct renamed copies on the same dummies
+    # both halves, from two distinct copies on the same dummies
     (n,), shared = nablas, brackets[0]
     ext, m, l = shared[0].space, pres.space.m, len(pres.components)
     avec, bvec = ([ext.jet(m + s, (0, 0)) for s in range(k, k + l)] for k in (0, l))
     del ells[:]
-    both = hamiltonian._bivector_bracket(delta.rename_space(ext), copy.rename_space(ext),
-                                         avec, bvec, lambda X: n.star1(bvec, avec), m)
+    both = hamiltonian._bivector_bracket(delta, copy, avec, bvec,
+                                         lambda X: n.star1(bvec, avec), m)
     assert len(ells) == 4 and both == shared
 
 

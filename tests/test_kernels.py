@@ -491,18 +491,22 @@ def test_equal_values_built_by_different_routes_are_one_key():
 
 
 def test_incompatible_spaces_do_not_meet():
-    """Variables renamed in either direction, or with another parity, are
-    an error in every ring operation and unequal under ==; a space meets an
-    equal copy and its extended spaces."""
+    """Variables renamed in either direction, or with another parity, and two
+    extensions of one space that neither extends are an error in every ring
+    operation and unequal under ==; a space meets an equal copy and its
+    extended spaces in either order, on the extending space, whose parity
+    gives the signs."""
     a = JetSpace.create(["x", "t"], ["u"])
     renamed = [JetSpace.create(["y", "s"], ["v"]), JetSpace.create(["x", "t"], ["v"]),
                JetSpace.create(["t", "x"], ["u"]), JetSpace.create(["x", "t"], ["u"], odd=["u"]),
                JetSpace.create(["x", "t"], ["u"], ["c"], ["w"]).extended(nonlocals=["z"]),
                a.extended(nonlocals=["w"])]
     ua = parse("u[1,0]", a)
-    for space in renamed[:4]:
-        ub = parse("u[1,0]" if "u" in space.dependent else "v[1,0]", space)
-        for x, y in ((ua, ub), (ub, ua)):
+    pairs = [(ua, parse("u[1,0]" if "u" in space.dependent else "v[1,0]", space))
+             for space in renamed[:4]]
+    pairs.append((parse("u[1,0]", a.extended(dependent=["v"])), parse("u[1,0]", renamed[5])))
+    for pair in pairs:
+        for x, y in (pair, pair[::-1]):
             for op in (lambda: x + y, lambda: x - y, lambda: x * y,
                        lambda: sum_of_products(x.space, [(x, y)]),
                        lambda: sum_of_products(x.space, [(y, x)])):
@@ -521,6 +525,18 @@ def test_incompatible_spaces_do_not_meet():
     for x, y in ((ua, u_ext), (u_ext, ua), (ua, u_copy), (u_copy, ua)):
         assert x == y and len(x + y) == 1 and len(x * y) == 1
         assert len(sum_of_products(x.space, [(x, y), (y, x)])) == 1
+    p, px, v = ext.jet("p", (0, 0)), ext.jet("p", (1, 0)), parse("v[0,0]", a.extended(["v"]))
+    assert (ua * px) * px == 0 and (ua * px) * p == (px * ua) * p == -(ua * p * px) != 0
+    assert repr(ua * v + ua) == "DiffExpr(u[1,0] + u[1,0]*v[0,0])"
+    for x, y in ((ua, v), (v, ua)):
+        both = sum_of_products(a, [(x, y), (ua, ua)])
+        assert (x + y).space == (x * y).space == both.space == v.space
+        assert both == ua * v + ua * ua
+    op = CDiffOp.scalar(a, {(1, 0): ua, (0, 0): a.one()})
+    renamed_op = CDiffOp(ext, 1, 1, ((r, c, I, x.rename_space(ext)) for r, c, I, x in op.terms()))
+    for vec in ([p * px + ua], [px]):
+        got, = op.apply(vec)
+        assert got.space == ext and got == renamed_op.apply(vec)[0]
 
 
 def test_odd_signs_see_through_a_borrow_from_a_lower_slot():

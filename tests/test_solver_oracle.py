@@ -11,6 +11,9 @@ The ansatz is jetcalc's: every product of at most `degree` of x, t and
 u_0, ..., u_order, one unknown coefficient each; the coefficients of the
 residual, collected by Poly, are the rows.
 
+The conserved currents (dx, dt) that a conservation-laws task reports on
+KdV satisfy D_t(dx) = D_x(dt) with that D_t.
+
 The normal forms have an oracle of their own: on heat, Burgers, KdV and
 Camassa-Holm, with u a sympy Function of x and t and each jet u_{a,b} its
 derivative, every reducible jet is replaced by sympy's diff of the rule's
@@ -25,6 +28,8 @@ import pytest
 
 from jetcalc import Ansatz, JetSpace, make_presentation, parse, render
 from jetcalc import solve_cosymmetries, solve_symmetries
+from jetcalc.cli import Problem, run_task
+from jetcalc.corpus import corpus
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.monomials import itermonomials  # noqa: E402
@@ -49,10 +54,8 @@ def _dx(p):
     return out
 
 
-def _sympy_basis(rhs, order, degree, adjoint):
-    """The determining system's solutions, as sympy expressions in x, t and
-    the jets, from Matrix.nullspace over the residual coefficients."""
-    K = _poly(sympy.sympify(rhs, locals=NAMES))
+def _dt_on(K):
+    """D_t of a Poly on the equation u_t = K."""
     flows = [K]  # D_x^k(K), what u_{k,t} is on the equation
 
     def dt(p):
@@ -63,7 +66,14 @@ def _sympy_basis(rhs, order, degree, adjoint):
                     flows.append(_dx(flows[-1]))
                 out += flows[k] * p.diff(U[k])
         return out
+    return dt
 
+
+def _sympy_basis(rhs, order, degree, adjoint):
+    """The determining system's solutions, as sympy expressions in x, t and
+    the jets, from Matrix.nullspace over the residual coefficients."""
+    K = _poly(sympy.sympify(rhs, locals=NAMES))
+    dt = _dt_on(K)
     lin = [(k, K.diff(U[k])) for k in range(TOP) if K.degree(U[k]) > 0]
 
     def residual(m):
@@ -87,14 +97,19 @@ def _sympy_basis(rhs, order, degree, adjoint):
     return [sum(c * m for c, m in zip(vec, monos)) for vec in matrix.nullspace()]
 
 
+def _from_rendering(text):
+    """A rendering in x, t and the jets u[k,0] read into sympy."""
+    return sympy.sympify(re.sub(r"u\[(\d+),0\]", r"u\1", text).replace("^", "**"),
+                         locals=NAMES)
+
+
 def _jetcalc_basis(equation, order, degree, adjoint):
     """The solver's basis, each vector's one component read into sympy from
     its rendering."""
     space = JetSpace.create(["x", "t"], ["u"])
     pres = make_presentation(space, [parse(equation, space)], [("u", (0, 1))])
     solve = solve_cosymmetries if adjoint else solve_symmetries
-    return [sympy.sympify(re.sub(r"u\[(\d+),0\]", r"u\1", render(vec[0])).replace("^", "**"),
-                          locals=NAMES) for vec in solve(pres, Ansatz(order, degree))]
+    return [_from_rendering(render(vec[0])) for vec in solve(pres, Ansatz(order, degree))]
 
 
 def _rank(exprs, keys):
@@ -116,6 +131,26 @@ def test_solver_bases_span_the_sympy_nullspace(rhs, equation, order, degree, adj
     keys = sorted({k for p in expected + got for k in p})
     assert expected and len(got) == len(expected) == _rank(got, keys) == _rank(expected, keys)
     assert _rank(got + expected, keys) == len(expected)
+
+
+@pytest.mark.parametrize("name, rhs", [("kdv", "6*u0*u1 + u3")])
+def test_conserved_currents_are_conserved_in_sympy(name, rhs):
+    """Every current (dx, dt) of an ok conservation-laws task of a bundled
+    evolution equation u_t = K satisfies D_t(dx) = D_x(dt), with D_t built
+    in sympy from K alone; a planted wrong current (dx, dt + u_x) fails."""
+    data = corpus(name)
+    problem, K = Problem(data), _poly(sympy.sympify(rhs, locals=NAMES))
+    pres = problem.presentation  # the equation is u_t = K
+    assert pres.leadings == ((0, (0, 1)),) and _poly(_from_rendering(render(pres.rhss[0]))) == K
+    dt = _dt_on(K)
+    currents = [c for t in data["tasks"] if t["kind"] == "conservation-laws"
+                for report in [run_task(problem, t)] if report["status"] == "ok"
+                for c in report["currents"]]
+    assert len(currents) == 3
+    for current in currents:
+        x_part, t_part = (_poly(_from_rendering(current[k])) for k in ("dx", "dt"))
+        assert dt(x_part) == _dx(t_part)
+        assert dt(x_part) != _dx(t_part + _poly(U[1]))
 
 
 U_XT = sympy.Function("u")(X, T)
