@@ -101,8 +101,9 @@ determining row), `exponents` (each monomial's sorted (key, exponent)
 pairs), `by_least` (the terms split by their least selected key, in one
 pass), `negative_keys` and `len` (the term count).  Expressions over a space
 and its `extended` spaces meet, in either order, on the extending space
-(`_extending`), whose parity gives the signs; over spaces that neither extends
-the ring operations raise ShapeError, and == is False.
+(`_meet`), whose parity gives the signs, and D_i meets its table's space; over
+spaces that neither extends they raise ShapeError.  == holds for equal terms
+whose variables read alike (name and parity) over the same independents.
 """
 
 from __future__ import annotations
@@ -216,13 +217,15 @@ class JetSpace:
         key = (self.dependent, self.nonlocals, self.odd)
         return _PARITIES.setdefault(key, _Parity(self))
 
+    @cached_property
+    def _readings(self) -> dict:
+        """{key[:2]: (name, odd)} of the variable each key names over this space."""
+        return {(kind, k if kind in 'ij' else x): (x, x in self.odd) for kind, names in (
+            ('i', self.independent), ('j', self.dependent), ('q', self.parameters),
+            ('w', self.nonlocals)) for k, x in enumerate(names)}
+
     def is_odd_key(self, key) -> bool:
-        kind = key[0]
-        if kind == 'j':
-            return key[1] < len(self.dependent) and self.dependent[key[1]] in self.odd
-        if kind == 'w':
-            return key[1] in self.odd
-        return False
+        return self._readings.get(key[:2], (None, False))[1]
 
     def fresh(self, names) -> list:
         """The names, each unchanged unless the space or an earlier one of
@@ -297,12 +300,12 @@ class JetSpace:
 # -- where a result lives ----------------------------------------------------
 
 
-def _extending(a: JetSpace, b: JetSpace):
-    """The one of the spaces a and b that extends the other, as `extended`
-    does: the same independents, each of its dependents, parameters and
-    nonlocals the other's plus a tail, and the same parity for every name
-    the two share; a for equal spaces, None when neither extends the other
-    (renamed or crossed variables)."""
+def _meet(a: JetSpace, b: JetSpace) -> JetSpace:
+    """The space where a result over a and b lives: the one that extends the
+    other, as `extended` does (the same independents, each of its dependents,
+    parameters and nonlocals the other's plus a tail, and the same parity for
+    every name the two share), a for equal spaces.  ShapeError when neither
+    extends the other (renamed or crossed variables)."""
     for wide, narrow in ((a, b), (b, a)):
         if wide.dependent[:len(narrow.dependent)] == narrow.dependent \
                 and wide.nonlocals[:len(narrow.nonlocals)] == narrow.nonlocals \
@@ -310,7 +313,7 @@ def _extending(a: JetSpace, b: JetSpace):
                 and wide.independent == narrow.independent \
                 and (wide.odd ^ narrow.odd).isdisjoint(narrow.dependent + narrow.nonlocals):
             return wide
-    return None
+    raise ShapeError(f"incompatible jet spaces: {a} and {b}")
 
 
 # -- coefficient and monomial helpers -------------------------------------
@@ -500,8 +503,7 @@ def raw_sum(space: JetSpace, terms) -> tuple:
         if a.space is not space or b is not None and b.space is not space:
             for x in (a,) if b is None else (a, b):
                 if x.space is not space and x.space is not met:
-                    if (wide := _extending(space, x.space)) is None:
-                        raise ShapeError(f"incompatible jet spaces: {space} and {x.space}")
+                    wide = _meet(space, x.space)
                     space, met = wide, x.space if wide is space else space
         d = a.den if b is None else a.den * b.den
         if den % d:
@@ -537,16 +539,16 @@ class ImageTable(dict):
     """{variable key v: (pairs, den, top)} of its D_i image in one derivative
     setting, filled on first use: (monomial, numerator) pairs over den, each
     monomial divided by v (so that m + dm is a term of (m / v) * D_i(v)),
-    and the image's exponent bound.  `jets` maps the key of u^j_{K+e_i} to
-    the image of u^j_K (None: that jet), `wmap` a nonlocal's name to its
-    image (None: NonlocalObstruction).  It holds at most one entry per
-    registered slot."""
+    and the image's exponent bound.  `space` is the setting's (None: free), `jets`
+    maps the key of u^j_{K+e_i} to the image of u^j_K (None: that jet), `wmap` a
+    nonlocal's name to its image (None: NonlocalObstruction).  It holds at most
+    one entry per registered slot."""
 
-    __slots__ = ("i", "wmap", "jets")
+    __slots__ = ("i", "space", "wmap", "jets")
 
-    def __init__(self, i: int, wmap, jets):
+    def __init__(self, i: int, space, wmap, jets):
         super().__init__()
-        self.i, self.wmap, self.jets = i, wmap, jets
+        self.i, self.space, self.wmap, self.jets = i, space, wmap, jets
 
     def __missing__(self, key) -> tuple:
         kind, i = key[0], self.i
@@ -678,11 +680,7 @@ class DiffExpr:
         that extends the other; ShapeError when neither does."""
         if not isinstance(other, DiffExpr):
             return self.space.num(other), self.space
-        if other.space is self.space:
-            return other, self.space
-        if (space := _extending(self.space, other.space)) is None:
-            raise ShapeError(f"incompatible jet spaces: {self.space} and {other.space}")
-        return other, space
+        return other, self.space if other.space is self.space else _meet(self.space, other.space)
 
     # -- structure queries -------------------------------------------------
 
@@ -694,7 +692,10 @@ class DiffExpr:
             other = self.space.num(other)
         return isinstance(other, DiffExpr) and self.den == other.den \
             and self.terms == other.terms \
-            and (other.space is self.space or _extending(self.space, other.space) is not None)
+            and (other.space is self.space
+                 or self.space.independent == other.space.independent
+                 and all(self.space._readings.get(k[:2]) == other.space._readings.get(k[:2])
+                         for k in self.variables()))
 
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.den))
@@ -781,15 +782,18 @@ class DiffExpr:
         factor v^e of a monomial gives e*v^(e-1)*D_i(v); an odd v is first
         moved to the front, and D_i(v) stays there.  The free derivative is
         also cached on the expression, so D_K reuses every D_{K-e_i} of the
-        same object."""
+        same object.  The result lives on the meet with the table's space."""
+        space = self.space
         free = table is None
         if free:
             if self._free_d is None:
                 self._free_d = {}
             elif i in self._free_d:
                 return self._free_d[i]
-            table = _FREE_TABLES.get(i) or _FREE_TABLES.setdefault(i, ImageTable(i, None, None))
-        space = self.space
+            table = _FREE_TABLES.get(i) or _FREE_TABLES.setdefault(
+                i, ImageTable(i, None, None, None))
+        elif table.space is not space and table.space is not None:
+            space = _meet(space, table.space)
         odd, signs = space.odd, space._parity
         if odd:  # refreshed whenever filling an entry registers a slot
             mask, bias, slots = signs.current().mask, signs.bias, len(_KEYS)
@@ -840,9 +844,7 @@ class DiffExpr:
         space = self.space
         for x in mapping.values():
             if x.space is not space:
-                if (wide := _extending(space, x.space)) is None:
-                    raise ShapeError(f"incompatible jet spaces: {space} and {x.space}")
-                space = wide
+                space = _meet(space, x.space)
         powers = {}
         out, den = {}, 1  # den: the lcm of the denominators of the images so far
         for mono, c in self.terms.items():

@@ -53,18 +53,16 @@ class Covering:
 
     def extended(self, names, fields: dict, odd) -> "Covering":
         """This covering with the nonlocals `names` (the `odd` ones odd)
-        appended, D~_i of each new one given by the list fields[i];
+        appended, D~_i of each new one given by the list fields[i], kept as is;
         ShapeError unless each list has one field per new nonlocal."""
         for i, x in enumerate(self.space.independent):
             if (k := len(fields.get(i, ()))) != len(names):
                 raise ShapeError(f"covering fields along {x}: {k} for {len(names)} nonlocals")
         nonlocals = self.nonlocals + tuple(names)
         merged = {i: (*self.X.get(i, ()), *fields[i]) for i in range(self.space.n)}
-        pres = self.presentation.extend_space(
+        return Covering(self.presentation.extend_space(
             nonlocals=names, odd=odd,
-            fields={i: dict(zip(nonlocals, fs)) for i, fs in merged.items()})
-        X = {i: tuple(f.rename_space(pres.space) for f in fs) for i, fs in merged.items()}
-        return Covering(pres, self.base, X)
+            fields={i: dict(zip(nonlocals, fs)) for i, fs in merged.items()}), self.base, merged)
 
 
 def verify_flat(cov: Covering) -> dict:

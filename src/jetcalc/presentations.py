@@ -23,6 +23,7 @@ from .algebra import (
     DiffExpr,
     ImageTable,
     JetSpace,
+    _meet,
     apply_DI,
     mi_add,
     mi_iter,
@@ -86,7 +87,7 @@ class Presentation:
             (s for I, s in by_dep.get(key[1], ()) if mi_leq(I, key[2])), None))
         self._towers = [{} for _ in self.rhss]
         image = partial(Presentation.jet_image, weakref.proxy(self))
-        self._d_tables = [ImageTable(i, None, image) for i in range(space.n)]
+        self._d_tables = [ImageTable(i, space, None, image) for i in range(space.n)]
         # a nonlocal's D_i image: its field, reduced once (reading jets only)
         for i, named in (fields or {}).items():
             self._d_tables[i].wmap = {w: self.normal_form(f) for w, f in named.items()}
@@ -122,7 +123,10 @@ class Presentation:
     def _reduce(self, e: DiffExpr) -> DiffExpr:
         """Substitute every reducible jet by its normal form in one pass.
         The normal forms are internal, so this is the polynomial that
-        substituting them one jet at a time gives."""
+        substituting them one jet at a time gives.  `_meet` refuses a space
+        unrelated to the presentation's, reducible jets or not."""
+        if e.space is not self.space:
+            _meet(e.space, self.space)
         rules = self._jet_rules
         reducible = {k for k in e.variables() if k[0] == 'j' and rules(k) is not None}
         if not reducible:
@@ -138,10 +142,9 @@ class Presentation:
 
     def normal_form(self, e: DiffExpr) -> DiffExpr:
         """The expression with every reducible jet replaced by its normal
-        form, in one substitution; elementwise on a list."""
-        def nf(x):
-            return self._reduce(x if x.space is self.space else x.rename_space(self.space))
-        return [nf(x) for x in e] if isinstance(e, (list, tuple)) else nf(e)
+        form, in one substitution; elementwise on a list.  An expression over
+        a wider space keeps it."""
+        return [self._reduce(x) for x in e] if isinstance(e, (list, tuple)) else self._reduce(e)
 
     def d_bar(self, e: DiffExpr, i: int) -> DiffExpr:
         """Restricted total derivative: one pass of D_i over the normal form
@@ -269,12 +272,8 @@ class Presentation:
     def extend_space(self, nonlocals, odd, fields) -> "Presentation":
         """Same rules over a space with extra (ruleless) nonlocals, D_i of
         each given by fields {i: {name: field}} (Covering.extended)."""
-        space = self.space.extended(nonlocals=nonlocals, odd=odd)
-        return Presentation(space,
-                            [c.rename_space(space) for c in self.components],
-                            self.leadings,
-                            [c.rename_space(space) for c in self.rhss],
-                            self.check_order, fields)
+        return Presentation(self.space.extended(nonlocals=nonlocals, odd=odd), self.components,
+                            self.leadings, self.rhss, self.check_order, fields)
 
     def is_evolutionary(self) -> bool:
         """One rule per dependent with a first-order pure-t leading jet."""

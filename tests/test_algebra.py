@@ -187,7 +187,7 @@ def test_derivation_laws():
     for _ in range(40):
         e, f = rand_graded(), rand_graded()
         for i in range(2):
-            table = ImageTable(i, wmaps[i], None)
+            table = ImageTable(i, None, wmaps[i], None)
             D = lambda g: g.total_derivative(i, table)
             assert D(e * f) == D(e) * f + e * D(f)  # D_i is an even derivation
             chain = sp.zero()

@@ -384,15 +384,23 @@ def test_lifted_and_restricted_derivatives_are_not_cached(kdv):
         pres = other.presentation
         assert [pres.d_bar(e, i) for i in range(2)] == [
             pres.normal_form(pres.normal_form(e).total_derivative(
-                i, ImageTable(i, {"w": X[i][0]}, None)))
+                i, ImageTable(i, None, {"w": X[i][0]}, None)))
             for i in range(2)]
     assert [cov.presentation.d_bar(e, i) for i in range(2)] == before
-    assert w.total_derivative(0, ImageTable(0, {"w": u}, None)) == u
-    assert w.total_derivative(0, ImageTable(0, {"w": u * u}, None)) == u * u
+    assert w.total_derivative(0, ImageTable(0, None, {"w": u}, None)) == u
+    assert w.total_derivative(0, ImageTable(0, None, {"w": u * u}, None)) == u * u
     assert u.total_derivative(1) == parse("u[0,1]", sp)
-    assert u.total_derivative(1, ImageTable(1, None, cov.presentation.jet_image)) == \
+    assert u.total_derivative(1, ImageTable(1, None, None, cov.presentation.jet_image)) == \
         parse("6*u[0,0]*u[1,0] + u[3,0]", sp)
     assert u.total_derivative(1) == parse("u[0,1]", sp)
+
+
+def test_a_lifted_derivative_lives_on_the_covering_space(kdv):
+    """D~_t of a base expression, through the covering presentation's table,
+    lies on the covering's space, with the base's value."""
+    cov = potential_covering(kdv)
+    got = cov.presentation.d_internal(SP.jet("u", (0, 0)), 1)
+    assert got.space is cov.space and got == parse("6*u[0,0]*u[1,0] + u[3,0]", SP)
 
 
 def test_reconstruct_step_leaves_user_names_alone():
@@ -400,7 +408,8 @@ def test_reconstruct_step_leaves_user_names_alone():
     sp = JetSpace.create(["x", "t"], ["w_r"])
     kdv = make_presentation(sp, [parse("w_r[0,1] - 6*w_r[0,0]*w_r[1,0] - w_r[3,0]", sp)],
                             [("w_r", (0, 1))])
-    cov = potential_covering(kdv)
+    cov = make_covering(kdv, ["w"], {0: [parse("w_r[0,0]", sp)],
+                                     1: [parse("3*w_r[0,0]^2 + w_r[2,0]", sp)]})
     out = reconstruct_step(cov, [parse("w_r[1,0]", cov.space)])
     assert out.space.nonlocals == ("w", "w_r_")
     assert verify_flat(out)["ok"]
@@ -469,7 +478,7 @@ def test_lift_d_matches_its_definition(kdv, make, factors):
         for i in range(cov.space.n):
             wmap = {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}
             expected = pres.normal_form(pres.normal_form(e).total_derivative(
-                i, ImageTable(i, wmap, None)))
+                i, ImageTable(i, None, wmap, None)))
             assert canonical_terms(pres.d_bar(e, i)) == dict(expected.coefficients())
 
 
@@ -508,7 +517,7 @@ def test_lifted_operators_match_their_definition(kdv, make, factors):
 
     def free_lift(e, i):
         return e.total_derivative(i, ImageTable(
-            i, {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}, None))
+            i, None, {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}, None))
 
     for op in (L, L.adjoint(), off):
         lifted = pres.restricted(op)

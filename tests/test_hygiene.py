@@ -7,8 +7,9 @@ algebra.py (and, among the tests, the monomials helper) that knows the
 monomial format, no write to an expression's terms, no Fraction in the inner
 kernels, no import inside a function, none from outside jetcalc and the
 standard library, a presentation's rule caches assigned only when it is
-built, rename_space called only where RENAMES says, every dataclass frozen, no self-recursion but a few of bounded depth,
-no export that the CLI does not reach, the benchmark does not import and
+built, rename_space called only where RENAMES says, incompatible spaces
+refused by one raise, every dataclass frozen, no self-recursion but a few of
+bounded depth, no export that the CLI does not reach, the benchmark does not import and
 README's python blocks do not read, and one reach check of what is unused:
 no module-level function or assignment, class or method that none of them
 reaches; on built objects, no dataclass or operator table holding a plain
@@ -854,24 +855,21 @@ def f(pres):
 
 
 # Each rename_space call left in the package, by the function around it.
-# Expressions over a space and its extension meet on the extending space, so
-# no ring operation needs an operand widened first; each call here narrows
-# (reduce, off the tags), reinterprets (a dummy jet read as a fiber jet in
-# schouten_on_equation) or puts an expression on a presentation's own space.
+# Expressions over a space and its extension meet on the extending space, and
+# a derivative meets its table's space, so no ring operation, derivative or
+# normal form needs an operand widened first; each call here narrows (reduce,
+# off the tags) or reinterprets (a dummy jet read as a fiber jet in
+# schouten_on_equation).
 RENAMES = [
-    "coverings.py:Covering.extended",
     "hamiltonian.py:schouten_on_equation",
-    "presentations.py:Presentation.extend_space",
-    "presentations.py:Presentation.extend_space",
-    "presentations.py:Presentation.normal_form.nf",
     "presentations.py:Presentation.reduce",
     "presentations.py:Presentation.reduce",
 ]
 
 
-def _rename_calls(tree):
-    """The innermost function or method around each `.rename_space(...)`
-    call, as Class.method.inner, in line order."""
+def _sites(tree, hit):
+    """The innermost function or method around each node for which hit(node)
+    holds, as Class.method.inner, in line order."""
     found = []
 
     def visit(node, where):
@@ -879,19 +877,31 @@ def _rename_calls(tree):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, where + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr == "rename_space":
+            if hit(child):
                 found.append((child.lineno, ".".join(where) or "<module>"))
             visit(child, where)
     visit(tree, ())
     return [where for _, where in sorted(found)]
 
 
+def _is_rename(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr == "rename_space"
+
+
+def _raises(text):
+    """hit for _sites: a raise whose message holds text, in a string or in
+    the literal part of an f-string."""
+    return lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value
+        for c in ast.walk(node))
+
+
 def test_no_rename_space_widens_an_operand():
     """The package calls rename_space only where RENAMES says: a new call
     fails this test, so that widening by hand does not come back."""
     sites = [f"{path.name}:{where}" for path, tree in _trees(PACKAGE)
-             for where in _rename_calls(tree)]
+             for where in _sites(tree, _is_rename)]
     assert sorted(sites) == RENAMES
 
 
@@ -908,7 +918,30 @@ class P:
 
 y = f(1, 2).rename_space(3)
 """
-    assert _rename_calls(ast.parse(source)) == ["f", "P.g.h", "P.g", "<module>"]
+    assert _sites(ast.parse(source), _is_rename) == ["f", "P.g.h", "P.g", "<module>"]
+
+
+def test_one_raise_refuses_incompatible_spaces():
+    """Spaces that neither extends are refused in one place, `_meet`, which
+    every ring operation, derivative and normal form reaches: a second copy
+    of the refusal fails this test."""
+    sites = [f"{path.name}:{where}" for path, tree in _trees(PACKAGE)
+             for where in _sites(tree, _raises("incompatible jet spaces"))]
+    assert sites == ["algebra.py:_meet"]
+
+
+def test_the_raise_check_sees_every_copy():
+    source = """
+def _meet(a, b):
+    raise ShapeError(f"incompatible jet spaces: {a} and {b}")
+
+class E:
+    def coerce(self, other):
+        if other is None:
+            raise ShapeError("incompatible jet spaces")
+        raise ShapeError(f"other jet spaces: {other}")
+"""
+    assert _sites(ast.parse(source), _raises("incompatible jet spaces")) == ["_meet", "E.coerce"]
 
 
 def _function_imports(tree):
@@ -1379,7 +1412,8 @@ ORACLES = {
     "conservation-laws": ("test_acceptance.py::test_criterion_2_kdv_cosymmetries_and_currents",
                           "test_solver_oracle.py::test_conserved_currents_are_conserved_in_sympy"),
     "reduce": ("test_presentations.py::test_cofactor_identity_matches_sympy",),
-    "verify-flat": ("test_acceptance.py::test_criterion_7_coverings",),
+    "verify-flat": ("test_acceptance.py::test_criterion_7_coverings",
+                    "test_solver_oracle.py::test_corpus_coverings_are_flat_in_sympy"),
     "verify-finite-symmetry": ("test_acceptance.py::test_criterion_7_coverings",),
     "verify-shadow": ("test_acceptance.py::test_criterion_5_recursion_operators",),
     "recursion-fiberlinear": ("test_acceptance.py::test_criterion_5_recursion_operators",),

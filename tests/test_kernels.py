@@ -8,6 +8,7 @@ through a table also against a sum of ring products.  Every result is
 checked for the stored layout: int numerators over one denominator, in
 canonical form."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -192,7 +193,7 @@ def test_free_total_derivative_matches_the_reference(space):
         terms = rand_terms(rng, space)
         e = from_factors(space, terms)
         for i in range(2):
-            got = e.total_derivative(i, ImageTable(i, {'w': space.zero(), 'z': space.zero()}
+            got = e.total_derivative(i, ImageTable(i, None, {'w': space.zero(), 'z': space.zero()}
                                                    if space is SPACE else {'w': space.zero()},
                                                    None))
             assert decoded_terms(got) == ref_total_derivative(
@@ -220,7 +221,7 @@ def test_restricted_and_lifted_derivatives_match_the_reference(space):
                 for name in space.nonlocals}
         e = rand_expr(rng, space)
         i = rng.randrange(2)
-        got = e.total_derivative(i, ImageTable(i, wmap, jets))
+        got = e.total_derivative(i, ImageTable(i, None, wmap, jets))
 
         def image(key):
             if key[0] == 'j':
@@ -288,7 +289,7 @@ def test_derivatives_through_tables_match_a_sum_of_products(space):
                 return wmap[key[1]]
             return space.one() if key == ('i', i) else space.zero()
 
-        got = e.total_derivative(i, ImageTable(i, wmap, jets))
+        got = e.total_derivative(i, ImageTable(i, None, wmap, jets))
         assert got == product_total_derivative(e, i, image)
         assert_canonical(got)
         for m in decoded_terms(e):
@@ -332,7 +333,8 @@ def test_fractions_that_sum_to_integers_are_ints():
     u_ux = ((('j', 0, (0, 0)), 1), (('j', 0, (1, 0)), 1))
     for got, want in [
         ((u * u * half).total_derivative(0), {u_ux: 1}),
-        ((u * half).total_derivative(0, ImageTable(0, None, lambda key: ux * 2)), {u_ux[1:]: 1}),
+        ((u * half).total_derivative(0, ImageTable(0, None, None, lambda key: ux * 2)),
+         {u_ux[1:]: 1}),
         ((u * half) * (ux * 4), {u_ux: 2}),
         (sum_of_products(EVEN, [(u * half, ux), (ux * Fraction(3, 2), u)]), {u_ux: 2}),
         ((3 - u * half) * 2, {u_ux[:1]: -1, (): 6}),  # int - DiffExpr
@@ -346,7 +348,7 @@ def test_full_cancellation_leaves_no_entry():
     u, u1 = sp.jet("u", (0,)), sp.jet("u", (1,))
     # D(u u_x) with u_x -> u_x and u_xx -> -u_x^2 / u: u_x^2 - u_x^2
     images = {('j', 0, (1,)): u1, ('j', 0, (2,)): -(u1 * u1) * u ** -1}
-    assert len((u * u1).total_derivative(0, ImageTable(0, None, images.get))) == 0
+    assert len((u * u1).total_derivative(0, ImageTable(0, None, None, images.get))) == 0
     a, b = rand_expr(random.Random(83), SPACE), rand_expr(random.Random(89), SPACE)
     assert len(sum_of_products(SPACE, [(a, b), (-a, b)])) == 0
     v, z = SPACE.jet("v", (0, 0)), SPACE.nonlocal_var("z")
@@ -360,10 +362,10 @@ def test_one_step_past_the_budget_raises():
     assert max(e for m in decoded_terms(at_budget) for _, e in m) == _E
     beyond = [
         lambda: (u * u1 ** _E).total_derivative(0),
-        lambda: (u ** _E).total_derivative(0, ImageTable(0, None, lambda key: u * u)),
-        lambda: (u * u1).total_derivative(0, ImageTable(0, None, lambda key: u ** _E)),
-        lambda: (w ** _E).total_derivative(0, ImageTable(0, {'w': w * w}, None)),
-        lambda: (w * w).total_derivative(0, ImageTable(0, {'w': w ** _E}, None)),
+        lambda: (u ** _E).total_derivative(0, ImageTable(0, None, None, lambda key: u * u)),
+        lambda: (u * u1).total_derivative(0, ImageTable(0, None, None, lambda key: u ** _E)),
+        lambda: (w ** _E).total_derivative(0, ImageTable(0, None, {'w': w * w}, None)),
+        lambda: (w * w).total_derivative(0, ImageTable(0, None, {'w': w ** _E}, None)),
         lambda: u ** _E * u,
         lambda: sum_of_products(EVEN, [(u1, u1), (u ** _E, u)]),
     ]
@@ -493,9 +495,10 @@ def test_equal_values_built_by_different_routes_are_one_key():
 def test_incompatible_spaces_do_not_meet():
     """Variables renamed in either direction, or with another parity, and two
     extensions of one space that neither extends are an error in every ring
-    operation and unequal under ==; a space meets an equal copy and its
-    extended spaces in either order, on the extending space, whose parity
-    gives the signs."""
+    operation; the renamed pairs are unequal under ==, and the crossed pair,
+    u[1,0] named alike and even over both extensions, is equal.  A space meets
+    an equal copy and its extended spaces in either order, on the extending
+    space, whose parity gives the signs."""
     a = JetSpace.create(["x", "t"], ["u"])
     renamed = [JetSpace.create(["y", "s"], ["v"]), JetSpace.create(["x", "t"], ["v"]),
                JetSpace.create(["t", "x"], ["u"]), JetSpace.create(["x", "t"], ["u"], odd=["u"]),
@@ -506,13 +509,14 @@ def test_incompatible_spaces_do_not_meet():
              for space in renamed[:4]]
     pairs.append((parse("u[1,0]", a.extended(dependent=["v"])), parse("u[1,0]", renamed[5])))
     for pair in pairs:
+        crossed = pair is pairs[-1]
         for x, y in (pair, pair[::-1]):
             for op in (lambda: x + y, lambda: x - y, lambda: x * y,
                        lambda: sum_of_products(x.space, [(x, y)]),
                        lambda: sum_of_products(x.space, [(y, x)])):
                 with pytest.raises(ShapeError):
                     op()
-            assert x != y and not x == y
+            assert (x == y) is crossed and (x != y) is not crossed
     # nonlocals w, z against w alone: a prefix; parameter c against none: a prefix
     w1 = renamed[4].nonlocal_var("w")
     w2 = renamed[5].nonlocal_var("w")
@@ -537,6 +541,24 @@ def test_incompatible_spaces_do_not_meet():
     for vec in ([p * px + ua], [px]):
         got, = op.apply(vec)
         assert got.space == ext and got == renamed_op.apply(vec)[0]
+
+
+def test_equality_is_transitive_across_crossed_extensions():
+    """u, and u read back over two extensions of its space that neither
+    extends, are one value: a set of the three has one member in every
+    insertion order, and u over a renamed, swapped or odd space stays apart."""
+    a = JetSpace.create(["x", "t"], ["u"])
+    u = a.jet("u", (1, 0))
+    v = a.extended(dependent=["v"]).jet("v", (0, 0))
+    w = a.extended(nonlocals=["w"]).nonlocal_var("w")
+    three = [u, (u + v) - v, (u + w) - w]
+    for order in itertools.permutations(three):
+        assert len(set(order)) == 1
+        assert all(x == y for x in order for y in order)
+    for other in (JetSpace.create(["x", "t"], ["v"]), JetSpace.create(["t", "x"], ["u"]),
+                  JetSpace.create(["x", "t"], ["u"], odd=["u"])):
+        apart = parse("u[1,0]" if "u" in other.dependent else "v[1,0]", other)  # u's key
+        assert all(x != apart and apart != x for x in three)
 
 
 def test_odd_signs_see_through_a_borrow_from_a_lower_slot():

@@ -14,6 +14,7 @@ from jetcalc import (
     JetSpace,
     NonSolvableError,
     ReductionError,
+    ShapeError,
     cotangent_covering,
     make_presentation,
     parse,
@@ -50,6 +51,22 @@ def test_kdv_rules(kdv):
     assert r2.cofactor == CDiffOp(SP, 1, 1, {(0, 0): {(1, 0): SP.one()}})
     r3 = kdv.reduce(SP.jet("u", (0, 0)))
     assert r3.normal_form == SP.jet("u", (0, 0)) and r3.cofactor.is_zero()
+
+
+def test_a_normal_form_keeps_a_wider_space_and_refuses_an_unrelated_one():
+    """On heat, u_t * v with v over an extension of the equation's space
+    reduces on v's space and renders, and d_bar of it stays there; an
+    expression over a space that neither extends is refused, whether or not
+    it holds a reducible jet."""
+    heat = make_presentation(SP, [parse("u[0,1] - u[2,0]", SP)], [("u", (0, 1))])
+    ext = SP.extended(dependent=["v"])
+    nf = heat.normal_form(SP.jet("u", (0, 1)) * ext.jet("v", (0, 0)))
+    assert nf.space is ext and repr(nf) == "DiffExpr(u[2,0]*v[0,0])"
+    assert repr(heat.d_bar(nf, 0)) == "DiffExpr(u[2,0]*v[1,0] + u[3,0]*v[0,0])"
+    other = JetSpace.create(["x", "t"], ["v"])
+    for text in ("v[1,0]", "v[0,1]", "v[2,0]*v[0,1]"):
+        with pytest.raises(ShapeError, match="incompatible jet spaces"):
+            heat.normal_form(parse(text, other))
 
 
 def _two_rules():
@@ -403,7 +420,7 @@ def test_d_internal_matches_a_table_built_per_call(request, name):
         e = rand_poly(pres.space, rng, INTERNAL[name])
         for i in rng.sample(range(pres.space.n), pres.space.n):
             got = pres.d_internal(e, i)
-            fresh = e.total_derivative(i, ImageTable(i, None, pres.jet_image))
+            fresh = e.total_derivative(i, ImageTable(i, None, None, pres.jet_image))
             assert list(got.coefficients()) == list(fresh.coefficients())
             assert canonical_terms(got) == dict(
                 pres.normal_form(e.total_derivative(i)).coefficients())
