@@ -30,13 +30,13 @@ into its sorted ((key, exponent), ...) pairs, cached; everything that
 reads factors or sorts monomials (rendering, `exponents`) goes through it,
 so no output depends on the order in which slots were registered.
 
-Odd signs come from a parity record shared by equal spaces (`_Parity`; the
-bitmaps of Dorst, Fontijne & Mann, Geometric Algebra for Computer Science,
-2007, ch. 19).  A monomial's odd part is (m + bias) & mask: mask holds the
-low bit of each odd slot, bias 2^(W-1) = 2^31 in every slot, without which
-u^-1*p would borrow from p's field and read 0.  A product's sign is 1 when
-an odd part is 0, else a table entry computed once in key order: no decoder
-reads it.
+Odd signs come from a parity record, one per tuple of dependents, nonlocals
+and odd names (`_Parity`; the bitmaps of Dorst, Fontijne & Mann, Geometric
+Algebra for Computer Science, 2007, ch. 19).  A monomial's odd part is
+(m + bias) & mask: mask holds the low bit of each odd slot, bias 2^(W-1) =
+2^31 in every slot, without which u^-1*p would borrow from p's field and read
+0.  A product's sign is 1 when an odd part is 0, else a table entry computed
+once in key order: no decoder reads it.
 
 One accumulator per result: the kernels that sum many products, D_i
 (`total_derivative`), the product and `raw_sum` (each slot of
@@ -109,8 +109,9 @@ whose variables read alike (name and parity) over the same independents.
 from __future__ import annotations
 
 import re
+import weakref
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, comb, floor, gcd, lcm, log2, log10
@@ -172,28 +173,40 @@ def mi_iter(n: int, order: int):
             index[-1] += 1
 
 
-@dataclass(frozen=True)
+_SPACES = weakref.WeakValueDictionary()  # field tuple -> the one live space with them
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class JetSpace:
     """Jet coordinate system: independents, dependents (with parity),
-    parameters and nonlocal variables (with parity)."""
+    parameters and nonlocal variables (with parity).  Interned (Ershov, CACM
+    1(8), 1958): the constructor, `create`, `extended`, a copy and an unpickled
+    space give the one live space per field tuple, so == is `is`."""
 
     independent: tuple
     dependent: tuple
-    parameters: tuple = ()
-    nonlocals: tuple = ()
-    odd: frozenset = field(default_factory=frozenset)
+    parameters: tuple
+    nonlocals: tuple
+    odd: frozenset
 
-    def __post_init__(self):
-        names = list(self.independent) + list(self.dependent) + \
-            list(self.parameters) + list(self.nonlocals)
-        if len(set(names)) != len(names):
-            raise UnknownNameError(f"duplicate names in jet space: {names}")
-        if not self.independent or not self.dependent:
-            raise UnknownNameError("need at least one independent and one dependent variable")
-        known = set(self.dependent) | set(self.nonlocals)
-        for name in self.odd:
-            if name not in known:
-                raise UnknownNameError(f"odd flag on unknown variable {name!r}")
+    def __new__(cls, independent, dependent, parameters, nonlocals, odd):
+        fields = (independent, dependent, parameters, nonlocals, odd)
+        space = _SPACES.get(fields)
+        if space is None:
+            names = list(independent) + list(dependent) + list(parameters) + list(nonlocals)
+            if len(set(names)) != len(names):
+                raise UnknownNameError(f"duplicate names in jet space: {names}")
+            if not independent or not dependent:
+                raise UnknownNameError("need at least one independent and one dependent variable")
+            for name in odd:
+                if name not in dependent and name not in nonlocals:
+                    raise UnknownNameError(f"odd flag on unknown variable {name!r}")
+            space = _SPACES[fields] = object.__new__(cls)
+            vars(space).update(zip(cls.__dataclass_fields__, fields))
+        return space
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return JetSpace, tuple(map(vars(self).get, self.__dataclass_fields__))
 
     @classmethod
     def create(cls, independent, dependent, parameters=(), nonlocals=(), odd=()):
@@ -213,9 +226,12 @@ class JetSpace:
 
     @cached_property
     def _parity(self) -> "_Parity":
-        """The parity record of the space, shared by equal spaces."""
+        """The parity record of the space, shared by all spaces with its
+        dependents, nonlocals and odd names and kept for the process: a record
+        of the space's own would be rebuilt with each problem's spaces."""
         key = (self.dependent, self.nonlocals, self.odd)
-        return _PARITIES.setdefault(key, _Parity(self))
+        return _PARITIES.setdefault(key, _Parity(
+            {k for k, (_, odd) in self._readings.items() if odd}))
 
     @cached_property
     def _readings(self) -> dict:
@@ -240,15 +256,11 @@ class JetSpace:
         return out
 
     def extended(self, dependent=(), nonlocals=(), odd=()) -> "JetSpace":
-        """New space with extra dependent/nonlocal variables appended.
-        Existing variable keys stay valid (dependent indices are stable)."""
-        return JetSpace.create(
-            self.independent,
-            tuple(self.dependent) + tuple(dependent),
-            self.parameters,
-            tuple(self.nonlocals) + tuple(nonlocals),
-            set(self.odd) | set(odd),
-        )
+        """The space with extra dependent/nonlocal variables appended; existing
+        variable keys stay valid (dependent indices are stable)."""
+        return JetSpace.create(self.independent, self.dependent + tuple(dependent),
+                               self.parameters, self.nonlocals + tuple(nonlocals),
+                               self.odd | set(odd))
 
     # -- expression constructors ------------------------------------------
 
@@ -304,8 +316,9 @@ def _meet(a: JetSpace, b: JetSpace) -> JetSpace:
     """The space where a result over a and b lives: the one that extends the
     other, as `extended` does (the same independents, each of its dependents,
     parameters and nonlocals the other's plus a tail, and the same parity for
-    every name the two share), a for equal spaces.  ShapeError when neither
-    extends the other (renamed or crossed variables)."""
+    every name the two share), a for a is b: equal spaces are one object, so
+    callers test `is` first.  ShapeError when neither extends the other
+    (renamed or crossed variables)."""
     for wide, narrow in ((a, b), (b, a)):
         if wide.dependent[:len(narrow.dependent)] == narrow.dependent \
                 and wide.nonlocals[:len(narrow.nonlocals)] == narrow.nonlocals \
@@ -338,18 +351,19 @@ _PARITIES = {}          # (dependent, nonlocals, odd) -> the spaces' parity reco
 class _Parity(dict):
     """The parity record of the spaces with given dependents, nonlocals and
     odd names: the table {(o1, o2): sign of o1 * o2} of odd parts, and the
-    `mask` and `bias` of the slots that `current` last saw registered."""
+    `mask` and `bias` of the slots that `current` last saw registered, given
+    the key[:2] of the odd variables, `odd` (no space, which it would keep)."""
 
-    __slots__ = ("space", "mask", "bias")
+    __slots__ = ("odd", "mask", "bias")
 
-    def __init__(self, space: JetSpace):
+    def __init__(self, odd: set):
         super().__init__()
-        self.space, self.mask, self.bias = space, 0, 0
+        self.odd, self.mask, self.bias = odd, 0, 0
 
     def current(self) -> "_Parity":
         for s in range(self.bias.bit_length() // _W, len(_KEYS)):
             self.bias |= 1 << (_W * s + _W - 1)
-            self.mask |= self.space.is_odd_key(_KEYS[s]) << (_W * s)
+            self.mask |= (_KEYS[s][:2] in self.odd) << (_W * s)
         return self
 
     def __missing__(self, pair) -> int:  # (-1)^(pairs a > b, a in o1, b in o2); 0 for a square

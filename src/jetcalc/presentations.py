@@ -17,6 +17,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from itertools import combinations, permutations
 from math import lcm
 
 from .algebra import (
@@ -30,6 +31,7 @@ from .algebra import (
     mi_leq,
     mi_order,
     mi_sub,
+    mi_unit,
     mi_zero,
     render,
     tower_DI,
@@ -75,8 +77,9 @@ class Presentation:
         for s, (j, I) in enumerate(self.leadings):
             self._rules_by_dep.setdefault(j, []).append((I, s))
         # every operator derived here, built once: l_F and l_F* under False and
-        # True, each Theta under (delta, adjoint), each restricted op under op
-        self._ops = {}
+        # True, each Theta under (delta, adjoint), each restricted op under op;
+        # and reduce's tagged presentation per space that extends this one's
+        self._ops, self._cofactors = {}, {}
         # a jet's rule (the first of its dependent's below it, or None), one
         # tower {K - I_s: normal form of u_K} per rule s, and the D_i table per
         # i, reading each jet as its normal form; none holds the presentation (a
@@ -159,31 +162,28 @@ class Presentation:
 
     # -- cofactor-tracking reduction ------------------------------------------
 
-    @cached_property
-    def _cofactor_rules(self) -> "Presentation":
-        """The presentation of F - _F = 0 on the space with one tag family
-        _F<s> per component (tags have no rules), solved and inter-reduced as
-        make_presentation does, with no confluence check: each right-hand side
-        plus its tag over its leading coefficient, then reduced by the others.
-        Its normal form of e is NF(e) + sum_s Delta_s(_F<s>), so the
-        cofactors ride along."""
-        sp = self.space.extended(
-            dependent=self.space.fresh(f"_F{s}" for s in range(len(self.components))))
-        tags = [sp.jet(self.space.m + s, mi_zero(sp.n)) for s in range(len(self.components))]
-        return _solved(sp, [F - t for F, t in zip(self.components, tags)],
-                       self.leadings, self.check_order)
-
     def reduce(self, e: DiffExpr) -> Reduction:
-        """Normal form together with exact cofactors.  The tagged normal form
-        is split by each term's least tag in one pass: the untagged rest is
-        the normal form, and the quotient of tag _F<s>_L is the cofactor of
+        """Normal form together with exact cofactors, over the space where e's
+        and the presentation's meet, as for normal_form: any extension of the
+        presentation's space.  e is reduced modulo F - _F = 0 over that space
+        and one tag family _F<s> per component (tags have no rules), built once
+        per space, solved and inter-reduced as make_presentation does, with no
+        confluence check; its normal form of e is NF(e) + sum_s Delta_s(_F<s>).
+        That is split by each term's least tag in one pass: the untagged rest
+        is the normal form, and the quotient of tag _F<s>_L is the cofactor of
         D_L(F_s), once each tag still in it is replaced by its D_K(F)."""
         for key in e.jet_keys():
             if self.space.is_odd_key(key) and self._jet_rules(key) is not None:
                 raise ReductionError("cofactor tracking is limited to even "
                                      f"reducible jets: {self._jet_name(key)}")
-        rules = self._cofactor_rules
-        m, l = self.space.m, len(self.components)
+        space = self.space if e.space is self.space else _meet(e.space, self.space)
+        m, l = space.m, len(self.components)
+        rules = self._cofactors.get(space)
+        if rules is None:
+            sp = space.extended(dependent=space.fresh(f"_F{s}" for s in range(l)))
+            rules = self._cofactors[space] = _solved(sp, [
+                F - sp.jet(m + s, mi_zero(sp.n)) for s, F in enumerate(self.components)],
+                self.leadings, self.check_order)
 
         def is_tag(key):
             return key[0] == 'j' and key[1] >= m
@@ -193,8 +193,8 @@ class Presentation:
             if tags := {k for k in coeff.variables() if is_tag(k)}:
                 coeff = coeff.substitute(
                     {k: apply_DI(self.components[k[1] - m], k[2]) for k in tags})
-            cofactor.append((0, s - m, L, coeff.rename_space(self.space)))
-        return Reduction(e, nf.rename_space(self.space), CDiffOp(self.space, 1, l, cofactor))
+            cofactor.append((0, s - m, L, coeff.rename_space(space)))
+        return Reduction(e, nf.rename_space(space), CDiffOp(space, 1, l, cofactor))
 
     # -- operators on the equation ---------------------------------------------
 
@@ -277,15 +277,9 @@ class Presentation:
 
     def is_evolutionary(self) -> bool:
         """One rule per dependent with a first-order pure-t leading jet."""
-        if len(self.components) != self.space.m:
-            return False
-        seen = set()
-        t = self.space.n - 1
-        for j, I in self.leadings:
-            if mi_order(I) != 1 or I[t] != 1:
-                return False
-            seen.add(j)
-        return len(seen) == self.space.m
+        t = mi_unit(self.space.n, self.space.n - 1)
+        return len(self.components) == self.space.m == len({j for j, _ in self.leadings}) \
+            and all(I == t for _, I in self.leadings)
 
 
 CHECK_ORDER = 4  # the default prolongation order of the confluence check
@@ -319,28 +313,24 @@ def _solved(space: JetSpace, comps, leads, check_order: int) -> Presentation:
     multi-index) in `leads`, the right-hand sides inter-reduced to a fixpoint;
     its confluence is not checked."""
     rhss = []
-    for F, (j, I) in zip(comps, leads):
-        key = ('j', j, I)
+    for F, (j, I) in zip(comps, leads):  # each jet named in a refusal as the user writes it
+        key, z = ('j', j, I), space.jet(j, I)
         if not F.is_linear_in(key):
-            raise NonSolvableError(f"component is not linear in its leading jet {key}")
+            raise NonSolvableError(f"component is not linear in its leading jet {render(z)}")
         a = F.partial(key)
         if len(a) != 1:
             raise NonSolvableError(
-                f"leading coefficient of {key} is not a monomial: {render(a)}")
-        z = space.jet(j, I)
+                f"leading coefficient of {render(z)} is not a monomial: {render(a)}")
         rhs = (a * z - F) * a.inverse_monomial()
         for other in rhs.variables():
             if other[0] == 'j' and other[1] == j and mi_leq(I, other[2]):
-                raise NonSolvableError(
-                    f"right-hand side contains a derivative {other} of the leading jet")
+                raise NonSolvableError(f"right-hand side contains a derivative "
+                                       f"{render(space.jet(j, other[2]))} of the leading jet")
         rhss.append(rhs)
-    # orthonomicity: leading jets pairwise non-divisible
-    for s1 in range(len(leads)):
-        for s2 in range(len(leads)):
-            if s1 != s2 and leads[s1][0] == leads[s2][0] \
-                    and mi_leq(leads[s1][1], leads[s2][1]):
-                raise NonSolvableError(
-                    f"leading jets {leads[s1]} and {leads[s2]} are not orthonomic")
+    for (j1, I1), (j2, I2) in permutations(leads, 2):  # leading jets pairwise non-divisible
+        if j1 == j2 and mi_leq(I1, I2):
+            raise NonSolvableError(f"leading jets {render(space.jet(j1, I1))} and "
+                                   f"{render(space.jet(j2, I2))} are not orthonomic")
     pres = Presentation(space, comps, leads, rhss, check_order)
     # inter-reduce right-hand sides to a fixpoint, one round at a time, with a
     # new presentation after each round that changes one
@@ -357,16 +347,11 @@ def _check_confluence(pres: Presentation, check_order: int):
     """All jets divisible by two leading jets reduce identically."""
     n = pres.space.n
     for j, rules in pres._rules_by_dep.items():
-        for a in range(len(rules)):
-            for b in range(a + 1, len(rules)):
-                Ia, sa = rules[a]
-                Ib, sb = rules[b]
-                lcm = tuple(max(x, y) for x, y in zip(Ia, Ib))
-                pads = [mi_zero(n)]
-                for extra in range(1, max(0, check_order - mi_order(lcm)) + 1):
-                    pads.extend(mi_iter(n, extra))
-                for pad in pads:
-                    K = mi_add(lcm, pad)
+        for (Ia, sa), (Ib, sb) in combinations(rules, 2):
+            top = tuple(max(x, y) for x, y in zip(Ia, Ib))
+            for extra in range(max(0, check_order - mi_order(top)) + 1):
+                for pad in mi_iter(n, extra):
+                    K = mi_add(top, pad)
                     via_a = pres.normal_form(apply_DI(pres.rhss[sa], mi_sub(K, Ia)))
                     via_b = pres.normal_form(apply_DI(pres.rhss[sb], mi_sub(K, Ib)))
                     if not (via_a - via_b).is_zero():

@@ -1,8 +1,12 @@
 import ast
+import copy
+import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +134,30 @@ def test_mi_iter_is_the_recursive_enumeration():
     for n in range(1, 6):
         for order in range(10):
             assert list(mi_iter(n, order)) == list(_mi_iter_recursive(n, order)), (n, order)
+
+
+def test_equal_spaces_are_one_object():
+    """JetSpace is interned: equal results of the constructor, `create` and
+    `extended`, in any order of their odd names, are one object, and a copied
+    or unpickled expression keeps it; a space lives while it is referenced,
+    and its parity record outlives it."""
+    a = JetSpace.create(["x", "t"], ["u", "p"], ["k"], ["w"], ["p", "w"])
+    assert a is JetSpace.create(("x", "t"), ("u", "p"), ("k",), ("w",), {"w", "p"})
+    assert a is JetSpace(("x", "t"), ("u", "p"), ("k",), ("w",), frozenset({"p", "w"}))
+    base = JetSpace.create(["x", "t"], ["u"], ["k"])
+    ext = base.extended(dependent=["p"], odd=["p"]).extended(nonlocals=["w"], odd=["w"])
+    assert ext is a and a == ext and hash(a) == hash(ext)
+    assert base.extended(dependent=["p"]) is not base.extended(dependent=["p"], odd=["p"])
+    assert base.extended() is base
+    e = ext.jet("p", (0, 0)) * ext.nonlocal_var("w") + ext.param("k")
+    for again in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert again == e and again.space is a
+    odd = JetSpace.create(["y"], ["z", "p"], odd=["p"])
+    record, probe = odd._parity, weakref.ref(odd)
+    del odd
+    gc.collect()
+    assert probe() is None  # nothing keeps an unreferenced space alive
+    assert JetSpace.create(["y"], ["z", "p"], odd=["p"])._parity is record
 
 
 def test_total_derivative_basics():

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -242,6 +243,23 @@ def _input_error(tmp_path, capsys, data):
     f.write_text(json.dumps(data))
     code = main(["run", str(f)])
     return code, capsys.readouterr().err
+
+
+UNSOLVABLE = {
+    "leading-jet-not-linear": "component is not linear in its leading jet u[0,1]",
+    "derivative-of-the-leading-jet": "right-hand side contains a derivative u[1,1] of the "
+                                     "leading jet",
+    "leading-jets-not-orthonomic": "leading jets u[1,0] and u[2,0] are not orthonomic"}
+
+
+@pytest.mark.parametrize("name", UNSOLVABLE)
+def test_an_unsolvable_equation_is_refused_in_the_users_names(tmp_path, capsys, name):
+    """make_presentation's refusals of tests/refused.json name each jet as
+    the problem writes it."""
+    case, = [c for c in json.loads((ROOT / "tests" / "refused.json").read_text())
+             if c["name"] == name]
+    assert _input_error(tmp_path, capsys, case["problem"]) == (
+        2, f"input error: {UNSOLVABLE[name]}\n")
 
 
 def test_covering_fields_short_of_its_nonlocals_are_an_input_error(tmp_path, capsys):
@@ -1329,9 +1347,12 @@ def test_a_thousand_independent_variables_reach_the_monomial_cap(tmp_path, capsy
 
 
 def _cache_sizes():
-    """The sizes of every process-wide cache of algebra and operators."""
+    """The sizes of every process-wide cache of algebra and operators, the
+    live interned spaces among them once unreachable cycles are collected."""
+    gc.collect()
     return (len(algebra._FACTORS), len(algebra._KEYS), len(algebra._UNITS),
             {key: len(record) for key, record in algebra._PARITIES.items()},
+            len(algebra._SPACES),
             {i: len(table) for i, table in algebra._FREE_TABLES.items()},
             operators._leibniz.cache_info().currsize)
 
@@ -1349,3 +1370,23 @@ def test_the_process_wide_caches_stop_growing_after_the_first_run():
         solve_cosymmetries(kdv, Ansatz(5, 3))
         sizes.append(_cache_sizes())
     assert sizes[1] == sizes[0]
+
+
+def test_every_space_meet_in_a_corpus_pass_is_between_different_spaces(monkeypatch):
+    """Equal spaces are one object, so in one pass over the 12 corpus problems
+    every `_meet` call either gets one space twice or two spaces that differ:
+    covering fields parsed over `extended` land on the covering's own space."""
+    calls, meet = [], algebra._meet
+
+    def counting(a, b):
+        calls.append((a, b))
+        return meet(a, b)
+    for module in (algebra, presentations):
+        monkeypatch.setattr(module, "_meet", counting)
+    for name in corpus_names():
+        run_problem(corpus(name))
+
+    def fields(sp):
+        return sp.independent, sp.dependent, sp.parameters, sp.nonlocals, sp.odd
+    assert len(calls) > 100
+    assert [(a, b) for a, b in calls if a is not b and fields(a) == fields(b)] == []

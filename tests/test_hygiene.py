@@ -26,6 +26,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 from types import MappingProxyType
 
@@ -48,10 +49,17 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jetcalc"
 
 
+@cache
+def _parsed(path):
+    """The file's tree, parsed once per session: no check changes a tree
+    (`_repeated_runs` renames in a deep copy)."""
+    return ast.parse(path.read_text(), str(path))
+
+
 def _trees(*dirs):
     for d in dirs:
         for path in sorted(d.rglob("*.py")):
-            yield path, ast.parse(path.read_text(), str(path))
+            yield path, _parsed(path)
 
 
 def _is_dunder(name):
@@ -786,7 +794,7 @@ def f(pres, delta, psi):
     assert lines == [4, 5, 6, 12]
 
 
-RULE_CACHES = ("_jet_rules", "_towers", "_d_tables", "_ops")
+RULE_CACHES = ("_jet_rules", "_towers", "_d_tables", "_ops", "_cofactors")
 
 
 def _rule_cache_resets(tree):
@@ -819,10 +827,11 @@ def _rule_cache_resets(tree):
 
 
 def test_the_rule_caches_are_emptied_in_one_place():
-    """The jets' rules, their normal forms' towers, the D_i tables and the
-    memo of derived operators are built from the rules and components, which
-    do not change once a presentation is built, so each is assigned once, in
-    Presentation.__init__, and never emptied."""
+    """The jets' rules, their normal forms' towers, the D_i tables, the
+    memo of derived operators and reduce's tagged presentations are built
+    from the rules and components, which do not change once a presentation
+    is built, so each is assigned once, in Presentation.__init__, and never
+    emptied."""
     sites = [(path.name, function, name) for path, tree in _trees(PACKAGE)
              for _, function, name in _rule_cache_resets(tree)]
     assert sorted(sites) == [("presentations.py", "__init__", name)
@@ -854,16 +863,17 @@ def f(pres):
         (16, "g", "_d_tables")]
 
 
-# Each rename_space call left in the package, by the function around it.
-# Expressions over a space and its extension meet on the extending space, and
-# a derivative meets its table's space, so no ring operation, derivative or
-# normal form needs an operand widened first; each call here narrows (reduce,
-# off the tags) or reinterprets (a dummy jet read as a fiber jet in
-# schouten_on_equation).
+# Each rename_space call left in the package, by the function around it, with
+# why it narrows or reinterprets.  Expressions over a space and its extension
+# meet on the extending space, and a derivative meets its table's space, so no
+# ring operation, derivative or normal form needs an operand widened first.
 RENAMES = [
-    "hamiltonian.py:schouten_on_equation",
-    "presentations.py:Presentation.reduce",
-    "presentations.py:Presentation.reduce",
+    ("hamiltonian.py:schouten_on_equation",
+     "reinterprets: a dummy jet a^s_K is read as the fiber jet p^s_K of the same key"),
+    ("presentations.py:Presentation.reduce",
+     "narrows: a cofactor holds no tag once its tags are replaced, so it leaves the tag space"),
+    ("presentations.py:Presentation.reduce",
+     "narrows: the untagged rest of the tagged normal form leaves the tag space"),
 ]
 
 
@@ -902,7 +912,7 @@ def test_no_rename_space_widens_an_operand():
     fails this test, so that widening by hand does not come back."""
     sites = [f"{path.name}:{where}" for path, tree in _trees(PACKAGE)
              for where in _sites(tree, _is_rename)]
-    assert sorted(sites) == RENAMES
+    assert sorted(sites) == [site for site, _ in RENAMES]
 
 
 def test_the_rename_check_sees_every_call():
@@ -1396,15 +1406,17 @@ def test_the_traffic_check_sees_a_wrong_exit_code(capsys):
 # Each task kind and the tests that check its verdict against what the engine
 # does not compute: a sympy computation of the same object, or the paper's and
 # the literature's closed forms in the acceptance criteria.  A kind that needs
-# none of its own would map to a one-line reason instead.  verify-symmetry and
-# verify-cosymmetry are l_F(phi) and l_F*(psi) on the equation, whose parts,
-# the linearization, the adjoint and the normal form, each have a sympy oracle.
+# none of its own would map to a one-line reason instead.  verify-symmetry has
+# a sympy oracle of its own verdict; verify-cosymmetry is l_F*(psi) on the
+# equation, whose parts, the linearization, the adjoint and the normal form,
+# each have a sympy oracle.
 ORACLES = {
     "symmetries": ("test_solver_oracle.py::test_solver_bases_span_the_sympy_nullspace",
                    "test_acceptance.py::test_criterion_1_kdv_symmetries"),
     "cosymmetries": ("test_solver_oracle.py::test_solver_bases_span_the_sympy_nullspace",
                      "test_acceptance.py::test_criterion_2_kdv_cosymmetries_and_currents"),
-    "verify-symmetry": ("test_operators.py::test_linearize_matches_sympy",
+    "verify-symmetry": ("test_solver_oracle.py::test_symmetry_verdicts_match_sympy",
+                        "test_operators.py::test_linearize_matches_sympy",
                         "test_solver_oracle.py::test_normal_forms_match_sympy_rewriting"),
     "verify-cosymmetry": ("test_operators.py::test_linearize_matches_sympy",
                           "test_operators.py::test_adjoint_satisfies_the_green_identity_in_sympy",

@@ -69,6 +69,24 @@ def test_a_normal_form_keeps_a_wider_space_and_refuses_an_unrelated_one():
             heat.normal_form(parse(text, other))
 
 
+def test_reduce_takes_an_extension_of_the_presentation_space():
+    """On heat, reduce tags the cofactors on an extension of the input's
+    space, so u_t * v and v with v over an extension reduce as normal_form
+    does, with cofactors that rebuild the input, all over v's space."""
+    heat = make_presentation(SP, [parse("u[0,1] - u[2,0]", SP)], [("u", (0, 1))])
+    ext = SP.extended(dependent=["v"])
+    for e in (SP.jet("u", (0, 1)) * ext.jet("v", (0, 0)), ext.jet("v", (1, 0)),
+              parse("u[1,1]*v[0,1] + v[2,0]", ext)):
+        red = heat.reduce(e)
+        assert red.normal_form == heat.normal_form(e) and red.check(heat)
+        assert red.normal_form.space is ext and red.cofactor.space is ext
+    assert repr(heat.reduce(parse("u[0,1]*v[0,0]", ext)).normal_form) == \
+        "DiffExpr(u[2,0]*v[0,0])"
+    other = JetSpace.create(["x", "t"], ["v"])
+    with pytest.raises(ShapeError, match="incompatible jet spaces"):
+        heat.reduce(parse("v[0,1]", other))
+
+
 def _two_rules():
     """u_x = u, u_t = u_x: its second rule inter-reduces to u_t = u."""
     return make_presentation(SP, [parse("u[1,0] - u[0,0]", SP), parse("u[0,1] - u[1,0]", SP)],
@@ -181,7 +199,7 @@ def test_non_solvable_leading():
     with pytest.raises(NonSolvableError, match="one leading jet per component"):
         make_presentation(SP, [F, F], [("u", (0, 1))])
     with pytest.raises(NonSolvableError, match=re.escape(
-            "leading coefficient of ('j', 0, (0, 1)) is not a monomial: 1 + u[0,0]")):
+            "leading coefficient of u[0,1] is not a monomial: 1 + u[0,0]")):
         make_presentation(SP, [parse("(1 + u[0,0])*u[0,1] - u[1,0]", SP)], [("u", (0, 1))])
 
 

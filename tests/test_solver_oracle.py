@@ -21,7 +21,10 @@ right-hand side, until none is left.
 
 With that rewriting, each covering of a verify-flat task in the corpus has
 zero curvature: D~_x X_t = D~_t X_x on the equation, D~_i f being sympy's
-diff of f along x^i plus df/dw X_i for each nonlocal w, a plain symbol."""
+diff of f along x^i plus df/dw X_i for each nonlocal w, a plain symbol.
+
+And verify-symmetry's verdict is the rewriting's: d/de F[u + e phi] at
+e = 0, the variation of F along phi, vanishes on the equation."""
 
 import functools
 import random
@@ -249,3 +252,36 @@ def test_corpus_coverings_are_flat_in_sympy(name, covering):
     assert all(c != 0 for c in curvatures([f + _jet(1, 0) for f in fields[T]]))
     problem = Problem(data)
     assert run_task(problem, {"kind": "verify-flat", "covering": covering})["status"] == "ok"
+
+
+EPS = sympy.Symbol("eps")
+
+
+@pytest.mark.parametrize("name, sections", [
+    ("kdv", ["u[1,0]", "6*t*u[1,0] + 1", "u[0,0]"]),
+    ("burgers", ["u[1,0]", "u[0,0]"]),
+], ids=["kdv", "burgers"])
+def test_symmetry_verdicts_match_sympy(name, sections):
+    """verify-symmetry's verdict on each corpus section of a bundled
+    equation, and on a planted non-symmetry (the last section), is sympy's:
+    phi is a symmetry exactly when d/de F[u + e phi] at e = 0, with every
+    u_t derivative rewritten by the rule, is 0 (Olver, Applications of Lie
+    Groups to Differential Equations, 2nd ed., Ch. 5)."""
+    data = corpus(name)
+    (equation,) = data["equations"]
+    assert [e for t in data["tasks"] if t["kind"] == "verify-symmetry"
+            for e in t["exprs"]] == sections[:-1]
+    F = _sympy_text(equation["expr"], {})
+    lead = _orders(_sympy_text(equation["leading"], {}))
+    rhs = sympy.expand(_jet(*lead) - F / F.diff(_jet(*lead)))  # F solved for u_lead
+    text = re.sub(r"u\[(\d+),(\d+)\]", r"J(\1,\2)", equation["expr"]).replace("^", "**")
+    problem = Problem(data)
+    verdicts = []
+    for section in sections:
+        phi = _sympy_text(section, {})
+        varied = sympy.sympify(text, locals={"J": lambda a, b: _d(U_XT + EPS * phi, a, b)})
+        oracle = _sympy_normal_form(varied.diff(EPS).subs(EPS, 0), rhs, lead) == 0
+        task = {"kind": "verify-symmetry", "exprs": [section]}
+        assert (run_task(problem, task)["status"] == "ok") == oracle, section
+        verdicts.append(oracle)
+    assert verdicts == [True] * (len(sections) - 1) + [False]
