@@ -198,9 +198,8 @@ class JetSpace:
                 raise UnknownNameError(f"duplicate names in jet space: {names}")
             if not independent or not dependent:
                 raise UnknownNameError("need at least one independent and one dependent variable")
-            for name in odd:
-                if name not in dependent and name not in nonlocals:
-                    raise UnknownNameError(f"odd flag on unknown variable {name!r}")
+            if unknown := set(odd) - set(dependent) - set(nonlocals):
+                raise UnknownNameError(f"odd flag on unknown variable {min(unknown)!r}")
             space = _SPACES[fields] = object.__new__(cls)
             vars(space).update(zip(cls.__dataclass_fields__, fields))
         return space
@@ -644,8 +643,6 @@ class DiffExpr:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("exponent must be an integer")
         if k < 0:
             return self.inverse_monomial() ** (-k)
         if k > 1:
@@ -684,7 +681,7 @@ class DiffExpr:
         (mono, n), = self.terms.items()
         for key, _ in _factors(mono):
             if key[0] not in ('j', 'w') or self.space.is_odd_key(key):
-                raise LaurentError(f"cannot invert factor {key} in {self}")
+                raise LaurentError(f"cannot invert factor {_render_key(self.space, key)} in {self}")
         return DiffExpr(self.space, {-mono: self.den if n > 0 else -self.den}, self._top,
                         abs(n))
 
@@ -1018,7 +1015,8 @@ def _by_parts(g: DiffExpr, z, i: int):
     polynomial, or the top jet does not drop."""
     space = g.space
     if z[2][i] == 0:
-        raise NonlocalObstruction(f"top jet {z} carries no D_{i} derivative")
+        raise NonlocalObstruction(f"top jet {_render_key(space, z)} carries no "
+                                  f"D_{space.independent[i]} derivative")
     down = ('j', z[1], mi_sub(z[2], mi_unit(space.n, i)))
     if space.is_odd_key(z):
         c = g.partial(z)
@@ -1027,7 +1025,7 @@ def _by_parts(g: DiffExpr, z, i: int):
         B = DiffExpr(space, {_unit(down): 1}, 1) * c  # D_i(B) = z*c + down*D_i(c)
     else:
         if not g.is_linear_in(z):
-            raise NonlocalObstruction(f"integrand nonlinear in top jet {z}")
+            raise NonlocalObstruction(f"integrand nonlinear in top jet {_render_key(space, z)}")
         B = _integrate_var(g.partial(z), down)
     rest = g - B.total_derivative(i)
     nz = _top_jet(rest)

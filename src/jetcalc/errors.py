@@ -55,7 +55,7 @@ class NonSolvableError(JetCalcError):
 
 
 class ConfluenceError(JetCalcError):
-    """Two reduction paths disagree; carries the offending critical pair."""
+    """Two reduction paths disagree; `jet` is their critical pair's (dependent, multi-index)."""
 
     def __init__(self, message: str, jet=None):
         super().__init__(message)

@@ -294,14 +294,14 @@ def make_presentation(space: JetSpace, components, leadings,
     jet with a Laurent-monomial coefficient; the rule set is inter-reduced
     and all critical pairs up to `check_order` are tested for confluence."""
     comps = list(components)
-    leads = []
-    for dep, K in leadings:
-        j = space.dep_index(dep) if isinstance(dep, str) else dep
-        leads.append((j, tuple(K)))
+    leads = [(space.dep_index(j) if isinstance(j, str) else j, tuple(K)) for j, K in leadings]
     if len(comps) != len(leads):
         raise NonSolvableError("one leading jet per component is required")
-    pres = _solved(space, comps, leads, check_order)
-    _check_confluence(pres, check_order)
+    try:  # rules that reduce a jet through itself, or to ever higher jets, recurse without end
+        pres = _solved(space, comps, leads, check_order)
+        _check_confluence(pres, check_order)
+    except RecursionError:
+        raise NonSolvableError("the rules reduce without end: no ranking orders them") from None
     for s, F in enumerate(comps):
         if not pres.normal_form(F).is_zero():
             raise ConfluenceError(f"component {s} does not reduce to zero")
@@ -340,7 +340,7 @@ def _solved(space: JetSpace, comps, leads, check_order: int) -> Presentation:
             return pres
         rhss = new
         pres = Presentation(space, comps, leads, rhss, check_order)
-    raise NonSolvableError("inter-reduction did not stabilize")  # pragma: no cover
+    raise NonSolvableError("inter-reduction did not stabilize")
 
 
 def _check_confluence(pres: Presentation, check_order: int):
@@ -356,7 +356,7 @@ def _check_confluence(pres: Presentation, check_order: int):
                     via_b = pres.normal_form(apply_DI(pres.rhss[sb], mi_sub(K, Ib)))
                     if not (via_a - via_b).is_zero():
                         raise ConfluenceError(
-                            f"critical pair at jet ({pres.space.dependent[j]}, {K}): "
+                            f"critical pair at jet {render(pres.space.jet(j, K))}: "
                             f"{render(via_a)} != {render(via_b)}", jet=(j, K))
 
 

@@ -249,13 +249,16 @@ UNSOLVABLE = {
     "leading-jet-not-linear": "component is not linear in its leading jet u[0,1]",
     "derivative-of-the-leading-jet": "right-hand side contains a derivative u[1,1] of the "
                                      "leading jet",
-    "leading-jets-not-orthonomic": "leading jets u[1,0] and u[2,0] are not orthonomic"}
+    "leading-jets-not-orthonomic": "leading jets u[1,0] and u[2,0] are not orthonomic",
+    "leading-coefficient-not-a-monomial": "leading coefficient of u[0,1] is not a monomial: "
+                                          "1 + u[0,0]",
+    "non-confluent": "critical pair at jet u[1,1]: u[0,0]^2 != 2*u[0,0]^2"}
 
 
 @pytest.mark.parametrize("name", UNSOLVABLE)
 def test_an_unsolvable_equation_is_refused_in_the_users_names(tmp_path, capsys, name):
-    """make_presentation's refusals of tests/refused.json name each jet as
-    the problem writes it."""
+    """make_presentation's refusals of tests/refused.json, and its confluence
+    check's, name each jet as the problem writes it."""
     case, = [c for c in json.loads((ROOT / "tests" / "refused.json").read_text())
              if c["name"] == name]
     assert _input_error(tmp_path, capsys, case["problem"]) == (

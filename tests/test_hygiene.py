@@ -39,6 +39,7 @@ from jetcalc import (
     HorizontalForm,
     PseudoOp,
     conservation_law_from_cosymmetry,
+    corpus_names,
     cotangent_covering,
     parse,
 )
@@ -1350,9 +1351,9 @@ def pick(flag):
 def test_traffic_leaves_unreached_only_the_listed_statements():
     """python3 tests/traffic.py in a fresh process (a cache that earlier tests
     filled would hide the statements that fill it): each statement of
-    src/jetcalc but a raise that product traffic leaves unreached is listed in
-    tests/unreached.txt, and each listed one still is unreached, so the list
-    only shrinks."""
+    src/jetcalc that product traffic leaves unreached, a raise like any
+    other, is listed in tests/unreached.txt, and each listed one still is
+    unreached, so the list only shrinks."""
     run = subprocess.run([sys.executable, str(ROOT / "tests" / "traffic.py")],
                          capture_output=True, text=True, timeout=600)
     assert (run.returncode, run.stdout) == (0, "")
@@ -1360,7 +1361,7 @@ def test_traffic_leaves_unreached_only_the_listed_statements():
 
 def test_the_traffic_list_sees_a_new_and_a_stale_statement(tmp_path):
     """traffic.entries keys each unreached statement by module, the functions
-    and classes around it and its text, and exempts a raise; a statement
+    and classes around it and its text, a raise like any other; a statement
     missing from the list is new, and a listed one that a run reaches is
     stale."""
     planted = (tmp_path / "planted.py").resolve()
@@ -1379,10 +1380,13 @@ def test_the_traffic_list_sees_a_new_and_a_stale_statement(tmp_path):
         namespace["Pick"]().pick(True)
 
     found = traffic.entries(traffic.missed([planted], run))
-    assert found == ["planted:Pick.pick: if flag is None:", 'planted:Pick.pick: return "untaken"']
-    listed = ['planted:Pick.pick: return "untaken"', "planted:Pick.pick: return \"taken\""]
-    assert traffic.differences(found, listed) == (["planted:Pick.pick: if flag is None:"],
-                                                  ['planted:Pick.pick: return "taken"'])
+    assert found == ["planted:Pick.pick: if flag is None:",
+                     'planted:Pick.pick: raise ValueError("no flag")',
+                     'planted:Pick.pick: return "untaken"']
+    listed = ['planted:Pick.pick: return "untaken"', "planted:Pick.pick: return \"taken\"",
+              "planted:Pick.pick: if flag is None:"]
+    assert traffic.differences(found, listed) == (
+        ['planted:Pick.pick: raise ValueError("no flag")'], ['planted:Pick.pick: return "taken"'])
     assert traffic.differences(found, found) == ([], [])
 
 
@@ -1401,6 +1405,25 @@ def test_the_traffic_check_sees_a_wrong_exit_code(capsys):
     assert "planted: exit 2" in capsys.readouterr().out
     assert traffic.run_cases([dict(case, code=2)]) == []
     assert traffic.report([], [], []) == 0
+
+
+def test_the_traffic_check_pins_a_line_a_detail_a_text_and_a_command_line():
+    """A case gives its problem file as text pieces, each repeated, or its
+    command line, and pins its one stderr line at exit 2 or a detail of its
+    report at another exit: a case that prints another line, or lacks its
+    detail, is reported."""
+    text = {"name": "text", "code": 2, "args": [], "text": [["[", 3], ["]", 2]],
+            "stderr": "input error: Expecting ',' delimiter: line 1 column 6 (char 5)"}
+    argv = {"name": "argv", "code": 2, "argv": ["corpus", "nosuch"],
+            "stderr": "input error: unknown corpus problem 'nosuch'; available: "
+                      + ", ".join(corpus_names())}
+    detail = {"name": "detail", "code": 1, "args": [], "detail": "unknown task kind 'x'",
+              "problem": {"space": {"independent": ["x"], "dependent": ["u"]},
+                          "tasks": [{"kind": "x"}]}}
+    assert traffic.run_cases([text, argv, detail]) == []
+    wrong = traffic.run_cases([dict(text, stderr="input error: other"),
+                               dict(detail, detail="unknown task kind 'y'")])
+    assert [line.split(":")[0] for line in wrong] == ["text", "detail"]
 
 
 # Each task kind and the tests that check its verdict against what the engine

@@ -9,19 +9,20 @@ problems through `jetcalc.cli.main` (each with and without --json, and one
 without --json), every ansatz solve of bench/workloads.SOLVES, one pass of
 the benchmark's RouteAgreement(40), README's python blocks, and the refused
 traffic: README's json problem and each case of tests/refused.json through
-`jetcalc run`, `jetcalc corpus kdv --emit` into a pipe whose reader has gone
+`jetcalc`, `jetcalc corpus kdv --emit` into a pipe whose reader has gone
 and `python -m jetcalc.cli`.  It compares the statements that none of them
-executes, but `raise` statements, with tests/unreached.txt, one
+executes, `raise` statements like any other, with tests/unreached.txt, one
 `module:scope: statement text` line each (scope the dotted name of the
-functions and classes around it, `<module>` at the top), prints the
-unreached ones missing from the list, the listed ones now reached or gone
-and the cases that end otherwise than they record, and exits 1 if there are
-any: so the list only shrinks.  On stderr it prints its wall time and how
-many of the raise statements the traffic reaches.  It imports bench/ and
-only reads it.  A statement counts as executed when the interpreter reports
-a line of it (the header lines alone for a compound statement) or runs a
-statement in its body.  pytest does not collect this file; test_hygiene.py
-runs it and checks `unreached` on a planted function."""
+functions and classes around it, `<module>` at the top) under a `#` line
+that gives its reason, prints the unreached ones missing from the list, the
+listed ones now reached or gone and the cases that end otherwise than they
+record, and exits 1 if there are any: so the list only shrinks.  On stderr
+it prints its wall time and how many of the raise statements the traffic
+reaches.  It imports bench/ and only reads it.  A statement counts as
+executed when the interpreter reports a line of it (the header lines alone
+for a compound statement) or runs a statement in its body.  pytest does
+not collect this file; test_hygiene.py runs it and checks `unreached` on a
+planted function."""
 
 from __future__ import annotations
 
@@ -119,9 +120,13 @@ def unreached(paths, run):
 
 
 def entries(found) -> list:
-    """The list line of each statement of `missed` but a raise."""
-    return [f"{path.stem}:{scope or '<module>'}: {text}"
-            for path, node, _, text, scope in found if not isinstance(node, ast.Raise)]
+    """The list line of each statement of `missed`."""
+    return [f"{path.stem}:{scope or '<module>'}: {text}" for path, _, _, text, scope in found]
+
+
+def listed() -> list:
+    """The entries of tests/unreached.txt, each line but the `#` reasons."""
+    return [line for line in LISTED.read_text().splitlines() if not line.startswith("#")]
 
 
 def differences(found, listed):
@@ -132,22 +137,33 @@ def differences(found, listed):
 
 
 def run_cases(cases) -> list:
-    """Run each case, {"name", "args", "code", "problem"}, through `jetcalc run`
-    from a temporary file: the line of each that exits with another code than
-    its `code`, or at exit 2 prints anything but one `input error: ...` line."""
+    """Run each case through `jetcalc`: {"name", "code", "argv"} as the
+    command line, or {"name", "code", "args"} as `jetcalc run` of a temporary
+    file holding its "problem" as JSON or its "text", [piece, count] pairs
+    each repeated count times.  The line of each that exits with another
+    code than its `code`, at exit 2 prints anything but one `input error:
+    ...` line or another line than its "stderr", or at another exit prints
+    no "detail" it gives."""
     from jetcalc import cli
 
-    wrong = []
+    wrong, trace = [], sys.gettrace()
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
-            path = Path(tmp) / "problem.json"
-            path.write_text(json.dumps(case["problem"]))
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main(["run", str(path), *case["args"]])
+            argv = case.get("argv")
+            if argv is None:
+                path = Path(tmp) / "problem.json"
+                path.write_text("".join(piece * count for piece, count in case["text"])
+                                if "text" in case else json.dumps(case["problem"]))
+                argv = ["run", str(path), *case["args"]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            sys.settrace(trace)  # a RecursionError that reaches the tracer unsets it
             lines = err.getvalue().splitlines()
-            if code != case["code"] or code == 2 and not (
-                    len(lines) == 1 and lines[0].startswith("input error: ")):
+            if code != case["code"] or (code == 2 and not (
+                    len(lines) == 1 and lines[0].startswith("input error: ")
+                    and lines[0] == case.get("stderr", lines[0]))) \
+                    or case.get("detail", "") not in out.getvalue():
                 wrong.append(f"{case['name']}: exit {code}, expected {case['code']}, "
                              f"stderr {err.getvalue()!r}")
     return wrong
@@ -224,11 +240,11 @@ def main():
     start, wrong = time.perf_counter(), []
     sources = sorted((ROOT / "src" / "jetcalc").glob("*.py"))
     found = missed(sources, lambda: wrong.extend(traffic()))
-    listed = LISTED.read_text().splitlines()
-    new, stale = differences(entries(found), listed)
+    known = listed()
+    new, stale = differences(entries(found), known)
     raises = sum(isinstance(node, ast.Raise) for path in sources for node in statements(path))
     unreached_raises = sum(isinstance(node, ast.Raise) for _, node, *_ in found)
-    print(f"{len(found) - unreached_raises} statements unreached, {len(listed)} listed; "
+    print(f"{len(found)} statements unreached, {len(known)} listed; "
           f"{raises - unreached_raises} of {raises} raise statements reached; "
           f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
     return report(new, stale, wrong)
