@@ -554,14 +554,14 @@ class ImageTable(dict):
     monomial divided by v (so that m + dm is a term of (m / v) * D_i(v)),
     and the image's exponent bound.  `space` is the setting's (None: free), `jets`
     maps the key of u^j_{K+e_i} to the image of u^j_K (None: that jet), `wmap` a
-    nonlocal's name to its image (None: NonlocalObstruction).  It holds at most
-    one entry per registered slot."""
+    nonlocal's name to its image (None, NonlocalObstruction, until a covering's
+    presentation assigns it).  It holds at most one entry per registered slot."""
 
     __slots__ = ("i", "space", "wmap", "jets")
 
-    def __init__(self, i: int, space, wmap, jets):
+    def __init__(self, i: int, space, jets):
         super().__init__()
-        self.i, self.space, self.wmap, self.jets = i, space, wmap, jets
+        self.i, self.space, self.wmap, self.jets = i, space, None, jets
 
     def __missing__(self, key) -> tuple:
         kind, i = key[0], self.i
@@ -802,7 +802,7 @@ class DiffExpr:
             elif i in self._free_d:
                 return self._free_d[i]
             table = _FREE_TABLES.get(i) or _FREE_TABLES.setdefault(
-                i, ImageTable(i, None, None, None))
+                i, ImageTable(i, None, None))
         elif table.space is not space and table.space is not None:
             space = _meet(space, table.space)
         odd, signs = space.odd, space._parity
@@ -1008,16 +1008,16 @@ def _top_jet(e: DiffExpr):
     return max((k for k in e.variables() if k[0] == 'j'), key=_JETKEY, default=None)
 
 
-def _by_parts(g: DiffExpr, z, i: int):
-    """One integration by parts along x^i at g's top jet z: (B, g - D_i(B))
+def _by_parts(g: DiffExpr, z):
+    """One integration by parts along x at g's top jet z: (B, g - D_x(B))
     with B the primitive of g's part linear in z.  NonlocalObstruction when
-    z carries no D_i, g is not linear in z, the primitive is not
+    z carries no D_x, g is not linear in z, the primitive is not
     polynomial, or the top jet does not drop."""
     space = g.space
-    if z[2][i] == 0:
+    if z[2][0] == 0:
         raise NonlocalObstruction(f"top jet {_render_key(space, z)} carries no "
-                                  f"D_{space.independent[i]} derivative")
-    down = ('j', z[1], mi_sub(z[2], mi_unit(space.n, i)))
+                                  f"D_{space.independent[0]} derivative")
+    down = ('j', z[1], mi_sub(z[2], mi_unit(space.n, 0)))
     if space.is_odd_key(z):
         c = g.partial(z)
         if down in c.variables():
@@ -1027,16 +1027,16 @@ def _by_parts(g: DiffExpr, z, i: int):
         if not g.is_linear_in(z):
             raise NonlocalObstruction(f"integrand nonlinear in top jet {_render_key(space, z)}")
         B = _integrate_var(g.partial(z), down)
-    rest = g - B.total_derivative(i)
+    rest = g - B.total_derivative(0)
     nz = _top_jet(rest)
     if nz is not None and _JETKEY(nz) >= _JETKEY(z):
         raise NonlocalObstruction("integration by parts failed to reduce order")
     return B, rest
 
 
-def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
-    """Primitive theta with D_i(theta) = e and zero constant of integration.
-    Raises NonlocalObstruction when no local primitive exists."""
+def invert_total_derivative(e: DiffExpr) -> DiffExpr:
+    """The primitive theta with D_x(theta) = e, x the first independent, and
+    zero constant of integration; NonlocalObstruction when none is local."""
     if any(k[0] == 'w' for k in e.variables()):
         raise NonlocalObstruction("nonlocal variable in integrand")
     present = sorted({k[1] for k in e.variables() if k[0] == 'j'})
@@ -1045,10 +1045,10 @@ def invert_total_derivative(e: DiffExpr, i: int) -> DiffExpr:
     theta = e.space.zero()
     g = e
     while (z := _top_jet(g)) is not None:
-        B, g = _by_parts(g, z, i)
+        B, g = _by_parts(g, z)
         theta = theta + B
     # residual depends on independents/parameters only
-    return theta + _integrate_var(g, ('i', i))
+    return theta + _integrate_var(g, ('i', 0))
 
 
 def _integrate_var(c: DiffExpr, key) -> DiffExpr:
@@ -1075,7 +1075,7 @@ def canonical_density(e: DiffExpr) -> DiffExpr:
     g = e
     while (z := _top_jet(g)) is not None and not e.space.is_odd_key(z):
         try:
-            _, g = _by_parts(g, z, 0)
+            _, g = _by_parts(g, z)
         except NonlocalObstruction:
             break
     return g

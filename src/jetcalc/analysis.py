@@ -184,7 +184,7 @@ def conservation_law_from_cosymmetry(psi, pres: Presentation) -> HorizontalForm:
             "cosymmetry fails the Helmholtz condition: not a generating section")
     X = canonical_density(homotopy_density(psi))
     DtX = pres.d_bar(X, 1)
-    T = invert_total_derivative(DtX, 0)
+    T = invert_total_derivative(DtX)
     if not (DtX - pres.d_bar(T, 0)).is_zero():
         raise CheckError("D_t X != D_x T on the equation: the current is not conserved")
     return HorizontalForm(pres.space, 1, {(0,): X, (1,): T})
@@ -193,15 +193,14 @@ def conservation_law_from_cosymmetry(psi, pres: Presentation) -> HorizontalForm:
 # -- variations of operators ---------------------------------------------------
 
 
-def ell_delta_op(delta: CDiffOp, phi, ncols: int = None) -> CDiffOp:
+def ell_delta_op(delta: CDiffOp, phi) -> CDiffOp:
     """Operator chi -> E_chi(delta)(phi) (derivative of delta along chi,
-    evaluated on phi).  chi ranges over the first ncols dependents."""
-    if ncols is None:
-        ncols = delta.space.m
-    return CDiffOp(delta.space, delta.rows, ncols,
+    evaluated on phi).  chi ranges over the dependents of delta's space."""
+    m = delta.space.m
+    return CDiffOp(delta.space, delta.rows, m,
                    ((r, key[1], key[2], (1, a.partial(key), dphi))
                     for r, c, tau, a in delta.terms() for dphi in (apply_DI(phi[c], tau),)
-                    for key in a.jet_keys() if key[1] < ncols))
+                    for key in a.jet_keys() if key[1] < m))
 
 
 # -- symplectic structures -----------------------------------------------------

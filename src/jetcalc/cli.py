@@ -118,15 +118,26 @@ def _load_operator(data: dict, space: JetSpace) -> CDiffOp:
         raise ProblemError(str(exc)) from None
 
 
+def _shaped(op: CDiffOp, shape: tuple, what="operator") -> CDiffOp:
+    """op, if it is rows x cols = `shape`; else an input error that names `what`."""
+    if (op.rows, op.cols) != shape:
+        raise ProblemError(f"{what} is {op.rows}x{op.cols}, "
+                           f"but the task needs {shape[0]}x{shape[1]}")
+    return op
+
+
+def _expressions(texts: list, space: JetSpace, count: int, what="exprs") -> list:
+    """The texts parsed on `space`, if there are `count`; else an input error."""
+    if len(texts) != count:
+        raise ProblemError(f"{what} has {len(texts)} expressions, but the task needs {count}")
+    return [parse(t, space) for t in texts]
+
+
 def _equation_operator(problem, data: dict, adjoint=False) -> CDiffOp:
     """A task's operator composed with l_F, so m x l (m dependents, l components),
     or with l_F* (adjoint), so l x m; another shape is an input error."""
-    op = _load_operator(data, problem.space)
     shape = (problem.space.m, len(problem.presentation.components))[::-1 if adjoint else 1]
-    if (op.rows, op.cols) != shape:
-        raise ProblemError(f"operator is {op.rows}x{op.cols}, "
-                           f"but the task needs {shape[0]}x{shape[1]}")
-    return op
+    return _shaped(_load_operator(data, problem.space), shape)
 
 
 def _task_ansatz(task: dict) -> Ansatz:
@@ -152,9 +163,9 @@ def _solver(solve):
     return lambda p, t: _basis(solve(p.presentation, _task_ansatz(t)))
 
 
-def _verifier(verify):
-    return lambda p, t: _residuals(*verify([parse(e, p.space) for e in t["exprs"]],
-                                           p.presentation))
+def _verifier(verify, adjoint=False):  # l_F, or l_F* (adjoint), on one expression per column
+    return lambda p, t: _residuals(*verify(_expressions(t["exprs"], p.space, (
+        p.space.m, len(p.presentation.components))[adjoint]), p.presentation))
 
 
 def _report(rep: dict, *keys) -> dict:
@@ -162,10 +173,13 @@ def _report(rep: dict, *keys) -> dict:
 
 
 def _conservation_laws(problem, task):
+    """A section is one expression per dependent, a string for one dependent."""
     space = problem.space
     currents = []
-    for text in task["sections"]:
-        form = conservation_law_from_cosymmetry([parse(text, space)], problem.presentation)
+    for k, section in enumerate(task["sections"]):
+        form = conservation_law_from_cosymmetry(_expressions(
+            [section] if isinstance(section, str) else section, space, space.m, f"section {k}"),
+            problem.presentation)
         currents.append({"d" + "^d".join(space.independent[i] for i in idxs): render(comp)
                          for idxs, comp in sorted(form.comps.items())})
     return {"currents": currents, "status": "ok"}
@@ -193,7 +207,8 @@ def _verify_finite_symmetry(problem, task):
 
 def _verify_shadow(problem, task):
     cov = problem.coverings[task["covering"]]
-    return _residuals(*verify_shadow([parse(e, cov.space) for e in task["exprs"]], cov))
+    return _residuals(*verify_shadow(_expressions(task["exprs"], cov.space, problem.space.m),
+                                     cov))
 
 
 def _recursion_fiberlinear(problem, task):
@@ -207,8 +222,9 @@ def _recursion_fiberlinear(problem, task):
 
 def _pseudo_apply(problem, task):
     # a NonlocalObstruction is reported by run_problem
-    image = problem.pseudo_ops[task["op"]].apply(
-        [parse(e, problem.space) for e in task["exprs"]], problem.presentation)
+    op = problem.pseudo_ops[task["op"]]
+    image = op.apply(_expressions(task["exprs"], problem.space, op.local.cols),
+                     problem.presentation)
     return {"image": [render(x) for x in image], "status": "ok"}
 
 
@@ -246,9 +262,15 @@ def _schouten_equation(problem, task):
 
 
 def _verify_equivalence(problem, task):
+    """The witness's operators each of the shape its identity composes: m and l2
+    the host's dependents and components, m1 and l1 the witness's."""
     w = task["witness"]
-    witness = EquivalenceWitness(**{k: _load_operator(w[k], problem.space)
-                                    for k in _WITNESS_OPERATORS})
+    m, m1, l1, l2 = (problem.space.m, int(w["m1"]), len(w["components"]),
+                     len(problem.presentation.components))
+    shapes = [(m, m1), (m1, m), (l2, l1), (l1, l2), (m1, l1), (m, l2)]
+    witness = EquivalenceWitness(**{
+        k: _shaped(_load_operator(w[k], problem.space), shape, f"witness operator {k}")
+        for k, shape in zip(_WITNESS_OPERATORS, shapes)})
     comps = [parse(e, problem.space) for e in w["components"]]
     rep = verify_equivalence(problem.presentation, comps, int(w["m1"]), witness)
     return dict(_report(rep), identities={k: v["ok"] for k, v in rep.items() if k != "ok"})
@@ -270,8 +292,9 @@ _TASKS = {
     "symmetries": (True, _solver(solve_symmetries), _ANSATZ),
     "cosymmetries": (True, _solver(solve_cosymmetries), _ANSATZ),
     "verify-symmetry": (True, _verifier(verify_symmetry), {"exprs": _EXPRS}),
-    "verify-cosymmetry": (True, _verifier(verify_cosymmetry), {"exprs": _EXPRS}),
-    "conservation-laws": (True, _conservation_laws, {"sections": _EXPRS}),
+    "verify-cosymmetry": (True, _verifier(verify_cosymmetry, adjoint=True), {"exprs": _EXPRS}),
+    "conservation-laws": (True, _conservation_laws,
+                          {"sections": _array({"anyOf": [_TEXT, _EXPRS]})}),
     "reduce": (True, _reduce, {"expr": _TEXT}),
     "verify-flat": (False, _verify_flat, {"covering": "covering"}),
     "verify-finite-symmetry": (False, _verify_finite_symmetry,
@@ -445,9 +468,12 @@ class Problem:
             name: PseudoOp.from_json(self.space, int(op["rows"]), int(op["cols"]), op)
             for name, op in sorted(data.get("pseudo_operators", {}).items())}
 
-    def gradient(self, name):  # momentum_gradient of the named operator, once per problem
-        got = self._gradients  # a (gradient, skew) pair is never falsy
-        return got.get(name) or got.setdefault(name, momentum_gradient(self.ham_ops[name]))
+    def gradient(self, name):
+        """momentum_gradient of the named operator, once per problem; one that is
+        not square on its space's dependents is an input error."""
+        got, m = self._gradients, self.ham_space.m  # a (gradient, skew) pair is never falsy
+        return got.get(name) or got.setdefault(name, momentum_gradient(
+            _shaped(self.ham_ops[name], (m, m), f"operator {name!r}")))
 
 
 def run_task(problem: Problem, task: dict) -> dict:

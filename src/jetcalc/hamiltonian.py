@@ -123,21 +123,20 @@ def schouten_direct(A, B, psis=()):
     return _bivector_bracket(A, B, *psis)  # bivector-bivector: corrections from l*
 
 
-def _bivector_bracket(A, B, psi1, psi2, correction=None, ncols=None):
-    """[[A, B]](psi1, psi2) for bivectors A and B, varied along the first
-    ncols dependents (all by default): the kernel takes E_psi1 of each
-    distinct operator once, and X's adjoint correction is correction(X)
-    (the nabla *1-adjoint on an equation), or E_psi1(X)*(psi2), the l*
-    correction on free jets, when correction is None.  Swapping A and B
-    swaps the two halves of the sum, so [[A, A]] computes one half and
-    uses it twice."""
+def _bivector_bracket(A, B, psi1, psi2, correction=None):
+    """[[A, B]](psi1, psi2) for bivectors A and B, varied along their space's
+    dependents: the kernel takes E_psi1 of each distinct operator once, and
+    X's adjoint correction is correction(X) (the nabla *1-adjoint on an
+    equation), or E_psi1(X)*(psi2), the l* correction on free jets, when
+    correction is None.  Swapping A and B swaps the two halves of the sum,
+    so [[A, A]] computes one half and uses it twice."""
     def variations(X):  # E_psi1(X) and X's correction
-        ell = ell_delta_op(X, psi1, ncols)
+        ell = ell_delta_op(X, psi1)
         return ell, correction(X) if correction else ell.adjoint().apply(psi2)
 
     def half(X, Y, corr_X, ell_Y):
         return (ell_Y.apply(X.apply(psi2)),
-                ell_delta_op(Y, psi2, ncols).apply(X.apply(psi1)),
+                ell_delta_op(Y, psi2).apply(X.apply(psi1)),
                 Y.apply(corr_X))
 
     (ell_A, corr_A), (ell_B, corr_B) = [variations(A)] * 2 if B is A else map(variations, (A, B))
@@ -174,11 +173,11 @@ def magri_hierarchy(A: CDiffOp, B: CDiffOp, omega: DiffExpr, steps: int):
     condition and takes omega_{k+1}, the homotopy density of psi.  Returns
     (densities, their variational derivatives, flows) with
     flows[k] = A(delta densities[k]), each euler taken once."""
-    is_dx = A == CDiffOp.total_derivative(A.space, 0)
+    is_dx = A == CDiffOp.total_derivative(A.space)
     densities, grads = [omega], [euler(omega)]
     for _ in range(steps):
         phi = B.apply(grads[-1])
-        psi = [invert_total_derivative(phi[0], 0)] if is_dx else solve_linear(A, phi, Ansatz(4, 3))
+        psi = [invert_total_derivative(phi[0])] if is_dx else solve_linear(A, phi, Ansatz(4, 3))
         if psi is None:
             raise AnsatzError("no ansatz solution of A(psi) = B(delta omega)")
         if not helmholtz(psi).is_zero():
@@ -213,7 +212,7 @@ def _eq_bracket_on_dummies(nablas: dict, pres: Presentation):
     bvec = [ext.jet(m + l + s, mi_zero(ext.n)) for s in range(l)]
     keys = list(nablas)
     return _bivector_bracket(keys[0], keys[-1], avec, bvec,
-                             lambda X: nablas[X].star1(bvec, avec), m)
+                             lambda X: nablas[X].star1(bvec, avec))
 
 
 def schouten_on_equation(d1: CDiffOp, d2: CDiffOp, pres: Presentation) -> dict:

@@ -83,8 +83,9 @@ class CDiffOp:
         return cls(space, 1, 1, {(0, 0): table})
 
     @classmethod
-    def total_derivative(cls, space, i: int):
-        return cls(space, 1, 1, ((0, 0, mi_unit(space.n, i), space.one()),))
+    def total_derivative(cls, space):
+        """D_x, along the first independent."""
+        return cls(space, 1, 1, ((0, 0, mi_unit(space.n, 0), space.one()),))
 
     @classmethod
     def mult(cls, space, expr: DiffExpr, size: int = 1):
@@ -336,7 +337,7 @@ class PseudoOp:
         for (a_vec, _), integrand in zip(norm.tails, image[rows:]):
             if integrand.is_zero():
                 continue
-            prim = invert_total_derivative(integrand, 0)
+            prim = invert_total_derivative(integrand)
             out = [x + a * prim for x, a in zip(out, pres.normal_form(a_vec))]
         return out
 

@@ -90,7 +90,7 @@ class Presentation:
             (s for I, s in by_dep.get(key[1], ()) if mi_leq(I, key[2])), None))
         self._towers = [{} for _ in self.rhss]
         image = partial(Presentation.jet_image, weakref.proxy(self))
-        self._d_tables = [ImageTable(i, space, None, image) for i in range(space.n)]
+        self._d_tables = [ImageTable(i, space, image) for i in range(space.n)]
         # a nonlocal's D_i image: its field, reduced once (reading jets only)
         for i, named in (fields or {}).items():
             self._d_tables[i].wmap = {w: self.normal_form(f) for w, f in named.items()}

@@ -10,7 +10,7 @@ the JSON form) that their Lie derivatives are taken in; the superdensity
 encoding of a bivector and its inverse, Poisson brackets, and the direct
 route of the Hamiltonian test that is_hamiltonian is checked against; and
 D_K in a setting's total derivatives, one at a time, that tower_DI and the
-restricted walks are checked against."""
+restricted walks are checked against, and a free table lifted to nonlocals."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +36,7 @@ from jetcalc import (
     verify_flat,
 )
 from jetcalc.algebra import (
+    ImageTable,
     MultiIndex,
     apply_DI,
     euler_is_zero,
@@ -59,6 +60,14 @@ def apply_DI_in(e: DiffExpr, K: MultiIndex, d=None) -> DiffExpr:
         for _ in range(k):
             e = e.total_derivative(i) if d is None else d(e, i)
     return e
+
+
+def lifted_table(i: int, wmap: dict, jets=None) -> ImageTable:
+    """The free D_i table (jets read through `jets` when given) with each
+    nonlocal's image in `wmap`, assigned as a covering's presentation does."""
+    table = ImageTable(i, None, jets)
+    table.wmap = wmap
+    return table
 
 
 # -- horizontal forms ----------------------------------------------------------
@@ -185,7 +194,7 @@ def abelian_from_current(form: HorizontalForm, base: Presentation):
         raise NonlocalObstruction("current is not closed on the equation")
     X, T = (form.comps.get((i,), form.space.zero()) for i in range(2))
     try:
-        f = invert_total_derivative(base.normal_form(X), 0)
+        f = invert_total_derivative(base.normal_form(X))
         trivial = (base.d_bar(f, 1) - base.normal_form(T)).is_zero()
     except NonlocalObstruction:
         trivial = False
@@ -234,7 +243,7 @@ def recursion_as_backlund(cov: Covering, omega_R, phi):
                for k in keys}
     for key in omega_R.variables():
         if key[0] == 'w':
-            mapping[key] = invert_total_derivative(phi0, 0).rename_space(space)
+            mapping[key] = invert_total_derivative(phi0).rename_space(space)
     value = omega_R.substitute(mapping)
     return base.normal_form(value.rename_space(base.space))
 

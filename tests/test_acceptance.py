@@ -107,11 +107,11 @@ def test_criterion_2_kdv_cosymmetries_and_currents(kdv):
 
 
 def test_criterion_3_hamiltonian_checks():
-    okk = is_hamiltonian(CDiffOp.total_derivative(SP1, 0))
+    okk = is_hamiltonian(CDiffOp.total_derivative(SP1))
     B = CDiffOp.scalar(SP1, {(3,): SP1.one(), (1,): 4 * SP1.jet("u", (0,)),
                              (0,): 2 * SP1.jet("u", (1,))})
     okk = okk and is_hamiltonian(B)
-    okk = okk and are_compatible(CDiffOp.total_derivative(SP1, 0), B)
+    okk = okk and are_compatible(CDiffOp.total_derivative(SP1), B)
     sp = JetSpace.create(["x"], ["u", "v"], parameters=["sigma"])
     P = lambda s: parse(s, sp)
     one, sg = sp.one(), sp.param("sigma")
@@ -136,7 +136,7 @@ def test_criterion_3_hamiltonian_checks():
 
 
 def test_criterion_4_magri_hierarchy():
-    A = CDiffOp.total_derivative(SP1, 0)
+    A = CDiffOp.total_derivative(SP1)
     B = CDiffOp.scalar(SP1, {(3,): SP1.one(), (1,): 4 * SP1.jet("u", (0,)),
                              (0,): 2 * SP1.jet("u", (1,))})
     densities, _, flows = magri_hierarchy(A, B, SP1.jet("u", (0,)) * Fraction(1, 2), 3)
@@ -220,7 +220,7 @@ def test_criterion_6_equation_bivectors(camassa_holm, weingarten):
            for op, pres in ((A1p, ch2), (A2p, ch2), (T1, kdv6), (T2, kdv6),
                             (D2, weingarten), (Dxy, weingarten))]
     spc = camassa_holm.space
-    A1 = CDiffOp.total_derivative(spc, 0)
+    A1 = CDiffOp.total_derivative(spc)
     A2 = CDiffOp.scalar(spc, {(0, 1): -spc.one(),
                               (1, 0): -spc.jet("u", (0, 0)),
                               (0, 0): spc.jet("u", (1, 0))})
@@ -375,9 +375,9 @@ def test_criterion_9_property_suites():
 
 
 def test_criterion_10_symplectic(kdv, wdvv):
-    rep = verify_symplectic(CDiffOp.total_derivative(wdvv.space, 0), wdvv,
+    rep = verify_symplectic(CDiffOp.total_derivative(wdvv.space), wdvv,
                             ansatz=Ansatz(2, 1))
-    repk = verify_symplectic(CDiffOp.total_derivative(SP, 0), kdv)
+    repk = verify_symplectic(CDiffOp.total_derivative(SP), kdv)
     nonzero = any(entry != "0" for row in repk["membership_residual"]
                   for entry in row)
     ok = rep["ok"] and not repk["ok"] and not repk["membership"] and nonzero

@@ -13,8 +13,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from jetcalc import Ansatz, algebra, make_presentation, operators, presentations, solve_cosymmetries
-from jetcalc.algebra import _D, _J, JetSpace, parse
-from jetcalc.analysis import MAX_MONOMIALS
+from jetcalc.algebra import _D, _J, JetSpace, parse, render
+from jetcalc.analysis import MAX_MONOMIALS, conservation_law_from_cosymmetry
 from jetcalc import cli
 from jetcalc.cli import (
     _TASKS,
@@ -1085,6 +1085,7 @@ _TRAFFIC = {
     "two-rules-conservation": (1, [("error", None)]),
     "two-rules-cotangent": (2, "input error: the cotangent covering needs each dependent to "
                                "lead at most one rule: u leads 2 of 2 rules on 1 dependent\n"),
+    "wave-system-conservation": (0, [("ok", None)]),
     "xyt": (0, [("ok", None), ("ok", "-2*u[0,0,0]"), ("ok", "u[0,0,0]^40000*u[1,0,0]^40000")]),
 }
 
@@ -1106,7 +1107,8 @@ def test_a_traffic_problem_keeps_its_report(capsys, name):
     w du^dv is no closed one; the engine's names move off a problem's `v`,
     `_F0` and `p_u`; KdV with fractional coefficients reduces, has u_x and
     its flow as symmetries and a pseudo-operator whose tail integrand
-    vanishes; and the heat equation in (x, y, t) has the 9 symmetries of
+    vanishes; u_t = v_x, v_t = u_x has a current per two-component
+    section; and the heat equation in (x, y, t) has the 9 symmetries of
     order 2 and degree 1, reads 2*-u and keeps u^40000*u_x^40000."""
     code, expected = _TRAFFIC[name]
     got = main(["run", str(TRAFFIC / f"{name}.json"), "--json"])
@@ -1320,6 +1322,81 @@ def test_conservation_laws_need_an_evolution_equation(capsys, name):
     assert json.loads(capsys.readouterr().out)["tasks"] == [{
         "task": "conservation-laws", "status": "error",
         "detail": "conservation-law shortcut requires an evolution equation in (x, t)"}]
+
+
+def test_conservation_laws_take_one_expression_per_dependent(tmp_path, capsys):
+    """On u_t = v_x, v_t = u_x a section lists one expression per dependent,
+    and each current is the library's; a string is a one-dependent section,
+    so on this system it is an input error that names both counts, and on
+    KdV it reads as its one-entry list."""
+    data = json.loads((TRAFFIC / "wave-system-conservation.json").read_text())
+    code, report = _run_json(tmp_path, capsys, data)
+    assert code == 0
+    assert report["tasks"][0]["currents"] == [
+        {"dx": "u[0,0]", "dt": "v[0,0]"},
+        {"dx": "u[0,0]*v[0,0]", "dt": "1/2*u[0,0]^2 + 1/2*v[0,0]^2"}]
+    problem = Problem(data)
+    for section, current in zip(data["tasks"][0]["sections"], report["tasks"][0]["currents"]):
+        form = conservation_law_from_cosymmetry([parse(e, problem.space) for e in section],
+                                                problem.presentation)
+        assert current == {"dx": render(form.comps[(0,)]), "dt": render(form.comps[(1,)])}
+    wrong = dict(data, tasks=[{"kind": "conservation-laws", "sections": [["1"], "1"]}])
+    assert _input_error(tmp_path, capsys, wrong) == (
+        2, "input error: section 0 has 1 expressions, but the task needs 2\n")
+    kdv = corpus("kdv")
+    as_lists = [dict(t, sections=[[x] for x in t["sections"]])
+                if t["kind"] == "conservation-laws" else t for t in kdv["tasks"]]
+    assert run_problem(dict(kdv, tasks=as_lists))["tasks"] == run_problem(kdv)["tasks"]
+
+
+@pytest.mark.parametrize("operand, shape, wrong", [
+    ("alpha", "3x1", (3, 2)), ("beta", "1x3", (3, 1)), ("alpha_p", "3x1", (1, 3)),
+    ("beta_p", "1x3", (1, 1)), ("s1", "1x1", (1, 3)), ("s2", "3x3", (3, 1)),
+])
+def test_a_witness_operator_of_the_wrong_shape_is_an_input_error(tmp_path, capsys, operand,
+                                                                 shape, wrong):
+    """kdv-3comp's witness operators are alpha m x m1, beta m1 x m, alpha_p
+    l2 x l1, beta_p l1 x l2, s1 m1 x l1 and s2 m x l2 (m = 3 dependents and
+    l2 = 3 components of the host, m1 = 1 and l1 = 1 of the witness); any
+    other shape is refused before verify_equivalence composes it."""
+    data = corpus("kdv-3comp")
+    task = next(t for t in data["tasks"] if t["kind"] == "verify-equivalence")
+    op = task["witness"][operand]
+    assert f"{op['rows']}x{op['cols']}" == shape
+    op.update(rows=wrong[0], cols=wrong[1], entries=[])
+    assert _input_error(tmp_path, capsys, data) == (
+        2, f"input error: witness operator {operand} is {wrong[0]}x{wrong[1]}, "
+           f"but the task needs {shape}\n")
+
+
+@pytest.mark.parametrize("task", [
+    {"kind": "verify-hamiltonian", "op": "C"}, {"kind": "compatible", "ops": ["A", "C"]},
+], ids=["verify-hamiltonian", "compatible"])
+@pytest.mark.parametrize("rows, cols", [(1, 2), (2, 1)])
+def test_a_non_square_hamiltonian_operator_is_an_input_error(tmp_path, capsys, task, rows,
+                                                             cols):
+    """A Hamiltonian operator is tested through its superdensity, which needs
+    it square on its space's dependents."""
+    data = corpus("kdv")
+    data["hamiltonian"]["operators"]["C"] = {"rows": rows, "cols": cols, "entries": []}
+    data["tasks"] = [task]
+    assert _input_error(tmp_path, capsys, data) == (
+        2, f"input error: operator 'C' is {rows}x{cols}, but the task needs 1x1\n")
+
+
+@pytest.mark.parametrize("name, task, count", [
+    ("kdv-3comp", {"kind": "verify-symmetry", "exprs": ["u[1,0]"]}, 3),
+    ("kdv", {"kind": "verify-cosymmetry", "exprs": ["1", "u[0,0]"]}, 1),
+    ("kdv", {"kind": "verify-shadow", "covering": "potential", "exprs": []}, 1),
+    ("kdv", {"kind": "pseudo-apply", "op": "lenard", "exprs": ["u[1,0]", "1"]}, 1),
+], ids=["verify-symmetry", "verify-cosymmetry", "verify-shadow", "pseudo-apply"])
+def test_an_expression_list_of_the_wrong_count_is_an_input_error(tmp_path, capsys, name,
+                                                                task, count):
+    """A symmetry or shadow takes one expression per dependent, a cosymmetry
+    one per component and a pseudo-operator one per column."""
+    n = len(task["exprs"])
+    assert _input_error(tmp_path, capsys, dict(corpus(name), tasks=[task])) == (
+        2, f"input error: exprs has {n} expressions, but the task needs {count}\n")
 
 
 def test_the_readme_problem_runs(tmp_path, capsys):

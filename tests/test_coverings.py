@@ -38,6 +38,7 @@ from constructs import (
     abelian_from_current,
     d_h,
     green_form,
+    lifted_table,
     reconstruct_step,
     recursion_as_backlund,
 )
@@ -288,13 +289,13 @@ def test_fiber_rules_that_do_not_commute_are_refused(check_order):
 
 
 def test_delta_covering_cases(kdv):
-    dc = delta_covering(kdv, CDiffOp.total_derivative(SP, 0), [(1, (1, 0))])
+    dc = delta_covering(kdv, CDiffOp.total_derivative(SP), [(1, (1, 0))])
     assert dc.presentation.normal_form(dc.space.jet("v", (1, 0))).is_zero()
     tk = delta_covering(kdv, kdv.linearization(), [(1, (0, 1))])
     assert tk.presentation.normal_form(tk.space.jet("v", (0, 1))) == \
         parse("6*u[1,0]*v[0,0] + 6*u[0,0]*v[1,0] + v[3,0]", tk.space)
     with pytest.raises(NonSolvableError, match="not a monomial: 0"):  # v_x has no v_t
-        delta_covering(kdv, CDiffOp.total_derivative(SP, 0), [(1, (0, 1))])
+        delta_covering(kdv, CDiffOp.total_derivative(SP), [(1, (0, 1))])
 
 
 def test_heat_recursion_operators(heat):
@@ -384,13 +385,13 @@ def test_lifted_and_restricted_derivatives_are_not_cached(kdv):
         pres = other.presentation
         assert [pres.d_bar(e, i) for i in range(2)] == [
             pres.normal_form(pres.normal_form(e).total_derivative(
-                i, ImageTable(i, None, {"w": X[i][0]}, None)))
+                i, lifted_table(i, {"w": X[i][0]})))
             for i in range(2)]
     assert [cov.presentation.d_bar(e, i) for i in range(2)] == before
-    assert w.total_derivative(0, ImageTable(0, None, {"w": u}, None)) == u
-    assert w.total_derivative(0, ImageTable(0, None, {"w": u * u}, None)) == u * u
+    assert w.total_derivative(0, lifted_table(0, {"w": u})) == u
+    assert w.total_derivative(0, lifted_table(0, {"w": u * u})) == u * u
     assert u.total_derivative(1) == parse("u[0,1]", sp)
-    assert u.total_derivative(1, ImageTable(1, None, None, cov.presentation.jet_image)) == \
+    assert u.total_derivative(1, ImageTable(1, None, cov.presentation.jet_image)) == \
         parse("6*u[0,0]*u[1,0] + u[3,0]", sp)
     assert u.total_derivative(1) == parse("u[0,1]", sp)
 
@@ -478,7 +479,7 @@ def test_lift_d_matches_its_definition(kdv, make, factors):
         for i in range(cov.space.n):
             wmap = {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}
             expected = pres.normal_form(pres.normal_form(e).total_derivative(
-                i, ImageTable(i, None, wmap, None)))
+                i, lifted_table(i, wmap)))
             assert canonical_terms(pres.d_bar(e, i)) == dict(expected.coefficients())
 
 
@@ -516,8 +517,8 @@ def test_lifted_operators_match_their_definition(kdv, make, factors):
     rng = random.Random(89)
 
     def free_lift(e, i):
-        return e.total_derivative(i, ImageTable(
-            i, None, {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}, None))
+        return e.total_derivative(i, lifted_table(
+            i, {name: cov.X[i][k] for k, name in enumerate(cov.nonlocals)}))
 
     for op in (L, L.adjoint(), off):
         lifted = pres.restricted(op)

@@ -55,7 +55,7 @@ def _problem(rng) -> dict:
         {"kind": "cosymmetries", "order": 1, "degree": 1},
         {"kind": "verify-symmetry", "exprs": [f"{NAMES[j]}[1,0]" for j in range(m)]},
         {"kind": "verify-cosymmetry", "exprs": ["1"] * l},
-        {"kind": "conservation-laws", "sections": ["1"] * m},
+        {"kind": "conservation-laws", "sections": [["1"] * m]},
         {"kind": "reduce", "expr": f"{_jet(rng, m, 3)}*{_jet(rng, m, 2)}"},
         {"kind": "recursion-fiberlinear", "order": 1, "degree": 1},
         {"kind": "verify-symplectic", "op": _operator(rng, l, m), "order": 1, "degree": 1},

@@ -1,7 +1,8 @@
 """Source hygiene of the jetcalc package, checked with the stdlib ast module:
 no unused import, no parameter that its function never reads, no default
 that no product caller (the package, the benchmark, README's python blocks;
-not the tests) overrides, no local that its function never reads, no module
+not the tests) overrides, no parameter that every product call passes the
+same literal, no local that its function never reads, no module
 but operators.py that touches an operator's coefficient table, no module but
 algebra.py (and, among the tests, the monomials helper) that knows the
 monomial format, no write to an expression's terms, no Fraction in the inner
@@ -16,7 +17,8 @@ reaches; on built objects, no dataclass or operator table holding a plain
 dict or list at any depth; README's python blocks run as printed; the
 statement-reach tracer of tests/traffic.py reports only what a run leaves
 unexecuted, and product traffic leaves unreached only the statements listed
-in tests/unreached.txt; and every task kind has an oracle in ORACLES."""
+in tests/unreached.txt; every task kind has an oracle in ORACLES; and every
+third-party module that a test imports is in pyproject.toml's test extra."""
 
 import ast
 import copy
@@ -29,6 +31,8 @@ import sys
 from functools import cache
 from pathlib import Path
 from types import MappingProxyType
+
+import pytest
 
 import jetcalc
 from jetcalc import cli
@@ -324,6 +328,43 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def _third_party_imports(trees, local):
+    """The top-level names of the modules that the trees import or
+    `importorskip`, but for the standard library's, jetcalc's and those
+    named in `local`."""
+    found = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module)
+            elif isinstance(node, ast.Call) and _callee(node) == "importorskip" and node.args \
+                    and isinstance(node.args[0], ast.Constant):
+                found.add(node.args[0].value)
+    return {name.split(".")[0] for name in found} - set(sys.stdlib_module_names) \
+        - {"jetcalc"} - local
+
+
+def test_every_third_party_test_import_is_in_the_test_extra():
+    """`pip install .[test]` installs what the tests import, so that no
+    `importorskip` oracle is skipped on a fresh install."""
+    tomllib = pytest.importorskip("tomllib")
+    extra = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"][
+        "optional-dependencies"]["test"]
+    named = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+             for req in extra}
+    local = {path.stem for d in (ROOT / "tests", ROOT / "bench") for path in d.glob("*.py")}
+    trees = [tree for _, tree in _trees(ROOT / "tests")]
+    assert sorted(_third_party_imports(trees, local) - named) == []
+
+
+def test_the_extra_check_sees_a_planted_import():
+    tree = ast.parse("import os, numpy.linalg\nfrom scipy import sparse\nfrom . import x\n"
+                     "import jetcalc.cli\nimport helper\npd = pytest.importorskip('pandas')\n")
+    assert _third_party_imports([tree], {"helper"}) == {"numpy", "scipy", "pandas"}
+
+
 def test_every_parameter_is_read():
     unread = []
     for path, tree in _trees(PACKAGE):
@@ -539,9 +580,9 @@ def _callee(call):
 
 
 def _signatures(tree):
-    """(callee name, function, skip) of each function and method: a method
-    skips its self or cls argument, and __init__ is called by its class's
-    name."""
+    """(callee name, function, skip, qualified name) of each function and
+    method: a method skips its self or cls argument, is qualified by its
+    class's name, and __init__ is called by that name."""
     owner = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
              for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
     for f in ast.walk(tree):
@@ -549,7 +590,9 @@ def _signatures(tree):
             continue
         static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
         skip = 1 if id(f) in owner and not static else 0
-        yield owner[id(f)] if f.name == "__init__" and id(f) in owner else f.name, f, skip
+        cls = owner.get(id(f))
+        yield cls if f.name == "__init__" and cls else f.name, f, skip, \
+            f.name if cls is None else cls if f.name == "__init__" else f"{cls}.{f.name}"
 
 
 def _defaulted_parameters(f, skip):
@@ -570,67 +613,96 @@ def _module_name(path):
     return path.parent.name if path.stem == "__init__" else path.stem
 
 
-def _unpassed_defaults(defining, calling):
-    """`module: name(parameter)` of each defaulted parameter of a function
-    in the modules `defining` ({module name: tree}) that no call in the
-    modules `calling` passes.  `f(...)` reaches the module-level f of its
-    own module, or of the module it imports f from, followed through
-    re-exports (else every f); `m.f(...)`, m a module imported by name, the
-    module-level f of m; and `x.f(...)` every function and method named f.
-    `partial(f, ...)` is a call of f.  A call passes a parameter by keyword
-    to each definition it reaches (**kwargs passes every one), and by
-    position (*args passes every one) only when it reaches one definition."""
+def _product_calls(defining, calling):
+    """(call, its positional arguments, the ids of the definitions it
+    reaches, whether its arguments are a partial's) of each call in the
+    modules `calling`, among the functions and methods of `_signatures` in
+    the modules `defining` and `calling` ({module name: tree}).  `f(...)`
+    reaches the module-level f of its own module, or of the module it
+    imports f from, followed through re-exports (else every f); `m.f(...)`,
+    m a module imported by name, the module-level f of m; `C.f(...)`, C a
+    class of its own module or imported, C's method f alone, its explicit
+    self dropped from the arguments of a plain method; and `x.f(...)` every
+    function and method named f.  `partial(f, ...)` is a call of f."""
     modules = {**calling, **defining}
-    every, top, imported = {}, {}, {}
+    every, top, members, imported, stars = {}, {}, {}, {}, {}
     for module, tree in modules.items():
-        for name, f, _ in _signatures(tree):
+        for name, f, _, _ in _signatures(tree):
             every.setdefault(name, set()).add(id(f))
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 inits = [f for f in node.body if getattr(f, "name", None) == "__init__"]
                 top[module, node.name] = {id(f) for f in inits or [node]}
+                members[module, node.name] = {
+                    f.name: (id(f), not {getattr(d, "id", None) for d in f.decorator_list}
+                             & {"staticmethod", "classmethod"})
+                    for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 top[module, node.name] = {id(node)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rpartition(".")[2]
                 for a in node.names:
-                    imported[module, a.asname or a.name] = (node.module.rpartition(".")[2],
-                                                            a.name)
+                    if a.name == "*":
+                        stars.setdefault(module, []).append(source)
+                    else:
+                        imported[module, a.asname or a.name] = source, a.name
 
-    def resolve(key):
-        while key in imported and key not in top:
-            key = imported[key]
+    def resolve(key):  # through imports, star imports too, to a definition if any
+        while key not in top:
+            module, name = key
+            via = [(s, name) for s in stars.get(module, ())
+                   if (s, name) in top or (s, name) in imported]
+            key = imported.get(key) or (via[0] if via else None)
+            if key is None:
+                return module, name
         return key
 
-    def reach(module, func):
+    def reach(module, func):  # (ids reached, whether an explicit self comes first)
         name = getattr(func, "id", getattr(func, "attr", None))
-        if isinstance(func, ast.Name) and ((module, name) in top or (module, name) in imported):
-            return top.get(resolve((module, name)), set())
+        if isinstance(func, ast.Name) and ((key := resolve((module, name))) in top
+                                           or key != (module, name)):
+            return top.get(key, set()), False
         owner = getattr(func, "value", None)
-        if isinstance(owner, ast.Name) and (module, owner.id) in imported:
-            owner = resolve((module, owner.id))
-            if owner not in top and owner[1] in modules:
-                return top.get(resolve((owner[1], name)), set())
-        return every.get(name, set())
+        if isinstance(owner, ast.Name):
+            key = resolve((module, owner.id))
+            if name in members.get(key, {}):
+                target, plain = members[key][name]
+                return {target}, plain
+            if (module, owner.id) in imported and key not in top and key[1] in modules:
+                return top.get(resolve((key[1], name)), set()), False
+        return every.get(name, set()), False
 
-    most, keywords = {}, {}
     for module, tree in calling.items():
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
             func, args = call.func, call.args
-            if _callee(call) == "partial" and args:
+            deferred = _callee(call) == "partial" and bool(args)
+            if deferred:
                 func, args = args[0], args[1:]
-            targets = reach(module, func)
-            n = len(args)
-            if any(isinstance(a, ast.Starred) for a in args):
-                n = float("inf")
-            for target in targets:
-                if len(targets) == 1:
-                    most[target] = max(most.get(target, 0), n)
-                keywords.setdefault(target, set()).update(k.arg for k in call.keywords)
+            targets, explicit_self = reach(module, func)
+            yield call, args[explicit_self:], targets, deferred
+
+
+def _unpassed_defaults(defining, calling):
+    """`module: name(parameter)` of each defaulted parameter of a function
+    in the modules `defining` ({module name: tree}) that no call in the
+    modules `calling` passes, calls reaching definitions as
+    `_product_calls` says.  A call passes a parameter by keyword to each
+    definition it reaches (**kwargs passes every one), and by position
+    (*args passes every one) only when it reaches one definition."""
+    most, keywords = {}, {}
+    for call, args, targets, _ in _product_calls(defining, calling):
+        n = len(args)
+        if any(isinstance(a, ast.Starred) for a in args):
+            n = float("inf")
+        for target in targets:
+            if len(targets) == 1:
+                most[target] = max(most.get(target, 0), n)
+            keywords.setdefault(target, set()).update(k.arg for k in call.keywords)
     for module, tree in defining.items():
-        for name, f, skip in _signatures(tree):
+        for name, f, skip, _ in _signatures(tree):
             kws = keywords.get(id(f), set())
             for k, param in _defaulted_parameters(f, skip):
                 if param not in kws and None not in kws \
@@ -638,18 +710,135 @@ def _unpassed_defaults(defining, calling):
                     yield f"{module}: {name}({param})"
 
 
-def test_every_default_is_passed_somewhere():
-    """A default that no product caller (the package, the benchmark, README's
-    python blocks as one module) overrides is a constant in disguise: an
-    argument that only a test passes does not keep it."""
+def _literal(node):
+    """The node's dump when it is a literal (what ast.literal_eval reads),
+    else None."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
+def _passed_values(f, skip, call, args, deferred):
+    """{parameter: the literal dump that the call passes it, or None when it
+    passes something else or the call does not say} of the function f,
+    whose first `skip` parameters the call does not pass: an omitted
+    parameter takes its default, but *args, **kwargs or a partial's later
+    call may pass it."""
+    a = f.args
+    every = a.posonlyargs + a.args
+    defaults = {p.arg: d for p, d in zip(every[len(every) - len(a.defaults):], a.defaults)}
+    defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+    names = [p.arg for p in every[skip:]]
+    starred = next((k for k, x in enumerate(args) if isinstance(x, ast.Starred)), len(names))
+    given = dict(zip(names, args[:starred]))
+    given.update((k.arg, k.value) for k in call.keywords if k.arg)
+    spread = any(k.arg is None for k in call.keywords)
+    out = {}
+    for k, name in enumerate(names + [p.arg for p in a.kwonlyargs]):
+        node = given.get(name)
+        if node is None and not (deferred or spread or starred <= k < len(names)):
+            node = defaults.get(name)
+        out[name] = node and _literal(node)
+    return out
+
+
+def _constant_parameters(defining, calling):
+    """`module: name(parameter)` of each parameter of a function in the
+    modules `defining` that at least two calls in the modules `calling`
+    reach and that every one of them passes the same literal (an omitted
+    parameter passes its default), calls reaching definitions as
+    `_product_calls` says.  Only a call that reaches one definition counts:
+    one that reaches several cannot tell which receives its arguments."""
+    signatures = {id(f): (module, name, f, skip) for module, tree in defining.items()
+                  for _, f, skip, name in _signatures(tree)}
+    values = {}
+    for call, args, targets, deferred in _product_calls(defining, calling):
+        if len(targets) == 1 and (target := next(iter(targets))) in signatures:
+            _, _, f, skip = signatures[target]
+            values.setdefault(target, []).append(_passed_values(f, skip, call, args, deferred))
+    for target, (module, name, f, skip) in signatures.items():
+        passed = values.get(target, [])
+        for param in passed[0] if len(passed) > 1 else ():
+            seen = {v[param] for v in passed}
+            if len(seen) == 1 and None not in seen:
+                yield f"{module}: {name}({param})"
+
+
+@cache
+def _product_modules():
+    """(defining, calling): the package's modules, and those with the
+    benchmark's and README's python blocks (as one module), the product
+    callers; the tests are not among them."""
     trees = list(_trees(PACKAGE, ROOT / "bench"))
     calling = {_module_name(path): tree for path, tree in trees}
     assert len(calling) == len(trees)  # no two modules share a name
     blocks = _readme_blocks((ROOT / "README.md").read_text())
     calling["README"] = ast.Module([s for b in blocks for s in b.body], [])
     package = {_module_name(path) for path in PACKAGE.glob("*.py")}
-    defining = {module: tree for module, tree in calling.items() if module in package}
-    assert list(_unpassed_defaults(defining, calling)) == []
+    return {module: tree for module, tree in calling.items() if module in package}, calling
+
+
+def test_every_default_is_passed_somewhere():
+    """A default that no product caller overrides is a constant in
+    disguise: an argument that only a test passes does not keep it."""
+    assert list(_unpassed_defaults(*_product_modules())) == []
+
+
+def test_no_parameter_is_passed_one_literal_by_every_call():
+    """A parameter that every product call passes the same literal is a
+    constant in disguise too, whatever the tests pass."""
+    assert list(_constant_parameters(*_product_modules())) == []
+
+
+def test_the_constant_check_sees_a_planted_parameter():
+    """Two calls of one literal report a parameter, through an imported
+    class's method too (a plain method's explicit self dropped) and with an
+    omitted default; one call, two literals, a non-literal, *args, a
+    partial or a call that reaches two definitions keeps it."""
+    defining = ast.parse("""
+def f(a, b, c=0, *, d=None):
+    pass
+
+def g(x, y):
+    pass
+
+class Op:
+    def __init__(self, n, table):
+        pass
+
+    @classmethod
+    def unit(cls, space, i):
+        pass
+
+    def apply(self, v, w):
+        pass
+
+class Other:
+    def apply(self, v, w):
+        pass
+""")
+    calling = ast.parse("""
+from functools import partial
+from lib import *
+f(1, 0, d=None)
+f(k, 0, c=0)
+g(0, 1)
+Op(2, None)
+Op(n, None)
+Op.unit(sp, 0)
+Op.unit(sp, 0)
+Op.apply(op, 1, v)
+Op.apply(op, 1, w)
+op.apply(1, 1)
+op.apply(1, 1)
+partial(g, 2)
+g(*args)
+""")
+    assert list(_constant_parameters({"lib": defining}, {"user": calling})) == [
+        "lib: f(b)", "lib: f(c)", "lib: f(d)", "lib: Op(table)", "lib: Op.unit(i)",
+        "lib: Op.apply(v)"]
 
 
 def test_the_default_check_sees_an_unpassed_parameter():
@@ -1175,7 +1364,7 @@ def test_no_dataclass_holds_a_plain_dict_or_list(kdv):
     one = CDiffOp.identity(sp, 1)
     built = [sp, Ansatz(2, 2), mass, d_h(mass), abelian_from_current(mass, kdv)[0],
              cotangent_covering(kdv), conservation_law_from_cosymmetry([sp.one()], kdv),
-             to_superdensity(CDiffOp.total_derivative(sp, 0)), kdv.reduce(parse("u[0,1]", sp)),
+             to_superdensity(CDiffOp.total_derivative(sp)), kdv.reduce(parse("u[0,1]", sp)),
              scale(PseudoOp(one, [([u], one)]), 2), EquivalenceWitness(*[one] * 6)]
     assert {type(x) for x in built} == _engine_dataclasses() | {Superdensity}
     plain = [path for x in built for path in _plain_containers(x, type(x).__name__)]

@@ -20,6 +20,7 @@ from jetcalc import algebra
 from jetcalc.algebra import _E, _KEYS, ImageTable, raw_sum, sum_of_products, sum_of_terms
 from jetcalc.errors import BudgetError, ShapeError
 from jetcalc.hamiltonian import momenta_space
+from constructs import lifted_table
 from monomials import decoded_terms, entries, from_factors, layout, raw_entries
 
 # v and z are odd; w is an even nonlocal and a a parameter
@@ -193,9 +194,8 @@ def test_free_total_derivative_matches_the_reference(space):
         terms = rand_terms(rng, space)
         e = from_factors(space, terms)
         for i in range(2):
-            got = e.total_derivative(i, ImageTable(i, None, {'w': space.zero(), 'z': space.zero()}
-                                                   if space is SPACE else {'w': space.zero()},
-                                                   None))
+            got = e.total_derivative(i, lifted_table(i, {'w': space.zero(), 'z': space.zero()}
+                                                     if space is SPACE else {'w': space.zero()}))
             assert decoded_terms(got) == ref_total_derivative(
                 space, decoded_terms(e), free_image(i))
             assert_canonical(got)
@@ -221,7 +221,7 @@ def test_restricted_and_lifted_derivatives_match_the_reference(space):
                 for name in space.nonlocals}
         e = rand_expr(rng, space)
         i = rng.randrange(2)
-        got = e.total_derivative(i, ImageTable(i, None, wmap, jets))
+        got = e.total_derivative(i, lifted_table(i, wmap, jets))
 
         def image(key):
             if key[0] == 'j':
@@ -289,7 +289,7 @@ def test_derivatives_through_tables_match_a_sum_of_products(space):
                 return wmap[key[1]]
             return space.one() if key == ('i', i) else space.zero()
 
-        got = e.total_derivative(i, ImageTable(i, None, wmap, jets))
+        got = e.total_derivative(i, lifted_table(i, wmap, jets))
         assert got == product_total_derivative(e, i, image)
         assert_canonical(got)
         for m in decoded_terms(e):
@@ -333,7 +333,7 @@ def test_fractions_that_sum_to_integers_are_ints():
     u_ux = ((('j', 0, (0, 0)), 1), (('j', 0, (1, 0)), 1))
     for got, want in [
         ((u * u * half).total_derivative(0), {u_ux: 1}),
-        ((u * half).total_derivative(0, ImageTable(0, None, None, lambda key: ux * 2)),
+        ((u * half).total_derivative(0, ImageTable(0, None, lambda key: ux * 2)),
          {u_ux[1:]: 1}),
         ((u * half) * (ux * 4), {u_ux: 2}),
         (sum_of_products(EVEN, [(u * half, ux), (ux * Fraction(3, 2), u)]), {u_ux: 2}),
@@ -348,7 +348,7 @@ def test_full_cancellation_leaves_no_entry():
     u, u1 = sp.jet("u", (0,)), sp.jet("u", (1,))
     # D(u u_x) with u_x -> u_x and u_xx -> -u_x^2 / u: u_x^2 - u_x^2
     images = {('j', 0, (1,)): u1, ('j', 0, (2,)): -(u1 * u1) * u ** -1}
-    assert len((u * u1).total_derivative(0, ImageTable(0, None, None, images.get))) == 0
+    assert len((u * u1).total_derivative(0, ImageTable(0, None, images.get))) == 0
     a, b = rand_expr(random.Random(83), SPACE), rand_expr(random.Random(89), SPACE)
     assert len(sum_of_products(SPACE, [(a, b), (-a, b)])) == 0
     v, z = SPACE.jet("v", (0, 0)), SPACE.nonlocal_var("z")
@@ -362,10 +362,10 @@ def test_one_step_past_the_budget_raises():
     assert max(e for m in decoded_terms(at_budget) for _, e in m) == _E
     beyond = [
         lambda: (u * u1 ** _E).total_derivative(0),
-        lambda: (u ** _E).total_derivative(0, ImageTable(0, None, None, lambda key: u * u)),
-        lambda: (u * u1).total_derivative(0, ImageTable(0, None, None, lambda key: u ** _E)),
-        lambda: (w ** _E).total_derivative(0, ImageTable(0, None, {'w': w * w}, None)),
-        lambda: (w * w).total_derivative(0, ImageTable(0, None, {'w': w ** _E}, None)),
+        lambda: (u ** _E).total_derivative(0, ImageTable(0, None, lambda key: u * u)),
+        lambda: (u * u1).total_derivative(0, ImageTable(0, None, lambda key: u ** _E)),
+        lambda: (w ** _E).total_derivative(0, lifted_table(0, {'w': w * w})),
+        lambda: (w * w).total_derivative(0, lifted_table(0, {'w': w ** _E})),
         lambda: u ** _E * u,
         lambda: sum_of_products(EVEN, [(u1, u1), (u ** _E, u)]),
     ]

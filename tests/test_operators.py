@@ -84,7 +84,7 @@ def test_terms_build_the_operator_their_table_gives():
 
 def test_compose_leibniz():
     u = SP.jet("u", (0, 0))
-    Dx = CDiffOp.total_derivative(SP, 0)
+    Dx = CDiffOp.total_derivative(SP)
     comp = Dx.compose(CDiffOp.mult(SP, u))
     assert comp == CDiffOp.scalar(SP, {(0, 0): SP.jet("u", (1, 0)), (1, 0): u})
     ident = CDiffOp.identity(SP, 1)
@@ -93,7 +93,7 @@ def test_compose_leibniz():
 
 
 def test_compose_shape_mismatch():
-    Dx = CDiffOp.total_derivative(SP, 0)
+    Dx = CDiffOp.total_derivative(SP)
     wide = CDiffOp(SP, 1, 2, {(0, 0): {(0, 0): SP.one()}})
     with pytest.raises(ShapeError):
         wide.compose(wide)
@@ -103,7 +103,7 @@ def test_compose_shape_mismatch():
 def test_adjoint_examples():
     u = SP.jet("u", (0, 0))
     ux = SP.jet("u", (1, 0))
-    Dx = CDiffOp.total_derivative(SP, 0)
+    Dx = CDiffOp.total_derivative(SP)
     assert Dx.adjoint() == Dx.scale(-1)
     A = CDiffOp.scalar(SP, {(1, 0): u})
     # (u D_x)* = -u D_x - u_x, term-by-term integration by parts
@@ -368,14 +368,14 @@ def test_an_applied_operator_table_refuses_writes():
     go stale: neither the table nor an entry of it can be written."""
     sp = JetSpace.create(["x"], ["u"])
     u, ux = sp.jet("u", (0,)), sp.jet("u", (1,))
-    op = CDiffOp.total_derivative(sp, 0)
+    op = CDiffOp.total_derivative(sp)
     assert op.apply([u * u]) == [2 * u * ux]
     with pytest.raises(TypeError):
         op.entries[(0, 0)] = {(2,): sp.one()}
     with pytest.raises(TypeError):
         op.entries[(0, 0)][(2,)] = sp.one()
     assert op.apply([u * u]) == [2 * u * ux]
-    assert op == CDiffOp.total_derivative(sp, 0)
+    assert op == CDiffOp.total_derivative(sp)
 
 
 def test_an_applied_operator_refuses_rebinding():
@@ -384,7 +384,7 @@ def test_an_applied_operator_refuses_rebinding():
     apply's plan behind it."""
     sp = JetSpace.create(["x"], ["u"])
     u, ux = sp.jet("u", (0,)), sp.jet("u", (1,))
-    op = CDiffOp.total_derivative(sp, 0)
+    op = CDiffOp.total_derivative(sp)
     assert op.apply([u * u]) == [2 * u * ux]
     other = CDiffOp.scalar(sp, {(2,): sp.one()})
     for name, value in [("space", JetSpace.create(["x"], ["v"])), ("rows", 2), ("cols", 2),
@@ -395,7 +395,7 @@ def test_an_applied_operator_refuses_rebinding():
             delattr(op, name)
     assert op.apply([u * u]) == [2 * u * ux]
     assert (op.rows, op.cols, op.space) == (1, 1, sp)
-    assert op == CDiffOp.total_derivative(sp, 0) and repr(op) != repr(other)
+    assert op == CDiffOp.total_derivative(sp) and repr(op) != repr(other)
 
 
 def test_linearize_kdv():
@@ -573,7 +573,7 @@ def test_green_form_examples():
     sp1 = JetSpace.create(["x"], ["u"])
     p = sp1.jet("u", (1,))
     q = sp1.jet("u", (0,)) * sp1.jet("u", (2,))
-    Dx = CDiffOp.total_derivative(sp1, 0)
+    Dx = CDiffOp.total_derivative(sp1)
     assert green_form(Dx, [p], [q]).comps[()] == p * q
     D2 = CDiffOp.scalar(sp1, {(2,): sp1.one()})
     g2 = green_form(D2, [p], [q]).comps[()]
@@ -707,7 +707,7 @@ def test_pseudo_ev_matches_the_derivative_along_phi():
 
 def _kdv_ops():
     u = SP.jet("u", (0, 0))
-    return {"D_x": CDiffOp.total_derivative(SP, 0),
+    return {"D_x": CDiffOp.total_derivative(SP),
             "D_x^2+4u": CDiffOp.scalar(SP, {(2, 0): SP.one(), (0, 0): 4 * u}),
             "u_x": CDiffOp.mult(SP, SP.jet("u", (1, 0))),
             "u*D_x": CDiffOp.scalar(SP, {(1, 0): u})}
@@ -741,6 +741,6 @@ def test_compose_local_right_is_pseudo_after_op(kdv, name, phi):
 
 def test_formal_commutator():
     R = lenard(SP)
-    Dx = CDiffOp.total_derivative(SP, 0)
+    Dx = CDiffOp.total_derivative(SP)
     L = subtract(ev(R, [SP.jet("u", (1, 0))]), commutator_local(R, Dx)).normalized()
     assert L.local.is_zero() and not L.tails

@@ -438,7 +438,7 @@ def test_d_internal_matches_a_table_built_per_call(request, name):
         e = rand_poly(pres.space, rng, INTERNAL[name])
         for i in rng.sample(range(pres.space.n), pres.space.n):
             got = pres.d_internal(e, i)
-            fresh = e.total_derivative(i, ImageTable(i, None, None, pres.jet_image))
+            fresh = e.total_derivative(i, ImageTable(i, None, pres.jet_image))
             assert list(got.coefficients()) == list(fresh.coefficients())
             assert canonical_terms(got) == dict(
                 pres.normal_form(e.total_derivative(i)).coefficients())
